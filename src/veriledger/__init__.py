@@ -25,7 +25,6 @@ from .core import (
     ReceiptStatus,
     Transaction,
     TxKind,
-    Validator,
     Verdict,
 )
 from .detection import (
@@ -79,7 +78,6 @@ __all__ = [
     "ScenarioConfig",
     "Transaction",
     "TxKind",
-    "Validator",
     "Verdict",
     "apply_block",
     "compute_metrics",

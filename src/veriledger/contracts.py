@@ -14,11 +14,17 @@ Token movements and their conservation story:
   then split 70% to the algorithm owner, 20% to the block proposer, and
   the remainder (including integer-division leftovers) is burned;
 * epoch rewards are minted against this-epoch correct outcomes.
+
+State records are immutable. A handler never changes a record in place:
+it stores a new one built with ``dataclasses.replace``. That is what lets
+``NetworkState.clone`` copy only the containers and share the records,
+and lets each record keep its cached canonical encoding until it is
+replaced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .codec import Hash256
@@ -94,8 +100,9 @@ def _deprecate_with_burn(state: NetworkState, record: AlgorithmRecord) -> None:
     """Burn half the stake (floor), refund the rest, retire the algorithm."""
     burn = record.stake // 2
     refund = record.stake - burn
-    record.stake = 0
-    record.status = AlgorithmStatus.DEPRECATED
+    state.algorithms[record.algorithm_id] = replace(
+        record, stake=0, status=AlgorithmStatus.DEPRECATED
+    )
     if refund:
         state.credit(record.owner, refund)
     state.total_burned += burn
@@ -145,13 +152,21 @@ def submit_challenge_result(
     _check_label(payload.predicted_label)
     _check_label(payload.true_label)
 
-    record.challenges_submitted.add(payload.challenge_id)
+    passed = record.challenge_passed
     if payload.predicted_label is payload.true_label:
-        record.challenge_passed += 1
+        passed += 1
+    record = replace(
+        record,
+        challenges_submitted=record.challenges_submitted | {payload.challenge_id},
+        challenge_passed=passed,
+    )
+    state.algorithms[record.algorithm_id] = record
     if len(record.challenges_submitted) == state.params.challenge_count:
-        accuracy = Fraction(record.challenge_passed, state.params.challenge_count)
+        accuracy = Fraction(passed, state.params.challenge_count)
         if accuracy >= _exact_threshold(state.params.challenge_pass_accuracy):
-            record.status = AlgorithmStatus.ACTIVE
+            state.algorithms[record.algorithm_id] = replace(
+                record, status=AlgorithmStatus.ACTIVE
+            )
         else:
             _deprecate_with_burn(state, record)
     return []
@@ -244,7 +259,9 @@ def commit_analysis_result(
         raise Rejection(errors.ALGORITHM_NOT_ACTIVE, payload.algorithm_id)
     _check_result(state, payload)
 
-    request.status = RequestStatus.COMPLETED
+    state.requests[payload.request_id] = replace(
+        request, status=RequestStatus.COMPLETED
+    )
     state.results[payload.request_id] = AnalysisResultRecord(
         request_id=payload.request_id,
         algorithm_id=payload.algorithm_id,
@@ -298,16 +315,15 @@ def submit_feedback(
     # Unverified counts as an Authentic prediction.
     predicted_fake = result.verdict is Verdict.DEEPFAKE
     actual_fake = payload.true_label is Verdict.DEEPFAKE
-    if predicted_fake and actual_fake:
-        record.tp += 1
-    elif predicted_fake and not actual_fake:
-        record.fp += 1
-    elif not predicted_fake and not actual_fake:
-        record.tn += 1
+    if predicted_fake:
+        outcome = "tp" if actual_fake else "fp"
     else:
-        record.fn += 1
+        outcome = "fn" if actual_fake else "tn"
+    changes = {outcome: getattr(record, outcome) + 1}
     if predicted_fake == actual_fake:
-        record.epoch_correct += 1
+        changes["epoch_correct"] = record.epoch_correct + 1
+    record = replace(record, **changes)
+    state.algorithms[record.algorithm_id] = record
     state.feedback_done.add(payload.request_id)
 
     total = record.feedback_total()
@@ -397,8 +413,9 @@ def distribute_epoch_rewards(
         for a in state.algorithms.values()
         if a.status is AlgorithmStatus.ACTIVE
     }
-    for record in state.algorithms.values():
-        record.epoch_correct = 0
+    for aid, record in state.algorithms.items():
+        if record.epoch_correct:
+            state.algorithms[aid] = replace(record, epoch_correct=0)
 
     total = sum(scores.values())
     if total == 0:

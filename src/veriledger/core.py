@@ -7,9 +7,8 @@ wire rules) of transactions, blocks, and network state. Field order in each
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable
 
@@ -97,12 +96,6 @@ class Embedding:
         if any(not math.isfinite(v) or v < 0.0 for v in self.values):
             return False
         return any(v > 0.0 for v in self.values)
-
-
-@dataclass(frozen=True, slots=True)
-class Validator:
-    id: str
-    stake: int
 
 
 # --- transaction payloads -------------------------------------------------
@@ -221,9 +214,20 @@ class Receipt:
 
 
 # --- contract records -----------------------------------------------------
+#
+# State records are immutable: a contract handler that changes one stores a
+# new record built with ``dataclasses.replace``. ``NetworkState.clone`` can
+# therefore share records between states, and each record caches its
+# canonical encoding in ``_encoding``, filled by ``encode_state`` on first
+# use. ``replace`` leaves that slot at None, so a changed record never
+# carries a stale encoding.
 
 
-@dataclass(slots=True)
+def _encoding_cache():
+    return field(default=None, init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True, slots=True)
 class AlgorithmRecord:
     algorithm_id: str
     owner: str
@@ -237,14 +241,15 @@ class AlgorithmRecord:
     tn: int = 0
     fn: int = 0
     challenge_passed: int = 0
-    challenges_submitted: set[str] = field(default_factory=set)
+    challenges_submitted: frozenset[str] = frozenset()
     epoch_correct: int = 0
+    _encoding: bytes | None = _encoding_cache()
 
     def feedback_total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ContentRecord:
     content_id: str
     provider: str
@@ -253,9 +258,10 @@ class ContentRecord:
     embedding: Embedding
     metadata: dict[str, str]
     registered_at: int
+    _encoding: bytes | None = _encoding_cache()
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisRequest:
     request_id: str
     submitter: str
@@ -265,9 +271,10 @@ class AnalysisRequest:
     fee: int
     status: RequestStatus
     submitted_at: int
+    _encoding: bytes | None = _encoding_cache()
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisResultRecord:
     request_id: str
     algorithm_id: str
@@ -275,6 +282,7 @@ class AnalysisResultRecord:
     confidence: float
     matched_content: tuple[tuple[str, float], ...]
     committed_at: int
+    _encoding: bytes | None = _encoding_cache()
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,7 +352,20 @@ class NetworkState:
     tip_hash: Hash256 = field(default_factory=Hash256.zero)
 
     def clone(self) -> "NetworkState":
-        return copy.deepcopy(self)
+        """Copy every container; share the immutable records and params."""
+        return replace(
+            self,
+            validators=dict(self.validators),
+            balances=dict(self.balances),
+            nonces=dict(self.nonces),
+            algorithms=dict(self.algorithms),
+            contents=dict(self.contents),
+            content_hash_index=dict(self.content_hash_index),
+            requests=dict(self.requests),
+            results=dict(self.results),
+            feedback_done=set(self.feedback_done),
+            detectors=dict(self.detectors),
+        )
 
     def balance(self, account: str) -> int:
         return self.balances.get(account, 0)
@@ -585,7 +606,12 @@ def encode_state(state: NetworkState) -> bytes:
     ):
         parts.append(enc_u32(len(mapping)))
         for key in sorted(mapping):
-            parts.append(enc(mapping[key]))
+            record = mapping[key]
+            encoded = record._encoding
+            if encoded is None:
+                encoded = enc(record)
+                object.__setattr__(record, "_encoding", encoded)
+            parts.append(encoded)
 
     parts.append(enc_str_list(sorted(state.feedback_done)))
 

@@ -82,6 +82,9 @@ def pretty_json(value: Any) -> str:
 # --- strict parse helpers ---------------------------------------------------
 
 
+_TWO64 = 2**64
+
+
 def _expect_keys(d: Any, keys: set[str], what: str) -> dict:
     if not isinstance(d, dict):
         raise SerializationError(f"{what}: expected object")
@@ -98,9 +101,12 @@ def _as_int(v: Any, what: str) -> int:
 
 
 def _as_nonneg(v: Any, what: str) -> int:
+    """An integer the canonical encodings can hold as an unsigned 64-bit."""
     n = _as_int(v, what)
     if n < 0:
         raise SerializationError(f"{what}: must be non-negative")
+    if n >= _TWO64:
+        raise SerializationError(f"{what}: exceeds the u64 range")
     return n
 
 
@@ -416,25 +422,30 @@ _PARAM_KEYS = set(params_to_json(ContractParams()))
 
 def params_from_json(d: Any) -> ContractParams:
     d = _expect_keys(d, _PARAM_KEYS, "params")
-    return ContractParams(
-        min_stake=_as_nonneg(d["min_stake"], "params.min_stake"),
-        min_fee=_as_nonneg(d["min_fee"], "params.min_fee"),
-        fee_owner_pct=_as_nonneg(d["fee_owner_pct"], "params.fee_owner_pct"),
-        fee_proposer_pct=_as_nonneg(d["fee_proposer_pct"], "params.fee_proposer_pct"),
-        challenge_count=_as_nonneg(d["challenge_count"], "params.challenge_count"),
-        challenge_pass_accuracy=_as_float(
-            d["challenge_pass_accuracy"], "params.challenge_pass_accuracy"
-        ),
-        feedback_window=_as_nonneg(d["feedback_window"], "params.feedback_window"),
-        feedback_min_accuracy=_as_float(
-            d["feedback_min_accuracy"], "params.feedback_min_accuracy"
-        ),
-        epoch_length=_as_nonneg(d["epoch_length"], "params.epoch_length"),
-        epoch_reward_pool=_as_nonneg(
-            d["epoch_reward_pool"], "params.epoch_reward_pool"
-        ),
-        oracle_account=_as_str(d["oracle_account"], "params.oracle_account"),
-    )
+    try:
+        return ContractParams(
+            min_stake=_as_nonneg(d["min_stake"], "params.min_stake"),
+            min_fee=_as_nonneg(d["min_fee"], "params.min_fee"),
+            fee_owner_pct=_as_nonneg(d["fee_owner_pct"], "params.fee_owner_pct"),
+            fee_proposer_pct=_as_nonneg(
+                d["fee_proposer_pct"], "params.fee_proposer_pct"
+            ),
+            challenge_count=_as_nonneg(d["challenge_count"], "params.challenge_count"),
+            challenge_pass_accuracy=_as_float(
+                d["challenge_pass_accuracy"], "params.challenge_pass_accuracy"
+            ),
+            feedback_window=_as_nonneg(d["feedback_window"], "params.feedback_window"),
+            feedback_min_accuracy=_as_float(
+                d["feedback_min_accuracy"], "params.feedback_min_accuracy"
+            ),
+            epoch_length=_as_nonneg(d["epoch_length"], "params.epoch_length"),
+            epoch_reward_pool=_as_nonneg(
+                d["epoch_reward_pool"], "params.epoch_reward_pool"
+            ),
+            oracle_account=_as_str(d["oracle_account"], "params.oracle_account"),
+        )
+    except ValueError as exc:  # ContractParams rejects the combination
+        raise SerializationError(f"params: {exc}") from exc
 
 
 def _algorithm_to_json(a: AlgorithmRecord) -> dict:
@@ -486,7 +497,7 @@ def _algorithm_from_json(d: Any) -> AlgorithmRecord:
         tn=_as_nonneg(perf["tn"], what),
         fn=_as_nonneg(perf["fn"], what),
         challenge_passed=_as_nonneg(d["challenge_passed"], what),
-        challenges_submitted=set(
+        challenges_submitted=frozenset(
             _as_str(c, what) for c in d["challenges_submitted"]
         ),
         epoch_correct=_as_nonneg(d["epoch_correct"], what),

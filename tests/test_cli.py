@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from veriledger.cli import main
 from veriledger.store import canonical_json
 
@@ -69,6 +71,28 @@ def test_verify_tampered_exits_one_and_names_height(golden_run, tmp_path, capsys
     assert code == 1
     assert out.startswith("FAIL")
     assert "height 5" in out
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [("epoch_length", 0), ("fee_owner_pct", 99), ("min_fee", 2**64)],
+    ids=["epoch-length-zero", "fee-split-over-100", "u64-overflow"],
+)
+def test_verify_hostile_genesis_params_fail_at_height_zero(
+    golden_run, tmp_path, capsys, param, value
+):
+    chain = golden_run.out_dir / "run.chain.jsonl"
+    lines = chain.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["genesis_state"]["params"][param] = value
+    lines[0] = canonical_json(record)
+    hostile = tmp_path / "hostile.chain.jsonl"
+    hostile.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--chain", str(hostile)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL at height 0")
+    assert "params" in out
 
 
 def test_inspect_summaries(golden_run, capsys):

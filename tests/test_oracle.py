@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from veriledger.codec import hash_bytes
 from veriledger.core import (
     AlgorithmStatus,
@@ -84,8 +86,8 @@ def test_commits_carry_sequential_nonces():
 
 def test_no_eligible_algorithm_leaves_request_pending():
     state = pending_state(3)
-    for record in state.algorithms.values():
-        record.status = AlgorithmStatus.DEPRECATED
+    for aid, record in state.algorithms.items():
+        state.algorithms[aid] = replace(record, status=AlgorithmStatus.DEPRECATED)
     batch = process_pending(state, OracleConfig(oracle_account=ORACLE))
     assert batch.transactions == []
     assert len(batch.skipped) == 3
@@ -125,8 +127,6 @@ def test_batch_partitioning_does_not_change_outcome(golden_config):
     # Any admissible batch split of the same pending set reaches the same
     # Completed set and the same per-class fee totals; only which proposer
     # collects each block's share may move.
-    from dataclasses import replace
-
     from veriledger.sim import ScenarioRunner
 
     runs = {}

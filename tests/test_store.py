@@ -2,8 +2,13 @@ import json
 
 import pytest
 
-from veriledger.core import encode_state
-from veriledger.errors import CorruptRecord, HeightGap, StoreError
+from veriledger.core import ContractParams, encode_state
+from veriledger.errors import (
+    CorruptRecord,
+    HeightGap,
+    SerializationError,
+    StoreError,
+)
 from veriledger.ledger import init_chain, seal_block
 from veriledger.store import (
     ChainWriter,
@@ -11,6 +16,8 @@ from veriledger.store import (
     block_from_json,
     block_to_json,
     canonical_json,
+    params_from_json,
+    params_to_json,
     read_chain,
     receipt_from_json,
     receipt_to_json,
@@ -77,6 +84,13 @@ def test_state_json_round_trip_bit_exact(golden_run):
     restored = state_from_json(json.loads(canonical_json(state_to_json(state))))
     assert encode_state(restored) == encode_state(state)
     assert restored.state_root() == state.state_root()
+
+
+def test_params_u64_range_checked_at_parse():
+    doc = params_to_json(ContractParams())
+    assert params_from_json({**doc, "min_fee": 2**64 - 1}).min_fee == 2**64 - 1
+    with pytest.raises(SerializationError):
+        params_from_json({**doc, "min_fee": 2**64})
 
 
 def test_replay_reproduces_live_state(tmp_path):
