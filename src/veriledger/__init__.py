@@ -48,7 +48,7 @@ from .sim import (
     perturb,
     run_scenario,
 )
-from .store import ChainView, ChainWriter, replay, replay_chain, verify_chain
+from .store import ChainView, ChainWriter, replay, verify_chain
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "process_pending",
     "register_detector_kind",
     "replay",
-    "replay_chain",
     "run_detector",
     "run_scenario",
     "seal_block",

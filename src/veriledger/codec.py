@@ -18,9 +18,11 @@ Encoding rules (version 1):
 
 Top-level objects (transactions, blocks, state) each start with an ASCII
 tag naming the object and the encoding version, so digests of different
-object types can never collide byte-wise. Field order within an object is
-fixed by the encode functions in :mod:`veriledger.core` and never depends
-on insertion order.
+object types can never collide byte-wise. The field order of a payload or
+record is fixed by its dataclass declaration in :mod:`veriledger.core`
+(``encode_record`` walks the fields in that order); the transaction, block
+and state layouts are written out there. No order depends on insertion
+order.
 """
 
 from __future__ import annotations

@@ -1,16 +1,20 @@
 """Domain types shared across the ledger, contracts, and detection layers.
 
 Includes the canonical binary encodings (see :mod:`veriledger.codec` for the
-wire rules) of transactions, blocks, and network state. Field order in each
-``encode_*`` function is the contract: changing it changes every digest.
+wire rules) of transactions, blocks, and network state. A record's encoding
+follows its dataclass fields in declaration order (``encode_record``), so
+the declarations below are the contract: reordering or retyping a field
+changes every digest.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterable
+from operator import attrgetter
+from typing import Any, Callable, Iterable
 
 from .codec import (
     BLOCK_TAG,
@@ -320,6 +324,20 @@ class ContractParams:
         return tuple(f"ch-{i:03d}" for i in range(self.challenge_count))
 
 
+# NetworkState's token counters: the state encoding ends with them in this
+# order, and the state's JSON form groups them under "supply".
+SUPPLY_FIELDS = (
+    "initial_supply",
+    "total_minted",
+    "total_burned",
+    "fees_to_owners",
+    "fees_to_proposers",
+    "fees_burned",
+    "stake_burned",
+    "rewards_minted",
+)
+
+
 @dataclass(slots=True)
 class NetworkState:
     """Full network state: token ledger, registries, and chain tip metadata.
@@ -406,66 +424,70 @@ class NetworkState:
 
 
 # --- canonical encodings ---------------------------------------------------
+#
+# A record's fields, in the order its dataclass declares them, are its only
+# schema: ``encode_record`` here and the JSON codec in ``store`` both walk
+# ``record_schema``. Reordering, adding or retyping a field therefore
+# changes every digest that covers the record.
+
+
+@functools.cache
+def record_schema(cls: type) -> tuple[tuple[str, str], ...]:
+    """``(name, annotation)`` of each field a record is built from.
+
+    Fields with ``init=False`` (the encoding cache) are not part of it.
+    Annotations are strings (``from __future__ import annotations``), which
+    is what the codec tables key on.
+    """
+    return tuple((f.name, f.type) for f in fields(cls) if f.init)
 
 
 def encode_embedding(e: Embedding) -> bytes:
+    # Media type first: the reverse of the declaration order.
     return enc_str(e.media_type.value) + enc_f64_list(e.values)
 
 
-def _enc_media_types(media_types: Iterable[MediaType]) -> bytes:
-    return enc_str_list(sorted(m.value for m in media_types))
+def _enc_enum(value: Enum) -> bytes:
+    return enc_str(value.value)
 
 
-def _enc_matches(matches: Iterable[tuple[str, float]]) -> bytes:
-    items = list(matches)
-    return enc_u32(len(items)) + b"".join(
-        enc_str(cid) + enc_f64(sim) for cid, sim in items
+def _enc_matches(matches: tuple[tuple[str, float], ...]) -> bytes:
+    return enc_u32(len(matches)) + b"".join(
+        enc_str(cid) + enc_f64(sim) for cid, sim in matches
     )
 
 
-def encode_payload(payload: Payload) -> bytes:
-    if isinstance(payload, RegisterAlgorithm):
-        return (
-            enc_str(payload.algorithm_id)
-            + _enc_media_types(payload.media_types)
-            + enc_str(payload.detector_kind)
-            + enc_u64(payload.stake)
-        )
-    if isinstance(payload, SubmitChallengeResult):
-        return (
-            enc_str(payload.algorithm_id)
-            + enc_str(payload.challenge_id)
-            + enc_str(payload.predicted_label.value)
-            + enc_str(payload.true_label.value)
-        )
-    if isinstance(payload, RegisterContent):
-        return (
-            enc_str(payload.content_id)
-            + enc_str(payload.media_type.value)
-            + enc_hash(payload.content_hash)
-            + encode_embedding(payload.embedding)
-            + enc_str_map(payload.metadata)
-        )
-    if isinstance(payload, SubmitAnalysisRequest):
-        return (
-            enc_str(payload.media_type.value)
-            + enc_hash(payload.content_hash)
-            + encode_embedding(payload.embedding)
-            + enc_u64(payload.fee)
-        )
-    if isinstance(payload, CommitAnalysisResult):
-        return (
-            enc_str(payload.request_id)
-            + enc_str(payload.algorithm_id)
-            + enc_str(payload.verdict.value)
-            + enc_f64(payload.confidence)
-            + _enc_matches(payload.matched_content)
-        )
-    if isinstance(payload, SubmitFeedback):
-        return enc_str(payload.request_id) + enc_str(payload.true_label.value)
-    if isinstance(payload, TransferTokens):
-        return enc_str(payload.recipient) + enc_u64(payload.amount)
-    raise TypeError(f"unknown payload type: {type(payload).__name__}")
+# The encoder for each field annotation a record may use.
+_FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
+    "str": enc_str,
+    "int": enc_u64,
+    "float": enc_f64,
+    "Hash256": enc_hash,
+    "Embedding": encode_embedding,
+    "dict[str, str]": enc_str_map,
+    "dict[str, object]": enc_scalar_map,
+    "frozenset[MediaType]": lambda ms: enc_str_list(sorted(m.value for m in ms)),
+    "frozenset[str]": lambda items: enc_str_list(sorted(items)),
+    "tuple[tuple[str, float], ...]": _enc_matches,
+    "MediaType": _enc_enum,
+    "Verdict": _enc_enum,
+    "AlgorithmStatus": _enc_enum,
+    "RequestStatus": _enc_enum,
+}
+
+
+@functools.cache
+def _record_encoders(cls: type) -> tuple:
+    return tuple(
+        (attrgetter(name), _FIELD_ENCODERS[annotation])
+        for name, annotation in record_schema(cls)
+    )
+
+
+def encode_record(record: Any) -> bytes:
+    """Canonical encoding of a payload, state record, ``ContractParams`` or
+    ``DetectorSpec``: its fields' encodings in declaration order."""
+    return b"".join([enc(get(record)) for get, enc in _record_encoders(type(record))])
 
 
 def encode_transaction(tx: Transaction) -> bytes:
@@ -474,7 +496,7 @@ def encode_transaction(tx: Transaction) -> bytes:
         + enc_str(tx.kind.value)
         + enc_str(tx.sender)
         + enc_u64(tx.nonce)
-        + enc_bytes(encode_payload(tx.payload))
+        + enc_bytes(encode_record(tx.payload))
     )
 
 
@@ -504,77 +526,6 @@ def encode_block_fields(
     )
 
 
-def _enc_params(p: ContractParams) -> bytes:
-    return (
-        enc_u64(p.min_stake)
-        + enc_u64(p.min_fee)
-        + enc_u64(p.fee_owner_pct)
-        + enc_u64(p.fee_proposer_pct)
-        + enc_u64(p.challenge_count)
-        + enc_f64(p.challenge_pass_accuracy)
-        + enc_u64(p.feedback_window)
-        + enc_f64(p.feedback_min_accuracy)
-        + enc_u64(p.epoch_length)
-        + enc_u64(p.epoch_reward_pool)
-        + enc_str(p.oracle_account)
-    )
-
-
-def _enc_algorithm(a: AlgorithmRecord) -> bytes:
-    return (
-        enc_str(a.algorithm_id)
-        + enc_str(a.owner)
-        + _enc_media_types(a.media_types)
-        + enc_str(a.detector_kind)
-        + enc_str(a.status.value)
-        + enc_u64(a.stake)
-        + enc_u64(a.registered_at)
-        + enc_u64(a.tp)
-        + enc_u64(a.fp)
-        + enc_u64(a.tn)
-        + enc_u64(a.fn)
-        + enc_u64(a.challenge_passed)
-        + enc_str_list(sorted(a.challenges_submitted))
-        + enc_u64(a.epoch_correct)
-    )
-
-
-def _enc_content(c: ContentRecord) -> bytes:
-    return (
-        enc_str(c.content_id)
-        + enc_str(c.provider)
-        + enc_str(c.media_type.value)
-        + enc_hash(c.content_hash)
-        + encode_embedding(c.embedding)
-        + enc_str_map(c.metadata)
-        + enc_u64(c.registered_at)
-    )
-
-
-def _enc_request(r: AnalysisRequest) -> bytes:
-    return (
-        enc_str(r.request_id)
-        + enc_str(r.submitter)
-        + enc_str(r.media_type.value)
-        + enc_hash(r.content_hash)
-        + encode_embedding(r.embedding)
-        + enc_u64(r.fee)
-        + enc_str(r.status.value)
-        + enc_u64(r.submitted_at)
-    )
-
-
-def _enc_result(r: AnalysisResultRecord) -> bytes:
-    return (
-        enc_str(r.request_id)
-        + enc_str(r.algorithm_id)
-        + enc_str(r.verdict.value)
-        + enc_f64(r.confidence)
-        + _enc_matches(r.matched_content)
-        + enc_u64(r.committed_at)
-    )
-
-
 def encode_state(state: NetworkState) -> bytes:
     """Canonical state serialization hashed into every block's state root.
 
@@ -584,32 +535,20 @@ def encode_state(state: NetworkState) -> bytes:
     stay covered: account entries are created deterministically by the
     transaction stream, and every serialized byte must be root-checked.
     """
-    parts = [STATE_TAG, _enc_params(state.params)]
+    parts = [STATE_TAG, encode_record(state.params)]
 
-    parts.append(enc_u32(len(state.validators)))
-    for vid in sorted(state.validators):
-        parts.append(enc_str(vid) + enc_u64(state.validators[vid]))
+    for amounts in (state.validators, state.balances, state.nonces):
+        parts.append(enc_u32(len(amounts)))
+        for key in sorted(amounts):
+            parts.append(enc_str(key) + enc_u64(amounts[key]))
 
-    parts.append(enc_u32(len(state.balances)))
-    for acct in sorted(state.balances):
-        parts.append(enc_str(acct) + enc_u64(state.balances[acct]))
-
-    parts.append(enc_u32(len(state.nonces)))
-    for acct in sorted(state.nonces):
-        parts.append(enc_str(acct) + enc_u64(state.nonces[acct]))
-
-    for mapping, enc in (
-        (state.algorithms, _enc_algorithm),
-        (state.contents, _enc_content),
-        (state.requests, _enc_request),
-        (state.results, _enc_result),
-    ):
+    for mapping in (state.algorithms, state.contents, state.requests, state.results):
         parts.append(enc_u32(len(mapping)))
         for key in sorted(mapping):
             record = mapping[key]
             encoded = record._encoding
             if encoded is None:
-                encoded = enc(record)
+                encoded = encode_record(record)
                 object.__setattr__(record, "_encoding", encoded)
             parts.append(encoded)
 
@@ -617,15 +556,7 @@ def encode_state(state: NetworkState) -> bytes:
 
     parts.append(enc_u32(len(state.detectors)))
     for ident in sorted(state.detectors):
-        spec = state.detectors[ident]
-        parts.append(enc_str(ident) + enc_str(spec.kind) + enc_scalar_map(spec.parameters))
+        parts.append(enc_str(ident) + encode_record(state.detectors[ident]))
 
-    parts.append(enc_u64(state.initial_supply))
-    parts.append(enc_u64(state.total_minted))
-    parts.append(enc_u64(state.total_burned))
-    parts.append(enc_u64(state.fees_to_owners))
-    parts.append(enc_u64(state.fees_to_proposers))
-    parts.append(enc_u64(state.fees_burned))
-    parts.append(enc_u64(state.stake_burned))
-    parts.append(enc_u64(state.rewards_minted))
+    parts.extend(enc_u64(getattr(state, name)) for name in SUPPLY_FIELDS)
     return b"".join(parts)

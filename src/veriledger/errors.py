@@ -31,6 +31,10 @@ class StateRootMismatch(LedgerError):
     pass
 
 
+class UnencodableState(LedgerError):
+    """A block left a value the state encoding cannot hold (a u64 overflow)."""
+
+
 class EmptyValidatorSet(LedgerError):
     pass
 

@@ -31,6 +31,7 @@ from .errors import (
     BadParent,
     EmptyValidatorSet,
     StateRootMismatch,
+    UnencodableState,
     WrongProposer,
 )
 
@@ -100,9 +101,16 @@ def _execute_all(
     return receipts
 
 
+def _state_root(state: NetworkState) -> Hash256:
+    try:
+        return state.state_root()
+    except ValueError as exc:  # e.g. a credit pushed a balance past 2^64 - 1
+        raise UnencodableState(str(exc)) from exc
+
+
 def genesis_block(state: NetworkState, timestamp: int = 0) -> Block:
     """The height-0 block sealing the scenario's starting state."""
-    root = state.state_root()
+    root = _state_root(state)
     block_hash = compute_block_hash(
         0, GENESIS_PARENT, timestamp, GENESIS_PROPOSER, (), root
     )
@@ -153,7 +161,7 @@ def apply_block(
 
     new_state = state.clone()
     receipts = _execute_all(new_state, block.transactions, block.height, block.proposer)
-    root = new_state.state_root()
+    root = _state_root(new_state)
     if root != block.state_root:
         raise StateRootMismatch(
             f"computed {root.hex}, block claims {block.state_root.hex}"
@@ -178,7 +186,7 @@ def seal_block(
 
     new_state = state.clone()
     receipts = _execute_all(new_state, transactions, height, proposer)
-    root = new_state.state_root()
+    root = _state_root(new_state)
     block = Block(
         height=height,
         parent_hash=parent,

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from veriledger.cli import main
-from veriledger.store import canonical_json
+from veriledger.store import canonical_json, state_to_json
 
 from conftest import GOLDEN_CONFIG_PATH, REPO_ROOT
 
@@ -74,17 +74,49 @@ def test_verify_tampered_exits_one_and_names_height(golden_run, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "param, value",
-    [("epoch_length", 0), ("fee_owner_pct", 99), ("min_fee", 2**64)],
-    ids=["epoch-length-zero", "fee-split-over-100", "u64-overflow"],
+    "path, value",
+    [
+        (("params", "epoch_length"), 0),
+        (("params", "fee_owner_pct"), 99),
+        (("params", "min_fee"), 2**64),
+        (("validators",), 5),
+        (("balances",), []),
+        (("algorithms",), []),
+        (("feedback_done",), 7),
+        (("algorithms", "algo-nd", "media_types"), 5),
+        (("algorithms", "algo-nd", "challenges_submitted"), 7),
+        (("contents", "trusted-000", "metadata"), []),
+        (("detectors", "exact-hash", "parameters"), {"tau": -1}),
+    ],
+    ids=[
+        "epoch-length-zero",
+        "fee-split-over-100",
+        "u64-overflow",
+        "validators-not-object",
+        "balances-not-object",
+        "algorithms-not-object",
+        "feedback-done-not-list",
+        "media-types-not-list",
+        "challenges-submitted-not-list",
+        "metadata-not-object",
+        "detector-parameter-negative",
+    ],
 )
 def test_verify_hostile_genesis_params_fail_at_height_zero(
-    golden_run, tmp_path, capsys, param, value
+    golden_run, tmp_path, capsys, path, value
 ):
     chain = golden_run.out_dir / "run.chain.jsonl"
     lines = chain.read_text().splitlines()
     record = json.loads(lines[0])
-    record["genesis_state"]["params"][param] = value
+    target = record["genesis_state"]
+    if len(path) == 3:
+        # A record field: the golden genesis holds no algorithm or content,
+        # so start from a real record of the final state.
+        name, key, _ = path
+        target[name][key] = state_to_json(golden_run.result.chain.final_state)[name][key]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
     lines[0] = canonical_json(record)
     hostile = tmp_path / "hostile.chain.jsonl"
     hostile.write_text("\n".join(lines) + "\n")
@@ -92,7 +124,7 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL at height 0")
-    assert "params" in out
+    assert path[0] in out
 
 
 def test_inspect_summaries(golden_run, capsys):

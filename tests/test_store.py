@@ -2,17 +2,25 @@ import json
 
 import pytest
 
-from veriledger.core import ContractParams, encode_state
+from veriledger.codec import Hash256
+from veriledger.core import Block, ContractParams, encode_state
 from veriledger.errors import (
     CorruptRecord,
     HeightGap,
     SerializationError,
     StoreError,
+    UnencodableState,
 )
-from veriledger.ledger import init_chain, seal_block
+from veriledger.ledger import (
+    apply_block,
+    compute_block_hash,
+    init_chain,
+    proposer_seed,
+    seal_block,
+    select_proposer,
+)
 from veriledger.store import (
     ChainWriter,
-    append_block,
     block_from_json,
     block_to_json,
     canonical_json,
@@ -22,7 +30,6 @@ from veriledger.store import (
     receipt_from_json,
     receipt_to_json,
     replay,
-    replay_chain,
     state_from_json,
     state_to_json,
     verify_chain,
@@ -63,9 +70,9 @@ def test_append_height_gap_rejected(tmp_path):
     block1, state, receipts = seal_block(state, [], timestamp=1)
     block2, state, _ = seal_block(state, [], timestamp=2)
     writer = ChainWriter(tmp_path / "gap.chain.jsonl")
-    append_block(writer, genesis, (), genesis_state=genesis_state)
+    writer.append(genesis, (), genesis_state=genesis_state)
     with pytest.raises(HeightGap):
-        append_block(writer, block2, ())
+        writer.append(block2, ())
     writer.close()
 
 
@@ -95,11 +102,11 @@ def test_params_u64_range_checked_at_parse():
 
 def test_replay_reproduces_live_state(tmp_path):
     path, genesis_state, live_state, _ = small_chain(tmp_path)
-    final = replay_chain(path)
+    final = replay(path).final_state
     assert encode_state(final) == encode_state(live_state)
     assert final.tip_hash == live_state.tip_hash
     # explicit genesis_state argument takes the same path
-    final2 = replay_chain(path, genesis_state=genesis_state)
+    final2 = replay(path, genesis_state=genesis_state).final_state
     assert encode_state(final2) == encode_state(final)
 
 
@@ -160,6 +167,69 @@ def test_non_canonical_line_rejected(tmp_path):
     bad.write_text(mutated)
     with pytest.raises(CorruptRecord):
         read_chain(bad)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"media_types":["Bytes"]', '"media_types":["Bytes","Bytes"]'),
+        ('"confidence":0.0', '"confidence":0'),
+        (",0.0,", ",0,"),
+        (",0.0,", ",0.00,"),
+        ('"confidence":0.0', '"confidence":NaN'),
+        ('"confidence":0.0', '"confidence":-Infinity'),
+        ('"confidence":0.0', '"confidence":1e999'),
+        ('"confidence":0.0', '"confidence":' + "[" * 10**5 + "]" * 10**5),
+    ],
+    ids=[
+        "duplicate-media-type",
+        "int-confidence",
+        "int-embedding-value",
+        "float-trailing-zero",
+        "nan",
+        "infinity",
+        "float-overflow",
+        "deep-nesting",
+    ],
+)
+def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, old, new):
+    # Each variant either decodes to the golden records (a duplicate set
+    # entry, a float written with a trailing zero) or holds a value no
+    # record can. Either way it must be refused, never raise.
+    text = (golden_run.out_dir / "run.chain.jsonl").read_text()
+    assert old in text
+    variant = tmp_path / "variant.chain.jsonl"
+    variant.write_text(text.replace(old, new, 1))
+    with pytest.raises(CorruptRecord):
+        read_chain(variant)
+    result = verify_chain(variant)
+    assert not result.ok
+    assert result.failing_height is not None
+
+
+def test_unencodable_state_fails_at_its_height(tmp_path):
+    # Genesis balances exceed the declared supply, so a transfer can push a
+    # balance past 2^64 - 1, which no state root can encode.
+    genesis_state = fresh_state(balances={"A": 2**64 - 1, "B": 100})
+    genesis_state.initial_supply = 0
+    genesis, state = init_chain(genesis_state)
+    txs = (transfer("B", "A", 10),)
+    proposer = select_proposer(state.validators, proposer_seed(state.tip_hash, 1))
+    root = Hash256.zero()
+    block_hash = compute_block_hash(1, state.tip_hash, 1, proposer, txs, root)
+    block = Block(1, state.tip_hash, 1, proposer, txs, root, block_hash)
+    with pytest.raises(UnencodableState):
+        apply_block(state, block)
+    with pytest.raises(UnencodableState):
+        seal_block(state, txs, timestamp=1)
+    path = tmp_path / "overflow.chain.jsonl"
+    with ChainWriter(path) as writer:
+        writer.append(genesis, (), genesis_state=genesis_state)
+        writer.append(block, ())
+    result = verify_chain(path)
+    assert not result.ok
+    assert result.failing_height == 1
+    assert "UnencodableState" in result.error
 
 
 def test_receipt_divergence_detected(tmp_path):
