@@ -82,9 +82,9 @@ def process_pending(state: NetworkState, config: OracleConfig) -> OracleBatch:
                     request_id=request_id,
                     algorithm_id=algorithm_id,
                     verdict=verdict,
-                    confidence=confidence,
+                    confidence=float(confidence),
                     matched_content=tuple(
-                        (m.content_id, m.similarity) for m in matches
+                        (m.content_id, float(m.similarity)) for m in matches
                     ),
                 ),
                 nonce=next_nonce,

@@ -69,7 +69,7 @@ from .store import (
     ChainView,
     ChainWriter,
     canonical_json,
-    params_to_json,
+    record_to_json,
 )
 
 IMAGE_SIDE = 32
@@ -205,7 +205,7 @@ def _media_list(v: Any, what: str) -> tuple[MediaType, ...]:
 
 
 def _parse_params(d: Any, oracle_account: str) -> ContractParams:
-    defaults = params_to_json(ContractParams())
+    defaults = record_to_json(ContractParams())
     defaults.pop("oracle_account")
     d = _no_extra(d, set(defaults), "params")
     merged = {**defaults, **d}
@@ -215,6 +215,7 @@ def _parse_params(d: Any, oracle_account: str) -> ContractParams:
                 raise ConfigError(f"params.{key}: expected number")
             if not 0 <= value <= 1:
                 raise ConfigError(f"params.{key}: must be in [0, 1]")
+            merged[key] = float(value)
         else:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ConfigError(f"params.{key}: expected non-negative integer")

@@ -130,8 +130,9 @@ def _as_str(v: Any, what: str) -> str:
 
 
 def _as_float(v: Any, what: str) -> float:
-    # Canonical JSON writes every float with a point or an exponent, so an
-    # integer literal here is never the rendering of a float.
+    # record_to_json writes every float as a float, and canonical JSON writes
+    # a float with a point or an exponent, so an integer literal here is never
+    # the rendering of a float.
     if type(v) is not float:
         raise SerializationError(f"{what}: expected float")
     return v
@@ -202,15 +203,17 @@ def _enum(enum_cls) -> tuple:
 # each value in its annotation's JSON form below. Two quirks of the format
 # stay explicit: an algorithm's ``tp``/``fp``/``tn``/``fn`` nest under
 # "perf", and an embedding is stored as its values only; its media type is
-# the record's ``media_type`` field.
+# the record's ``media_type`` field. A float field, similarity or embedding
+# value is written as a float even where the record holds an int: both have
+# the same binary64 encoding, and the decoders accept only floats.
 
 # annotation -> (to JSON, from JSON); each decoder type-checks its value.
 _JSON_CODECS: dict[str, tuple[Callable[[Any], Any], Callable[[Any, str], Any]]] = {
     "str": (_identity, _as_str),
     "int": (_identity, _as_nonneg),
-    "float": (_identity, _as_float),
+    "float": (float, _as_float),
     "Hash256": (attrgetter("hex"), _as_hash),
-    "Embedding": (lambda e: list(e.values), _floats),
+    "Embedding": (lambda e: list(map(float, e.values)), _floats),
     "dict[str, str]": (dict, _str_map),
     "dict[str, object]": (dict, _scalar_map),
     "frozenset[MediaType]": (
@@ -223,7 +226,10 @@ _JSON_CODECS: dict[str, tuple[Callable[[Any], Any], Callable[[Any, str], Any]]] 
         sorted,
         lambda v, what: frozenset(_as_str(x, what) for x in _as_list(v, what)),
     ),
-    "tuple[tuple[str, float], ...]": (lambda ms: [list(m) for m in ms], _matches),
+    "tuple[tuple[str, float], ...]": (
+        lambda ms: [[cid, float(sim)] for cid, sim in ms],
+        _matches,
+    ),
     "MediaType": _enum(MediaType),
     "Verdict": _enum(Verdict),
     "AlgorithmStatus": _enum(AlgorithmStatus),
@@ -274,14 +280,6 @@ def record_from_json(cls: type, d: Any, what: str) -> Any:
         return cls(**values)
     except ValueError as exc:  # e.g. ContractParams rejects the combination
         raise SerializationError(f"{what}: {exc}") from exc
-
-
-def params_to_json(p: ContractParams) -> dict:
-    return record_to_json(p)
-
-
-def params_from_json(d: Any) -> ContractParams:
-    return record_from_json(ContractParams, d, "params")
 
 
 # --- transactions, blocks, receipts ---------------------------------------------
@@ -426,7 +424,7 @@ def state_from_json(d: Any) -> NetworkState:
     d = _expect_keys(d, _STATE_KEYS, "state")
     supply = _expect_keys(d["supply"], set(SUPPLY_FIELDS), "supply")
     state = NetworkState(
-        params=params_from_json(d["params"]),
+        params=record_from_json(ContractParams, d["params"], "params"),
         feedback_done={
             _as_str(x, "feedback_done")
             for x in _as_list(d["feedback_done"], "feedback_done")

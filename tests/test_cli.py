@@ -6,6 +6,13 @@ import sys
 import pytest
 
 from veriledger.cli import main
+from veriledger.core import DetectorSpec
+from veriledger.detection import (
+    _PLUGINS,
+    MatchCandidate,
+    register_detector_kind,
+    run_detector,
+)
 from veriledger.store import canonical_json, state_to_json
 
 from conftest import GOLDEN_CONFIG_PATH, REPO_ROOT
@@ -125,6 +132,52 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
     assert code == 1
     assert out.startswith("FAIL at height 0")
     assert path[0] in out
+
+
+def _run_and_verify(doc, tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    chain = out / "run.chain.jsonl"
+    code = main(["verify", "--chain", str(chain)])
+    assert capsys.readouterr().out.startswith("OK tip=")
+    assert code == 0
+    return chain.read_text()
+
+
+def test_integer_accuracy_params_run_and_verify(tmp_path, capsys):
+    # The scenario accepts any number for an accuracy; the chain must still
+    # hold floats, which is all verify accepts.
+    doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
+    doc["params"] = {"challenge_pass_accuracy": 1, "feedback_min_accuracy": 0}
+    text = _run_and_verify(doc, tmp_path, capsys)
+    assert '"challenge_pass_accuracy":1.0' in text
+    assert '"feedback_min_accuracy":0.0' in text
+
+
+def test_integer_detector_scores_run_and_verify(tmp_path, capsys):
+    # A custom detector may return int scores; the chain must hold floats.
+    def int_scores(params, target, registry):
+        verdict, _, matches = run_detector(
+            DetectorSpec(kind="near-duplicate"), target, registry
+        )
+        scores = [MatchCandidate(m.content_id, 1) for m in matches]
+        return verdict, len(scores[:1]), scores
+
+    register_detector_kind("test-int-scores", int_scores)
+    try:
+        doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
+        doc["detectors"] = {"int-scores": {"kind": "test-int-scores"}}
+        doc["algorithms"][0]["detector"] = "int-scores"
+        doc["params"] = {"challenge_pass_accuracy": 0.0}
+        text = _run_and_verify(doc, tmp_path, capsys)
+    finally:
+        _PLUGINS.pop("test-int-scores", None)
+    assert '"confidence":1.0' in text
+    assert '"confidence":1,' not in text
+    assert ',1.0]' in text and ',1]' not in text
 
 
 def test_inspect_summaries(golden_run, capsys):

@@ -24,11 +24,11 @@ from veriledger.store import (
     block_from_json,
     block_to_json,
     canonical_json,
-    params_from_json,
-    params_to_json,
     read_chain,
     receipt_from_json,
     receipt_to_json,
+    record_from_json,
+    record_to_json,
     replay,
     state_from_json,
     state_to_json,
@@ -94,10 +94,11 @@ def test_state_json_round_trip_bit_exact(golden_run):
 
 
 def test_params_u64_range_checked_at_parse():
-    doc = params_to_json(ContractParams())
-    assert params_from_json({**doc, "min_fee": 2**64 - 1}).min_fee == 2**64 - 1
+    doc = record_to_json(ContractParams())
+    top = {**doc, "min_fee": 2**64 - 1}
+    assert record_from_json(ContractParams, top, "params").min_fee == 2**64 - 1
     with pytest.raises(SerializationError):
-        params_from_json({**doc, "min_fee": 2**64})
+        record_from_json(ContractParams, {**doc, "min_fee": 2**64}, "params")
 
 
 def test_replay_reproduces_live_state(tmp_path):
