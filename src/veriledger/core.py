@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .codec import (
     BLOCK_TAG,
@@ -84,12 +84,33 @@ class ReceiptStatus(str, Enum):
     REJECTED = "rejected"
 
 
+def sparse_values(
+    values: Sequence[float],
+) -> tuple[tuple[tuple[int, float], ...], float]:
+    """``(non-zero (index, value) pairs, squared norm)`` of a raw vector.
+
+    The pairs are in ascending index order. The norm is a plain sequential
+    sum over every value (never ``sum()``, which compensates since Python
+    3.12), so its bits match a dense loop.
+    """
+    norm2 = 0.0
+    for v in values:
+        norm2 += v * v
+    return tuple((i, v) for i, v in enumerate(values) if v != 0.0), norm2
+
+
 @dataclass(frozen=True, slots=True)
 class Embedding:
     """Fixed-dimension numeric fingerprint of one piece of content."""
 
     values: tuple[float, ...]
     media_type: MediaType
+    # ``sparse_values(values)``, filled by ``sparse()`` on first use. Like the
+    # records' ``_encoding`` it stays out of equality, hashing, ``repr`` and
+    # every encoding, and ``dataclasses.replace`` leaves it empty.
+    _sparse: tuple[tuple[tuple[int, float], ...], float] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def dimension(self) -> int:
         return len(self.values)
@@ -100,6 +121,14 @@ class Embedding:
         if any(not math.isfinite(v) or v < 0.0 for v in self.values):
             return False
         return any(v > 0.0 for v in self.values)
+
+    def sparse(self) -> tuple[tuple[tuple[int, float], ...], float]:
+        """Cached ``sparse_values(self.values)``."""
+        cached = self._sparse
+        if cached is None:
+            cached = sparse_values(self.values)
+            object.__setattr__(self, "_sparse", cached)
+        return cached
 
 
 # --- transaction payloads -------------------------------------------------

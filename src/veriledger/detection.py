@@ -12,6 +12,18 @@ contract layer. Two kinds ship built in:
 
 All arithmetic uses plain sequential float summation so embeddings and
 similarities are bit-identical across platforms and runs.
+
+Similarity search is sparse and norm-cached. Each ``Embedding`` caches its
+non-zero ``(index, value)`` pairs and its squared norm (``sparse()``), so a
+cosine costs one multiply-add per non-zero entry of the registered side
+instead of three per dimension. A Bytes histogram of content over a
+32-symbol alphabet fills about 32 of its 256 bins. The result has the same
+bits as the dense loop that sums ``x * y``, ``x * x`` and ``y * y`` over every
+dimension: embeddings are finite and non-negative, so a skipped product is
+``+0.0`` and adding it leaves the accumulator unchanged; the kept products
+are added in the same ascending index order; and each of the three sums is
+independent of the others, so a norm summed once and cached is the same
+number.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from .core import (
     Embedding,
     MediaType,
     Verdict,
+    sparse_values,
 )
 from .errors import (
     DimensionMismatch,
@@ -188,6 +201,21 @@ def embed(content: bytes, media_type: MediaType) -> Embedding:
     return Embedding(values=values, media_type=media_type)
 
 
+def _cosine(
+    a_values: Sequence[float],
+    na: float,
+    b_pairs: Iterable[tuple[int, float]],
+    nb: float,
+) -> float:
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVector("cosine undefined for zero vectors")
+    dot = 0.0
+    for i, y in b_pairs:
+        dot += a_values[i] * y
+    # sqrt of the product keeps the result bit-identical under a/b swap
+    return min(1.0, max(0.0, dot / math.sqrt(na * nb)))
+
+
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     """Cosine similarity kernel over raw vectors, clamped to [0, 1].
 
@@ -196,26 +224,19 @@ def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     """
     if len(a) != len(b):
         raise DimensionMismatch(f"{len(a)} != {len(b)}")
-    dot = 0.0
-    na = 0.0
-    nb = 0.0
-    for x, y in zip(a, b):
-        dot += x * y
-        na += x * x
-        nb += y * y
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine undefined for zero vectors")
-    # sqrt of the product keeps the result bit-identical under a/b swap
-    value = dot / math.sqrt(na * nb)
-    return min(1.0, max(0.0, value))
+    return _cosine(a, sparse_values(a)[1], *sparse_values(b))
 
 
 def similarity(a: Embedding, b: Embedding) -> float:
+    """``cosine`` of two embeddings, from their cached non-zero pairs and
+    norms: the dot product walks only ``b``'s non-zero entries."""
     if a.media_type is not b.media_type:
         raise DimensionMismatch(
             f"cannot compare {a.media_type.value} with {b.media_type.value}"
         )
-    return cosine(a.values, b.values)
+    if len(a.values) != len(b.values):
+        raise DimensionMismatch(f"{len(a.values)} != {len(b.values)}")
+    return _cosine(a.values, a.sparse()[1], *b.sparse())
 
 
 def match_trusted(
@@ -270,13 +291,17 @@ def detector_kinds() -> tuple[str, ...]:
 def _find_exact(
     target: AnalysisTarget, registry: Sequence[ContentRecord]
 ) -> ContentRecord | None:
-    for record in sorted(registry, key=lambda r: r.content_id):
+    """The registered record with the target's hash and media type and the
+    smallest content_id, found in one pass."""
+    found = None
+    for record in registry:
         if (
             record.media_type is target.media_type
             and record.content_hash == target.content_hash
+            and (found is None or record.content_id < found.content_id)
         ):
-            return record
-    return None
+            found = record
+    return found
 
 
 def _exact_hash(

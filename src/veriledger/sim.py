@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -192,7 +193,18 @@ def _int_in(d: dict, key: str, what: str, minimum: int, default: int | None = No
         raise ConfigError(f"{what}.{key}: expected integer")
     if v < minimum:
         raise ConfigError(f"{what}.{key}: must be >= {minimum}")
+    if v >= 2**64:
+        raise ConfigError(f"{what}.{key}: must be below 2^64")
     return v
+
+
+def _is_u64(v: Any) -> bool:
+    """An integer the canonical encodings can hold as an unsigned 64-bit."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64
+
+
+def _is_unit_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1
 
 
 def _media_list(v: Any, what: str) -> tuple[MediaType, ...]:
@@ -211,14 +223,12 @@ def _parse_params(d: Any, oracle_account: str) -> ContractParams:
     merged = {**defaults, **d}
     for key, value in merged.items():
         if key in ("challenge_pass_accuracy", "feedback_min_accuracy"):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"params.{key}: expected number")
-            if not 0 <= value <= 1:
-                raise ConfigError(f"params.{key}: must be in [0, 1]")
+            if not _is_unit_number(value):
+                raise ConfigError(f"params.{key}: expected a number in [0, 1]")
             merged[key] = float(value)
         else:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ConfigError(f"params.{key}: expected non-negative integer")
+            if not _is_u64(value):
+                raise ConfigError(f"params.{key}: expected an integer in [0, 2^64)")
     try:
         return ContractParams(oracle_account=oracle_account, **merged)
     except ValueError as exc:
@@ -280,6 +290,8 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
             raise ConfigError(f"duplicate account id {aid!r}")
         account_ids.add(aid)
         accounts.append((aid, balance))
+    if sum(s for _, s in validators) + sum(b for _, b in accounts) >= 2**64:
+        raise ConfigError("validators and accounts: total supply must be below 2^64")
 
     oracle_doc = _no_extra(
         doc.get("oracle", {}), {"account", "batch_limit"}, "oracle"
@@ -308,8 +320,21 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
         if not isinstance(parameters, dict):
             raise ConfigError(f"detector {ident!r}: parameters must be an object")
         for k, v in parameters.items():
-            if not isinstance(v, (str, int, float, bool)):
+            if not isinstance(v, (str, int, float, bool)) or (
+                isinstance(v, float) and not math.isfinite(v)
+            ):
                 raise ConfigError(f"detector {ident!r}: bad parameter {k!r}")
+            if isinstance(v, int) and not isinstance(v, bool) and not _is_u64(v):
+                raise ConfigError(
+                    f"detector {ident!r}: parameter {k!r} must be in [0, 2^64)"
+                )
+        if kind == "near-duplicate":
+            if "tau" in parameters and not _is_unit_number(parameters["tau"]):
+                raise ConfigError(f"detector {ident!r}: tau must be a number in [0, 1]")
+            if "k" in parameters and not (
+                _is_u64(parameters["k"]) and parameters["k"] >= 1
+            ):
+                raise ConfigError(f"detector {ident!r}: k must be an integer >= 1")
         detectors[ident] = DetectorSpec(kind=kind, parameters=dict(parameters))
 
     plans = []
@@ -363,7 +388,7 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
     rate = _req(perturb_doc, "rate", "perturbation")
     if kind not in PERTURB_KINDS:
         raise ConfigError(f"perturbation.kind: must be one of {PERTURB_KINDS}")
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate <= 1:
+    if not _is_unit_number(rate):
         raise ConfigError("perturbation.rate: must be a number in [0, 1]")
     media_types = _media_list(_req(corpus_doc, "media_types", "corpus"), "corpus.media_types")
     if kind == "byte-flip" and MediaType.IMAGE in media_types:

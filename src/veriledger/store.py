@@ -589,10 +589,11 @@ def replay(
 ) -> ChainView:
     """Re-execute a chain file from its genesis and validate every byte.
 
-    Checks, per block: recomputed block hash, parent linkage, height,
-    proposer, state root, and receipt-for-receipt equality between the
-    stored receipts and the re-executed ones. Fails loudly with the
-    offending height; never silently diverges.
+    Checks that the genesis block seals the genesis state and that this
+    state conserves tokens, then, per block: recomputed block hash, parent
+    linkage, height, proposer, state root, and receipt-for-receipt equality
+    between the stored receipts and the re-executed ones. Fails loudly with
+    the offending height; never silently diverges.
     """
     embedded_genesis, records = read_chain(path)
     state = genesis_state.clone() if genesis_state is not None else embedded_genesis
@@ -607,6 +608,12 @@ def replay(
         )
         exc.height = 0
         raise exc
+    gap = state.conservation_gap()
+    if gap != 0:
+        raise CorruptRecord(
+            1,
+            f"genesis balances and stakes differ from the supply by {gap}",
+        )
     state = state.clone()
     state.tip_height = 0
     state.tip_hash = first.block_hash

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,13 @@ from veriledger.detection import (
     register_detector_kind,
     run_detector,
 )
-from veriledger.store import canonical_json, state_to_json
+from veriledger.ledger import genesis_block
+from veriledger.store import (
+    block_to_json,
+    canonical_json,
+    state_from_json,
+    state_to_json,
+)
 
 from conftest import GOLDEN_CONFIG_PATH, REPO_ROOT
 
@@ -94,6 +101,7 @@ def test_verify_tampered_exits_one_and_names_height(golden_run, tmp_path, capsys
         (("algorithms", "algo-nd", "challenges_submitted"), 7),
         (("contents", "trusted-000", "metadata"), []),
         (("detectors", "exact-hash", "parameters"), {"tau": -1}),
+        (("balances", "owner-1"), 151),
     ],
     ids=[
         "epoch-length-zero",
@@ -107,6 +115,7 @@ def test_verify_tampered_exits_one_and_names_height(golden_run, tmp_path, capsys
         "challenges-submitted-not-list",
         "metadata-not-object",
         "detector-parameter-negative",
+        "genesis-breaks-conservation",
     ],
 )
 def test_verify_hostile_genesis_params_fail_at_height_zero(
@@ -124,6 +133,13 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
+    if path == ("balances", "owner-1"):
+        # One token more than the supply, in a genesis block resealed to
+        # match it: only the conservation check can refuse this chain. The
+        # later blocks are dropped; their parent hashes no longer match.
+        genesis = genesis_block(state_from_json(record["genesis_state"]))
+        record["block"] = block_to_json(genesis)
+        lines = lines[:1]
     lines[0] = canonical_json(record)
     hostile = tmp_path / "hostile.chain.jsonl"
     hostile.write_text("\n".join(lines) + "\n")
@@ -132,6 +148,76 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
     assert code == 1
     assert out.startswith("FAIL at height 0")
     assert path[0] in out
+
+
+def _run_config_error(doc, tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ")
+    return err
+
+
+@pytest.mark.parametrize(
+    "parameters, named",
+    [
+        ({"k": 0}, "k must be"),
+        ({"k": 2.5}, "k must be"),
+        ({"k": True}, "k must be"),
+        ({"k": "3"}, "k must be"),
+        ({"tau": "x"}, "tau must be"),
+        ({"tau": 1.5}, "tau must be"),
+        ({"tau": -0.1}, "tau must be"),
+        ({"tau": False}, "tau must be"),
+    ],
+    ids=["k-zero", "k-float", "k-bool", "k-string",
+         "tau-string", "tau-above-one", "tau-negative", "tau-bool"],
+)
+def test_run_rejects_bad_near_duplicate_parameters(tmp_path, capsys, parameters, named):
+    doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
+    doc["detectors"] = {"nd": {"kind": "near-duplicate", "parameters": parameters}}
+    doc["algorithms"][0]["detector"] = "nd"
+    assert named in _run_config_error(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: doc.update(params={"min_fee": 2**64}), "params.min_fee"),
+        (lambda doc: doc.update(params={"epoch_length": 2**64}), "params.epoch_length"),
+        (lambda doc: doc.update(detectors={
+            "x": {"kind": "exact-hash", "parameters": {"depth": -1}}}), "'depth'"),
+        (lambda doc: doc.update(detectors={
+            "x": {"kind": "exact-hash", "parameters": {"depth": 2**64}}}), "'depth'"),
+        (lambda doc: doc.update(detectors={
+            "x": {"kind": "near-duplicate", "parameters": {"k": 2**64}}}), "'k'"),
+        (lambda doc: doc.update(detectors={
+            "x": {"kind": "exact-hash", "parameters": {"f": math.nan}}}), "'f'"),
+        (lambda doc: doc["accounts"][0].update(balance=2**64), "account.balance"),
+        (lambda doc: doc["algorithms"][0].update(stake=2**64), "plan.stake"),
+        (lambda doc: doc.update(request_fee=2**64), "scenario.request_fee"),
+        (lambda doc: [a.update(balance=2**63) for a in doc["accounts"][:2]],
+         "total supply"),
+    ],
+    ids=["min-fee", "epoch-length", "detector-negative", "detector-2-64",
+         "near-duplicate-k-2-64", "detector-nan", "balance", "algorithm-stake",
+         "request-fee", "supply"],
+)
+def test_run_rejects_scenario_values_the_chain_cannot_hold(tmp_path, capsys, edit, named):
+    doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
+    edit(doc)
+    assert named in _run_config_error(doc, tmp_path, capsys)
+
+
+def test_run_accepts_in_range_near_duplicate_parameters(tmp_path, capsys):
+    doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
+    doc["detectors"] = {"nd": {"kind": "near-duplicate",
+                               "parameters": {"tau": 1, "k": 2**64 - 1}}}
+    doc["algorithms"][0]["detector"] = "nd"
+    doc["params"] = {"min_fee": 0}
+    _run_and_verify(doc, tmp_path, capsys)
 
 
 def _run_and_verify(doc, tmp_path, capsys):

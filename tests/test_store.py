@@ -3,7 +3,14 @@ import json
 import pytest
 
 from veriledger.codec import Hash256
-from veriledger.core import Block, ContractParams, encode_state
+from veriledger.core import (
+    AlgorithmRecord,
+    AlgorithmStatus,
+    Block,
+    ContractParams,
+    MediaType,
+    encode_state,
+)
 from veriledger.errors import (
     CorruptRecord,
     HeightGap,
@@ -209,12 +216,24 @@ def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, old, new):
 
 
 def test_unencodable_state_fails_at_its_height(tmp_path):
-    # Genesis balances exceed the declared supply, so a transfer can push a
-    # balance past 2^64 - 1, which no state root can encode.
-    genesis_state = fresh_state(balances={"A": 2**64 - 1, "B": 100})
-    genesis_state.initial_supply = 0
+    # A genesis that conserves a supply of 2^64 - 1, all but the validator
+    # stake held by A. The epoch reward minted to A's algorithm at height 1
+    # pushes A's balance past 2^64 - 1, which no state root can encode.
+    genesis_state = fresh_state(balances={"A": 2**64 - 11}, validators={"v1": 10})
+    genesis_state.params = ContractParams(epoch_length=1, epoch_reward_pool=100)
+    genesis_state.algorithms["algo"] = AlgorithmRecord(
+        algorithm_id="algo",
+        owner="A",
+        media_types=frozenset({MediaType.BYTES}),
+        detector_kind="exact-hash",
+        status=AlgorithmStatus.ACTIVE,
+        stake=0,
+        registered_at=0,
+        epoch_correct=1,
+    )
+    assert genesis_state.conservation_gap() == 0
     genesis, state = init_chain(genesis_state)
-    txs = (transfer("B", "A", 10),)
+    txs = ()
     proposer = select_proposer(state.validators, proposer_seed(state.tip_hash, 1))
     root = Hash256.zero()
     block_hash = compute_block_hash(1, state.tip_hash, 1, proposer, txs, root)
