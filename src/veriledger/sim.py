@@ -447,31 +447,28 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
 
 def _make_bytes_item(rng: SplitMix64, spec: CorpusSpec) -> bytes:
     alphabet = bytes(rng.sample_indices(256, spec.alphabet_size))
-    return bytes(
-        alphabet[rng.randrange(len(alphabet))] for _ in range(spec.item_size)
-    )
+    draws = rng.randrange_many(len(alphabet), spec.item_size)
+    return bytes(draws).translate(alphabet.ljust(256, b"\0"))
 
 
 def _make_image_item(rng: SplitMix64) -> bytes:
     header = f"P5\n{IMAGE_SIDE} {IMAGE_SIDE}\n255\n".encode("ascii")
     cell = IMAGE_SIDE // 8
-    levels = [1 + rng.randrange(255) for _ in range(64)]
-    raster = bytearray()
-    for row in range(IMAGE_SIDE):
-        for col in range(IMAGE_SIDE):
-            raster.append(levels[(row // cell) * 8 + (col // cell)])
-    return header + bytes(raster)
+    levels = bytes(1 + v for v in rng.randrange_many(255, 64))
+    bands = (
+        b"".join(levels[i : i + 1] * cell for i in range(band, band + 8)) * cell
+        for band in range(0, 64, 8)
+    )
+    return header + b"".join(bands)
 
 
 def _make_audio_item(rng: SplitMix64) -> bytes:
     window = AUDIO_SAMPLES // 64
-    out = bytearray()
-    for _ in range(64):
-        amplitude = 512 + rng.randrange(31744)
-        for i in range(window):
-            sample = amplitude if i % 2 == 0 else -amplitude
-            out += sample.to_bytes(2, "little", signed=True)
-    return bytes(out)
+    return b"".join(
+        (a.to_bytes(2, "little", signed=True) + (-a).to_bytes(2, "little", signed=True))
+        * (window // 2)
+        for a in (512 + v for v in rng.randrange_many(31744, 64))
+    )
 
 
 def _make_item(rng: SplitMix64, media_type: MediaType, spec: CorpusSpec) -> bytes:
@@ -507,10 +504,11 @@ def perturb(content: bytes, kind: str, rate: float, seed: int) -> bytes:
             pass
     count = int(rate * span)
     positions = rng.sample_indices(span, count)
-    for pos in positions:
-        if kind == "byte-flip":
-            data[offset + pos] = rng.randrange(256)
-        else:
+    if kind == "byte-flip":
+        for pos, value in zip(positions, rng.randrange_many(256, count)):
+            data[offset + pos] = value
+    else:
+        for pos in positions:
             data[offset + pos] = (data[offset + pos] + 1) % 256
     return bytes(data)
 

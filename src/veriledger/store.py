@@ -484,10 +484,12 @@ class ChainWriter:
         self.path = Path(path)
         self._last_height = -1
         if self.path.exists() and self.path.stat().st_size > 0:
-            with open(self.path, "rb") as fh:
-                for line in fh:
-                    parsed = json.loads(line)
-                    self._last_height = parsed["height"]
+            # Resume only after a whole, valid chain: a torn last record would
+            # otherwise be glued to the next one.
+            data = self.path.read_bytes()
+            if not data.endswith(b"\n"):
+                raise CorruptRecord(data.count(b"\n") + 1, "torn tail: record has no line end")
+            self._last_height = read_chain(self.path)[1][-1].height
         self._fh = open(self.path, "ab")
 
     @property

@@ -21,6 +21,11 @@ GOLDEN_CONFIG_PATH = REPO_ROOT / "scenarios" / "golden.json"
 GOLDEN_FIXTURE_DIR = Path(__file__).resolve().parent / "golden"
 
 
+def random_bytes(rng, n: int) -> bytes:
+    """n bytes from ``rng``; each ``next_u64`` gives 8 big-endian bytes."""
+    return b"".join(rng.next_u64().to_bytes(8, "big") for _ in range(-(-n // 8)))[:n]
+
+
 def load_golden_config():
     return parse_scenario(json.loads(GOLDEN_CONFIG_PATH.read_text()))
 

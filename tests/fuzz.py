@@ -7,6 +7,7 @@ SplitMix64 stream, so a failing seed reproduces exactly.
 
 from veriledger.codec import Hash256, hash_bytes
 from veriledger.core import (
+    AlgorithmStatus,
     CommitAnalysisResult,
     ContractParams,
     Embedding,
@@ -25,6 +26,8 @@ from veriledger.core import (
 )
 from veriledger.rng import SplitMix64
 from veriledger.sim import BUILTIN_DETECTORS
+
+from conftest import random_bytes
 
 ACCOUNTS = ["alice", "bob", "carol", "dave", "erin"]
 VALIDATORS = {"v1": 50, "v2": 150}
@@ -61,8 +64,12 @@ def _rand_embedding(rng: SplitMix64, media_type: MediaType) -> Embedding:
     return Embedding(values=values, media_type=media_type)
 
 
+def _choice(rng: SplitMix64, seq):
+    return seq[rng.randrange(len(seq))]
+
+
 def _rand_hash(rng: SplitMix64) -> Hash256:
-    return hash_bytes(rng.bytes(16))
+    return hash_bytes(random_bytes(rng, 16))
 
 
 class FuzzStream:
@@ -85,22 +92,22 @@ class FuzzStream:
         )
 
     def _account(self) -> str:
-        return self.rng.choice(ACCOUNTS)
+        return _choice(self.rng, ACCOUNTS)
 
     def next_tx(self, state: NetworkState) -> Transaction:
         rng = self.rng
         roll = rng.randrange(100)
-        if roll < 25:
+        if roll < 15:
             return self._transfer(rng)
-        if roll < 40:
+        if roll < 27:
             return self._register_algorithm(rng)
-        if roll < 58:
+        if roll < 55:
             return self._challenge(rng, state)
-        if roll < 68:
+        if roll < 63:
             return self._register_content(rng)
-        if roll < 80:
+        if roll < 76:
             return self._request(rng)
-        if roll < 92:
+        if roll < 90:
             return self._commit(rng, state)
         return self._feedback(rng, state)
 
@@ -118,7 +125,7 @@ class FuzzStream:
         else:
             algo_id = f"fz-algo-{self.algo_counter:03d}"
             self.algo_counter += 1
-        detector = rng.choice(["near-duplicate", "exact-hash", "no-such-kind"])
+        detector = _choice(rng, ["near-duplicate", "exact-hash", "no-such-kind"])
         stake = rng.randrange(150)  # often below min stake or balance
         return self._tx(
             TxKind.REGISTER_ALGORITHM,
@@ -132,13 +139,28 @@ class FuzzStream:
         )
 
     def _challenge(self, rng, state: NetworkState) -> Transaction:
-        if state.algorithms and rng.randrange(5) > 0:
-            algo_id = rng.choice(sorted(state.algorithms))
-        else:
-            algo_id = "fz-algo-missing"
-        ids = list(FUZZ_PARAMS.challenge_ids()) + ["ch-bogus"]
+        ids = list(FUZZ_PARAMS.challenge_ids())
+        pending = sorted(
+            aid
+            for aid, rec in state.algorithms.items()
+            if rec.status is AlgorithmStatus.PENDING
+        )
         truth = Verdict.DEEPFAKE if rng.randrange(2) else Verdict.AUTHENTIC
-        correct = rng.randrange(3) > 0
+        if pending and rng.randrange(8):
+            # Mostly right answers to the first pending algorithm's next open
+            # challenge, so algorithms activate and commits, feedback and
+            # epoch rewards get exercised too.
+            record = state.algorithms[pending[0]]
+            algo_id = record.algorithm_id
+            challenge_id = min(set(ids) - record.challenges_submitted)
+            correct = rng.randrange(8) > 0
+        else:
+            if state.algorithms and rng.randrange(5) > 0:
+                algo_id = _choice(rng, sorted(state.algorithms))
+            else:
+                algo_id = "fz-algo-missing"
+            challenge_id = _choice(rng, ids + ["ch-bogus"])
+            correct = rng.randrange(3) > 0
         predicted = truth if correct else (
             Verdict.AUTHENTIC if truth is Verdict.DEEPFAKE else Verdict.DEEPFAKE
         )
@@ -147,7 +169,7 @@ class FuzzStream:
             self._account(),
             SubmitChallengeResult(
                 algorithm_id=algo_id,
-                challenge_id=rng.choice(ids),
+                challenge_id=challenge_id,
                 predicted_label=predicted,
                 true_label=truth,
             ),
@@ -193,20 +215,20 @@ class FuzzStream:
             for rid, req in state.requests.items()
             if req.status is RequestStatus.PENDING
         )
-        request_id = rng.choice(pending) if pending and rng.randrange(4) else "deadbeef00000000"
+        request_id = _choice(rng, pending) if pending and rng.randrange(4) else "deadbeef00000000"
         active = sorted(
             aid
             for aid, rec in state.algorithms.items()
             if rec.status.value == "Active"
         )
-        algo_id = rng.choice(active) if active and rng.randrange(5) else "fz-algo-missing"
+        algo_id = _choice(rng, active) if active and rng.randrange(5) else "fz-algo-missing"
         sender = ORACLE if rng.randrange(4) else self._account()
-        verdict = rng.choice([Verdict.DEEPFAKE, Verdict.UNVERIFIED])
+        verdict = _choice(rng, [Verdict.DEEPFAKE, Verdict.UNVERIFIED])
         matched = ()
         confidence = 0.0
         if verdict is Verdict.DEEPFAKE:
             if state.contents and rng.randrange(4):
-                cid = rng.choice(sorted(state.contents))
+                cid = _choice(rng, sorted(state.contents))
                 confidence = 0.97
                 matched = ((cid, 0.97),)
             else:
@@ -230,7 +252,7 @@ class FuzzStream:
             for rid, req in state.requests.items()
             if req.status is RequestStatus.COMPLETED
         )
-        request_id = rng.choice(completed) if completed and rng.randrange(4) else "deadbeef00000000"
+        request_id = _choice(rng, completed) if completed and rng.randrange(4) else "deadbeef00000000"
         if request_id in state.requests and rng.randrange(3):
             sender = state.requests[request_id].submitter
         else:

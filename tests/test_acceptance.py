@@ -5,6 +5,7 @@ line per criterion; each line prints before its assertion so failures
 still report their criterion.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 from veriledger.codec import hash_bytes
@@ -52,6 +53,8 @@ def test_criterion_2_token_conservation():
     seeds = range(10)
     blocks_per_seed = 100
     violations = 0
+    accepted = Counter()
+    rewards_minted = 0
     for seed in seeds:
         rng = SplitMix64(31_000 + seed)
         state = build_fuzz_state(rng)
@@ -59,16 +62,23 @@ def test_criterion_2_token_conservation():
         _, state = init_chain(state)
         for _ in range(blocks_per_seed):
             txs = [stream.next_tx(state) for _ in range(rng.randrange(4) + 1)]
-            _, state, _ = seal_block(state, txs, timestamp=state.tip_height + 1)
+            _, state, receipts = seal_block(state, txs, timestamp=state.tip_height + 1)
+            accepted.update(
+                tx.kind for tx, r in zip(txs, receipts) if r.status is ReceiptStatus.ACCEPTED
+            )
             if state.conservation_gap() != 0:
                 violations += 1
             if any(v < 0 for v in state.balances.values()):
                 violations += 1
-    ok = violations == 0
+        rewards_minted += state.rewards_minted
+    commits = accepted[TxKind.COMMIT_ANALYSIS_RESULT]
+    feedback = accepted[TxKind.SUBMIT_FEEDBACK]
+    ok = violations == 0 and commits > 0 and feedback > 0 and rewards_minted > 0
     report_line(
         "2 token conservation (10 seeds x 100 blocks, exact)",
         ok,
-        f"{len(seeds)} seeds, {blocks_per_seed} blocks each",
+        f"{len(seeds)} seeds, {blocks_per_seed} blocks each; accepted {commits} commits,"
+        f" {feedback} feedback; {rewards_minted} minted as epoch rewards",
     )
     assert ok
 

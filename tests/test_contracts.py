@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -692,6 +694,8 @@ def scan_lifecycle(status_log):
 
 
 def test_fuzzed_blocks_conserve_tokens_and_match_naive():
+    accepted = Counter()
+    rewards_minted = 0
     for seed in range(4):
         rng = SplitMix64(1000 + seed)
         state = build_fuzz_state(rng)
@@ -700,9 +704,12 @@ def test_fuzzed_blocks_conserve_tokens_and_match_naive():
         _, state = init_chain(state)
         blocks = []
         status_log = []
-        for _ in range(12):
+        for _ in range(60):
             txs = [stream.next_tx(state) for _ in range(rng.randrange(4) + 1)]
             block, state, receipts = seal_block(state, txs, timestamp=state.tip_height + 1)
+            accepted.update(
+                tx.kind for tx, r in zip(txs, receipts) if r.status is ReceiptStatus.ACCEPTED
+            )
             blocks.append((block.height, block.proposer, list(block.transactions)))
             assert state.conservation_gap() == 0
             assert all(v >= 0 for v in state.balances.values())
@@ -723,3 +730,8 @@ def test_fuzzed_blocks_conserve_tokens_and_match_naive():
         assert escrow == naive_escrow
         for acct in set(real) | set(naive_balances):
             assert real.get(acct, 0) == naive_balances.get(acct, 0), acct
+        rewards_minted += state.rewards_minted
+    # The streams reach the whole request lifecycle, not just registrations.
+    assert accepted[TxKind.COMMIT_ANALYSIS_RESULT] > 0
+    assert accepted[TxKind.SUBMIT_FEEDBACK] > 0
+    assert rewards_minted > 0

@@ -37,6 +37,8 @@ from veriledger.errors import (
 from veriledger.rng import SplitMix64
 from veriledger.sim import perturb
 
+from conftest import random_bytes
+
 
 def pgm(width, height, pixel_fn) -> bytes:
     header = f"P5\n{width} {height}\n255\n".encode()
@@ -103,7 +105,7 @@ def test_embed_rejects_empty():
 
 
 def test_embed_deterministic():
-    blob = SplitMix64(5).bytes(4096)
+    blob = random_bytes(SplitMix64(5), 4096)
     assert embed(blob, MediaType.BYTES) == embed(blob, MediaType.BYTES)
 
 
@@ -142,7 +144,7 @@ def test_malformed_audio():
 
 
 def test_cosine_identity_within_tolerance():
-    e = embed(SplitMix64(1).bytes(4096), MediaType.BYTES)
+    e = embed(random_bytes(SplitMix64(1), 4096), MediaType.BYTES)
     assert abs(similarity(e, e) - 1.0) <= 1e-12
 
 
@@ -443,7 +445,7 @@ def test_bytes_similarity_monotone_in_flip_rate():
     for p in (0.01, 0.1, 0.5):
         total = 0.0
         for trial in range(100):
-            blob = SplitMix64(rng.next_u64()).bytes(4096)
+            blob = random_bytes(SplitMix64(rng.next_u64()), 4096)
             mutated = perturb(blob, "byte-flip", p, seed=rng.next_u64())
             total += similarity(
                 embed(blob, MediaType.BYTES), embed(mutated, MediaType.BYTES)

@@ -1,3 +1,6 @@
+import pytest
+from hypothesis import given, strategies as st
+
 from veriledger.rng import SplitMix64, derive_seed
 
 # Published SplitMix64 outputs for seed 0 (cross-checked against the
@@ -27,9 +30,40 @@ def test_randrange_bounds():
     assert max(draws) == 9
 
 
-def test_bytes_length_and_determinism():
-    assert len(SplitMix64(3).bytes(13)) == 13
-    assert SplitMix64(3).bytes(32) == SplitMix64(3).bytes(32)
+def test_randrange_rejects_ranges_it_cannot_draw():
+    for n in (0, -1, 2**64 + 1):
+        with pytest.raises(ValueError):
+            SplitMix64(1).randrange(n)
+        with pytest.raises(ValueError):
+            SplitMix64(1).randrange_many(n, 3)
+    with pytest.raises(ValueError):
+        SplitMix64(1).randrange_many(3, -1)
+
+
+# n = 2**63 + 1 rejects about half of all raw draws, 2**64 - 1 one in 2**64.
+BULK_RANGES = [1, 3, 32, 255, 256, 31744, 2**63 + 1, 2**64 - 1]
+
+
+def assert_bulk_is_scalar(seed, n, count):
+    scalar = SplitMix64(seed)
+    bulk = SplitMix64(seed)
+    assert bulk.randrange_many(n, count) == [scalar.randrange(n) for _ in range(count)]
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.sampled_from(BULK_RANGES) | st.integers(1, 2**64),
+    count=st.sampled_from([0, 1, 4096]) | st.integers(0, 300),
+)
+def test_randrange_many_is_successive_randrange_draws(seed, n, count):
+    assert_bulk_is_scalar(seed, n, count)
+
+
+@pytest.mark.parametrize("n", BULK_RANGES)
+@pytest.mark.parametrize("count", [0, 1, 4096])
+def test_randrange_many_grid(n, count):
+    assert_bulk_is_scalar(n ^ count, n, count)
 
 
 def test_sample_indices_distinct():
@@ -43,21 +77,6 @@ def test_sample_indices_distinct():
 def test_sample_indices_full_permutation():
     sample = SplitMix64(12).sample_indices(8, 8)
     assert sorted(sample) == list(range(8))
-
-
-def test_uniform_in_unit_interval():
-    rng = SplitMix64(13)
-    values = [rng.uniform() for _ in range(1000)]
-    assert all(0.0 <= v < 1.0 for v in values)
-
-
-def test_derive_gives_independent_labelled_streams():
-    base = SplitMix64(42)
-    a = base.derive("alpha")
-    b = base.derive("beta")
-    a_again = SplitMix64(42).derive("alpha")
-    assert a.next_u64() == a_again.next_u64()
-    assert SplitMix64(42).derive("alpha").next_u64() != b.next_u64()
 
 
 def test_derive_seed_stable():

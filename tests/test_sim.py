@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,7 +20,7 @@ from veriledger.sim import (
 )
 from veriledger.store import canonical_json
 
-from conftest import GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR
+from conftest import GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, random_bytes
 
 
 def golden_doc():
@@ -87,7 +88,7 @@ def test_image_and_audio_items_embed_cleanly():
 
 
 def test_perturb_rate_zero_identity():
-    blob = SplitMix64(1).bytes(512)
+    blob = random_bytes(SplitMix64(1), 512)
     assert perturb(blob, "byte-flip", 0.0, seed=9) == blob
     assert perturb(blob, "pixel-shift", 0.0, seed=9) == blob
 
@@ -116,12 +117,12 @@ def test_perturb_full_flip_drops_similarity():
     seed=st.integers(0, 2**32),
 )
 def test_perturb_preserves_length(size, rate, kind, seed):
-    blob = SplitMix64(seed).bytes(size)
+    blob = random_bytes(SplitMix64(seed), size)
     assert len(perturb(blob, kind, rate, seed=seed)) == size
 
 
 def test_perturb_deterministic_per_seed():
-    blob = SplitMix64(2).bytes(1024)
+    blob = random_bytes(SplitMix64(2), 1024)
     assert perturb(blob, "byte-flip", 0.5, seed=4) == perturb(blob, "byte-flip", 0.5, seed=4)
     assert perturb(blob, "byte-flip", 0.5, seed=4) != perturb(blob, "byte-flip", 0.5, seed=5)
 
@@ -138,6 +139,124 @@ def test_pixel_shift_keeps_pgm_parseable():
     shifted = corpus.fakes[0].content
     assert parse_pgm(shifted)[:2] == parse_pgm(original)[:2]
     assert shifted != original
+
+
+# SHA-256 of every item's content (trusted, unrelated, then fakes) from
+# generate_corpus, recorded with the per-draw corpus code that the bulk draws
+# replaced. The golden run pins only Bytes items over 32 symbols.
+MIXED = (MediaType.BYTES, MediaType.IMAGE, MediaType.AUDIO)
+FLIP = PerturbationSpec("byte-flip", 0.05)
+# name: (seed, media types, perturbation, alphabet size)
+CORPUS_CASES = {
+    "bytes-alphabet-1": (1, (MediaType.BYTES,), FLIP, 1),
+    "bytes-alphabet-32": (2, (MediaType.BYTES,), FLIP, 32),
+    "bytes-alphabet-200": (3, (MediaType.BYTES,), FLIP, 200),
+    "bytes-alphabet-256": (4, (MediaType.BYTES,), FLIP, 256),
+    "image-pixel-shift": (5, (MediaType.IMAGE,), PerturbationSpec("pixel-shift", 0.05), 32),
+    "audio-byte-flip": (6, (MediaType.AUDIO,), FLIP, 32),
+    "mixed-byte-flip-0.01": (7, MIXED, PerturbationSpec("byte-flip", 0.01), 32),
+    "mixed-byte-flip-1.0": (8, MIXED, PerturbationSpec("byte-flip", 1.0), 32),
+}
+CORPUS_DIGESTS = {
+    "bytes-alphabet-1": (
+        "6c1d7917b9d03ec191355471c9a5fd662310519842bcd83d2e13cf5244a9b20d",
+        "433d2bbc4cc45d59ca2c51472dd81112b0244050a189d337ef65f1322b110237",
+        "fc59cd0fabe99365f01451373e3c0f31af020aace9543284ef6314f8e0538874",
+        "57c5c070f5c9c855373e9dd80ca7c703a1a7a47affc21aed3d97ff8a82b4a111",
+        "ba8926e610ac4a455214bbc97611168a1afabe2a1a853325e4571b73e4527d5e",
+        "4cb8d3d9de5d1de4ba8217d54201810d24c689f534b86335912d6afcec403c25",
+        "ca9ac0d18ff8f89fea398f61530429cd312e069cc5cb16a57e333c8553439f18",
+        "0c73b971f7bc5bdbdd4ae3a5e8d6eac94e1ad681931381502c53fc2d86e931b3",
+    ),
+    "bytes-alphabet-32": (
+        "1c8b7776cfa11a74a8df35832e33241000340ff16f4c73e618e16ec5c207e91f",
+        "06315ee180397f0ec708b28e565ec124461a237bc0e22faf4d41ac9d79151502",
+        "890bf6f758df00418742645fdc34f33035782655586c11e0c378cfc7a5edbe56",
+        "c6497ec604a5f6be14854258f603ce5d724ab10d0f530e6e21399710482df5f2",
+        "66e0a76e6a4a61cb832a5e6790a57d07568035568b3fa7e5cb33542143f220d5",
+        "ce9a275845cc1c0f82ec3b718016b6bd57f935e726d71787319f2b7dd78e188e",
+        "22331dcef3a6028c2fa5c6f1e46045b79d6420711bdb1e28e47e22782da856a0",
+        "f30dc5afab37b0ed06241807813fd5647cb6e8c1cfdfb28043d9fdbf7f5135b5",
+    ),
+    "bytes-alphabet-200": (
+        "b40649533e68439a6f6994f1e1ccf87705e14864e9595c6e336e979b1dbc72e5",
+        "05e70466648aefc1ffd64f7252a4911e20fbed40b29356372e9ffc04f686ecc5",
+        "5ec556a65e169b6f637b9576e6b06999905dbe5db2d4f2cbd86efe6f1c3da7a5",
+        "ba8c3089914e3cfe981aa81d680ea684e300d2fed97960ed7695df2adfb923a2",
+        "ff7e91b175a0323745815cba1c647e26fb8a8c22ffec87a251c0dfa0f26d3f3d",
+        "2cdd08b931a0d5e4e0e6cfb1446316e1579e5b05f959f99b993e8cc4d4413846",
+        "07076c899f0e1bbbe212fde9089c5f60ec49816abfe75e9541ba90d6331c21e4",
+        "14cf2f1ab690c2e0eb21884fe0e28bc0ae6a65834e63b3fff34983627e7acba3",
+    ),
+    "bytes-alphabet-256": (
+        "14fc9cf880ac44f90f1ccb8fb22bf8e607c02d3ea2e9e0f017892e915b2b49d1",
+        "29e6adf6d9a4b02bf4982d3c495ec1d0d7f3b07144cc8f46177b3abd6fa12ce8",
+        "6b009202e0d47e0b0a38988a0c9ff64bdbd8a6ab061e34efbca111f020e5d281",
+        "e46b70466e3f296ff8481aaf5ea1763f1f2aa1748cee3ee41a8e07831b501fcc",
+        "8fb3f9924ffe4d04dbe2472c79e05c9ad83bd09469875bf68657b59a855ac740",
+        "49010d54c62adbb70dbf15a10917b944f9dee1562c05fa648c74561834534400",
+        "03a60e09ba0c20f086ab7d7a72716476558c6c8afd4423f1d79605155d57d779",
+        "d71c32161508707a7ffba8039f1a18e62954b2014a873e9bd9b4144002dc56c2",
+    ),
+    "image-pixel-shift": (
+        "5208cb1e322b13ba933644c7a9af5e5d6397b666dd16ac477f3866e68d101823",
+        "c608fbf38ae6aaf9356ab5fc3eed6d49aa0b1f420aa7d6fc3a9499b46fbcf15a",
+        "c7a200e35e14a358da5789c51314e7027cde5e97d658ba197439c4b237faa669",
+        "32bbbb1110a250fc3597f6843711e8a7d7751f654657ea02690bc5ceb5b6b0f3",
+        "a3181325519224cc0e474e6805e01bbeb04ae6ddf0e270eea60d14671e811957",
+        "bb525e9cf7624139ac0dc5359c99fcb12bc2de8d02cfc2ebddc307c0dd458387",
+        "bdc6c470b97c62d2cd22a8dcfc46d58f47dd42b8f72bff03669a20968029bc44",
+        "665762da020d154ac8c0fb77acd10a0458cb293801667b37808984cb07a14c68",
+    ),
+    "audio-byte-flip": (
+        "9f1e13dbff5515f43533e8ea2999369eb97f681d35fb051a132c983ad8177bb8",
+        "0a151f96f924af2bc94c538b4ff70543656f8e5e1634bb2ab8815f2c7071ebf1",
+        "431cb5130ea2c30feccb412f8f5315ad229ee2a6ca78cae14a9bc2620f7fea77",
+        "f9139e8478f7b857f0fd933aa8b5bdebbefc3250e4405d8590a164fa0e3cceb9",
+        "9eb834a9206dfc027b8f6be9c62ebd6acd6c049289362300cf7645ecef8d8fe9",
+        "011b1ba5a92924ce22d18b9550414a9008ea14b8eee881fb6a30c417f8a3b4af",
+        "603053d20b2c7a9ce91a755311d36f1db3ea3156ed02793de7764a2f31a214b5",
+        "41f5e3225f2a890bbd1cab2238d255e74ae8eda4cee287d7677adddc356137e3",
+    ),
+    "mixed-byte-flip-0.01": (
+        "85efb6759fa4c68d8eb7ccff149fba809783ae5bcd7c7a28cae6723d85b6bc3e",
+        "a95803b3115ca7fcd72fa852fe928e40c23d5ff29eaf3c8529c3a7d1c49f7b56",
+        "ea8f9c960603f3a32aff66d98ebc3e2aa56a701d1c176bc83ccef0744aeca759",
+        "8988df149d2b27800d4d57fb3c060ee98cf83622163320de5497c7adf7d53349",
+        "1cbc8d79aa000b7b94ce34dceb324efa03772e966de47a83db1447d410ef7688",
+        "c7342255599e8d16510a4454ff508f32b308ae8c0392eb4681ea56e5a83609af",
+        "d3df28559630088c25254b3e5cfae41998fde3663ff83bb6e722e7a8a70f5106",
+        "65480267759e4b07d94c47ee7b8def09a572f2cc89be692f2a4cd8f1a321c8fe",
+    ),
+    "mixed-byte-flip-1.0": (
+        "94634bbe0417b56eecb7bd44c1e4455539234fb1a59750126e3925b18dde8855",
+        "83a789b1f78bd66e36fdf3582f1aa2ab9d5cd61b8f7066d4dbab484bfd9df53d",
+        "99868088353c9777ba39aed636a4f69983b67bd8ddcb2029025f166488bdb6b0",
+        "ed48be1380b0e281912ff5714c37b583200e294127d39766e246821e48e92a69",
+        "88f07e87046354adf73c4251daddd9d588474b0a0b28b3a116e629850695635b",
+        "9fdfea21e100e279e76d74fe720df71cd3e32d245a98f5d293440e446a7d9a07",
+        "d6b9e3db64ea57f57a7f10ed95b1226f163a74656eb61daf965719e4c68ecf29",
+        "95bcd06fbb15cc9a59514cd47bfd69294a0b6c0ca7d2cce9c8b9e1ca31dd11f4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS_CASES))
+def test_corpus_known_answer(case):
+    seed, media_types, perturbation, alphabet_size = CORPUS_CASES[case]
+    spec = CorpusSpec(
+        trusted_count=3,
+        fake_count=3,
+        unrelated_count=2,
+        media_types=media_types,
+        perturbation=perturbation,
+        item_size=1000,
+        alphabet_size=alphabet_size,
+    )
+    corpus = generate_corpus(seed, spec)
+    items = corpus.trusted + corpus.unrelated + corpus.fakes
+    digests = tuple(hashlib.sha256(item.content).hexdigest() for item in items)
+    assert digests == CORPUS_DIGESTS[case]
 
 
 # --- config parsing -------------------------------------------------------------

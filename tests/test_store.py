@@ -276,3 +276,26 @@ def test_writer_resumes_appending(tmp_path):
         assert writer.last_height == 0
         writer.append(block, receipts)
     assert verify_chain(path).ok
+
+
+@pytest.mark.parametrize("cut", [50, 1], ids=["cut-50-bytes", "drop-final-newline"])
+def test_writer_refuses_torn_tail(golden_run, tmp_path, cut):
+    # Resuming used to die in json.loads (50 bytes cut) or to glue the next
+    # record onto line 31 (only the final newline dropped).
+    data = (golden_run.out_dir / "run.chain.jsonl").read_bytes()
+    path = tmp_path / "torn.chain.jsonl"
+    path.write_bytes(data[:-cut])
+    with pytest.raises(CorruptRecord) as info:
+        ChainWriter(path)
+    assert info.value.line_number == data.count(b"\n") == 31
+    assert path.read_bytes() == data[:-cut]
+
+
+def test_writer_refuses_a_corrupt_chain(golden_run, tmp_path):
+    lines = (golden_run.out_dir / "run.chain.jsonl").read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b'"height":4', b'"height": 4', 1)
+    path = tmp_path / "corrupt.chain.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(CorruptRecord) as info:
+        ChainWriter(path)
+    assert info.value.line_number == 5
