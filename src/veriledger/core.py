@@ -86,17 +86,26 @@ class ReceiptStatus(str, Enum):
 
 def sparse_values(
     values: Sequence[float],
-) -> tuple[tuple[tuple[int, float], ...], float]:
-    """``(non-zero (index, value) pairs, squared norm)`` of a raw vector.
+) -> tuple[tuple[tuple[int, float], ...], float, int, float]:
+    """``(pairs, norm2, support, peak)`` of a raw vector.
 
-    The pairs are in ascending index order. The norm is a plain sequential
-    sum over every value (never ``sum()``, which compensates since Python
-    3.12), so its bits match a dense loop.
+    ``pairs`` are the non-zero ``(index, value)`` pairs in ascending index
+    order. ``norm2`` is the squared norm, a plain sequential sum over every
+    value (never ``sum()``, which compensates since Python 3.12), so its bits
+    match a dense loop. ``support`` has bit ``i`` set for each pair's index.
+    ``peak`` is ``max(values)`` when every value is ``>= 0`` and ``inf``
+    otherwise (a NaN fails the test too), so an upper bound on a dot product
+    built from it is never finite for a vector it does not hold for.
     """
     norm2 = 0.0
     for v in values:
         norm2 += v * v
-    return tuple((i, v) for i, v in enumerate(values) if v != 0.0), norm2
+    pairs = tuple((i, v) for i, v in enumerate(values) if v != 0.0)
+    support = 0
+    for i, _ in pairs:
+        support |= 1 << i
+    peak = max(values, default=0.0) if all(v >= 0.0 for v in values) else math.inf
+    return pairs, norm2, support, peak
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +117,7 @@ class Embedding:
     # ``sparse_values(values)``, filled by ``sparse()`` on first use. Like the
     # records' ``_encoding`` it stays out of equality, hashing, ``repr`` and
     # every encoding, and ``dataclasses.replace`` leaves it empty.
-    _sparse: tuple[tuple[tuple[int, float], ...], float] | None = field(
+    _sparse: tuple[tuple[tuple[int, float], ...], float, int, float] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -122,7 +131,7 @@ class Embedding:
             return False
         return any(v > 0.0 for v in self.values)
 
-    def sparse(self) -> tuple[tuple[tuple[int, float], ...], float]:
+    def sparse(self) -> tuple[tuple[tuple[int, float], ...], float, int, float]:
         """Cached ``sparse_values(self.values)``."""
         cached = self._sparse
         if cached is None:

@@ -569,7 +569,7 @@ def read_chain(path: str | os.PathLike) -> tuple[NetworkState, list[ChainRecord]
         except SerializationError as exc:
             raise CorruptRecord(line_number, str(exc)) from exc
         if height != i:
-            raise HeightGap(f"record {line_number} has height {height}, expected {i}")
+            raise CorruptRecord(line_number, f"record has height {height}, expected {i}")
         if block.height != height:
             raise CorruptRecord(line_number, "record height != block height")
         # No stored byte is cosmetic: the decoded record must render back to

@@ -14,6 +14,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     deadline=None,
 )
+# For ``--hypothesis-profile=deep``: fresh random cases on every run, and more
+# of them, for the bit-exactness tests that "ci" pins to the same cases.
+settings.register_profile(
+    "deep",
+    parent=settings.get_profile("ci"),
+    derandomize=False,
+    max_examples=600,
+)
 settings.load_profile("ci")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

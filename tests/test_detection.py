@@ -140,6 +140,78 @@ def test_malformed_audio():
         embed(pcm([100] * 63), MediaType.AUDIO)  # fewer samples than windows
 
 
+def per_sample_audio_embedding(content: bytes) -> tuple[float, ...]:
+    """The audio embedding as a per-sample loop: ``int.from_bytes`` for each
+    PCM16 sample and a running sum of squares per window. ``embed`` must
+    return the same bits."""
+    if len(content) % 2 != 0:
+        raise MalformedAudio("odd length")
+    n = len(content) // 2
+    if n < 64:
+        raise MalformedAudio("too short")
+    samples = [
+        int.from_bytes(content[2 * i : 2 * i + 2], "little", signed=True)
+        for i in range(n)
+    ]
+    base = n // 64
+    values = []
+    for w in range(64):
+        w0, w1 = w * base, (n if w == 63 else (w + 1) * base)
+        total = 0
+        for s in samples[w0:w1]:
+            total += s * s
+        values.append(math.sqrt(total / (w1 - w0)) / 32768.0)
+    return tuple(values)
+
+
+def audio_outcome(fn, content):
+    try:
+        return [v.hex() for v in fn(content)]
+    except MalformedAudio as exc:
+        return type(exc)
+
+
+AUDIO_KNOWN_ANSWERS = {
+    # 209 samples: three per window, and the trailing window absorbs 17 more.
+    "extremes-209": [-32768, 32767, 0] * 63 + [-32768] * 10 + [32767] * 10,
+    "full-scale-64": [-32768] * 64,
+    "one-extreme-per-window-4099": [
+        (-32768 if i % 2 else 32767) if i % 64 == 0 else (i * 7919) % 65536 - 32768
+        for i in range(4099)
+    ],
+    "odd-length": b"\x00\x80\x01",
+    "63-samples": [32767] * 63,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIO_KNOWN_ANSWERS))
+def test_audio_embedding_known_answers(name):
+    case = AUDIO_KNOWN_ANSWERS[name]
+    content = case if isinstance(case, bytes) else pcm(case)
+    expected = audio_outcome(per_sample_audio_embedding, content)
+    got = audio_outcome(lambda c: embed(c, MediaType.AUDIO).values, content)
+    assert got == expected
+    if name == "full-scale-64":
+        assert expected == [(1.0).hex()] * 64
+    if name in ("odd-length", "63-samples"):
+        assert expected is MalformedAudio
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-32768, 32767), st.sampled_from([-32768, 32767, 0])),
+        min_size=60,
+        max_size=400,
+    ),
+    st.booleans(),
+)
+def test_audio_embedding_matches_the_per_sample_loop(samples, odd):
+    content = pcm(samples) + (b"\x01" if odd else b"")
+    assert audio_outcome(lambda c: embed(c, MediaType.AUDIO).values, content) == (
+        audio_outcome(per_sample_audio_embedding, content)
+    )
+
+
 # --- similarity ----------------------------------------------------------------
 
 

@@ -1,9 +1,10 @@
-"""The sparse, norm-cached similarity search against a dense reference.
+"""The sparse, norm-cached, pruned similarity search against a dense reference.
 
 ``dense_cosine``, ``dense_match_trusted`` and the two dense detectors below
-are the search as it was before each embedding cached its non-zero pairs and
-norm: a cosine loop over every dimension and an exact-hash lookup that sorts
-the whole registry. The live code must give the same results bit for bit.
+are the search as it was before each embedding cached its non-zero pairs,
+norm, support and peak: a cosine loop over every dimension for every record
+and an exact-hash lookup that sorts the whole registry. The live code must
+give the same results bit for bit.
 ``brute_force_matches`` in ``test_detection`` calls ``similarity`` itself, so
 it cannot serve as this reference.
 """
@@ -28,6 +29,7 @@ from veriledger.core import (
     encode_record,
     sparse_values,
 )
+from veriledger import detection
 from veriledger.detection import (
     MatchCandidate,
     embed,
@@ -131,10 +133,12 @@ small_alphabet_bytes = st.tuples(
         st.sampled_from([32 * spec[0] + s for s in spec[1]]), min_size=1, max_size=64
     ).map(bytes)
 )
-# Non-negative finite values, including tiny ones whose squares underflow.
+# Non-negative finite values, including tiny ones whose squares underflow
+# (1e-160 squared is subnormal, 1e-162 squared is zero, and a product of two
+# of them underflows) and huge ones whose squares overflow to inf.
 specials = st.one_of(
     st.floats(0.0, 1.0, allow_subnormal=True),
-    st.sampled_from([1e-300, 5e-324, 1.0]),
+    st.sampled_from([1e-300, 5e-324, 1.0, 1e-160, 1e-162, 1e300]),
 )
 
 
@@ -143,9 +147,18 @@ def embeddings(draw):
     media_type = draw(st.sampled_from(MEDIA))
     if media_type is MediaType.BYTES and draw(st.booleans()):
         return embed(draw(small_alphabet_bytes), MediaType.BYTES)
+    dim = EMBEDDING_DIMENSIONS[media_type]
+    if draw(st.integers(0, 3)) == 0:
+        # One value on a drawn support: there the pruning bound is tight. A
+        # small pool makes the query and a record often share the value.
+        value = draw(st.one_of(st.sampled_from([0.1, 1 / 3, 0.7]), specials))
+        support = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
+        return Embedding(
+            values=tuple(value if i in support else 0.0 for i in range(dim)),
+            media_type=media_type,
+        )
     # Random 53-bit values, a drawn share of them exact zeros, then a few
     # drawn values at drawn positions.
-    dim = EMBEDDING_DIMENSIONS[media_type]
     rng = SplitMix64(draw(st.integers(0, 2**32)))
     zeros = draw(st.sampled_from([0, 1, 8, 15, 16]))  # out of 16
     values = [
@@ -197,16 +210,22 @@ def searches(draw):
         if r.media_type is query.media_type
     ]
     exact = [float.fromhex(s) for s in scores if isinstance(s, str)]
+    # A record's own score is the inclusive boundary; one ulp either side of
+    # it, a pruning bound too loose by that much would change the result.
+    boundaries = [
+        t
+        for score in exact
+        for t in (score, math.nextafter(score, 0.0), math.nextafter(score, 1.0))
+    ]
     threshold = draw(st.one_of(
         st.sampled_from([0.0, 1.0, math.nextafter(0.0, 1.0)]),
         st.floats(0.0, 1.0),
-        # a record's own score: the inclusive boundary
-        st.sampled_from(exact) if exact else st.just(0.5),
+        st.sampled_from(boundaries) if boundaries else st.just(0.5),
     ))
     return registry, target, k, threshold
 
 
-@settings(max_examples=300)
+@settings(max_examples=5 * settings.default.max_examples)  # 300 under "ci"
 @given(searches())
 def test_sparse_search_matches_dense_reference_bit_for_bit(search):
     registry, target, k, threshold = search
@@ -240,6 +259,62 @@ def test_record_sharing_no_bin_scores_exactly_zero():
     ]
 
 
+def test_similarity_runs_only_on_records_the_bound_cannot_rule_out(monkeypatch):
+    # 300 Bytes records over ten disjoint 25-symbol alphabets. A query over
+    # the first alphabet shares no bin with the 270 others, so their bound is
+    # 0 and only the 30 that share its alphabet may be scored.
+    rng = SplitMix64(11)
+
+    def item(group):
+        return bytes(25 * group + d for d in rng.randrange_many(25, 512))
+
+    registry = [
+        content(f"c{n:03d}", embed(item(n % 10), MediaType.BYTES), HASHES[0])
+        for n in range(300)
+    ]
+    query = embed(item(0), MediaType.BYTES)
+    same_alphabet = [r.embedding for r in registry[::10]]
+    scored = []
+    real_similarity = detection.similarity
+
+    def counting_similarity(a, b):
+        scored.append(b)
+        return real_similarity(a, b)
+
+    monkeypatch.setattr(detection, "similarity", counting_similarity)
+    for threshold, expected in ((0.95, same_alphabet), (0.0, [r.embedding for r in registry])):
+        scored.clear()
+        assert outcome(match_trusted, query, registry, 5, threshold) == outcome(
+            dense_match_trusted, query, registry, 5, threshold
+        )
+        assert [id(e) for e in scored] == [id(e) for e in expected]
+
+
+@pytest.mark.parametrize("value, count", [(0.1, 10), (0.7417004975798249, 254)])
+def test_margin_keeps_a_tight_bound_from_skipping_a_match(value, count):
+    # ``count`` equal values summed one by one round above ``count * value**2``,
+    # so the bound without its margin, 1 - 1.1e-16 and 1 - 7.1e-15 here, would
+    # skip the embedding's exact match with itself at threshold 1.0.
+    e = Embedding(
+        values=(value,) * count + (0.0,) * (256 - count), media_type=MediaType.BYTES
+    )
+    _, norm2, support, peak = e.sparse()
+    assert support.bit_count() * (peak * peak) / math.sqrt(norm2 * norm2) < 1.0
+    registry = [content("c", e, HASHES[0])]
+    assert match_trusted(e, registry, 1, 1.0) == [MatchCandidate("c", 1.0)]
+    assert bits(dense_match_trusted(e, registry, 1, 1.0)) == [("c", (1.0).hex())]
+
+
+def test_record_of_another_dimension_still_raises():
+    # Records are pruned only against embeddings of the query's dimension, so
+    # a malformed record raises as the dense search does, bound or no bound.
+    query = embed(b"ab", MediaType.BYTES)
+    short = Embedding(values=(0.0, 1.0), media_type=MediaType.BYTES)
+    registry = [content("c", short, HASHES[0])]
+    assert outcome(match_trusted, query, registry, 1, 0.5) is DimensionMismatch
+    assert outcome(dense_match_trusted, query, registry, 1, 0.5) is DimensionMismatch
+
+
 def test_round_off_spill_is_clamped():
     # Nearly parallel vectors whose unclamped cosine is 1 + 2^-52.
     a = [0.7137708028432639, 0.04374827567185868, 0.9977478925366421]
@@ -252,13 +327,28 @@ def test_round_off_spill_is_clamped():
 
 def test_sparse_pairs_and_norm():
     e = embed(b"aab", MediaType.BYTES)
-    pairs, norm2 = e.sparse()
+    pairs, norm2, support, peak = e.sparse()
     assert pairs == ((ord("a"), 2 / 3), (ord("b"), 1 / 3))
     expected = 0.0
     for v in e.values:
         expected += v * v
     assert norm2.hex() == expected.hex()
+    assert support == (1 << ord("a")) | (1 << ord("b"))
+    assert peak == 2 / 3
     assert e.sparse() is e.sparse()  # computed once
+
+
+@pytest.mark.parametrize("bad", [-5.0, math.nan])
+def test_negative_or_nan_values_are_never_pruned(bad):
+    # The bound holds only for non-negative vectors: with a peak of 1.0 it
+    # would read 2 / 26 for this vector against itself, whose cosine is 1.0.
+    # Such a vector's peak is inf instead, so its bound is inf or NaN.
+    e = Embedding(values=(1.0, bad) + (0.0,) * 254, media_type=MediaType.BYTES)
+    assert e.sparse()[3] == math.inf
+    registry = [content("c", e, HASHES[0])]
+    assert outcome(match_trusted, e, registry, 1, 0.95) == outcome(
+        dense_match_trusted, e, registry, 1, 0.95
+    )
 
 
 # --- the cache stays out of everything hashed or written ---------------------
@@ -273,10 +363,12 @@ def test_cache_not_in_equality_hash_or_repr():
     before = (repr(e), hash(e))
     e.sparse()
     assert e._sparse is not None
+    _, _, support, peak = e._sparse
+    assert support.bit_count() == len(set(b"hello world")) and peak == 3 / 11
     assert (repr(e), hash(e)) == before
     assert e == fresh(e) and hash(e) == hash(fresh(e))
     assert hash(e) == hash((e.values, e.media_type))
-    assert "_sparse" not in repr(e)
+    assert "_sparse" not in repr(e) and str(support) not in repr(e)
 
 
 @pytest.mark.parametrize(

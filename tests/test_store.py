@@ -1,6 +1,8 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veriledger.codec import Hash256
 from veriledger.core import (
@@ -17,10 +19,12 @@ from veriledger.errors import (
     SerializationError,
     StoreError,
     UnencodableState,
+    VeriledgerError,
 )
 from veriledger.ledger import (
     apply_block,
     compute_block_hash,
+    genesis_block,
     init_chain,
     proposer_seed,
     seal_block,
@@ -28,6 +32,7 @@ from veriledger.ledger import (
 )
 from veriledger.store import (
     ChainWriter,
+    VerifyResult,
     block_from_json,
     block_to_json,
     canonical_json,
@@ -299,3 +304,105 @@ def test_writer_refuses_a_corrupt_chain(golden_run, tmp_path):
     with pytest.raises(CorruptRecord) as info:
         ChainWriter(path)
     assert info.value.line_number == 5
+
+
+# --- chain-file JSON values, fuzzed ------------------------------------------
+
+WRONG_TYPES = [None, True, False, 0, -1, 1.5, -0.0, "", "x", "Bytes", [], {}, [0], {"a": 1}]
+U64_EDGES = [2**64 - 1, 2**64, 2**63, 2**63 - 1, 2**32, -1, -(2**63), -(2**64)]
+
+
+def _containers(value):
+    """Every dict and list in ``value``, ``value`` included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _containers(child)
+
+
+def _reseal(records, start):
+    """Rewrite the block hash of record ``start`` and every later record, and
+    the parent hash each later block stores, so that replay gets past the
+    hash checks to the mutated value. Stops at the first record whose block
+    no longer decodes: replay stops there too."""
+    parent = None  # record ``start`` keeps the parent hash it stores
+    for i in range(start, len(records)):
+        record = records[i]
+        try:
+            if i == 0:
+                block = genesis_block(
+                    state_from_json(record["genesis_state"]),
+                    timestamp=record["block"]["timestamp"],
+                )
+            else:
+                block = block_from_json(record["block"])
+                if parent is not None:
+                    block = dataclasses.replace(block, parent_hash=parent)
+                block_hash = compute_block_hash(
+                    block.height, block.parent_hash, block.timestamp, block.proposer,
+                    block.transactions, block.state_root,
+                )
+                block = dataclasses.replace(block, block_hash=block_hash)
+            record["block"] = block_to_json(block)
+        except (VeriledgerError, KeyError, TypeError, ValueError):
+            return
+        parent = block.block_hash
+
+
+@st.composite
+def chain_mutations(draw, lines):
+    """The golden chain's lines with one JSON value of one record mutated,
+    resealed, and the dict key mutated (``None`` for a list entry)."""
+    records = [json.loads(line) for line in lines]
+    start = draw(st.integers(0, len(records) - 1))
+    kind = draw(st.sampled_from(["type", "u64", "drop", "add", "reorder"]))
+    key = None
+    if kind == "reorder":
+        receipts = records[start]["receipts"]
+        if len(receipts) > 1 and draw(st.booleans()):
+            lists = [receipts]
+        else:
+            lists = [c for c in _containers(records[start]) if isinstance(c, list) and len(c) > 1]
+        if lists:
+            target = draw(st.sampled_from(lists))
+            i, j = draw(st.lists(st.integers(0, len(target) - 1), min_size=2, max_size=2, unique=True))
+            target[i], target[j] = target[j], target[i]
+    else:
+        container = draw(st.sampled_from(list(_containers(records[start]))))
+        is_dict = isinstance(container, dict)
+        if kind == "add" or not container:
+            if is_dict:
+                key = draw(st.sampled_from(["extra", "type", "height", ""]))
+                container[key] = draw(st.sampled_from(WRONG_TYPES))
+            else:
+                container.append(draw(st.sampled_from(WRONG_TYPES + container[:1])))
+        else:
+            index = draw(st.sampled_from(sorted(container) if is_dict else range(len(container))))
+            key = index if is_dict else None
+            if kind == "drop":
+                del container[index]
+            else:
+                container[index] = draw(st.sampled_from(WRONG_TYPES if kind == "type" else U64_EDGES))
+    _reseal(records, start)
+    return [canonical_json(r) for r in records], key
+
+
+def test_fuzzed_chain_values_end_in_a_verify_result(golden_run, tmp_path_factory):
+    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
+    path = tmp_path_factory.mktemp("fuzzed-chain") / "variant.chain.jsonl"
+
+    @settings(max_examples=150)
+    @given(chain_mutations(lines))
+    def check(mutation):
+        mutated, key = mutation
+        path.write_text("\n".join(mutated) + "\n")
+        result = verify_chain(path)
+        assert isinstance(result, VerifyResult)
+        if result.ok:
+            # Replay checks no timestamp. A changed one fails only where the
+            # new block hash reseeds a later proposer draw, so a tip's passes.
+            assert mutated == lines or key == "timestamp"
+        else:
+            assert result.error and result.failing_height is not None
+
+    check()
