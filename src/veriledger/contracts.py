@@ -54,6 +54,7 @@ from .core import (
     TransferTokens,
     TxKind,
     Verdict,
+    hash_embedding,
     transaction_hash,
 )
 from . import errors
@@ -215,7 +216,7 @@ def submit_analysis_request(
         submitter=sender,
         media_type=payload.media_type,
         content_hash=payload.content_hash,
-        embedding=payload.embedding,
+        embedding_hash=hash_embedding(payload.embedding),
         fee=payload.fee,
         status=RequestStatus.PENDING,
         submitted_at=ctx.height,

@@ -125,11 +125,19 @@ class Embedding:
         return len(self.values)
 
     def is_valid(self) -> bool:
-        if len(self.values) != EMBEDDING_DIMENSIONS[self.media_type]:
+        """Right length, every value finite and ``>= 0``, one ``> 0``.
+
+        Three C-level passes; ``min`` and ``max`` run only once ``isfinite``
+        has ruled out NaN, which would make them depend on value order.
+        """
+        values = self.values
+        if len(values) != EMBEDDING_DIMENSIONS[self.media_type]:
             return False
-        if any(not math.isfinite(v) or v < 0.0 for v in self.values):
-            return False
-        return any(v > 0.0 for v in self.values)
+        return (
+            all(map(math.isfinite, values))
+            and min(values) >= 0.0
+            and max(values) > 0.0
+        )
 
     def sparse(self) -> tuple[tuple[tuple[int, float], ...], float, int, float]:
         """Cached ``sparse_values(self.values)``."""
@@ -218,12 +226,21 @@ PAYLOAD_TYPES: dict[TxKind, type] = {
 }
 
 
+def _encoding_cache():
+    return field(default=None, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True, slots=True)
 class Transaction:
     kind: TxKind
     sender: str
     payload: Payload
     nonce: int
+    # ``encode_transaction(self)``, filled on first use: a block's
+    # transactions are encoded for their hashes and again for the block
+    # hash. Like the state records' ``_encoding`` it stays out of equality,
+    # hashing and ``repr``, and ``dataclasses.replace`` leaves it empty.
+    _encoding: bytes | None = _encoding_cache()
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,10 +282,6 @@ class Receipt:
 # carries a stale encoding.
 
 
-def _encoding_cache():
-    return field(default=None, init=False, compare=False, repr=False)
-
-
 @dataclass(frozen=True, slots=True)
 class AlgorithmRecord:
     algorithm_id: str
@@ -305,11 +318,15 @@ class ContentRecord:
 
 @dataclass(frozen=True, slots=True)
 class AnalysisRequest:
+    """A submitted request. The state commits to its embedding by hash
+    (``hash_embedding``); the embedding itself stays in the submitting
+    transaction, and only the oracle reads it."""
+
     request_id: str
     submitter: str
     media_type: MediaType
     content_hash: Hash256
-    embedding: Embedding
+    embedding_hash: Hash256
     fee: int
     status: RequestStatus
     submitted_at: int
@@ -485,6 +502,11 @@ def encode_embedding(e: Embedding) -> bytes:
     return enc_str(e.media_type.value) + enc_f64_list(e.values)
 
 
+def hash_embedding(e: Embedding) -> Hash256:
+    """The commitment an ``AnalysisRequest`` keeps of its embedding."""
+    return hash_bytes(encode_embedding(e))
+
+
 def _enc_enum(value: Enum) -> bytes:
     return enc_str(value.value)
 
@@ -529,13 +551,18 @@ def encode_record(record: Any) -> bytes:
 
 
 def encode_transaction(tx: Transaction) -> bytes:
-    return (
-        TX_TAG
-        + enc_str(tx.kind.value)
-        + enc_str(tx.sender)
-        + enc_u64(tx.nonce)
-        + enc_bytes(encode_record(tx.payload))
-    )
+    """Canonical encoding of ``tx``, computed once and cached on it."""
+    encoded = tx._encoding
+    if encoded is None:
+        encoded = (
+            TX_TAG
+            + enc_str(tx.kind.value)
+            + enc_str(tx.sender)
+            + enc_u64(tx.nonce)
+            + enc_bytes(encode_record(tx.payload))
+        )
+        object.__setattr__(tx, "_encoding", encoded)
+    return encoded
 
 
 def transaction_hash(tx: Transaction) -> Hash256:
@@ -568,10 +595,15 @@ def encode_state(state: NetworkState) -> bytes:
     """Canonical state serialization hashed into every block's state root.
 
     Covers the token ledger, registries, and cumulative counters; excludes
-    tip metadata and the derived content-hash index. Map entries are sorted
-    by key, so the encoding never depends on insertion order. Zero balances
-    stay covered: account entries are created deterministically by the
-    transaction stream, and every serialized byte must be root-checked.
+    tip metadata and the derived content-hash index. A request is covered
+    with the hash of its embedding (``embedding_hash``), not the embedding,
+    so an answered request costs each later root about 130 bytes rather
+    than the 2 KB of a 256-dim embedding; the embedding itself is covered
+    by the block hash, in its ``SubmitAnalysisRequest`` transaction. Map
+    entries are sorted by key, so the encoding never depends on insertion
+    order. Zero balances stay covered: account entries are created
+    deterministically by the transaction stream, and every serialized byte
+    must be root-checked.
     """
     parts = [STATE_TAG, encode_record(state.params)]
 

@@ -55,7 +55,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import Hash256
 from .core import (
@@ -92,12 +92,16 @@ class MatchCandidate:
     similarity: float
 
 
-class AnalysisTarget(Protocol):
-    """What a detector needs to know about the content under analysis."""
+@dataclass(frozen=True, slots=True)
+class AnalysisTarget:
+    """What a detector needs to know about the content under analysis: a
+    pending request's on-chain fields and the embedding the oracle holds
+    for it."""
 
+    request_id: str
+    media_type: MediaType
     content_hash: Hash256
     embedding: Embedding
-    media_type: MediaType
 
 
 def _partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:

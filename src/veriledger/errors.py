@@ -90,6 +90,11 @@ class NoEligibleAlgorithm(DetectionError):
     pass
 
 
+class EmbeddingUnavailable(DetectionError):
+    """The oracle holds no embedding for a request, or none that hashes to
+    the request's ``embedding_hash``."""
+
+
 class MissingLabel(VeriledgerError):
     """A committed request has no ground-truth label."""
 

@@ -7,21 +7,31 @@ algorithm's detector against the trusted-content registry, and emits the
 commit transactions for the next block, signed by the configured oracle
 account with sequential nonces. Processing the same snapshot twice yields
 an identical batch.
+
+The state holds each request's embedding only as a hash
+(``AnalysisRequest.embedding_hash``). The embedding itself is in the
+``SubmitAnalysisRequest`` transaction on chain; the caller hands the oracle
+a ``request_id -> Embedding`` map, and the oracle serves a request only
+with an embedding that hashes to the request's commitment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .core import (
+    AnalysisRequest,
     CommitAnalysisResult,
+    Embedding,
     NetworkState,
     RequestStatus,
     Transaction,
     TxKind,
+    hash_embedding,
 )
-from .detection import run_detector, select_model
-from .errors import NoEligibleAlgorithm
+from .detection import AnalysisTarget, run_detector, select_model
+from .errors import EmbeddingUnavailable, NoEligibleAlgorithm
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +50,10 @@ class OracleBatch:
 
     Log lines are tab-separated: request_id, algorithm_id, verdict,
     elapsed ticks from submission to the block the commit lands in.
-    Requests with no eligible algorithm are logged and left pending.
+    A request with no eligible algorithm, or without an embedding that
+    matches its ``embedding_hash``, is logged once as
+    ``request_id - NoEligibleAlgorithm -`` (or ``EmbeddingUnavailable``),
+    listed in ``skipped`` and left pending.
     """
 
     transactions: list[Transaction] = field(default_factory=list)
@@ -48,7 +61,20 @@ class OracleBatch:
     skipped: list[str] = field(default_factory=list)
 
 
-def process_pending(state: NetworkState, config: OracleConfig) -> OracleBatch:
+def _checked_embedding(
+    request: AnalysisRequest, embeddings: Mapping[str, Embedding]
+) -> Embedding:
+    embedding = embeddings.get(request.request_id)
+    if embedding is None or hash_embedding(embedding) != request.embedding_hash:
+        raise EmbeddingUnavailable(request.request_id)
+    return embedding
+
+
+def process_pending(
+    state: NetworkState,
+    config: OracleConfig,
+    embeddings: Mapping[str, Embedding],
+) -> OracleBatch:
     pending = sorted(
         rid
         for rid, req in state.requests.items()
@@ -64,15 +90,22 @@ def process_pending(state: NetworkState, config: OracleConfig) -> OracleBatch:
             algorithm_id = select_model(
                 request.media_type, state.algorithms.values()
             )
-        except NoEligibleAlgorithm:
+            embedding = _checked_embedding(request, embeddings)
+        except (NoEligibleAlgorithm, EmbeddingUnavailable) as exc:
             batch.skipped.append(request_id)
             batch.log_lines.append(
-                f"{request_id}\t-\tNoEligibleAlgorithm\t-"
+                f"{request_id}\t-\t{type(exc).__name__}\t-"
             )
             continue
         spec = state.detectors[state.algorithms[algorithm_id].detector_kind]
+        target = AnalysisTarget(
+            request_id=request_id,
+            media_type=request.media_type,
+            content_hash=request.content_hash,
+            embedding=embedding,
+        )
         verdict, confidence, matches = run_detector(
-            spec, request, state.contents.values()
+            spec, target, state.contents.values()
         )
         batch.transactions.append(
             Transaction(

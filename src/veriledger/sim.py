@@ -48,6 +48,7 @@ from .core import (
     ESCROW_ACCOUNT,
     ContractParams,
     DetectorSpec,
+    Embedding,
     MediaType,
     NetworkState,
     ReceiptStatus,
@@ -798,6 +799,9 @@ class ScenarioRunner:
             (item, Verdict.DEEPFAKE) for item in corpus.fakes
         ] + [(item, Verdict.AUTHENTIC) for item in corpus.unrelated]
         queue_pos = 0
+        # The embedding of each submitted request, until it is answered: the
+        # state keeps only its hash, and the oracle reads it from here.
+        embeddings: dict[str, Embedding] = {}
         pending_feedback: list[Transaction] = []
         oracle_cfg = OracleConfig(
             oracle_account=config.params.oracle_account,
@@ -878,6 +882,7 @@ class ScenarioRunner:
                         ),
                     )
                     request_id = request_id_for(tx)
+                    embeddings[request_id] = tx.payload.embedding
                     ground_truth.labels[request_id] = label
                     ground_truth.sources[request_id] = item.source_id
                     txs.append(tx)
@@ -885,7 +890,7 @@ class ScenarioRunner:
             txs.extend(pending_feedback)
             pending_feedback = []
 
-            batch: OracleBatch = process_pending(state, oracle_cfg)
+            batch: OracleBatch = process_pending(state, oracle_cfg, embeddings)
             txs.extend(batch.transactions)
             oracle_log.extend(batch.log_lines)
 
@@ -903,6 +908,7 @@ class ScenarioRunner:
                     and receipt.status is ReceiptStatus.ACCEPTED
                 ):
                     request_id = tx.payload.request_id
+                    del embeddings[request_id]
                     submitter = state.requests[request_id].submitter
                     pending_feedback.append(
                         self._tx(

@@ -9,9 +9,12 @@ File format (extension ``.chain.jsonl``, UTF-8, one record per line):
 * a payload, state record or ``ContractParams`` is an object with one key
   per field of its dataclass (``core.record_schema``), except that an
   algorithm's ``tp``/``fp``/``tn``/``fn`` nest under ``perf``;
-* record fields: ``version`` ("v1"), ``height``, ``block``, ``receipts``;
+* record fields: ``version`` ("v2"), ``height``, ``block``, ``receipts``;
   the height-0 record additionally carries ``genesis_state``, the full
-  starting state, which makes a chain file self-contained for replay;
+  starting state, which makes a chain file self-contained for replay.
+  A reader accepts only its own version: "v2" state roots commit to each
+  analysis request's embedding by hash, so a "v1" chain (whose roots
+  covered the embeddings) is refused at its first line;
 * records are strictly ordered by height starting at 0.
 
 Verification replays the whole file through the ledger: recomputing every
@@ -65,7 +68,7 @@ from .errors import (
 )
 from .ledger import apply_block, compute_block_hash, genesis_block
 
-FORMAT_VERSION = "v1"
+FORMAT_VERSION = "v2"
 CHAIN_SUFFIX = ".chain.jsonl"
 
 

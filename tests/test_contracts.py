@@ -1,7 +1,8 @@
+import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from veriledger.codec import hash_bytes
 from veriledger.contracts import (
@@ -11,6 +12,7 @@ from veriledger.contracts import (
     request_id_for,
 )
 from veriledger.core import (
+    EMBEDDING_DIMENSIONS,
     ESCROW_ACCOUNT,
     AlgorithmRecord,
     AlgorithmStatus,
@@ -285,6 +287,45 @@ def test_register_zero_embedding_rejected():
         ),
     )
     assert receipt.error_code == "BadEmbeddingValues"
+
+
+def per_value_is_valid(e: Embedding) -> bool:
+    """``Embedding.is_valid`` as a per-value loop, before its C-level passes."""
+    if len(e.values) != EMBEDDING_DIMENSIONS[e.media_type]:
+        return False
+    if any(not math.isfinite(v) or v < 0.0 for v in e.values):
+        return False
+    return any(v > 0.0 for v in e.values)
+
+
+SPECIAL_VALUES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0,
+]
+
+
+@st.composite
+def candidate_embeddings(draw):
+    """Vectors of each media type, of the right length or one off, filled
+    with one value and then a few drawn values at drawn positions."""
+    media_type = draw(st.sampled_from(list(MediaType)))
+    dim = EMBEDDING_DIMENSIONS[media_type] + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    values = [draw(st.sampled_from([0.0, -0.0, 5e-324, 0.5]))] * dim
+    drawn = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+    for i, v in draw(st.lists(st.tuples(st.integers(0, dim - 1), drawn), max_size=4)):
+        values[i] = v
+    return Embedding(values=tuple(values), media_type=media_type)
+
+
+@example(bytes_embedding(0.0))
+@example(bytes_embedding(-0.0))
+@example(bytes_embedding(5e-324))
+@example(bytes_embedding(math.nan))
+@example(bytes_embedding(math.inf))
+@example(Embedding(values=(0.5,) * 63, media_type=MediaType.IMAGE))
+@settings(max_examples=5 * settings.default.max_examples)
+@given(candidate_embeddings())
+def test_embedding_is_valid_matches_the_per_value_loop(e):
+    assert e.is_valid() is per_value_is_valid(e)
 
 
 # --- analysis requests ----------------------------------------------------------

@@ -7,15 +7,14 @@ from veriledger.codec import hash_bytes
 from veriledger.core import (
     AlgorithmRecord,
     AlgorithmStatus,
-    AnalysisRequest,
     ContentRecord,
     DetectorSpec,
     Embedding,
     MediaType,
-    RequestStatus,
     Verdict,
 )
 from veriledger.detection import (
+    AnalysisTarget,
     MatchCandidate,
     cosine,
     embed,
@@ -62,16 +61,12 @@ def content_record(content_id, embedding, content_hash=None, provider="p") -> Co
     )
 
 
-def request_for(content: bytes, media_type: MediaType) -> AnalysisRequest:
-    return AnalysisRequest(
+def request_for(content: bytes, media_type: MediaType) -> AnalysisTarget:
+    return AnalysisTarget(
         request_id="r-1",
-        submitter="u",
         media_type=media_type,
         content_hash=hash_bytes(content),
         embedding=embed(content, media_type),
-        fee=10,
-        status=RequestStatus.PENDING,
-        submitted_at=1,
     )
 
 
@@ -399,15 +394,11 @@ def test_near_duplicate_threshold_boundary_inclusive():
     query = Embedding(values=(1.0, 0.0) + (0.0,) * 254, media_type=MediaType.BYTES)
     other = Embedding(values=(1.0, 1.0) + (0.0,) * 254, media_type=MediaType.BYTES)
     record = content_record("c-1", other)
-    target = AnalysisRequest(
+    target = AnalysisTarget(
         request_id="r-b",
-        submitter="u",
         media_type=MediaType.BYTES,
         content_hash=hash_bytes(b"q"),
         embedding=query,
-        fee=10,
-        status=RequestStatus.PENDING,
-        submitted_at=1,
     )
     tau = cosine(query.values, other.values)
     verdict, _, _ = run_detector(

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 from veriledger.codec import hash_bytes
@@ -12,6 +13,7 @@ from veriledger.core import (
     TxKind,
     transaction_hash,
 )
+from veriledger.contracts import request_id_for
 from veriledger.ledger import init_chain, seal_block
 from veriledger.oracle import OracleConfig, process_pending
 from veriledger.rng import SplitMix64
@@ -28,13 +30,16 @@ def embedding(rng: SplitMix64) -> Embedding:
     )
 
 
-def pending_state(request_count: int) -> NetworkState:
+def pending_state(request_count: int) -> tuple[NetworkState, dict[str, Embedding]]:
+    """A state with ``request_count`` pending requests, and the embedding
+    each was submitted with, by request id."""
     driver = Driver(make_state({"alice": 10_000, "bob": 10_000}))
     register_algo(driver)
     activate_algo(driver)
     rng = SplitMix64(100)
+    embeddings = {}
     for i in range(request_count):
-        receipt, _ = driver.submit(
+        receipt, tx = driver.submit(
             TxKind.SUBMIT_ANALYSIS_REQUEST,
             "bob",
             SubmitAnalysisRequest(
@@ -45,20 +50,22 @@ def pending_state(request_count: int) -> NetworkState:
             ),
         )
         assert receipt.status is ReceiptStatus.ACCEPTED
+        embeddings[request_id_for(tx)] = tx.payload.embedding
     driver.state.tip_height = 5
-    return driver.state
+    return driver.state, embeddings
 
 
 def test_no_pending_requests_gives_empty_batch():
-    state = pending_state(0)
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE))
+    state, embeddings = pending_state(0)
+    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
     assert batch.transactions == []
     assert batch.log_lines == []
 
 
 def test_batch_limit_takes_smallest_request_ids():
-    state = pending_state(20)
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE, batch_limit=16))
+    state, embeddings = pending_state(20)
+    config = OracleConfig(oracle_account=ORACLE, batch_limit=16)
+    batch = process_pending(state, config, embeddings)
     assert len(batch.transactions) == 16
     all_ids = sorted(state.requests)
     picked = [tx.payload.request_id for tx in batch.transactions]
@@ -66,10 +73,10 @@ def test_batch_limit_takes_smallest_request_ids():
 
 
 def test_same_snapshot_twice_is_identical():
-    state = pending_state(7)
+    state, embeddings = pending_state(7)
     config = OracleConfig(oracle_account=ORACLE)
-    a = process_pending(state, config)
-    b = process_pending(state, config)
+    a = process_pending(state, config, embeddings)
+    b = process_pending(state, config, embeddings)
     assert [transaction_hash(t) for t in a.transactions] == [
         transaction_hash(t) for t in b.transactions
     ]
@@ -77,18 +84,18 @@ def test_same_snapshot_twice_is_identical():
 
 
 def test_commits_carry_sequential_nonces():
-    state = pending_state(5)
+    state, embeddings = pending_state(5)
     state.nonces[ORACLE] = 9
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE))
+    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
     assert [tx.nonce for tx in batch.transactions] == [10, 11, 12, 13, 14]
     assert all(tx.sender == ORACLE for tx in batch.transactions)
 
 
 def test_no_eligible_algorithm_leaves_request_pending():
-    state = pending_state(3)
+    state, embeddings = pending_state(3)
     for aid, record in state.algorithms.items():
         state.algorithms[aid] = replace(record, status=AlgorithmStatus.DEPRECATED)
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE))
+    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
     assert batch.transactions == []
     assert len(batch.skipped) == 3
     assert all("NoEligibleAlgorithm" in line for line in batch.log_lines)
@@ -97,9 +104,42 @@ def test_no_eligible_algorithm_leaves_request_pending():
     )
 
 
+def _assert_served_all_but(state, embeddings, withheld):
+    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
+    assert batch.skipped == [withheld]
+    assert [line for line in batch.log_lines if line.startswith(withheld)] == [
+        f"{withheld}\t-\tEmbeddingUnavailable\t-"
+    ]
+    served = {tx.payload.request_id for tx in batch.transactions}
+    assert served == set(state.requests) - {withheld}
+    _, chained = init_chain(state.clone())
+    _, after, receipts = seal_block(chained, batch.transactions, timestamp=1)
+    assert all(r.status is ReceiptStatus.ACCEPTED for r in receipts)
+    assert after.requests[withheld].status is RequestStatus.PENDING
+
+
+def test_missing_embedding_is_not_served():
+    state, embeddings = pending_state(3)
+    withheld = sorted(state.requests)[1]
+    del embeddings[withheld]
+    _assert_served_all_but(state, embeddings, withheld)
+
+
+def test_embedding_that_misses_the_commitment_is_not_served():
+    state, embeddings = pending_state(3)
+    withheld = sorted(state.requests)[0]
+    honest = embeddings[withheld]
+    # One value one ulp away: the detector would see other content than the
+    # submitter paid to have analysed.
+    values = list(honest.values)
+    values[7] = math.nextafter(values[7], 1.0)
+    embeddings[withheld] = Embedding(values=tuple(values), media_type=honest.media_type)
+    _assert_served_all_but(state, embeddings, withheld)
+
+
 def test_log_lines_have_elapsed_ticks():
-    state = pending_state(2)
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE))
+    state, embeddings = pending_state(2)
+    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
     for line in batch.log_lines:
         request_id, algo_id, verdict, elapsed = line.split("\t")
         assert request_id in state.requests
@@ -110,11 +150,11 @@ def test_log_lines_have_elapsed_ticks():
 
 
 def test_commits_apply_cleanly_in_next_block():
-    state = pending_state(4)
+    state, embeddings = pending_state(4)
     genesis_balance_state = state.clone()
     genesis_balance_state.tip_height = -1
     _, chained = init_chain(genesis_balance_state)
-    batch = process_pending(chained, OracleConfig(oracle_account=ORACLE))
+    batch = process_pending(chained, OracleConfig(oracle_account=ORACLE), embeddings)
     block, new_state, receipts = seal_block(chained, batch.transactions, timestamp=1)
     assert all(r.status is ReceiptStatus.ACCEPTED for r in receipts)
     completed = [

@@ -4,17 +4,23 @@ Each record below is built by hand and pinned twice: the SHA-256 of its
 canonical binary encoding (``core.encode_record``) and the SHA-256 of its
 canonical JSON rendering (``store.record_to_json``). The digests were
 computed with the hand-written per-record codecs that the derived ones
-replaced, so they pin the formats, not the code. The golden chain carries
+replaced, so they pin the formats, not the code. ``AnalysisRequest``'s pair
+was pinned again when the record came to hold its embedding's hash
+(``hash_embedding``) in place of the embedding; both were checked against
+encodings built by hand from the codec rules. The golden chain carries
 no ``TransferTokens`` and no state record with feedback counters, so these
 are the only tests that fix those encodings.
 """
 
+import dataclasses
 import json
+from operator import attrgetter
 
 import pytest
 
-from veriledger.codec import hash_bytes
+from veriledger.codec import TX_TAG, enc_bytes, enc_str, enc_u64, hash_bytes
 from veriledger.core import (
+    PAYLOAD_TYPES,
     AlgorithmRecord,
     AlgorithmStatus,
     AnalysisRequest,
@@ -31,11 +37,21 @@ from veriledger.core import (
     SubmitAnalysisRequest,
     SubmitChallengeResult,
     SubmitFeedback,
+    Transaction,
     TransferTokens,
+    TxKind,
     Verdict,
     encode_record,
+    encode_transaction,
+    hash_embedding,
 )
-from veriledger.store import canonical_json, record_from_json, record_to_json
+from veriledger.store import (
+    canonical_json,
+    record_from_json,
+    record_to_json,
+    transaction_from_json,
+    transaction_to_json,
+)
 
 CONTENT_HASH = hash_bytes(b"known-answer content")
 AUDIO = Embedding(values=(0.0, 0.5, 1.25, 3e-07), media_type=MediaType.AUDIO)
@@ -109,7 +125,7 @@ RECORDS = {
         submitter="user-1",
         media_type=MediaType.IMAGE,
         content_hash=CONTENT_HASH,
-        embedding=IMAGE,
+        embedding_hash=hash_embedding(IMAGE),
         fee=12,
         status=RequestStatus.COMPLETED,
         submitted_at=11,
@@ -136,8 +152,8 @@ KNOWN_ANSWERS = {
         "aa86d97d36cd9a732baf9ed8aa78ce1687cca8162aa33ff7418a6e745c912dd2",
     ),
     "AnalysisRequest": (
-        "86c09cb5f2aff2120780f6af75188532c4e28b46e6f990ad4250a89a7ac5efa8",
-        "12f164b4e58620aabb0579e032d05124220042c19818195ff40d77893c5b42f6",
+        "c527f4890784bd6c4bf9fb57a59a46b3d849f6fcf8bfdc70a666595fa51900ec",
+        "7488aade1f3b702bc9538c975607f78a44d6952e4b5c66838d8b2f78c75d7bff",
     ),
     "AnalysisResultRecord": (
         "ff8ca42aeae6fa43f9a6d4e8d7cac913f0f90d8f5b62402931d4b797d790119c",
@@ -204,3 +220,53 @@ def test_json_round_trip(name):
     restored = record_from_json(type(record), doc, name)
     assert restored == record
     assert encode_record(restored) == encode_record(record)
+
+
+# --- the transaction encoding cache ------------------------------------------
+
+PAYLOADS = {kind: RECORDS[cls.__name__] for kind, cls in PAYLOAD_TYPES.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOADS, key=attrgetter("value")))
+def test_known_answers_with_filled_transaction_cache(kind):
+    tx = Transaction(kind=kind, sender="user-1", payload=PAYLOADS[kind], nonce=7)
+    assert tx._encoding is None
+    encoded = encode_transaction(tx)
+    assert tx._encoding is encoded
+    assert encode_transaction(tx) is encoded
+    assert encoded == (
+        TX_TAG + enc_str(kind.value) + enc_str("user-1") + enc_u64(7)
+        + enc_bytes(encode_record(PAYLOADS[kind]))
+    )
+    name = type(tx.payload).__name__
+    assert hash_bytes(encode_record(tx.payload)).hex == KNOWN_ANSWERS[name][0]
+    text = canonical_json(record_to_json(tx.payload))
+    assert hash_bytes(text.encode()).hex == KNOWN_ANSWERS[name][1]
+
+
+def test_transaction_cache_is_invisible():
+    payload = PAYLOADS[TxKind.TRANSFER_TOKENS]
+    tx, twin = (
+        Transaction(kind=TxKind.TRANSFER_TOKENS, sender="a", payload=payload, nonce=1)
+        for _ in range(2)
+    )
+    before = repr(tx)
+    encode_transaction(tx)
+    assert twin._encoding is None
+    assert tx == twin and hash(tx) == hash(twin)
+    assert repr(tx) == before and "_encoding" not in repr(tx)
+    replaced = dataclasses.replace(tx, nonce=2)
+    assert replaced._encoding is None
+    assert encode_transaction(replaced) != encode_transaction(tx)
+    assert dataclasses.replace(tx)._encoding is None
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOADS, key=attrgetter("value")))
+def test_decoded_transaction_fills_the_same_bytes(kind):
+    tx = Transaction(kind=kind, sender="user-1", payload=PAYLOADS[kind], nonce=7)
+    encoded = encode_transaction(tx)
+    doc = json.loads(canonical_json(transaction_to_json(tx)))
+    decoded = transaction_from_json(doc)
+    assert decoded == tx and decoded._encoding is None
+    assert encode_transaction(decoded) == encoded
+    assert decoded._encoding == encoded

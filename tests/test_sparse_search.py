@@ -12,7 +12,6 @@ it cannot serve as this reference.
 import dataclasses
 import json
 import math
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +30,7 @@ from veriledger.core import (
 )
 from veriledger import detection
 from veriledger.detection import (
+    AnalysisTarget,
     MatchCandidate,
     embed,
     match_trusted,
@@ -198,10 +198,11 @@ def searches(draw):
     else:
         query = draw(embeddings())
     # Sometimes no record carries the query's hash, so the search runs.
-    target = SimpleNamespace(
+    target = AnalysisTarget(
+        request_id="r-search",
+        media_type=query.media_type,
         content_hash=draw(st.sampled_from(HASHES + [hash_bytes(b"none")])),
         embedding=query,
-        media_type=query.media_type,
     )
     k = draw(st.sampled_from([1, 2, 5, len(registry) or 1, 2**64 - 1]))
     scores = [
