@@ -37,7 +37,7 @@ from .detection import (
     similarity,
 )
 from .ledger import apply_block, init_chain, seal_block, select_proposer
-from .oracle import OracleBatch, OracleConfig, process_pending
+from .oracle import OracleBatch, process_pending
 from .sim import (
     GroundTruth,
     RunReport,
@@ -71,7 +71,6 @@ __all__ = [
     "NetworkState",
     "NotificationEvent",
     "OracleBatch",
-    "OracleConfig",
     "Receipt",
     "ReceiptStatus",
     "RunReport",

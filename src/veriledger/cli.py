@@ -19,11 +19,11 @@ from .core import ReceiptStatus
 from .errors import ConfigError, LedgerError, MissingLabel, StoreError, VeriledgerError
 from .sim import GroundTruth, compute_metrics, parse_scenario, run_scenario
 from .store import (
-    block_to_json,
     canonical_json,
+    notifications,
     pretty_json,
     read_chain,
-    receipt_to_json,
+    record_to_json,
     replay,
     verify_chain,
 )
@@ -84,8 +84,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         record = matches[0]
         _emit(
             {
-                "block": block_to_json(record.block),
-                "receipts": [receipt_to_json(r) for r in record.receipts],
+                "block": record_to_json(record.block),
+                "receipts": [record_to_json(r) for r in record.receipts],
             },
             args.pretty,
         )
@@ -130,21 +130,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_notifications(args: argparse.Namespace) -> int:
     _, records = read_chain(args.chain)
-    events = []
-    for record in records:
-        for receipt in record.receipts:
-            for event in receipt.events:
-                if event.provider == args.provider:
-                    events.append(
-                        {
-                            "height": record.height,
-                            "provider": event.provider,
-                            "content_id": event.content_id,
-                            "request_id": event.request_id,
-                            "similarity": event.similarity,
-                        }
-                    )
-    _emit(events, args.pretty)
+    _emit(
+        [n for n in notifications(records) if n["provider"] == args.provider],
+        args.pretty,
+    )
     return 0
 
 

@@ -4,9 +4,9 @@ The oracle runs synchronously between blocks on a read-only state
 snapshot. It picks up to ``batch_limit`` pending requests in request-id
 order, selects the best eligible algorithm per request, executes that
 algorithm's detector against the trusted-content registry, and emits the
-commit transactions for the next block, signed by the configured oracle
-account with sequential nonces. Processing the same snapshot twice yields
-an identical batch.
+commit transactions for the next block, signed by the state's
+``params.oracle_account`` with sequential nonces. Processing the same
+snapshot twice yields an identical batch.
 
 The state holds each request's embedding only as a hash
 (``AnalysisRequest.embedding_hash``). The embedding itself is in the
@@ -32,16 +32,6 @@ from .core import (
 )
 from .detection import AnalysisTarget, run_detector, select_model
 from .errors import EmbeddingUnavailable, NoEligibleAlgorithm
-
-
-@dataclass(frozen=True, slots=True)
-class OracleConfig:
-    oracle_account: str
-    batch_limit: int = 16
-
-    def __post_init__(self) -> None:
-        if self.batch_limit < 1:
-            raise ValueError("batch_limit must be >= 1")
 
 
 @dataclass(slots=True)
@@ -72,9 +62,12 @@ def _checked_embedding(
 
 def process_pending(
     state: NetworkState,
-    config: OracleConfig,
+    batch_limit: int,
     embeddings: Mapping[str, Embedding],
 ) -> OracleBatch:
+    if batch_limit < 1:
+        raise ValueError("batch_limit must be >= 1")
+    oracle_account = state.params.oracle_account
     pending = sorted(
         rid
         for rid, req in state.requests.items()
@@ -82,9 +75,9 @@ def process_pending(
     )
     batch = OracleBatch()
     commit_height = state.tip_height + 1
-    next_nonce = state.nonces.get(config.oracle_account, -1) + 1
+    next_nonce = state.nonces.get(oracle_account, -1) + 1
 
-    for request_id in pending[: config.batch_limit]:
+    for request_id in pending[:batch_limit]:
         request = state.requests[request_id]
         try:
             algorithm_id = select_model(
@@ -110,7 +103,7 @@ def process_pending(
         batch.transactions.append(
             Transaction(
                 kind=TxKind.COMMIT_ANALYSIS_RESULT,
-                sender=config.oracle_account,
+                sender=oracle_account,
                 payload=CommitAnalysisResult(
                     request_id=request_id,
                     algorithm_id=algorithm_id,

@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -64,13 +64,14 @@ from .core import (
 from .detection import detector_kinds, embed, parse_pgm
 from .errors import ConfigError, MissingLabel
 from .ledger import init_chain, seal_block
-from .oracle import OracleBatch, OracleConfig, process_pending
+from .oracle import OracleBatch, process_pending
 from .rng import SplitMix64, derive_seed
 from .store import (
     ChainRecord,
     ChainView,
     ChainWriter,
     canonical_json,
+    notifications,
     record_to_json,
 )
 
@@ -582,42 +583,14 @@ class RunReport:
     notifications: list[dict]
 
     def to_json(self) -> dict:
-        return {
-            "algorithms": [
-                {
-                    "algorithm_id": m.algorithm_id,
-                    "tp": m.tp,
-                    "fp": m.fp,
-                    "tn": m.tn,
-                    "fn": m.fn,
-                    "precision": m.precision,
-                    "recall": m.recall,
-                }
-                for m in self.algorithms
-            ],
-            "tokens": self.tokens,
-            "chain": self.chain,
-            "notifications": self.notifications,
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["algorithm_id", "tp", "fp", "tn", "fn", "precision", "recall"]
-        )
+        writer.writerow(f.name for f in fields(AlgorithmMetrics))
         for m in self.algorithms:
-            writer.writerow(
-                [
-                    m.algorithm_id,
-                    m.tp,
-                    m.fp,
-                    m.tn,
-                    m.fn,
-                    "" if m.precision is None else m.precision,
-                    "" if m.recall is None else m.recall,
-                ]
-            )
+            writer.writerow("" if v is None else v for v in astuple(m))
         return buf.getvalue()
 
 
@@ -669,7 +642,6 @@ def compute_metrics(chain: ChainView, ground_truth: GroundTruth) -> RunReport:
 
     by_kind: dict[str, dict[str, int]] = {}
     total = accepted = 0
-    notifications = []
     for record in chain.records:
         for tx, receipt in zip(record.block.transactions, record.receipts):
             total += 1
@@ -681,16 +653,6 @@ def compute_metrics(chain: ChainView, ground_truth: GroundTruth) -> RunReport:
                 bucket["accepted"] += 1
             else:
                 bucket["rejected"] += 1
-            for event in receipt.events:
-                notifications.append(
-                    {
-                        "height": record.height,
-                        "provider": event.provider,
-                        "content_id": event.content_id,
-                        "request_id": event.request_id,
-                        "similarity": event.similarity,
-                    }
-                )
 
     tokens = {
         "balances": dict(sorted(state.balances.items())),
@@ -718,7 +680,7 @@ def compute_metrics(chain: ChainView, ground_truth: GroundTruth) -> RunReport:
         algorithms=algorithms,
         tokens=tokens,
         chain=chain_summary,
-        notifications=notifications,
+        notifications=notifications(chain.records),
     )
 
 
@@ -803,10 +765,6 @@ class ScenarioRunner:
         # state keeps only its hash, and the oracle reads it from here.
         embeddings: dict[str, Embedding] = {}
         pending_feedback: list[Transaction] = []
-        oracle_cfg = OracleConfig(
-            oracle_account=config.params.oracle_account,
-            batch_limit=config.oracle_batch_limit,
-        )
         oracle_log: list[str] = []
 
         for height in range(1, config.blocks + 1):
@@ -890,7 +848,9 @@ class ScenarioRunner:
             txs.extend(pending_feedback)
             pending_feedback = []
 
-            batch: OracleBatch = process_pending(state, oracle_cfg, embeddings)
+            batch: OracleBatch = process_pending(
+                state, config.oracle_batch_limit, embeddings
+            )
             txs.extend(batch.transactions)
             oracle_log.extend(batch.log_lines)
 

@@ -6,9 +6,13 @@ File format (extension ``.chain.jsonl``, UTF-8, one record per line):
   compact separators, ASCII-only. Readers re-render each decoded record
   and require byte equality with what is on disk, so no stored byte is
   cosmetic;
-* a payload, state record or ``ContractParams`` is an object with one key
-  per field of its dataclass (``core.record_schema``), except that an
-  algorithm's ``tp``/``fp``/``tn``/``fn`` nest under ``perf``;
+* every stored type -- transaction, block, receipt, notification event,
+  payload, state record, ``ContractParams`` -- is an object with one key
+  per field of its dataclass (``core.record_schema``), written and read by
+  one codec (``record_to_json``, ``record_from_json``). Three exceptions:
+  an algorithm's ``tp``/``fp``/``tn``/``fn`` nest under ``perf``, an event
+  carries ``"type": "notification"``, and a payload's type follows from
+  its transaction's ``kind``;
 * record fields: ``version`` ("v2"), ``height``, ``block``, ``receipts``;
   the height-0 record additionally carries ``genesis_state``, the full
   starting state, which makes a chain file self-contained for replay.
@@ -66,7 +70,7 @@ from .errors import (
     StateRootMismatch,
     StoreError,
 )
-from .ledger import apply_block, compute_block_hash, genesis_block
+from .ledger import apply_block, compute_block_hash, init_chain
 
 FORMAT_VERSION = "v2"
 CHAIN_SUFFIX = ".chain.jsonl"
@@ -192,28 +196,117 @@ def _matches(v: Any, what: str) -> tuple[tuple[str, float], ...]:
     return tuple(out)
 
 
-def _identity(v: Any) -> Any:
-    return v
-
-
 def _enum(enum_cls) -> tuple:
-    return attrgetter("value"), functools.partial(_as_enum, enum_cls)
+    # Read ``_value_`` and look members up by value directly: the ``value``
+    # property and ``enum_cls(v)`` each cost Python-level calls, and a chain
+    # file holds thousands of enum values.
+    members = {m.value: m for m in enum_cls}
+
+    def from_json(v: Any, what: str):
+        member = members.get(v) if type(v) is str else None
+        return _as_enum(enum_cls, v, what) if member is None else member
+
+    return attrgetter("_value_"), from_json
 
 
 # --- records ------------------------------------------------------------------
 #
 # The JSON form of a record has one key per field of ``core.record_schema``,
-# each value in its annotation's JSON form below. Two quirks of the format
+# each value in its annotation's JSON form below. Four quirks of the format
 # stay explicit: an algorithm's ``tp``/``fp``/``tn``/``fn`` nest under
-# "perf", and an embedding is stored as its values only; its media type is
-# the record's ``media_type`` field. A float field, similarity or embedding
+# "perf"; an embedding is stored as its values only, its media type being
+# the record's ``media_type`` field; a payload is decoded once its
+# transaction's ``kind`` is known; and a receipt event carries a
+# ``"type": "notification"`` tag. A float field, similarity or embedding
 # value is written as a float even where the record holds an int: both have
 # the same binary64 encoding, and the decoders accept only floats.
 
+_PERF = frozenset({"tp", "fp", "tn", "fn"})
+
+
+@functools.cache
+def _json_schema(cls: type) -> tuple[frozenset[str], tuple]:
+    """The keys of ``cls``'s JSON form, and ``(name, to JSON, from JSON)``
+    per field, with ``None`` to JSON for a value that is its own JSON form."""
+    schema = record_schema(cls)
+    keys = frozenset(name for name, _ in schema)
+    if cls is AlgorithmRecord:
+        keys = keys - _PERF | {"perf"}
+    return keys, tuple((name, *_JSON_CODECS[annotation]) for name, annotation in schema)
+
+
+def record_to_json(record: Any) -> dict:
+    """JSON form of a payload, state record, ``ContractParams``,
+    ``DetectorSpec``, transaction, block, receipt or event."""
+    doc = {
+        name: getattr(record, name) if to_json is None else to_json(getattr(record, name))
+        for name, to_json, _ in _json_schema(type(record))[1]
+    }
+    if type(record) is AlgorithmRecord:
+        doc["perf"] = {name: doc.pop(name) for name in _PERF}
+    return doc
+
+
+def record_from_json(cls: type, d: Any, what: str) -> Any:
+    """Strict inverse of :func:`record_to_json`; ``what`` names the record in
+    errors."""
+    keys, codecs = _json_schema(cls)
+    d = _expect_keys(d, keys, what)
+    if cls is AlgorithmRecord:
+        d = {**d, **_expect_keys(d["perf"], _PERF, f"{what}.perf")}
+    values = {name: from_json(d[name], f"{what}.{name}") for name, _, from_json in codecs}
+    if cls is Transaction:
+        kind = values["kind"]
+        values["payload"] = record_from_json(
+            PAYLOAD_TYPES[kind], values["payload"], f"payload({kind.value})"
+        )
+    elif "embedding" in values:
+        values["embedding"] = Embedding(values["embedding"], values["media_type"])
+    try:
+        return cls(**values)
+    except ValueError as exc:  # e.g. ContractParams rejects the combination
+        raise SerializationError(f"{what}: {exc}") from exc
+
+
+def _records_to_json(records: Iterable[Any]) -> list:
+    return [record_to_json(r) for r in records]
+
+
+def _transactions_from_json(v: Any, what: str) -> tuple[Transaction, ...]:
+    return tuple(
+        record_from_json(Transaction, tx, "transaction") for tx in _as_list(v, what)
+    )
+
+
+def _events_to_json(events: Iterable[NotificationEvent]) -> list:
+    return [{"type": "notification", **record_to_json(e)} for e in events]
+
+
+def _events_from_json(v: Any, what: str) -> tuple[NotificationEvent, ...]:
+    events = []
+    for d in _as_list(v, what):
+        if _as_map(d, "event").get("type") != "notification":
+            raise SerializationError(f"unknown event type {d.get('type')!r}")
+        fields = {k: x for k, x in d.items() if k != "type"}
+        events.append(record_from_json(NotificationEvent, fields, "event"))
+    return tuple(events)
+
+
+def _optional_str(v: Any, what: str) -> str | None:
+    return None if v is None else _as_str(v, what)
+
+
+def _payload_later(v: Any, what: str) -> Any:
+    # The payload's type follows from the transaction's kind, so
+    # record_from_json decodes it once the kind is known.
+    return v
+
+
 # annotation -> (to JSON, from JSON); each decoder type-checks its value.
-_JSON_CODECS: dict[str, tuple[Callable[[Any], Any], Callable[[Any, str], Any]]] = {
-    "str": (_identity, _as_str),
-    "int": (_identity, _as_nonneg),
+_JSON_CODECS: dict[str, tuple[Callable[[Any], Any] | None, Callable[[Any, str], Any]]] = {
+    "str": (None, _as_str),
+    "str | None": (None, _optional_str),
+    "int": (None, _as_nonneg),
     "float": (float, _as_float),
     "Hash256": (attrgetter("hex"), _as_hash),
     "Embedding": (lambda e: list(map(float, e.values)), _floats),
@@ -237,149 +330,12 @@ _JSON_CODECS: dict[str, tuple[Callable[[Any], Any], Callable[[Any, str], Any]]] 
     "Verdict": _enum(Verdict),
     "AlgorithmStatus": _enum(AlgorithmStatus),
     "RequestStatus": _enum(RequestStatus),
+    "TxKind": _enum(TxKind),
+    "ReceiptStatus": _enum(ReceiptStatus),
+    "Payload": (record_to_json, _payload_later),
+    "tuple[Transaction, ...]": (_records_to_json, _transactions_from_json),
+    "tuple[NotificationEvent, ...]": (_events_to_json, _events_from_json),
 }
-
-_PERF = frozenset({"tp", "fp", "tn", "fn"})
-
-
-@functools.cache
-def _json_codecs(cls: type) -> tuple:
-    return tuple(
-        (name, *_JSON_CODECS[annotation]) for name, annotation in record_schema(cls)
-    )
-
-
-@functools.cache
-def _json_keys(cls: type) -> frozenset[str]:
-    keys = frozenset(name for name, _ in record_schema(cls))
-    return keys - _PERF | {"perf"} if cls is AlgorithmRecord else keys
-
-
-def record_to_json(record: Any) -> dict:
-    """JSON form of a payload, state record, ``ContractParams`` or
-    ``DetectorSpec``."""
-    doc = {
-        name: to_json(getattr(record, name))
-        for name, to_json, _ in _json_codecs(type(record))
-    }
-    if type(record) is AlgorithmRecord:
-        doc["perf"] = {name: doc.pop(name) for name in _PERF}
-    return doc
-
-
-def record_from_json(cls: type, d: Any, what: str) -> Any:
-    """Strict inverse of :func:`record_to_json`; ``what`` names the record in
-    errors."""
-    d = _expect_keys(d, _json_keys(cls), what)
-    if cls is AlgorithmRecord:
-        d = {**d, **_expect_keys(d["perf"], _PERF, f"{what}.perf")}
-    values = {
-        name: from_json(d[name], f"{what}.{name}")
-        for name, _, from_json in _json_codecs(cls)
-    }
-    if "embedding" in values:
-        values["embedding"] = Embedding(values["embedding"], values["media_type"])
-    try:
-        return cls(**values)
-    except ValueError as exc:  # e.g. ContractParams rejects the combination
-        raise SerializationError(f"{what}: {exc}") from exc
-
-
-# --- transactions, blocks, receipts ---------------------------------------------
-
-
-def transaction_to_json(tx: Transaction) -> dict:
-    return {
-        "kind": tx.kind.value,
-        "sender": tx.sender,
-        "nonce": tx.nonce,
-        "payload": record_to_json(tx.payload),
-    }
-
-
-def transaction_from_json(d: Any) -> Transaction:
-    d = _expect_keys(d, {"kind", "sender", "nonce", "payload"}, "transaction")
-    kind = _as_enum(TxKind, d["kind"], "transaction.kind")
-    return Transaction(
-        kind=kind,
-        sender=_as_str(d["sender"], "transaction.sender"),
-        payload=record_from_json(
-            PAYLOAD_TYPES[kind], d["payload"], f"payload({kind.value})"
-        ),
-        nonce=_as_nonneg(d["nonce"], "transaction.nonce"),
-    )
-
-
-def block_to_json(block: Block) -> dict:
-    return {
-        "height": block.height,
-        "parent_hash": block.parent_hash.hex,
-        "timestamp": block.timestamp,
-        "proposer": block.proposer,
-        "transactions": [transaction_to_json(tx) for tx in block.transactions],
-        "state_root": block.state_root.hex,
-        "block_hash": block.block_hash.hex,
-    }
-
-
-def block_from_json(d: Any) -> Block:
-    d = _expect_keys(
-        d,
-        {
-            "height",
-            "parent_hash",
-            "timestamp",
-            "proposer",
-            "transactions",
-            "state_root",
-            "block_hash",
-        },
-        "block",
-    )
-    return Block(
-        height=_as_nonneg(d["height"], "block.height"),
-        parent_hash=_as_hash(d["parent_hash"], "block.parent_hash"),
-        timestamp=_as_nonneg(d["timestamp"], "block.timestamp"),
-        proposer=_as_str(d["proposer"], "block.proposer"),
-        transactions=tuple(
-            transaction_from_json(t)
-            for t in _as_list(d["transactions"], "block.transactions")
-        ),
-        state_root=_as_hash(d["state_root"], "block.state_root"),
-        block_hash=_as_hash(d["block_hash"], "block.block_hash"),
-    )
-
-
-def receipt_to_json(receipt: Receipt) -> dict:
-    return {
-        "tx_index": receipt.tx_index,
-        "status": receipt.status.value,
-        "error_code": receipt.error_code,
-        "events": [
-            {"type": "notification", **record_to_json(e)} for e in receipt.events
-        ],
-    }
-
-
-def _event_from_json(d: Any) -> NotificationEvent:
-    if _as_map(d, "event").get("type") != "notification":
-        raise SerializationError(f"unknown event type {d.get('type')!r}")
-    fields = {k: v for k, v in d.items() if k != "type"}
-    return record_from_json(NotificationEvent, fields, "event")
-
-
-def receipt_from_json(d: Any) -> Receipt:
-    d = _expect_keys(d, {"tx_index", "status", "error_code", "events"}, "receipt")
-    if d["error_code"] is not None:
-        _as_str(d["error_code"], "receipt.error_code")
-    return Receipt(
-        tx_index=_as_nonneg(d["tx_index"], "receipt.tx_index"),
-        status=_as_enum(ReceiptStatus, d["status"], "receipt.status"),
-        error_code=d["error_code"],
-        events=tuple(
-            _event_from_json(e) for e in _as_list(d["events"], "receipt.events")
-        ),
-    )
 
 
 # --- state snapshots --------------------------------------------------------
@@ -470,8 +426,8 @@ def _record_to_json(
     record = {
         "version": FORMAT_VERSION,
         "height": block.height,
-        "block": block_to_json(block),
-        "receipts": [receipt_to_json(r) for r in receipts],
+        "block": record_to_json(block),
+        "receipts": _records_to_json(receipts),
     }
     if block.height == 0:
         if genesis_state is None:
@@ -562,9 +518,9 @@ def read_chain(path: str | os.PathLike) -> tuple[NetworkState, list[ChainRecord]
             if value["version"] != FORMAT_VERSION:
                 raise SerializationError(f"unsupported version {value['version']!r}")
             height = _as_nonneg(value["height"], "record.height")
-            block = block_from_json(value["block"])
+            block = record_from_json(Block, value["block"], "block")
             receipts = tuple(
-                receipt_from_json(r)
+                record_from_json(Receipt, r, "receipt")
                 for r in _as_list(value["receipts"], "record.receipts")
             )
             if i == 0:
@@ -589,9 +545,7 @@ def read_chain(path: str | os.PathLike) -> tuple[NetworkState, list[ChainRecord]
     return genesis_state, records
 
 
-def replay(
-    path: str | os.PathLike, genesis_state: NetworkState | None = None
-) -> ChainView:
+def replay(path: str | os.PathLike) -> ChainView:
     """Re-execute a chain file from its genesis and validate every byte.
 
     Checks that the genesis block seals the genesis state and that this
@@ -601,10 +555,8 @@ def replay(
     the offending height; never silently diverges.
     """
     embedded_genesis, records = read_chain(path)
-    state = genesis_state.clone() if genesis_state is not None else embedded_genesis
-
     first = records[0].block
-    expected_genesis = genesis_block(state, timestamp=first.timestamp)
+    expected_genesis, state = init_chain(embedded_genesis, timestamp=first.timestamp)
     if records[0].receipts:
         raise CorruptRecord(1, "genesis record must carry no receipts")
     if first != expected_genesis:
@@ -619,9 +571,6 @@ def replay(
             1,
             f"genesis balances and stakes differ from the supply by {gap}",
         )
-    state = state.clone()
-    state.tip_height = 0
-    state.tip_hash = first.block_hash
 
     for record in records[1:]:
         block = record.block
@@ -649,6 +598,17 @@ def replay(
     return ChainView(
         genesis_state=embedded_genesis, records=records, final_state=state
     )
+
+
+def notifications(records: Iterable[ChainRecord]) -> list[dict]:
+    """Every notification event of ``records``, in chain order, with the
+    height of the block that emitted it."""
+    return [
+        {"height": record.height, **record_to_json(event)}
+        for record in records
+        for receipt in record.receipts
+        for event in receipt.events
+    ]
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,8 +16,8 @@ from veriledger.detection import (
 )
 from veriledger.ledger import genesis_block
 from veriledger.store import (
-    block_to_json,
     canonical_json,
+    record_to_json,
     state_from_json,
     state_to_json,
 )
@@ -138,7 +138,7 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
         # match it: only the conservation check can refuse this chain. The
         # later blocks are dropped; their parent hashes no longer match.
         genesis = genesis_block(state_from_json(record["genesis_state"]))
-        record["block"] = block_to_json(genesis)
+        record["block"] = record_to_json(genesis)
         lines = lines[:1]
     lines[0] = canonical_json(record)
     hostile = tmp_path / "hostile.chain.jsonl"

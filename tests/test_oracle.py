@@ -1,6 +1,8 @@
 import math
 from dataclasses import replace
 
+import pytest
+
 from veriledger.codec import hash_bytes
 from veriledger.core import (
     AlgorithmStatus,
@@ -15,12 +17,13 @@ from veriledger.core import (
 )
 from veriledger.contracts import request_id_for
 from veriledger.ledger import init_chain, seal_block
-from veriledger.oracle import OracleConfig, process_pending
+from veriledger.oracle import process_pending
 from veriledger.rng import SplitMix64
 
 from test_contracts import make_state, Driver, register_algo, activate_algo
 
 ORACLE = "oracle"
+BATCH_LIMIT = 16
 
 
 def embedding(rng: SplitMix64) -> Embedding:
@@ -57,15 +60,14 @@ def pending_state(request_count: int) -> tuple[NetworkState, dict[str, Embedding
 
 def test_no_pending_requests_gives_empty_batch():
     state, embeddings = pending_state(0)
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
+    batch = process_pending(state, BATCH_LIMIT, embeddings)
     assert batch.transactions == []
     assert batch.log_lines == []
 
 
 def test_batch_limit_takes_smallest_request_ids():
     state, embeddings = pending_state(20)
-    config = OracleConfig(oracle_account=ORACLE, batch_limit=16)
-    batch = process_pending(state, config, embeddings)
+    batch = process_pending(state, 16, embeddings)
     assert len(batch.transactions) == 16
     all_ids = sorted(state.requests)
     picked = [tx.payload.request_id for tx in batch.transactions]
@@ -74,9 +76,8 @@ def test_batch_limit_takes_smallest_request_ids():
 
 def test_same_snapshot_twice_is_identical():
     state, embeddings = pending_state(7)
-    config = OracleConfig(oracle_account=ORACLE)
-    a = process_pending(state, config, embeddings)
-    b = process_pending(state, config, embeddings)
+    a = process_pending(state, BATCH_LIMIT, embeddings)
+    b = process_pending(state, BATCH_LIMIT, embeddings)
     assert [transaction_hash(t) for t in a.transactions] == [
         transaction_hash(t) for t in b.transactions
     ]
@@ -86,16 +87,31 @@ def test_same_snapshot_twice_is_identical():
 def test_commits_carry_sequential_nonces():
     state, embeddings = pending_state(5)
     state.nonces[ORACLE] = 9
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
+    batch = process_pending(state, BATCH_LIMIT, embeddings)
     assert [tx.nonce for tx in batch.transactions] == [10, 11, 12, 13, 14]
     assert all(tx.sender == ORACLE for tx in batch.transactions)
+
+
+def test_commits_are_signed_by_the_oracle_account_of_the_params():
+    state, embeddings = pending_state(2)
+    state.params = replace(state.params, oracle_account="oracle-2")
+    batch = process_pending(state, BATCH_LIMIT, embeddings)
+    assert [tx.sender for tx in batch.transactions] == ["oracle-2", "oracle-2"]
+    assert [tx.nonce for tx in batch.transactions] == [0, 1]
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_batch_limit_below_one_is_refused(limit):
+    state, embeddings = pending_state(1)
+    with pytest.raises(ValueError, match="batch_limit must be >= 1"):
+        process_pending(state, limit, embeddings)
 
 
 def test_no_eligible_algorithm_leaves_request_pending():
     state, embeddings = pending_state(3)
     for aid, record in state.algorithms.items():
         state.algorithms[aid] = replace(record, status=AlgorithmStatus.DEPRECATED)
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
+    batch = process_pending(state, BATCH_LIMIT, embeddings)
     assert batch.transactions == []
     assert len(batch.skipped) == 3
     assert all("NoEligibleAlgorithm" in line for line in batch.log_lines)
@@ -105,7 +121,7 @@ def test_no_eligible_algorithm_leaves_request_pending():
 
 
 def _assert_served_all_but(state, embeddings, withheld):
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
+    batch = process_pending(state, BATCH_LIMIT, embeddings)
     assert batch.skipped == [withheld]
     assert [line for line in batch.log_lines if line.startswith(withheld)] == [
         f"{withheld}\t-\tEmbeddingUnavailable\t-"
@@ -139,7 +155,7 @@ def test_embedding_that_misses_the_commitment_is_not_served():
 
 def test_log_lines_have_elapsed_ticks():
     state, embeddings = pending_state(2)
-    batch = process_pending(state, OracleConfig(oracle_account=ORACLE), embeddings)
+    batch = process_pending(state, BATCH_LIMIT, embeddings)
     for line in batch.log_lines:
         request_id, algo_id, verdict, elapsed = line.split("\t")
         assert request_id in state.requests
@@ -154,7 +170,7 @@ def test_commits_apply_cleanly_in_next_block():
     genesis_balance_state = state.clone()
     genesis_balance_state.tip_height = -1
     _, chained = init_chain(genesis_balance_state)
-    batch = process_pending(chained, OracleConfig(oracle_account=ORACLE), embeddings)
+    batch = process_pending(chained, BATCH_LIMIT, embeddings)
     block, new_state, receipts = seal_block(chained, batch.transactions, timestamp=1)
     assert all(r.status is ReceiptStatus.ACCEPTED for r in receipts)
     completed = [

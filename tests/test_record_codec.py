@@ -49,8 +49,6 @@ from veriledger.store import (
     canonical_json,
     record_from_json,
     record_to_json,
-    transaction_from_json,
-    transaction_to_json,
 )
 
 CONTENT_HASH = hash_bytes(b"known-answer content")
@@ -265,8 +263,8 @@ def test_transaction_cache_is_invisible():
 def test_decoded_transaction_fills_the_same_bytes(kind):
     tx = Transaction(kind=kind, sender="user-1", payload=PAYLOADS[kind], nonce=7)
     encoded = encode_transaction(tx)
-    doc = json.loads(canonical_json(transaction_to_json(tx)))
-    decoded = transaction_from_json(doc)
+    doc = json.loads(canonical_json(record_to_json(tx)))
+    decoded = record_from_json(Transaction, doc, "transaction")
     assert decoded == tx and decoded._encoding is None
     assert encode_transaction(decoded) == encoded
     assert decoded._encoding == encoded

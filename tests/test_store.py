@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,9 @@ from veriledger.core import (
     Block,
     ContractParams,
     MediaType,
+    NotificationEvent,
+    Receipt,
+    ReceiptStatus,
     encode_state,
 )
 from veriledger.errors import (
@@ -33,12 +37,8 @@ from veriledger.ledger import (
 from veriledger.store import (
     ChainWriter,
     VerifyResult,
-    block_from_json,
-    block_to_json,
     canonical_json,
     read_chain,
-    receipt_from_json,
-    receipt_to_json,
     record_from_json,
     record_to_json,
     replay,
@@ -93,9 +93,43 @@ def test_round_trip_identity(tmp_path):
     _, records = read_chain(path)
     for record, expected_receipts in zip(records, all_receipts):
         assert record.receipts == expected_receipts
-        assert block_from_json(block_to_json(record.block)) == record.block
+        assert record_from_json(Block, record_to_json(record.block), "block") == record.block
         for receipt in record.receipts:
-            assert receipt_from_json(receipt_to_json(receipt)) == receipt
+            assert record_from_json(Receipt, record_to_json(receipt), "receipt") == receipt
+
+
+# SHA-256 of the golden scenario's chain file. The golden fixtures hold only
+# hashes of the binary encodings, so this pins the chain file's JSON layout.
+GOLDEN_CHAIN_SHA256 = "eddd7e0331303be67473bf83defe434034202dae8f65b0781817022e4fc94ff7"
+
+
+def test_golden_chain_file_bytes_frozen(golden_run):
+    data = (golden_run.out_dir / "run.chain.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CHAIN_SHA256
+
+
+def test_rejected_receipt_json_frozen():
+    # The golden chain holds no rejected receipt, so its digest does not
+    # cover an error code.
+    receipt = Receipt(tx_index=3, status=ReceiptStatus.REJECTED, error_code="BadNonce")
+    text = canonical_json(record_to_json(receipt))
+    assert text == '{"error_code":"BadNonce","events":[],"status":"rejected","tx_index":3}'
+    assert record_from_json(Receipt, json.loads(text), "receipt") == receipt
+
+
+@pytest.mark.parametrize("tag", [None, "", "Notification", "transfer"])
+def test_receipt_event_needs_the_notification_tag(tag):
+    event = NotificationEvent("provider-1", "trusted-000", "r-1", 0.5)
+    receipt = Receipt(tx_index=0, status=ReceiptStatus.ACCEPTED, events=(event,))
+    doc = record_to_json(receipt)
+    assert doc["events"][0]["type"] == "notification"
+    assert record_from_json(Receipt, doc, "receipt") == receipt
+    if tag is None:
+        del doc["events"][0]["type"]
+    else:
+        doc["events"][0]["type"] = tag
+    with pytest.raises(SerializationError, match="unknown event type"):
+        record_from_json(Receipt, doc, "receipt")
 
 
 def test_state_json_round_trip_bit_exact(golden_run):
@@ -114,13 +148,10 @@ def test_params_u64_range_checked_at_parse():
 
 
 def test_replay_reproduces_live_state(tmp_path):
-    path, genesis_state, live_state, _ = small_chain(tmp_path)
+    path, _, live_state, _ = small_chain(tmp_path)
     final = replay(path).final_state
     assert encode_state(final) == encode_state(live_state)
     assert final.tip_hash == live_state.tip_hash
-    # explicit genesis_state argument takes the same path
-    final2 = replay(path, genesis_state=genesis_state).final_state
-    assert encode_state(final2) == encode_state(final)
 
 
 def test_replay_golden_matches_tip_root(golden_run):
@@ -335,7 +366,7 @@ def _reseal(records, start):
                     timestamp=record["block"]["timestamp"],
                 )
             else:
-                block = block_from_json(record["block"])
+                block = record_from_json(Block, record["block"], "block")
                 if parent is not None:
                     block = dataclasses.replace(block, parent_hash=parent)
                 block_hash = compute_block_hash(
@@ -343,7 +374,7 @@ def _reseal(records, start):
                     block.transactions, block.state_root,
                 )
                 block = dataclasses.replace(block, block_hash=block_hash)
-            record["block"] = block_to_json(block)
+            record["block"] = record_to_json(block)
         except (VeriledgerError, KeyError, TypeError, ValueError):
             return
         parent = block.block_hash
