@@ -6,6 +6,11 @@ File format (extension ``.chain.jsonl``, UTF-8, one record per line):
   compact separators, ASCII-only. Readers re-render each decoded record
   and require byte equality with what is on disk, so no stored byte is
   cosmetic;
+* an embedding's values are one base64 string (RFC 4648, padded) of, all
+  big-endian: their count ``n`` as a u32; a ``ceil(n/8)``-byte bitmap whose
+  bit i (most significant bit first) is set iff value i's binary64 bits are
+  not all zero, so ``-0.0`` is stored and ``+0.0`` is not; then each value
+  whose bit is set, as binary64. Every other float is a JSON number;
 * every stored type -- transaction, block, receipt, notification event,
   payload, state record, ``ContractParams`` -- is an object with one key
   per field of its dataclass (``core.record_schema``), written and read by
@@ -13,12 +18,13 @@ File format (extension ``.chain.jsonl``, UTF-8, one record per line):
   an algorithm's ``tp``/``fp``/``tn``/``fn`` nest under ``perf``, an event
   carries ``"type": "notification"``, and a payload's type follows from
   its transaction's ``kind``;
-* record fields: ``version`` ("v2"), ``height``, ``block``, ``receipts``;
+* record fields: ``version`` ("v3"), ``height``, ``block``, ``receipts``;
   the height-0 record additionally carries ``genesis_state``, the full
   starting state, which makes a chain file self-contained for replay.
-  A reader accepts only its own version: "v2" state roots commit to each
-  analysis request's embedding by hash, so a "v1" chain (whose roots
-  covered the embeddings) is refused at its first line;
+  A reader accepts only its own version and refuses any other at its
+  first line: "v1" state roots covered each analysis request's embedding,
+  which later roots commit to by hash, and "v2" stored embeddings as lists
+  of JSON numbers;
 * records are strictly ordered by height starting at 0.
 
 Verification replays the whole file through the ledger: recomputing every
@@ -30,10 +36,15 @@ semantic mismatch at a named height -- never as silent divergence.
 
 from __future__ import annotations
 
+import binascii
 import functools
 import json
+import math
 import os
+import struct
+from base64 import b64decode, b64encode
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -72,7 +83,7 @@ from .errors import (
 )
 from .ledger import apply_block, compute_block_hash, init_chain
 
-FORMAT_VERSION = "v2"
+FORMAT_VERSION = "v3"
 CHAIN_SUFFIX = ".chain.jsonl"
 
 
@@ -180,11 +191,48 @@ def _scalar_map(v: Any, what: str) -> dict[str, object]:
     return out
 
 
-def _floats(v: Any, what: str) -> tuple[float, ...]:
-    values = tuple(_as_list(v, what))
-    if not set(map(type, values)) <= {float}:  # one C-level pass per embedding
-        raise SerializationError(f"{what}: expected floats")
-    return values
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _embedding_to_json(e: Embedding) -> str:
+    """``e``'s values as one base64 token (layout in the module docstring)."""
+    values = e.values
+    words = memoryview(struct.pack(f">{len(values)}d", *values)).cast("Q")
+    present = bytes(map(bool, words))  # 0 or 1 per value: any bit set
+    kept = tuple(compress(values, present))
+    if not all(map(math.isfinite, kept)):
+        raise ValueError("non-finite embedding value")
+    digits = present.translate(_TO_DIGITS) + b"0" * (-len(values) % 8)
+    bitmap = int(digits or b"0", 2).to_bytes(len(digits) // 8, "big")
+    packed = struct.pack(f">I{len(bitmap)}s{len(kept)}d", len(values), bitmap, *kept)
+    return b64encode(packed).decode("ascii")
+
+
+def _embedding_values(v: Any, what: str) -> tuple[float, ...]:
+    """Inverse of :func:`_embedding_to_json`. A token that decodes but is not
+    the one its values render to (non-zero padding bits, a bitmap bit past
+    ``n`` or over ``+0.0``) is left to the reader's canonical re-render."""
+    try:
+        raw = b64decode(_as_str(v, what), validate=True)
+        (n,) = struct.unpack_from(">I", raw)
+        width = (n + 7) // 8
+        bitmap = int.from_bytes(raw[4 : 4 + width], "big")
+        count = bitmap.bit_count()
+        # Checked before anything proportional to n is built: n is read from
+        # the file and may claim far more values than the token holds.
+        if len(raw) != 4 + width + 8 * count:
+            raise SerializationError(f"{what}: {len(raw)} bytes do not hold {n} values")
+        kept = struct.unpack_from(f">{count}d", raw, 4 + width)
+    except (binascii.Error, struct.error) as exc:
+        raise SerializationError(f"{what}: {exc}") from exc
+    if not all(map(math.isfinite, kept)):
+        raise SerializationError(f"{what}: non-finite value")
+    present = format(bitmap, f"0{8 * width}b")[:n].encode().translate(_FROM_DIGITS)
+    values = [0.0] * n
+    for i, x in zip(compress(range(n), present), kept):
+        values[i] = x
+    return tuple(values)
 
 
 def _matches(v: Any, what: str) -> tuple[tuple[str, float], ...]:
@@ -214,12 +262,13 @@ def _enum(enum_cls) -> tuple:
 # The JSON form of a record has one key per field of ``core.record_schema``,
 # each value in its annotation's JSON form below. Four quirks of the format
 # stay explicit: an algorithm's ``tp``/``fp``/``tn``/``fn`` nest under
-# "perf"; an embedding is stored as its values only, its media type being
-# the record's ``media_type`` field; a payload is decoded once its
-# transaction's ``kind`` is known; and a receipt event carries a
-# ``"type": "notification"`` tag. A float field, similarity or embedding
-# value is written as a float even where the record holds an int: both have
-# the same binary64 encoding, and the decoders accept only floats.
+# "perf"; an embedding is stored as its values only, packed into one base64
+# token (``_embedding_to_json``), its media type being the record's
+# ``media_type`` field; a payload is decoded once its transaction's ``kind``
+# is known; and a receipt event carries a ``"type": "notification"`` tag. A
+# float field or similarity is written as a float even where the record
+# holds an int: both have the same binary64 encoding, and the decoders
+# accept only floats.
 
 _PERF = frozenset({"tp", "fp", "tn", "fn"})
 
@@ -254,7 +303,14 @@ def record_from_json(cls: type, d: Any, what: str) -> Any:
     d = _expect_keys(d, keys, what)
     if cls is AlgorithmRecord:
         d = {**d, **_expect_keys(d["perf"], _PERF, f"{what}.perf")}
-    values = {name: from_json(d[name], f"{what}.{name}") for name, _, from_json in codecs}
+    try:
+        values = {name: from_json(d[name], what) for name, _, from_json in codecs}
+    except SerializationError:
+        # Decode again, naming each field, so the error names the one that
+        # failed; the labels are built only on this path.
+        for name, _, from_json in codecs:
+            from_json(d[name], f"{what}.{name}")
+        raise
     if cls is Transaction:
         kind = values["kind"]
         values["payload"] = record_from_json(
@@ -309,7 +365,7 @@ _JSON_CODECS: dict[str, tuple[Callable[[Any], Any] | None, Callable[[Any, str], 
     "int": (None, _as_nonneg),
     "float": (float, _as_float),
     "Hash256": (attrgetter("hex"), _as_hash),
-    "Embedding": (lambda e: list(map(float, e.values)), _floats),
+    "Embedding": (_embedding_to_json, _embedding_values),
     "dict[str, str]": (dict, _str_map),
     "dict[str, object]": (dict, _scalar_map),
     "frozenset[MediaType]": (
@@ -532,8 +588,8 @@ def read_chain(path: str | os.PathLike) -> tuple[NetworkState, list[ChainRecord]
         if block.height != height:
             raise CorruptRecord(line_number, "record height != block height")
         # No stored byte is cosmetic: the decoded record must render back to
-        # its line exactly, which also rejects a duplicate set entry or a 0
-        # stored for a float 0.0.
+        # its line exactly, which also rejects a duplicate set entry, a 0
+        # stored for a float 0.0 or an embedding token with stray bits.
         try:
             rendered = canonical_json(_record_to_json(block, receipts, genesis_state))
         except ValueError:  # a float literal too large for a double, e.g. 1e999

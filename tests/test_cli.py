@@ -151,19 +151,21 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
 
 
 def test_chain_of_the_earlier_format_fails_at_height_0(golden_run, tmp_path, capsys):
-    # "v1" state roots covered each request's embedding; "v2" roots commit to
-    # its hash. A "v1" chain is refused at its first line, not with a root
-    # mismatch at its first request block.
+    # "v1" state roots covered each request's embedding, which later roots
+    # commit to by hash; "v2" stored embeddings as lists of JSON numbers. A
+    # chain of either is refused at its first line, not with a root mismatch
+    # or an undecodable embedding further on.
     lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
-    assert all(line.count('"version":"v2"') == 1 for line in lines)
-    old = tmp_path / "v1.chain.jsonl"
-    v1 = [line.replace('"version":"v2"', '"version":"v1"') for line in lines]
-    old.write_text("\n".join(v1) + "\n")
-    code = main(["verify", "--chain", str(old)])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert out.startswith("FAIL at height 0: CorruptRecord")
-    assert "unsupported version 'v1'" in out
+    assert all(line.count('"version":"v3"') == 1 for line in lines)
+    for version in ("v1", "v2"):
+        old = tmp_path / f"{version}.chain.jsonl"
+        earlier = [line.replace('"version":"v3"', f'"version":"{version}"') for line in lines]
+        old.write_text("\n".join(earlier) + "\n")
+        code = main(["verify", "--chain", str(old)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("FAIL at height 0: CorruptRecord")
+        assert f"unsupported version '{version}'" in out
 
 
 def _run_config_error(doc, tmp_path, capsys):

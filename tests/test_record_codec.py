@@ -7,16 +7,24 @@ computed with the hand-written per-record codecs that the derived ones
 replaced, so they pin the formats, not the code. ``AnalysisRequest``'s pair
 was pinned again when the record came to hold its embedding's hash
 (``hash_embedding``) in place of the embedding; both were checked against
-encodings built by hand from the codec rules. The golden chain carries
+encodings built by hand from the codec rules. The JSON digests of the
+three records that hold an embedding were pinned again when chain format
+"v3" packed each embedding into one base64 token; their tokens were checked
+against ones built by hand from the layout. The golden chain carries
 no ``TransferTokens`` and no state record with feedback counters, so these
 are the only tests that fix those encodings.
 """
 
+import base64
 import dataclasses
 import json
+import math
+import sys
+import tracemalloc
 from operator import attrgetter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from veriledger.codec import TX_TAG, enc_bytes, enc_str, enc_u64, hash_bytes
 from veriledger.core import (
@@ -45,6 +53,7 @@ from veriledger.core import (
     encode_transaction,
     hash_embedding,
 )
+from veriledger.errors import SerializationError
 from veriledger.store import (
     canonical_json,
     record_from_json,
@@ -163,7 +172,7 @@ KNOWN_ANSWERS = {
     ),
     "ContentRecord": (
         "a2cd9717a15e425ef389f57f3622ef886b9549ba4460de785d7bf987e0b04407",
-        "5933d86f1c7e65f5d600645f49b13a8cce96bf12fa2d222786c372a05c4f1976",
+        "622a76e828faaca9adb9e304bf9bbb6c9de47ada74b8bc4dd148026a92efb92e",
     ),
     "ContractParams": (
         "45189c65704381d2f729a505ac746102d86d693e345b4f6c1ea37c482cff7995",
@@ -179,11 +188,11 @@ KNOWN_ANSWERS = {
     ),
     "RegisterContent": (
         "e17e75ab5ee8d959a94654127321c63cb67bf0e733c4455401abe6b7a1d54e95",
-        "d7a8db62740e57c7ca5f8ae5756cd70bcc2f81b26de5f0ed58ec2db6570c6729",
+        "0f1e16625cf4d7ce17ea681cb5b28e8d9775c1b0c9b9158a9b116a321216a8eb",
     ),
     "SubmitAnalysisRequest": (
         "725e6aea91f767d79f073e37321696766e25978cc0f925e465d843cb3bbd354e",
-        "019ffbb192f0ac217d0ba7c18c9014fc065417dcd43e2d172d20e7cabe85af2d",
+        "201f8bbec28d4924c1164ebb6e567753f58fa9ca530346ed3651664577caaed1",
     ),
     "SubmitChallengeResult": (
         "a41cb1ce7773fec7483d9b5dfaef7492a2d520bdccc8ab83eef9372948397157",
@@ -268,3 +277,76 @@ def test_decoded_transaction_fills_the_same_bytes(kind):
     assert decoded == tx and decoded._encoding is None
     assert encode_transaction(decoded) == encoded
     assert decoded._encoding == encoded
+
+
+# --- the embedding token ------------------------------------------------------
+
+
+def to_token(values) -> str:
+    record = SubmitAnalysisRequest(
+        MediaType.BYTES, CONTENT_HASH, Embedding(tuple(values), MediaType.BYTES), 1
+    )
+    return record_to_json(record)["embedding"]
+
+
+def from_token(token: str) -> tuple[float, ...]:
+    doc = {**record_to_json(RECORDS["SubmitAnalysisRequest"]), "embedding": token}
+    return record_from_json(SubmitAnalysisRequest, doc, "request").embedding.values
+
+
+def stored(x: float) -> bool:
+    """A value the bitmap marks: its binary64 bits are not all zero."""
+    return x != 0.0 or math.copysign(1.0, x) < 0.0
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1074 * 3, 2.0**-1022 - 2.0**-1074,
+    2.0**-1022, sys.float_info.max, -sys.float_info.max, 1.0,
+]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def test_embedding_token_known_answer():
+    # n = 10; bitmap 0110 0000 0100 0000 (values 1, 2 and 9); then 0.5,
+    # -0.0 and 5e-324 as big-endian binary64.
+    values = (0.0, 0.5, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5e-324)
+    raw = bytes.fromhex(
+        "0000000a" "6040" "3fe0000000000000" "8000000000000000" "0000000000000001"
+    )
+    token = "AAAACmBAP+AAAAAAAACAAAAAAAAAAAAAAAAAAAAB"
+    assert base64.b64decode(token) == raw
+    assert to_token(values) == token
+    assert [x.hex() for x in from_token(token)] == [x.hex() for x in values]
+
+
+@given(
+    st.one_of(
+        st.lists(FLOATS, max_size=300),
+        st.lists(st.just(0.0), max_size=300),
+        st.lists(FLOATS.filter(stored), max_size=300),
+    )
+)
+@example([])
+@example([0.0] * 13)
+@example([-0.0] * 9)
+@example(EDGE_FLOATS * 30)
+def test_embedding_token_round_trip_is_bit_exact(values):
+    token = to_token(values)
+    assert len(base64.b64decode(token)) == 4 + (len(values) + 7) // 8 + 8 * sum(map(stored, values))
+    decoded = from_token(token)
+    assert all(type(x) is float for x in decoded)
+    assert [x.hex() for x in decoded] == [float(x).hex() for x in values]
+
+
+def test_huge_embedding_count_is_refused_before_allocating():
+    # 2^32 - 1 values claimed, 4 bytes given: refused without building
+    # anything the size of the claim.
+    token = base64.b64encode(b"\xff" * 8).decode("ascii")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SerializationError, match="do not hold 4294967295 values"):
+            from_token(token)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16

@@ -1,6 +1,11 @@
+import base64
 import dataclasses
 import hashlib
 import json
+import math
+import re
+import string
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +15,9 @@ from veriledger.core import (
     AlgorithmRecord,
     AlgorithmStatus,
     Block,
+    ContentRecord,
     ContractParams,
+    Embedding,
     MediaType,
     NotificationEvent,
     Receipt,
@@ -100,7 +107,7 @@ def test_round_trip_identity(tmp_path):
 
 # SHA-256 of the golden scenario's chain file. The golden fixtures hold only
 # hashes of the binary encodings, so this pins the chain file's JSON layout.
-GOLDEN_CHAIN_SHA256 = "eddd7e0331303be67473bf83defe434034202dae8f65b0781817022e4fc94ff7"
+GOLDEN_CHAIN_SHA256 = "b1a962e2b2ee5055a8d0f8297c654e0a7ed50f02efef150fbffb628979c9a57b"
 
 
 def test_golden_chain_file_bytes_frozen(golden_run):
@@ -213,34 +220,108 @@ def test_non_canonical_line_rejected(tmp_path):
         read_chain(bad)
 
 
+B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+def _token(raw: bytes) -> str:
+    return json.dumps(base64.b64encode(raw).decode("ascii"))
+
+
+def _layout(token: str) -> tuple[int, list[int], list[bytes]]:
+    """The count, the bitmap as one 0 or 1 per bit, and the stored values as
+    8-byte strings, of a token."""
+    raw = base64.b64decode(token)
+    n = int.from_bytes(raw[:4], "big")
+    width = (n + 7) // 8
+    bits = [raw[4 + i // 8] >> (7 - i % 8) & 1 for i in range(8 * width)]
+    start = 4 + width
+    values = [raw[start + 8 * j : start + 8 * j + 8] for j in range(sum(bits))]
+    return n, bits, values
+
+
+def _pack(n: int, bits: list[int], values: list[bytes]) -> str:
+    bitmap = int("".join(map(str, bits)), 2).to_bytes(len(bits) // 8, "big")
+    return _token(struct.pack(">I", n) + bitmap + b"".join(values))
+
+
+def _bit_past_count(token: str) -> str:
+    n, bits, values = _layout(token)
+    assert n % 8 == 0  # so that n - 1 values keep the bitmap's width
+    if not bits[-1]:
+        bits[-1] = 1
+        values.append(struct.pack(">d", 1.0))
+    return _pack(n - 1, bits, values)
+
+
+def _bit_over_plus_zero(token: str) -> str:
+    n, bits, values = _layout(token)
+    i = bits.index(0)
+    values.insert(sum(bits[:i]), struct.pack(">d", 0.0))
+    bits[i] = 1
+    return _pack(n, bits, values)
+
+
+def _first_value(token: str, value: float) -> str:
+    n, bits, values = _layout(token)
+    return _pack(n, bits, [struct.pack(">d", value), *values[1:]])
+
+
+def _padding_bit_set(token: str) -> str:
+    data = token.rstrip("=")
+    assert data != token  # the golden token has padding bits to set
+    last = B64_ALPHABET[B64_ALPHABET.index(data[-1]) | 1]
+    return json.dumps(data[:-1] + last + token[len(data) :])
+
+
+# Each takes the first embedding token of the golden chain and returns the
+# JSON text that replaces it.
+TOKEN_VARIANTS = {
+    "padding-bits": _padding_bit_set,
+    "bit-past-count": _bit_past_count,
+    "bit-over-plus-zero": _bit_over_plus_zero,
+    "nan-bits": lambda token: _first_value(token, math.nan),
+    "infinity-bits": lambda token: _first_value(token, math.inf),
+    "trailing-byte": lambda token: _token(base64.b64decode(token) + b"\0"),
+    "huge-count": lambda token: _token(struct.pack(">I", 2**32 - 1) + b"\xff" * 4),
+    "number-token": lambda token: "0",
+}
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
         ('"media_types":["Bytes"]', '"media_types":["Bytes","Bytes"]'),
         ('"confidence":0.0', '"confidence":0'),
-        (",0.0,", ",0,"),
-        (",0.0,", ",0.00,"),
+        ('"similarity":0.9999266650298808', '"similarity":1'),
+        ('"similarity":0.9999266650298808', '"similarity":0.99992666502988080'),
         ('"confidence":0.0', '"confidence":NaN'),
         ('"confidence":0.0', '"confidence":-Infinity'),
         ('"confidence":0.0', '"confidence":1e999'),
         ('"confidence":0.0', '"confidence":' + "[" * 10**5 + "]" * 10**5),
+        *((None, variant) for variant in TOKEN_VARIANTS.values()),
     ],
     ids=[
         "duplicate-media-type",
         "int-confidence",
-        "int-embedding-value",
+        "int-similarity",
         "float-trailing-zero",
         "nan",
         "infinity",
         "float-overflow",
         "deep-nesting",
+        *TOKEN_VARIANTS,
     ],
 )
 def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, old, new):
     # Each variant either decodes to the golden records (a duplicate set
-    # entry, a float written with a trailing zero) or holds a value no
-    # record can. Either way it must be refused, never raise.
+    # entry, a float written with a trailing zero, an embedding token with
+    # stray bits) or holds a value no record can. Either way it must be
+    # refused, never raise. ``old`` None: ``new`` rewrites the first
+    # embedding token.
     text = (golden_run.out_dir / "run.chain.jsonl").read_text()
+    if old is None:
+        old = re.search(r'"embedding":("[^"]*")', text).group(1)
+        new = new(json.loads(old))
     assert old in text
     variant = tmp_path / "variant.chain.jsonl"
     variant.write_text(text.replace(old, new, 1))
@@ -249,6 +330,24 @@ def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, old, new):
     result = verify_chain(variant)
     assert not result.ok
     assert result.failing_height is not None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writer_refuses_a_non_finite_embedding(tmp_path, bad):
+    genesis_state = fresh_state()
+    genesis_state.contents["c"] = ContentRecord(
+        content_id="c",
+        provider="A",
+        media_type=MediaType.BYTES,
+        content_hash=Hash256.zero(),
+        embedding=Embedding((1.0, bad, 0.0), MediaType.BYTES),
+        metadata={},
+        registered_at=0,
+    )
+    genesis, _ = init_chain(genesis_state)
+    with ChainWriter(tmp_path / "bad.chain.jsonl") as writer:
+        with pytest.raises(SerializationError, match="non-finite"):
+            writer.append(genesis, (), genesis_state=genesis_state)
 
 
 def test_unencodable_state_fails_at_its_height(tmp_path):
