@@ -36,7 +36,6 @@ semantic mismatch at a named height -- never as silent divergence.
 
 from __future__ import annotations
 
-import binascii
 import functools
 import json
 import math
@@ -224,7 +223,9 @@ def _embedding_values(v: Any, what: str) -> tuple[float, ...]:
         if len(raw) != 4 + width + 8 * count:
             raise SerializationError(f"{what}: {len(raw)} bytes do not hold {n} values")
         kept = struct.unpack_from(f">{count}d", raw, 4 + width)
-    except (binascii.Error, struct.error) as exc:
+    # binascii.Error is a ValueError; b64decode raises a plain ValueError for
+    # a str with a non-ASCII character, which an escaped "\u00e9" becomes.
+    except (ValueError, struct.error) as exc:
         raise SerializationError(f"{what}: {exc}") from exc
     if not all(map(math.isfinite, kept)):
         raise SerializationError(f"{what}: non-finite value")
@@ -303,14 +304,7 @@ def record_from_json(cls: type, d: Any, what: str) -> Any:
     d = _expect_keys(d, keys, what)
     if cls is AlgorithmRecord:
         d = {**d, **_expect_keys(d["perf"], _PERF, f"{what}.perf")}
-    try:
-        values = {name: from_json(d[name], what) for name, _, from_json in codecs}
-    except SerializationError:
-        # Decode again, naming each field, so the error names the one that
-        # failed; the labels are built only on this path.
-        for name, _, from_json in codecs:
-            from_json(d[name], f"{what}.{name}")
-        raise
+    values = {name: from_json(d[name], f"{what}.{name}") for name, _, from_json in codecs}
     if cls is Transaction:
         kind = values["kind"]
         values["payload"] = record_from_json(

@@ -284,6 +284,7 @@ TOKEN_VARIANTS = {
     "trailing-byte": lambda token: _token(base64.b64decode(token) + b"\0"),
     "huge-count": lambda token: _token(struct.pack(">I", 2**32 - 1) + b"\xff" * 4),
     "number-token": lambda token: "0",
+    "non-ascii-character": lambda token: json.dumps(token[:-1] + "\u00e9"),
 }
 
 
