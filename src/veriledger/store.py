@@ -3,9 +3,16 @@
 File format (extension ``.chain.jsonl``, UTF-8, one record per line):
 
 * every line is the canonical JSON rendering of one record -- sorted keys,
-  compact separators, ASCII-only. Readers re-render each decoded record
-  and require byte equality with what is on disk, so no stored byte is
-  cosmetic;
+  compact separators, ASCII-only. No stored byte is cosmetic: a reader
+  requires each line to equal the canonical rendering of the JSON value it
+  parses to, and each decoder refuses every value the writer would not
+  have written for the record it decodes to -- a set's entries out of
+  order or repeated, an embedding token other than the one its values
+  render to, an integer where a float belongs. Together the two checks
+  accept exactly the lines the writer renders, without rendering any
+  record again;
+* every string encodes as UTF-8: a reader refuses a lone surrogate, which
+  JSON can escape (``"\\ud800"``) but no hash or state root can encode;
 * an embedding's values are one base64 string (RFC 4648, padded) of, all
   big-endian: their count ``n`` as a u32; a ``ceil(n/8)``-byte bitmap whose
   bit i (most significant bit first) is set iff value i's binary64 bits are
@@ -44,7 +51,7 @@ import struct
 from base64 import b64decode, b64encode
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, lt
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -143,6 +150,11 @@ def _as_nonneg(v: Any, what: str) -> int:
 def _as_str(v: Any, what: str) -> str:
     if not isinstance(v, str):
         raise SerializationError(f"{what}: expected string")
+    if not v.isascii():
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise SerializationError(f"{what}: {exc}") from None
     return v
 
 
@@ -184,7 +196,9 @@ def _scalar_map(v: Any, what: str) -> dict[str, object]:
     for k, x in _as_map(v, what).items():
         if isinstance(x, int) and not isinstance(x, bool):
             x = _as_nonneg(x, f"{what}.{k}")
-        elif not isinstance(x, (bool, float, str)):
+        elif isinstance(x, str):
+            x = _as_str(x, f"{what}.{k}")
+        elif not isinstance(x, (bool, float)):
             raise SerializationError(f"{what}.{k}: unsupported type")
         out[_as_str(k, what)] = x
     return out
@@ -209,11 +223,13 @@ def _embedding_to_json(e: Embedding) -> str:
 
 
 def _embedding_values(v: Any, what: str) -> tuple[float, ...]:
-    """Inverse of :func:`_embedding_to_json`. A token that decodes but is not
-    the one its values render to (non-zero padding bits, a bitmap bit past
-    ``n`` or over ``+0.0``) is left to the reader's canonical re-render."""
+    """Strict inverse of :func:`_embedding_to_json`: a token is accepted only
+    if it is the one its values render to, so it refuses non-zero padding
+    bits, a bitmap bit at or past ``n`` and a stored ``+0.0`` as well as
+    NaN, infinity and a length that does not match the bitmap."""
+    token = _as_str(v, what)
     try:
-        raw = b64decode(_as_str(v, what), validate=True)
+        raw = b64decode(token, validate=True)
         (n,) = struct.unpack_from(">I", raw)
         width = (n + 7) // 8
         bitmap = int.from_bytes(raw[4 : 4 + width], "big")
@@ -227,13 +243,30 @@ def _embedding_values(v: Any, what: str) -> tuple[float, ...]:
     # a str with a non-ASCII character, which an escaped "\u00e9" becomes.
     except (ValueError, struct.error) as exc:
         raise SerializationError(f"{what}: {exc}") from exc
+    if b64encode(raw).decode("ascii") != token:
+        raise SerializationError(f"{what}: non-zero base64 padding bits")
+    if bitmap & ((1 << (8 * width - n)) - 1):
+        raise SerializationError(f"{what}: bitmap bit set past value {n}")
     if not all(map(math.isfinite, kept)):
         raise SerializationError(f"{what}: non-finite value")
+    # -0.0 == 0.0 (stored, and allowed), so signs are read only when some
+    # stored value is zero.
+    if 0.0 in kept and any(math.copysign(1.0, x) > 0 for x in kept if x == 0.0):
+        raise SerializationError(f"{what}: +0.0 is stored")
     present = format(bitmap, f"0{8 * width}b")[:n].encode().translate(_FROM_DIGITS)
     values = [0.0] * n
     for i, x in zip(compress(range(n), present), kept):
         values[i] = x
     return tuple(values)
+
+
+def _sorted_strs(v: Any, what: str) -> list[str]:
+    """A set's entries: strings, each greater than the one before, which is
+    how the writer lists a set (sorted, so each entry once)."""
+    items = [_as_str(x, what) for x in _as_list(v, what)]
+    if not all(map(lt, items, items[1:])):
+        raise SerializationError(f"{what}: entries not sorted and distinct")
+    return items
 
 
 def _matches(v: Any, what: str) -> tuple[tuple[str, float], ...]:
@@ -365,13 +398,10 @@ _JSON_CODECS: dict[str, tuple[Callable[[Any], Any] | None, Callable[[Any, str], 
     "frozenset[MediaType]": (
         lambda ms: sorted(m.value for m in ms),
         lambda v, what: frozenset(
-            _as_enum(MediaType, m, what) for m in _as_list(v, what)
+            _as_enum(MediaType, m, what) for m in _sorted_strs(v, what)
         ),
     ),
-    "frozenset[str]": (
-        sorted,
-        lambda v, what: frozenset(_as_str(x, what) for x in _as_list(v, what)),
-    ),
+    "frozenset[str]": (sorted, lambda v, what: frozenset(_sorted_strs(v, what))),
     "tuple[tuple[str, float], ...]": (
         lambda ms: [[cid, float(sim)] for cid, sim in ms],
         _matches,
@@ -422,7 +452,7 @@ def _records_from_json(name: str, v: Any) -> dict:
     cls, id_field = _RECORD_MAPS[name]
     records = {}
     for key, doc in _as_map(v, name).items():
-        record = record_from_json(cls, doc, f"{name}[{key}]")
+        record = record_from_json(cls, doc, f"{name}[{_as_str(key, name)}]")
         if id_field is not None and getattr(record, id_field) != key:
             raise SerializationError(f"{name}: key {key} != record id")
         records[key] = record
@@ -434,10 +464,7 @@ def state_from_json(d: Any) -> NetworkState:
     supply = _expect_keys(d["supply"], set(SUPPLY_FIELDS), "supply")
     state = NetworkState(
         params=record_from_json(ContractParams, d["params"], "params"),
-        feedback_done={
-            _as_str(x, "feedback_done")
-            for x in _as_list(d["feedback_done"], "feedback_done")
-        },
+        feedback_done=set(_sorted_strs(d["feedback_done"], "feedback_done")),
         **{name: _u64_map(d[name], name) for name in _AMOUNT_MAPS},
         **{name: _records_from_json(name, d[name]) for name in _RECORD_MAPS},
         **{name: _as_nonneg(supply[name], f"supply.{name}") for name in SUPPLY_FIELDS},
@@ -581,14 +608,17 @@ def read_chain(path: str | os.PathLike) -> tuple[NetworkState, list[ChainRecord]
             raise CorruptRecord(line_number, f"record has height {height}, expected {i}")
         if block.height != height:
             raise CorruptRecord(line_number, "record height != block height")
-        # No stored byte is cosmetic: the decoded record must render back to
-        # its line exactly, which also rejects a duplicate set entry, a 0
-        # stored for a float 0.0 or an embedding token with stray bits.
+        # No stored byte is cosmetic: the line must be the canonical rendering
+        # of the value it parses to. The decoders above refuse every value the
+        # writer would not have written for the record they return (a set out
+        # of order or repeated, a 0 for a float 0.0, an embedding token with
+        # stray bits), so this accepts exactly the writer's lines without
+        # rendering the records again.
         try:
-            rendered = canonical_json(_record_to_json(block, receipts, genesis_state))
+            canonical = canonical_json(value) == text
         except ValueError:  # a float literal too large for a double, e.g. 1e999
-            rendered = None
-        if rendered != text:
+            canonical = False
+        if not canonical:
             raise CorruptRecord(line_number, "record is not in canonical form")
         records.append(ChainRecord(height=height, block=block, receipts=receipts))
     assert genesis_state is not None

@@ -168,6 +168,45 @@ def test_chain_of_the_earlier_format_fails_at_height_0(golden_run, tmp_path, cap
         assert f"unsupported version '{version}'" in out
 
 
+def _prefix_surrogate(record, *path):
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target["\ud800" + path[-1]] = target.pop(path[-1])
+
+
+@pytest.mark.parametrize(
+    "height, edit",
+    [
+        (0, lambda r: _prefix_surrogate(r, "genesis_state", "balances", "owner-1")),
+        (0, lambda r: _prefix_surrogate(r, "genesis_state", "detectors", "exact-hash")),
+        (0, lambda r: r["genesis_state"]["detectors"]["exact-hash"]["parameters"].update(
+            note="\ud800")),
+        (1, lambda r: r["block"]["transactions"][0].update(
+            sender="\ud800" + r["block"]["transactions"][0]["sender"])),
+        (5, lambda r: r["block"]["transactions"][0].update(
+            sender="\ud800" + r["block"]["transactions"][0]["sender"])),
+    ],
+    ids=["balance-key", "detector-key", "detector-parameter", "sender-1", "sender-5"],
+)
+def test_verify_refuses_a_lone_surrogate_at_its_height(golden_run, tmp_path, capsys, height, edit):
+    # JSON can escape a lone surrogate, which UTF-8 cannot encode: such a
+    # string used to pass the reader and stop replay in the block hash (a
+    # traceback) or in the genesis state root (a failure with no height).
+    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
+    record = json.loads(lines[height])
+    edit(record)
+    lines[height] = canonical_json(record)
+    assert "\\ud800" in lines[height]
+    hostile = tmp_path / "surrogate.chain.jsonl"
+    hostile.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--chain", str(hostile)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith(f"FAIL at height {height}: CorruptRecord")
+    assert "surrogates not allowed" in out
+
+
 def _run_config_error(doc, tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc))

@@ -10,6 +10,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from veriledger import store
 from veriledger.codec import Hash256
 from veriledger.core import (
     AlgorithmRecord,
@@ -288,44 +289,42 @@ TOKEN_VARIANTS = {
 }
 
 
+# Each is (id, old, new): ``new`` replaces the first ``old`` of the golden
+# chain file. ``old`` None: ``new`` rewrites the first embedding token.
+COSMETIC_VARIANTS = [
+    ("duplicate-media-type", '"media_types":["Bytes"]', '"media_types":["Bytes","Bytes"]'),
+    ("int-confidence", '"confidence":0.0', '"confidence":0'),
+    ("int-similarity", '"similarity":0.9999266650298808', '"similarity":1'),
+    ("float-trailing-zero", '"similarity":0.9999266650298808', '"similarity":0.99992666502988080'),
+    ("nan", '"confidence":0.0', '"confidence":NaN'),
+    ("infinity", '"confidence":0.0', '"confidence":-Infinity'),
+    ("float-overflow", '"confidence":0.0', '"confidence":1e999'),
+    ("deep-nesting", '"confidence":0.0', '"confidence":' + "[" * 10**5 + "]" * 10**5),
+    *((name, None, variant) for name, variant in TOKEN_VARIANTS.items()),
+]
+
+
+def _cosmetic_variant(text: str, old, new) -> str:
+    if old is None:
+        old = re.search(r'"embedding":("[^"]*")', text).group(1)
+        new = new(json.loads(old))
+    assert old in text
+    return text.replace(old, new, 1)
+
+
 @pytest.mark.parametrize(
     "old, new",
-    [
-        ('"media_types":["Bytes"]', '"media_types":["Bytes","Bytes"]'),
-        ('"confidence":0.0', '"confidence":0'),
-        ('"similarity":0.9999266650298808', '"similarity":1'),
-        ('"similarity":0.9999266650298808', '"similarity":0.99992666502988080'),
-        ('"confidence":0.0', '"confidence":NaN'),
-        ('"confidence":0.0', '"confidence":-Infinity'),
-        ('"confidence":0.0', '"confidence":1e999'),
-        ('"confidence":0.0', '"confidence":' + "[" * 10**5 + "]" * 10**5),
-        *((None, variant) for variant in TOKEN_VARIANTS.values()),
-    ],
-    ids=[
-        "duplicate-media-type",
-        "int-confidence",
-        "int-similarity",
-        "float-trailing-zero",
-        "nan",
-        "infinity",
-        "float-overflow",
-        "deep-nesting",
-        *TOKEN_VARIANTS,
-    ],
+    [variant[1:] for variant in COSMETIC_VARIANTS],
+    ids=[variant[0] for variant in COSMETIC_VARIANTS],
 )
 def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, old, new):
     # Each variant either decodes to the golden records (a duplicate set
     # entry, a float written with a trailing zero, an embedding token with
     # stray bits) or holds a value no record can. Either way it must be
-    # refused, never raise. ``old`` None: ``new`` rewrites the first
-    # embedding token.
+    # refused, never raise.
     text = (golden_run.out_dir / "run.chain.jsonl").read_text()
-    if old is None:
-        old = re.search(r'"embedding":("[^"]*")', text).group(1)
-        new = new(json.loads(old))
-    assert old in text
     variant = tmp_path / "variant.chain.jsonl"
-    variant.write_text(text.replace(old, new, 1))
+    variant.write_text(_cosmetic_variant(text, old, new))
     with pytest.raises(CorruptRecord):
         read_chain(variant)
     result = verify_chain(variant)
@@ -537,3 +536,178 @@ def test_fuzzed_chain_values_end_in_a_verify_result(golden_run, tmp_path_factory
             assert result.error and result.failing_height is not None
 
     check()
+
+
+# --- the canonical-form check against the re-render it replaced --------------
+
+
+def _lenient_embedding_values(v, what):
+    """The embedding decoder without its checks that a token is the one its
+    values render to: non-zero padding bits, a bitmap bit past the count and
+    a stored +0.0 all decode."""
+    try:
+        raw = base64.b64decode(store._as_str(v, what), validate=True)
+        (n,) = struct.unpack_from(">I", raw)
+        width = (n + 7) // 8
+        bitmap = int.from_bytes(raw[4 : 4 + width], "big")
+        count = bitmap.bit_count()
+        if len(raw) != 4 + width + 8 * count:
+            raise SerializationError(f"{what}: wrong length")
+        kept = iter(struct.unpack_from(f">{count}d", raw, 4 + width))
+    except (ValueError, struct.error) as exc:
+        raise SerializationError(f"{what}: {exc}") from exc
+    values = tuple(
+        next(kept) if bitmap >> (8 * width - 1 - i) & 1 else 0.0 for i in range(n)
+    )
+    if not all(map(math.isfinite, values)):
+        raise SerializationError(f"{what}: non-finite value")
+    return values
+
+
+def _lenient_sorted_strs(v, what):
+    """The set decoder without its order check: any order, repeats allowed."""
+    return [store._as_str(x, what) for x in store._as_list(v, what)]
+
+
+def _first_line_the_re_render_refuses(path):
+    """The line number at which ``read_chain`` stopped, or None, as it
+    checked canonical form before: decode each line with decoders that
+    normalise what they may (set order and repeats, stray token bits), then
+    render the records again and compare with the line."""
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(store, "_sorted_strs", _lenient_sorted_strs)
+            patch.setitem(
+                store._JSON_CODECS,
+                "Embedding",
+                (store._embedding_to_json, _lenient_embedding_values),
+            )
+            store._json_schema.cache_clear()
+            return _re_render_check(path)
+    finally:
+        store._json_schema.cache_clear()
+
+
+def _re_render_check(path):
+    genesis_state = None
+    for i, raw in enumerate(path.read_bytes().split(b"\n")[:-1]):
+        try:
+            text, value = store._parse_line(i + 1, raw)
+            expected = {"version", "height", "block", "receipts"}
+            if i == 0:
+                expected = expected | {"genesis_state"}
+            value = store._expect_keys(value, expected, "record")
+            if value["version"] != store.FORMAT_VERSION:
+                return i + 1
+            height = store._as_nonneg(value["height"], "record.height")
+            block = record_from_json(Block, value["block"], "block")
+            receipts = tuple(
+                record_from_json(Receipt, r, "receipt")
+                for r in store._as_list(value["receipts"], "record.receipts")
+            )
+            if i == 0:
+                genesis_state = state_from_json(value["genesis_state"])
+        except (CorruptRecord, SerializationError):
+            return i + 1
+        if height != i or block.height != height:
+            return i + 1
+        try:
+            rendered = canonical_json(store._record_to_json(block, receipts, genesis_state))
+        except ValueError:
+            rendered = None
+        if rendered != text:
+            return i + 1
+    return None
+
+
+def _first_line_read_chain_refuses(path):
+    try:
+        read_chain(path)
+    except CorruptRecord as exc:
+        return exc.line_number
+    return None
+
+
+def test_canonical_check_matches_the_re_render_on_fuzzed_chains(golden_run, tmp_path_factory):
+    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
+    path = tmp_path_factory.mktemp("fuzzed-chain") / "variant.chain.jsonl"
+
+    @given(chain_mutations(lines))
+    def check(mutation):
+        path.write_text("\n".join(mutation[0]) + "\n")
+        assert _first_line_read_chain_refuses(path) == _first_line_the_re_render_refuses(path)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [variant[1:] for variant in COSMETIC_VARIANTS],
+    ids=[variant[0] for variant in COSMETIC_VARIANTS],
+)
+def test_canonical_check_matches_the_re_render_on_cosmetic_variants(golden_run, tmp_path, old, new):
+    text = (golden_run.out_dir / "run.chain.jsonl").read_text()
+    variant = tmp_path / "variant.chain.jsonl"
+    variant.write_text(_cosmetic_variant(text, old, new))
+    line = _first_line_the_re_render_refuses(variant)
+    assert line is not None
+    assert _first_line_read_chain_refuses(variant) == line
+
+
+def _chain_with_two_entry_sets(tmp_path):
+    """A one-block chain whose genesis holds an algorithm with two media
+    types and two challenges submitted, and two requests with feedback."""
+    genesis_state = fresh_state()
+    genesis_state.algorithms["algo"] = AlgorithmRecord(
+        algorithm_id="algo",
+        owner="A",
+        media_types=frozenset({MediaType.BYTES, MediaType.IMAGE}),
+        detector_kind="exact-hash",
+        status=AlgorithmStatus.PENDING,
+        stake=0,
+        registered_at=0,
+        challenges_submitted=frozenset({"ch-000", "ch-001"}),
+    )
+    genesis_state.feedback_done = {"r-1", "r-2"}
+    genesis, state = init_chain(genesis_state)
+    block, _, receipts = seal_block(state, [transfer("A", "B", 1)], timestamp=1)
+    path = tmp_path / "sets.chain.jsonl"
+    with ChainWriter(path) as writer:
+        writer.append(genesis, (), genesis_state=genesis_state)
+        writer.append(block, receipts)
+    return path
+
+
+def _set_lists(genesis_state):
+    algorithm = genesis_state["algorithms"]["algo"]
+    return {
+        "media_types": algorithm["media_types"],
+        "challenges_submitted": algorithm["challenges_submitted"],
+        "feedback_done": genesis_state["feedback_done"],
+    }
+
+
+@pytest.mark.parametrize("name", ["media_types", "challenges_submitted", "feedback_done"])
+@pytest.mark.parametrize("edit", ["unsorted", "duplicated"])
+def test_set_entries_must_be_sorted_and_distinct(tmp_path, name, edit):
+    path = _chain_with_two_entry_sets(tmp_path)
+    assert verify_chain(path).ok
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    entries = _set_lists(record["genesis_state"])[name]
+    assert len(entries) == 2 and entries == sorted(entries)
+    if edit == "unsorted":
+        entries.reverse()
+    else:
+        entries.insert(1, entries[0])
+    # Canonical JSON of a value that decodes to the same sets: only the set
+    # decoder can refuse it.
+    lines[0] = canonical_json(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptRecord, match="sorted and distinct") as info:
+        read_chain(path)
+    assert info.value.line_number == 1
+    result = verify_chain(path)
+    assert not result.ok
+    assert result.failing_height == 0
+    assert result.error.startswith("CorruptRecord")
