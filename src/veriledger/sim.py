@@ -187,6 +187,26 @@ def _no_extra(d: Any, allowed: set[str], what: str) -> dict:
     return d
 
 
+def _all_strings_encode(doc: Any) -> None:
+    """Refuse a document holding a string that UTF-8 cannot encode (a lone
+    surrogate, which JSON can escape): every hash and state root encodes
+    its strings as UTF-8. Keys and values at any depth, walked without
+    recursion."""
+    stack = [doc]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, dict):
+            stack.extend(v)
+            stack.extend(v.values())
+        elif isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, str) and not v.isascii():
+            try:
+                v.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ConfigError(f"scenario: string {v!r}: {exc.reason}") from None
+
+
 def _int_in(d: dict, key: str, what: str, minimum: int, default: int | None = None) -> int:
     if key not in d and default is not None:
         return default
@@ -239,6 +259,7 @@ def _parse_params(d: Any, oracle_account: str) -> ContractParams:
 
 def parse_scenario(doc: Any) -> ScenarioConfig:
     """Parse and fully validate a scenario document. Unknown keys reject."""
+    _all_strings_encode(doc)
     doc = _no_extra(
         doc,
         {

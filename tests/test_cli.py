@@ -268,6 +268,16 @@ def test_run_rejects_scenario_values_the_chain_cannot_hold(tmp_path, capsys, edi
     assert named in _run_config_error(doc, tmp_path, capsys)
 
 
+def test_run_refuses_a_string_utf8_cannot_encode(tmp_path, capsys):
+    # An account id with a lone surrogate used to pass the parser and stop
+    # the run at its first state root, with exit 1.
+    doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
+    assert doc["accounts"][1]["id"] == "user-1" and doc["users"] == ["user-1"]
+    doc["accounts"][1]["id"] = "user-\ud800"
+    doc["users"] = ["user-\ud800"]
+    assert "surrogates not allowed" in _run_config_error(doc, tmp_path, capsys)
+
+
 def test_run_accepts_in_range_near_duplicate_parameters(tmp_path, capsys):
     doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
     doc["detectors"] = {"nd": {"kind": "near-duplicate",
