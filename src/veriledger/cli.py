@@ -51,7 +51,7 @@ def _emit(value, pretty: bool) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -119,7 +119,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         truth = GroundTruth.from_json(
             json.loads(truth_path.read_text(encoding="utf-8"))
         )
-    except (json.JSONDecodeError, ConfigError) as exc:
+    except (ValueError, RecursionError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     view = replay(args.chain)

@@ -163,9 +163,21 @@ class GroundTruth:
             raise ConfigError("ground truth file: unexpected structure")
         if d["version"] != "v1":
             raise ConfigError(f"ground truth file: unsupported version {d['version']!r}")
+        labels, sources = d["labels"], d["sources"]
+        verdicts = {v.value for v in Verdict}
+        if not isinstance(labels, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) and v in verdicts
+            for k, v in labels.items()
+        ):
+            raise ConfigError("ground truth file: labels must map ids to verdicts")
+        if not isinstance(sources, dict) or not all(
+            isinstance(k, str) and (v is None or isinstance(v, str))
+            for k, v in sources.items()
+        ):
+            raise ConfigError("ground truth file: sources must map ids to ids or null")
         return cls(
-            labels={k: Verdict(v) for k, v in d["labels"].items()},
-            sources={k: v for k, v in d["sources"].items()},
+            labels={k: Verdict(v) for k, v in labels.items()},
+            sources=dict(sources),
         )
 
 

@@ -379,6 +379,53 @@ def test_report_requires_sidecar(golden_run, tmp_path, capsys):
     capsys.readouterr()
 
 
+NOT_JSON_TEXT = {
+    "invalid-utf8": b'{"seed": 1, "name": "\xff"}',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_JSON_TEXT))
+def test_run_config_that_is_not_json_text_is_a_config_error(tmp_path, capsys, case):
+    # Invalid UTF-8 used to end in a UnicodeDecodeError traceback and deep
+    # nesting in a RecursionError, both with exit 1.
+    config = tmp_path / "scenario.json"
+    config.write_bytes(NOT_JSON_TEXT[case])
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("case", sorted(NOT_JSON_TEXT))
+def test_report_truth_that_is_not_json_text_is_a_config_error(
+    golden_run, tmp_path, capsys, case
+):
+    truth = tmp_path / "ground_truth.json"
+    truth.write_bytes(NOT_JSON_TEXT[case])
+    chain = golden_run.out_dir / "run.chain.jsonl"
+    code = main(["report", "--chain", str(chain), "--truth", str(truth)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("labels", []), ("labels", {"x": "bogus"}), ("sources", {"x": 3})],
+    ids=["labels-list", "labels-bogus-verdict", "sources-int"],
+)
+def test_report_truth_of_the_wrong_shape_is_a_config_error(
+    golden_run, tmp_path, capsys, key, value
+):
+    doc = json.loads((golden_run.out_dir / "ground_truth.json").read_text())
+    doc[key] = value
+    truth = tmp_path / "ground_truth.json"
+    truth.write_text(json.dumps(doc))
+    chain = golden_run.out_dir / "run.chain.jsonl"
+    code = main(["report", "--chain", str(chain), "--truth", str(truth)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ground truth file: ")
+
+
 def test_notifications_for_provider(golden_run, capsys):
     chain = golden_run.out_dir / "run.chain.jsonl"
     assert main(["notifications", "--chain", str(chain), "--provider", "provider-1"]) == 0

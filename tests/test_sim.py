@@ -418,6 +418,29 @@ def test_ground_truth_sidecar_round_trip(golden_run):
     assert all(truth.sources[rid] is not None for rid in fakes)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("labels", []),
+        ("labels", {"x": "bogus"}),
+        ("labels", {"x": 1}),
+        ("labels", {"x": ["Deepfake"]}),
+        ("labels", {"x": None}),
+        ("sources", []),
+        ("sources", {"x": 3}),
+        ("sources", {"x": {"y": "z"}}),
+    ],
+)
+def test_ground_truth_of_the_wrong_shape_is_a_config_error(key, value):
+    doc = GroundTruth(
+        labels={"r": Verdict.DEEPFAKE}, sources={"r": "trusted-000"}
+    ).to_json()
+    assert GroundTruth.from_json(doc).labels == {"r": Verdict.DEEPFAKE}
+    doc[key] = value
+    with pytest.raises(ConfigError, match=f"ground truth file: {key} must map"):
+        GroundTruth.from_json(doc)
+
+
 # --- metrics -----------------------------------------------------------------------
 
 
