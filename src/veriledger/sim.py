@@ -482,8 +482,8 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
 
 def _make_bytes_item(rng: SplitMix64, spec: CorpusSpec) -> bytes:
     alphabet = bytes(rng.sample_indices(256, spec.alphabet_size))
-    draws = rng.randrange_many(len(alphabet), spec.item_size)
-    return bytes(draws).translate(alphabet.ljust(256, b"\0"))
+    draws = rng.randrange_bytes(len(alphabet), spec.item_size)
+    return draws.translate(alphabet.ljust(256, b"\0"))
 
 
 def _make_image_item(rng: SplitMix64) -> bytes:
@@ -540,7 +540,7 @@ def perturb(content: bytes, kind: str, rate: float, seed: int) -> bytes:
     count = int(rate * span)
     positions = rng.sample_indices(span, count)
     if kind == "byte-flip":
-        for pos, value in zip(positions, rng.randrange_many(256, count)):
+        for pos, value in zip(positions, rng.randrange_bytes(256, count)):
             data[offset + pos] = value
     else:
         for pos in positions:
