@@ -87,25 +87,32 @@ class ReceiptStatus(str, Enum):
 def sparse_values(
     values: Sequence[float],
 ) -> tuple[tuple[tuple[int, float], ...], float, int, float]:
-    """``(pairs, norm2, support, peak)`` of a raw vector.
+    """``(pairs, norm2, support, peak)`` of a raw vector, in one pass.
 
     ``pairs`` are the non-zero ``(index, value)`` pairs in ascending index
-    order. ``norm2`` is the squared norm, a plain sequential sum over every
-    value (never ``sum()``, which compensates since Python 3.12), so its bits
-    match a dense loop. ``support`` has bit ``i`` set for each pair's index.
-    ``peak`` is ``max(values)`` when every value is ``>= 0`` and ``inf``
+    order (a NaN is non-zero). ``norm2`` is the squared norm, a plain
+    sequential sum (never ``sum()``, which compensates since Python 3.12)
+    over the non-zero values only; its bits match a dense loop over every
+    value, because a zero's square is ``+0.0`` and adding ``+0.0`` to a
+    sum of squares, which is never ``-0.0``, leaves it unchanged.
+    ``support`` has bit ``i`` set for each pair's index. ``peak`` is
+    ``max(values)`` when every non-zero value is ``> 0`` and ``inf``
     otherwise (a NaN fails the test too), so an upper bound on a dot product
     built from it is never finite for a vector it does not hold for.
     """
+    pairs = []
     norm2 = 0.0
-    for v in values:
-        norm2 += v * v
-    pairs = tuple((i, v) for i, v in enumerate(values) if v != 0.0)
     support = 0
-    for i, _ in pairs:
-        support |= 1 << i
-    peak = max(values, default=0.0) if all(v >= 0.0 for v in values) else math.inf
-    return pairs, norm2, support, peak
+    positive = True
+    for i, v in enumerate(values):
+        if v != 0.0:
+            pairs.append((i, v))
+            norm2 += v * v
+            support |= 1 << i
+            if not v > 0.0:
+                positive = False
+    peak = max(values, default=0.0) if positive else math.inf
+    return tuple(pairs), norm2, support, peak
 
 
 @dataclass(frozen=True, slots=True)

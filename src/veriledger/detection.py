@@ -13,6 +13,17 @@ contract layer. Two kinds ship built in:
 All arithmetic uses plain sequential float summation so embeddings and
 similarities are bit-identical across platforms and runs.
 
+The search runs through a ``RegistryIndex``. The oracle builds one per poll
+from the state's contents, and ``run_detector`` and ``match_trusted`` wrap
+any other iterable in one. A detector plugin receives it as a read-only
+sequence of the ``ContentRecord``s in registry order: ``len``, indexing and
+iteration work as on a tuple. On first use it builds, and keeps for the
+poll, an exact index from ``(media_type, content_hash)`` to the record with
+the smallest content_id, and per ``(media_type, dimension)`` the search
+rows: each record of that media type, in registry order, as ``(record,
+same_dimension, norm2, support, peak)``. A search then walks only the rows
+of its media type and calls no method on a record it skips.
+
 Similarity search is sparse and norm-cached. Each ``Embedding`` caches its
 non-zero ``(index, value)`` pairs and its squared norm (``sparse()``), so a
 cosine costs one multiply-add per non-zero entry of the registered side
@@ -26,26 +37,51 @@ independent of the others, so a norm summed once and cached is the same
 number.
 
 ``match_trusted`` also skips every record whose cosine provably stays below
-the threshold: the size filter of AllPairs (Bayardo, Ma and Srikant, WWW
-2007), cut down to one popcount. Each ``Embedding`` caches, beside its pairs
-and norm, a support bitmask and its peak ``max(values)``. For non-negative
-vectors each of the ``c = popcount(support_q & support_r)`` non-zero products
-is at most ``peak_q * peak_r``, and rounding is monotone, so each rounded
-product is at most the rounded product of the peaks, subnormals included.
-The bound is ``c * (peak_q * peak_r) / math.sqrt(n_q * n_r)``, with the
-exact denominator of ``_cosine``. Rounding can still lift the summed dot
-product above ``c`` times that product, by a relative ``256 * 2**-53`` at
-most (about 3e-14), so a record is skipped only when
-``bound * (1 + 1e-9) < threshold``; an all-equal embedding of ten 0.1s
-against itself has bound ``1 - 2**-53`` and score 1.0. Nothing is skipped
-when the threshold is 0, when the denominator is 0 (``similarity`` then
-raises ``ZeroVector`` or ``ZeroDivisionError`` as it would have), when the
-bound is inf or NaN, or when a value is negative or NaN (the peak is then
-inf). Every other record goes through ``similarity``, so each score and
-every result keeps its bits. Bytes histograms are sparse: on big-registry
-seed 7 the bound skips 59,880 of 60,000 records at ``tau`` 0.95. Image and
-Audio embeddings are dense, and it skips none of mixed-media's 2,670 Image
-records there; for them it costs one popcount per record.
+the threshold, in two steps: the size filter of AllPairs (Bayardo, Ma and
+Srikant, WWW 2007) and PPJoin (Xiao, Wang, Lin and Yu, WWW 2008), put in
+front of a per-record bound.
+
+The per-record bound. Each ``Embedding`` caches, beside its pairs and norm,
+a support bitmask and its peak ``max(values)``. For non-negative vectors
+each of the ``c = popcount(support_q & support_r)`` non-zero products is at
+most ``peak_q * peak_r``, and rounding is monotone, so each rounded product
+is at most the rounded product of the peaks, subnormals included. The bound
+is ``c * (peak_q * peak_r) / math.sqrt(n_q * n_r)``, with the exact
+denominator of ``_cosine``. Rounding can still lift the summed dot product
+above ``c`` times that product, by a relative ``256 * 2**-53`` at most
+(about 3e-14), so a record is skipped only when ``bound * (1 + 1e-9) <
+threshold``; an all-equal embedding of ten 0.1s against itself has bound
+``1 - 2**-53`` and score 1.0. Nothing is skipped when the threshold is 0,
+when the denominator is 0 (``similarity`` then raises ``ZeroVector`` or
+``ZeroDivisionError`` as it would have), when the bound is inf or NaN, or
+when a value is negative or NaN (the peak is then inf). When both supports
+are full, ``n <= d * peak**2`` on each side makes the bound at least 1, so
+it never skips such a pair.
+
+The shared-bin floor. A row's bound is ``c * a * b``, with ``a = peak_q /
+sqrt(n_q)`` and ``b = peak_r / sqrt(n_r)``, and ``b`` is at most ``rho``,
+the largest ``b`` among the rows. Once per query, ``match_trusted`` takes
+``T = floor(threshold * (1 - 1e-9) / (BOUND_MARGIN * a * rho))`` and skips a
+row whose ``c`` is below ``T`` with one popcount and one comparison. This
+is sound: ``c < T`` gives ``c * a * b * BOUND_MARGIN < threshold * (1 -
+1e-9)`` before rounding, and when every norm and peak lies in ``SCALE``
+(``2**-500`` to ``2**500``) no product or quotient of the floor or the
+bound is subnormal or infinite, so together they round by a relative
+``2**-49`` at most, far inside the ``1e-9`` slack, and the bound as computed
+reads below the threshold too. The floor skips only rows the bound would
+skip. ``T`` is 0 (nothing is skipped by it) when the threshold is 0, when
+the query's norm or peak lies outside ``SCALE``, and when any row of the
+query's media type has another dimension or a norm or peak outside
+``SCALE``: a zero norm, an inf peak (a negative or NaN value), an inf norm,
+or squares small enough that a product could underflow. A record of another
+dimension still raises ``DimensionMismatch``. Every record neither step
+skips goes through ``similarity``, in registry order, so each score and
+every result keeps its bits.
+
+Bytes histograms are sparse: on big-registry seed 7, at ``tau`` 0.95, the
+floor skips 59,877 of 60,000 records and the bound 3 more. Image and Audio
+embeddings are dense, and neither step skips any of mixed-media's 2,670
+Image records.
 """
 
 from __future__ import annotations
@@ -53,9 +89,9 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import Hash256
 from .core import (
@@ -84,6 +120,11 @@ PCM_FULL_SCALE = 32768.0
 # Relative slack on the pruning bound, over 30,000 times the worst rounding
 # (about 3e-14) of a dot product summed from at most 256 products.
 BOUND_MARGIN = 1.0 + 1e-9
+# The shared-bin floor's own slack, and the range every norm and peak must
+# lie in for it to be on: inside it no product or quotient of the bound
+# underflows or overflows, so each rounds by a relative 2**-53 at most.
+FLOOR_SLACK = 1.0 - 1e-9
+SCALE = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,6 +307,92 @@ def similarity(a: Embedding, b: Embedding) -> float:
     return _cosine(a.values, a.sparse()[1], *b.sparse()[:2])
 
 
+_Row = tuple[ContentRecord, bool, float, int, float]
+
+
+class RegistryIndex(Sequence[ContentRecord]):
+    """The trusted registry as one oracle poll sees it.
+
+    A read-only sequence of the ``ContentRecord``s in registry order, which
+    is what a detector plugin receives, plus the two lookups the built-in
+    detectors make, each built on its first use and kept for the poll: the
+    exact index and, per ``(media_type, dimension)``, the search rows.
+    """
+
+    __slots__ = ("_records", "_exact", "_rows")
+
+    def __init__(self, records: Iterable[ContentRecord]) -> None:
+        self._records = tuple(records)
+        self._exact: dict[tuple[MediaType, bytes], ContentRecord] | None = None
+        self._rows: dict[tuple[MediaType, int], tuple[tuple[_Row, ...], float]] = {}
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index: int | slice) -> ContentRecord | tuple[ContentRecord, ...]:
+        return self._records[index]
+
+    def __iter__(self) -> Iterator[ContentRecord]:
+        return iter(self._records)
+
+    def exact(self, media_type: MediaType, content_hash: Hash256) -> ContentRecord | None:
+        """The record with this media type and hash and the smallest
+        content_id, or None."""
+        index = self._exact
+        if index is None:
+            # In descending id order, so the smallest id is written last.
+            index = self._exact = {
+                (record.media_type, record.content_hash.value): record
+                for record in sorted(self._records, key=_content_id, reverse=True)
+            }
+        return index.get((media_type, content_hash.value))
+
+    def rows(self, media_type: MediaType, dimension: int) -> tuple[tuple[_Row, ...], float]:
+        """The records of ``media_type`` in registry order, each as
+        ``(record, same_dimension, norm2, support, peak)``, and ``rho``, their
+        largest ``peak / sqrt(norm2)``. ``rho`` is 0.0, which turns the
+        shared-bin floor off, when a record has another dimension or a norm
+        or peak outside ``SCALE``."""
+        key = (media_type, dimension)
+        cached = self._rows.get(key)
+        if cached is None:
+            low, high = SCALE
+            rows = []
+            rho = 0.0
+            scaled = True
+            for record in self._records:
+                if record.media_type is not media_type:
+                    continue
+                embedding = record.embedding
+                _, norm2, support, peak = embedding.sparse()
+                same_dimension = len(embedding.values) == dimension
+                rows.append((record, same_dimension, norm2, support, peak))
+                if same_dimension and low <= norm2 <= high and low <= peak <= high:
+                    rho = max(rho, peak / math.sqrt(norm2))
+                else:
+                    scaled = False
+            cached = self._rows[key] = (tuple(rows), rho if scaled else 0.0)
+        return cached
+
+
+_content_id = operator.attrgetter("content_id")
+
+
+def _shared_floor(threshold: float, nq: float, peak_q: float, rho: float) -> int:
+    """The fewest shared bins a row needs for its bound to reach
+    ``threshold`` against a query of squared norm ``nq`` and peak ``peak_q``,
+    or 0 when the floor is off (see the module docstring)."""
+    low, high = SCALE
+    if threshold > 0.0 and rho > 0.0 and low <= nq <= high and low <= peak_q <= high:
+        scale = BOUND_MARGIN * (peak_q / math.sqrt(nq)) * rho
+        return math.floor(threshold * FLOOR_SLACK / scale)
+    return 0
+
+
+def _indexed(registry: Iterable[ContentRecord]) -> RegistryIndex:
+    return registry if isinstance(registry, RegistryIndex) else RegistryIndex(registry)
+
+
 def match_trusted(
     query: Embedding,
     registry: Iterable[ContentRecord],
@@ -276,7 +403,9 @@ def match_trusted(
 
     Sorted by similarity descending, ties broken by content_id ascending.
     A record whose cosine provably stays below a positive threshold is
-    skipped without computing it (see the module docstring).
+    skipped without computing it (see the module docstring). ``registry``
+    is searched through a ``RegistryIndex``; any other iterable is wrapped
+    in one first.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -285,20 +414,20 @@ def match_trusted(
     prune = threshold > 0.0
     dimension = len(query.values)
     _, nq, support_q, peak_q = query.sparse()
+    rows, rho = _indexed(registry).rows(query.media_type, dimension)
+    floor = _shared_floor(threshold, nq, peak_q, rho)
     candidates = []
-    for record in registry:
-        if record.media_type is not query.media_type:
-            continue
-        embedding = record.embedding
-        if prune and len(embedding.values) == dimension:
-            _, nr, support_r, peak_r = embedding.sparse()
+    for record, same_dimension, nr, support_r, peak_r in rows:
+        if prune and same_dimension:
+            shared = (support_q & support_r).bit_count()
+            if shared < floor:
+                continue
             denominator = math.sqrt(nq * nr)  # exactly as in ``_cosine``
             if denominator != 0.0:
-                shared = (support_q & support_r).bit_count()
                 bound = shared * (peak_q * peak_r) / denominator
                 if bound * BOUND_MARGIN < threshold:  # never for inf or NaN
                     continue
-        sim = similarity(query, embedding)
+        sim = similarity(query, record.embedding)
         if sim >= threshold:
             candidates.append(MatchCandidate(record.content_id, sim))
     candidates.sort(key=lambda c: (-c.similarity, c.content_id))
@@ -307,7 +436,7 @@ def match_trusted(
 
 DetectorResult = tuple[Verdict, float, list[MatchCandidate]]
 DetectorFn = Callable[
-    [Mapping[str, object], AnalysisTarget, Sequence[ContentRecord]], DetectorResult
+    [Mapping[str, object], AnalysisTarget, RegistryIndex], DetectorResult
 ]
 
 _PLUGINS: dict[str, DetectorFn] = {}
@@ -316,9 +445,11 @@ _PLUGINS: dict[str, DetectorFn] = {}
 def register_detector_kind(kind: str, fn: DetectorFn, replace: bool = False) -> None:
     """Add a detector implementation to the plugin table.
 
-    Custom kinds must return results obeying the committed-result rules:
-    Authentic implies confidence 1.0 with an exact (similarity 1.0) match,
-    Unverified implies no matches, and all similarities lie in [0, 1].
+    ``fn`` receives the trusted registry as a ``RegistryIndex``: a sequence
+    of the ``ContentRecord``s in registry order. Custom kinds must return
+    results obeying the committed-result rules: Authentic implies confidence
+    1.0 with an exact (similarity 1.0) match, Unverified implies no matches,
+    and all similarities lie in [0, 1].
     """
     if kind in _PLUGINS and not replace:
         raise ValueError(f"detector kind already registered: {kind}")
@@ -329,29 +460,12 @@ def detector_kinds() -> tuple[str, ...]:
     return tuple(sorted(_PLUGINS))
 
 
-def _find_exact(
-    target: AnalysisTarget, registry: Sequence[ContentRecord]
-) -> ContentRecord | None:
-    """The registered record with the target's hash and media type and the
-    smallest content_id, found in one pass."""
-    digest = target.content_hash.value
-    found = None
-    for record in registry:
-        if (
-            record.media_type is target.media_type
-            and record.content_hash.value == digest
-            and (found is None or record.content_id < found.content_id)
-        ):
-            found = record
-    return found
-
-
 def _exact_hash(
     params: Mapping[str, object],
     target: AnalysisTarget,
-    registry: Sequence[ContentRecord],
+    registry: RegistryIndex,
 ) -> DetectorResult:
-    record = _find_exact(target, registry)
+    record = registry.exact(target.media_type, target.content_hash)
     if record is not None:
         return Verdict.AUTHENTIC, 1.0, [MatchCandidate(record.content_id, 1.0)]
     return Verdict.UNVERIFIED, 0.0, []
@@ -360,11 +474,11 @@ def _exact_hash(
 def _near_duplicate(
     params: Mapping[str, object],
     target: AnalysisTarget,
-    registry: Sequence[ContentRecord],
+    registry: RegistryIndex,
 ) -> DetectorResult:
-    record = _find_exact(target, registry)
-    if record is not None:
-        return Verdict.AUTHENTIC, 1.0, [MatchCandidate(record.content_id, 1.0)]
+    result = _exact_hash(params, target, registry)
+    if result[0] is Verdict.AUTHENTIC:
+        return result
     tau = float(params.get("tau", 0.95))
     k = int(params.get("k", 5))
     matches = match_trusted(target.embedding, registry, k, tau)
@@ -382,11 +496,15 @@ def run_detector(
     target: AnalysisTarget,
     registry: Iterable[ContentRecord],
 ) -> DetectorResult:
-    """Execute the detector bound by ``spec`` against the trusted registry."""
+    """Execute the detector bound by ``spec`` against the trusted registry.
+
+    The oracle passes one ``RegistryIndex`` per poll; any other iterable is
+    wrapped in one first.
+    """
     fn = _PLUGINS.get(spec.kind)
     if fn is None:
         raise UnknownDetector(spec.kind)
-    return fn(spec.parameters, target, list(registry))
+    return fn(spec.parameters, target, _indexed(registry))
 
 
 def smoothed_accuracy(algorithm: AlgorithmRecord) -> Fraction:

@@ -3,7 +3,8 @@
 The oracle runs synchronously between blocks on a read-only state
 snapshot. It picks up to ``batch_limit`` pending requests in request-id
 order, selects the best eligible algorithm per request, executes that
-algorithm's detector against the trusted-content registry, and emits the
+algorithm's detector against the trusted-content registry (one
+``RegistryIndex`` per poll, so its lookups are built once), and emits the
 commit transactions for the next block, signed by the state's
 ``params.oracle_account`` with sequential nonces. Processing the same
 snapshot twice yields an identical batch.
@@ -30,7 +31,7 @@ from .core import (
     TxKind,
     hash_embedding,
 )
-from .detection import AnalysisTarget, run_detector, select_model
+from .detection import AnalysisTarget, RegistryIndex, run_detector, select_model
 from .errors import EmbeddingUnavailable, NoEligibleAlgorithm
 
 
@@ -76,6 +77,7 @@ def process_pending(
     batch = OracleBatch()
     commit_height = state.tip_height + 1
     next_nonce = state.nonces.get(oracle_account, -1) + 1
+    registry = RegistryIndex(state.contents.values())
 
     for request_id in pending[:batch_limit]:
         request = state.requests[request_id]
@@ -97,9 +99,7 @@ def process_pending(
             content_hash=request.content_hash,
             embedding=embedding,
         )
-        verdict, confidence, matches = run_detector(
-            spec, target, state.contents.values()
-        )
+        verdict, confidence, matches = run_detector(spec, target, registry)
         batch.transactions.append(
             Transaction(
                 kind=TxKind.COMMIT_ANALYSIS_RESULT,

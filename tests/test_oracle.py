@@ -1,11 +1,15 @@
 import math
+from collections.abc import Sequence
 from dataclasses import replace
 
 import pytest
 
 from veriledger.codec import hash_bytes
+from veriledger import detection, oracle, sim
 from veriledger.core import (
     AlgorithmStatus,
+    ContentRecord,
+    DetectorSpec,
     Embedding,
     MediaType,
     NetworkState,
@@ -13,12 +17,14 @@ from veriledger.core import (
     RequestStatus,
     SubmitAnalysisRequest,
     TxKind,
+    Verdict,
     transaction_hash,
 )
 from veriledger.contracts import request_id_for
 from veriledger.ledger import init_chain, seal_block
 from veriledger.oracle import process_pending
 from veriledger.rng import SplitMix64
+from veriledger.sim import ScenarioRunner
 
 from test_contracts import make_state, Driver, register_algo, activate_algo
 
@@ -209,3 +215,65 @@ def test_batch_partitioning_does_not_change_outcome(golden_config):
         "total_minted",
     ):
         assert getattr(states[16], field) == getattr(states[5], field), field
+
+
+def test_a_plugin_receives_the_registry_in_registry_order(monkeypatch):
+    state, embeddings = pending_state(3)
+    rng = SplitMix64(7)
+    for cid in ("c-3", "c-1", "c-2"):  # registry order is not id order
+        state.contents[cid] = ContentRecord(
+            content_id=cid,
+            provider="alice",
+            media_type=MediaType.BYTES,
+            content_hash=hash_bytes(cid.encode()),
+            embedding=embedding(rng),
+            metadata={},
+            registered_at=1,
+        )
+    seen = []
+
+    def capture(params, target, registry):
+        seen.append(registry)
+        return Verdict.UNVERIFIED, 0.0, []
+
+    monkeypatch.setitem(detection._PLUGINS, "test-capture", capture)
+    state.detectors["near-duplicate"] = DetectorSpec(kind="test-capture")
+    batch = process_pending(state, BATCH_LIMIT, embeddings)
+    assert len(batch.transactions) == 3
+    records = list(state.contents.values())
+    assert [r.content_id for r in records] == ["c-3", "c-1", "c-2"]
+    # One registry per poll, handed to every request's detector.
+    assert len(seen) == 3 and all(registry is seen[0] for registry in seen)
+    registry = seen[0]
+    assert isinstance(registry, Sequence)
+    assert len(registry) == 3
+    assert all(registry[i] is record for i, record in enumerate(records))
+    assert registry[-1] is records[-1] and registry[:2] == tuple(records[:2])
+    assert all(a is b for a, b in zip(registry, records, strict=True))
+    assert records[1] in registry
+
+
+def test_one_registry_per_poll_gives_the_batch_of_one_per_request(
+    golden_config, monkeypatch
+):
+    # The reference hands ``state.contents.values()`` to ``run_detector``
+    # itself, which wraps it afresh for every request.
+    polls = []
+
+    def checked(state, batch_limit, embeddings):
+        batch = process_pending(state, batch_limit, embeddings)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "RegistryIndex", lambda records: records)
+            reference = process_pending(state, batch_limit, embeddings)
+        assert batch == reference
+        assert [transaction_hash(t) for t in batch.transactions] == [
+            transaction_hash(t) for t in reference.transactions
+        ]
+        polls.append((state.tip_height, len(batch.transactions)))
+        return batch
+
+    monkeypatch.setattr(sim, "process_pending", checked)
+    result = ScenarioRunner(golden_config).run()
+    heights = [height for height, _ in polls]
+    assert heights == list(range(len(result.chain.records) - 1))
+    assert sum(commits for _, commits in polls) == len(result.chain.final_state.results)

@@ -6,7 +6,10 @@ norm, support and peak: a cosine loop over every dimension for every record
 and an exact-hash lookup that sorts the whole registry. The live code must
 give the same results bit for bit.
 ``brute_force_matches`` in ``test_detection`` calls ``similarity`` itself, so
-it cannot serve as this reference.
+it cannot serve as this reference. ``three_pass_sparse_values`` is
+``sparse_values`` as it was before it became one pass, and
+``bound_skips`` is the per-record bound the shared-bin floor must stay
+inside.
 """
 
 import dataclasses
@@ -30,8 +33,10 @@ from veriledger.core import (
 )
 from veriledger import detection
 from veriledger.detection import (
+    BOUND_MARGIN,
     AnalysisTarget,
     MatchCandidate,
+    RegistryIndex,
     embed,
     match_trusted,
     run_detector,
@@ -101,6 +106,38 @@ def dense_near_duplicate(params, target, registry):
     if matches:
         return Verdict.DEEPFAKE, matches[0].similarity, matches
     return Verdict.UNVERIFIED, 0.0, []
+
+
+def three_pass_sparse_values(values):
+    norm2 = 0.0
+    for v in values:
+        norm2 += v * v
+    pairs = tuple((i, v) for i, v in enumerate(values) if v != 0.0)
+    support = 0
+    for i, _ in pairs:
+        support |= 1 << i
+    peak = max(values, default=0.0) if all(v >= 0.0 for v in values) else math.inf
+    return pairs, norm2, support, peak
+
+
+def bound_skips(query, embedding, threshold):
+    """Whether ``match_trusted``'s per-record bound skips ``embedding``."""
+    if threshold == 0.0 or len(embedding.values) != len(query.values):
+        return False
+    _, nq, support_q, peak_q = query.sparse()
+    _, nr, support_r, peak_r = embedding.sparse()
+    denominator = math.sqrt(nq * nr)
+    if denominator == 0.0:
+        return False
+    bound = (support_q & support_r).bit_count() * (peak_q * peak_r) / denominator
+    return bound * BOUND_MARGIN < threshold
+
+
+def floor_for(query, registry, threshold):
+    """The shared-bin floor ``match_trusted`` takes for this search."""
+    _, nq, _, peak_q = query.sparse()
+    _, rho = RegistryIndex(registry).rows(query.media_type, len(query.values))
+    return detection._shared_floor(threshold, nq, peak_q, rho)
 
 
 def outcome(fn, *args):
@@ -250,6 +287,132 @@ def test_sparse_search_matches_dense_reference_bit_for_bit(search):
         )
 
 
+@st.composite
+def well_scaled_searches(draw):
+    """Searches over one media type in which every norm and peak lies in
+    ``SCALE``, so the floor is on, with thresholds at the records' bounds."""
+    media_type = draw(st.sampled_from(MEDIA))
+    dim = EMBEDDING_DIMENSIONS[media_type]
+
+    def draw_embedding():
+        # The floor is above 0 only for supports wider than a few bins.
+        size = draw(st.sampled_from([1, 3, 8, 20, dim]))
+        support = sorted(
+            draw(st.sets(st.integers(0, dim - 1), min_size=size, max_size=size))
+        ) if size < dim else range(dim)
+        if draw(st.booleans()):  # one value on the support: the bound is tight
+            value = draw(st.one_of(st.sampled_from([0.1, 1 / 3, 0.7]), st.floats(1e-70, 1.0)))
+            drawn = [value] * size
+        else:  # random 53-bit values in (0, 1]
+            rng = SplitMix64(draw(st.integers(0, 2**32)))
+            drawn = [(1 + (rng.next_u64() >> 11)) * 2.0**-53 for _ in range(size)]
+        values = [0.0] * dim
+        for i, v in zip(support, drawn):
+            values[i] = v
+        return Embedding(values=tuple(values), media_type=media_type)
+
+    registry = [
+        content(f"c{n:03d}", draw_embedding(), HASHES[0])
+        for n in range(draw(st.integers(1, 12)))
+    ]
+    query = draw_embedding()
+    target = AnalysisTarget("r-floor", media_type, hash_bytes(b"none"), query)
+    _, nq, support_q, peak_q = query.sparse()
+    bounds = []
+    for record in registry:
+        _, nr, support_r, peak_r = record.embedding.sparse()
+        bound = (support_q & support_r).bit_count() * (peak_q * peak_r) / math.sqrt(nq * nr)
+        bounds += [t for t in (bound, bound * BOUND_MARGIN) if 0.0 < t <= 1.0]
+    boundaries = [
+        t for b in bounds for t in (b, math.nextafter(b, 0.0), math.nextafter(b, 1.0))
+    ]
+    threshold = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(boundaries or [0.5])))
+    return registry, target, 5, min(threshold, 1.0)
+
+
+@settings(max_examples=5 * settings.default.max_examples)
+@given(st.one_of(searches(), well_scaled_searches()))
+def test_floor_skips_only_records_the_bound_skips(search):
+    registry, target, _, threshold = search
+    query = target.embedding
+    floor = floor_for(query, registry, threshold)
+    support_q = query.sparse()[2]
+    for record in registry:
+        shared = (support_q & record.embedding.sparse()[2]).bit_count()
+        if record.media_type is query.media_type and shared < floor:
+            assert bound_skips(query, record.embedding, threshold)
+
+
+def floor_case(case):
+    """A search whose floor is 3, so it would skip the record ``far``,
+    changed as ``case`` says."""
+    query = embed(b"abcd", MediaType.BYTES)
+    registry = [content("far", embed(b"wxyz", MediaType.BYTES), HASHES[0])]
+    threshold = 0.95
+
+    def with_e(embedding, value):
+        values = list(embedding.values)
+        values[ord("e")] = value
+        return Embedding(values=tuple(values), media_type=MediaType.BYTES)
+
+    bad = {"negative": -0.25, "NaN": math.nan}
+    if case == "tau 0":
+        threshold = 0.0
+    elif case in ("query negative", "query NaN"):
+        query = with_e(query, bad[case.split()[1]])
+    elif case in ("record negative", "record NaN"):
+        odd = with_e(embed(b"abcd", MediaType.BYTES), bad[case.split()[1]])
+        registry.append(content("odd", odd, HASHES[1]))
+    elif case == "zero-norm record":
+        zero = Embedding(values=(0.0,) * 256, media_type=MediaType.BYTES)
+        registry.append(content("zero", zero, HASHES[1]))
+    elif case == "tiny norms":
+        # Norms of 4e-200, whose product underflows to 0: ``similarity``
+        # raises ZeroDivisionError, as the dense loop does.
+        tiny = Embedding(
+            values=(1e-100,) * 4 + (0.0,) * 252, media_type=MediaType.BYTES
+        )
+        query = tiny
+        registry.append(content("tiny", tiny, HASHES[1]))
+    return query, registry, threshold
+
+
+def test_floor_of_a_well_scaled_search():
+    # Both sides hold four bins of 0.25, so each has peak / sqrt(norm2) 0.5
+    # and the floor is floor(0.95 * (1 - 1e-9) / (BOUND_MARGIN * 0.25)) = 3.
+    assert floor_for(*floor_case(None)) == 3
+
+
+@pytest.mark.parametrize("case", [
+    "tau 0", "query negative", "query NaN", "record negative", "record NaN",
+    "zero-norm record", "tiny norms",
+])
+def test_floor_is_zero_where_the_bound_may_not_hold(case):
+    query, registry, threshold = floor_case(case)
+    assert floor_for(query, registry, threshold) == 0
+    expected = outcome(dense_match_trusted, query, registry, 5, threshold)
+    for searched in (registry, RegistryIndex(registry)):
+        assert outcome(match_trusted, query, searched, 5, threshold) == expected
+
+
+def test_exact_index_returns_the_smallest_id_as_the_dense_scan_does():
+    e = embed(b"abc", MediaType.BYTES)
+    image = Embedding(values=(0.5,) * 64, media_type=MediaType.IMAGE)
+    # Same hash throughout; the smallest id overall is an Image record.
+    registry = [
+        content(cid, image if cid == "c0" else e, HASHES[0])
+        for cid in ("c5", "c2", "c0", "c9", "c3")
+    ]
+    index = RegistryIndex(registry)
+    for media_type, expected in ((MediaType.BYTES, "c2"), (MediaType.IMAGE, "c0")):
+        query = e if media_type is MediaType.BYTES else image
+        target = AnalysisTarget("r", media_type, HASHES[0], query)
+        assert index.exact(media_type, HASHES[0]) is dense_find_exact(target, registry)
+        assert index.exact(media_type, HASHES[0]).content_id == expected
+    assert index.exact(MediaType.BYTES, HASHES[1]) is None
+    assert index.exact(MediaType.AUDIO, HASHES[0]) is None
+
+
 def test_record_sharing_no_bin_scores_exactly_zero():
     query = embed(b"abcabc", MediaType.BYTES)
     other = embed(b"xyz", MediaType.BYTES)
@@ -282,13 +445,17 @@ def test_similarity_runs_only_on_records_the_bound_cannot_rule_out(monkeypatch):
         scored.append(b)
         return real_similarity(a, b)
 
+    # At 0.95 the shared-bin floor alone skips the 270.
+    assert floor_for(query, registry, 0.95) > 0
     monkeypatch.setattr(detection, "similarity", counting_similarity)
-    for threshold, expected in ((0.95, same_alphabet), (0.0, [r.embedding for r in registry])):
-        scored.clear()
-        assert outcome(match_trusted, query, registry, 5, threshold) == outcome(
-            dense_match_trusted, query, registry, 5, threshold
-        )
-        assert [id(e) for e in scored] == [id(e) for e in expected]
+    cases = ((0.95, same_alphabet), (0.0, [r.embedding for r in registry]))
+    for searched in (registry, RegistryIndex(registry)):
+        for threshold, expected in cases:
+            scored.clear()
+            assert outcome(match_trusted, query, searched, 5, threshold) == outcome(
+                dense_match_trusted, query, registry, 5, threshold
+            )
+            assert [id(e) for e in scored] == [id(e) for e in expected]
 
 
 @pytest.mark.parametrize("value, count", [(0.1, 10), (0.7417004975798249, 254)])
@@ -309,11 +476,17 @@ def test_margin_keeps_a_tight_bound_from_skipping_a_match(value, count):
 def test_record_of_another_dimension_still_raises():
     # Records are pruned only against embeddings of the query's dimension, so
     # a malformed record raises as the dense search does, bound or no bound.
+    # It also turns the floor off, which would otherwise skip it for sharing
+    # no bin with the query, and skip ``far`` before it.
     query = embed(b"ab", MediaType.BYTES)
     short = Embedding(values=(0.0, 1.0), media_type=MediaType.BYTES)
-    registry = [content("c", short, HASHES[0])]
-    assert outcome(match_trusted, query, registry, 1, 0.5) is DimensionMismatch
-    assert outcome(dense_match_trusted, query, registry, 1, 0.5) is DimensionMismatch
+    far = embed(b"xy", MediaType.BYTES)
+    registry = [content("far", far, HASHES[1]), content("c", short, HASHES[0])]
+    assert floor_for(query, registry[:1], 0.95) > 0
+    assert floor_for(query, registry, 0.95) == 0
+    for searched in (registry, RegistryIndex(registry)):
+        assert outcome(match_trusted, query, searched, 1, 0.95) is DimensionMismatch
+    assert outcome(dense_match_trusted, query, registry, 1, 0.95) is DimensionMismatch
 
 
 def test_round_off_spill_is_clamped():
@@ -324,6 +497,41 @@ def test_round_off_spill_is_clamped():
     ea = Embedding(values=tuple(pad + a), media_type=MediaType.IMAGE)
     eb = Embedding(values=tuple(pad + b), media_type=MediaType.IMAGE)
     assert similarity(ea, eb) == dense_cosine(ea.values, eb.values) == 1.0
+
+
+# Every kind of float: both zeros, NaN, both infinities, negatives, subnormals,
+# values whose squares underflow or overflow, and ordinary fractions.
+raw_values = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [0.0, -0.0, math.nan, math.inf, -math.inf, -1.0, 5e-324, -5e-324,
+             1e-160, 1e-162, 1e300]
+        ),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(0.0, 1.0),
+    ),
+    max_size=300,
+)
+
+
+def sparse_bits(result):
+    """The result of ``sparse_values`` with each float as its bits; every
+    NaN reads ``nan``."""
+    pairs, norm2, support, peak = result
+    return [(i, v.hex()) for i, v in pairs], norm2.hex(), support, peak.hex()
+
+
+@settings(max_examples=5 * settings.default.max_examples)
+@given(raw_values)
+def test_single_pass_sparse_values_matches_three_passes(values):
+    assert sparse_bits(sparse_values(values)) == sparse_bits(
+        three_pass_sparse_values(values)
+    )
+
+
+def test_sparse_values_of_the_empty_vector():
+    assert sparse_values(()) == three_pass_sparse_values(()) == ((), 0.0, 0, 0.0)
+    assert sparse_values(())[1].hex() == (0.0).hex()
 
 
 def test_sparse_pairs_and_norm():
