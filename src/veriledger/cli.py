@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .core import ReceiptStatus
-from .errors import ConfigError, LedgerError, MissingLabel, StoreError, VeriledgerError
+from .errors import ConfigError, VeriledgerError
 from .sim import GroundTruth, compute_metrics, parse_scenario, run_scenario
 from .store import (
     canonical_json,
@@ -54,11 +54,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        config = parse_scenario(doc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    config = parse_scenario(doc)
     logger.info("running scenario seed=%d blocks=%d", config.seed, config.blocks)
     report = run_scenario(config, out_dir=args.out)
     out = Path(args.out)
@@ -119,7 +115,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         truth = GroundTruth.from_json(
             json.loads(truth_path.read_text(encoding="utf-8"))
         )
-    except (ValueError, RecursionError, ConfigError) as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     view = replay(args.chain)
@@ -197,10 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StoreError, LedgerError, MissingLabel, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except VeriledgerError as exc:
+    except (VeriledgerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

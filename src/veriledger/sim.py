@@ -38,7 +38,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields
+from collections.abc import Callable, Iterable
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -72,7 +73,6 @@ from .store import (
     ChainWriter,
     canonical_json,
     notifications,
-    record_to_json,
 )
 
 IMAGE_SIDE = 32
@@ -182,20 +182,26 @@ class GroundTruth:
 
 
 # --- config parsing ---------------------------------------------------------
+#
+# A scenario document mirrors the config dataclasses: an object's keys are
+# its dataclass's field names, and ``_parse`` walks them by annotation. It
+# refuses an unknown key, a missing key whose field has no default, and a
+# value its annotation's parser refuses. Three shapes differ and are written
+# out: the ``validators`` and ``accounts`` lists of ``{id, <amount>}``; the
+# ``oracle`` object, which fills ``params.oracle_account`` and
+# ``oracle_batch_limit``; and the ``detectors`` map. Rules that span fields
+# are checked once the walk is done.
 
 
-def _req(d: dict, key: str, what: str) -> Any:
-    if key not in d:
-        raise ConfigError(f"{what}: missing required key {key!r}")
-    return d[key]
-
-
-def _no_extra(d: Any, allowed: set[str], what: str) -> dict:
+def _object(d: Any, what: str, allowed: Iterable[str], required: Iterable[str] = ()) -> dict:
     if not isinstance(d, dict):
         raise ConfigError(f"{what}: expected an object")
-    extra = set(d) - allowed
+    extra = set(d) - set(allowed)
     if extra:
         raise ConfigError(f"{what}: unknown keys {sorted(extra)}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{what}: missing required key {key!r}")
     return d
 
 
@@ -219,19 +225,6 @@ def _all_strings_encode(doc: Any) -> None:
                 raise ConfigError(f"scenario: string {v!r}: {exc.reason}") from None
 
 
-def _int_in(d: dict, key: str, what: str, minimum: int, default: int | None = None) -> int:
-    if key not in d and default is not None:
-        return default
-    v = _req(d, key, what)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{what}.{key}: expected integer")
-    if v < minimum:
-        raise ConfigError(f"{what}.{key}: must be >= {minimum}")
-    if v >= 2**64:
-        raise ConfigError(f"{what}.{key}: must be below 2^64")
-    return v
-
-
 def _is_u64(v: Any) -> bool:
     """An integer the canonical encodings can hold as an unsigned 64-bit."""
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64
@@ -241,240 +234,205 @@ def _is_unit_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1
 
 
-def _media_list(v: Any, what: str) -> tuple[MediaType, ...]:
+def _u64(v: Any, what: str) -> int:
+    if not _is_u64(v):
+        raise ConfigError(f"{what}: expected an integer in [0, 2^64)")
+    return v
+
+
+def _unit(v: Any, what: str) -> float:
+    if not _is_unit_number(v):
+        raise ConfigError(f"{what}: expected a number in [0, 1]")
+    return float(v)
+
+
+def _name(v: Any, what: str) -> str:
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{what}: expected non-empty string")
+    return v
+
+
+def _list(v: Any, what: str) -> list:
     if not isinstance(v, list) or not v:
-        raise ConfigError(f"{what}: expected non-empty list of media types")
+        raise ConfigError(f"{what}: expected non-empty list")
+    return v
+
+
+def _media_types(v: Any, what: str) -> tuple[MediaType, ...]:
     try:
-        return tuple(MediaType(m) for m in v)
+        return tuple(MediaType(m) for m in _list(v, what))
     except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from None
 
 
-def _parse_params(d: Any, oracle_account: str) -> ContractParams:
-    defaults = record_to_json(ContractParams())
-    defaults.pop("oracle_account")
-    d = _no_extra(d, set(defaults), "params")
-    merged = {**defaults, **d}
-    for key, value in merged.items():
-        if key in ("challenge_pass_accuracy", "feedback_min_accuracy"):
-            if not _is_unit_number(value):
-                raise ConfigError(f"params.{key}: expected a number in [0, 1]")
-            merged[key] = float(value)
-        else:
-            if not _is_u64(value):
-                raise ConfigError(f"params.{key}: expected an integer in [0, 2^64)")
+def _parse(cls: type, doc: Any, what: str, given: dict | None = None, **defaults: Any) -> Any:
+    """A ``cls`` from ``doc``, an object keyed by ``cls``'s field names. A
+    field in ``given`` takes its value from there and is not a key; a key may
+    be left out where its field has a default, its own or one in
+    ``defaults``."""
+    given = given or {}
+    walked = [f for f in fields(cls) if f.name not in given]
+    values = {f.name: f.default for f in walked if f.default is not MISSING}
+    values.update(defaults, **given)
+    names = [f.name for f in walked]
+    doc = _object(doc, what, names, [name for name in names if name not in values])
+    for f in walked:
+        if f.name in doc:
+            values[f.name] = _CONFIG_VALUES[f.type](doc[f.name], f"{what}.{f.name}")
     try:
-        return ContractParams(oracle_account=oracle_account, **merged)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return cls(**values)
+    except ValueError as exc:  # e.g. ContractParams rejects the combination
+        raise ConfigError(f"{what}: {exc}") from None
 
 
-def parse_scenario(doc: Any) -> ScenarioConfig:
-    """Parse and fully validate a scenario document. Unknown keys reject."""
-    _all_strings_encode(doc)
-    doc = _no_extra(
-        doc,
-        {
-            "seed",
-            "blocks",
-            "validators",
-            "accounts",
-            "detectors",
-            "algorithms",
-            "corpus",
-            "providers",
-            "users",
-            "requests_per_block",
-            "request_fee",
-            "oracle",
-            "params",
-        },
-        "scenario",
-    )
-    seed = _req(doc, "seed", "scenario")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("scenario.seed: expected integer")
-    blocks = _int_in(doc, "blocks", "scenario", 0)
+# annotation -> parser of a document value; each refuses what it cannot hold.
+_CONFIG_VALUES: dict[str, Callable[[Any, str], Any]] = {
+    "int": _u64,
+    "float": _unit,
+    "str": _name,
+    "tuple[str, ...]": lambda v, what: tuple(_name(x, what) for x in _list(v, what)),
+    "tuple[MediaType, ...]": _media_types,
+    "frozenset[MediaType]": lambda v, what: frozenset(_media_types(v, what)),
+    "CorpusSpec": lambda v, what: _parse(CorpusSpec, v, what),
+    "PerturbationSpec": lambda v, what: _parse(PerturbationSpec, v, what),
+}
 
-    validators = []
-    seen: set[str] = set()
-    for entry in _req(doc, "validators", "scenario"):
-        entry = _no_extra(entry, {"id", "stake"}, "validator")
-        vid = _req(entry, "id", "validator")
-        stake = _int_in(entry, "stake", "validator", 0)
-        if not isinstance(vid, str) or not vid:
-            raise ConfigError("validator.id: expected non-empty string")
-        if vid in seen:
-            raise ConfigError(f"duplicate validator id {vid!r}")
-        seen.add(vid)
-        validators.append((vid, stake))
-    if not validators or sum(s for _, s in validators) <= 0:
-        raise ConfigError("validators: need at least one with positive stake")
 
-    accounts = []
-    account_ids: set[str] = set()
-    for entry in _req(doc, "accounts", "scenario"):
-        entry = _no_extra(entry, {"id", "balance"}, "account")
-        aid = _req(entry, "id", "account")
-        balance = _int_in(entry, "balance", "account", 0)
-        if not isinstance(aid, str) or not aid:
-            raise ConfigError("account.id: expected non-empty string")
-        if aid == ESCROW_ACCOUNT:
-            raise ConfigError(f"account id {ESCROW_ACCOUNT!r} is reserved")
-        if aid in account_ids:
-            raise ConfigError(f"duplicate account id {aid!r}")
-        account_ids.add(aid)
-        accounts.append((aid, balance))
-    if sum(s for _, s in validators) + sum(b for _, b in accounts) >= 2**64:
-        raise ConfigError("validators and accounts: total supply must be below 2^64")
+def _id_amounts(doc: dict, key: str, amount: str) -> tuple[tuple[str, int], ...]:
+    """Take ``doc[key]`` out of ``doc``: a non-empty list of ``{id,
+    <amount>}`` with distinct ids."""
+    if key not in doc:
+        raise ConfigError(f"scenario: missing required key {key!r}")
+    what = key[:-1]
+    amounts: dict[str, int] = {}
+    for entry in _list(doc.pop(key), f"scenario.{key}"):
+        entry = _object(entry, what, ("id", amount), ("id", amount))
+        ident = _name(entry["id"], f"{what}.id")
+        if ident in amounts:
+            raise ConfigError(f"duplicate {what} id {ident!r}")
+        amounts[ident] = _u64(entry[amount], f"{what}.{amount}")
+    return tuple(amounts.items())
 
-    oracle_doc = _no_extra(
-        doc.get("oracle", {}), {"account", "batch_limit"}, "oracle"
-    )
-    oracle_account = oracle_doc.get("account", "oracle")
-    if not isinstance(oracle_account, str) or not oracle_account:
-        raise ConfigError("oracle.account: expected non-empty string")
-    batch_limit = _int_in(oracle_doc, "batch_limit", "oracle", 1, default=16)
 
-    params = _parse_params(doc.get("params", {}), oracle_account)
-
-    detectors = dict(BUILTIN_DETECTORS)
-    detectors_doc = doc.get("detectors", {})
-    if not isinstance(detectors_doc, dict):
+def _detectors(doc: Any) -> dict[str, DetectorSpec]:
+    """The built-in detectors and those the ``detectors`` map declares. The
+    plugins read parameters as given, so the kinds' parameters are checked
+    here."""
+    if not isinstance(doc, dict):
         raise ConfigError("scenario.detectors: expected an object")
-    for ident, entry in detectors_doc.items():
-        entry = _no_extra(entry, {"kind", "parameters"}, f"detector {ident!r}")
-        kind = _req(entry, "kind", f"detector {ident!r}")
+    detectors = dict(BUILTIN_DETECTORS)
+    for ident, entry in doc.items():
+        what = f"detector {ident!r}"
+        entry = _object(entry, what, ("kind", "parameters"), ("kind",))
+        kind, parameters = entry["kind"], entry.get("parameters", {})
         if not isinstance(ident, str) or not ident:
             raise ConfigError("detector identifiers must be non-empty strings")
         if ident in detectors:
             raise ConfigError(f"detector id {ident!r} already declared")
         if kind not in detector_kinds():
-            raise ConfigError(f"detector {ident!r}: unknown kind {kind!r}")
-        parameters = entry.get("parameters", {})
+            raise ConfigError(f"{what}: unknown kind {kind!r}")
         if not isinstance(parameters, dict):
-            raise ConfigError(f"detector {ident!r}: parameters must be an object")
+            raise ConfigError(f"{what}: parameters must be an object")
         for k, v in parameters.items():
             if not isinstance(v, (str, int, float, bool)) or (
                 isinstance(v, float) and not math.isfinite(v)
             ):
-                raise ConfigError(f"detector {ident!r}: bad parameter {k!r}")
+                raise ConfigError(f"{what}: bad parameter {k!r}")
             if isinstance(v, int) and not isinstance(v, bool) and not _is_u64(v):
-                raise ConfigError(
-                    f"detector {ident!r}: parameter {k!r} must be in [0, 2^64)"
-                )
+                raise ConfigError(f"{what}: parameter {k!r} must be in [0, 2^64)")
         if kind == "near-duplicate":
             if "tau" in parameters and not _is_unit_number(parameters["tau"]):
-                raise ConfigError(f"detector {ident!r}: tau must be a number in [0, 1]")
+                raise ConfigError(f"{what}: tau must be a number in [0, 1]")
             if "k" in parameters and not (
                 _is_u64(parameters["k"]) and parameters["k"] >= 1
             ):
-                raise ConfigError(f"detector {ident!r}: k must be an integer >= 1")
+                raise ConfigError(f"{what}: k must be an integer >= 1")
         detectors[ident] = DetectorSpec(kind=kind, parameters=dict(parameters))
+    return detectors
 
-    plans = []
-    plan_ids: set[str] = set()
-    for entry in doc.get("algorithms", []):
-        entry = _no_extra(
-            entry,
-            {"algorithm_id", "owner", "media_types", "detector", "stake",
-             "challenge_correct"},
-            "algorithm plan",
+
+def parse_scenario(doc: Any) -> ScenarioConfig:
+    """Parse and fully validate a scenario document. Unknown keys reject."""
+    _all_strings_encode(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError("scenario: expected an object")
+    rest = dict(doc)  # less each written-out shape as it is parsed
+    validators = _id_amounts(rest, "validators", "stake")
+    accounts = _id_amounts(rest, "accounts", "balance")
+    account_ids = {aid for aid, _ in accounts}
+    if sum(s for _, s in validators) <= 0:
+        raise ConfigError("validators: need at least one with positive stake")
+    if ESCROW_ACCOUNT in account_ids:
+        raise ConfigError(f"account id {ESCROW_ACCOUNT!r} is reserved")
+    if sum(s for _, s in validators) + sum(b for _, b in accounts) >= 2**64:
+        raise ConfigError("validators and accounts: total supply must be below 2^64")
+
+    oracle = _object(rest.pop("oracle", {}), "oracle", ("account", "batch_limit"))
+    oracle_account = _name(oracle.get("account", "oracle"), "oracle.account")
+    batch_limit = _u64(oracle.get("batch_limit", 16), "oracle.batch_limit")
+    if batch_limit < 1:
+        raise ConfigError("oracle.batch_limit: must be >= 1")
+    params = _parse(
+        ContractParams, rest.pop("params", {}), "params", {"oracle_account": oracle_account}
+    )
+    detectors = _detectors(rest.pop("detectors", {}))
+
+    entries = rest.pop("algorithms", [])
+    if not isinstance(entries, list):
+        raise ConfigError("scenario.algorithms: expected a list")
+    plans: dict[str, AlgorithmPlan] = {}
+    for entry in entries:
+        plan = _parse(
+            AlgorithmPlan, entry, "algorithm plan",
+            challenge_correct=params.challenge_count,
         )
-        aid = _req(entry, "algorithm_id", "algorithm plan")
-        owner = _req(entry, "owner", "algorithm plan")
-        if aid in plan_ids:
+        aid = plan.algorithm_id
+        if aid in plans:
             raise ConfigError(f"duplicate algorithm id {aid!r}")
-        plan_ids.add(aid)
-        if owner not in account_ids:
-            raise ConfigError(f"algorithm {aid!r}: owner {owner!r} not an account")
-        detector = _req(entry, "detector", "algorithm plan")
-        if detector not in detectors:
-            raise ConfigError(f"algorithm {aid!r}: unknown detector {detector!r}")
-        correct = _int_in(
-            entry, "challenge_correct", "algorithm plan", 0,
-            default=params.challenge_count,
-        )
-        if correct > params.challenge_count:
+        if plan.owner not in account_ids:
+            raise ConfigError(f"algorithm {aid!r}: owner {plan.owner!r} not an account")
+        if plan.detector not in detectors:
+            raise ConfigError(f"algorithm {aid!r}: unknown detector {plan.detector!r}")
+        if plan.challenge_correct > params.challenge_count:
             raise ConfigError(
                 f"algorithm {aid!r}: challenge_correct > {params.challenge_count}"
             )
-        plans.append(
-            AlgorithmPlan(
-                algorithm_id=aid,
-                owner=owner,
-                media_types=frozenset(_media_list(entry["media_types"], "algorithm plan")),
-                detector=detector,
-                stake=_int_in(entry, "stake", "algorithm plan", 0),
-                challenge_correct=correct,
-            )
-        )
+        plans[aid] = plan
 
-    corpus_doc = _no_extra(
-        _req(doc, "corpus", "scenario"),
-        {"trusted_count", "fake_count", "unrelated_count", "media_types",
-         "perturbation", "item_size", "alphabet_size"},
-        "corpus",
+    given = dict(
+        validators=validators, accounts=accounts, detectors=detectors,
+        algorithms=tuple(plans.values()), oracle_batch_limit=batch_limit, params=params,
     )
-    perturb_doc = _no_extra(
-        _req(corpus_doc, "perturbation", "corpus"), {"kind", "rate"}, "perturbation"
+    first = (accounts[0][0],)
+    config = _parse(
+        ScenarioConfig, rest, "scenario", given,
+        providers=first, users=first, requests_per_block=8, request_fee=params.min_fee,
     )
-    kind = _req(perturb_doc, "kind", "perturbation")
-    rate = _req(perturb_doc, "rate", "perturbation")
-    if kind not in PERTURB_KINDS:
-        raise ConfigError(f"perturbation.kind: must be one of {PERTURB_KINDS}")
-    if not _is_unit_number(rate):
-        raise ConfigError("perturbation.rate: must be a number in [0, 1]")
-    media_types = _media_list(_req(corpus_doc, "media_types", "corpus"), "corpus.media_types")
-    if kind == "byte-flip" and MediaType.IMAGE in media_types:
+
+    corpus = config.corpus
+    if corpus.perturbation.kind not in PERTURB_KINDS:
+        raise ConfigError(f"scenario.corpus.perturbation.kind: must be one of {PERTURB_KINDS}")
+    if corpus.perturbation.kind == "byte-flip" and MediaType.IMAGE in corpus.media_types:
         raise ConfigError(
             "byte-flip perturbation can corrupt PGM headers; use pixel-shift for Image"
         )
-    corpus = CorpusSpec(
-        trusted_count=_int_in(corpus_doc, "trusted_count", "corpus", 0),
-        fake_count=_int_in(corpus_doc, "fake_count", "corpus", 0),
-        unrelated_count=_int_in(corpus_doc, "unrelated_count", "corpus", 0),
-        media_types=media_types,
-        perturbation=PerturbationSpec(kind=kind, rate=float(rate)),
-        item_size=_int_in(corpus_doc, "item_size", "corpus", 1, default=4096),
-        alphabet_size=_int_in(corpus_doc, "alphabet_size", "corpus", 1, default=32),
-    )
-    if corpus.alphabet_size > 256:
-        raise ConfigError("corpus.alphabet_size: must be <= 256")
+    if corpus.item_size < 1:
+        raise ConfigError("scenario.corpus.item_size: must be >= 1")
+    if not 1 <= corpus.alphabet_size <= 256:
+        raise ConfigError("scenario.corpus.alphabet_size: must be in [1, 256]")
     if corpus.fake_count > 0 and corpus.trusted_count == 0:
-        raise ConfigError("corpus: fakes require at least one trusted item")
-
-    def _account_list(key: str) -> tuple[str, ...]:
-        values = doc.get(key) or ([accounts[0][0]] if accounts else [])
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"scenario.{key}: expected non-empty list")
-        for v in values:
+        raise ConfigError("scenario.corpus: fakes require at least one trusted item")
+    for key in ("providers", "users"):
+        for v in getattr(config, key):
             if v not in account_ids:
                 raise ConfigError(f"scenario.{key}: {v!r} is not a declared account")
-        return tuple(values)
-
-    providers = _account_list("providers")
-    users = _account_list("users")
-
-    request_fee = _int_in(doc, "request_fee", "scenario", 0, default=params.min_fee)
-    if request_fee < params.min_fee:
-        raise ConfigError(f"request_fee {request_fee} below minimum fee {params.min_fee}")
-
-    return ScenarioConfig(
-        seed=seed,
-        blocks=blocks,
-        validators=tuple(validators),
-        accounts=tuple(accounts),
-        detectors=detectors,
-        algorithms=tuple(plans),
-        corpus=corpus,
-        providers=providers,
-        users=users,
-        requests_per_block=_int_in(doc, "requests_per_block", "scenario", 1, default=8),
-        request_fee=request_fee,
-        oracle_batch_limit=batch_limit,
-        params=params,
-    )
+    if config.requests_per_block < 1:
+        raise ConfigError("scenario.requests_per_block: must be >= 1")
+    if config.request_fee < params.min_fee:
+        raise ConfigError(
+            f"request_fee {config.request_fee} below minimum fee {params.min_fee}"
+        )
+    return config
 
 
 # --- corpus ----------------------------------------------------------------

@@ -34,6 +34,14 @@ def random_bytes(rng, n: int) -> bytes:
     return b"".join(rng.next_u64().to_bytes(8, "big") for _ in range(-(-n // 8)))[:n]
 
 
+def json_containers(value):
+    """Every dict and list in ``value``, ``value`` included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from json_containers(child)
+
+
 def load_golden_config():
     return parse_scenario(json.loads(GOLDEN_CONFIG_PATH.read_text()))
 

@@ -257,10 +257,21 @@ def test_run_rejects_bad_near_duplicate_parameters(tmp_path, capsys, parameters,
         (lambda doc: doc.update(request_fee=2**64), "scenario.request_fee"),
         (lambda doc: [a.update(balance=2**63) for a in doc["accounts"][:2]],
          "total supply"),
+        # Each of these used to end in a traceback.
+        (lambda doc: doc.update(validators=5), "scenario.validators"),
+        (lambda doc: doc.update(accounts=5), "scenario.accounts"),
+        (lambda doc: doc.update(algorithms=5), "scenario.algorithms"),
+        (lambda doc: doc["algorithms"][0].pop("media_types"), "'media_types'"),
+        (lambda doc: doc["algorithms"][0].update(algorithm_id=[1]), "plan.algorithm_id"),
+        (lambda doc: doc["algorithms"][0].update(owner=[1]), "plan.owner"),
+        (lambda doc: doc.update(users=[[1]]), "scenario.users"),
+        (lambda doc: doc["algorithms"][0].update(algorithm_id=5), "plan.algorithm_id"),
     ],
     ids=["min-fee", "epoch-length", "detector-negative", "detector-2-64",
          "near-duplicate-k-2-64", "detector-nan", "balance", "algorithm-stake",
-         "request-fee", "supply"],
+         "request-fee", "supply", "validators-int", "accounts-int", "algorithms-int",
+         "plan-without-media-types", "algorithm-id-list", "owner-list", "users-nested-list",
+         "algorithm-id-int"],
 )
 def test_run_rejects_scenario_values_the_chain_cannot_hold(tmp_path, capsys, edit, named):
     doc = json.loads(GOLDEN_CONFIG_PATH.read_text())

@@ -2,17 +2,27 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from veriledger.core import MediaType, ReceiptStatus, TxKind, Verdict
+from veriledger.core import (
+    MediaType,
+    ReceiptStatus,
+    RegisterAlgorithm,
+    Transaction,
+    TxKind,
+    Verdict,
+    encode_transaction,
+)
 from veriledger.detection import embed, parse_pgm, similarity
 from veriledger.errors import ConfigError, MissingLabel
+from veriledger.ledger import init_chain
 from veriledger.rng import SplitMix64
 from veriledger.sim import (
     CorpusSpec,
     GroundTruth,
     PerturbationSpec,
     ScenarioRunner,
+    build_genesis_state,
     compute_metrics,
     generate_corpus,
     parse_scenario,
@@ -20,7 +30,7 @@ from veriledger.sim import (
 )
 from veriledger.store import canonical_json
 
-from conftest import GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, random_bytes
+from conftest import GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, json_containers, random_bytes
 
 
 def golden_doc():
@@ -335,6 +345,89 @@ def test_duplicate_ids_rejected():
     doc["accounts"].append({"id": "user-1", "balance": 5})
     with pytest.raises(ConfigError):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: doc.update(seed=2**64 + 7), "scenario.seed"),
+        (lambda doc: doc.update(seed=-1), "scenario.seed"),
+        (lambda doc: doc.update(providers=[]), "scenario.providers: expected non-empty list"),
+        (lambda doc: doc.update(users=[]), "scenario.users: expected non-empty list"),
+    ],
+    ids=["seed-2-64-plus-7", "seed-negative", "providers-empty", "users-empty"],
+)
+def test_seed_beyond_64_bits_and_empty_account_lists_rejected(edit, named):
+    # A seed of 2^64 + 7 used to run seed 7, and an empty list fell back to
+    # the first account.
+    doc = golden_doc()
+    edit(doc)
+    with pytest.raises(ConfigError, match=named):
+        parse_scenario(doc)
+
+
+SCENARIO_WRONG_TYPES = [5, 1.5, "", "x", [], [1], {}, {"a": 1}, None, True, False]
+SCENARIO_U64_EDGES = [-1, 0, 2**64 - 1, 2**64]
+# Keys an object may gain: unknown ones, and optional ones the base leaves out.
+SCENARIO_ADDED_KEYS = ["extra", "request_fee", "challenge_correct", "alphabet_size",
+                       "parameters", "batch_limit", "account"]
+
+
+def _fuzz_base():
+    """The golden scenario, with a declared detector and a params object so
+    that their parsers are fuzzed too; it parses to the same config but for
+    those two."""
+    doc = golden_doc()
+    doc["detectors"] = {"nd": {"kind": "near-duplicate", "parameters": {"tau": 0.9, "k": 3}}}
+    doc["params"] = {"min_fee": 10, "challenge_pass_accuracy": 0.8}
+    return doc
+
+
+@st.composite
+def scenario_mutations(draw):
+    """The fuzz base with one value replaced by a wrong type or a u64 edge,
+    one key or entry dropped, or one added."""
+    doc = _fuzz_base()
+    container = draw(st.sampled_from(list(json_containers(doc))))
+    kind = draw(st.sampled_from(["type", "u64", "drop", "add"]))
+    is_dict = isinstance(container, dict)
+    if kind == "add" or not container:
+        value = draw(st.sampled_from(SCENARIO_WRONG_TYPES + SCENARIO_U64_EDGES))
+        if is_dict:
+            container[draw(st.sampled_from(SCENARIO_ADDED_KEYS))] = value
+        else:
+            container.append(draw(st.sampled_from([value, *container[:1]])))
+    else:
+        index = draw(st.sampled_from(list(container) if is_dict else range(len(container))))
+        if kind == "drop":
+            del container[index]
+        else:
+            values = SCENARIO_WRONG_TYPES if kind == "type" else SCENARIO_U64_EDGES
+            container[index] = draw(st.sampled_from(values))
+    return doc
+
+
+@settings(max_examples=300)
+@given(scenario_mutations())
+def test_fuzzed_scenario_values_parse_or_end_in_a_config_error(doc):
+    # A value the parser let through used to end in a traceback in the run;
+    # what it accepts must reach the chain. Whole runs are not fuzzed: a
+    # fuzzed count of 2^64 - 1 would never finish.
+    try:
+        config = parse_scenario(doc)
+    except ConfigError:
+        return
+    init_chain(build_genesis_state(config))
+    for plan in config.algorithms:
+        payload = RegisterAlgorithm(
+            algorithm_id=plan.algorithm_id,
+            media_types=plan.media_types,
+            detector_kind=plan.detector,
+            stake=plan.stake,
+        )
+        encode_transaction(
+            Transaction(TxKind.REGISTER_ALGORITHM, plan.owner, payload, nonce=0)
+        )
 
 
 # --- runs -------------------------------------------------------------------------

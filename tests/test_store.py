@@ -55,6 +55,7 @@ from veriledger.store import (
     verify_chain,
 )
 
+from conftest import json_containers
 from test_ledger import fresh_state, transfer
 
 
@@ -442,14 +443,6 @@ WRONG_TYPES = [None, True, False, 0, -1, 1.5, -0.0, "", "x", "Bytes", [], {}, [0
 U64_EDGES = [2**64 - 1, 2**64, 2**63, 2**63 - 1, 2**32, -1, -(2**63), -(2**64)]
 
 
-def _containers(value):
-    """Every dict and list in ``value``, ``value`` included."""
-    if isinstance(value, (dict, list)):
-        yield value
-        for child in value.values() if isinstance(value, dict) else value:
-            yield from _containers(child)
-
-
 def _reseal(records, start):
     """Rewrite the block hash of record ``start`` and every later record, and
     the parent hash each later block stores, so that replay gets past the
@@ -492,13 +485,13 @@ def chain_mutations(draw, lines):
         if len(receipts) > 1 and draw(st.booleans()):
             lists = [receipts]
         else:
-            lists = [c for c in _containers(records[start]) if isinstance(c, list) and len(c) > 1]
+            lists = [c for c in json_containers(records[start]) if isinstance(c, list) and len(c) > 1]
         if lists:
             target = draw(st.sampled_from(lists))
             i, j = draw(st.lists(st.integers(0, len(target) - 1), min_size=2, max_size=2, unique=True))
             target[i], target[j] = target[j], target[i]
     else:
-        container = draw(st.sampled_from(list(_containers(records[start]))))
+        container = draw(st.sampled_from(list(json_containers(records[start]))))
         is_dict = isinstance(container, dict)
         if kind == "add" or not container:
             if is_dict:
