@@ -21,8 +21,8 @@ iteration work as on a tuple. On first use it builds, and keeps for the
 poll, an exact index from ``(media_type, content_hash)`` to the record with
 the smallest content_id, and per ``(media_type, dimension)`` the search
 rows: each record of that media type, in registry order, as ``(record,
-same_dimension, norm2, support, peak)``. A search then walks only the rows
-of its media type and calls no method on a record it skips.
+support, ratio)``. A search then walks only the rows of its media type and
+calls no method on a record it skips.
 
 Similarity search is sparse and norm-cached. Each ``Embedding`` caches its
 non-zero ``(index, value)`` pairs and its squared norm (``sparse()``), so a
@@ -37,51 +37,38 @@ independent of the others, so a norm summed once and cached is the same
 number.
 
 ``match_trusted`` also skips every record whose cosine provably stays below
-the threshold, in two steps: the size filter of AllPairs (Bayardo, Ma and
-Srikant, WWW 2007) and PPJoin (Xiao, Wang, Lin and Yu, WWW 2008), put in
-front of a per-record bound.
+the threshold, with one test per row: the size filter of AllPairs (Bayardo,
+Ma and Srikant, WWW 2007) and PPJoin (Xiao, Wang, Lin and Yu, WWW 2008).
+Each ``Embedding`` caches, beside its pairs and norm, a support bitmask and
+its peak ``max(values)``. For non-negative vectors each of the ``c =
+popcount(support_q & support_r)`` non-zero products is at most ``peak_q *
+peak_r``, so the cosine is at most ``c * a * b``, with ``a = peak_q /
+sqrt(n_q)`` and ``b = peak_r / sqrt(n_r)``. A row holds ``b`` as its
+``ratio``, and once per query the search takes ``limit = threshold * (1 -
+1e-9) / a``; it skips a row iff ``c * ratio < limit``.
 
-The per-record bound. Each ``Embedding`` caches, beside its pairs and norm,
-a support bitmask and its peak ``max(values)``. For non-negative vectors
-each of the ``c = popcount(support_q & support_r)`` non-zero products is at
-most ``peak_q * peak_r``, and rounding is monotone, so each rounded product
-is at most the rounded product of the peaks, subnormals included. The bound
-is ``c * (peak_q * peak_r) / math.sqrt(n_q * n_r)``, with the exact
-denominator of ``_cosine``. Rounding can still lift the summed dot product
-above ``c`` times that product, by a relative ``256 * 2**-53`` at most
-(about 3e-14), so a record is skipped only when ``bound * (1 + 1e-9) <
-threshold``; an all-equal embedding of ten 0.1s against itself has bound
-``1 - 2**-53`` and score 1.0. Nothing is skipped when the threshold is 0,
-when the denominator is 0 (``similarity`` then raises ``ZeroVector`` or
-``ZeroDivisionError`` as it would have), when the bound is inf or NaN, or
-when a value is negative or NaN (the peak is then inf). When both supports
-are full, ``n <= d * peak**2`` on each side makes the bound at least 1, so
-it never skips such a pair.
-
-The shared-bin floor. A row's bound is ``c * a * b``, with ``a = peak_q /
-sqrt(n_q)`` and ``b = peak_r / sqrt(n_r)``, and ``b`` is at most ``rho``,
-the largest ``b`` among the rows. Once per query, ``match_trusted`` takes
-``T = floor(threshold * (1 - 1e-9) / (BOUND_MARGIN * a * rho))`` and skips a
-row whose ``c`` is below ``T`` with one popcount and one comparison. This
-is sound: ``c < T`` gives ``c * a * b * BOUND_MARGIN < threshold * (1 -
-1e-9)`` before rounding, and when every norm and peak lies in ``SCALE``
-(``2**-500`` to ``2**500``) no product or quotient of the floor or the
-bound is subnormal or infinite, so together they round by a relative
-``2**-49`` at most, far inside the ``1e-9`` slack, and the bound as computed
-reads below the threshold too. The floor skips only rows the bound would
-skip. ``T`` is 0 (nothing is skipped by it) when the threshold is 0, when
-the query's norm or peak lies outside ``SCALE``, and when any row of the
-query's media type has another dimension or a norm or peak outside
-``SCALE``: a zero norm, an inf peak (a negative or NaN value), an inf norm,
-or squares small enough that a product could underflow. A record of another
-dimension still raises ``DimensionMismatch``. Every record neither step
-skips goes through ``similarity``, in registry order, so each score and
-every result keeps its bits.
+This is sound when every norm and peak lies in ``SCALE`` (``2**-500`` to
+``2**500``): there no step of the rule or of the cosine underflows or
+overflows, so each rounds by a relative ``2**-53`` at most. The summed dot
+product can exceed ``c`` times the rounded product of the peaks by a
+relative ``256 * 2**-53`` (about 3e-14), and all the rounding together
+stays far inside the ``1e-9`` slack, so a skipped row's cosine as computed
+is below the threshold too; an all-equal embedding of ten 0.1s against
+itself has ``c * a * b`` just below 1 and score 1.0. A row that shares no
+bin has dot product exactly ``+0.0``. Outside ``SCALE`` the rule is off:
+there ``a`` or ``ratio`` is ``inf``. A query's ``a`` of ``inf`` makes
+``limit`` 0, as threshold 0 does, and no product is below 0; a row's
+``ratio`` of ``inf`` makes its product ``inf``, or NaN when ``c`` is 0, and
+neither is below ``limit``. That covers a zero norm, an inf peak (a negative
+or NaN value), an inf norm and squares small enough that a product could
+underflow. A record of another dimension has ratio ``inf`` too, so it still
+raises ``DimensionMismatch``. Every record the rule does not skip goes
+through ``similarity``, in registry order, so each score and every result
+keeps its bits.
 
 Bytes histograms are sparse: on big-registry seed 7, at ``tau`` 0.95, the
-floor skips 59,877 of 60,000 records and the bound 3 more. Image and Audio
-embeddings are dense, and neither step skips any of mixed-media's 2,670
-Image records.
+rule skips 59,880 of 60,000 records. Image and Audio embeddings are dense,
+and it skips none of mixed-media's 2,670 Image records.
 """
 
 from __future__ import annotations
@@ -102,7 +89,6 @@ from .core import (
     Embedding,
     MediaType,
     Verdict,
-    sparse_values,
 )
 from .errors import (
     DimensionMismatch,
@@ -117,13 +103,12 @@ from .errors import (
 GRID = 8  # image embeddings use an 8x8 block grid
 AUDIO_WINDOWS = 64
 PCM_FULL_SCALE = 32768.0
-# Relative slack on the pruning bound, over 30,000 times the worst rounding
+# Relative slack on the pruning rule, over 30,000 times the worst rounding
 # (about 3e-14) of a dot product summed from at most 256 products.
-BOUND_MARGIN = 1.0 + 1e-9
-# The shared-bin floor's own slack, and the range every norm and peak must
-# lie in for it to be on: inside it no product or quotient of the bound
-# underflows or overflows, so each rounds by a relative 2**-53 at most.
-FLOOR_SLACK = 1.0 - 1e-9
+SLACK = 1.0 - 1e-9
+# The range every norm and peak must lie in for the rule to skip a row:
+# inside it no product or quotient underflows or overflows, so each rounds
+# by a relative 2**-53 at most.
 SCALE = (2.0**-500, 2.0**500)
 
 
@@ -284,20 +269,14 @@ def _cosine(
     return min(1.0, max(0.0, dot / math.sqrt(na * nb)))
 
 
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine similarity kernel over raw vectors, clamped to [0, 1].
+def similarity(a: Embedding, b: Embedding) -> float:
+    """Cosine similarity of two embeddings, clamped to [0, 1], from their
+    cached non-zero pairs and norms: the dot product walks only ``b``'s
+    non-zero entries.
 
     Entries are expected non-negative, so the mathematical value is already
     in [0, 1]; clamping only removes float round-off spill.
     """
-    if len(a) != len(b):
-        raise DimensionMismatch(f"{len(a)} != {len(b)}")
-    return _cosine(a, sparse_values(a)[1], *sparse_values(b)[:2])
-
-
-def similarity(a: Embedding, b: Embedding) -> float:
-    """``cosine`` of two embeddings, from their cached non-zero pairs and
-    norms: the dot product walks only ``b``'s non-zero entries."""
     if a.media_type is not b.media_type:
         raise DimensionMismatch(
             f"cannot compare {a.media_type.value} with {b.media_type.value}"
@@ -307,7 +286,18 @@ def similarity(a: Embedding, b: Embedding) -> float:
     return _cosine(a.values, a.sparse()[1], *b.sparse()[:2])
 
 
-_Row = tuple[ContentRecord, bool, float, int, float]
+_Row = tuple[ContentRecord, int, float]
+
+
+def _ratio(embedding: Embedding, dimension: int) -> float:
+    """``peak / sqrt(norm2)`` of ``embedding``, or ``inf``, which keeps the
+    pruning rule from skipping it, when its dimension is not ``dimension`` or
+    its norm or peak lies outside ``SCALE``."""
+    _, norm2, _, peak = embedding.sparse()
+    low, high = SCALE
+    if len(embedding.values) == dimension and low <= norm2 <= high and low <= peak <= high:
+        return peak / math.sqrt(norm2)
+    return math.inf
 
 
 class RegistryIndex(Sequence[ContentRecord]):
@@ -324,7 +314,7 @@ class RegistryIndex(Sequence[ContentRecord]):
     def __init__(self, records: Iterable[ContentRecord]) -> None:
         self._records = tuple(records)
         self._exact: dict[tuple[MediaType, bytes], ContentRecord] | None = None
-        self._rows: dict[tuple[MediaType, int], tuple[tuple[_Row, ...], float]] = {}
+        self._rows: dict[tuple[MediaType, int], tuple[_Row, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -347,46 +337,22 @@ class RegistryIndex(Sequence[ContentRecord]):
             }
         return index.get((media_type, content_hash.value))
 
-    def rows(self, media_type: MediaType, dimension: int) -> tuple[tuple[_Row, ...], float]:
+    def rows(self, media_type: MediaType, dimension: int) -> tuple[_Row, ...]:
         """The records of ``media_type`` in registry order, each as
-        ``(record, same_dimension, norm2, support, peak)``, and ``rho``, their
-        largest ``peak / sqrt(norm2)``. ``rho`` is 0.0, which turns the
-        shared-bin floor off, when a record has another dimension or a norm
-        or peak outside ``SCALE``."""
+        ``(record, support, ratio)``: its support bitmask and its
+        ``_ratio`` at ``dimension``."""
         key = (media_type, dimension)
-        cached = self._rows.get(key)
-        if cached is None:
-            low, high = SCALE
-            rows = []
-            rho = 0.0
-            scaled = True
-            for record in self._records:
-                if record.media_type is not media_type:
-                    continue
-                embedding = record.embedding
-                _, norm2, support, peak = embedding.sparse()
-                same_dimension = len(embedding.values) == dimension
-                rows.append((record, same_dimension, norm2, support, peak))
-                if same_dimension and low <= norm2 <= high and low <= peak <= high:
-                    rho = max(rho, peak / math.sqrt(norm2))
-                else:
-                    scaled = False
-            cached = self._rows[key] = (tuple(rows), rho if scaled else 0.0)
-        return cached
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = tuple(
+                (record, record.embedding.sparse()[2], _ratio(record.embedding, dimension))
+                for record in self._records
+                if record.media_type is media_type
+            )
+        return rows
 
 
 _content_id = operator.attrgetter("content_id")
-
-
-def _shared_floor(threshold: float, nq: float, peak_q: float, rho: float) -> int:
-    """The fewest shared bins a row needs for its bound to reach
-    ``threshold`` against a query of squared norm ``nq`` and peak ``peak_q``,
-    or 0 when the floor is off (see the module docstring)."""
-    low, high = SCALE
-    if threshold > 0.0 and rho > 0.0 and low <= nq <= high and low <= peak_q <= high:
-        scale = BOUND_MARGIN * (peak_q / math.sqrt(nq)) * rho
-        return math.floor(threshold * FLOOR_SLACK / scale)
-    return 0
 
 
 def _indexed(registry: Iterable[ContentRecord]) -> RegistryIndex:
@@ -411,22 +377,15 @@ def match_trusted(
         raise ValueError("k must be >= 1")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    prune = threshold > 0.0
     dimension = len(query.values)
-    _, nq, support_q, peak_q = query.sparse()
-    rows, rho = _indexed(registry).rows(query.media_type, dimension)
-    floor = _shared_floor(threshold, nq, peak_q, rho)
+    support_q = query.sparse()[2]
+    limit = threshold * SLACK / _ratio(query, dimension)  # 0.0 turns the rule off
     candidates = []
-    for record, same_dimension, nr, support_r, peak_r in rows:
-        if prune and same_dimension:
-            shared = (support_q & support_r).bit_count()
-            if shared < floor:
-                continue
-            denominator = math.sqrt(nq * nr)  # exactly as in ``_cosine``
-            if denominator != 0.0:
-                bound = shared * (peak_q * peak_r) / denominator
-                if bound * BOUND_MARGIN < threshold:  # never for inf or NaN
-                    continue
+    for record, support, ratio in _indexed(registry).rows(query.media_type, dimension):
+        # Never true for a ratio of inf: ``inf < limit`` and NaN ``< limit``
+        # (``0 * inf``) are false.
+        if (support_q & support).bit_count() * ratio < limit:
+            continue
         sim = similarity(query, record.embedding)
         if sim >= threshold:
             candidates.append(MatchCandidate(record.content_id, sim))

@@ -63,7 +63,7 @@ from .core import (
     Verdict,
 )
 from .detection import detector_kinds, embed, parse_pgm
-from .errors import ConfigError, MissingLabel
+from .errors import ConfigError, MalformedImage, MissingLabel
 from .ledger import init_chain, seal_block
 from .oracle import OracleBatch, process_pending
 from .rng import SplitMix64, derive_seed
@@ -78,6 +78,10 @@ from .store import (
 IMAGE_SIDE = 32
 AUDIO_SAMPLES = 2048
 PERTURB_KINDS = ("byte-flip", "pixel-shift")
+# The most corpus a scenario may ask for, in bytes, each item counted as at
+# least 4096 (an Audio item's size): a larger corpus is refused as a config
+# error instead of running set-up until memory runs out.
+CORPUS_BUDGET = 2**26
 BUILTIN_DETECTORS = {
     "exact-hash": DetectorSpec(kind="exact-hash"),
     "near-duplicate": DetectorSpec(kind="near-duplicate"),
@@ -418,6 +422,13 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
         )
     if corpus.item_size < 1:
         raise ConfigError("scenario.corpus.item_size: must be >= 1")
+    items = corpus.trusted_count + corpus.fake_count + corpus.unrelated_count
+    item_bytes = max(corpus.item_size, 4096)
+    if items * item_bytes > CORPUS_BUDGET:
+        raise ConfigError(
+            f"scenario.corpus: {items} items of {item_bytes} bytes"
+            " exceed the corpus budget of 2^26 bytes"
+        )
     if not 1 <= corpus.alphabet_size <= 256:
         raise ConfigError("scenario.corpus.alphabet_size: must be in [1, 256]")
     if corpus.fake_count > 0 and corpus.trusted_count == 0:
@@ -493,7 +504,7 @@ def perturb(content: bytes, kind: str, rate: float, seed: int) -> bytes:
             width, height, pixels = parse_pgm(content)
             offset = len(content) - len(pixels)
             span = len(pixels)
-        except Exception:
+        except MalformedImage:
             pass
     count = int(rate * span)
     positions = rng.sample_indices(span, count)

@@ -25,7 +25,7 @@ from veriledger.store import (
 from conftest import GOLDEN_CONFIG_PATH, REPO_ROOT
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, timeout=None):
     merged = dict(os.environ)
     merged["PYTHONPATH"] = str(REPO_ROOT / "src")
     merged.update(env or {})
@@ -34,6 +34,7 @@ def run_cli(args, env=None):
         capture_output=True,
         text=True,
         env=merged,
+        timeout=timeout,
     )
 
 
@@ -277,6 +278,22 @@ def test_run_rejects_scenario_values_the_chain_cannot_hold(tmp_path, capsys, edi
     doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
     edit(doc)
     assert named in _run_config_error(doc, tmp_path, capsys)
+
+
+def test_run_refuses_a_corpus_beyond_its_budget(tmp_path):
+    # A corpus of 2^40 items used to run set-up until memory ran out. Run in
+    # a child, killed if it outlives the timeout, so a regression cannot eat
+    # this process's memory.
+    doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
+    doc["corpus"]["unrelated_count"] = 2**40
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    result = run_cli(
+        ["run", "--config", str(config), "--out", str(tmp_path / "out")], timeout=5
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: scenario.corpus: ")
+    assert "corpus budget" in result.stderr
 
 
 def test_run_refuses_a_string_utf8_cannot_encode(tmp_path, capsys):

@@ -16,7 +16,6 @@ from veriledger.core import (
 from veriledger.detection import (
     AnalysisTarget,
     MatchCandidate,
-    cosine,
     embed,
     match_trusted,
     register_detector_kind,
@@ -215,29 +214,33 @@ def test_cosine_identity_within_tolerance():
     assert abs(similarity(e, e) - 1.0) <= 1e-12
 
 
+def vector(values, media_type=MediaType.IMAGE):
+    return Embedding(values=tuple(values), media_type=media_type)
+
+
 def test_cosine_orthogonal_kernel():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert similarity(vector([1.0, 0.0]), vector([0.0, 1.0])) == 0.0
 
 
 def test_cosine_half_kernel():
     # [1,0,1,0...] vs [1,1,0,0...]: dot 1 over sqrt(2)*sqrt(2)
-    a = [1.0, 0.0, 1.0] + [0.0] * 5
-    b = [1.0, 1.0, 0.0] + [0.0] * 5
-    assert abs(cosine(a, b) - 0.5) <= 1e-12
+    a = vector([1.0, 0.0, 1.0] + [0.0] * 5)
+    b = vector([1.0, 1.0, 0.0] + [0.0] * 5)
+    assert abs(similarity(a, b) - 0.5) <= 1e-12
 
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        cosine([1.0], [1.0, 2.0])
-    a = Embedding(values=tuple([0.5] * 64), media_type=MediaType.IMAGE)
-    b = Embedding(values=tuple([0.5] * 64), media_type=MediaType.AUDIO)
+        similarity(vector([1.0]), vector([1.0, 2.0]))
+    a = vector([0.5] * 64, MediaType.IMAGE)
+    b = vector([0.5] * 64, MediaType.AUDIO)
     with pytest.raises(DimensionMismatch):
         similarity(a, b)
 
 
 def test_zero_vector_rejected():
     with pytest.raises(ZeroVector):
-        cosine([0.0, 0.0], [1.0, 0.0])
+        similarity(vector([0.0, 0.0]), vector([1.0, 0.0]))
 
 
 @given(
@@ -247,8 +250,8 @@ def test_zero_vector_rejected():
 def test_similarity_symmetric_and_bounded(a_vals, b_vals):
     if not any(a_vals) or not any(b_vals):
         return
-    forward = cosine(a_vals, b_vals)
-    backward = cosine(b_vals, a_vals)
+    forward = similarity(vector(a_vals), vector(b_vals))
+    backward = similarity(vector(b_vals), vector(a_vals))
     assert forward == backward
     assert 0.0 <= forward <= 1.0
 
@@ -400,7 +403,7 @@ def test_near_duplicate_threshold_boundary_inclusive():
         content_hash=hash_bytes(b"q"),
         embedding=query,
     )
-    tau = cosine(query.values, other.values)
+    tau = similarity(query, other)
     verdict, _, _ = run_detector(
         DetectorSpec(kind="near-duplicate", parameters={"tau": tau}), target, [record]
     )

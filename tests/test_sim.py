@@ -151,6 +151,18 @@ def test_pixel_shift_keeps_pgm_parseable():
     assert shifted != original
 
 
+def test_pixel_shift_spans_non_pgm_content_and_spares_a_pgm_header():
+    # At rate 1 every position in the span is shifted: all of a non-PGM
+    # blob, P5 magic or not, and only the raster of a PGM.
+    header = b"P5\n8 8\n255\n"
+    for blob in (bytes(64), header + bytes(10), b"P5 x" + bytes(60)):
+        assert perturb(blob, "pixel-shift", 1.0, seed=3) == bytes(
+            (b + 1) % 256 for b in blob
+        )
+    pgm = header + bytes(64)
+    assert perturb(pgm, "pixel-shift", 1.0, seed=3) == header + bytes([1]) * 64
+
+
 # SHA-256 of every item's content (trusted, unrelated, then fakes) from
 # generate_corpus, recorded with the per-draw corpus code that the bulk draws
 # replaced. The golden run pins only Bytes items over 32 symbols.

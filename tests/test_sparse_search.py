@@ -7,14 +7,13 @@ and an exact-hash lookup that sorts the whole registry. The live code must
 give the same results bit for bit.
 ``brute_force_matches`` in ``test_detection`` calls ``similarity`` itself, so
 it cannot serve as this reference. ``three_pass_sparse_values`` is
-``sparse_values`` as it was before it became one pass, and
-``bound_skips`` is the per-record bound the shared-bin floor must stay
-inside.
+``sparse_values`` as it was before it became one pass.
 """
 
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +32,7 @@ from veriledger.core import (
 )
 from veriledger import detection
 from veriledger.detection import (
-    BOUND_MARGIN,
+    SLACK,
     AnalysisTarget,
     MatchCandidate,
     RegistryIndex,
@@ -120,24 +119,26 @@ def three_pass_sparse_values(values):
     return pairs, norm2, support, peak
 
 
-def bound_skips(query, embedding, threshold):
-    """Whether ``match_trusted``'s per-record bound skips ``embedding``."""
-    if threshold == 0.0 or len(embedding.values) != len(query.values):
-        return False
-    _, nq, support_q, peak_q = query.sparse()
-    _, nr, support_r, peak_r = embedding.sparse()
-    denominator = math.sqrt(nq * nr)
-    if denominator == 0.0:
-        return False
-    bound = (support_q & support_r).bit_count() * (peak_q * peak_r) / denominator
-    return bound * BOUND_MARGIN < threshold
+def skipped_records(query, searched, threshold):
+    """The records of the query's media type that ``match_trusted`` skips:
+    those it never passes to ``similarity``. A record whose score raises
+    counts as scored, and the search goes on past it."""
+    real_similarity = detection.similarity
+    scored = set()
 
+    def scoring(a, b):
+        scored.add(id(b))
+        try:
+            return real_similarity(a, b)
+        except (DimensionMismatch, ZeroVector, ZeroDivisionError):
+            return 0.0
 
-def floor_for(query, registry, threshold):
-    """The shared-bin floor ``match_trusted`` takes for this search."""
-    _, nq, _, peak_q = query.sparse()
-    _, rho = RegistryIndex(registry).rows(query.media_type, len(query.values))
-    return detection._shared_floor(threshold, nq, peak_q, rho)
+    with mock.patch.object(detection, "similarity", scoring):
+        match_trusted(query, searched, 1, threshold)
+    return [
+        r for r in searched
+        if r.media_type is query.media_type and id(r.embedding) not in scored
+    ]
 
 
 def outcome(fn, *args):
@@ -290,12 +291,13 @@ def test_sparse_search_matches_dense_reference_bit_for_bit(search):
 @st.composite
 def well_scaled_searches(draw):
     """Searches over one media type in which every norm and peak lies in
-    ``SCALE``, so the floor is on, with thresholds at the records' bounds."""
+    ``SCALE``, so the pruning rule applies, with thresholds where a record's
+    product ``shared * ratio`` meets the rule's limit."""
     media_type = draw(st.sampled_from(MEDIA))
     dim = EMBEDDING_DIMENSIONS[media_type]
 
     def draw_embedding():
-        # The floor is above 0 only for supports wider than a few bins.
+        # Narrow supports share few bins, wide ones many.
         size = draw(st.sampled_from([1, 3, 8, 20, dim]))
         support = sorted(
             draw(st.sets(st.integers(0, dim - 1), min_size=size, max_size=size))
@@ -316,13 +318,14 @@ def well_scaled_searches(draw):
         for n in range(draw(st.integers(1, 12)))
     ]
     query = draw_embedding()
-    target = AnalysisTarget("r-floor", media_type, hash_bytes(b"none"), query)
+    target = AnalysisTarget("r-scaled", media_type, hash_bytes(b"none"), query)
     _, nq, support_q, peak_q = query.sparse()
+    a = peak_q / math.sqrt(nq)
     bounds = []
     for record in registry:
         _, nr, support_r, peak_r = record.embedding.sparse()
-        bound = (support_q & support_r).bit_count() * (peak_q * peak_r) / math.sqrt(nq * nr)
-        bounds += [t for t in (bound, bound * BOUND_MARGIN) if 0.0 < t <= 1.0]
+        bound = (support_q & support_r).bit_count() * (peak_r / math.sqrt(nr)) * a
+        bounds += [t for t in (bound, bound / SLACK) if 0.0 < t <= 1.0]
     boundaries = [
         t for b in bounds for t in (b, math.nextafter(b, 0.0), math.nextafter(b, 1.0))
     ]
@@ -332,27 +335,31 @@ def well_scaled_searches(draw):
 
 @settings(max_examples=5 * settings.default.max_examples)
 @given(st.one_of(searches(), well_scaled_searches()))
-def test_floor_skips_only_records_the_bound_skips(search):
+def test_rule_skips_only_records_scoring_below_the_threshold(search):
     registry, target, _, threshold = search
     query = target.embedding
-    floor = floor_for(query, registry, threshold)
-    support_q = query.sparse()[2]
-    for record in registry:
-        shared = (support_q & record.embedding.sparse()[2]).bit_count()
-        if record.media_type is query.media_type and shared < floor:
-            assert bound_skips(query, record.embedding, threshold)
+    for record in skipped_records(query, registry, threshold):
+        score = outcome(dense_cosine, query.values, record.embedding.values)
+        assert isinstance(score, str) and float.fromhex(score) < threshold
 
 
-def floor_case(case):
-    """A search whose floor is 3, so it would skip the record ``far``,
-    changed as ``case`` says."""
+def rule_case(case):
+    """A search in which the rule skips the record ``far``, which shares two
+    of the query's four bins, changed as ``case`` says."""
     query = embed(b"abcd", MediaType.BYTES)
-    registry = [content("far", embed(b"wxyz", MediaType.BYTES), HASHES[0])]
+    far = embed(b"abwx", MediaType.BYTES)
     threshold = 0.95
+    others = []
 
     def with_e(embedding, value):
         values = list(embedding.values)
         values[ord("e")] = value
+        return Embedding(values=tuple(values), media_type=MediaType.BYTES)
+
+    def on(text, value):
+        values = [0.0] * 256
+        for b in text:
+            values[b] = value
         return Embedding(values=tuple(values), media_type=MediaType.BYTES)
 
     bad = {"negative": -0.25, "NaN": math.nan}
@@ -361,37 +368,42 @@ def floor_case(case):
     elif case in ("query negative", "query NaN"):
         query = with_e(query, bad[case.split()[1]])
     elif case in ("record negative", "record NaN"):
-        odd = with_e(embed(b"abcd", MediaType.BYTES), bad[case.split()[1]])
-        registry.append(content("odd", odd, HASHES[1]))
+        # One such record shares bins with the query (its product is inf),
+        # the other none (its product is NaN).
+        value = bad[case.split()[1]]
+        far = with_e(far, value)
+        others = [content("odd", with_e(embed(b"wxyz", MediaType.BYTES), value), HASHES[1])]
     elif case == "zero-norm record":
-        zero = Embedding(values=(0.0,) * 256, media_type=MediaType.BYTES)
-        registry.append(content("zero", zero, HASHES[1]))
+        far = Embedding(values=(0.0,) * 256, media_type=MediaType.BYTES)
     elif case == "tiny norms":
-        # Norms of 4e-200, whose product underflows to 0: ``similarity``
-        # raises ZeroDivisionError, as the dense loop does.
-        tiny = Embedding(
-            values=(1e-100,) * 4 + (0.0,) * 252, media_type=MediaType.BYTES
-        )
-        query = tiny
-        registry.append(content("tiny", tiny, HASHES[1]))
-    return query, registry, threshold
+        # A query norm of 4e-200, below ``SCALE``, against a record norm of
+        # 4e-130, inside it: their product underflows to 0, so
+        # ``similarity`` raises ZeroDivisionError, as the dense loop does.
+        query = on(b"abcd", 1e-100)
+        far = on(b"abwx", 1e-65)
+    return query, [content("far", far, HASHES[0]), *others], threshold
 
 
-def test_floor_of_a_well_scaled_search():
-    # Both sides hold four bins of 0.25, so each has peak / sqrt(norm2) 0.5
-    # and the floor is floor(0.95 * (1 - 1e-9) / (BOUND_MARGIN * 0.25)) = 3.
-    assert floor_for(*floor_case(None)) == 3
+def test_rule_skips_a_well_scaled_record_sharing_too_few_bins():
+    # Each side holds four bins of 0.25, so each has peak / sqrt(norm2) 0.5:
+    # the limit is 0.95 * (1 - 1e-9) / 0.5, about 1.9, and ``far``'s product
+    # is 2 * 0.5 = 1.0; its cosine is 0.5.
+    query, registry, threshold = rule_case(None)
+    assert skipped_records(query, registry, threshold) == registry
+    assert outcome(match_trusted, query, registry, 5, threshold) == outcome(
+        dense_match_trusted, query, registry, 5, threshold
+    ) == []
 
 
 @pytest.mark.parametrize("case", [
     "tau 0", "query negative", "query NaN", "record negative", "record NaN",
     "zero-norm record", "tiny norms",
 ])
-def test_floor_is_zero_where_the_bound_may_not_hold(case):
-    query, registry, threshold = floor_case(case)
-    assert floor_for(query, registry, threshold) == 0
+def test_rule_skips_nothing_where_the_bound_may_not_hold(case):
+    query, registry, threshold = rule_case(case)
     expected = outcome(dense_match_trusted, query, registry, 5, threshold)
     for searched in (registry, RegistryIndex(registry)):
+        assert skipped_records(query, searched, threshold) == []
         assert outcome(match_trusted, query, searched, 5, threshold) == expected
 
 
@@ -445,8 +457,6 @@ def test_similarity_runs_only_on_records_the_bound_cannot_rule_out(monkeypatch):
         scored.append(b)
         return real_similarity(a, b)
 
-    # At 0.95 the shared-bin floor alone skips the 270.
-    assert floor_for(query, registry, 0.95) > 0
     monkeypatch.setattr(detection, "similarity", counting_similarity)
     cases = ((0.95, same_alphabet), (0.0, [r.embedding for r in registry]))
     for searched in (registry, RegistryIndex(registry)):
@@ -461,30 +471,31 @@ def test_similarity_runs_only_on_records_the_bound_cannot_rule_out(monkeypatch):
 @pytest.mark.parametrize("value, count", [(0.1, 10), (0.7417004975798249, 254)])
 def test_margin_keeps_a_tight_bound_from_skipping_a_match(value, count):
     # ``count`` equal values summed one by one round above ``count * value**2``,
-    # so the bound without its margin, 1 - 1.1e-16 and 1 - 7.1e-15 here, would
-    # skip the embedding's exact match with itself at threshold 1.0.
+    # so the rule without its slack would skip the embedding's exact match
+    # with itself at threshold 1.0: there ``count * ratio`` falls below
+    # ``1.0 / ratio``, the product ``count * ratio**2`` reading 1 - 2.2e-16
+    # and 1 - 6.9e-15.
     e = Embedding(
         values=(value,) * count + (0.0,) * (256 - count), media_type=MediaType.BYTES
     )
     _, norm2, support, peak = e.sparse()
-    assert support.bit_count() * (peak * peak) / math.sqrt(norm2 * norm2) < 1.0
+    ratio = peak / math.sqrt(norm2)
+    assert support.bit_count() * ratio < 1.0 / ratio
     registry = [content("c", e, HASHES[0])]
     assert match_trusted(e, registry, 1, 1.0) == [MatchCandidate("c", 1.0)]
     assert bits(dense_match_trusted(e, registry, 1, 1.0)) == [("c", (1.0).hex())]
 
 
 def test_record_of_another_dimension_still_raises():
-    # Records are pruned only against embeddings of the query's dimension, so
-    # a malformed record raises as the dense search does, bound or no bound.
-    # It also turns the floor off, which would otherwise skip it for sharing
-    # no bin with the query, and skip ``far`` before it.
+    # A record of another dimension has ratio inf, so the rule never skips it,
+    # though it shares no bin with the query, and it raises as the dense
+    # search does. ``far`` before it is skipped.
     query = embed(b"ab", MediaType.BYTES)
     short = Embedding(values=(0.0, 1.0), media_type=MediaType.BYTES)
     far = embed(b"xy", MediaType.BYTES)
     registry = [content("far", far, HASHES[1]), content("c", short, HASHES[0])]
-    assert floor_for(query, registry[:1], 0.95) > 0
-    assert floor_for(query, registry, 0.95) == 0
     for searched in (registry, RegistryIndex(registry)):
+        assert skipped_records(query, searched, 0.95) == registry[:1]
         assert outcome(match_trusted, query, searched, 1, 0.95) is DimensionMismatch
     assert outcome(dense_match_trusted, query, registry, 1, 0.95) is DimensionMismatch
 
@@ -551,7 +562,7 @@ def test_sparse_pairs_and_norm():
 def test_negative_or_nan_values_are_never_pruned(bad):
     # The bound holds only for non-negative vectors: with a peak of 1.0 it
     # would read 2 / 26 for this vector against itself, whose cosine is 1.0.
-    # Such a vector's peak is inf instead, so its bound is inf or NaN.
+    # Such a vector's peak is inf instead, so the rule never skips it.
     e = Embedding(values=(1.0, bad) + (0.0,) * 254, media_type=MediaType.BYTES)
     assert e.sparse()[3] == math.inf
     registry = [content("c", e, HASHES[0])]
