@@ -13,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from itertools import compress
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -115,18 +116,26 @@ def sparse_values(
     return tuple(pairs), norm2, support, peak
 
 
+def _encoding_cache():
+    return field(default=None, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True, slots=True)
 class Embedding:
     """Fixed-dimension numeric fingerprint of one piece of content."""
 
     values: tuple[float, ...]
     media_type: MediaType
-    # ``sparse_values(values)``, filled by ``sparse()`` on first use. Like the
-    # records' ``_encoding`` it stays out of equality, hashing, ``repr`` and
-    # every encoding, and ``dataclasses.replace`` leaves it empty.
+    # Two caches, each filled on first use: ``sparse_values(values)`` by
+    # ``sparse()``, and the canonical encoding by ``encode_embedding``, which
+    # the transaction payload, ``hash_embedding`` and the ``ContentRecord``
+    # encoding all reuse. Like the records' ``_encoding`` they stay out of
+    # equality, hashing, ``repr`` and every encoding, and
+    # ``dataclasses.replace`` leaves them empty.
     _sparse: tuple[tuple[tuple[int, float], ...], float, int, float] | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    _encoding: bytes | None = _encoding_cache()
 
     def dimension(self) -> int:
         return len(self.values)
@@ -134,17 +143,16 @@ class Embedding:
     def is_valid(self) -> bool:
         """Right length, every value finite and ``>= 0``, one ``> 0``.
 
-        Three C-level passes; ``min`` and ``max`` run only once ``isfinite``
-        has ruled out NaN, which would make them depend on value order.
+        Checked over the non-zero values (``kept``) alone: a zero of either
+        sign passes, so it is left out, and a NaN is truthy, so it stays in.
+        ``min`` runs only once ``isfinite`` has ruled out NaN, which would
+        make it depend on value order.
         """
         values = self.values
         if len(values) != EMBEDDING_DIMENSIONS[self.media_type]:
             return False
-        return (
-            all(map(math.isfinite, values))
-            and min(values) >= 0.0
-            and max(values) > 0.0
-        )
+        kept = list(compress(values, values))
+        return bool(kept) and all(map(math.isfinite, kept)) and min(kept) > 0.0
 
     def sparse(self) -> tuple[tuple[tuple[int, float], ...], float, int, float]:
         """Cached ``sparse_values(self.values)``."""
@@ -231,10 +239,6 @@ PAYLOAD_TYPES: dict[TxKind, type] = {
     TxKind.SUBMIT_FEEDBACK: SubmitFeedback,
     TxKind.TRANSFER_TOKENS: TransferTokens,
 }
-
-
-def _encoding_cache():
-    return field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -505,8 +509,13 @@ def record_schema(cls: type) -> tuple[tuple[str, str], ...]:
 
 
 def encode_embedding(e: Embedding) -> bytes:
-    # Media type first: the reverse of the declaration order.
-    return enc_str(e.media_type.value) + enc_f64_list(e.values)
+    """Canonical encoding of ``e``, computed once and cached on it."""
+    encoded = e._encoding
+    if encoded is None:
+        # Media type first: the reverse of the declaration order.
+        encoded = enc_str(e.media_type.value) + enc_f64_list(e.values)
+        object.__setattr__(e, "_encoding", encoded)
+    return encoded
 
 
 def hash_embedding(e: Embedding) -> Hash256:

@@ -147,7 +147,9 @@ def _embed_bytes(content: bytes) -> tuple[float, ...]:
     for b in content:
         counts[b] += 1
     n = len(content)
-    return tuple(c / n for c in counts)
+    # An empty bin shares the one 0.0 rather than a new float per bin:
+    # the same bits, since 0 / n is +0.0.
+    return tuple(c / n if c else 0.0 for c in counts)
 
 
 def parse_pgm(content: bytes) -> tuple[int, int, bytes]:

@@ -90,7 +90,6 @@ from .errors import (
 from .ledger import apply_block, compute_block_hash, init_chain
 
 FORMAT_VERSION = "v3"
-CHAIN_SUFFIX = ".chain.jsonl"
 
 
 def canonical_json(value: Any) -> str:

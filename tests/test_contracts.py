@@ -303,6 +303,13 @@ SPECIAL_VALUES = [
 ]
 
 
+def lone_among_zeros(value: float, index: int) -> Embedding:
+    """A Bytes vector of zeros with ``value`` at ``index``."""
+    values = [0.0] * EMBEDDING_DIMENSIONS[MediaType.BYTES]
+    values[index] = value
+    return Embedding(values=tuple(values), media_type=MediaType.BYTES)
+
+
 @st.composite
 def candidate_embeddings(draw):
     """Vectors of each media type, of the right length or one off, filled
@@ -316,8 +323,18 @@ def candidate_embeddings(draw):
     return Embedding(values=tuple(values), media_type=media_type)
 
 
+@example(lone_among_zeros(math.nan, 0))
+@example(lone_among_zeros(math.nan, -1))
+@example(lone_among_zeros(math.inf, 0))
+@example(lone_among_zeros(math.inf, -1))
+@example(lone_among_zeros(-math.inf, 0))
+@example(lone_among_zeros(-math.inf, -1))
+@example(lone_among_zeros(-5e-324, 0))
+@example(lone_among_zeros(-5e-324, -1))
 @example(bytes_embedding(0.0))
 @example(bytes_embedding(-0.0))
+@example(Embedding(values=(-0.0, 0.5) + (0.0,) * 254, media_type=MediaType.BYTES))
+@example(Embedding(values=(0.5, -0.0) + (0.0,) * 254, media_type=MediaType.BYTES))
 @example(bytes_embedding(5e-324))
 @example(bytes_embedding(math.nan))
 @example(bytes_embedding(math.inf))

@@ -26,8 +26,9 @@ from operator import attrgetter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from veriledger.codec import TX_TAG, enc_bytes, enc_str, enc_u64, hash_bytes
+from veriledger.codec import TX_TAG, enc_bytes, enc_f64_list, enc_str, enc_u64, hash_bytes
 from veriledger.core import (
+    EMBEDDING_DIMENSIONS,
     PAYLOAD_TYPES,
     AlgorithmRecord,
     AlgorithmStatus,
@@ -49,6 +50,7 @@ from veriledger.core import (
     TransferTokens,
     TxKind,
     Verdict,
+    encode_embedding,
     encode_record,
     encode_transaction,
     hash_embedding,
@@ -350,3 +352,32 @@ def test_huge_embedding_count_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+# --- the embedding encoding cache ---------------------------------------------
+
+
+@st.composite
+def embeddings_of_any_length(draw):
+    """Vectors of each media type, of its dimension, one off or any length
+    up to 300, with NaN, infinities, signed zeros and subnormals among the
+    values."""
+    media_type = draw(st.sampled_from(list(MediaType)))
+    dim = EMBEDDING_DIMENSIONS[media_type]
+    size = draw(st.one_of(st.sampled_from([dim - 1, dim, dim + 1]), st.integers(0, 300)))
+    value = st.one_of(
+        st.sampled_from(EDGE_FLOATS + [math.nan, -math.nan, math.inf, -math.inf]),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+    values = draw(st.lists(value, min_size=size, max_size=size))
+    return Embedding(values=tuple(values), media_type=media_type)
+
+
+@given(embeddings_of_any_length())
+def test_filled_embedding_cache_is_a_fresh_pack(e):
+    assert e._encoding is None
+    encoded = encode_embedding(e)
+    assert e._encoding is encoded
+    assert encode_embedding(e) is encoded
+    assert encoded == enc_str(e.media_type.value) + enc_f64_list(e.values)
+    assert hash_embedding(e) == hash_bytes(encoded)

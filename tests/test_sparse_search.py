@@ -28,6 +28,7 @@ from veriledger.core import (
     Verdict,
     encode_embedding,
     encode_record,
+    hash_embedding,
     sparse_values,
 )
 from veriledger import detection
@@ -582,13 +583,15 @@ def test_cache_not_in_equality_hash_or_repr():
     e = embed(b"hello world", MediaType.BYTES)
     before = (repr(e), hash(e))
     e.sparse()
-    assert e._sparse is not None
+    encoded = encode_embedding(e)
+    assert e._sparse is not None and e._encoding is encoded
     _, _, support, peak = e._sparse
     assert support.bit_count() == len(set(b"hello world")) and peak == 3 / 11
     assert (repr(e), hash(e)) == before
     assert e == fresh(e) and hash(e) == hash(fresh(e))
     assert hash(e) == hash((e.values, e.media_type))
     assert "_sparse" not in repr(e) and str(support) not in repr(e)
+    assert "_encoding" not in repr(e) and repr(encoded) not in repr(e)
 
 
 @pytest.mark.parametrize(
@@ -598,10 +601,14 @@ def test_known_answers_with_filled_cache(name):
     record = RECORDS[name]
     filled = fresh(record.embedding)
     filled.sparse()
+    encoded = encode_embedding(filled)
+    assert encode_embedding(filled) is encoded
+    assert hash_embedding(filled) == hash_bytes(encode_embedding(fresh(filled)))
     record = dataclasses.replace(record, embedding=filled)
     binary, text = KNOWN_ANSWERS[name]
     assert hash_bytes(encode_record(record)).hex == binary
     assert hash_bytes(canonical_json(record_to_json(record)).encode()).hex == text
+    assert filled._encoding is encoded
 
 
 def test_decoded_and_replaced_embeddings_cache_the_same_pairs():
@@ -609,15 +616,18 @@ def test_decoded_and_replaced_embeddings_cache_the_same_pairs():
     record = content("c", e, HASHES[0])
     expected = sparse_values(e.values)
     record.embedding.sparse()
+    packed = encode_embedding(record.embedding)
     decoded = record_from_json(
         ContentRecord, json.loads(canonical_json(record_to_json(record))), "c"
     )
-    assert decoded.embedding._sparse is None
+    assert decoded.embedding._sparse is None and decoded.embedding._encoding is None
     replaced = dataclasses.replace(record, registered_at=2)
     assert replaced.embedding is record.embedding
     copy = dataclasses.replace(e)
-    assert copy._sparse is None
+    assert copy._sparse is None and copy._encoding is None
     for other in (decoded.embedding, replaced.embedding, copy):
         assert other.sparse() == expected
         assert other.sparse()[1].hex() == expected[1].hex()
-        assert encode_embedding(other) == encode_embedding(fresh(e))
+        assert encode_embedding(other) == packed == encode_embedding(fresh(e))
+        assert encode_embedding(other) is encode_embedding(other)
+        assert hash_embedding(other) == hash_bytes(packed)
