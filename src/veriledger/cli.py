@@ -16,13 +16,14 @@ import sys
 from pathlib import Path
 
 from .core import ReceiptStatus
-from .errors import ConfigError, VeriledgerError
+from .errors import ConfigError, LedgerError, StoreError, VeriledgerError
 from .sim import GroundTruth, compute_metrics, parse_scenario, run_scenario
 from .store import (
+    ChainView,
     canonical_json,
+    failure,
     notifications,
     pretty_json,
-    read_chain,
     record_to_json,
     replay,
     verify_chain,
@@ -71,9 +72,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    _, records = read_chain(args.chain)
     if args.height is not None:
-        matches = [r for r in records if r.height == args.height]
+        matches = [r for r, _ in replay(args.chain) if r.height == args.height]
         if not matches:
             print(f"no block at height {args.height}", file=sys.stderr)
             return 1
@@ -87,7 +87,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         )
         return 0
     summaries = []
-    for record in records:
+    for record, _ in replay(args.chain):
         accepted = sum(
             1 for r in record.receipts if r.status is ReceiptStatus.ACCEPTED
         )
@@ -118,14 +118,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except (ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    view = replay(args.chain)
-    report = compute_metrics(view, truth)
+    records = []
+    for record, state in replay(args.chain):
+        records.append(record)
+    report = compute_metrics(ChainView(records, state), truth)
     _emit(report.to_json(), args.pretty)
     return 0
 
 
 def _cmd_notifications(args: argparse.Namespace) -> int:
-    _, records = read_chain(args.chain)
+    records = (record for record, _ in replay(args.chain))
     _emit(
         [n for n in notifications(records) if n["provider"] == args.provider],
         args.pretty,
@@ -135,12 +137,8 @@ def _cmd_notifications(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     result = verify_chain(args.chain)
-    if result.ok:
-        print(f"OK tip={result.tip_hash} blocks={result.blocks}")
-        return 0
-    where = "" if result.failing_height is None else f" at height {result.failing_height}"
-    print(f"FAIL{where}: {result.error}")
-    return 1
+    print(result)
+    return 0 if result.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,6 +191,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (StoreError, LedgerError) as exc:
+        # A chain that fails to replay (or, in ``run``, to seal or write):
+        # read commands print only once all of it has replayed, so this
+        # line, the one ``verify`` prints, is all they print.
+        print(failure(exc), file=sys.stderr)
+        return 1
     except (VeriledgerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

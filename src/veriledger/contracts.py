@@ -80,7 +80,7 @@ def _exact_threshold(value: float) -> Fraction:
 
 def _check_embedding(embedding: Embedding, media_type: MediaType) -> None:
     expected = EMBEDDING_DIMENSIONS[media_type]
-    if embedding.media_type is not media_type or embedding.dimension() != expected:
+    if embedding.media_type is not media_type or len(embedding.values) != expected:
         raise Rejection(
             errors.BAD_EMBEDDING_DIMENSION,
             f"expected {expected}-dim {media_type.value} embedding",
@@ -327,7 +327,7 @@ def submit_feedback(
     state.algorithms[record.algorithm_id] = record
     state.feedback_done.add(payload.request_id)
 
-    total = record.feedback_total()
+    total = record.tp + record.fp + record.tn + record.fn
     if (
         record.status is AlgorithmStatus.ACTIVE
         and total >= state.params.feedback_window

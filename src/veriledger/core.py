@@ -137,9 +137,6 @@ class Embedding:
     )
     _encoding: bytes | None = _encoding_cache()
 
-    def dimension(self) -> int:
-        return len(self.values)
-
     def is_valid(self) -> bool:
         """Right length, every value finite and ``>= 0``, one ``> 0``.
 
@@ -311,9 +308,6 @@ class AlgorithmRecord:
     epoch_correct: int = 0
     _encoding: bytes | None = _encoding_cache()
 
-    def feedback_total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True, slots=True)
 class ContentRecord:
@@ -463,15 +457,6 @@ class NetworkState:
             raise ValueError(f"debit would overdraw {account}: {have} < {amount}")
         self.balances[account] = have - amount
 
-    def total_balances(self) -> int:
-        return sum(self.balances.values())
-
-    def total_algorithm_stake(self) -> int:
-        return sum(a.stake for a in self.algorithms.values())
-
-    def total_validator_stake(self) -> int:
-        return sum(self.validators.values())
-
     def conservation_gap(self) -> int:
         """Zero iff token conservation holds.
 
@@ -479,9 +464,9 @@ class NetworkState:
         initial supply + minted - burned at all times.
         """
         held = (
-            self.total_balances()
-            + self.total_algorithm_stake()
-            + self.total_validator_stake()
+            sum(self.balances.values())
+            + sum(a.stake for a in self.algorithms.values())
+            + sum(self.validators.values())
         )
         return held - (self.initial_supply + self.total_minted - self.total_burned)
 

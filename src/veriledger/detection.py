@@ -403,7 +403,7 @@ DetectorFn = Callable[
 _PLUGINS: dict[str, DetectorFn] = {}
 
 
-def register_detector_kind(kind: str, fn: DetectorFn, replace: bool = False) -> None:
+def register_detector_kind(kind: str, fn: DetectorFn) -> None:
     """Add a detector implementation to the plugin table.
 
     ``fn`` receives the trusted registry as a ``RegistryIndex``: a sequence
@@ -412,7 +412,7 @@ def register_detector_kind(kind: str, fn: DetectorFn, replace: bool = False) -> 
     1.0 with an exact (similarity 1.0) match, Unverified implies no matches,
     and all similarities lie in [0, 1].
     """
-    if kind in _PLUGINS and not replace:
+    if kind in _PLUGINS:
         raise ValueError(f"detector kind already registered: {kind}")
     _PLUGINS[kind] = fn
 

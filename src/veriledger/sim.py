@@ -746,10 +746,7 @@ class ScenarioRunner:
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            chain_path = out_dir / "run.chain.jsonl"
-            if chain_path.exists():
-                chain_path.unlink()  # reruns replace prior artifacts
-            writer = ChainWriter(chain_path)
+            writer = ChainWriter(out_dir / "run.chain.jsonl")
 
         genesis_state = build_genesis_state(config)
         genesis, state = init_chain(genesis_state, timestamp=0)
@@ -886,9 +883,7 @@ class ScenarioRunner:
         if writer is not None:
             writer.close()
 
-        view = ChainView(
-            genesis_state=genesis_state, records=records, final_state=state
-        )
+        view = ChainView(records=records, final_state=state)
         report = compute_metrics(view, ground_truth)
         result = RunResult(
             config=config,

@@ -32,13 +32,17 @@ File format (extension ``.chain.jsonl``, UTF-8, one record per line):
   first line: "v1" state roots covered each analysis request's embedding,
   which later roots commit to by hash, and "v2" stored embeddings as lists
   of JSON numbers;
-* records are strictly ordered by height starting at 0.
+* records are strictly ordered by height starting at 0;
+* a line holds at most ``MAX_LINE_BYTES`` bytes before its line end.
 
-Verification replays the whole file through the ledger: recomputing every
-block hash and state root, re-executing every transaction, and comparing
-recomputed receipts against the stored ones. Any single flipped byte
-therefore surfaces as a parse failure, a canonical-form mismatch, or a
-semantic mismatch at a named height -- never as silent divergence.
+Reads stream: ``read_chain`` reads the file one line at a time, and
+``replay`` re-executes each record as soon as it is read, so a reader holds
+the state and one line, at most ``MAX_LINE_BYTES`` + 1 bytes of it, and the
+first height that fails any check is the one reported. Replay recomputes
+every block hash and state root, re-executes every transaction, and
+compares recomputed receipts against the stored ones. Any single flipped
+byte therefore surfaces as a parse failure, a canonical-form mismatch, or
+a semantic mismatch at a named height -- never as silent divergence.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, lt
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .codec import Hash256
 from .core import (
@@ -130,15 +134,10 @@ def _as_list(v: Any, what: str) -> list:
     return v
 
 
-def _as_int(v: Any, what: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise SerializationError(f"{what}: expected integer")
-    return v
-
-
-def _as_nonneg(v: Any, what: str) -> int:
+def _as_nonneg(n: Any, what: str) -> int:
     """An integer the canonical encodings can hold as an unsigned 64-bit."""
-    n = _as_int(v, what)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SerializationError(f"{what}: expected integer")
     if n < 0:
         raise SerializationError(f"{what}: must be non-negative")
     if n >= _TWO64:
@@ -475,6 +474,11 @@ def state_from_json(d: Any) -> NetworkState:
 
 # --- chain file -------------------------------------------------------------
 
+# The longest record line, its line end excluded, that a writer writes or a
+# reader reads. A reader holds one line at a time, so a hostile line costs it
+# at most this much memory.
+MAX_LINE_BYTES = 2**26
+
 
 @dataclass(frozen=True, slots=True)
 class ChainRecord:
@@ -485,9 +489,8 @@ class ChainRecord:
 
 @dataclass(slots=True)
 class ChainView:
-    """A fully validated chain: starting state, records, and final state."""
+    """A run's chain: its records and the state after the last of them."""
 
-    genesis_state: NetworkState
     records: list[ChainRecord]
     final_state: NetworkState
 
@@ -513,23 +516,13 @@ def _record_to_json(
 
 
 class ChainWriter:
-    """Append-only writer; each appended record is durable on return."""
+    """Writer of a new chain file, which replaces any file at ``path``; each
+    appended record is durable on return."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self._last_height = -1
-        if self.path.exists() and self.path.stat().st_size > 0:
-            # Resume only after a whole, valid chain: a torn last record would
-            # otherwise be glued to the next one.
-            data = self.path.read_bytes()
-            if not data.endswith(b"\n"):
-                raise CorruptRecord(data.count(b"\n") + 1, "torn tail: record has no line end")
-            self._last_height = read_chain(self.path)[1][-1].height
-        self._fh = open(self.path, "ab")
-
-    @property
-    def last_height(self) -> int:
-        return self._last_height
+        self._fh = open(self.path, "wb")
 
     def append(
         self,
@@ -545,7 +538,11 @@ class ChainWriter:
             line = canonical_json(_record_to_json(block, receipts, genesis_state))
         except (TypeError, ValueError) as exc:
             raise SerializationError(str(exc)) from exc
-        self._fh.write(line.encode("utf-8") + b"\n")
+        if len(line) > MAX_LINE_BYTES:  # ASCII: one byte per character
+            raise SerializationError(
+                f"record of {len(line)} bytes exceeds {MAX_LINE_BYTES}"
+            )
+        self._fh.write(line.encode("ascii") + b"\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._last_height = block.height
@@ -572,73 +569,86 @@ def _parse_line(line_number: int, raw: bytes) -> tuple[str, Any]:
         raise CorruptRecord(line_number, f"unparseable record: {exc}") from exc
 
 
-def read_chain(path: str | os.PathLike) -> tuple[NetworkState, list[ChainRecord]]:
-    """Parse and structurally validate a chain file (no re-execution)."""
-    path = Path(path)
-    raw_lines = path.read_bytes().split(b"\n")
-    if raw_lines and raw_lines[-1] == b"":
-        raw_lines.pop()
-    if not raw_lines:
+def _read_record(height: int, raw: bytes) -> tuple[ChainRecord, NetworkState | None]:
+    """The record on the line of ``height``, with its genesis state if it
+    carries one."""
+    line_number = height + 1
+    text, value = _parse_line(line_number, raw)
+    genesis_state = None
+    try:
+        expected = {"version", "height", "block", "receipts"}
+        if height == 0:
+            expected = expected | {"genesis_state"}
+        value = _expect_keys(value, expected, "record")
+        if value["version"] != FORMAT_VERSION:
+            raise SerializationError(f"unsupported version {value['version']!r}")
+        stored_height = _as_nonneg(value["height"], "record.height")
+        block = record_from_json(Block, value["block"], "block")
+        receipts = tuple(
+            record_from_json(Receipt, r, "receipt")
+            for r in _as_list(value["receipts"], "record.receipts")
+        )
+        if height == 0:
+            genesis_state = state_from_json(value["genesis_state"])
+    except SerializationError as exc:
+        raise CorruptRecord(line_number, str(exc)) from exc
+    if stored_height != height:
+        raise CorruptRecord(line_number, f"record has height {stored_height}, expected {height}")
+    if block.height != height:
+        raise CorruptRecord(line_number, "record height != block height")
+    # No stored byte is cosmetic: the line must be the canonical rendering
+    # of the value it parses to. The decoders above refuse every value the
+    # writer would not have written for the record they return (a set out
+    # of order or repeated, a 0 for a float 0.0, an embedding token with
+    # stray bits), so this accepts exactly the writer's lines without
+    # rendering the records again.
+    try:
+        canonical = canonical_json(value) == text
+    except ValueError:  # a float literal too large for a double, e.g. 1e999
+        canonical = False
+    if not canonical:
+        raise CorruptRecord(line_number, "record is not in canonical form")
+    return ChainRecord(height=height, block=block, receipts=receipts), genesis_state
+
+
+def read_chain(
+    path: str | os.PathLike,
+) -> Iterator[tuple[ChainRecord, NetworkState | None]]:
+    """Parse and structurally validate a chain file one line at a time (no
+    re-execution): yield each record with the genesis state it carries, which
+    only the height-0 record does, as soon as its line passes."""
+    height = 0
+    with open(path, "rb") as fh:
+        # One byte past the bound tells a line that is too long from one
+        # that just fits, without reading the rest of it.
+        while raw := fh.readline(MAX_LINE_BYTES + 1):
+            raw = raw.removesuffix(b"\n")
+            if len(raw) > MAX_LINE_BYTES:
+                raise CorruptRecord(height + 1, f"line longer than {MAX_LINE_BYTES} bytes")
+            yield _read_record(height, raw)
+            height += 1
+    if height == 0:
         raise StoreError(f"empty chain file: {path}")
 
-    genesis_state: NetworkState | None = None
-    records: list[ChainRecord] = []
-    for i, raw in enumerate(raw_lines):
-        line_number = i + 1
-        text, value = _parse_line(line_number, raw)
-        try:
-            expected = {"version", "height", "block", "receipts"}
-            if i == 0:
-                expected = expected | {"genesis_state"}
-            value = _expect_keys(value, expected, "record")
-            if value["version"] != FORMAT_VERSION:
-                raise SerializationError(f"unsupported version {value['version']!r}")
-            height = _as_nonneg(value["height"], "record.height")
-            block = record_from_json(Block, value["block"], "block")
-            receipts = tuple(
-                record_from_json(Receipt, r, "receipt")
-                for r in _as_list(value["receipts"], "record.receipts")
-            )
-            if i == 0:
-                genesis_state = state_from_json(value["genesis_state"])
-        except SerializationError as exc:
-            raise CorruptRecord(line_number, str(exc)) from exc
-        if height != i:
-            raise CorruptRecord(line_number, f"record has height {height}, expected {i}")
-        if block.height != height:
-            raise CorruptRecord(line_number, "record height != block height")
-        # No stored byte is cosmetic: the line must be the canonical rendering
-        # of the value it parses to. The decoders above refuse every value the
-        # writer would not have written for the record they return (a set out
-        # of order or repeated, a 0 for a float 0.0, an embedding token with
-        # stray bits), so this accepts exactly the writer's lines without
-        # rendering the records again.
-        try:
-            canonical = canonical_json(value) == text
-        except ValueError:  # a float literal too large for a double, e.g. 1e999
-            canonical = False
-        if not canonical:
-            raise CorruptRecord(line_number, "record is not in canonical form")
-        records.append(ChainRecord(height=height, block=block, receipts=receipts))
-    assert genesis_state is not None
-    return genesis_state, records
 
-
-def replay(path: str | os.PathLike) -> ChainView:
-    """Re-execute a chain file from its genesis and validate every byte.
+def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]]:
+    """Re-execute a chain file from its genesis, one record at a time, and
+    yield each record with the state after it once the record has passed
+    every check.
 
     Checks that the genesis block seals the genesis state and that this
     state conserves tokens, then, per block: recomputed block hash, parent
     linkage, height, proposer, state root, and receipt-for-receipt equality
     between the stored receipts and the re-executed ones. Fails loudly with
-    the offending height; never silently diverges.
+    the offending height, which is the first height that fails a check of
+    either reading or execution; never silently diverges.
     """
-    embedded_genesis, records = read_chain(path)
-    first = records[0].block
-    expected_genesis, state = init_chain(embedded_genesis, timestamp=first.timestamp)
-    if records[0].receipts:
+    records = read_chain(path)
+    first, embedded_genesis = next(records)
+    expected_genesis, state = init_chain(embedded_genesis, timestamp=first.block.timestamp)
+    if first.receipts:
         raise CorruptRecord(1, "genesis record must carry no receipts")
-    if first != expected_genesis:
+    if first.block != expected_genesis:
         exc = StateRootMismatch(
             "genesis block does not match the embedded genesis state"
         )
@@ -650,8 +660,9 @@ def replay(path: str | os.PathLike) -> ChainView:
             1,
             f"genesis balances and stakes differ from the supply by {gap}",
         )
+    yield first, state
 
-    for record in records[1:]:
+    for record, _ in records:
         block = record.block
         recomputed = compute_block_hash(
             block.height,
@@ -674,9 +685,7 @@ def replay(path: str | os.PathLike) -> ChainView:
             raise CorruptRecord(
                 block.height + 1, f"stored receipts diverge at height {block.height}"
             )
-    return ChainView(
-        genesis_state=embedded_genesis, records=records, final_state=state
-    )
+        yield record, state
 
 
 def notifications(records: Iterable[ChainRecord]) -> list[dict]:
@@ -698,27 +707,28 @@ class VerifyResult:
     error: str | None = None
     failing_height: int | None = None
 
+    def __str__(self) -> str:
+        """The one line that ``veriledger verify`` prints."""
+        if self.ok:
+            return f"OK tip={self.tip_hash} blocks={self.blocks}"
+        where = "" if self.failing_height is None else f" at height {self.failing_height}"
+        return f"FAIL{where}: {self.error}"
+
+
+def failure(exc: StoreError | LedgerError) -> VerifyResult:
+    """The result of a replay that raised ``exc``."""
+    if isinstance(exc, CorruptRecord):
+        height = exc.line_number - 1
+    else:
+        height = getattr(exc, "height", None)
+    return VerifyResult(ok=False, error=f"{type(exc).__name__}: {exc}", failing_height=height)
+
 
 def verify_chain(path: str | os.PathLike) -> VerifyResult:
     """Replay with all checks; report OK with the tip or the first failure."""
     try:
-        view = replay(path)
-    except CorruptRecord as exc:
-        return VerifyResult(
-            ok=False,
-            error=f"CorruptRecord: {exc}",
-            failing_height=exc.line_number - 1,
-        )
-    except LedgerError as exc:
-        return VerifyResult(
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            failing_height=getattr(exc, "height", None),
-        )
-    except StoreError as exc:
-        return VerifyResult(ok=False, error=f"{type(exc).__name__}: {exc}")
-    return VerifyResult(
-        ok=True,
-        blocks=len(view.records),
-        tip_hash=view.tip.block_hash.hex,
-    )
+        for tip, _ in replay(path):
+            pass
+    except (StoreError, LedgerError) as exc:
+        return failure(exc)
+    return VerifyResult(ok=True, blocks=tip.height + 1, tip_hash=tip.block.block_hash.hex)

@@ -468,6 +468,52 @@ def test_notifications_empty_for_unflagged_provider(golden_run, capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
+def _forged_event_chain(golden_run, tmp_path, garbage_line=None):
+    """The golden chain with the provider of the first notification event at
+    height 4 changed to provider-2; the block hash covers no receipt, so
+    only re-execution finds it. With ``garbage_line``, that line (1-based)
+    is replaced by text that is no record."""
+    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
+    record = json.loads(lines[4])
+    event = next(e for r in record["receipts"] for e in r["events"])
+    assert event["provider"] == "provider-1"
+    event["provider"] = "provider-2"
+    lines[4] = canonical_json(record)
+    if garbage_line is not None:
+        lines[garbage_line - 1] = "garbage"
+    forged = tmp_path / "forged.chain.jsonl"
+    forged.write_text("\n".join(lines) + "\n")
+    return forged
+
+
+READ_COMMANDS = {
+    "notifications": ["notifications", "--provider", "provider-2"],
+    "inspect": ["inspect"],
+    "inspect-height-4": ["inspect", "--height", "4"],
+    "report": ["report"],
+}
+
+
+@pytest.mark.parametrize("garbage_line", [None, 21], ids=["forged", "forged-then-garbage"])
+@pytest.mark.parametrize("command", sorted(READ_COMMANDS))
+def test_read_commands_refuse_a_forged_event_as_verify_does(
+    golden_run, tmp_path, capsys, command, garbage_line
+):
+    # Read commands used to print from the chain unverified: notifications
+    # listed the forged event with exit 0. And the garbage on line 21 used
+    # to fail the read before the divergence at height 4 was replayed.
+    forged = _forged_event_chain(golden_run, tmp_path, garbage_line)
+    assert main(["verify", "--chain", str(forged)]) == 1
+    verified = capsys.readouterr().out
+    assert verified.startswith("FAIL at height 4: ")
+    args = READ_COMMANDS[command]
+    if command == "report":
+        args = [*args, "--truth", str(golden_run.out_dir / "ground_truth.json")]
+    code = main([args[0], "--chain", str(forged), *args[1:]])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", verified)
+
+
 def test_unknown_verb_usage_error():
     result = run_cli(["frobnicate"])
     assert result.returncode == 2

@@ -92,9 +92,10 @@ def test_cached_encodings_match_fresh_records(seed):
 def test_cached_encodings_match_fresh_records_on_golden_replay(golden_run):
     # The golden chain activates its algorithm, commits, takes feedback and
     # pays epoch rewards, so every kind of record replacement occurs.
-    state, records = read_chain(golden_run.out_dir / "run.chain.jsonl")
-    _, state = init_chain(state, timestamp=records[0].block.timestamp)
-    for record in records[1:]:
+    records = read_chain(golden_run.out_dir / "run.chain.jsonl")
+    first, state = next(records)
+    _, state = init_chain(state, timestamp=first.block.timestamp)
+    for record, _ in records:
         state, _ = apply_block(state, record.block)
         assert encode_state(state) == encode_state(fresh_copy(state))
 

@@ -6,11 +6,13 @@ import math
 import re
 import string
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from veriledger import store
+from veriledger.cli import main
 from veriledger.codec import Hash256
 from veriledger.core import (
     AlgorithmRecord,
@@ -43,6 +45,7 @@ from veriledger.ledger import (
     select_proposer,
 )
 from veriledger.store import (
+    ChainView,
     ChainWriter,
     VerifyResult,
     canonical_json,
@@ -57,6 +60,20 @@ from veriledger.store import (
 
 from conftest import json_containers
 from test_ledger import fresh_state, transfer
+
+
+def read_all(path):
+    """The genesis state and every record of the chain at ``path``."""
+    pairs = list(read_chain(path))
+    return pairs[0][1], [record for record, _ in pairs]
+
+
+def replay_all(path):
+    """Replay the chain at ``path``: its records and its final state."""
+    records = []
+    for record, state in replay(path):
+        records.append(record)
+    return ChainView(records, state)
 
 
 def small_chain(tmp_path, blocks=3):
@@ -79,7 +96,7 @@ def small_chain(tmp_path, blocks=3):
 
 def test_append_genesis_then_read_back(tmp_path):
     path, genesis_state, _, _ = small_chain(tmp_path, blocks=0)
-    stored_genesis, records = read_chain(path)
+    stored_genesis, records = read_all(path)
     assert len(records) == 1
     assert records[0].height == 0
     assert encode_state(stored_genesis) == encode_state(genesis_state)
@@ -99,7 +116,7 @@ def test_append_height_gap_rejected(tmp_path):
 
 def test_round_trip_identity(tmp_path):
     path, _, live_state, all_receipts = small_chain(tmp_path)
-    _, records = read_chain(path)
+    _, records = read_all(path)
     for record, expected_receipts in zip(records, all_receipts):
         assert record.receipts == expected_receipts
         assert record_from_json(Block, record_to_json(record.block), "block") == record.block
@@ -158,14 +175,14 @@ def test_params_u64_range_checked_at_parse():
 
 def test_replay_reproduces_live_state(tmp_path):
     path, _, live_state, _ = small_chain(tmp_path)
-    final = replay(path).final_state
+    final = replay_all(path).final_state
     assert encode_state(final) == encode_state(live_state)
     assert final.tip_hash == live_state.tip_hash
 
 
 def test_replay_golden_matches_tip_root(golden_run):
     path = golden_run.out_dir / "run.chain.jsonl"
-    view = replay(path)
+    view = replay_all(path)
     assert view.final_state.state_root() == view.tip.state_root
     assert view.final_state.conservation_gap() == 0
     # replay reproduces the live run's final state bit for bit
@@ -202,7 +219,7 @@ def test_truncated_and_empty_files(tmp_path):
     empty = tmp_path / "empty.chain.jsonl"
     empty.write_bytes(b"")
     with pytest.raises(StoreError):
-        read_chain(empty)
+        read_all(empty)
 
     headless = tmp_path / "headless.chain.jsonl"
     headless.write_bytes(b"\n".join(lines[1:]))
@@ -219,7 +236,7 @@ def test_non_canonical_line_rejected(tmp_path):
     bad = tmp_path / "pretty.chain.jsonl"
     bad.write_text(mutated)
     with pytest.raises(CorruptRecord):
-        read_chain(bad)
+        read_all(bad)
 
 
 B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
@@ -327,7 +344,7 @@ def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, old, new):
     variant = tmp_path / "variant.chain.jsonl"
     variant.write_text(_cosmetic_variant(text, old, new))
     with pytest.raises(CorruptRecord):
-        read_chain(variant)
+        read_all(variant)
     result = verify_chain(variant)
     assert not result.ok
     assert result.failing_height is not None
@@ -401,40 +418,46 @@ def test_receipt_divergence_detected(tmp_path):
     assert "receipts" in result.error or "hash" in result.error
 
 
-def test_writer_resumes_appending(tmp_path):
-    genesis_state = fresh_state()
-    genesis, state = init_chain(genesis_state)
-    path = tmp_path / "resume.chain.jsonl"
+def test_writer_starts_a_new_chain_over_an_existing_file(tmp_path):
+    path, genesis_state, _, _ = small_chain(tmp_path)
+    genesis, _ = init_chain(genesis_state)
     with ChainWriter(path) as writer:
         writer.append(genesis, (), genesis_state=genesis_state)
-    block, state, receipts = seal_block(state, [transfer("A", "B", 2)], timestamp=1)
+    result = verify_chain(path)
+    assert result.ok
+    assert result.blocks == 1
+
+
+def test_writer_refuses_an_over_long_line(tmp_path, monkeypatch):
+    genesis_state = fresh_state()
+    genesis, _ = init_chain(genesis_state)
+    path = tmp_path / "long.chain.jsonl"
+    monkeypatch.setattr(store, "MAX_LINE_BYTES", 64)
     with ChainWriter(path) as writer:
-        assert writer.last_height == 0
-        writer.append(block, receipts)
-    assert verify_chain(path).ok
+        with pytest.raises(SerializationError, match="exceeds 64"):
+            writer.append(genesis, (), genesis_state=genesis_state)
+    assert path.read_bytes() == b""
 
 
-@pytest.mark.parametrize("cut", [50, 1], ids=["cut-50-bytes", "drop-final-newline"])
-def test_writer_refuses_torn_tail(golden_run, tmp_path, cut):
-    # Resuming used to die in json.loads (50 bytes cut) or to glue the next
-    # record onto line 31 (only the final newline dropped).
-    data = (golden_run.out_dir / "run.chain.jsonl").read_bytes()
-    path = tmp_path / "torn.chain.jsonl"
-    path.write_bytes(data[:-cut])
-    with pytest.raises(CorruptRecord) as info:
-        ChainWriter(path)
-    assert info.value.line_number == data.count(b"\n") == 31
-    assert path.read_bytes() == data[:-cut]
-
-
-def test_writer_refuses_a_corrupt_chain(golden_run, tmp_path):
-    lines = (golden_run.out_dir / "run.chain.jsonl").read_bytes().split(b"\n")
-    lines[4] = lines[4].replace(b'"height":4', b'"height": 4', 1)
-    path = tmp_path / "corrupt.chain.jsonl"
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(CorruptRecord) as info:
-        ChainWriter(path)
-    assert info.value.line_number == 5
+def test_over_long_line_is_refused_before_it_is_read(tmp_path, monkeypatch):
+    # A line of 2^20 bytes past a bound of 4096: the reader holds at most
+    # one byte more than the bound, never the line.
+    path, _, _, _ = small_chain(tmp_path, blocks=0)
+    assert len(path.read_bytes()) < 4096
+    with path.open("ab") as fh:
+        fh.write(b"x" * 2**20 + b"\n")
+    monkeypatch.setattr(store, "MAX_LINE_BYTES", 4096)
+    with pytest.raises(CorruptRecord, match="longer than 4096 bytes") as info:
+        read_all(path)
+    assert info.value.line_number == 2
+    tracemalloc.start()
+    try:
+        result = verify_chain(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.failing_height == 1
+    assert peak < 2**17
 
 
 # --- chain-file JSON values, fuzzed ------------------------------------------
@@ -510,9 +533,15 @@ def chain_mutations(draw, lines):
     return [canonical_json(r) for r in records], key
 
 
-def test_fuzzed_chain_values_end_in_a_verify_result(golden_run, tmp_path_factory):
+def test_fuzzed_chain_values_end_in_a_verify_result(golden_run, tmp_path_factory, capsys):
     lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
     path = tmp_path_factory.mktemp("fuzzed-chain") / "variant.chain.jsonl"
+    truth = str(golden_run.out_dir / "ground_truth.json")
+    read_commands = [
+        ["inspect"],
+        ["notifications", "--provider", "provider-1"],
+        ["report", "--truth", truth],
+    ]
 
     @settings(max_examples=150)
     @given(chain_mutations(lines))
@@ -527,6 +556,15 @@ def test_fuzzed_chain_values_end_in_a_verify_result(golden_run, tmp_path_factory
             assert mutated == lines or key == "timestamp"
         else:
             assert result.error and result.failing_height is not None
+        # Every read command refuses exactly the chains verify refuses, and
+        # with the same line.
+        for command in read_commands:
+            code = main([command[0], "--chain", str(path), *command[1:]])
+            out, err = capsys.readouterr()
+            if result.ok:
+                assert (code, err) == (0, "") and out
+            else:
+                assert (code, out, err) == (1, "", f"{result}\n")
 
     check()
 
@@ -615,7 +653,7 @@ def _re_render_check(path):
 
 def _first_line_read_chain_refuses(path):
     try:
-        read_chain(path)
+        read_all(path)
     except CorruptRecord as exc:
         return exc.line_number
     return None
@@ -698,7 +736,7 @@ def test_set_entries_must_be_sorted_and_distinct(tmp_path, name, edit):
     lines[0] = canonical_json(record)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorruptRecord, match="sorted and distinct") as info:
-        read_chain(path)
+        read_all(path)
     assert info.value.line_number == 1
     result = verify_chain(path)
     assert not result.ok
