@@ -31,6 +31,10 @@ class StateRootMismatch(LedgerError):
     pass
 
 
+class BadBlockHash(LedgerError):
+    """The block hash is not the digest of the block's other fields."""
+
+
 class UnencodableState(LedgerError):
     """A block left a value the state encoding cannot hold (a u64 overflow)."""
 

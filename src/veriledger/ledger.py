@@ -5,6 +5,12 @@ logical actor extends it; ``apply_block`` and ``seal_block`` are pure in
 the sense that the input state is never mutated and the same inputs always
 produce the same outputs.
 
+One rule decides what a valid block is: ``seal_block`` builds the next
+block from a state, a transaction list and a timestamp, and a block is
+valid on top of a state iff sealing its own transactions at its own
+timestamp reproduces it. ``apply_block`` is that seal plus one header
+comparison, which names the first field that differs.
+
 Proposer selection is deterministic: the seed for height ``h`` is
 ``sha256(parent_hash || h)`` (h as 8 big-endian bytes), and the first
 8 bytes of the seed pick a point on the cumulative stake line. The
@@ -27,6 +33,7 @@ from .core import (
     transaction_hash,
 )
 from .errors import (
+    BadBlockHash,
     BadHeight,
     BadParent,
     EmptyValidatorSet,
@@ -39,6 +46,17 @@ GENESIS_PARENT = Hash256.zero()
 GENESIS_PROPOSER = ""
 
 _TWO64 = 2**64
+
+# The header fields ``apply_block`` compares against the re-sealed block, in
+# order, each with the error its mismatch raises. The timestamp and the
+# transactions are inputs to the seal, so only the block hash covers them.
+HEADER_CHECKS = (
+    ("parent_hash", BadParent),
+    ("height", BadHeight),
+    ("proposer", WrongProposer),
+    ("state_root", StateRootMismatch),
+    ("block_hash", BadBlockHash),
+)
 
 
 def compute_block_hash(
@@ -141,43 +159,29 @@ def apply_block(
 ) -> tuple[NetworkState, list[Receipt]]:
     """Validate and apply one block on top of ``state``.
 
+    A block is valid iff re-sealing its transactions at its timestamp
+    reproduces it: this seals them with :func:`seal_block`, then compares
+    the sealed header against ``block`` field by field in the order of
+    ``HEADER_CHECKS`` and raises the first mismatch's error. So an error of
+    execution (``UnencodableState``) comes before any header mismatch.
     Rejected transactions leave state untouched but still produce a
-    receipt. Any structural error (parent, height, proposer, state root)
-    aborts the whole block and raises; the input state is never modified.
+    receipt; the input state is never modified.
     """
-    if state.tip_height < 0:
-        raise BadHeight("chain not initialized (no genesis)")
-    if block.parent_hash != state.tip_hash:
-        raise BadParent(
-            f"parent {block.parent_hash.hex} != tip {state.tip_hash.hex}"
-        )
-    if block.height != state.tip_height + 1:
-        raise BadHeight(f"height {block.height}, expected {state.tip_height + 1}")
-    expected = select_proposer(
-        state.validators, proposer_seed(block.parent_hash, block.height)
-    )
-    if block.proposer != expected:
-        raise WrongProposer(f"{block.proposer}, expected {expected}")
-
-    new_state = state.clone()
-    receipts = _execute_all(new_state, block.transactions, block.height, block.proposer)
-    root = _state_root(new_state)
-    if root != block.state_root:
-        raise StateRootMismatch(
-            f"computed {root.hex}, block claims {block.state_root.hex}"
-        )
-    new_state.tip_height = block.height
-    new_state.tip_hash = block.block_hash
+    sealed, new_state, receipts = seal_block(state, block.transactions, block.timestamp)
+    for name, error in HEADER_CHECKS:
+        claimed, expected = getattr(block, name), getattr(sealed, name)
+        if claimed != expected:
+            if isinstance(claimed, Hash256):
+                claimed, expected = claimed.hex, expected.hex
+            raise error(f"{name} {claimed}, expected {expected}")
     return new_state, receipts
 
 
 def seal_block(
     state: NetworkState, transactions: Sequence[Transaction], timestamp: int
 ) -> tuple[Block, NetworkState, list[Receipt]]:
-    """Build, execute, and seal the next block from ``transactions``.
-
-    The resulting block replays cleanly through :func:`apply_block`.
-    """
+    """Build, execute, and seal the next block from ``transactions``: the
+    one definition of a block, which :func:`apply_block` checks against."""
     if state.tip_height < 0:
         raise BadHeight("chain not initialized (no genesis)")
     height = state.tip_height + 1

@@ -39,6 +39,7 @@ import csv
 import io
 import math
 from collections.abc import Callable, Iterable
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -82,6 +83,9 @@ PERTURB_KINDS = ("byte-flip", "pixel-shift")
 # least 4096 (an Audio item's size): a larger corpus is refused as a config
 # error instead of running set-up until memory runs out.
 CORPUS_BUDGET = 2**26
+# The most blocks a scenario may run: a longer run is refused as a config
+# error instead of running without end.
+MAX_BLOCKS = 2**16
 BUILTIN_DETECTORS = {
     "exact-hash": DetectorSpec(kind="exact-hash"),
     "near-duplicate": DetectorSpec(kind="near-duplicate"),
@@ -437,6 +441,8 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
         for v in getattr(config, key):
             if v not in account_ids:
                 raise ConfigError(f"scenario.{key}: {v!r} is not a declared account")
+    if config.blocks > MAX_BLOCKS:
+        raise ConfigError("scenario.blocks: must be <= 2^16")
     if config.requests_per_block < 1:
         raise ConfigError("scenario.requests_per_block: must be >= 1")
     if config.request_fee < params.min_fee:
@@ -742,146 +748,144 @@ class ScenarioRunner:
         challenge_truth = self._challenge_labels()
         ground_truth = GroundTruth()
 
-        writer: ChainWriter | None = None
+        # The chain file closes however the run ends, a failed append included.
+        chain_file = nullcontext()
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            writer = ChainWriter(out_dir / "run.chain.jsonl")
+            chain_file = ChainWriter(out_dir / "run.chain.jsonl")
+        with chain_file as writer:
+            genesis_state = build_genesis_state(config)
+            genesis, state = init_chain(genesis_state, timestamp=0)
+            records = [ChainRecord(height=0, block=genesis, receipts=())]
+            if writer is not None:
+                writer.append(genesis, (), genesis_state=genesis_state)
 
-        genesis_state = build_genesis_state(config)
-        genesis, state = init_chain(genesis_state, timestamp=0)
-        records = [ChainRecord(height=0, block=genesis, receipts=())]
-        if writer is not None:
-            writer.append(genesis, (), genesis_state=genesis_state)
+            # Request queue: fakes first, then unrelated items, submitted a fixed
+            # number per block starting at height 3.
+            request_queue: list[tuple[CorpusItem, Verdict]] = [
+                (item, Verdict.DEEPFAKE) for item in corpus.fakes
+            ] + [(item, Verdict.AUTHENTIC) for item in corpus.unrelated]
+            queue_pos = 0
+            # The embedding of each submitted request, until it is answered: the
+            # state keeps only its hash, and the oracle reads it from here.
+            embeddings: dict[str, Embedding] = {}
+            pending_feedback: list[Transaction] = []
+            oracle_log: list[str] = []
 
-        # Request queue: fakes first, then unrelated items, submitted a fixed
-        # number per block starting at height 3.
-        request_queue: list[tuple[CorpusItem, Verdict]] = [
-            (item, Verdict.DEEPFAKE) for item in corpus.fakes
-        ] + [(item, Verdict.AUTHENTIC) for item in corpus.unrelated]
-        queue_pos = 0
-        # The embedding of each submitted request, until it is answered: the
-        # state keeps only its hash, and the oracle reads it from here.
-        embeddings: dict[str, Embedding] = {}
-        pending_feedback: list[Transaction] = []
-        oracle_log: list[str] = []
+            for height in range(1, config.blocks + 1):
+                txs: list[Transaction] = []
 
-        for height in range(1, config.blocks + 1):
-            txs: list[Transaction] = []
-
-            if height == 1:
-                for plan in config.algorithms:
-                    txs.append(
-                        self._tx(
-                            TxKind.REGISTER_ALGORITHM,
-                            plan.owner,
-                            RegisterAlgorithm(
-                                algorithm_id=plan.algorithm_id,
-                                media_types=plan.media_types,
-                                detector_kind=plan.detector,
-                                stake=plan.stake,
-                            ),
-                        )
-                    )
-                for index, item in enumerate(corpus.trusted):
-                    provider = config.providers[index % len(config.providers)]
-                    txs.append(
-                        self._tx(
-                            TxKind.REGISTER_CONTENT,
-                            provider,
-                            RegisterContent(
-                                content_id=item.item_id,
-                                media_type=item.media_type,
-                                content_hash=hash_bytes(item.content),
-                                embedding=embed(item.content, item.media_type),
-                            ),
-                        )
-                    )
-
-            if height == 2:
-                for plan in config.algorithms:
-                    for index, cid in enumerate(config.params.challenge_ids()):
-                        true_label = challenge_truth[cid]
-                        if index < plan.challenge_correct:
-                            predicted = true_label
-                        elif true_label is Verdict.DEEPFAKE:
-                            predicted = Verdict.AUTHENTIC
-                        else:
-                            predicted = Verdict.DEEPFAKE
+                if height == 1:
+                    for plan in config.algorithms:
                         txs.append(
                             self._tx(
-                                TxKind.SUBMIT_CHALLENGE_RESULT,
+                                TxKind.REGISTER_ALGORITHM,
                                 plan.owner,
-                                SubmitChallengeResult(
+                                RegisterAlgorithm(
                                     algorithm_id=plan.algorithm_id,
-                                    challenge_id=cid,
-                                    predicted_label=predicted,
-                                    true_label=true_label,
+                                    media_types=plan.media_types,
+                                    detector_kind=plan.detector,
+                                    stake=plan.stake,
+                                ),
+                            )
+                        )
+                    for index, item in enumerate(corpus.trusted):
+                        provider = config.providers[index % len(config.providers)]
+                        txs.append(
+                            self._tx(
+                                TxKind.REGISTER_CONTENT,
+                                provider,
+                                RegisterContent(
+                                    content_id=item.item_id,
+                                    media_type=item.media_type,
+                                    content_hash=hash_bytes(item.content),
+                                    embedding=embed(item.content, item.media_type),
                                 ),
                             )
                         )
 
-            if height >= 3:
-                for _ in range(config.requests_per_block):
-                    if queue_pos >= len(request_queue):
-                        break
-                    item, label = request_queue[queue_pos]
-                    queue_pos += 1
-                    user = config.users[queue_pos % len(config.users)]
-                    tx = self._tx(
-                        TxKind.SUBMIT_ANALYSIS_REQUEST,
-                        user,
-                        SubmitAnalysisRequest(
-                            media_type=item.media_type,
-                            content_hash=hash_bytes(item.content),
-                            embedding=embed(item.content, item.media_type),
-                            fee=config.request_fee,
-                        ),
-                    )
-                    request_id = request_id_for(tx)
-                    embeddings[request_id] = tx.payload.embedding
-                    ground_truth.labels[request_id] = label
-                    ground_truth.sources[request_id] = item.source_id
-                    txs.append(tx)
+                if height == 2:
+                    for plan in config.algorithms:
+                        for index, cid in enumerate(config.params.challenge_ids()):
+                            true_label = challenge_truth[cid]
+                            if index < plan.challenge_correct:
+                                predicted = true_label
+                            elif true_label is Verdict.DEEPFAKE:
+                                predicted = Verdict.AUTHENTIC
+                            else:
+                                predicted = Verdict.DEEPFAKE
+                            txs.append(
+                                self._tx(
+                                    TxKind.SUBMIT_CHALLENGE_RESULT,
+                                    plan.owner,
+                                    SubmitChallengeResult(
+                                        algorithm_id=plan.algorithm_id,
+                                        challenge_id=cid,
+                                        predicted_label=predicted,
+                                        true_label=true_label,
+                                    ),
+                                )
+                            )
 
-            txs.extend(pending_feedback)
-            pending_feedback = []
-
-            batch: OracleBatch = process_pending(
-                state, config.oracle_batch_limit, embeddings
-            )
-            txs.extend(batch.transactions)
-            oracle_log.extend(batch.log_lines)
-
-            block, state, receipts = seal_block(state, txs, timestamp=height)
-            records.append(
-                ChainRecord(height=height, block=block, receipts=tuple(receipts))
-            )
-            if writer is not None:
-                writer.append(block, receipts)
-
-            # Users send ground-truth feedback the block after completion.
-            for tx, receipt in zip(block.transactions, receipts):
-                if (
-                    tx.kind is TxKind.COMMIT_ANALYSIS_RESULT
-                    and receipt.status is ReceiptStatus.ACCEPTED
-                ):
-                    request_id = tx.payload.request_id
-                    del embeddings[request_id]
-                    submitter = state.requests[request_id].submitter
-                    pending_feedback.append(
-                        self._tx(
-                            TxKind.SUBMIT_FEEDBACK,
-                            submitter,
-                            SubmitFeedback(
-                                request_id=request_id,
-                                true_label=ground_truth.labels[request_id],
+                if height >= 3:
+                    for _ in range(config.requests_per_block):
+                        if queue_pos >= len(request_queue):
+                            break
+                        item, label = request_queue[queue_pos]
+                        queue_pos += 1
+                        user = config.users[queue_pos % len(config.users)]
+                        tx = self._tx(
+                            TxKind.SUBMIT_ANALYSIS_REQUEST,
+                            user,
+                            SubmitAnalysisRequest(
+                                media_type=item.media_type,
+                                content_hash=hash_bytes(item.content),
+                                embedding=embed(item.content, item.media_type),
+                                fee=config.request_fee,
                             ),
                         )
-                    )
+                        request_id = request_id_for(tx)
+                        embeddings[request_id] = tx.payload.embedding
+                        ground_truth.labels[request_id] = label
+                        ground_truth.sources[request_id] = item.source_id
+                        txs.append(tx)
 
-        if writer is not None:
-            writer.close()
+                txs.extend(pending_feedback)
+                pending_feedback = []
+
+                batch: OracleBatch = process_pending(
+                    state, config.oracle_batch_limit, embeddings
+                )
+                txs.extend(batch.transactions)
+                oracle_log.extend(batch.log_lines)
+
+                block, state, receipts = seal_block(state, txs, timestamp=height)
+                records.append(
+                    ChainRecord(height=height, block=block, receipts=tuple(receipts))
+                )
+                if writer is not None:
+                    writer.append(block, receipts)
+
+                # Users send ground-truth feedback the block after completion.
+                for tx, receipt in zip(block.transactions, receipts):
+                    if (
+                        tx.kind is TxKind.COMMIT_ANALYSIS_RESULT
+                        and receipt.status is ReceiptStatus.ACCEPTED
+                    ):
+                        request_id = tx.payload.request_id
+                        del embeddings[request_id]
+                        submitter = state.requests[request_id].submitter
+                        pending_feedback.append(
+                            self._tx(
+                                TxKind.SUBMIT_FEEDBACK,
+                                submitter,
+                                SubmitFeedback(
+                                    request_id=request_id,
+                                    true_label=ground_truth.labels[request_id],
+                                ),
+                            )
+                        )
 
         view = ChainView(records=records, final_state=state)
         report = compute_metrics(view, ground_truth)

@@ -38,11 +38,15 @@ File format (extension ``.chain.jsonl``, UTF-8, one record per line):
 Reads stream: ``read_chain`` reads the file one line at a time, and
 ``replay`` re-executes each record as soon as it is read, so a reader holds
 the state and one line, at most ``MAX_LINE_BYTES`` + 1 bytes of it, and the
-first height that fails any check is the one reported. Replay recomputes
-every block hash and state root, re-executes every transaction, and
-compares recomputed receipts against the stored ones. Any single flipped
-byte therefore surfaces as a parse failure, a canonical-form mismatch, or
-a semantic mismatch at a named height -- never as silent divergence.
+first height that fails any check is the one reported. The checks split in
+two: this module checks what a line is (its form, version and height, and
+that it decodes), and ``ledger.apply_block`` checks what a block is (it
+re-seals the block and compares every header field, block hash included),
+so this module does not know which fields a block hash covers. Replay then
+compares the re-executed receipts against the stored ones, which no hash
+covers. Any single flipped byte therefore surfaces as a parse failure, a
+canonical-form mismatch, or a semantic mismatch at a named height -- never
+as silent divergence.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ from .errors import (
     StateRootMismatch,
     StoreError,
 )
-from .ledger import apply_block, compute_block_hash, init_chain
+from .ledger import apply_block, init_chain
 
 FORMAT_VERSION = "v3"
 
@@ -637,11 +641,12 @@ def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]
     every check.
 
     Checks that the genesis block seals the genesis state and that this
-    state conserves tokens, then, per block: recomputed block hash, parent
-    linkage, height, proposer, state root, and receipt-for-receipt equality
-    between the stored receipts and the re-executed ones. Fails loudly with
-    the offending height, which is the first height that fails a check of
-    either reading or execution; never silently diverges.
+    state conserves tokens, then, per block: ``ledger.apply_block``, which
+    accepts a block iff re-sealing it reproduces every header field, block
+    hash included, and receipt-for-receipt equality between the stored
+    receipts and the re-executed ones. Fails loudly with the offending
+    height, which is the first height that fails a check of either reading
+    or execution; never silently diverges.
     """
     records = read_chain(path)
     first, embedded_genesis = next(records)
@@ -664,18 +669,6 @@ def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]
 
     for record, _ in records:
         block = record.block
-        recomputed = compute_block_hash(
-            block.height,
-            block.parent_hash,
-            block.timestamp,
-            block.proposer,
-            block.transactions,
-            block.state_root,
-        )
-        if recomputed != block.block_hash:
-            raise CorruptRecord(
-                block.height + 1, f"block hash mismatch at height {block.height}"
-            )
         try:
             state, receipts = apply_block(state, block)
         except LedgerError as exc:

@@ -88,6 +88,37 @@ def test_verify_tampered_exits_one_and_names_height(golden_run, tmp_path, capsys
     assert "height 5" in out
 
 
+def _swap_proposer(block):
+    block["proposer"] = "v1" if block["proposer"] == "v2" else "v2"
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda block: block.update(parent_hash="11" * 32), "BadParent"),
+        (_swap_proposer, "WrongProposer"),
+        (lambda block: block.update(state_root="22" * 32), "StateRootMismatch"),
+        (lambda block: block.update(block_hash="33" * 32), "BadBlockHash"),
+        # Only the block hash covers the timestamp, which the seal takes as given.
+        (lambda block: block.update(timestamp=block["timestamp"] + 1), "BadBlockHash"),
+    ],
+    ids=["parent_hash", "proposer", "state_root", "block_hash", "timestamp"],
+)
+def test_verify_names_the_header_field_an_edit_breaks(golden_run, tmp_path, capsys, edit, error):
+    # One header field of line 5 edited and not resealed. A height edit is
+    # left out: the reader refuses it before the block is applied.
+    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
+    record = json.loads(lines[5])
+    edit(record["block"])
+    lines[5] = canonical_json(record)
+    edited = tmp_path / "edited.chain.jsonl"
+    edited.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--chain", str(edited)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith(f"FAIL at height 5: {error}: ")
+
+
 @pytest.mark.parametrize(
     "path, value",
     [

@@ -11,6 +11,7 @@ from veriledger.core import (
     encode_state,
 )
 from veriledger.errors import (
+    BadBlockHash,
     BadHeight,
     BadParent,
     EmptyValidatorSet,
@@ -175,6 +176,27 @@ def test_apply_block_rejects_state_root_mismatch():
     block, _, _ = seal_block(state, [transfer("A", "B", 10)], timestamp=1)
     with pytest.raises(StateRootMismatch):
         apply_block(state, replace(block, state_root=hash_bytes(b"lies")))
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("parent_hash", hash_bytes(b"other"), BadParent),
+        ("height", 2, BadHeight),
+        ("proposer", "nobody", WrongProposer),
+        ("state_root", hash_bytes(b"lies"), StateRootMismatch),
+        # apply_block used to accept this block and make the forged hash its tip.
+        ("block_hash", hash_bytes(b"forged"), BadBlockHash),
+    ],
+    ids=["parent_hash", "height", "proposer", "state_root", "block_hash"],
+)
+def test_apply_block_names_the_one_header_field_that_differs(field, value, error):
+    from dataclasses import replace
+
+    _, state = init_chain(fresh_state())
+    block, _, _ = seal_block(state, [transfer("A", "B", 10)], timestamp=1)
+    with pytest.raises(error, match=f"^{field} "):
+        apply_block(state, replace(block, **{field: value}))
 
 
 def test_uninitialized_chain_rejected():

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from veriledger import sim
 from veriledger.core import (
     MediaType,
     ReceiptStatus,
@@ -28,7 +29,7 @@ from veriledger.sim import (
     parse_scenario,
     perturb,
 )
-from veriledger.store import canonical_json
+from veriledger.store import ChainWriter, canonical_json
 
 from conftest import GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, json_containers, random_bytes
 
@@ -378,6 +379,16 @@ def test_seed_beyond_64_bits_and_empty_account_lists_rejected(edit, named):
         parse_scenario(doc)
 
 
+def test_blocks_beyond_the_bound_rejected():
+    # A run of 2^63 blocks used to parse and never end. Neither config runs.
+    doc = golden_doc()
+    doc["blocks"] = 2**16
+    assert parse_scenario(doc).blocks == 2**16
+    doc["blocks"] = 2**16 + 1
+    with pytest.raises(ConfigError, match="scenario.blocks"):
+        parse_scenario(doc)
+
+
 SCENARIO_WRONG_TYPES = [5, 1.5, "", "x", [], [1], {}, {"a": 1}, None, True, False]
 SCENARIO_U64_EDGES = [-1, 0, 2**64 - 1, 2**64]
 # Keys an object may gain: unknown ones, and optional ones the base leaves out.
@@ -455,6 +466,32 @@ def test_zero_blocks_gives_genesis_only(golden_config):
     assert result.report.chain["transactions"]["total"] == 0
     assert result.report.algorithms == []
     assert result.report.notifications == []
+
+
+def test_a_failed_run_closes_its_chain_file(golden_config, tmp_path, monkeypatch):
+    # The chain file used to stay open until garbage collection when a block
+    # failed to seal or append; the suite turns that ResourceWarning into an
+    # error.
+    real_seal = sim.seal_block
+
+    def seal_until_height_3(state, transactions, timestamp):
+        if timestamp == 3:
+            raise OSError("no space left on device")
+        return real_seal(state, transactions, timestamp)
+
+    monkeypatch.setattr(sim, "seal_block", seal_until_height_3)
+    opened = []
+
+    class RecordingWriter(ChainWriter):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
+
+    monkeypatch.setattr(sim, "ChainWriter", RecordingWriter)
+    with pytest.raises(OSError, match="no space left"):
+        ScenarioRunner(golden_config).run(out_dir=tmp_path)
+    assert [writer._fh.closed for writer in opened] == [True]
+    assert len((tmp_path / "run.chain.jsonl").read_text().splitlines()) == 3
 
 
 def test_golden_report_matches_frozen_fixture(golden_run):
