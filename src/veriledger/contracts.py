@@ -146,7 +146,7 @@ def submit_challenge_result(
         raise Rejection(errors.UNKNOWN_ALGORITHM, payload.algorithm_id)
     if record.status is not AlgorithmStatus.PENDING:
         raise Rejection(errors.NOT_PENDING, record.status.value)
-    if payload.challenge_id not in state.params.challenge_ids():
+    if not state.params.is_challenge(payload.challenge_id):
         raise Rejection(errors.UNKNOWN_CHALLENGE, payload.challenge_id)
     if payload.challenge_id in record.challenges_submitted:
         raise Rejection(errors.DUPLICATE_CHALLENGE, payload.challenge_id)

@@ -383,6 +383,17 @@ class ContractParams:
         """The scenario's deterministic challenge set."""
         return tuple(f"ch-{i:03d}" for i in range(self.challenge_count))
 
+    def is_challenge(self, challenge_id: str) -> bool:
+        """Whether ``challenge_id`` is one of ``challenge_ids()``, without
+        building them. The digits are checked to be few and ASCII before
+        ``int``, which raises on thousands of digits and on some that
+        ``isdigit`` accepts, such as ``²``."""
+        digits = challenge_id[3:]
+        if not (0 < len(digits) <= 20 and digits.isascii() and digits.isdigit()):
+            return False
+        index = int(digits)
+        return index < self.challenge_count and challenge_id == f"ch-{index:03d}"
+
 
 # NetworkState's token counters: the state encoding ends with them in this
 # order, and the state's JSON form groups them under "supply".

@@ -5,11 +5,14 @@ logical actor extends it; ``apply_block`` and ``seal_block`` are pure in
 the sense that the input state is never mutated and the same inputs always
 produce the same outputs.
 
-One rule decides what a valid block is: ``seal_block`` builds the next
-block from a state, a transaction list and a timestamp, and a block is
-valid on top of a state iff sealing its own transactions at its own
-timestamp reproduces it. ``apply_block`` is that seal plus one header
-comparison, which names the first field that differs.
+One rule decides what a valid block is, the genesis included:
+``seal_block`` builds the next block from a state, a transaction list and
+a timestamp, and a block is valid on top of a state iff sealing its own
+transactions at its own timestamp reproduces it. ``apply_block`` is that
+seal plus one header comparison, which names the first field that
+differs. A state with no chain yet (``tip_height`` -1, ``tip_hash`` zero)
+is followed by the genesis: height 0, proposed by ``GENESIS_PROPOSER``
+with no draw.
 
 Proposer selection is deterministic: the seed for height ``h`` is
 ``sha256(parent_hash || h)`` (h as 8 big-endian bytes), and the first
@@ -42,7 +45,6 @@ from .errors import (
     WrongProposer,
 )
 
-GENESIS_PARENT = Hash256.zero()
 GENESIS_PROPOSER = ""
 
 _TWO64 = 2**64
@@ -126,31 +128,12 @@ def _state_root(state: NetworkState) -> Hash256:
         raise UnencodableState(str(exc)) from exc
 
 
-def genesis_block(state: NetworkState, timestamp: int = 0) -> Block:
-    """The height-0 block sealing the scenario's starting state."""
-    root = _state_root(state)
-    block_hash = compute_block_hash(
-        0, GENESIS_PARENT, timestamp, GENESIS_PROPOSER, (), root
-    )
-    return Block(
-        height=0,
-        parent_hash=GENESIS_PARENT,
-        timestamp=timestamp,
-        proposer=GENESIS_PROPOSER,
-        transactions=(),
-        state_root=root,
-        block_hash=block_hash,
-    )
-
-
 def init_chain(
     state: NetworkState, timestamp: int = 0
 ) -> tuple[Block, NetworkState]:
-    """Produce the genesis block and the state positioned at it."""
-    block = genesis_block(state, timestamp)
-    new_state = state.clone()
-    new_state.tip_height = 0
-    new_state.tip_hash = block.block_hash
+    """The genesis block of a state with no chain, and the state positioned
+    at it: :func:`seal_block` of no transactions."""
+    block, new_state, _ = seal_block(state, (), timestamp)
     return block, new_state
 
 
@@ -173,6 +156,8 @@ def apply_block(
         if claimed != expected:
             if isinstance(claimed, Hash256):
                 claimed, expected = claimed.hex, expected.hex
+            else:  # quoted, so the genesis proposer reads ''
+                claimed, expected = repr(claimed), repr(expected)
             raise error(f"{name} {claimed}, expected {expected}")
     return new_state, receipts
 
@@ -181,12 +166,15 @@ def seal_block(
     state: NetworkState, transactions: Sequence[Transaction], timestamp: int
 ) -> tuple[Block, NetworkState, list[Receipt]]:
     """Build, execute, and seal the next block from ``transactions``: the
-    one definition of a block, which :func:`apply_block` checks against."""
-    if state.tip_height < 0:
-        raise BadHeight("chain not initialized (no genesis)")
+    one definition of a block, which :func:`apply_block` checks against.
+    The block after a state with no chain is the genesis, whose proposer is
+    ``GENESIS_PROPOSER``; every later proposer is drawn by stake."""
     height = state.tip_height + 1
     parent = state.tip_hash
-    proposer = select_proposer(state.validators, proposer_seed(parent, height))
+    if height == 0:
+        proposer = GENESIS_PROPOSER
+    else:
+        proposer = select_proposer(state.validators, proposer_seed(parent, height))
 
     new_state = state.clone()
     receipts = _execute_all(new_state, transactions, height, proposer)

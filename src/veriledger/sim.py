@@ -86,6 +86,9 @@ CORPUS_BUDGET = 2**26
 # The most blocks a scenario may run: a longer run is refused as a config
 # error instead of running without end.
 MAX_BLOCKS = 2**16
+# The most challenges a scenario may set: the runner answers every one at
+# height 2, so a larger set is refused as a config error instead.
+MAX_CHALLENGES = 2**12
 BUILTIN_DETECTORS = {
     "exact-hash": DetectorSpec(kind="exact-hash"),
     "near-duplicate": DetectorSpec(kind="near-duplicate"),
@@ -383,6 +386,8 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
     params = _parse(
         ContractParams, rest.pop("params", {}), "params", {"oracle_account": oracle_account}
     )
+    if params.challenge_count > MAX_CHALLENGES:
+        raise ConfigError("params.challenge_count: must be <= 2^12")
     detectors = _detectors(rest.pop("detectors", {}))
 
     entries = rest.pop("algorithms", [])

@@ -40,11 +40,11 @@ Reads stream: ``read_chain`` reads the file one line at a time, and
 the state and one line, at most ``MAX_LINE_BYTES`` + 1 bytes of it, and the
 first height that fails any check is the one reported. The checks split in
 two: this module checks what a line is (its form, version and height, and
-that it decodes), and ``ledger.apply_block`` checks what a block is (it
-re-seals the block and compares every header field, block hash included),
-so this module does not know which fields a block hash covers. Replay then
-compares the re-executed receipts against the stored ones, which no hash
-covers. Any single flipped byte therefore surfaces as a parse failure, a
+that it decodes), and ``ledger.apply_block`` checks what a block is, the
+genesis included (it re-seals the block and compares every header field,
+block hash included), so this module does not know which fields a block
+hash covers. Replay then compares the re-executed receipts against the
+stored ones, which no hash covers. Any single flipped byte therefore surfaces as a parse failure, a
 canonical-form mismatch, or a semantic mismatch at a named height -- never
 as silent divergence.
 """
@@ -92,10 +92,9 @@ from .errors import (
     HeightGap,
     LedgerError,
     SerializationError,
-    StateRootMismatch,
     StoreError,
 )
-from .ledger import apply_block, init_chain
+from .ledger import apply_block
 
 FORMAT_VERSION = "v3"
 
@@ -640,35 +639,25 @@ def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]
     yield each record with the state after it once the record has passed
     every check.
 
-    Checks that the genesis block seals the genesis state and that this
-    state conserves tokens, then, per block: ``ledger.apply_block``, which
+    The genesis record starts from the state it embeds, which must conserve
+    tokens, and its block must carry no transactions. Every record, the
+    genesis included, then goes through ``ledger.apply_block``, which
     accepts a block iff re-sealing it reproduces every header field, block
-    hash included, and receipt-for-receipt equality between the stored
-    receipts and the re-executed ones. Fails loudly with the offending
-    height, which is the first height that fails a check of either reading
-    or execution; never silently diverges.
+    hash included, and through receipt-for-receipt equality between the
+    stored receipts and the re-executed ones. Fails loudly with the
+    offending height, which is the first height that fails a check of
+    either reading or execution; never silently diverges.
     """
-    records = read_chain(path)
-    first, embedded_genesis = next(records)
-    expected_genesis, state = init_chain(embedded_genesis, timestamp=first.block.timestamp)
-    if first.receipts:
-        raise CorruptRecord(1, "genesis record must carry no receipts")
-    if first.block != expected_genesis:
-        exc = StateRootMismatch(
-            "genesis block does not match the embedded genesis state"
-        )
-        exc.height = 0
-        raise exc
-    gap = state.conservation_gap()
-    if gap != 0:
-        raise CorruptRecord(
-            1,
-            f"genesis balances and stakes differ from the supply by {gap}",
-        )
-    yield first, state
-
-    for record, _ in records:
+    for record, genesis_state in read_chain(path):
         block = record.block
+        if genesis_state is not None:
+            if gap := genesis_state.conservation_gap():
+                raise CorruptRecord(
+                    1, f"genesis balances and stakes differ from the supply by {gap}"
+                )
+            if block.transactions:
+                raise CorruptRecord(1, "genesis block must carry no transactions")
+            state = genesis_state
         try:
             state, receipts = apply_block(state, block)
         except LedgerError as exc:

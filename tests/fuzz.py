@@ -42,6 +42,13 @@ FUZZ_PARAMS = ContractParams(
     epoch_reward_pool=33,
     oracle_account=ORACLE,
 )
+# Ids outside FUZZ_PARAMS' challenge set, most shaped like the ids in it: an
+# index one past the count, too many digits, too few, non-ASCII digits, a
+# superscript two, and more digits than int() takes.
+BOGUS_CHALLENGE_IDS = [
+    "ch-bogus", "ch-006", "ch-0001", "ch-1", "ch-", "ch-\u0660\u0660\u0661", "ch-\u00b2",
+    "ch-" + "9" * 4301,
+]
 
 
 def build_fuzz_state(rng: SplitMix64) -> NetworkState:
@@ -159,7 +166,7 @@ class FuzzStream:
                 algo_id = _choice(rng, sorted(state.algorithms))
             else:
                 algo_id = "fz-algo-missing"
-            challenge_id = _choice(rng, ids + ["ch-bogus"])
+            challenge_id = _choice(rng, ids + BOGUS_CHALLENGE_IDS)
             correct = rng.randrange(3) > 0
         predicted = truth if correct else (
             Verdict.AUTHENTIC if truth is Verdict.DEEPFAKE else Verdict.DEEPFAKE

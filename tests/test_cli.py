@@ -14,7 +14,7 @@ from veriledger.detection import (
     register_detector_kind,
     run_detector,
 )
-from veriledger.ledger import genesis_block
+from veriledger.ledger import init_chain
 from veriledger.store import (
     canonical_json,
     record_to_json,
@@ -92,7 +92,9 @@ def _swap_proposer(block):
     block["proposer"] = "v1" if block["proposer"] == "v2" else "v2"
 
 
-@pytest.mark.parametrize(
+# One header field edited and not resealed, with the error it must raise. A
+# height edit is left out: the reader refuses it before the block is applied.
+HEADER_EDITS = pytest.mark.parametrize(
     "edit, error",
     [
         (lambda block: block.update(parent_hash="11" * 32), "BadParent"),
@@ -104,19 +106,36 @@ def _swap_proposer(block):
     ],
     ids=["parent_hash", "proposer", "state_root", "block_hash", "timestamp"],
 )
-def test_verify_names_the_header_field_an_edit_breaks(golden_run, tmp_path, capsys, edit, error):
-    # One header field of line 5 edited and not resealed. A height edit is
-    # left out: the reader refuses it before the block is applied.
+
+
+def _verify_with_edited_header(golden_run, tmp_path, capsys, height, edit):
     lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
-    record = json.loads(lines[5])
+    record = json.loads(lines[height])
     edit(record["block"])
-    lines[5] = canonical_json(record)
+    lines[height] = canonical_json(record)
     edited = tmp_path / "edited.chain.jsonl"
     edited.write_text("\n".join(lines) + "\n")
     code = main(["verify", "--chain", str(edited)])
-    out = capsys.readouterr().out
     assert code == 1
+    return capsys.readouterr().out
+
+
+@HEADER_EDITS
+def test_verify_names_the_header_field_an_edit_breaks(golden_run, tmp_path, capsys, edit, error):
+    out = _verify_with_edited_header(golden_run, tmp_path, capsys, 5, edit)
     assert out.startswith(f"FAIL at height 5: {error}: ")
+
+
+@HEADER_EDITS
+def test_verify_names_the_genesis_header_field_an_edit_breaks(
+    golden_run, tmp_path, capsys, edit, error
+):
+    # The genesis goes through the same header comparison as every later
+    # block, so an edit names its field rather than the whole block.
+    out = _verify_with_edited_header(golden_run, tmp_path, capsys, 0, edit)
+    assert out.startswith(f"FAIL at height 0: {error}: ")
+    if error == "WrongProposer":
+        assert out == "FAIL at height 0: WrongProposer: proposer 'v2', expected ''\n"
 
 
 @pytest.mark.parametrize(
@@ -169,7 +188,7 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
         # One token more than the supply, in a genesis block resealed to
         # match it: only the conservation check can refuse this chain. The
         # later blocks are dropped; their parent hashes no longer match.
-        genesis = genesis_block(state_from_json(record["genesis_state"]))
+        genesis, _ = init_chain(state_from_json(record["genesis_state"]))
         record["block"] = record_to_json(genesis)
         lines = lines[:1]
     lines[0] = canonical_json(record)

@@ -38,7 +38,7 @@ from veriledger.ledger import init_chain, seal_block
 from veriledger.rng import SplitMix64
 from veriledger.sim import BUILTIN_DETECTORS
 
-from fuzz import FuzzStream, build_fuzz_state
+from fuzz import BOGUS_CHALLENGE_IDS, FuzzStream, build_fuzz_state
 from naive_rules import naive_run
 
 ORACLE = "oracle"
@@ -225,6 +225,37 @@ def test_unknown_algorithm_and_challenge():
         ),
     )
     assert receipt.error_code == "UnknownChallenge"
+
+
+@pytest.mark.parametrize("count", [1, 6, 20, 999, 1000, 1001])
+def test_is_challenge_matches_the_challenge_set(count):
+    params = ContractParams(challenge_count=count)
+    ids = params.challenge_ids()
+    for cid in [*ids, *BOGUS_CHALLENGE_IDS, f"ch-{count:03d}", f"ch-{count - 1:04d}",
+                f"ch-{count - 1:03d}\n", f" ch-{count - 1:03d}", f"cx-{count - 1:03d}"]:
+        assert params.is_challenge(cid) == (cid in ids), cid
+
+
+@pytest.mark.parametrize(
+    "cid, accepted",
+    [
+        ("ch-000", True),
+        ("ch-1099511627775", True),  # the last of 2^40
+        ("ch-1099511627776", False),
+        ("ch-001099511627775", False),  # leading zeros past three digits
+        ("ch-" + "9" * 20, False),
+        ("ch-" + "9" * 21, False),
+        ("ch-" + "9" * 4301, False),  # int() would raise on these digits
+        ("ch-\u0660\u0660\u0661", False),  # Arabic-Indic digits, which int() reads
+        ("ch-\u00b2", False),  # a digit to isdigit() that int() refuses
+        ("ch-0001", False),
+        ("ch--01", False),
+        ("ch-+01", False),
+    ],
+)
+def test_is_challenge_builds_no_set(cid, accepted):
+    # 2^40 ids would never fit in memory; membership is decided from the id.
+    assert ContractParams(challenge_count=2**40).is_challenge(cid) is accepted
 
 
 # --- content registry -----------------------------------------------------------

@@ -19,6 +19,7 @@ from veriledger.errors import (
     WrongProposer,
 )
 from veriledger.ledger import (
+    GENESIS_PROPOSER,
     apply_block,
     compute_block_hash,
     init_chain,
@@ -199,10 +200,21 @@ def test_apply_block_names_the_one_header_field_that_differs(field, value, error
         apply_block(state, replace(block, **{field: value}))
 
 
-def test_uninitialized_chain_rejected():
-    state = fresh_state()
-    with pytest.raises(BadHeight):
-        seal_block(state, [], timestamp=1)
+def test_genesis_is_the_seal_of_no_transactions():
+    # A state with no chain is followed by its genesis: height 0 on a zero
+    # parent, proposed by GENESIS_PROPOSER without a draw, and checked by
+    # apply_block like any block.
+    from dataclasses import replace
+
+    fresh = fresh_state()
+    sealed, state, receipts = seal_block(fresh, (), 0)
+    assert (sealed, state) == init_chain(fresh)
+    assert receipts == []
+    assert (sealed.height, sealed.parent_hash) == (0, Hash256.zero())
+    assert sealed.proposer == GENESIS_PROPOSER
+    assert apply_block(fresh, sealed) == (state, [])
+    with pytest.raises(WrongProposer, match="^proposer 'v1', expected ''$"):
+        apply_block(fresh, replace(sealed, proposer="v1"))
 
 
 def test_rejected_transactions_are_state_neutral():

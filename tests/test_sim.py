@@ -389,6 +389,17 @@ def test_blocks_beyond_the_bound_rejected():
         parse_scenario(doc)
 
 
+def test_challenge_count_beyond_the_bound_rejected():
+    # The runner answers every challenge at height 2, so a count of 2^40
+    # used to parse and make a run that never ended.
+    doc = golden_doc()
+    doc["params"] = {"challenge_count": 2**12}
+    assert parse_scenario(doc).params.challenge_count == 2**12
+    doc["params"] = {"challenge_count": 2**12 + 1}
+    with pytest.raises(ConfigError, match="params.challenge_count"):
+        parse_scenario(doc)
+
+
 SCENARIO_WRONG_TYPES = [5, 1.5, "", "x", [], [1], {}, {"a": 1}, None, True, False]
 SCENARIO_U64_EDGES = [-1, 0, 2**64 - 1, 2**64]
 # Keys an object may gain: unknown ones, and optional ones the base leaves out.

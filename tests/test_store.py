@@ -38,7 +38,6 @@ from veriledger.errors import (
 from veriledger.ledger import (
     apply_block,
     compute_block_hash,
-    genesis_block,
     init_chain,
     proposer_seed,
     seal_block,
@@ -418,6 +417,35 @@ def test_receipt_divergence_detected(tmp_path):
     assert "receipts" in result.error or "hash" in result.error
 
 
+def test_resealed_genesis_with_transactions_fails_at_height_0(tmp_path):
+    # Sealed from the genesis state like any genesis, so its header and
+    # receipts are what replay would compute; only the rule that a genesis
+    # carries no transactions refuses it.
+    genesis_state = fresh_state()
+    genesis, _, receipts = seal_block(genesis_state, [transfer("A", "B", 1)], timestamp=0)
+    assert genesis.height == 0 and receipts
+    path = tmp_path / "genesis-txs.chain.jsonl"
+    with ChainWriter(path) as writer:
+        writer.append(genesis, receipts, genesis_state=genesis_state)
+    result = verify_chain(path)
+    assert str(result) == (
+        "FAIL at height 0: CorruptRecord: line 1: genesis block must carry no transactions"
+    )
+
+
+def test_genesis_with_stored_receipts_fails_at_height_0(tmp_path):
+    genesis_state = fresh_state()
+    genesis, state = init_chain(genesis_state)
+    _, _, receipts = seal_block(state, [transfer("A", "B", 1)], timestamp=1)
+    path = tmp_path / "genesis-receipts.chain.jsonl"
+    with ChainWriter(path) as writer:
+        writer.append(genesis, receipts, genesis_state=genesis_state)
+    result = verify_chain(path)
+    assert str(result) == (
+        "FAIL at height 0: CorruptRecord: line 1: stored receipts diverge at height 0"
+    )
+
+
 def test_writer_starts_a_new_chain_over_an_existing_file(tmp_path):
     path, genesis_state, _, _ = small_chain(tmp_path)
     genesis, _ = init_chain(genesis_state)
@@ -476,7 +504,7 @@ def _reseal(records, start):
         record = records[i]
         try:
             if i == 0:
-                block = genesis_block(
+                block, _ = init_chain(
                     state_from_json(record["genesis_state"]),
                     timestamp=record["block"]["timestamp"],
                 )
