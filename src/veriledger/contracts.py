@@ -259,6 +259,8 @@ def commit_analysis_result(
     ):
         raise Rejection(errors.ALGORITHM_NOT_ACTIVE, payload.algorithm_id)
     _check_result(state, payload)
+    if state.balance(ESCROW_ACCOUNT) < request.fee:
+        raise Rejection(errors.INSUFFICIENT_BALANCE, ESCROW_ACCOUNT)
 
     state.requests[payload.request_id] = replace(
         request, status=RequestStatus.COMPLETED

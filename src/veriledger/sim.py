@@ -764,7 +764,7 @@ class ScenarioRunner:
             genesis, state = init_chain(genesis_state, timestamp=0)
             records = [ChainRecord(height=0, block=genesis, receipts=())]
             if writer is not None:
-                writer.append(genesis, (), genesis_state=genesis_state)
+                writer.append(genesis, genesis_state=genesis_state)
 
             # Request queue: fakes first, then unrelated items, submitted a fixed
             # number per block starting at height 3.
@@ -870,7 +870,7 @@ class ScenarioRunner:
                     ChainRecord(height=height, block=block, receipts=tuple(receipts))
                 )
                 if writer is not None:
-                    writer.append(block, receipts)
+                    writer.append(block)
 
                 # Users send ground-truth feedback the block after completion.
                 for tx, receipt in zip(block.transactions, receipts):

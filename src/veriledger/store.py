@@ -18,35 +18,36 @@ File format (extension ``.chain.jsonl``, UTF-8, one record per line):
   bit i (most significant bit first) is set iff value i's binary64 bits are
   not all zero, so ``-0.0`` is stored and ``+0.0`` is not; then each value
   whose bit is set, as binary64. Every other float is a JSON number;
-* every stored type -- transaction, block, receipt, notification event,
-  payload, state record, ``ContractParams`` -- is an object with one key
-  per field of its dataclass (``core.record_schema``), written and read by
-  one codec (``record_to_json``, ``record_from_json``). Three exceptions:
-  an algorithm's ``tp``/``fp``/``tn``/``fn`` nest under ``perf``, an event
-  carries ``"type": "notification"``, and a payload's type follows from
-  its transaction's ``kind``;
-* record fields: ``version`` ("v3"), ``height``, ``block``, ``receipts``;
-  the height-0 record additionally carries ``genesis_state``, the full
-  starting state, which makes a chain file self-contained for replay.
-  A reader accepts only its own version and refuses any other at its
-  first line: "v1" state roots covered each analysis request's embedding,
-  which later roots commit to by hash, and "v2" stored embeddings as lists
-  of JSON numbers;
+* every stored type -- transaction, block, payload, state record,
+  ``ContractParams`` -- is an object with one key per field of its
+  dataclass (``core.record_schema``), written and read by one codec
+  (``record_to_json``, ``record_from_json``). Two exceptions: an
+  algorithm's ``tp``/``fp``/``tn``/``fn`` nest under ``perf``, and a
+  payload's type follows from its transaction's ``kind``;
+* record fields: ``version`` ("v4"), ``height`` and ``block``; the height-0
+  record additionally carries ``genesis_state``, the full starting state,
+  which makes a chain file self-contained for replay. A record stores no
+  receipts: every reader re-executes the block, and its receipts are what
+  that returns. A reader accepts only its own version and refuses any
+  other at its first line: "v1" state roots covered each analysis
+  request's embedding, which later roots commit to by hash, "v2" stored
+  embeddings as lists of JSON numbers, and "v3" stored each block's
+  receipts;
 * records are strictly ordered by height starting at 0;
 * a line holds at most ``MAX_LINE_BYTES`` bytes before its line end.
 
 Reads stream: ``read_chain`` reads the file one line at a time, and
-``replay`` re-executes each record as soon as it is read, so a reader holds
+``replay`` re-executes each block as soon as it is read, so a reader holds
 the state and one line, at most ``MAX_LINE_BYTES`` + 1 bytes of it, and the
 first height that fails any check is the one reported. The checks split in
-two: this module checks what a line is (its form, version and height, and
-that it decodes), and ``ledger.apply_block`` checks what a block is, the
+two: this module checks what a line is (its form, version and height, that
+it decodes, and that a genesis state conserves tokens and references only
+what it holds), and ``ledger.apply_block`` checks what a block is, the
 genesis included (it re-seals the block and compares every header field,
 block hash included), so this module does not know which fields a block
-hash covers. Replay then compares the re-executed receipts against the
-stored ones, which no hash covers. Any single flipped byte therefore surfaces as a parse failure, a
-canonical-form mismatch, or a semantic mismatch at a named height -- never
-as silent divergence.
+hash covers. Any single flipped byte therefore surfaces as a parse failure,
+a canonical-form mismatch, or a semantic mismatch at a named height --
+never as silent divergence.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .core import (
     NetworkState,
     NotificationEvent,
     Receipt,
-    ReceiptStatus,
     RequestStatus,
     Transaction,
     TxKind,
@@ -96,7 +96,7 @@ from .errors import (
 )
 from .ledger import apply_block
 
-FORMAT_VERSION = "v3"
+FORMAT_VERSION = "v4"
 
 
 def canonical_json(value: Any) -> str:
@@ -303,7 +303,9 @@ def _enum(enum_cls) -> tuple:
 # is known; and a receipt event carries a ``"type": "notification"`` tag. A
 # float field or similarity is written as a float even where the record
 # holds an int: both have the same binary64 encoding, and the decoders
-# accept only floats.
+# accept only floats. Receipts and their events are printed (``inspect
+# --height``, ``notifications``) but never stored, so their field types have
+# no decoder.
 
 _PERF = frozenset({"tp", "fp", "tn", "fn"})
 
@@ -321,7 +323,8 @@ def _json_schema(cls: type) -> tuple[frozenset[str], tuple]:
 
 def record_to_json(record: Any) -> dict:
     """JSON form of a payload, state record, ``ContractParams``,
-    ``DetectorSpec``, transaction, block, receipt or event."""
+    ``DetectorSpec``, transaction or block, and the printed form of a
+    receipt or event."""
     doc = {
         name: getattr(record, name) if to_json is None else to_json(getattr(record, name))
         for name, to_json, _ in _json_schema(type(record))[1]
@@ -366,20 +369,6 @@ def _events_to_json(events: Iterable[NotificationEvent]) -> list:
     return [{"type": "notification", **record_to_json(e)} for e in events]
 
 
-def _events_from_json(v: Any, what: str) -> tuple[NotificationEvent, ...]:
-    events = []
-    for d in _as_list(v, what):
-        if _as_map(d, "event").get("type") != "notification":
-            raise SerializationError(f"unknown event type {d.get('type')!r}")
-        fields = {k: x for k, x in d.items() if k != "type"}
-        events.append(record_from_json(NotificationEvent, fields, "event"))
-    return tuple(events)
-
-
-def _optional_str(v: Any, what: str) -> str | None:
-    return None if v is None else _as_str(v, what)
-
-
 def _payload_later(v: Any, what: str) -> Any:
     # The payload's type follows from the transaction's kind, so
     # record_from_json decodes it once the kind is known.
@@ -387,9 +376,12 @@ def _payload_later(v: Any, what: str) -> Any:
 
 
 # annotation -> (to JSON, from JSON); each decoder type-checks its value.
-_JSON_CODECS: dict[str, tuple[Callable[[Any], Any] | None, Callable[[Any, str], Any]]] = {
+# The types only a receipt holds are written and never read.
+_JSON_CODECS: dict[
+    str, tuple[Callable[[Any], Any] | None, Callable[[Any, str], Any] | None]
+] = {
     "str": (None, _as_str),
-    "str | None": (None, _optional_str),
+    "str | None": (None, None),
     "int": (None, _as_nonneg),
     "float": (float, _as_float),
     "Hash256": (attrgetter("hex"), _as_hash),
@@ -412,10 +404,10 @@ _JSON_CODECS: dict[str, tuple[Callable[[Any], Any] | None, Callable[[Any, str], 
     "AlgorithmStatus": _enum(AlgorithmStatus),
     "RequestStatus": _enum(RequestStatus),
     "TxKind": _enum(TxKind),
-    "ReceiptStatus": _enum(ReceiptStatus),
+    "ReceiptStatus": (attrgetter("_value_"), None),
     "Payload": (record_to_json, _payload_later),
     "tuple[Transaction, ...]": (_records_to_json, _transactions_from_json),
-    "tuple[NotificationEvent, ...]": (_events_to_json, _events_from_json),
+    "tuple[NotificationEvent, ...]": (_events_to_json, None),
 }
 
 
@@ -502,14 +494,11 @@ class ChainView:
         return self.records[-1].block
 
 
-def _record_to_json(
-    block: Block, receipts: Iterable[Receipt], genesis_state: NetworkState | None
-) -> dict:
+def _record_to_json(block: Block, genesis_state: NetworkState | None) -> dict:
     record = {
         "version": FORMAT_VERSION,
         "height": block.height,
         "block": record_to_json(block),
-        "receipts": _records_to_json(receipts),
     }
     if block.height == 0:
         if genesis_state is None:
@@ -527,18 +516,13 @@ class ChainWriter:
         self._last_height = -1
         self._fh = open(self.path, "wb")
 
-    def append(
-        self,
-        block: Block,
-        receipts: Iterable[Receipt],
-        genesis_state: NetworkState | None = None,
-    ) -> None:
+    def append(self, block: Block, genesis_state: NetworkState | None = None) -> None:
         if block.height != self._last_height + 1:
             raise HeightGap(
                 f"append height {block.height} after {self._last_height}"
             )
         try:
-            line = canonical_json(_record_to_json(block, receipts, genesis_state))
+            line = canonical_json(_record_to_json(block, genesis_state))
         except (TypeError, ValueError) as exc:
             raise SerializationError(str(exc)) from exc
         if len(line) > MAX_LINE_BYTES:  # ASCII: one byte per character
@@ -572,14 +556,14 @@ def _parse_line(line_number: int, raw: bytes) -> tuple[str, Any]:
         raise CorruptRecord(line_number, f"unparseable record: {exc}") from exc
 
 
-def _read_record(height: int, raw: bytes) -> tuple[ChainRecord, NetworkState | None]:
-    """The record on the line of ``height``, with its genesis state if it
-    carries one."""
+def _read_record(height: int, raw: bytes) -> tuple[Block, NetworkState | None]:
+    """The block on the line of ``height``, with its genesis state if the
+    line carries one."""
     line_number = height + 1
     text, value = _parse_line(line_number, raw)
     genesis_state = None
     try:
-        expected = {"version", "height", "block", "receipts"}
+        expected = {"version", "height", "block"}
         if height == 0:
             expected = expected | {"genesis_state"}
         value = _expect_keys(value, expected, "record")
@@ -587,10 +571,6 @@ def _read_record(height: int, raw: bytes) -> tuple[ChainRecord, NetworkState | N
             raise SerializationError(f"unsupported version {value['version']!r}")
         stored_height = _as_nonneg(value["height"], "record.height")
         block = record_from_json(Block, value["block"], "block")
-        receipts = tuple(
-            record_from_json(Receipt, r, "receipt")
-            for r in _as_list(value["receipts"], "record.receipts")
-        )
         if height == 0:
             genesis_state = state_from_json(value["genesis_state"])
     except SerializationError as exc:
@@ -611,15 +591,13 @@ def _read_record(height: int, raw: bytes) -> tuple[ChainRecord, NetworkState | N
         canonical = False
     if not canonical:
         raise CorruptRecord(line_number, "record is not in canonical form")
-    return ChainRecord(height=height, block=block, receipts=receipts), genesis_state
+    return block, genesis_state
 
 
-def read_chain(
-    path: str | os.PathLike,
-) -> Iterator[tuple[ChainRecord, NetworkState | None]]:
+def read_chain(path: str | os.PathLike) -> Iterator[tuple[Block, NetworkState | None]]:
     """Parse and structurally validate a chain file one line at a time (no
-    re-execution): yield each record with the genesis state it carries, which
-    only the height-0 record does, as soon as its line passes."""
+    re-execution): yield each block with the genesis state its line carries,
+    which only the height-0 line does, as soon as its line passes."""
     height = 0
     with open(path, "rb") as fh:
         # One byte past the bound tells a line that is too long from one
@@ -634,27 +612,38 @@ def read_chain(
         raise StoreError(f"empty chain file: {path}")
 
 
-def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]]:
-    """Re-execute a chain file from its genesis, one record at a time, and
-    yield each record with the state after it once the record has passed
-    every check.
+def _genesis_fault(state: NetworkState) -> str | None:
+    """Why replay cannot start from ``state``, or None: its tokens are not
+    conserved, or a record names one the state lacks where a handler looks
+    it up unchecked (``contracts.submit_feedback``)."""
+    if gap := state.conservation_gap():
+        return f"genesis balances and stakes differ from the supply by {gap}"
+    for rid, request in state.requests.items():
+        if request.status is RequestStatus.COMPLETED and rid not in state.results:
+            return f"completed request {rid} has no result"
+    for result in state.results.values():
+        if result.algorithm_id not in state.algorithms:
+            return f"result {result.request_id} names unknown algorithm {result.algorithm_id}"
+    return None
 
-    The genesis record starts from the state it embeds, which must conserve
-    tokens, and its block must carry no transactions. Every record, the
-    genesis included, then goes through ``ledger.apply_block``, which
-    accepts a block iff re-sealing it reproduces every header field, block
-    hash included, and through receipt-for-receipt equality between the
-    stored receipts and the re-executed ones. Fails loudly with the
-    offending height, which is the first height that fails a check of
+
+def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]]:
+    """Re-execute a chain file from its genesis, one block at a time, and
+    yield each block, with the receipts its execution returned, and the
+    state after it once the block has passed every check.
+
+    The genesis block starts from the state its line embeds, which must
+    conserve tokens and reference only records it holds, and must carry no
+    transactions. Every block, the genesis included, then goes through
+    ``ledger.apply_block``, which accepts a block iff re-sealing it
+    reproduces every header field, block hash included. Fails loudly with
+    the offending height, which is the first height that fails a check of
     either reading or execution; never silently diverges.
     """
-    for record, genesis_state in read_chain(path):
-        block = record.block
+    for block, genesis_state in read_chain(path):
         if genesis_state is not None:
-            if gap := genesis_state.conservation_gap():
-                raise CorruptRecord(
-                    1, f"genesis balances and stakes differ from the supply by {gap}"
-                )
+            if fault := _genesis_fault(genesis_state):
+                raise CorruptRecord(1, fault)
             if block.transactions:
                 raise CorruptRecord(1, "genesis block must carry no transactions")
             state = genesis_state
@@ -663,11 +652,7 @@ def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]
         except LedgerError as exc:
             exc.height = block.height  # name the offending height for callers
             raise
-        if tuple(receipts) != record.receipts:
-            raise CorruptRecord(
-                block.height + 1, f"stored receipts diverge at height {block.height}"
-            )
-        yield record, state
+        yield ChainRecord(block.height, block, tuple(receipts)), state
 
 
 def notifications(records: Iterable[ChainRecord]) -> list[dict]:

@@ -203,14 +203,15 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
 
 def test_chain_of_the_earlier_format_fails_at_height_0(golden_run, tmp_path, capsys):
     # "v1" state roots covered each request's embedding, which later roots
-    # commit to by hash; "v2" stored embeddings as lists of JSON numbers. A
-    # chain of either is refused at its first line, not with a root mismatch
-    # or an undecodable embedding further on.
+    # commit to by hash; "v2" stored embeddings as lists of JSON numbers;
+    # "v3" stored each block's receipts. A chain of any is refused at its
+    # first line, not with a root mismatch or an undecodable embedding
+    # further on.
     lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
-    assert all(line.count('"version":"v3"') == 1 for line in lines)
-    for version in ("v1", "v2"):
+    assert all(line.count('"version":"v4"') == 1 for line in lines)
+    for version in ("v1", "v2", "v3"):
         old = tmp_path / f"{version}.chain.jsonl"
-        earlier = [line.replace('"version":"v3"', f'"version":"{version}"') for line in lines]
+        earlier = [line.replace('"version":"v4"', f'"version":"{version}"') for line in lines]
         old.write_text("\n".join(earlier) + "\n")
         code = main(["verify", "--chain", str(old)])
         out = capsys.readouterr().out
@@ -519,12 +520,16 @@ def test_notifications_empty_for_unflagged_provider(golden_run, capsys):
 
 
 def _forged_event_chain(golden_run, tmp_path, garbage_line=None):
-    """The golden chain with the provider of the first notification event at
-    height 4 changed to provider-2; the block hash covers no receipt, so
-    only re-execution finds it. With ``garbage_line``, that line (1-based)
-    is replaced by text that is no record."""
+    """The golden chain with the line of height 4 carrying its block's
+    receipts, as a "v3" line did, with the provider of the first
+    notification event changed to provider-2. No hash covers receipts, and
+    a reader that took stored ones would list the forged event. With
+    ``garbage_line``, that line (1-based) is replaced by text that is no
+    record."""
     lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
     record = json.loads(lines[4])
+    receipts = golden_run.result.chain.records[4].receipts
+    record["receipts"] = [record_to_json(r) for r in receipts]
     event = next(e for r in record["receipts"] for e in r["events"])
     assert event["provider"] == "provider-1"
     event["provider"] = "provider-2"
@@ -555,7 +560,8 @@ def test_read_commands_refuse_a_forged_event_as_verify_does(
     forged = _forged_event_chain(golden_run, tmp_path, garbage_line)
     assert main(["verify", "--chain", str(forged)]) == 1
     verified = capsys.readouterr().out
-    assert verified.startswith("FAIL at height 4: ")
+    assert verified.startswith("FAIL at height 4: CorruptRecord: line 5: record: fields ")
+    assert "'receipts'" in verified
     args = READ_COMMANDS[command]
     if command == "report":
         args = [*args, "--truth", str(golden_run.out_dir / "ground_truth.json")]
@@ -583,6 +589,27 @@ def test_log_env_controls_stderr(golden_run, tmp_path):
     )
     assert result.returncode == 0
     assert "running scenario" in result.stderr
+
+
+def test_unknown_log_level_warns_and_falls_back_to_error(tmp_path):
+    out = tmp_path / "out"
+    result = run_cli(
+        ["run", "--config", str(GOLDEN_CONFIG_PATH), "--out", str(out)],
+        env={"VERILEDGER_LOG": "Verbose"},
+    )
+    assert result.returncode == 0
+    # The info line "running scenario" is not logged at level error.
+    assert result.stderr == "warning: unknown VERILEDGER_LOG='verbose', using 'error'\n"
+
+
+def test_run_out_naming_a_file_is_an_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = main(["run", "--config", str(GOLDEN_CONFIG_PATH), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 17] File exists")
 
 
 def test_pretty_flag(golden_run, capsys):

@@ -34,6 +34,7 @@ from veriledger.core import (
     Verdict,
     transaction_hash,
 )
+from veriledger import errors
 from veriledger.ledger import init_chain, seal_block
 from veriledger.rng import SplitMix64
 from veriledger.sim import BUILTIN_DETECTORS
@@ -554,6 +555,29 @@ def test_commit_result_invariants_enforced():
     assert receipt.error_code == "BadResult"
 
 
+def test_commit_refused_when_escrow_cannot_pay_the_fee():
+    # Transactions are unsigned, so anyone can move @escrow's tokens. A
+    # commit whose fee @escrow no longer holds used to fail its debit after
+    # the request was marked completed, ending the block in a ValueError.
+    driver = Driver(make_state())
+    rid = setup_active_pipeline(driver)
+    theft, _ = driver.submit(
+        TxKind.TRANSFER_TOKENS, ESCROW_ACCOUNT, TransferTokens(recipient="mallory", amount=10)
+    )
+    assert theft.status is ReceiptStatus.ACCEPTED
+    before = driver.state.state_root()
+    receipt, _ = driver.submit(
+        TxKind.COMMIT_ANALYSIS_RESULT,
+        ORACLE,
+        CommitAnalysisResult(
+            request_id=rid, algorithm_id="algo-1",
+            verdict=Verdict.UNVERIFIED, confidence=0.0, matched_content=(),
+        ),
+    )
+    assert receipt.error_code == "InsufficientBalance"
+    assert driver.state.state_root() == before
+
+
 # --- feedback --------------------------------------------------------------------
 
 
@@ -691,6 +715,147 @@ def test_transfer_zero_rejected():
         TxKind.TRANSFER_TOKENS, "alice", TransferTokens(recipient="bob", amount=0)
     )
     assert receipt.error_code == "BadAmount"
+
+
+# --- one case per rejection code ------------------------------------------------
+#
+# Keyed by the rejection code, and after a hyphen what the case varies where
+# a code has more than one. Each case names a stage the state is driven to
+# and a builder of the transaction to refuse: (kind, sender, payload), or
+# with a nonce after them, the next nonce of the sender otherwise. A stage
+# returns the id of its request: "pending" submits one that algo-1 (Active,
+# Bytes) can serve, and "completed" also commits a Deepfake result for it,
+# matching c-0.
+
+
+def _registered(driver):
+    register_algo(driver)
+
+
+STAGES = {
+    "fresh": lambda driver: None,
+    "registered": _registered,
+    "pending": setup_active_pipeline,
+    "completed": completed_request,
+}
+
+
+def _register(algorithm_id="algo-2", stake=100, detector="near-duplicate"):
+    payload = RegisterAlgorithm(
+        algorithm_id=algorithm_id, media_types=frozenset({MediaType.BYTES}),
+        detector_kind=detector, stake=stake,
+    )
+    return TxKind.REGISTER_ALGORITHM, "alice", payload
+
+
+def _challenge(algorithm_id="algo-1", challenge_id="ch-000"):
+    payload = SubmitChallengeResult(
+        algorithm_id=algorithm_id, challenge_id=challenge_id,
+        predicted_label=Verdict.DEEPFAKE, true_label=Verdict.DEEPFAKE,
+    )
+    return TxKind.SUBMIT_CHALLENGE_RESULT, "alice", payload
+
+
+def _content(content_id="c-9", embedding=None):
+    payload = RegisterContent(
+        content_id=content_id, media_type=MediaType.BYTES,
+        content_hash=hash_bytes(b"item-9"),
+        embedding=bytes_embedding() if embedding is None else embedding,
+    )
+    return TxKind.REGISTER_CONTENT, "bob", payload
+
+
+def _commit(rid, algorithm_id="algo-1", confidence=0.99, matches=(("c-0", 0.99),),
+            sender=ORACLE):
+    payload = CommitAnalysisResult(
+        request_id=rid, algorithm_id=algorithm_id, verdict=Verdict.DEEPFAKE,
+        confidence=confidence, matched_content=matches,
+    )
+    return TxKind.COMMIT_ANALYSIS_RESULT, sender, payload
+
+
+def _feedback(rid, sender="bob", label=Verdict.DEEPFAKE):
+    return TxKind.SUBMIT_FEEDBACK, sender, SubmitFeedback(request_id=rid, true_label=label)
+
+
+def _transfer(amount):
+    return TxKind.TRANSFER_TOKENS, "alice", TransferTokens(recipient="bob", amount=amount)
+
+
+def _second_challenge(driver, rid):
+    driver.submit(*_challenge())
+    return _challenge()
+
+
+def _second_feedback(driver, rid):
+    driver.submit(*_feedback(rid))
+    return _feedback(rid)
+
+
+def _duplicate_request(driver, rid):
+    # A request's id is a hash of its transaction, nonce included, so a
+    # transaction meets its own id only in a request the state already
+    # holds, such as a genesis request.
+    state = driver.state
+    kind, sender, payload = TxKind.SUBMIT_ANALYSIS_REQUEST, "alice", request_payload()
+    tx = Transaction(kind=kind, sender=sender, payload=payload, nonce=state.nonces[sender] + 1)
+    state.requests[request_id_for(tx)] = state.requests[rid]
+    return kind, sender, payload
+
+
+REJECTIONS = {
+    "BadNonce": ("pending", lambda d, rid: (*_transfer(1), 0)),
+    "UnknownKind": ("fresh", lambda d, rid: (TxKind.REGISTER_ALGORITHM, *_transfer(1)[1:])),
+    "DuplicateAlgorithm": ("registered", lambda d, rid: _register("algo-1")),
+    "InsufficientStake": ("fresh", lambda d, rid: _register(stake=99)),
+    "InsufficientBalance": ("fresh", lambda d, rid: _transfer(501)),
+    "UnknownDetector": ("fresh", lambda d, rid: _register(detector="no-such-kind")),
+    "NotPending": ("pending", lambda d, rid: _challenge()),
+    "DuplicateChallenge": ("registered", _second_challenge),
+    "UnknownChallenge": ("registered", lambda d, rid: _challenge(challenge_id="ch-020")),
+    "UnknownAlgorithm": ("fresh", lambda d, rid: _challenge()),
+    "DuplicateContent": ("pending", lambda d, rid: _content("c-0")),
+    "BadEmbeddingDimension": (
+        "fresh", lambda d, rid: _content(embedding=Embedding((0.5,) * 255, MediaType.BYTES))
+    ),
+    "BadEmbeddingValues": ("fresh", lambda d, rid: _content(embedding=bytes_embedding(0.0))),
+    "InsufficientFee": (
+        "fresh", lambda d, rid: (TxKind.SUBMIT_ANALYSIS_REQUEST, "alice", request_payload(fee=9))
+    ),
+    "DuplicateRequest": ("pending", _duplicate_request),
+    "UnknownRequest": ("pending", lambda d, rid: _commit("no-such-request")),
+    "RequestCompleted": ("completed", lambda d, rid: _commit(rid)),
+    "RequestNotCompleted": ("pending", lambda d, rid: _feedback(rid)),
+    "AlgorithmNotActive": ("pending", lambda d, rid: _commit(rid, algorithm_id="algo-2")),
+    "UnauthorizedOracle": ("pending", lambda d, rid: _commit(rid, sender="alice")),
+    "BadResult-confidence": ("pending", lambda d, rid: _commit(rid, confidence=1.5)),
+    "BadResult-similarity": ("pending", lambda d, rid: _commit(rid, matches=(("c-0", 1.5),))),
+    "DuplicateFeedback": ("completed", _second_feedback),
+    "NotSubmitter": ("completed", lambda d, rid: _feedback(rid, sender="alice")),
+    "BadLabel": ("completed", lambda d, rid: _feedback(rid, label=Verdict.UNVERIFIED)),
+    "BadAmount": ("fresh", lambda d, rid: _transfer(0)),
+}
+
+
+def test_rejection_table_has_a_case_for_every_code():
+    codes = {value for name, value in vars(errors).items() if name.isupper()}
+    assert {case.partition("-")[0] for case in REJECTIONS} == codes
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_every_rejection_code_is_reached_and_state_neutral(case):
+    code = case.partition("-")[0]
+    stage, build = REJECTIONS[case]
+    driver = Driver(make_state())
+    rid = STAGES[stage](driver)
+    kind, sender, payload, *nonce = build(driver, rid)
+    state = driver.state
+    nonce = nonce[0] if nonce else state.nonces.get(sender, -1) + 1
+    tx = Transaction(kind=kind, sender=sender, payload=payload, nonce=nonce)
+    before = state.state_root()
+    receipt = execute_transaction(state, tx, ExecContext(1, "v1", 0, transaction_hash(tx)))
+    assert (receipt.status, receipt.error_code) == (ReceiptStatus.REJECTED, code)
+    assert state.state_root() == before
 
 
 # --- epoch rewards ---------------------------------------------------------------

@@ -94,9 +94,9 @@ def test_cached_encodings_match_fresh_records_on_golden_replay(golden_run):
     # pays epoch rewards, so every kind of record replacement occurs.
     records = read_chain(golden_run.out_dir / "run.chain.jsonl")
     first, state = next(records)
-    _, state = init_chain(state, timestamp=first.block.timestamp)
-    for record, _ in records:
-        state, _ = apply_block(state, record.block)
+    _, state = init_chain(state, timestamp=first.timestamp)
+    for block, _ in records:
+        state, _ = apply_block(state, block)
         assert encode_state(state) == encode_state(fresh_copy(state))
 
 

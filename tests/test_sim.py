@@ -10,13 +10,14 @@ from veriledger.core import (
     ReceiptStatus,
     RegisterAlgorithm,
     Transaction,
+    TransferTokens,
     TxKind,
     Verdict,
     encode_transaction,
 )
 from veriledger.detection import embed, parse_pgm, similarity
 from veriledger.errors import ConfigError, MissingLabel
-from veriledger.ledger import init_chain
+from veriledger.ledger import init_chain, seal_block
 from veriledger.rng import SplitMix64
 from veriledger.sim import (
     CorpusSpec,
@@ -29,7 +30,7 @@ from veriledger.sim import (
     parse_scenario,
     perturb,
 )
-from veriledger.store import ChainWriter, canonical_json
+from veriledger.store import ChainRecord, ChainView, ChainWriter, canonical_json
 
 from conftest import GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, json_containers, random_bytes
 
@@ -643,6 +644,37 @@ def test_economic_sanity_owner_profits(golden_run, golden_config):
     state = golden_run.result.chain.final_state
     staked = golden_config.algorithms[0].stake
     assert state.balances["owner-1"] > staked
+
+
+def test_report_counts_a_rejected_transaction_and_a_false_positive(golden_run):
+    # The golden chain has neither: every transaction is accepted, and
+    # algo-nd flags exactly the fakes. One more block with an overdraft, and
+    # one flagged request relabelled Authentic, give one of each.
+    view = golden_run.result.chain
+    state = view.final_state
+    overdraft = Transaction(
+        TxKind.TRANSFER_TOKENS,
+        "user-1",
+        TransferTokens("mallory", state.balances["user-1"] + 1),
+        nonce=state.nonces["user-1"] + 1,
+    )
+    block, state, receipts = seal_block(state, [overdraft], timestamp=len(view.records))
+    records = [*view.records, ChainRecord(block.height, block, tuple(receipts))]
+    truth = golden_run.result.ground_truth
+    flagged = min(
+        rid for rid, result in view.final_state.results.items()
+        if result.verdict is Verdict.DEEPFAKE
+    )
+    labels = {**truth.labels, flagged: Verdict.AUTHENTIC}
+    report = compute_metrics(ChainView(records, state), GroundTruth(labels, truth.sources))
+    [algorithm] = report.algorithms
+    assert (algorithm.tp, algorithm.fp, algorithm.tn, algorithm.fn) == (9, 1, 10, 0)
+    assert algorithm.precision == 0.9
+    transactions = report.chain["transactions"]
+    assert (transactions["total"], transactions["accepted"], transactions["rejected"]) == (
+        92, 91, 1
+    )
+    assert transactions["by_kind"]["TransferTokens"] == {"accepted": 0, "rejected": 1}
 
 
 def test_recount_from_receipts_matches_report(golden_run):

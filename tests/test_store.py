@@ -15,9 +15,13 @@ from veriledger import store
 from veriledger.cli import main
 from veriledger.codec import Hash256
 from veriledger.core import (
+    ESCROW_ACCOUNT,
     AlgorithmRecord,
     AlgorithmStatus,
+    AnalysisRequest,
+    AnalysisResultRecord,
     Block,
+    CommitAnalysisResult,
     ContentRecord,
     ContractParams,
     Embedding,
@@ -25,6 +29,12 @@ from veriledger.core import (
     NotificationEvent,
     Receipt,
     ReceiptStatus,
+    RequestStatus,
+    SubmitFeedback,
+    Transaction,
+    TransferTokens,
+    TxKind,
+    Verdict,
     encode_state,
 )
 from veriledger.errors import (
@@ -62,9 +72,9 @@ from test_ledger import fresh_state, transfer
 
 
 def read_all(path):
-    """The genesis state and every record of the chain at ``path``."""
+    """The genesis state and every block of the chain at ``path``."""
     pairs = list(read_chain(path))
-    return pairs[0][1], [record for record, _ in pairs]
+    return pairs[0][1], [block for block, _ in pairs]
 
 
 def replay_all(path):
@@ -80,17 +90,17 @@ def small_chain(tmp_path, blocks=3):
     genesis, state = init_chain(genesis_state)
     path = tmp_path / "small.chain.jsonl"
     writer = ChainWriter(path)
-    writer.append(genesis, (), genesis_state=genesis_state)
+    writer.append(genesis, genesis_state=genesis_state)
     nonce = 0
-    all_receipts = [()]
+    written = [(genesis, ())]
     for height in range(1, blocks + 1):
         txs = [transfer("A", "B", 1, nonce=nonce)]
         nonce += 1
         block, state, receipts = seal_block(state, txs, timestamp=height)
-        writer.append(block, receipts)
-        all_receipts.append(tuple(receipts))
+        writer.append(block)
+        written.append((block, tuple(receipts)))
     writer.close()
-    return path, genesis_state, state, all_receipts
+    return path, genesis_state, state, written
 
 
 def test_append_genesis_then_read_back(tmp_path):
@@ -107,25 +117,26 @@ def test_append_height_gap_rejected(tmp_path):
     block1, state, receipts = seal_block(state, [], timestamp=1)
     block2, state, _ = seal_block(state, [], timestamp=2)
     writer = ChainWriter(tmp_path / "gap.chain.jsonl")
-    writer.append(genesis, (), genesis_state=genesis_state)
+    writer.append(genesis, genesis_state=genesis_state)
     with pytest.raises(HeightGap):
-        writer.append(block2, ())
+        writer.append(block2)
     writer.close()
 
 
 def test_round_trip_identity(tmp_path):
-    path, _, live_state, all_receipts = small_chain(tmp_path)
-    _, records = read_all(path)
-    for record, expected_receipts in zip(records, all_receipts):
-        assert record.receipts == expected_receipts
-        assert record_from_json(Block, record_to_json(record.block), "block") == record.block
-        for receipt in record.receipts:
-            assert record_from_json(Receipt, record_to_json(receipt), "receipt") == receipt
+    path, _, _, written = small_chain(tmp_path)
+    _, blocks = read_all(path)
+    records = replay_all(path).records
+    for (block, receipts), read, record in zip(written, blocks, records, strict=True):
+        assert read == block
+        assert record_from_json(Block, record_to_json(block), "block") == block
+        # The file stores no receipts: replay yields the ones it re-executes.
+        assert (record.block, record.receipts) == (block, receipts)
 
 
 # SHA-256 of the golden scenario's chain file. The golden fixtures hold only
 # hashes of the binary encodings, so this pins the chain file's JSON layout.
-GOLDEN_CHAIN_SHA256 = "b1a962e2b2ee5055a8d0f8297c654e0a7ed50f02efef150fbffb628979c9a57b"
+GOLDEN_CHAIN_SHA256 = "5ea7dac3ec2fb0bcb5194e6127fa5f359fedbfd98f5ab0f4f0665a3139b2cb9a"
 
 
 def test_golden_chain_file_bytes_frozen(golden_run):
@@ -133,28 +144,22 @@ def test_golden_chain_file_bytes_frozen(golden_run):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_CHAIN_SHA256
 
 
+# Receipts are not stored, but ``inspect --height`` prints them, so their
+# JSON form is output that must not change.
 def test_rejected_receipt_json_frozen():
-    # The golden chain holds no rejected receipt, so its digest does not
-    # cover an error code.
     receipt = Receipt(tx_index=3, status=ReceiptStatus.REJECTED, error_code="BadNonce")
     text = canonical_json(record_to_json(receipt))
     assert text == '{"error_code":"BadNonce","events":[],"status":"rejected","tx_index":3}'
-    assert record_from_json(Receipt, json.loads(text), "receipt") == receipt
 
 
-@pytest.mark.parametrize("tag", [None, "", "Notification", "transfer"])
-def test_receipt_event_needs_the_notification_tag(tag):
+def test_printed_receipt_event_carries_the_notification_tag():
     event = NotificationEvent("provider-1", "trusted-000", "r-1", 0.5)
     receipt = Receipt(tx_index=0, status=ReceiptStatus.ACCEPTED, events=(event,))
-    doc = record_to_json(receipt)
-    assert doc["events"][0]["type"] == "notification"
-    assert record_from_json(Receipt, doc, "receipt") == receipt
-    if tag is None:
-        del doc["events"][0]["type"]
-    else:
-        doc["events"][0]["type"] = tag
-    with pytest.raises(SerializationError, match="unknown event type"):
-        record_from_json(Receipt, doc, "receipt")
+    assert canonical_json(record_to_json(receipt)) == (
+        '{"error_code":null,"events":[{"content_id":"trusted-000","provider":"provider-1",'
+        '"request_id":"r-1","similarity":0.5,"type":"notification"}],'
+        '"status":"accepted","tx_index":0}'
+    )
 
 
 def test_state_json_round_trip_bit_exact(golden_run):
@@ -311,8 +316,8 @@ TOKEN_VARIANTS = {
 COSMETIC_VARIANTS = [
     ("duplicate-media-type", '"media_types":["Bytes"]', '"media_types":["Bytes","Bytes"]'),
     ("int-confidence", '"confidence":0.0', '"confidence":0'),
-    ("int-similarity", '"similarity":0.9999266650298808', '"similarity":1'),
-    ("float-trailing-zero", '"similarity":0.9999266650298808', '"similarity":0.99992666502988080'),
+    ("int-similarity", '"trusted-000",0.9999266650298808]', '"trusted-000",1]'),
+    ("float-trailing-zero", '"trusted-000",0.9999266650298808]', '"trusted-000",0.99992666502988080]'),
     ("nan", '"confidence":0.0', '"confidence":NaN'),
     ("infinity", '"confidence":0.0', '"confidence":-Infinity'),
     ("float-overflow", '"confidence":0.0', '"confidence":1e999'),
@@ -364,7 +369,7 @@ def test_writer_refuses_a_non_finite_embedding(tmp_path, bad):
     genesis, _ = init_chain(genesis_state)
     with ChainWriter(tmp_path / "bad.chain.jsonl") as writer:
         with pytest.raises(SerializationError, match="non-finite"):
-            writer.append(genesis, (), genesis_state=genesis_state)
+            writer.append(genesis, genesis_state=genesis_state)
 
 
 def test_unencodable_state_fails_at_its_height(tmp_path):
@@ -396,37 +401,24 @@ def test_unencodable_state_fails_at_its_height(tmp_path):
         seal_block(state, txs, timestamp=1)
     path = tmp_path / "overflow.chain.jsonl"
     with ChainWriter(path) as writer:
-        writer.append(genesis, (), genesis_state=genesis_state)
-        writer.append(block, ())
+        writer.append(genesis, genesis_state=genesis_state)
+        writer.append(block)
     result = verify_chain(path)
     assert not result.ok
     assert result.failing_height == 1
     assert "UnencodableState" in result.error
 
 
-def test_receipt_divergence_detected(tmp_path):
-    path, _, _, _ = small_chain(tmp_path)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    record["receipts"][0]["status"] = "rejected"
-    lines[1] = canonical_json(record)
-    bad = tmp_path / "receipts.chain.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
-    result = verify_chain(bad)
-    assert not result.ok
-    assert "receipts" in result.error or "hash" in result.error
-
-
 def test_resealed_genesis_with_transactions_fails_at_height_0(tmp_path):
-    # Sealed from the genesis state like any genesis, so its header and
-    # receipts are what replay would compute; only the rule that a genesis
-    # carries no transactions refuses it.
+    # Sealed from the genesis state like any genesis, so its header is what
+    # replay would compute; only the rule that a genesis carries no
+    # transactions refuses it.
     genesis_state = fresh_state()
-    genesis, _, receipts = seal_block(genesis_state, [transfer("A", "B", 1)], timestamp=0)
-    assert genesis.height == 0 and receipts
+    genesis, _, _ = seal_block(genesis_state, [transfer("A", "B", 1)], timestamp=0)
+    assert genesis.height == 0 and genesis.transactions
     path = tmp_path / "genesis-txs.chain.jsonl"
     with ChainWriter(path) as writer:
-        writer.append(genesis, receipts, genesis_state=genesis_state)
+        writer.append(genesis, genesis_state=genesis_state)
     result = verify_chain(path)
     assert str(result) == (
         "FAIL at height 0: CorruptRecord: line 1: genesis block must carry no transactions"
@@ -434,23 +426,135 @@ def test_resealed_genesis_with_transactions_fails_at_height_0(tmp_path):
 
 
 def test_genesis_with_stored_receipts_fails_at_height_0(tmp_path):
-    genesis_state = fresh_state()
-    genesis, state = init_chain(genesis_state)
-    _, _, receipts = seal_block(state, [transfer("A", "B", 1)], timestamp=1)
-    path = tmp_path / "genesis-receipts.chain.jsonl"
-    with ChainWriter(path) as writer:
-        writer.append(genesis, receipts, genesis_state=genesis_state)
+    # A "v3" line stored its block's receipts; a "v4" line that still
+    # carries them is refused as having an unknown field.
+    path, _, _, _ = small_chain(tmp_path, blocks=0)
+    record = json.loads(path.read_text())
+    record["receipts"] = []
+    path.write_text(canonical_json(record) + "\n")
     result = verify_chain(path)
     assert str(result) == (
-        "FAIL at height 0: CorruptRecord: line 1: stored receipts diverge at height 0"
+        "FAIL at height 0: CorruptRecord: line 1: record: fields ['block', 'genesis_state',"
+        " 'height', 'receipts', 'version'] != expected ['block', 'genesis_state', 'height',"
+        " 'version']"
     )
+
+
+def test_commit_after_escrow_theft_is_a_rejected_receipt(golden_run, tmp_path, capsys):
+    # The golden chain through height 3, where @escrow holds the fees of 20
+    # pending requests; block 4 moves them all to mallory, which unsigned
+    # transactions allow, and block 5 commits a result for one request.
+    # Sealing block 5 used to end in "ValueError: debit would overdraw".
+    pairs = list(read_chain(golden_run.out_dir / "run.chain.jsonl"))[:4]
+    genesis_state = pairs[0][1]
+    state = genesis_state
+    for block, _ in pairs:
+        state, _ = apply_block(state, block)
+    assert state.balances[ESCROW_ACCOUNT] == 200
+    theft = Transaction(
+        TxKind.TRANSFER_TOKENS, ESCROW_ACCOUNT, TransferTokens("mallory", 200), nonce=0
+    )
+    block4, state, receipts = seal_block(state, [theft], timestamp=4)
+    assert receipts[0].status is ReceiptStatus.ACCEPTED
+    request = min(state.requests.values(), key=lambda r: r.request_id)
+    algorithm = next(
+        a for a in state.algorithms.values()
+        if a.status is AlgorithmStatus.ACTIVE and request.media_type in a.media_types
+    )
+    oracle = state.params.oracle_account
+    commit = Transaction(
+        TxKind.COMMIT_ANALYSIS_RESULT,
+        oracle,
+        CommitAnalysisResult(
+            request.request_id, algorithm.algorithm_id, Verdict.UNVERIFIED, 0.0, ()
+        ),
+        nonce=state.nonces.get(oracle, -1) + 1,
+    )
+    block5, _, receipts = seal_block(state, [commit], timestamp=5)
+    rejected = Receipt(0, ReceiptStatus.REJECTED, error_code="InsufficientBalance")
+    assert receipts == [rejected]
+    path = tmp_path / "escrow-theft.chain.jsonl"
+    with ChainWriter(path) as writer:
+        writer.append(pairs[0][0], genesis_state=genesis_state)
+        for block in [block for block, _ in pairs[1:]] + [block4, block5]:
+            writer.append(block)
+    assert main(["verify", "--chain", str(path)]) == 0
+    assert capsys.readouterr().out == f"OK tip={block5.block_hash.hex} blocks=6\n"
+    assert main(["inspect", "--chain", str(path), "--height", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["receipts"] == [record_to_json(rejected)]
+
+
+def _with_completed_request(state, result_algorithm):
+    """Add to ``state`` a completed request r-1 of A, with a result naming
+    ``result_algorithm``, or with no result if that is None."""
+    state.algorithms["algo"] = AlgorithmRecord(
+        algorithm_id="algo",
+        owner="B",
+        media_types=frozenset({MediaType.BYTES}),
+        detector_kind="exact-hash",
+        status=AlgorithmStatus.ACTIVE,
+        stake=0,
+        registered_at=0,
+    )
+    state.requests["r-1"] = AnalysisRequest(
+        request_id="r-1",
+        submitter="A",
+        media_type=MediaType.BYTES,
+        content_hash=Hash256.zero(),
+        embedding_hash=Hash256.zero(),
+        fee=10,
+        status=RequestStatus.COMPLETED,
+        submitted_at=0,
+    )
+    if result_algorithm is not None:
+        state.results["r-1"] = AnalysisResultRecord(
+            request_id="r-1",
+            algorithm_id=result_algorithm,
+            verdict=Verdict.UNVERIFIED,
+            confidence=0.0,
+            matched_content=(),
+            committed_at=0,
+        )
+
+
+@pytest.mark.parametrize(
+    "result_algorithm, fault",
+    [
+        (None, "completed request r-1 has no result"),
+        ("ghost", "result r-1 names unknown algorithm ghost"),
+    ],
+    ids=["no-result", "unknown-algorithm"],
+)
+def test_genesis_whose_feedback_would_look_up_a_missing_record_fails_at_height_0(
+    tmp_path, capsys, result_algorithm, fault
+):
+    # Replaying block 1's feedback for r-1 used to end in a KeyError: the
+    # feedback handler looks up the request's result, and the result's
+    # algorithm, without a check. No block can make either fault, so only
+    # a genesis state holds one.
+    genesis_state = fresh_state()
+    _with_completed_request(genesis_state, result_algorithm)
+    genesis, state = init_chain(genesis_state)
+    feedback = Transaction(
+        TxKind.SUBMIT_FEEDBACK, "A", SubmitFeedback("r-1", Verdict.DEEPFAKE), nonce=0
+    )
+    proposer = select_proposer(state.validators, proposer_seed(state.tip_hash, 1))
+    root = Hash256.zero()
+    block_hash = compute_block_hash(1, state.tip_hash, 1, proposer, (feedback,), root)
+    block = Block(1, state.tip_hash, 1, proposer, (feedback,), root, block_hash)
+    path = tmp_path / "dangling.chain.jsonl"
+    with ChainWriter(path) as writer:
+        writer.append(genesis, genesis_state=genesis_state)
+        writer.append(block)
+    assert main(["verify", "--chain", str(path)]) == 1
+    assert capsys.readouterr().out == f"FAIL at height 0: CorruptRecord: line 1: {fault}\n"
 
 
 def test_writer_starts_a_new_chain_over_an_existing_file(tmp_path):
     path, genesis_state, _, _ = small_chain(tmp_path)
     genesis, _ = init_chain(genesis_state)
     with ChainWriter(path) as writer:
-        writer.append(genesis, (), genesis_state=genesis_state)
+        writer.append(genesis, genesis_state=genesis_state)
     result = verify_chain(path)
     assert result.ok
     assert result.blocks == 1
@@ -463,7 +567,7 @@ def test_writer_refuses_an_over_long_line(tmp_path, monkeypatch):
     monkeypatch.setattr(store, "MAX_LINE_BYTES", 64)
     with ChainWriter(path) as writer:
         with pytest.raises(SerializationError, match="exceeds 64"):
-            writer.append(genesis, (), genesis_state=genesis_state)
+            writer.append(genesis, genesis_state=genesis_state)
     assert path.read_bytes() == b""
 
 
@@ -532,11 +636,7 @@ def chain_mutations(draw, lines):
     kind = draw(st.sampled_from(["type", "u64", "drop", "add", "reorder"]))
     key = None
     if kind == "reorder":
-        receipts = records[start]["receipts"]
-        if len(receipts) > 1 and draw(st.booleans()):
-            lists = [receipts]
-        else:
-            lists = [c for c in json_containers(records[start]) if isinstance(c, list) and len(c) > 1]
+        lists = [c for c in json_containers(records[start]) if isinstance(c, list) and len(c) > 1]
         if lists:
             target = draw(st.sampled_from(lists))
             i, j = draw(st.lists(st.integers(0, len(target) - 1), min_size=2, max_size=2, unique=True))
@@ -652,7 +752,7 @@ def _re_render_check(path):
     for i, raw in enumerate(path.read_bytes().split(b"\n")[:-1]):
         try:
             text, value = store._parse_line(i + 1, raw)
-            expected = {"version", "height", "block", "receipts"}
+            expected = {"version", "height", "block"}
             if i == 0:
                 expected = expected | {"genesis_state"}
             value = store._expect_keys(value, expected, "record")
@@ -660,10 +760,6 @@ def _re_render_check(path):
                 return i + 1
             height = store._as_nonneg(value["height"], "record.height")
             block = record_from_json(Block, value["block"], "block")
-            receipts = tuple(
-                record_from_json(Receipt, r, "receipt")
-                for r in store._as_list(value["receipts"], "record.receipts")
-            )
             if i == 0:
                 genesis_state = state_from_json(value["genesis_state"])
         except (CorruptRecord, SerializationError):
@@ -671,7 +767,7 @@ def _re_render_check(path):
         if height != i or block.height != height:
             return i + 1
         try:
-            rendered = canonical_json(store._record_to_json(block, receipts, genesis_state))
+            rendered = canonical_json(store._record_to_json(block, genesis_state))
         except ValueError:
             rendered = None
         if rendered != text:
@@ -729,11 +825,11 @@ def _chain_with_two_entry_sets(tmp_path):
     )
     genesis_state.feedback_done = {"r-1", "r-2"}
     genesis, state = init_chain(genesis_state)
-    block, _, receipts = seal_block(state, [transfer("A", "B", 1)], timestamp=1)
+    block, _, _ = seal_block(state, [transfer("A", "B", 1)], timestamp=1)
     path = tmp_path / "sets.chain.jsonl"
     with ChainWriter(path) as writer:
-        writer.append(genesis, (), genesis_state=genesis_state)
-        writer.append(block, receipts)
+        writer.append(genesis, genesis_state=genesis_state)
+        writer.append(block)
     return path
 
 
