@@ -9,6 +9,10 @@ Encoding rules (version 1):
 
 * integers       -- big-endian fixed width; ``u8``/``u32``/``u64``
 * floats         -- IEEE 754 binary64, big-endian (8 bytes)
+* float lists    -- ``u32`` count + the values (``enc_f64_list``), or, in
+  the chain file's sparse layout (``enc_f64_sparse``), ``u32`` count + a
+  ``ceil(n/8)``-byte bitmap whose bit i (most significant bit first) is set
+  iff value i's bits are not all zero + each value whose bit is set
 * byte strings   -- ``u32`` length prefix + raw bytes
 * text strings   -- UTF-8 bytes, encoded as a byte string
 * 256-bit hashes -- 32 raw bytes, no prefix
@@ -30,7 +34,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 TX_TAG = b"VLTX1\x00"
 BLOCK_TAG = b"VLBLOCK1\x00"
@@ -97,6 +102,19 @@ def enc_f64(x: float) -> bytes:
 def enc_f64_list(values: Iterable[float]) -> bytes:
     vals = list(values)
     return enc_u32(len(vals)) + struct.pack(f">{len(vals)}d", *vals)
+
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def enc_f64_sparse(values: Sequence[float]) -> bytes:
+    """``values`` in the sparse layout: ``-0.0`` is stored, ``+0.0`` is not."""
+    words = memoryview(struct.pack(f">{len(values)}d", *values)).cast("Q")
+    present = bytes(map(bool, words))  # 0 or 1 per value: any bit set
+    kept = tuple(compress(values, present))
+    digits = present.translate(_TO_DIGITS) + b"0" * (-len(values) % 8)
+    bitmap = int(digits or b"0", 2).to_bytes(len(digits) // 8, "big")
+    return struct.pack(f">I{len(bitmap)}s{len(kept)}d", len(values), bitmap, *kept)
 
 
 def enc_bytes(b: bytes) -> bytes:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import compress
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .codec import (
@@ -51,6 +50,12 @@ EMBEDDING_DIMENSIONS = {
     MediaType.AUDIO: 64,
     MediaType.BYTES: 256,
 }
+
+# The range every squared norm must lie in for the cosine kernel, and every
+# norm and peak for its pruning rule (``detection``): inside it no product
+# or quotient underflows or overflows, so each rounds by a relative 2**-53
+# at most.
+SCALE = (2.0**-500, 2.0**500)
 
 
 class TxKind(str, Enum):
@@ -138,18 +143,28 @@ class Embedding:
     _encoding: bytes | None = _encoding_cache()
 
     def is_valid(self) -> bool:
-        """Right length, every value finite and ``>= 0``, one ``> 0``.
+        """Right length, every value finite and ``>= 0``, one ``> 0``, and
+        the squared norm in ``SCALE``, so the cosine kernel neither refuses
+        it as zero (underflow) nor scores it 0.0 against itself (overflow).
 
         Checked over the non-zero values (``kept``) alone: a zero of either
         sign passes, so it is left out, and a NaN is truthy, so it stays in.
         ``min`` runs only once ``isfinite`` has ruled out NaN, which would
-        make it depend on value order.
+        make it depend on value order. The squared norm is the kernel's,
+        ``sparse()[1]``: the same sum over ``kept`` in the same order, here
+        without building the pairs that ``sparse()`` caches.
         """
         values = self.values
         if len(values) != EMBEDDING_DIMENSIONS[self.media_type]:
             return False
         kept = list(compress(values, values))
-        return bool(kept) and all(map(math.isfinite, kept)) and min(kept) > 0.0
+        if not (kept and all(map(math.isfinite, kept)) and min(kept) > 0.0):
+            return False
+        norm2 = 0.0
+        for v in kept:
+            norm2 += v * v
+        low, high = SCALE
+        return low <= norm2 <= high
 
     def sparse(self) -> tuple[tuple[tuple[int, float], ...], float, int, float]:
         """Cached ``sparse_values(self.values)``."""
@@ -396,7 +411,7 @@ class ContractParams:
 
 
 # NetworkState's token counters: the state encoding ends with them in this
-# order, and the state's JSON form groups them under "supply".
+# order.
 SUPPLY_FIELDS = (
     "initial_supply",
     "total_minted",
@@ -488,9 +503,9 @@ class NetworkState:
 # --- canonical encodings ---------------------------------------------------
 #
 # A record's fields, in the order its dataclass declares them, are its only
-# schema: ``encode_record`` here and the JSON codec in ``store`` both walk
-# ``record_schema``. Reordering, adding or retyping a field therefore
-# changes every digest that covers the record.
+# schema: ``encode_record`` here, and the chain file's codec in ``store``,
+# both walk ``record_schema``. Reordering, adding or retyping a field
+# therefore changes every digest that covers the record.
 
 
 @functools.cache
@@ -529,8 +544,11 @@ def _enc_matches(matches: tuple[tuple[str, float], ...]) -> bytes:
     )
 
 
-# The encoder for each field annotation a record may use.
-_FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
+# The encoder for each field annotation a record may use: the encoding every
+# hash covers. ``store`` writes the chain file with a copy of this table that
+# differs only in how an embedding's values are laid out and in refusing
+# non-finite floats.
+FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
     "str": enc_str,
     "int": enc_u64,
     "float": enc_f64,
@@ -548,32 +566,31 @@ _FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
 }
 
 
-@functools.cache
-def _record_encoders(cls: type) -> tuple:
-    return tuple(
-        (attrgetter(name), _FIELD_ENCODERS[annotation])
-        for name, annotation in record_schema(cls)
+def encode_record(record: Any, encoders: dict = FIELD_ENCODERS) -> bytes:
+    """Canonical encoding of a payload, state record, ``ContractParams`` or
+    ``DetectorSpec``: its fields' encodings in declaration order, each by
+    its annotation's entry in ``encoders``."""
+    return b"".join(
+        [encoders[annotation](getattr(record, name))
+         for name, annotation in record_schema(type(record))]
     )
 
 
-def encode_record(record: Any) -> bytes:
-    """Canonical encoding of a payload, state record, ``ContractParams`` or
-    ``DetectorSpec``: its fields' encodings in declaration order."""
-    return b"".join([enc(get(record)) for get, enc in _record_encoders(type(record))])
-
-
-def encode_transaction(tx: Transaction) -> bytes:
-    """Canonical encoding of ``tx``, computed once and cached on it."""
-    encoded = tx._encoding
+def encode_transaction(tx: Transaction, encoders: dict = FIELD_ENCODERS) -> bytes:
+    """Canonical encoding of ``tx``. With the hashes' encoders it is
+    computed once and cached on ``tx``."""
+    cached = encoders is FIELD_ENCODERS
+    encoded = tx._encoding if cached else None
     if encoded is None:
         encoded = (
             TX_TAG
             + enc_str(tx.kind.value)
             + enc_str(tx.sender)
             + enc_u64(tx.nonce)
-            + enc_bytes(encode_record(tx.payload))
+            + enc_bytes(encode_record(tx.payload, encoders))
         )
-        object.__setattr__(tx, "_encoding", encoded)
+        if cached:
+            object.__setattr__(tx, "_encoding", encoded)
     return encoded
 
 
@@ -588,6 +605,7 @@ def encode_block_fields(
     proposer: str,
     transactions: Iterable[Transaction],
     state_root: Hash256,
+    encoders: dict = FIELD_ENCODERS,
 ) -> bytes:
     """Canonical encoding of a block minus its own hash."""
     txs = list(transactions)
@@ -598,12 +616,12 @@ def encode_block_fields(
         + enc_u64(timestamp)
         + enc_str(proposer)
         + enc_u32(len(txs))
-        + b"".join(enc_bytes(encode_transaction(t)) for t in txs)
+        + b"".join(enc_bytes(encode_transaction(t, encoders)) for t in txs)
         + enc_hash(state_root)
     )
 
 
-def encode_state(state: NetworkState) -> bytes:
+def encode_state(state: NetworkState, encoders: dict = FIELD_ENCODERS) -> bytes:
     """Canonical state serialization hashed into every block's state root.
 
     Covers the token ledger, registries, and cumulative counters; excludes
@@ -613,11 +631,14 @@ def encode_state(state: NetworkState) -> bytes:
     than the 2 KB of a 256-dim embedding; the embedding itself is covered
     by the block hash, in its ``SubmitAnalysisRequest`` transaction. Map
     entries are sorted by key, so the encoding never depends on insertion
-    order. Zero balances stay covered: account entries are created
+    order; a record map's key is its record's id, so it is not encoded
+    again. Zero balances stay covered: account entries are created
     deterministically by the transaction stream, and every serialized byte
-    must be root-checked.
+    must be root-checked. With the hashes' encoders each record's encoding
+    is cached on it.
     """
-    parts = [STATE_TAG, encode_record(state.params)]
+    cached = encoders is FIELD_ENCODERS
+    parts = [STATE_TAG, encode_record(state.params, encoders)]
 
     for amounts in (state.validators, state.balances, state.nonces):
         parts.append(enc_u32(len(amounts)))
@@ -628,17 +649,18 @@ def encode_state(state: NetworkState) -> bytes:
         parts.append(enc_u32(len(mapping)))
         for key in sorted(mapping):
             record = mapping[key]
-            encoded = record._encoding
+            encoded = record._encoding if cached else None
             if encoded is None:
-                encoded = encode_record(record)
-                object.__setattr__(record, "_encoding", encoded)
+                encoded = encode_record(record, encoders)
+                if cached:
+                    object.__setattr__(record, "_encoding", encoded)
             parts.append(encoded)
 
     parts.append(enc_str_list(sorted(state.feedback_done)))
 
     parts.append(enc_u32(len(state.detectors)))
     for ident in sorted(state.detectors):
-        parts.append(enc_str(ident) + encode_record(state.detectors[ident]))
+        parts.append(enc_str(ident) + encode_record(state.detectors[ident], encoders))
 
     parts.extend(enc_u64(getattr(state, name)) for name in SUPPLY_FIELDS)
     return b"".join(parts)

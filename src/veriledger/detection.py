@@ -82,6 +82,7 @@ from fractions import Fraction
 
 from .codec import Hash256
 from .core import (
+    SCALE,
     AlgorithmRecord,
     AlgorithmStatus,
     ContentRecord,
@@ -106,10 +107,6 @@ PCM_FULL_SCALE = 32768.0
 # Relative slack on the pruning rule, over 30,000 times the worst rounding
 # (about 3e-14) of a dot product summed from at most 256 products.
 SLACK = 1.0 - 1e-9
-# The range every norm and peak must lie in for the rule to skip a row:
-# inside it no product or quotient underflows or overflows, so each rounds
-# by a relative 2**-53 at most.
-SCALE = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True, slots=True)

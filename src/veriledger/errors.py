@@ -52,10 +52,11 @@ class HeightGap(StoreError):
 
 
 class CorruptRecord(StoreError):
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
-        self.line_number = line_number
-        self.reason = reason
+    """The chain file's record of ``height`` cannot be read."""
+
+    def __init__(self, height: int, reason: str):
+        super().__init__(reason)
+        self.height = height
 
 
 class SerializationError(StoreError):

@@ -1,53 +1,51 @@
-"""Chain persistence: line-delimited JSON records, replay, verification.
+"""Chain persistence: a file of the bytes the hashes cover, replay,
+verification.
 
-File format (extension ``.chain.jsonl``, UTF-8, one record per line):
+File format ``v5``, binary, all integers big-endian:
 
-* every line is the canonical JSON rendering of one record -- sorted keys,
-  compact separators, ASCII-only. No stored byte is cosmetic: a reader
-  requires each line to equal the canonical rendering of the JSON value it
-  parses to, and each decoder refuses every value the writer would not
-  have written for the record it decodes to -- a set's entries out of
-  order or repeated, an embedding token other than the one its values
-  render to, an integer where a float belongs. Together the two checks
-  accept exactly the lines the writer renders, without rendering any
-  record again;
-* every string encodes as UTF-8: a reader refuses a lone surrogate, which
-  JSON can escape (``"\\ud800"``) but no hash or state root can encode;
-* an embedding's values are one base64 string (RFC 4648, padded) of, all
-  big-endian: their count ``n`` as a u32; a ``ceil(n/8)``-byte bitmap whose
-  bit i (most significant bit first) is set iff value i's binary64 bits are
-  not all zero, so ``-0.0`` is stored and ``+0.0`` is not; then each value
-  whose bit is set, as binary64. Every other float is a JSON number;
-* every stored type -- transaction, block, payload, state record,
-  ``ContractParams`` -- is an object with one key per field of its
-  dataclass (``core.record_schema``), written and read by one codec
-  (``record_to_json``, ``record_from_json``). Two exceptions: an
-  algorithm's ``tp``/``fp``/``tn``/``fn`` nest under ``perf``, and a
-  payload's type follows from its transaction's ``kind``;
-* record fields: ``version`` ("v4"), ``height`` and ``block``; the height-0
-  record additionally carries ``genesis_state``, the full starting state,
-  which makes a chain file self-contained for replay. A record stores no
-  receipts: every reader re-executes the block, and its receipts are what
-  that returns. A reader accepts only its own version and refuses any
-  other at its first line: "v1" state roots covered each analysis
-  request's embedding, which later roots commit to by hash, "v2" stored
-  embeddings as lists of JSON numbers, and "v3" stored each block's
-  receipts;
-* records are strictly ordered by height starting at 0;
-* a line holds at most ``MAX_LINE_BYTES`` bytes before its line end.
+* the file starts with ``HEADER`` (``b"veriledger chain v5\\n"``). A reader
+  refuses any other start at height 0: every earlier format ("v1" to "v4")
+  was JSON lines, one record per line;
+* then one record per height, strictly ordered from 0: the body's length as
+  a u32, at most ``MAX_RECORD_BYTES``, then the body;
+* a body is the block in the encoding its hash covers
+  (``core.encode_block_fields``), then its ``block_hash``. The height-0 body
+  then holds the genesis state in the encoding its state root covers
+  (``core.encode_state``: no tip metadata, which a genesis state has none
+  of, and no content-hash index, which the reader derives), so a chain file
+  is self-contained for replay. A record stores no receipts: every reader
+  re-executes the block, and its receipts are what that returns;
+* with one exception: an embedding's values are stored in the sparse layout
+  (``codec.enc_f64_sparse``: their count, a bitmap of the values whose bits
+  are not all zero, then those values), not as the dense list the hashes
+  cover. Most values of a Bytes embedding are zero, so this saves most of a
+  256-dim embedding's 2 KB; the reader makes each embedding dense again,
+  and every hash is computed from that.
 
-Reads stream: ``read_chain`` reads the file one line at a time, and
+The file keeps the name ``run.chain.jsonl`` that earlier formats gave it, so
+the paths that scripts, benchmarks and the ``run`` command's output name do
+not change; the header tells the formats apart.
+
+One table, ``_CODECS``, holds for each field annotation of
+``core.record_schema`` the encoder the writer uses (``core.FIELD_ENCODERS``'
+entry, except for the embedding layout and a refusal of non-finite floats)
+and the decoder that inverts it. A decoder refuses every byte string the
+writer would not have written: bytes left over, a count larger than the
+bytes left (checked before anything of that size is built), set or map
+entries out of order or repeated, a tag, bool or enum value out of range,
+invalid UTF-8, a non-finite float, and in an embedding a bitmap bit past
+its count or a stored ``+0.0``. So a record decodes iff it is the writer's
+encoding of what it decodes to, and no stored byte is cosmetic: what this
+module does not check, ``ledger.apply_block`` does. It re-seals every block,
+the genesis included, and compares the header, state root and block hash
+included, which is the one check of what a block is.
+
+Reads stream: ``read_chain`` reads the file one record at a time, and
 ``replay`` re-executes each block as soon as it is read, so a reader holds
-the state and one line, at most ``MAX_LINE_BYTES`` + 1 bytes of it, and the
-first height that fails any check is the one reported. The checks split in
-two: this module checks what a line is (its form, version and height, that
-it decodes, and that a genesis state conserves tokens and references only
-what it holds), and ``ledger.apply_block`` checks what a block is, the
-genesis included (it re-seals the block and compares every header field,
-block hash included), so this module does not know which fields a block
-hash covers. Any single flipped byte therefore surfaces as a parse failure,
-a canonical-form mismatch, or a semantic mismatch at a named height --
-never as silent divergence.
+the state and one record, at most ``MAX_RECORD_BYTES`` of it, and the first
+height that fails any check is the one reported. Any single flipped byte
+therefore surfaces as a record that does not decode or a semantic mismatch
+at a named height -- never as silent divergence.
 """
 
 from __future__ import annotations
@@ -57,15 +55,25 @@ import json
 import math
 import os
 import struct
-from base64 import b64decode, b64encode
+from base64 import b64encode
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, lt
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .codec import Hash256
+from .codec import (
+    BLOCK_TAG,
+    STATE_TAG,
+    TX_TAG,
+    Hash256,
+    enc_f64_sparse,
+    enc_hash,
+    enc_str,
+    enc_u32,
+)
 from .core import (
+    FIELD_ENCODERS,
     PAYLOAD_TYPES,
     SUPPLY_FIELDS,
     AlgorithmRecord,
@@ -85,6 +93,8 @@ from .core import (
     Transaction,
     TxKind,
     Verdict,
+    encode_block_fields,
+    encode_state,
     record_schema,
 )
 from .errors import (
@@ -96,7 +106,13 @@ from .errors import (
 )
 from .ledger import apply_block
 
-FORMAT_VERSION = "v4"
+FORMAT_VERSION = "v5"
+HEADER = f"veriledger chain {FORMAT_VERSION}\n".encode("ascii")
+
+# The longest record body that a writer writes or a reader reads. A reader
+# holds one record at a time, so a hostile length costs it at most this much
+# memory.
+MAX_RECORD_BYTES = 2**26
 
 
 def canonical_json(value: Any) -> str:
@@ -110,215 +126,355 @@ def pretty_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False)
 
 
-# --- strict parse helpers ---------------------------------------------------
+# --- encoders ---------------------------------------------------------------
 
 
-_TWO64 = 2**64
+def _finite(encode: Callable[[Any], bytes], floats: Callable[[Any], Iterable[float]]):
+    """``encode``, refusing a value whose ``floats`` are not all finite: the
+    reader refuses them, so the writer never writes one."""
+
+    def checked(value: Any) -> bytes:
+        if not all(map(math.isfinite, floats(value))):
+            raise ValueError("non-finite value")
+        return encode(value)
+
+    return checked
 
 
-def _expect_keys(d: Any, keys: set[str] | frozenset[str], what: str) -> dict:
-    d = _as_map(d, what)
-    if set(d) != keys:
-        raise SerializationError(
-            f"{what}: fields {sorted(d)} != expected {sorted(keys)}"
-        )
-    return d
+_sparse_values = _finite(enc_f64_sparse, lambda values: values)
 
 
-def _as_map(v: Any, what: str) -> dict:
-    if not isinstance(v, dict):
-        raise SerializationError(f"{what}: expected object")
-    return v
+def _enc_embedding(e: Embedding) -> bytes:
+    # ``core.encode_embedding`` with the values sparse.
+    return enc_str(e.media_type.value) + _sparse_values(e.values)
 
 
-def _as_list(v: Any, what: str) -> list:
-    if not isinstance(v, list):
-        raise SerializationError(f"{what}: expected list")
-    return v
+# --- decoders -----------------------------------------------------------------
+#
+# Each takes ``(data, pos)`` and returns ``(value, pos after it)``. One that
+# runs past the end raises ``struct.error``, a short hash or invalid UTF-8 a
+# ``ValueError``; ``_walk`` turns either into a ``SerializationError`` that
+# names the field.
 
-
-def _as_nonneg(n: Any, what: str) -> int:
-    """An integer the canonical encodings can hold as an unsigned 64-bit."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SerializationError(f"{what}: expected integer")
-    if n < 0:
-        raise SerializationError(f"{what}: must be non-negative")
-    if n >= _TWO64:
-        raise SerializationError(f"{what}: exceeds the u64 range")
-    return n
-
-
-def _as_str(v: Any, what: str) -> str:
-    if not isinstance(v, str):
-        raise SerializationError(f"{what}: expected string")
-    if not v.isascii():
-        try:
-            v.encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate
-            raise SerializationError(f"{what}: {exc}") from None
-    return v
-
-
-def _as_float(v: Any, what: str) -> float:
-    # record_to_json writes every float as a float, and canonical JSON writes
-    # a float with a point or an exponent, so an integer literal here is never
-    # the rendering of a float.
-    if type(v) is not float:
-        raise SerializationError(f"{what}: expected float")
-    return v
-
-
-def _as_hash(v: Any, what: str) -> Hash256:
-    try:
-        return Hash256.from_hex(_as_str(v, what))
-    except ValueError as exc:
-        raise SerializationError(f"{what}: {exc}") from exc
-
-
-def _as_enum(enum_cls, v: Any, what: str):
-    try:
-        return enum_cls(_as_str(v, what))
-    except ValueError as exc:
-        raise SerializationError(f"{what}: {exc}") from exc
-
-
-def _u64_map(v: Any, what: str) -> dict[str, int]:
-    return {_as_str(k, what): _as_nonneg(x, what) for k, x in _as_map(v, what).items()}
-
-
-def _str_map(v: Any, what: str) -> dict[str, str]:
-    return {_as_str(k, what): _as_str(x, what) for k, x in _as_map(v, what).items()}
-
-
-def _scalar_map(v: Any, what: str) -> dict[str, object]:
-    """Detector parameters: each value a bool, a u64 integer, a float or a
-    string, the types ``codec.enc_scalar_map`` encodes."""
-    out: dict[str, object] = {}
-    for k, x in _as_map(v, what).items():
-        if isinstance(x, int) and not isinstance(x, bool):
-            x = _as_nonneg(x, f"{what}.{k}")
-        elif isinstance(x, str):
-            x = _as_str(x, f"{what}.{k}")
-        elif not isinstance(x, (bool, float)):
-            raise SerializationError(f"{what}.{k}: unsupported type")
-        out[_as_str(k, what)] = x
-    return out
-
-
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_U8 = struct.Struct(">B").unpack_from
+_U32 = struct.Struct(">I").unpack_from
+_U64 = struct.Struct(">Q").unpack_from
+_F64 = struct.Struct(">d").unpack_from
+_DECODE_ERRORS = (SerializationError, ValueError, struct.error)
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _embedding_to_json(e: Embedding) -> str:
-    """``e``'s values as one base64 token (layout in the module docstring)."""
-    values = e.values
-    words = memoryview(struct.pack(f">{len(values)}d", *values)).cast("Q")
-    present = bytes(map(bool, words))  # 0 or 1 per value: any bit set
-    kept = tuple(compress(values, present))
-    if not all(map(math.isfinite, kept)):
-        raise ValueError("non-finite embedding value")
-    digits = present.translate(_TO_DIGITS) + b"0" * (-len(values) % 8)
-    bitmap = int(digits or b"0", 2).to_bytes(len(digits) // 8, "big")
-    packed = struct.pack(f">I{len(bitmap)}s{len(kept)}d", len(values), bitmap, *kept)
-    return b64encode(packed).decode("ascii")
+def _reason(exc: Exception) -> str:
+    return "record ends early" if isinstance(exc, struct.error) else str(exc)
 
 
-def _embedding_values(v: Any, what: str) -> tuple[float, ...]:
-    """Strict inverse of :func:`_embedding_to_json`: a token is accepted only
-    if it is the one its values render to, so it refuses non-zero padding
-    bits, a bitmap bit at or past ``n`` and a stored ``+0.0`` as well as
-    NaN, infinity and a length that does not match the bitmap."""
-    token = _as_str(v, what)
-    try:
-        raw = b64decode(token, validate=True)
-        (n,) = struct.unpack_from(">I", raw)
-        width = (n + 7) // 8
-        bitmap = int.from_bytes(raw[4 : 4 + width], "big")
-        count = bitmap.bit_count()
-        # Checked before anything proportional to n is built: n is read from
-        # the file and may claim far more values than the token holds.
-        if len(raw) != 4 + width + 8 * count:
-            raise SerializationError(f"{what}: {len(raw)} bytes do not hold {n} values")
-        kept = struct.unpack_from(f">{count}d", raw, 4 + width)
-    # binascii.Error is a ValueError; b64decode raises a plain ValueError for
-    # a str with a non-ASCII character, which an escaped "\u00e9" becomes.
-    except (ValueError, struct.error) as exc:
-        raise SerializationError(f"{what}: {exc}") from exc
-    if b64encode(raw).decode("ascii") != token:
-        raise SerializationError(f"{what}: non-zero base64 padding bits")
+def _walk(fields: tuple, data: bytes, pos: int) -> tuple[dict, int]:
+    """``{name: value}`` of ``fields``, ``(name, decoder)`` pairs, decoded in
+    order from ``pos``."""
+    values = {}
+    for name, decode in fields:
+        try:
+            values[name], pos = decode(data, pos)
+        except _DECODE_ERRORS as exc:
+            raise SerializationError(f"{name}: {_reason(exc)}") from None
+    return values, pos
+
+
+def _count(data: bytes, pos: int) -> tuple[int, int]:
+    """A u32 count or length, refused when it exceeds the bytes left: every
+    entry takes at least one byte."""
+    (n,) = _U32(data, pos)
+    pos += 4
+    if n > len(data) - pos:
+        raise SerializationError(f"count {n} exceeds the {len(data) - pos} bytes left")
+    return n, pos
+
+
+def _dec_u64(data: bytes, pos: int) -> tuple[int, int]:
+    return _U64(data, pos)[0], pos + 8
+
+
+def _dec_f64(data: bytes, pos: int) -> tuple[float, int]:
+    (x,) = _F64(data, pos)
+    if not math.isfinite(x):
+        raise SerializationError(f"non-finite float {x}")
+    return x, pos + 8
+
+
+def _dec_bool(data: bytes, pos: int) -> tuple[bool, int]:
+    (b,) = _U8(data, pos)
+    if b > 1:
+        raise SerializationError(f"bool byte {b}")
+    return b == 1, pos + 1
+
+
+def _dec_bytes(data: bytes, pos: int) -> tuple[bytes, int]:
+    n, pos = _count(data, pos)
+    return data[pos : pos + n], pos + n
+
+
+def _dec_str(data: bytes, pos: int) -> tuple[str, int]:
+    n, pos = _count(data, pos)
+    return data[pos : pos + n].decode("utf-8"), pos + n
+
+
+def _dec_hash(data: bytes, pos: int) -> tuple[Hash256, int]:
+    return Hash256(data[pos : pos + 32]), pos + 32
+
+
+def _dec_enum(enum_cls) -> Callable:
+    members = {m.value: m for m in enum_cls}
+
+    def decode(data: bytes, pos: int):
+        value, pos = _dec_str(data, pos)
+        member = members.get(value)
+        if member is None:
+            raise SerializationError(f"unknown {enum_cls.__name__} {value!r}")
+        return member, pos
+
+    return decode
+
+
+def _exactly(data: bytes, pos: int) -> None:
+    if pos != len(data):
+        raise SerializationError(f"{len(data) - pos} bytes left over")
+
+
+def _ascending(keys: Sequence) -> None:
+    """The writer lists a set's entries and a map's keys sorted, so each
+    once."""
+    if not all(map(lt, keys, keys[1:])):
+        raise SerializationError("entries not sorted and distinct")
+
+
+def _dec_list(decode_entry: Callable) -> Callable:
+    def decode(data: bytes, pos: int) -> tuple[tuple, int]:
+        n, pos = _count(data, pos)
+        entries = []
+        for _ in range(n):
+            entry, pos = decode_entry(data, pos)
+            entries.append(entry)
+        return tuple(entries), pos
+
+    return decode
+
+
+def _dec_set(decode_entry: Callable, cls: type = frozenset) -> Callable:
+    decode_list = _dec_list(decode_entry)
+
+    def decode(data: bytes, pos: int):
+        entries, pos = decode_list(data, pos)
+        _ascending(entries)
+        return cls(entries), pos
+
+    return decode
+
+
+def _dec_map(decode_value: Callable) -> Callable:
+    """A map with string keys, as ``codec.enc_str_map`` writes one."""
+
+    def decode(data: bytes, pos: int) -> tuple[dict, int]:
+        n, pos = _count(data, pos)
+        out = {}
+        keys = []
+        for _ in range(n):
+            key, pos = _dec_str(data, pos)
+            keys.append(key)
+            out[key], pos = decode_value(data, pos)
+        _ascending(keys)
+        return out, pos
+
+    return decode
+
+
+_SCALARS = {1: _dec_str, 2: _dec_u64, 3: _dec_f64, 4: _dec_bool}  # codec.enc_scalar_map
+
+
+def _dec_scalar(data: bytes, pos: int) -> tuple[object, int]:
+    (tag,) = _U8(data, pos)
+    decode = _SCALARS.get(tag)
+    if decode is None:
+        raise SerializationError(f"parameter tag {tag}")
+    return decode(data, pos + 1)
+
+
+def _dec_match(data: bytes, pos: int) -> tuple[tuple[str, float], int]:
+    content_id, pos = _dec_str(data, pos)
+    similarity, pos = _dec_f64(data, pos)
+    return (content_id, similarity), pos
+
+
+_dec_media_type = _dec_enum(MediaType)
+
+
+def _dec_embedding(data: bytes, pos: int) -> tuple[Embedding, int]:
+    """Strict inverse of :func:`_enc_embedding`: besides what every decoder
+    refuses, a bitmap bit at or past the count and a stored ``+0.0``."""
+    media_type, pos = _dec_media_type(data, pos)
+    (n,) = _U32(data, pos)
+    width = (n + 7) // 8
+    pos += 4
+    # Checked before anything proportional to n is built: n may claim far
+    # more values than the record holds.
+    if width > len(data) - pos:
+        raise SerializationError(f"{n} values exceed the {len(data) - pos} bytes left")
+    bitmap = int.from_bytes(data[pos : pos + width], "big")
+    pos += width
     if bitmap & ((1 << (8 * width - n)) - 1):
-        raise SerializationError(f"{what}: bitmap bit set past value {n}")
+        raise SerializationError(f"bitmap bit set past value {n}")
+    count = bitmap.bit_count()
+    kept = struct.unpack_from(f">{count}d", data, pos)
+    pos += 8 * count
     if not all(map(math.isfinite, kept)):
-        raise SerializationError(f"{what}: non-finite value")
+        raise SerializationError("non-finite embedding value")
     # -0.0 == 0.0 (stored, and allowed), so signs are read only when some
     # stored value is zero.
     if 0.0 in kept and any(math.copysign(1.0, x) > 0 for x in kept if x == 0.0):
-        raise SerializationError(f"{what}: +0.0 is stored")
-    present = format(bitmap, f"0{8 * width}b")[:n].encode().translate(_FROM_DIGITS)
+        raise SerializationError("+0.0 is stored")
+    present = format(bitmap, f"0{8 * width}b")[:n].encode("ascii").translate(_FROM_DIGITS)
     values = [0.0] * n
     for i, x in zip(compress(range(n), present), kept):
         values[i] = x
-    return tuple(values)
+    return Embedding(tuple(values), media_type), pos
 
 
-def _sorted_strs(v: Any, what: str) -> list[str]:
-    """A set's entries: strings, each greater than the one before, which is
-    how the writer lists a set (sorted, so each entry once)."""
-    items = [_as_str(x, what) for x in _as_list(v, what)]
-    if not all(map(lt, items, items[1:])):
-        raise SerializationError(f"{what}: entries not sorted and distinct")
-    return items
+def _tag(data: bytes, pos: int, tag: bytes, what: str) -> int:
+    if not data.startswith(tag, pos):
+        raise SerializationError(f"not a {what}")
+    return pos + len(tag)
 
 
-def _matches(v: Any, what: str) -> tuple[tuple[str, float], ...]:
-    out = []
-    for item in _as_list(v, what):
-        if not isinstance(item, list) or len(item) != 2:
-            raise SerializationError(f"{what}: expected [content_id, similarity]")
-        out.append((_as_str(item[0], what), _as_float(item[1], what)))
-    return tuple(out)
+def _dec_transaction(data: bytes, pos: int) -> tuple[Transaction, int]:
+    """One length-prefixed ``core.encode_transaction``, its payload decoded
+    as the type its kind names."""
+    raw, end = _dec_bytes(data, pos)
+    head, at = _walk(_TX_HEAD, raw, _tag(raw, 0, TX_TAG, "transaction"))
+    kind = head["kind"]
+    try:
+        payload, at = _dec_bytes(raw, at)
+        _exactly(raw, at)
+        decoded, at = _record_decoder(PAYLOAD_TYPES[kind])(payload, 0)
+        _exactly(payload, at)
+    except _DECODE_ERRORS as exc:
+        raise SerializationError(f"payload: {_reason(exc)}") from None
+    return Transaction(kind, head["sender"], decoded, head["nonce"]), end
 
 
-def _enum(enum_cls) -> tuple:
-    # Read ``_value_`` and look members up by value directly: the ``value``
-    # property and ``enum_cls(v)`` each cost Python-level calls, and a chain
-    # file holds thousands of enum values.
-    members = {m.value: m for m in enum_cls}
+# annotation -> (writer's encoder, decoder). The transaction list is only
+# decoded: the writer encodes a block with ``core.encode_block_fields``.
+_CODECS: dict[str, tuple[Callable[[Any], bytes] | None, Callable]] = {
+    "str": (FIELD_ENCODERS["str"], _dec_str),
+    "int": (FIELD_ENCODERS["int"], _dec_u64),
+    "float": (_finite(FIELD_ENCODERS["float"], lambda x: (x,)), _dec_f64),
+    "Hash256": (FIELD_ENCODERS["Hash256"], _dec_hash),
+    "Embedding": (_enc_embedding, _dec_embedding),
+    "dict[str, str]": (FIELD_ENCODERS["dict[str, str]"], _dec_map(_dec_str)),
+    "dict[str, object]": (
+        _finite(
+            FIELD_ENCODERS["dict[str, object]"],
+            lambda m: [v for v in m.values() if type(v) is float],
+        ),
+        _dec_map(_dec_scalar),
+    ),
+    "frozenset[MediaType]": (
+        FIELD_ENCODERS["frozenset[MediaType]"],
+        _dec_set(_dec_media_type),  # a MediaType orders as its value
+    ),
+    "frozenset[str]": (FIELD_ENCODERS["frozenset[str]"], _dec_set(_dec_str)),
+    "tuple[tuple[str, float], ...]": (
+        _finite(FIELD_ENCODERS["tuple[tuple[str, float], ...]"], lambda ms: [s for _, s in ms]),
+        _dec_list(_dec_match),
+    ),
+    "MediaType": (FIELD_ENCODERS["MediaType"], _dec_media_type),
+    "Verdict": (FIELD_ENCODERS["Verdict"], _dec_enum(Verdict)),
+    "AlgorithmStatus": (FIELD_ENCODERS["AlgorithmStatus"], _dec_enum(AlgorithmStatus)),
+    "RequestStatus": (FIELD_ENCODERS["RequestStatus"], _dec_enum(RequestStatus)),
+    "tuple[Transaction, ...]": (None, _dec_list(_dec_transaction)),
+}
+_FILE_ENCODERS = {name: encode for name, (encode, _) in _CODECS.items() if encode}
 
-    def from_json(v: Any, what: str):
-        member = members.get(v) if type(v) is str else None
-        return _as_enum(enum_cls, v, what) if member is None else member
-
-    return attrgetter("_value_"), from_json
+# ``core.encode_transaction`` writes these before the payload.
+_TX_HEAD = (("kind", _dec_enum(TxKind)), ("sender", _dec_str), ("nonce", _dec_u64))
 
 
-# --- records ------------------------------------------------------------------
+@functools.cache
+def _record_decoder(cls: type) -> Callable:
+    """The decoder of a record that ``core.encode_record`` encodes: its
+    fields' decoders in declaration order."""
+    fields = tuple((name, _CODECS[annotation][1]) for name, annotation in record_schema(cls))
+
+    def decode(data: bytes, pos: int):
+        values, pos = _walk(fields, data, pos)
+        return cls(**values), pos  # ContractParams raises ValueError on its own rules
+
+    return decode
+
+
+def _dec_records(cls: type, id_field: str) -> Callable:
+    """A record map of the state: each record's id is its key, so only the
+    records are stored, in key order."""
+    decode_records = _dec_list(_record_decoder(cls))
+    key = attrgetter(id_field)
+
+    def decode(data: bytes, pos: int) -> tuple[dict, int]:
+        records, pos = decode_records(data, pos)
+        keys = list(map(key, records))
+        _ascending(keys)
+        return dict(zip(keys, records)), pos
+
+    return decode
+
+
+# The genesis state's fields in the order ``core.encode_state`` writes them.
+_STATE_FIELDS = (
+    ("params", _record_decoder(ContractParams)),
+    *((name, _dec_map(_dec_u64)) for name in ("validators", "balances", "nonces")),
+    ("algorithms", _dec_records(AlgorithmRecord, "algorithm_id")),
+    ("contents", _dec_records(ContentRecord, "content_id")),
+    ("requests", _dec_records(AnalysisRequest, "request_id")),
+    ("results", _dec_records(AnalysisResultRecord, "request_id")),
+    ("feedback_done", _dec_set(_dec_str, set)),
+    ("detectors", _dec_map(_record_decoder(DetectorSpec))),
+    *((name, _dec_u64) for name in SUPPLY_FIELDS),
+)
+
+
+def _dec_state(data: bytes, pos: int) -> tuple[NetworkState, int]:
+    values, pos = _walk(_STATE_FIELDS, data, _tag(data, pos, STATE_TAG, "state"))
+    state = NetworkState(**values)
+    for content in state.contents.values():
+        state.content_hash_index[content.content_hash.hex] = content.content_id
+    return state, pos
+
+
+# ``core.encode_block_fields`` writes a block's fields in declaration order,
+# and the record adds its hash, so a block is decoded as a record.
+def _dec_block(data: bytes, pos: int) -> tuple[Block, int]:
+    return _record_decoder(Block)(data, _tag(data, pos, BLOCK_TAG, "block"))
+
+
+# --- printing -----------------------------------------------------------------
 #
-# The JSON form of a record has one key per field of ``core.record_schema``,
-# each value in its annotation's JSON form below. Four quirks of the format
-# stay explicit: an algorithm's ``tp``/``fp``/``tn``/``fn`` nest under
-# "perf"; an embedding is stored as its values only, packed into one base64
-# token (``_embedding_to_json``), its media type being the record's
-# ``media_type`` field; a payload is decoded once its transaction's ``kind``
-# is known; and a receipt event carries a ``"type": "notification"`` tag. A
-# float field or similarity is written as a float even where the record
-# holds an int: both have the same binary64 encoding, and the decoders
-# accept only floats. Receipts and their events are printed (``inspect
-# --height``, ``notifications``) but never stored, so their field types have
-# no decoder.
+# ``inspect``, ``notifications`` and ``report`` print records as JSON: one
+# key per field of ``core.record_schema``, each value in its annotation's
+# JSON form below. Three quirks of the format stay explicit: an algorithm's
+# ``tp``/``fp``/``tn``/``fn`` nest under "perf"; an embedding is printed as
+# its values only, its sparse layout in one base64 token (RFC 4648, padded),
+# its media type being the record's ``media_type`` field; and a receipt
+# event carries a ``"type": "notification"`` tag. A float field or
+# similarity is printed as a float even where the record holds an int.
 
 _PERF = frozenset({"tp", "fp", "tn", "fn"})
 
 
+def _embedding_to_json(e: Embedding) -> str:
+    """``e``'s values as one base64 token of their sparse layout."""
+    return b64encode(_sparse_values(e.values)).decode("ascii")
+
+
 @functools.cache
-def _json_schema(cls: type) -> tuple[frozenset[str], tuple]:
-    """The keys of ``cls``'s JSON form, and ``(name, to JSON, from JSON)``
-    per field, with ``None`` to JSON for a value that is its own JSON form."""
-    schema = record_schema(cls)
-    keys = frozenset(name for name, _ in schema)
-    if cls is AlgorithmRecord:
-        keys = keys - _PERF | {"perf"}
-    return keys, tuple((name, *_JSON_CODECS[annotation]) for name, annotation in schema)
+def _json_fields(cls: type) -> tuple:
+    return tuple((name, _TO_JSON[annotation]) for name, annotation in record_schema(cls))
 
 
 def record_to_json(record: Any) -> dict:
@@ -327,152 +483,47 @@ def record_to_json(record: Any) -> dict:
     receipt or event."""
     doc = {
         name: getattr(record, name) if to_json is None else to_json(getattr(record, name))
-        for name, to_json, _ in _json_schema(type(record))[1]
+        for name, to_json in _json_fields(type(record))
     }
     if type(record) is AlgorithmRecord:
         doc["perf"] = {name: doc.pop(name) for name in _PERF}
     return doc
 
 
-def record_from_json(cls: type, d: Any, what: str) -> Any:
-    """Strict inverse of :func:`record_to_json`; ``what`` names the record in
-    errors."""
-    keys, codecs = _json_schema(cls)
-    d = _expect_keys(d, keys, what)
-    if cls is AlgorithmRecord:
-        d = {**d, **_expect_keys(d["perf"], _PERF, f"{what}.perf")}
-    values = {name: from_json(d[name], f"{what}.{name}") for name, _, from_json in codecs}
-    if cls is Transaction:
-        kind = values["kind"]
-        values["payload"] = record_from_json(
-            PAYLOAD_TYPES[kind], values["payload"], f"payload({kind.value})"
-        )
-    elif "embedding" in values:
-        values["embedding"] = Embedding(values["embedding"], values["media_type"])
-    try:
-        return cls(**values)
-    except ValueError as exc:  # e.g. ContractParams rejects the combination
-        raise SerializationError(f"{what}: {exc}") from exc
-
-
 def _records_to_json(records: Iterable[Any]) -> list:
     return [record_to_json(r) for r in records]
-
-
-def _transactions_from_json(v: Any, what: str) -> tuple[Transaction, ...]:
-    return tuple(
-        record_from_json(Transaction, tx, "transaction") for tx in _as_list(v, what)
-    )
 
 
 def _events_to_json(events: Iterable[NotificationEvent]) -> list:
     return [{"type": "notification", **record_to_json(e)} for e in events]
 
 
-def _payload_later(v: Any, what: str) -> Any:
-    # The payload's type follows from the transaction's kind, so
-    # record_from_json decodes it once the kind is known.
-    return v
-
-
-# annotation -> (to JSON, from JSON); each decoder type-checks its value.
-# The types only a receipt holds are written and never read.
-_JSON_CODECS: dict[
-    str, tuple[Callable[[Any], Any] | None, Callable[[Any, str], Any] | None]
-] = {
-    "str": (None, _as_str),
-    "str | None": (None, None),
-    "int": (None, _as_nonneg),
-    "float": (float, _as_float),
-    "Hash256": (attrgetter("hex"), _as_hash),
-    "Embedding": (_embedding_to_json, _embedding_values),
-    "dict[str, str]": (dict, _str_map),
-    "dict[str, object]": (dict, _scalar_map),
-    "frozenset[MediaType]": (
-        lambda ms: sorted(m.value for m in ms),
-        lambda v, what: frozenset(
-            _as_enum(MediaType, m, what) for m in _sorted_strs(v, what)
-        ),
-    ),
-    "frozenset[str]": (sorted, lambda v, what: frozenset(_sorted_strs(v, what))),
-    "tuple[tuple[str, float], ...]": (
-        lambda ms: [[cid, float(sim)] for cid, sim in ms],
-        _matches,
-    ),
-    "MediaType": _enum(MediaType),
-    "Verdict": _enum(Verdict),
-    "AlgorithmStatus": _enum(AlgorithmStatus),
-    "RequestStatus": _enum(RequestStatus),
-    "TxKind": _enum(TxKind),
-    "ReceiptStatus": (attrgetter("_value_"), None),
-    "Payload": (record_to_json, _payload_later),
-    "tuple[Transaction, ...]": (_records_to_json, _transactions_from_json),
-    "tuple[NotificationEvent, ...]": (_events_to_json, None),
+# annotation -> to JSON, None for a value that is its own JSON form.
+_TO_JSON: dict[str, Callable[[Any], Any] | None] = {
+    "str": None,
+    "str | None": None,
+    "int": None,
+    "float": float,
+    "Hash256": attrgetter("hex"),
+    "Embedding": _embedding_to_json,
+    "dict[str, str]": dict,
+    "dict[str, object]": dict,
+    "frozenset[MediaType]": lambda ms: sorted(m.value for m in ms),
+    "frozenset[str]": sorted,
+    "tuple[tuple[str, float], ...]": lambda ms: [[cid, float(sim)] for cid, sim in ms],
+    "MediaType": attrgetter("_value_"),
+    "Verdict": attrgetter("_value_"),
+    "AlgorithmStatus": attrgetter("_value_"),
+    "RequestStatus": attrgetter("_value_"),
+    "TxKind": attrgetter("_value_"),
+    "ReceiptStatus": attrgetter("_value_"),
+    "Payload": record_to_json,
+    "tuple[Transaction, ...]": _records_to_json,
+    "tuple[NotificationEvent, ...]": _events_to_json,
 }
-
-
-# --- state snapshots --------------------------------------------------------
-
-_AMOUNT_MAPS = ("validators", "balances", "nonces")
-
-# Record maps of the state: name -> (record type, field the key must equal).
-_RECORD_MAPS = {
-    "algorithms": (AlgorithmRecord, "algorithm_id"),
-    "contents": (ContentRecord, "content_id"),
-    "requests": (AnalysisRequest, "request_id"),
-    "results": (AnalysisResultRecord, "request_id"),
-    "detectors": (DetectorSpec, None),
-}
-
-_STATE_KEYS = {"params", "feedback_done", "supply", *_AMOUNT_MAPS, *_RECORD_MAPS}
-
-
-def state_to_json(state: NetworkState) -> dict:
-    """Snapshot of everything the state root covers (tip metadata excluded)."""
-    doc = {
-        "params": record_to_json(state.params),
-        "feedback_done": sorted(state.feedback_done),
-        "supply": {name: getattr(state, name) for name in SUPPLY_FIELDS},
-    }
-    for name in _AMOUNT_MAPS:
-        doc[name] = dict(getattr(state, name))
-    for name in _RECORD_MAPS:
-        doc[name] = {k: record_to_json(v) for k, v in getattr(state, name).items()}
-    return doc
-
-
-def _records_from_json(name: str, v: Any) -> dict:
-    cls, id_field = _RECORD_MAPS[name]
-    records = {}
-    for key, doc in _as_map(v, name).items():
-        record = record_from_json(cls, doc, f"{name}[{_as_str(key, name)}]")
-        if id_field is not None and getattr(record, id_field) != key:
-            raise SerializationError(f"{name}: key {key} != record id")
-        records[key] = record
-    return records
-
-
-def state_from_json(d: Any) -> NetworkState:
-    d = _expect_keys(d, _STATE_KEYS, "state")
-    supply = _expect_keys(d["supply"], set(SUPPLY_FIELDS), "supply")
-    state = NetworkState(
-        params=record_from_json(ContractParams, d["params"], "params"),
-        feedback_done=set(_sorted_strs(d["feedback_done"], "feedback_done")),
-        **{name: _u64_map(d[name], name) for name in _AMOUNT_MAPS},
-        **{name: _records_from_json(name, d[name]) for name in _RECORD_MAPS},
-        **{name: _as_nonneg(supply[name], f"supply.{name}") for name in SUPPLY_FIELDS},
-    )
-    for content in state.contents.values():
-        state.content_hash_index[content.content_hash.hex] = content.content_id
-    return state
 
 
 # --- chain file -------------------------------------------------------------
-
-# The longest record line, its line end excluded, that a writer writes or a
-# reader reads. A reader holds one line at a time, so a hostile line costs it
-# at most this much memory.
-MAX_LINE_BYTES = 2**26
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,17 +545,30 @@ class ChainView:
         return self.records[-1].block
 
 
-def _record_to_json(block: Block, genesis_state: NetworkState | None) -> dict:
-    record = {
-        "version": FORMAT_VERSION,
-        "height": block.height,
-        "block": record_to_json(block),
-    }
-    if block.height == 0:
-        if genesis_state is None:
-            raise SerializationError("height-0 record requires the genesis state")
-        record["genesis_state"] = state_to_json(genesis_state)
-    return record
+def _encode_record(block: Block, genesis_state: NetworkState | None) -> bytes:
+    """The body of the record of ``block``, and of the genesis state if one
+    is given."""
+    body = encode_block_fields(
+        block.height, block.parent_hash, block.timestamp, block.proposer,
+        block.transactions, block.state_root, _FILE_ENCODERS,
+    ) + enc_hash(block.block_hash)
+    if genesis_state is not None:
+        body += encode_state(genesis_state, _FILE_ENCODERS)
+    return body
+
+
+def _decode_record(height: int, body: bytes) -> tuple[Block, NetworkState | None]:
+    """The block of the record of ``height``, with the genesis state if that
+    is 0: the strict inverse of :func:`_encode_record`."""
+    try:
+        block, pos = _dec_block(body, 0)
+        genesis_state = None
+        if height == 0:
+            genesis_state, pos = _dec_state(body, pos)
+        _exactly(body, pos)
+    except _DECODE_ERRORS as exc:
+        raise CorruptRecord(height, _reason(exc)) from None
+    return block, genesis_state
 
 
 class ChainWriter:
@@ -521,15 +585,19 @@ class ChainWriter:
             raise HeightGap(
                 f"append height {block.height} after {self._last_height}"
             )
+        if (genesis_state is None) == (block.height == 0):
+            raise SerializationError("the height-0 record, and only it, holds the genesis state")
         try:
-            line = canonical_json(_record_to_json(block, genesis_state))
+            body = _encode_record(block, genesis_state)
         except (TypeError, ValueError) as exc:
             raise SerializationError(str(exc)) from exc
-        if len(line) > MAX_LINE_BYTES:  # ASCII: one byte per character
+        if len(body) > MAX_RECORD_BYTES:
             raise SerializationError(
-                f"record of {len(line)} bytes exceeds {MAX_LINE_BYTES}"
+                f"record of {len(body)} bytes exceeds {MAX_RECORD_BYTES}"
             )
-        self._fh.write(line.encode("ascii") + b"\n")
+        # The header goes with the first record, so a refused genesis leaves
+        # the file empty.
+        self._fh.write((HEADER if block.height == 0 else b"") + enc_u32(len(body)) + body)
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._last_height = block.height
@@ -544,72 +612,30 @@ class ChainWriter:
         self.close()
 
 
-def _reject_constant(name: str) -> None:
-    raise ValueError(f"non-finite number {name}")
-
-
-def _parse_line(line_number: int, raw: bytes) -> tuple[str, Any]:
-    try:
-        text = raw.decode("utf-8")
-        return text, json.loads(text, parse_constant=_reject_constant)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, NaN, deep nesting
-        raise CorruptRecord(line_number, f"unparseable record: {exc}") from exc
-
-
-def _read_record(height: int, raw: bytes) -> tuple[Block, NetworkState | None]:
-    """The block on the line of ``height``, with its genesis state if the
-    line carries one."""
-    line_number = height + 1
-    text, value = _parse_line(line_number, raw)
-    genesis_state = None
-    try:
-        expected = {"version", "height", "block"}
-        if height == 0:
-            expected = expected | {"genesis_state"}
-        value = _expect_keys(value, expected, "record")
-        if value["version"] != FORMAT_VERSION:
-            raise SerializationError(f"unsupported version {value['version']!r}")
-        stored_height = _as_nonneg(value["height"], "record.height")
-        block = record_from_json(Block, value["block"], "block")
-        if height == 0:
-            genesis_state = state_from_json(value["genesis_state"])
-    except SerializationError as exc:
-        raise CorruptRecord(line_number, str(exc)) from exc
-    if stored_height != height:
-        raise CorruptRecord(line_number, f"record has height {stored_height}, expected {height}")
-    if block.height != height:
-        raise CorruptRecord(line_number, "record height != block height")
-    # No stored byte is cosmetic: the line must be the canonical rendering
-    # of the value it parses to. The decoders above refuse every value the
-    # writer would not have written for the record they return (a set out
-    # of order or repeated, a 0 for a float 0.0, an embedding token with
-    # stray bits), so this accepts exactly the writer's lines without
-    # rendering the records again.
-    try:
-        canonical = canonical_json(value) == text
-    except ValueError:  # a float literal too large for a double, e.g. 1e999
-        canonical = False
-    if not canonical:
-        raise CorruptRecord(line_number, "record is not in canonical form")
-    return block, genesis_state
-
-
 def read_chain(path: str | os.PathLike) -> Iterator[tuple[Block, NetworkState | None]]:
-    """Parse and structurally validate a chain file one line at a time (no
-    re-execution): yield each block with the genesis state its line carries,
-    which only the height-0 line does, as soon as its line passes."""
+    """Read and decode a chain file one record at a time (no re-execution):
+    yield each block with the genesis state its record carries, which only
+    the height-0 record does, as soon as its record decodes."""
     height = 0
     with open(path, "rb") as fh:
-        # One byte past the bound tells a line that is too long from one
-        # that just fits, without reading the rest of it.
-        while raw := fh.readline(MAX_LINE_BYTES + 1):
-            raw = raw.removesuffix(b"\n")
-            if len(raw) > MAX_LINE_BYTES:
-                raise CorruptRecord(height + 1, f"line longer than {MAX_LINE_BYTES} bytes")
-            yield _read_record(height, raw)
+        header = fh.read(len(HEADER))
+        if header != HEADER:
+            reason = f"unsupported version: the file starts {header!r}" if header else "empty file"
+            raise CorruptRecord(0, reason)
+        while prefix := fh.read(4):
+            if len(prefix) < 4:
+                raise CorruptRecord(height, "record length ends early")
+            (size,) = _U32(prefix)
+            # Refused before the body is read: a reader holds one record.
+            if size > MAX_RECORD_BYTES:
+                raise CorruptRecord(height, f"record of {size} bytes exceeds {MAX_RECORD_BYTES}")
+            body = fh.read(size)
+            if len(body) < size:
+                raise CorruptRecord(height, f"record of {size} bytes ends after {len(body)}")
+            yield _decode_record(height, body)
             height += 1
     if height == 0:
-        raise StoreError(f"empty chain file: {path}")
+        raise CorruptRecord(0, "no genesis record")
 
 
 def _genesis_fault(state: NetworkState) -> str | None:
@@ -632,7 +658,7 @@ def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]
     yield each block, with the receipts its execution returned, and the
     state after it once the block has passed every check.
 
-    The genesis block starts from the state its line embeds, which must
+    The genesis block starts from the state its record embeds, which must
     conserve tokens and reference only records it holds, and must carry no
     transactions. Every block, the genesis included, then goes through
     ``ledger.apply_block``, which accepts a block iff re-sealing it
@@ -640,19 +666,21 @@ def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]
     the offending height, which is the first height that fails a check of
     either reading or execution; never silently diverges.
     """
-    for block, genesis_state in read_chain(path):
+    for height, (block, genesis_state) in enumerate(read_chain(path)):
         if genesis_state is not None:
             if fault := _genesis_fault(genesis_state):
-                raise CorruptRecord(1, fault)
+                raise CorruptRecord(0, fault)
             if block.transactions:
-                raise CorruptRecord(1, "genesis block must carry no transactions")
+                raise CorruptRecord(0, "genesis block must carry no transactions")
             state = genesis_state
         try:
             state, receipts = apply_block(state, block)
         except LedgerError as exc:
-            exc.height = block.height  # name the offending height for callers
+            # Name the record's height for callers: a block out of place
+            # claims another.
+            exc.height = height
             raise
-        yield ChainRecord(block.height, block, tuple(receipts)), state
+        yield ChainRecord(height, block, tuple(receipts)), state
 
 
 def notifications(records: Iterable[ChainRecord]) -> list[dict]:
@@ -684,11 +712,11 @@ class VerifyResult:
 
 def failure(exc: StoreError | LedgerError) -> VerifyResult:
     """The result of a replay that raised ``exc``."""
-    if isinstance(exc, CorruptRecord):
-        height = exc.line_number - 1
-    else:
-        height = getattr(exc, "height", None)
-    return VerifyResult(ok=False, error=f"{type(exc).__name__}: {exc}", failing_height=height)
+    return VerifyResult(
+        ok=False,
+        error=f"{type(exc).__name__}: {exc}",
+        failing_height=getattr(exc, "height", None),
+    )
 
 
 def verify_chain(path: str | os.PathLike) -> VerifyResult:

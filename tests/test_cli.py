@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,7 +7,9 @@ import sys
 
 import pytest
 
+from veriledger import store
 from veriledger.cli import main
+from veriledger.codec import Hash256
 from veriledger.core import DetectorSpec
 from veriledger.detection import (
     _PLUGINS,
@@ -15,13 +18,9 @@ from veriledger.detection import (
     run_detector,
 )
 from veriledger.ledger import init_chain
-from veriledger.store import (
-    canonical_json,
-    record_to_json,
-    state_from_json,
-    state_to_json,
-)
+from veriledger.store import canonical_json, read_chain, record_to_json
 
+from chainfile import decode, edit_chain
 from conftest import GOLDEN_CONFIG_PATH, REPO_ROOT
 
 
@@ -75,12 +74,11 @@ def test_verify_ok_and_exit_zero(golden_run, capsys):
 
 def test_verify_tampered_exits_one_and_names_height(golden_run, tmp_path, capsys):
     chain = golden_run.out_dir / "run.chain.jsonl"
-    lines = chain.read_text().splitlines()
-    record = json.loads(lines[5])
-    record["block"]["timestamp"] += 1
-    lines[5] = canonical_json(record)
     tampered = tmp_path / "tampered.chain.jsonl"
-    tampered.write_text("\n".join(lines) + "\n")
+    edit_chain(
+        chain, tampered, 5,
+        lambda block, state: (dataclasses.replace(block, timestamp=block.timestamp + 1), state),
+    )
     code = main(["verify", "--chain", str(tampered)])
     out = capsys.readouterr().out
     assert code == 1
@@ -89,32 +87,32 @@ def test_verify_tampered_exits_one_and_names_height(golden_run, tmp_path, capsys
 
 
 def _swap_proposer(block):
-    block["proposer"] = "v1" if block["proposer"] == "v2" else "v2"
+    return dataclasses.replace(block, proposer="v1" if block.proposer == "v2" else "v2")
 
 
-# One header field edited and not resealed, with the error it must raise. A
-# height edit is left out: the reader refuses it before the block is applied.
+# One header field edited and not resealed, with the error it must raise.
 HEADER_EDITS = pytest.mark.parametrize(
     "edit, error",
     [
-        (lambda block: block.update(parent_hash="11" * 32), "BadParent"),
+        (lambda block: dataclasses.replace(block, parent_hash=Hash256(b"\x11" * 32)), "BadParent"),
         (_swap_proposer, "WrongProposer"),
-        (lambda block: block.update(state_root="22" * 32), "StateRootMismatch"),
-        (lambda block: block.update(block_hash="33" * 32), "BadBlockHash"),
+        (lambda block: dataclasses.replace(block, state_root=Hash256(b"\x22" * 32)),
+         "StateRootMismatch"),
+        (lambda block: dataclasses.replace(block, block_hash=Hash256(b"\x33" * 32)), "BadBlockHash"),
         # Only the block hash covers the timestamp, which the seal takes as given.
-        (lambda block: block.update(timestamp=block["timestamp"] + 1), "BadBlockHash"),
+        (lambda block: dataclasses.replace(block, timestamp=block.timestamp + 1), "BadBlockHash"),
+        (lambda block: dataclasses.replace(block, height=block.height + 1), "BadHeight"),
     ],
-    ids=["parent_hash", "proposer", "state_root", "block_hash", "timestamp"],
+    ids=["parent_hash", "proposer", "state_root", "block_hash", "timestamp", "height"],
 )
 
 
 def _verify_with_edited_header(golden_run, tmp_path, capsys, height, edit):
-    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
-    record = json.loads(lines[height])
-    edit(record["block"])
-    lines[height] = canonical_json(record)
     edited = tmp_path / "edited.chain.jsonl"
-    edited.write_text("\n".join(lines) + "\n")
+    edit_chain(
+        golden_run.out_dir / "run.chain.jsonl", edited, height,
+        lambda block, state: (edit(block), state),
+    )
     code = main(["verify", "--chain", str(edited)])
     assert code == 1
     return capsys.readouterr().out
@@ -138,125 +136,184 @@ def test_verify_names_the_genesis_header_field_an_edit_breaks(
         assert out == "FAIL at height 0: WrongProposer: proposer 'v2', expected ''\n"
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    [
-        (("params", "epoch_length"), 0),
-        (("params", "fee_owner_pct"), 99),
-        (("params", "min_fee"), 2**64),
-        (("validators",), 5),
-        (("balances",), []),
-        (("algorithms",), []),
-        (("feedback_done",), 7),
-        (("algorithms", "algo-nd", "media_types"), 5),
-        (("algorithms", "algo-nd", "challenges_submitted"), 7),
-        (("contents", "trusted-000", "metadata"), []),
-        (("detectors", "exact-hash", "parameters"), {"tau": -1}),
-        (("balances", "owner-1"), 151),
-    ],
-    ids=[
-        "epoch-length-zero",
-        "fee-split-over-100",
-        "u64-overflow",
-        "validators-not-object",
-        "balances-not-object",
-        "algorithms-not-object",
-        "feedback-done-not-list",
-        "media-types-not-list",
-        "challenges-submitted-not-list",
-        "metadata-not-object",
-        "detector-parameter-negative",
-        "genesis-breaks-conservation",
-    ],
-)
+def _field_start(body, name):
+    """Where the first field called ``name`` starts in the genesis record
+    ``body``, as the reader walks it."""
+    starts = {}
+
+    def walk(fields, data, pos):
+        values = {}
+        for field, decode_field in fields:
+            if data is body:
+                starts.setdefault(field, pos)
+            values[field], pos = decode_field(data, pos)
+        return values, pos
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store, "_walk", walk)
+        decode(0, body)
+    return starts[name]
+
+
+def _count_past_end(name):
+    """The genesis record with the count of the map, list or set ``name``
+    claiming 2^32 - 1 entries: bytes that are no map, list or set."""
+
+    def raw(body):
+        start = _field_start(body, name)
+        return body[:start] + b"\xff" * 4 + body[start + 4 :]
+
+    return raw
+
+
+def _params(**changes):
+    """Replace fields of the genesis params without their own checks."""
+
+    def edit(state):
+        params = dataclasses.replace(state.params)
+        for name, value in changes.items():
+            object.__setattr__(params, name, value)
+        state.params = params
+
+    return edit
+
+
+def _final_record(name, key):
+    """Copy into the genesis a record of the golden run's final state: the
+    golden genesis holds no algorithm or content."""
+
+    def edit(state, golden_run):
+        getattr(state, name)[key] = getattr(golden_run.result.chain.final_state, name)[key]
+
+    return edit
+
+
+# id -> (state field the failure names, edit of the genesis state, edit of
+# the record's bytes)
+HOSTILE_GENESIS = {
+    "epoch-length-zero": ("params", _params(epoch_length=0), None),
+    "fee-split-over-100": ("params", _params(fee_owner_pct=99), None),
+    "validators-not-object": ("validators", None, _count_past_end("validators")),
+    "balances-not-object": ("balances", None, _count_past_end("balances")),
+    "algorithms-not-object": ("algorithms", None, _count_past_end("algorithms")),
+    "feedback-done-not-list": ("feedback_done", None, _count_past_end("feedback_done")),
+    "media-types-not-list": (
+        "algorithms", _final_record("algorithms", "algo-nd"), _count_past_end("media_types")
+    ),
+    "challenges-submitted-not-list": (
+        "algorithms", _final_record("algorithms", "algo-nd"),
+        _count_past_end("challenges_submitted"),
+    ),
+    "metadata-not-object": (
+        "contents", _final_record("contents", "trusted-000"), _count_past_end("metadata")
+    ),
+    "genesis-breaks-conservation": (
+        "balances", lambda state: state.balances.update({"owner-1": 151}), None
+    ),
+}
+
+
+@pytest.mark.parametrize("name, edit, raw", HOSTILE_GENESIS.values(), ids=HOSTILE_GENESIS.keys())
 def test_verify_hostile_genesis_params_fail_at_height_zero(
-    golden_run, tmp_path, capsys, path, value
+    golden_run, tmp_path, capsys, name, edit, raw
 ):
     chain = golden_run.out_dir / "run.chain.jsonl"
-    lines = chain.read_text().splitlines()
-    record = json.loads(lines[0])
-    target = record["genesis_state"]
-    if len(path) == 3:
-        # A record field: the golden genesis holds no algorithm or content,
-        # so start from a real record of the final state.
-        name, key, _ = path
-        target[name][key] = state_to_json(golden_run.result.chain.final_state)[name][key]
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    if path == ("balances", "owner-1"):
-        # One token more than the supply, in a genesis block resealed to
-        # match it: only the conservation check can refuse this chain. The
-        # later blocks are dropped; their parent hashes no longer match.
-        genesis, _ = init_chain(state_from_json(record["genesis_state"]))
-        record["block"] = record_to_json(genesis)
-        lines = lines[:1]
-    lines[0] = canonical_json(record)
     hostile = tmp_path / "hostile.chain.jsonl"
-    hostile.write_text("\n".join(lines) + "\n")
+
+    def edit_genesis(block, state):
+        if edit is not None:
+            edit(state) if edit.__code__.co_argcount == 1 else edit(state, golden_run)
+        if name == "balances" and raw is None:
+            # One token more than the supply, in a genesis block resealed to
+            # match it: only the conservation check can refuse this chain.
+            block, _ = init_chain(state)
+        return block, state
+
+    # The later blocks are dropped from the resealed chain: their parent
+    # hashes no longer match.
+    keep = 1 if name == "balances" and raw is None else None
+    edit_chain(chain, hostile, 0, edit_genesis, raw, keep=keep)
     code = main(["verify", "--chain", str(hostile)])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL at height 0")
-    assert path[0] in out
+    assert name in out
+    if raw is not None:
+        assert "count 4294967295 exceeds the" in out
 
 
 def test_chain_of_the_earlier_format_fails_at_height_0(golden_run, tmp_path, capsys):
-    # "v1" state roots covered each request's embedding, which later roots
-    # commit to by hash; "v2" stored embeddings as lists of JSON numbers;
-    # "v3" stored each block's receipts. A chain of any is refused at its
-    # first line, not with a root mismatch or an undecodable embedding
-    # further on.
-    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
-    assert all(line.count('"version":"v4"') == 1 for line in lines)
-    for version in ("v1", "v2", "v3"):
+    # "v1" to "v4" chains were JSON lines, one record per line, with a
+    # "version" field. A chain of any is refused at its start, not with a
+    # root mismatch or an undecodable record further on.
+    blocks = [block for block, _ in read_chain(golden_run.out_dir / "run.chain.jsonl")]
+    for version in ("v1", "v2", "v3", "v4"):
         old = tmp_path / f"{version}.chain.jsonl"
-        earlier = [line.replace('"version":"v4"', f'"version":"{version}"') for line in lines]
-        old.write_text("\n".join(earlier) + "\n")
+        lines = [
+            canonical_json({"block": record_to_json(block), "height": block.height,
+                            "version": version})
+            for block in blocks
+        ]
+        old.write_text("\n".join(lines) + "\n")
         code = main(["verify", "--chain", str(old)])
         out = capsys.readouterr().out
         assert code == 1
-        assert out.startswith("FAIL at height 0: CorruptRecord")
-        assert f"unsupported version '{version}'" in out
+        assert out.startswith("FAIL at height 0: CorruptRecord: unsupported version")
 
 
-def _prefix_surrogate(record, *path):
-    target = record
-    for key in path[:-1]:
-        target = target[key]
-    target["\ud800" + path[-1]] = target.pop(path[-1])
+# Three bytes the edits below put in a string, and then replace with the
+# UTF-8 form of the lone surrogate U+D800, which no string encodes to.
+PLACEHOLDER = "\x7f\x7f\x7f"
+SURROGATE = b"\xed\xa0\x80"
+
+
+def _prefix_key(mapping, key):
+    mapping[PLACEHOLDER + key] = mapping.pop(key)
+
+
+def _prefix_first_sender(block):
+    tx = block.transactions[0]
+    tx = dataclasses.replace(tx, sender=PLACEHOLDER + tx.sender)
+    return dataclasses.replace(block, transactions=(tx, *block.transactions[1:]))
+
+
+def _detector_note(state):
+    spec = state.detectors["exact-hash"]
+    state.detectors["exact-hash"] = dataclasses.replace(spec, parameters={"note": PLACEHOLDER})
 
 
 @pytest.mark.parametrize(
     "height, edit",
     [
-        (0, lambda r: _prefix_surrogate(r, "genesis_state", "balances", "owner-1")),
-        (0, lambda r: _prefix_surrogate(r, "genesis_state", "detectors", "exact-hash")),
-        (0, lambda r: r["genesis_state"]["detectors"]["exact-hash"]["parameters"].update(
-            note="\ud800")),
-        (1, lambda r: r["block"]["transactions"][0].update(
-            sender="\ud800" + r["block"]["transactions"][0]["sender"])),
-        (5, lambda r: r["block"]["transactions"][0].update(
-            sender="\ud800" + r["block"]["transactions"][0]["sender"])),
+        (0, lambda block, state: _prefix_key(state.balances, "owner-1")),
+        (0, lambda block, state: _prefix_key(state.detectors, "exact-hash")),
+        (0, lambda block, state: _detector_note(state)),
+        (1, _prefix_first_sender),
+        (5, _prefix_first_sender),
     ],
     ids=["balance-key", "detector-key", "detector-parameter", "sender-1", "sender-5"],
 )
 def test_verify_refuses_a_lone_surrogate_at_its_height(golden_run, tmp_path, capsys, height, edit):
-    # JSON can escape a lone surrogate, which UTF-8 cannot encode: such a
-    # string used to pass the reader and stop replay in the block hash (a
-    # traceback) or in the genesis state root (a failure with no height).
-    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
-    record = json.loads(lines[height])
-    edit(record)
-    lines[height] = canonical_json(record)
-    assert "\\ud800" in lines[height]
+    # A string whose bytes hold a lone surrogate is no UTF-8, so it decodes
+    # to no string: the reader refuses it at its height, before any hash or
+    # state root would meet it.
+    def edit_record(block, state):
+        if state is None:
+            return edit(block), state
+        edit(block, state)
+        return block, state
+
+    def surrogate(body):
+        assert body.count(PLACEHOLDER.encode()) == 1
+        return body.replace(PLACEHOLDER.encode(), SURROGATE)
+
     hostile = tmp_path / "surrogate.chain.jsonl"
-    hostile.write_text("\n".join(lines) + "\n")
+    edit_chain(golden_run.out_dir / "run.chain.jsonl", hostile, height, edit_record, surrogate)
     code = main(["verify", "--chain", str(hostile)])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith(f"FAIL at height {height}: CorruptRecord")
-    assert "surrogates not allowed" in out
+    assert "can't decode byte 0xed" in out
 
 
 def _run_config_error(doc, tmp_path, capsys):
@@ -376,7 +433,7 @@ def _run_and_verify(doc, tmp_path, capsys):
     code = main(["verify", "--chain", str(chain)])
     assert capsys.readouterr().out.startswith("OK tip=")
     assert code == 0
-    return chain.read_text()
+    return list(read_chain(chain))
 
 
 def test_integer_accuracy_params_run_and_verify(tmp_path, capsys):
@@ -384,9 +441,9 @@ def test_integer_accuracy_params_run_and_verify(tmp_path, capsys):
     # hold floats, which is all verify accepts.
     doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
     doc["params"] = {"challenge_pass_accuracy": 1, "feedback_min_accuracy": 0}
-    text = _run_and_verify(doc, tmp_path, capsys)
-    assert '"challenge_pass_accuracy":1.0' in text
-    assert '"feedback_min_accuracy":0.0' in text
+    params = _run_and_verify(doc, tmp_path, capsys)[0][1].params
+    assert repr(params.challenge_pass_accuracy) == "1.0"
+    assert repr(params.feedback_min_accuracy) == "0.0"
 
 
 def test_integer_detector_scores_run_and_verify(tmp_path, capsys):
@@ -404,12 +461,17 @@ def test_integer_detector_scores_run_and_verify(tmp_path, capsys):
         doc["detectors"] = {"int-scores": {"kind": "test-int-scores"}}
         doc["algorithms"][0]["detector"] = "int-scores"
         doc["params"] = {"challenge_pass_accuracy": 0.0}
-        text = _run_and_verify(doc, tmp_path, capsys)
+        records = _run_and_verify(doc, tmp_path, capsys)
     finally:
         _PLUGINS.pop("test-int-scores", None)
-    assert '"confidence":1.0' in text
-    assert '"confidence":1,' not in text
-    assert ',1.0]' in text and ',1]' not in text
+    commits = [
+        tx.payload for block, _ in records for tx in block.transactions
+        if tx.kind.value == "CommitAnalysisResult"
+    ]
+    assert any(commit.confidence == 1 for commit in commits)
+    assert all(type(commit.confidence) is float for commit in commits)
+    scores = [score for commit in commits for _, score in commit.matched_content]
+    assert 1 in scores and all(type(score) is float for score in scores)
 
 
 def test_inspect_summaries(golden_run, capsys):
@@ -519,25 +581,22 @@ def test_notifications_empty_for_unflagged_provider(golden_run, capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
-def _forged_event_chain(golden_run, tmp_path, garbage_line=None):
-    """The golden chain with the line of height 4 carrying its block's
-    receipts, as a "v3" line did, with the provider of the first
-    notification event changed to provider-2. No hash covers receipts, and
-    a reader that took stored ones would list the forged event. With
-    ``garbage_line``, that line (1-based) is replaced by text that is no
-    record."""
-    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
-    record = json.loads(lines[4])
-    receipts = golden_run.result.chain.records[4].receipts
-    record["receipts"] = [record_to_json(r) for r in receipts]
-    event = next(e for r in record["receipts"] for e in r["events"])
+def _forged_event_chain(golden_run, tmp_path, garbage_height=None):
+    """The golden chain with the record of height 4 carrying its block's
+    receipts after the block, as a "v3" record did, with the provider of
+    the first notification event changed to provider-2. No hash covers
+    receipts, and a reader that took stored ones would list the forged
+    event. With ``garbage_height``, that record's body is replaced by bytes
+    that are no record."""
+    receipts = [record_to_json(r) for r in golden_run.result.chain.records[4].receipts]
+    event = next(e for r in receipts for e in r["events"])
     assert event["provider"] == "provider-1"
     event["provider"] = "provider-2"
-    lines[4] = canonical_json(record)
-    if garbage_line is not None:
-        lines[garbage_line - 1] = "garbage"
     forged = tmp_path / "forged.chain.jsonl"
-    forged.write_text("\n".join(lines) + "\n")
+    chain = golden_run.out_dir / "run.chain.jsonl"
+    edit_chain(chain, forged, 4, raw=lambda body: body + canonical_json(receipts).encode())
+    if garbage_height is not None:
+        edit_chain(forged, forged, garbage_height, raw=lambda body: b"garbage")
     return forged
 
 
@@ -549,19 +608,19 @@ READ_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("garbage_line", [None, 21], ids=["forged", "forged-then-garbage"])
+@pytest.mark.parametrize("garbage_height", [None, 20], ids=["forged", "forged-then-garbage"])
 @pytest.mark.parametrize("command", sorted(READ_COMMANDS))
 def test_read_commands_refuse_a_forged_event_as_verify_does(
-    golden_run, tmp_path, capsys, command, garbage_line
+    golden_run, tmp_path, capsys, command, garbage_height
 ):
     # Read commands used to print from the chain unverified: notifications
-    # listed the forged event with exit 0. And the garbage on line 21 used
+    # listed the forged event with exit 0. And the garbage at height 20 used
     # to fail the read before the divergence at height 4 was replayed.
-    forged = _forged_event_chain(golden_run, tmp_path, garbage_line)
+    forged = _forged_event_chain(golden_run, tmp_path, garbage_height)
     assert main(["verify", "--chain", str(forged)]) == 1
     verified = capsys.readouterr().out
-    assert verified.startswith("FAIL at height 4: CorruptRecord: line 5: record: fields ")
-    assert "'receipts'" in verified
+    assert verified.startswith("FAIL at height 4: CorruptRecord: ")
+    assert verified.endswith(" bytes left over\n")
     args = READ_COMMANDS[command]
     if command == "report":
         args = [*args, "--truth", str(golden_run.out_dir / "ground_truth.json")]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -321,13 +322,45 @@ def test_register_zero_embedding_rejected():
     assert receipt.error_code == "BadEmbeddingValues"
 
 
+# Valid value by value, but the cosine kernel cannot score them: the squared
+# norm underflows to 0.0 (``ZeroVector``), or overflows to inf, which scores
+# the embedding 0.0 against itself.
+UNSCORABLE = {
+    "norm-underflows": [0.0] * 255 + [3.56e-229],
+    "norm-overflows": [1e300, 1e300] + [0.0] * 254,
+}
+
+
+@pytest.mark.parametrize("values", UNSCORABLE.values(), ids=UNSCORABLE.keys())
+def test_register_embedding_the_kernel_cannot_score_rejected(values):
+    embedding = Embedding(values=tuple(values), media_type=MediaType.BYTES)
+    driver = Driver(make_state())
+    receipt, _ = driver.submit(
+        TxKind.REGISTER_CONTENT,
+        "alice",
+        RegisterContent(
+            content_id="c-1", media_type=MediaType.BYTES,
+            content_hash=hash_bytes(b"unscorable"), embedding=embedding,
+        ),
+    )
+    assert receipt.error_code == "BadEmbeddingValues"
+    request = dataclasses.replace(request_payload(), embedding=embedding)
+    receipt, _ = driver.submit(TxKind.SUBMIT_ANALYSIS_REQUEST, "alice", request)
+    assert receipt.error_code == "BadEmbeddingValues"
+
+
 def per_value_is_valid(e: Embedding) -> bool:
-    """``Embedding.is_valid`` as a per-value loop, before its C-level passes."""
+    """``Embedding.is_valid`` as a per-value loop, before its C-level passes:
+    the squared norm is summed over every value in order, as the kernel's
+    (``core.sparse_values``) is over the non-zero ones."""
     if len(e.values) != EMBEDDING_DIMENSIONS[e.media_type]:
         return False
     if any(not math.isfinite(v) or v < 0.0 for v in e.values):
         return False
-    return any(v > 0.0 for v in e.values)
+    norm2 = 0.0
+    for v in e.values:
+        norm2 += v * v
+    return any(v > 0.0 for v in e.values) and 2.0**-500 <= norm2 <= 2.0**500
 
 
 SPECIAL_VALUES = [
@@ -371,6 +404,8 @@ def candidate_embeddings(draw):
 @example(bytes_embedding(math.nan))
 @example(bytes_embedding(math.inf))
 @example(Embedding(values=(0.5,) * 63, media_type=MediaType.IMAGE))
+@example(Embedding(values=tuple(UNSCORABLE["norm-underflows"]), media_type=MediaType.BYTES))
+@example(Embedding(values=tuple(UNSCORABLE["norm-overflows"]), media_type=MediaType.BYTES))
 @settings(max_examples=5 * settings.default.max_examples)
 @given(candidate_embeddings())
 def test_embedding_is_valid_matches_the_per_value_loop(e):
@@ -684,6 +719,21 @@ def test_low_accuracy_after_window_deprecates():
     assert record.status is AlgorithmStatus.DEPRECATED
     assert record.stake == 0
     assert driver.state.stake_burned == 50
+    assert driver.state.conservation_gap() == 0
+    # No later commit can name the deprecated algorithm.
+    _, tx = driver.submit(
+        TxKind.SUBMIT_ANALYSIS_REQUEST, "bob", request_payload(blob=b"after-burn")
+    )
+    commit, _ = driver.submit(
+        TxKind.COMMIT_ANALYSIS_RESULT,
+        ORACLE,
+        CommitAnalysisResult(
+            request_id=request_id_for(tx), algorithm_id="algo-1",
+            verdict=Verdict.DEEPFAKE, confidence=0.99, matched_content=(("c-0", 0.99),),
+        ),
+    )
+    assert commit.error_code == "AlgorithmNotActive"
+    assert driver.state.conservation_gap() == 0
 
 
 # --- transfers -------------------------------------------------------------------

@@ -6,7 +6,6 @@ shortcut is observable: a sealed or applied block never changes its input
 state, and a cached encoding always equals a fresh one.
 """
 
-import json
 from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
@@ -21,20 +20,18 @@ from veriledger.core import (
 )
 from veriledger.ledger import apply_block, init_chain, seal_block
 from veriledger.rng import SplitMix64
-from veriledger.store import (
-    canonical_json,
-    read_chain,
-    state_from_json,
-    state_to_json,
-)
+from veriledger.store import read_chain
+
+from chainfile import state_bytes, state_copy
 
 from fuzz import FuzzStream, build_fuzz_state
 from test_contracts import reward_state
 
 
 def fresh_copy(state: NetworkState) -> NetworkState:
-    """The state rebuilt through the JSON codec: new records, empty caches."""
-    return state_from_json(json.loads(canonical_json(state_to_json(state))))
+    """The state rebuilt through the chain file's codec: new records, empty
+    caches."""
+    return state_copy(state)
 
 
 def snapshot(state: NetworkState):
@@ -46,7 +43,7 @@ def snapshot(state: NetworkState):
             containers[f.name] = value.copy()
     return (
         encode_state(state),
-        canonical_json(state_to_json(state)),
+        state_bytes(state),
         containers,
         state.tip_height,
         state.tip_hash,

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from veriledger.codec import hash_bytes
 from veriledger.core import (
@@ -247,11 +247,15 @@ def test_zero_vector_rejected():
     st.lists(st.floats(0.0, 1000.0), min_size=4, max_size=4),
     st.lists(st.floats(0.0, 1000.0), min_size=4, max_size=4),
 )
+@example([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 3.562700535506924e-229])
 def test_similarity_symmetric_and_bounded(a_vals, b_vals):
-    if not any(a_vals) or not any(b_vals):
+    # Padded with zeros to the Image dimension, so that ``is_valid`` decides
+    # which vectors the kernel must score: exactly those it accepts.
+    a, b = (vector(vals + [0.0] * 60) for vals in (a_vals, b_vals))
+    if not (a.is_valid() and b.is_valid()):
         return
-    forward = similarity(vector(a_vals), vector(b_vals))
-    backward = similarity(vector(b_vals), vector(a_vals))
+    forward = similarity(a, b)
+    backward = similarity(b, a)
     assert forward == backward
     assert 0.0 <= forward <= 1.0
 

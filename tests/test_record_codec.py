@@ -2,7 +2,9 @@
 
 Each record below is built by hand and pinned twice: the SHA-256 of its
 canonical binary encoding (``core.encode_record``) and the SHA-256 of its
-canonical JSON rendering (``store.record_to_json``). The digests were
+canonical JSON rendering (``store.record_to_json``), the form ``inspect``
+prints. Each also goes through the chain file's codec (``store._CODECS``)
+and back. The digests were
 computed with the hand-written per-record codecs that the derived ones
 replaced, so they pin the formats, not the code. ``AnalysisRequest``'s pair
 was pinned again when the record came to hold its embedding's hash
@@ -17,7 +19,6 @@ are the only tests that fix those encodings.
 
 import base64
 import dataclasses
-import json
 import math
 import sys
 import tracemalloc
@@ -56,11 +57,9 @@ from veriledger.core import (
     hash_embedding,
 )
 from veriledger.errors import SerializationError
-from veriledger.store import (
-    canonical_json,
-    record_from_json,
-    record_to_json,
-)
+from veriledger.store import _dec_embedding, canonical_json, record_to_json
+
+from chainfile import record_copy, transaction_copy
 
 CONTENT_HASH = hash_bytes(b"known-answer content")
 AUDIO = Embedding(values=(0.0, 0.5, 1.25, 3e-07), media_type=MediaType.AUDIO)
@@ -224,11 +223,13 @@ def test_json_rendering_known_answer(name):
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_json_round_trip(name):
+    # Through the chain file and back: the same record, so the same hashed
+    # bytes and the same printed JSON.
     record = RECORDS[name]
-    doc = json.loads(canonical_json(record_to_json(record)))
-    restored = record_from_json(type(record), doc, name)
+    restored = record_copy(record)
     assert restored == record
     assert encode_record(restored) == encode_record(record)
+    assert record_to_json(restored) == record_to_json(record)
 
 
 # --- the transaction encoding cache ------------------------------------------
@@ -274,8 +275,7 @@ def test_transaction_cache_is_invisible():
 def test_decoded_transaction_fills_the_same_bytes(kind):
     tx = Transaction(kind=kind, sender="user-1", payload=PAYLOADS[kind], nonce=7)
     encoded = encode_transaction(tx)
-    doc = json.loads(canonical_json(record_to_json(tx)))
-    decoded = record_from_json(Transaction, doc, "transaction")
+    decoded = transaction_copy(tx)
     assert decoded == tx and decoded._encoding is None
     assert encode_transaction(decoded) == encoded
     assert decoded._encoding == encoded
@@ -292,8 +292,12 @@ def to_token(values) -> str:
 
 
 def from_token(token: str) -> tuple[float, ...]:
-    doc = {**record_to_json(RECORDS["SubmitAnalysisRequest"]), "embedding": token}
-    return record_from_json(SubmitAnalysisRequest, doc, "request").embedding.values
+    """The values the chain file's embedding decoder reads from the bytes
+    of ``token``."""
+    data = enc_str(MediaType.BYTES.value) + base64.b64decode(token)
+    embedding, end = _dec_embedding(data, 0)
+    assert end == len(data)
+    return embedding.values
 
 
 def stored(x: float) -> bool:
@@ -346,7 +350,7 @@ def test_huge_embedding_count_is_refused_before_allocating():
     token = base64.b64encode(b"\xff" * 8).decode("ascii")
     tracemalloc.start()
     try:
-        with pytest.raises(SerializationError, match="do not hold 4294967295 values"):
+        with pytest.raises(SerializationError, match="4294967295 values exceed the 4 bytes"):
             from_token(token)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

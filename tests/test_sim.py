@@ -32,6 +32,7 @@ from veriledger.sim import (
 )
 from veriledger.store import ChainRecord, ChainView, ChainWriter, canonical_json
 
+from chainfile import bodies
 from conftest import GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, json_containers, random_bytes
 
 
@@ -503,7 +504,7 @@ def test_a_failed_run_closes_its_chain_file(golden_config, tmp_path, monkeypatch
     with pytest.raises(OSError, match="no space left"):
         ScenarioRunner(golden_config).run(out_dir=tmp_path)
     assert [writer._fh.closed for writer in opened] == [True]
-    assert len((tmp_path / "run.chain.jsonl").read_text().splitlines()) == 3
+    assert len(bodies(tmp_path / "run.chain.jsonl")) == 3
 
 
 def test_golden_report_matches_frozen_fixture(golden_run):

@@ -11,7 +11,6 @@ it cannot serve as this reference. ``three_pass_sparse_values`` is
 """
 
 import dataclasses
-import json
 import math
 from unittest import mock
 
@@ -44,8 +43,9 @@ from veriledger.detection import (
 )
 from veriledger.errors import DimensionMismatch, ZeroVector
 from veriledger.rng import SplitMix64
-from veriledger.store import canonical_json, record_from_json, record_to_json
+from veriledger.store import canonical_json, record_to_json
 
+from chainfile import record_copy
 from test_record_codec import KNOWN_ANSWERS, RECORDS
 
 # --- the dense reference ----------------------------------------------------
@@ -617,9 +617,7 @@ def test_decoded_and_replaced_embeddings_cache_the_same_pairs():
     expected = sparse_values(e.values)
     record.embedding.sparse()
     packed = encode_embedding(record.embedding)
-    decoded = record_from_json(
-        ContentRecord, json.loads(canonical_json(record_to_json(record))), "c"
-    )
+    decoded = record_copy(record)
     assert decoded.embedding._sparse is None and decoded.embedding._encoding is None
     replaced = dataclasses.replace(record, registered_at=2)
     assert replaced.embedding is record.embedding

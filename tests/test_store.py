@@ -1,19 +1,17 @@
-import base64
 import dataclasses
+import enum
 import hashlib
 import json
 import math
-import re
-import string
 import struct
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from veriledger import store
 from veriledger.cli import main
-from veriledger.codec import Hash256
+from veriledger.codec import Hash256, enc_bytes, enc_f64, enc_str, enc_str_list, enc_u32, enc_u64
 from veriledger.core import (
     ESCROW_ACCOUNT,
     AlgorithmRecord,
@@ -26,6 +24,7 @@ from veriledger.core import (
     ContractParams,
     Embedding,
     MediaType,
+    NetworkState,
     NotificationEvent,
     Receipt,
     ReceiptStatus,
@@ -35,6 +34,8 @@ from veriledger.core import (
     TransferTokens,
     TxKind,
     Verdict,
+    encode_block_fields,
+    encode_record,
     encode_state,
 )
 from veriledger.errors import (
@@ -59,15 +60,12 @@ from veriledger.store import (
     VerifyResult,
     canonical_json,
     read_chain,
-    record_from_json,
     record_to_json,
     replay,
-    state_from_json,
-    state_to_json,
     verify_chain,
 )
 
-from conftest import json_containers
+from chainfile import bodies, chain_bytes, decode, edit_chain, encode, record_copy, state_copy
 from test_ledger import fresh_state, transfer
 
 
@@ -123,25 +121,59 @@ def test_append_height_gap_rejected(tmp_path):
     writer.close()
 
 
+def test_writer_stores_the_genesis_state_with_height_0_only(tmp_path):
+    genesis_state = fresh_state()
+    genesis, state = init_chain(genesis_state)
+    block1, _, _ = seal_block(state, [], timestamp=1)
+    with ChainWriter(tmp_path / "state.chain.jsonl") as writer:
+        with pytest.raises(SerializationError, match="genesis state"):
+            writer.append(genesis)
+        writer.append(genesis, genesis_state=genesis_state)
+        with pytest.raises(SerializationError, match="genesis state"):
+            writer.append(block1, genesis_state=genesis_state)
+
+
 def test_round_trip_identity(tmp_path):
-    path, _, _, written = small_chain(tmp_path)
+    path, genesis_state, _, written = small_chain(tmp_path)
     _, blocks = read_all(path)
     records = replay_all(path).records
     for (block, receipts), read, record in zip(written, blocks, records, strict=True):
         assert read == block
-        assert record_from_json(Block, record_to_json(block), "block") == block
+        stored_state = genesis_state if block.height == 0 else None
+        assert decode(block.height, encode(block, stored_state))[0] == block
         # The file stores no receipts: replay yields the ones it re-executes.
         assert (record.block, record.receipts) == (block, receipts)
 
 
 # SHA-256 of the golden scenario's chain file. The golden fixtures hold only
-# hashes of the binary encodings, so this pins the chain file's JSON layout.
-GOLDEN_CHAIN_SHA256 = "5ea7dac3ec2fb0bcb5194e6127fa5f359fedbfd98f5ab0f4f0665a3139b2cb9a"
+# hashes of the binary encodings, so this pins the chain file's layout.
+GOLDEN_CHAIN_SHA256 = "ab860a901e27f5771474255b314971a1f4629a5c2f9f96df65cd4daeb7686a9e"
 
 
 def test_golden_chain_file_bytes_frozen(golden_run):
     data = (golden_run.out_dir / "run.chain.jsonl").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_CHAIN_SHA256
+
+
+def test_a_record_is_the_bytes_the_hashes_cover(golden_run):
+    # With embeddings dense again, each record body is the block's hashed
+    # encoding, its hash, and for the genesis the state's hashed encoding.
+    records = bodies(golden_run.out_dir / "run.chain.jsonl")
+    for height, body in enumerate(records):
+        block, state = decode(height, body)
+        assert encode(block, state) == body
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(store._FILE_ENCODERS, "Embedding", store.FIELD_ENCODERS["Embedding"])
+            dense = encode(block, state)
+        fields = encode_block_fields(
+            block.height, block.parent_hash, block.timestamp, block.proposer,
+            block.transactions, block.state_root,
+        )
+        assert hashlib.sha256(fields).digest() == block.block_hash.value
+        genesis = encode_state(state) if height == 0 else b""
+        assert dense == fields + block.block_hash.value + genesis
+        if height == 0:
+            assert hashlib.sha256(genesis).digest() == block.state_root.value
 
 
 # Receipts are not stored, but ``inspect --height`` prints them, so their
@@ -162,19 +194,21 @@ def test_printed_receipt_event_carries_the_notification_tag():
     )
 
 
-def test_state_json_round_trip_bit_exact(golden_run):
+def test_state_round_trip_bit_exact(golden_run):
     state = golden_run.result.chain.final_state
-    restored = state_from_json(json.loads(canonical_json(state_to_json(state))))
+    restored = state_copy(state)
     assert encode_state(restored) == encode_state(state)
     assert restored.state_root() == state.state_root()
+    assert restored.content_hash_index == state.content_hash_index
 
 
 def test_params_u64_range_checked_at_parse():
-    doc = record_to_json(ContractParams())
-    top = {**doc, "min_fee": 2**64 - 1}
-    assert record_from_json(ContractParams, top, "params").min_fee == 2**64 - 1
-    with pytest.raises(SerializationError):
-        record_from_json(ContractParams, {**doc, "min_fee": 2**64}, "params")
+    # The largest u64 reads back; one more has no encoding, so the writer
+    # refuses it.
+    top = dataclasses.replace(ContractParams(), min_fee=2**64 - 1)
+    assert record_copy(top).min_fee == 2**64 - 1
+    with pytest.raises(ValueError, match="u64 out of range"):
+        encode_record(dataclasses.replace(top, min_fee=2**64), store._FILE_ENCODERS)
 
 
 def test_replay_reproduces_live_state(tmp_path):
@@ -217,43 +251,44 @@ def test_single_flipped_byte_never_silent(tmp_path):
 
 def test_truncated_and_empty_files(tmp_path):
     path, _, _, _ = small_chain(tmp_path)
-    data = path.read_bytes()
-    lines = data.split(b"\n")
+    records = bodies(path)
 
     empty = tmp_path / "empty.chain.jsonl"
     empty.write_bytes(b"")
-    with pytest.raises(StoreError):
+    with pytest.raises(StoreError, match="empty file"):
         read_all(empty)
+    assert str(verify_chain(empty)) == "FAIL at height 0: CorruptRecord: empty file"
+
+    header_only = tmp_path / "header.chain.jsonl"
+    header_only.write_bytes(store.HEADER)
+    assert str(verify_chain(header_only)) == "FAIL at height 0: CorruptRecord: no genesis record"
 
     headless = tmp_path / "headless.chain.jsonl"
-    headless.write_bytes(b"\n".join(lines[1:]))
-    assert not verify_chain(headless).ok
+    headless.write_bytes(chain_bytes(records[1:]))
+    assert verify_chain(headless).failing_height == 0
+
+    cut = tmp_path / "cut.chain.jsonl"
+    cut.write_bytes(chain_bytes(records)[:-1])
+    assert str(verify_chain(cut)).startswith("FAIL at height 3: CorruptRecord: record of")
 
 
 def test_non_canonical_line_rejected(tmp_path):
+    # A record that decodes to the writer's block but holds one byte more
+    # than the writer wrote.
     path, _, _, _ = small_chain(tmp_path)
-    lines = path.read_bytes().decode().splitlines()
-    # semantically identical but re-ordered JSON must be rejected
-    parsed = json.loads(lines[1])
-    pretty = json.dumps(parsed, indent=1)
-    mutated = "\n".join([lines[0], pretty.replace("\n", "")] + lines[2:]) + "\n"
-    bad = tmp_path / "pretty.chain.jsonl"
-    bad.write_text(mutated)
-    with pytest.raises(CorruptRecord):
+    bad = tmp_path / "longer.chain.jsonl"
+    edit_chain(path, bad, 1, raw=lambda body: body + b"\0")
+    with pytest.raises(CorruptRecord, match="1 bytes left over") as info:
         read_all(bad)
+    assert info.value.height == 1
 
 
-B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+# --- variants of the golden chain that no writer writes ------------------------
 
 
-def _token(raw: bytes) -> str:
-    return json.dumps(base64.b64encode(raw).decode("ascii"))
-
-
-def _layout(token: str) -> tuple[int, list[int], list[bytes]]:
+def _layout(raw: bytes) -> tuple[int, list[int], list[bytes]]:
     """The count, the bitmap as one 0 or 1 per bit, and the stored values as
-    8-byte strings, of a token."""
-    raw = base64.b64decode(token)
+    8-byte strings, of an embedding's sparse layout."""
     n = int.from_bytes(raw[:4], "big")
     width = (n + 7) // 8
     bits = [raw[4 + i // 8] >> (7 - i % 8) & 1 for i in range(8 * width)]
@@ -262,13 +297,13 @@ def _layout(token: str) -> tuple[int, list[int], list[bytes]]:
     return n, bits, values
 
 
-def _pack(n: int, bits: list[int], values: list[bytes]) -> str:
+def _pack(n: int, bits: list[int], values: list[bytes]) -> bytes:
     bitmap = int("".join(map(str, bits)), 2).to_bytes(len(bits) // 8, "big")
-    return _token(struct.pack(">I", n) + bitmap + b"".join(values))
+    return struct.pack(">I", n) + bitmap + b"".join(values)
 
 
-def _bit_past_count(token: str) -> str:
-    n, bits, values = _layout(token)
+def _bit_past_count(raw: bytes) -> bytes:
+    n, bits, values = _layout(raw)
     assert n % 8 == 0  # so that n - 1 values keep the bitmap's width
     if not bits[-1]:
         bits[-1] = 1
@@ -276,82 +311,98 @@ def _bit_past_count(token: str) -> str:
     return _pack(n - 1, bits, values)
 
 
-def _bit_over_plus_zero(token: str) -> str:
-    n, bits, values = _layout(token)
+def _bit_over_plus_zero(raw: bytes) -> bytes:
+    n, bits, values = _layout(raw)
     i = bits.index(0)
     values.insert(sum(bits[:i]), struct.pack(">d", 0.0))
     bits[i] = 1
     return _pack(n, bits, values)
 
 
-def _first_value(token: str, value: float) -> str:
-    n, bits, values = _layout(token)
+def _first_value(raw: bytes, value: float) -> bytes:
+    n, bits, values = _layout(raw)
     return _pack(n, bits, [struct.pack(">d", value), *values[1:]])
 
 
-def _padding_bit_set(token: str) -> str:
-    data = token.rstrip("=")
-    assert data != token  # the golden token has padding bits to set
-    last = B64_ALPHABET[B64_ALPHABET.index(data[-1]) | 1]
-    return json.dumps(data[:-1] + last + token[len(data) :])
+def _embedding(edit):
+    """An embedding encoder that stores ``edit`` of the values' layout."""
+    return lambda e: enc_str(e.media_type.value) + edit(store._sparse_values(e.values))
 
 
-# Each takes the first embedding token of the golden chain and returns the
-# JSON text that replaces it.
-TOKEN_VARIANTS = {
-    "padding-bits": _padding_bit_set,
-    "bit-past-count": _bit_past_count,
-    "bit-over-plus-zero": _bit_over_plus_zero,
-    "nan-bits": lambda token: _first_value(token, math.nan),
-    "infinity-bits": lambda token: _first_value(token, math.inf),
-    "trailing-byte": lambda token: _token(base64.b64decode(token) + b"\0"),
-    "huge-count": lambda token: _token(struct.pack(">I", 2**32 - 1) + b"\xff" * 4),
-    "number-token": lambda token: "0",
-    "non-ascii-character": lambda token: json.dumps(token[:-1] + "\u00e9"),
+def _scalar_map(tag_and_value: bytes):
+    return lambda parameters: enc_u32(1) + enc_str("tau") + tag_and_value
+
+
+# Each maps annotations to an encoder that writes bytes the writer never
+# writes; the variant re-encodes the first record of the golden chain whose
+# bytes that changes. Each either decodes to what the golden record decodes
+# to (a repeated set entry, a bit for a value of +0.0) or holds a value no
+# record can.
+COSMETIC_VARIANTS = {
+    "duplicate-media-type": {
+        "frozenset[MediaType]": lambda ms: enc_str_list(sorted(m.value for m in ms) * 2)
+    },
+    "nan": {"float": lambda x: enc_f64(math.nan if x == 0.0 else x)},
+    "infinity": {"float": lambda x: enc_f64(-math.inf if x == 0.0 else x)},
+    "bit-past-count": {"Embedding": _embedding(_bit_past_count)},
+    "bit-over-plus-zero": {"Embedding": _embedding(_bit_over_plus_zero)},
+    "nan-bits": {"Embedding": _embedding(lambda raw: _first_value(raw, math.nan))},
+    "infinity-bits": {"Embedding": _embedding(lambda raw: _first_value(raw, math.inf))},
+    "trailing-byte": {"Embedding": _embedding(lambda raw: raw + b"\0")},
+    "huge-count": {"Embedding": _embedding(lambda raw: struct.pack(">I", 2**32 - 1) + b"\xff" * 4)},
+    "unsorted-metadata": {
+        "dict[str, str]": lambda m: enc_u32(2) + enc_str("b") + enc_str("1") + enc_str("a")
+        + enc_str("2")
+    },
+    "repeated-metadata-key": {
+        "dict[str, str]": lambda m: enc_u32(2) + enc_str("a") + enc_str("1") + enc_str("a")
+        + enc_str("2")
+    },
+    "invalid-utf8": {"str": lambda s: enc_bytes(b"\xed\xa0\x80" + s.encode())},
+    "unknown-verdict": {"Verdict": lambda v: enc_str("Maybe")},
+    "parameter-tag": {"dict[str, object]": _scalar_map(b"\x05" + enc_u64(1))},
+    "parameter-bool-byte": {"dict[str, object]": _scalar_map(b"\x04\x02")},
+    "parameter-nan": {"dict[str, object]": _scalar_map(b"\x03" + enc_f64(math.nan))},
+    "matches-count-past-end": {"tuple[tuple[str, float], ...]": lambda ms: enc_u32(2**32 - 1)},
 }
 
 
-# Each is (id, old, new): ``new`` replaces the first ``old`` of the golden
-# chain file. ``old`` None: ``new`` rewrites the first embedding token.
-COSMETIC_VARIANTS = [
-    ("duplicate-media-type", '"media_types":["Bytes"]', '"media_types":["Bytes","Bytes"]'),
-    ("int-confidence", '"confidence":0.0', '"confidence":0'),
-    ("int-similarity", '"trusted-000",0.9999266650298808]', '"trusted-000",1]'),
-    ("float-trailing-zero", '"trusted-000",0.9999266650298808]', '"trusted-000",0.99992666502988080]'),
-    ("nan", '"confidence":0.0', '"confidence":NaN'),
-    ("infinity", '"confidence":0.0', '"confidence":-Infinity'),
-    ("float-overflow", '"confidence":0.0', '"confidence":1e999'),
-    ("deep-nesting", '"confidence":0.0', '"confidence":' + "[" * 10**5 + "]" * 10**5),
-    *((name, None, variant) for name, variant in TOKEN_VARIANTS.items()),
-]
+def _cosmetic_variant(src, dst, overrides) -> int:
+    """Write to ``dst`` the chain at ``src`` with the first record that
+    ``overrides`` changes encoded with them; return its height."""
+    records = bodies(src)
+    for height, body in enumerate(records):
+        with pytest.MonkeyPatch.context() as patch:
+            for annotation, encoder in overrides.items():
+                patch.setitem(store._FILE_ENCODERS, annotation, encoder)
+            variant = encode(*decode(height, body))
+        if variant != body:
+            records[height] = variant
+            dst.write_bytes(chain_bytes(records))
+            return height
+    raise AssertionError("no record changed")
 
 
-def _cosmetic_variant(text: str, old, new) -> str:
-    if old is None:
-        old = re.search(r'"embedding":("[^"]*")', text).group(1)
-        new = new(json.loads(old))
-    assert old in text
-    return text.replace(old, new, 1)
-
-
-@pytest.mark.parametrize(
-    "old, new",
-    [variant[1:] for variant in COSMETIC_VARIANTS],
-    ids=[variant[0] for variant in COSMETIC_VARIANTS],
-)
-def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, old, new):
-    # Each variant either decodes to the golden records (a duplicate set
-    # entry, a float written with a trailing zero, an embedding token with
-    # stray bits) or holds a value no record can. Either way it must be
-    # refused, never raise.
-    text = (golden_run.out_dir / "run.chain.jsonl").read_text()
+@pytest.mark.parametrize("overrides", COSMETIC_VARIANTS.values(), ids=COSMETIC_VARIANTS.keys())
+def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, overrides):
+    # Refused, never raised.
     variant = tmp_path / "variant.chain.jsonl"
-    variant.write_text(_cosmetic_variant(text, old, new))
+    _cosmetic_variant(golden_run.out_dir / "run.chain.jsonl", variant, overrides)
     with pytest.raises(CorruptRecord):
         read_all(variant)
     result = verify_chain(variant)
     assert not result.ok
     assert result.failing_height is not None
+
+
+@pytest.mark.parametrize("overrides", COSMETIC_VARIANTS.values(), ids=COSMETIC_VARIANTS.keys())
+def test_canonical_check_matches_the_re_render_on_cosmetic_variants(golden_run, tmp_path, overrides):
+    # The record refused is the one whose bytes differ from the writer's.
+    variant = tmp_path / "variant.chain.jsonl"
+    height = _cosmetic_variant(golden_run.out_dir / "run.chain.jsonl", variant, overrides)
+    with pytest.raises(CorruptRecord) as info:
+        read_all(variant)
+    assert info.value.height == height
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -370,6 +421,23 @@ def test_writer_refuses_a_non_finite_embedding(tmp_path, bad):
     with ChainWriter(tmp_path / "bad.chain.jsonl") as writer:
         with pytest.raises(SerializationError, match="non-finite"):
             writer.append(genesis, genesis_state=genesis_state)
+
+
+def test_writer_refuses_a_non_finite_float(tmp_path):
+    # A commit with a NaN confidence is a valid block (its receipt is a
+    # rejection), but no chain file can hold it.
+    genesis_state = fresh_state()
+    genesis, state = init_chain(genesis_state)
+    commit = Transaction(
+        TxKind.COMMIT_ANALYSIS_RESULT, "A",
+        CommitAnalysisResult("r-1", "algo", Verdict.DEEPFAKE, math.nan, ()), nonce=0,
+    )
+    block, _, receipts = seal_block(state, [commit], timestamp=1)
+    assert receipts[0].status is ReceiptStatus.REJECTED
+    with ChainWriter(tmp_path / "nan.chain.jsonl") as writer:
+        writer.append(genesis, genesis_state=genesis_state)
+        with pytest.raises(SerializationError, match="non-finite"):
+            writer.append(block)
 
 
 def test_unencodable_state_fails_at_its_height(tmp_path):
@@ -421,22 +489,20 @@ def test_resealed_genesis_with_transactions_fails_at_height_0(tmp_path):
         writer.append(genesis, genesis_state=genesis_state)
     result = verify_chain(path)
     assert str(result) == (
-        "FAIL at height 0: CorruptRecord: line 1: genesis block must carry no transactions"
+        "FAIL at height 0: CorruptRecord: genesis block must carry no transactions"
     )
 
 
 def test_genesis_with_stored_receipts_fails_at_height_0(tmp_path):
-    # A "v3" line stored its block's receipts; a "v4" line that still
-    # carries them is refused as having an unknown field.
-    path, _, _, _ = small_chain(tmp_path, blocks=0)
-    record = json.loads(path.read_text())
-    record["receipts"] = []
-    path.write_text(canonical_json(record) + "\n")
+    # A "v3" record stored its block's receipts; a record that still
+    # carries them after its genesis state is refused for the bytes left
+    # over.
+    path, _, _, written = small_chain(tmp_path, blocks=0)
+    receipts = canonical_json([record_to_json(r) for r in written[0][1]]).encode()
+    edit_chain(path, path, 0, raw=lambda body: body + receipts)
     result = verify_chain(path)
     assert str(result) == (
-        "FAIL at height 0: CorruptRecord: line 1: record: fields ['block', 'genesis_state',"
-        " 'height', 'receipts', 'version'] != expected ['block', 'genesis_state', 'height',"
-        " 'version']"
+        f"FAIL at height 0: CorruptRecord: {len(receipts)} bytes left over"
     )
 
 
@@ -547,7 +613,7 @@ def test_genesis_whose_feedback_would_look_up_a_missing_record_fails_at_height_0
         writer.append(genesis, genesis_state=genesis_state)
         writer.append(block)
     assert main(["verify", "--chain", str(path)]) == 1
-    assert capsys.readouterr().out == f"FAIL at height 0: CorruptRecord: line 1: {fault}\n"
+    assert capsys.readouterr().out == f"FAIL at height 0: CorruptRecord: {fault}\n"
 
 
 def test_writer_starts_a_new_chain_over_an_existing_file(tmp_path):
@@ -564,7 +630,7 @@ def test_writer_refuses_an_over_long_line(tmp_path, monkeypatch):
     genesis_state = fresh_state()
     genesis, _ = init_chain(genesis_state)
     path = tmp_path / "long.chain.jsonl"
-    monkeypatch.setattr(store, "MAX_LINE_BYTES", 64)
+    monkeypatch.setattr(store, "MAX_RECORD_BYTES", 64)
     with ChainWriter(path) as writer:
         with pytest.raises(SerializationError, match="exceeds 64"):
             writer.append(genesis, genesis_state=genesis_state)
@@ -572,16 +638,16 @@ def test_writer_refuses_an_over_long_line(tmp_path, monkeypatch):
 
 
 def test_over_long_line_is_refused_before_it_is_read(tmp_path, monkeypatch):
-    # A line of 2^20 bytes past a bound of 4096: the reader holds at most
-    # one byte more than the bound, never the line.
+    # A record of 2^20 bytes past a bound of 4096: the reader refuses its
+    # length before it reads the body.
     path, _, _, _ = small_chain(tmp_path, blocks=0)
     assert len(path.read_bytes()) < 4096
     with path.open("ab") as fh:
-        fh.write(b"x" * 2**20 + b"\n")
-    monkeypatch.setattr(store, "MAX_LINE_BYTES", 4096)
-    with pytest.raises(CorruptRecord, match="longer than 4096 bytes") as info:
+        fh.write(enc_u32(2**20) + b"x" * 2**20)
+    monkeypatch.setattr(store, "MAX_RECORD_BYTES", 4096)
+    with pytest.raises(CorruptRecord, match="record of 1048576 bytes exceeds 4096") as info:
         read_all(path)
-    assert info.value.line_number == 2
+    assert info.value.height == 1
     tracemalloc.start()
     try:
         result = verify_chain(path)
@@ -592,28 +658,83 @@ def test_over_long_line_is_refused_before_it_is_read(tmp_path, monkeypatch):
     assert peak < 2**17
 
 
-# --- chain-file JSON values, fuzzed ------------------------------------------
-
-WRONG_TYPES = [None, True, False, 0, -1, 1.5, -0.0, "", "x", "Bytes", [], {}, [0], {"a": 1}]
-U64_EDGES = [2**64 - 1, 2**64, 2**63, 2**63 - 1, 2**32, -1, -(2**63), -(2**64)]
+# --- the golden chain, fuzzed ----------------------------------------------------
 
 
-def _reseal(records, start):
-    """Rewrite the block hash of record ``start`` and every later record, and
-    the parent hash each later block stores, so that replay gets past the
-    hash checks to the mutated value. Stops at the first record whose block
-    no longer decodes: replay stops there too."""
+@dataclasses.dataclass
+class Mutation:
+    """A fuzzed chain file, the first height a mutation reached, and, as its
+    repr, how it was made (not the bytes)."""
+
+    data: bytes
+    height: int
+    how: str
+    tip: str | None = None
+
+    def __repr__(self) -> str:
+        return self.how
+
+
+def _leaves(value, path=()):
+    """The path to every scalar of a block or state, through dataclass
+    fields, tuple indexes and dict keys; sets are left out."""
+    if isinstance(value, (bool, int, float, str, enum.Enum, Hash256)):
+        yield path
+    elif dataclasses.is_dataclass(value):
+        for name, _ in store.record_schema(type(value)):
+            yield from _leaves(getattr(value, name), path + (name,))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], path + (key,))
+
+
+def _get(value, path):
+    for step in path:
+        value = getattr(value, step) if dataclasses.is_dataclass(value) else value[step]
+    return value
+
+
+def _replace(value, path, new):
+    """``value`` with the scalar at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    step, rest = path[0], path[1:]
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{step: _replace(getattr(value, step), rest, new)})
+    if isinstance(value, tuple):
+        return value[:step] + (_replace(value[step], rest, new),) + value[step + 1 :]
+    return {**value, step: _replace(value[step], rest, new)}
+
+
+def _other_values(draw, old):
+    if isinstance(old, bool):
+        return not old
+    if isinstance(old, enum.Enum):
+        return draw(st.sampled_from([m for m in type(old) if m is not old]))
+    if isinstance(old, int):
+        return draw(st.sampled_from([0, 1, old + 1, max(old - 1, 0), 2**63, 2**64 - 1]))
+    if isinstance(old, float):
+        return draw(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e300, 5e-324, old * 2]))
+    if isinstance(old, Hash256):
+        return Hash256(bytes(32))
+    return draw(st.sampled_from(["", "x", old + "x", "v1", "oracle", ESCROW_ACCOUNT, "owner-1"]))
+
+
+def _reseal(pairs, start):
+    """Recompute the block hash of record ``start`` and of every later
+    record, and the parent hash each later block stores, so that replay gets
+    past the hash checks to the mutated value; the genesis is sealed again
+    from its state. Stops at the first block that no longer seals."""
     parent = None  # record ``start`` keeps the parent hash it stores
-    for i in range(start, len(records)):
-        record = records[i]
+    for i in range(start, len(pairs)):
+        block, state = pairs[i]
         try:
             if i == 0:
-                block, _ = init_chain(
-                    state_from_json(record["genesis_state"]),
-                    timestamp=record["block"]["timestamp"],
-                )
+                block, _ = init_chain(state, timestamp=block.timestamp)
             else:
-                block = record_from_json(Block, record["block"], "block")
                 if parent is not None:
                     block = dataclasses.replace(block, parent_hash=parent)
                 block_hash = compute_block_hash(
@@ -621,48 +742,63 @@ def _reseal(records, start):
                     block.transactions, block.state_root,
                 )
                 block = dataclasses.replace(block, block_hash=block_hash)
-            record["block"] = record_to_json(block)
         except (VeriledgerError, KeyError, TypeError, ValueError):
             return
+        pairs[i] = (block, state)
         parent = block.block_hash
 
 
-@st.composite
-def chain_mutations(draw, lines):
-    """The golden chain's lines with one JSON value of one record mutated,
-    resealed, and the dict key mutated (``None`` for a list entry)."""
-    records = [json.loads(line) for line in lines]
-    start = draw(st.integers(0, len(records) - 1))
-    kind = draw(st.sampled_from(["type", "u64", "drop", "add", "reorder"]))
-    key = None
-    if kind == "reorder":
-        lists = [c for c in json_containers(records[start]) if isinstance(c, list) and len(c) > 1]
-        if lists:
-            target = draw(st.sampled_from(lists))
-            i, j = draw(st.lists(st.integers(0, len(target) - 1), min_size=2, max_size=2, unique=True))
-            target[i], target[j] = target[j], target[i]
-    else:
-        container = draw(st.sampled_from(list(json_containers(records[start]))))
-        is_dict = isinstance(container, dict)
-        if kind == "add" or not container:
-            if is_dict:
-                key = draw(st.sampled_from(["extra", "type", "height", ""]))
-                container[key] = draw(st.sampled_from(WRONG_TYPES))
+def value_mutations(records):
+    """The golden chain with one value of one record changed (or one
+    transaction dropped, repeated or moved), and the chain resealed from
+    there; its ``tip`` is the block hash of the last record written."""
+
+    @st.composite
+    def mutations(draw):
+        pairs = [decode(h, body) for h, body in enumerate(records)]
+        start = draw(st.integers(0, len(pairs) - 1))
+        block, state = pairs[start]
+        kind = draw(st.sampled_from(["value", "value", "drop", "repeat", "move"]))
+        txs = list(block.transactions)
+        if kind == "value" or not txs:
+            target = state if state is not None and draw(st.booleans()) else block
+            path = draw(st.sampled_from(list(_leaves(target))))
+            new = _other_values(draw, _get(target, path))
+            how = f"{type(target).__name__} {start} {'.'.join(map(str, path))} = {new!r}"
+            try:
+                target = _replace(target, path, new)
+            except ValueError:  # ContractParams refuses the new value
+                assume(False)
+            if isinstance(target, NetworkState):
+                state = target
             else:
-                container.append(draw(st.sampled_from(WRONG_TYPES + container[:1])))
+                block = target
         else:
-            index = draw(st.sampled_from(sorted(container) if is_dict else range(len(container))))
-            key = index if is_dict else None
+            i = draw(st.integers(0, len(txs) - 1))
             if kind == "drop":
-                del container[index]
+                del txs[i]
+            elif kind == "repeat":
+                txs.insert(i, txs[i])
             else:
-                container[index] = draw(st.sampled_from(WRONG_TYPES if kind == "type" else U64_EDGES))
-    _reseal(records, start)
-    return [canonical_json(r) for r in records], key
+                txs.insert(draw(st.integers(0, len(txs) - 1)), txs.pop(i))
+            block = dataclasses.replace(block, transactions=tuple(txs))
+            how = f"{kind} transaction {i} of block {start}"
+        pairs[start] = (block, state)
+        _reseal(pairs, start)
+        try:
+            data = chain_bytes([encode(b, s) for b, s in pairs])
+        except (SerializationError, ValueError, TypeError):  # no writer writes it
+            assume(False)
+        return Mutation(data, start, how, tip=pairs[-1][0].block_hash.hex)
+
+    return mutations()
 
 
 def test_fuzzed_chain_values_end_in_a_verify_result(golden_run, tmp_path_factory, capsys):
-    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
+    # Each mutation decodes, and is resealed, so it reaches execution: it
+    # must end in OK with the tip written or in a failure at or after the
+    # record changed, never in a traceback.
+    records = bodies(golden_run.out_dir / "run.chain.jsonl")
     path = tmp_path_factory.mktemp("fuzzed-chain") / "variant.chain.jsonl"
     truth = str(golden_run.out_dir / "ground_truth.json")
     read_commands = [
@@ -671,19 +807,16 @@ def test_fuzzed_chain_values_end_in_a_verify_result(golden_run, tmp_path_factory
         ["report", "--truth", truth],
     ]
 
-    @settings(max_examples=150)
-    @given(chain_mutations(lines))
+    @settings(max_examples=100)
+    @given(value_mutations(records))
     def check(mutation):
-        mutated, key = mutation
-        path.write_text("\n".join(mutated) + "\n")
+        path.write_bytes(mutation.data)
         result = verify_chain(path)
         assert isinstance(result, VerifyResult)
         if result.ok:
-            # Replay checks no timestamp. A changed one fails only where the
-            # new block hash reseeds a later proposer draw, so a tip's passes.
-            assert mutated == lines or key == "timestamp"
+            assert result.tip_hash == mutation.tip
         else:
-            assert result.error and result.failing_height is not None
+            assert result.error and result.failing_height >= mutation.height
         # Every read command refuses exactly the chains verify refuses, and
         # with the same line.
         for command in read_commands:
@@ -697,116 +830,105 @@ def test_fuzzed_chain_values_end_in_a_verify_result(golden_run, tmp_path_factory
     check()
 
 
-# --- the canonical-form check against the re-render it replaced --------------
+def byte_mutations(records):
+    """The golden chain's bytes with one byte flipped, cut short inside a
+    record, or with two records spliced, and the height that must fail."""
+    data = chain_bytes(records)
+    # Where each record starts (its length prefix), and the end.
+    starts = [len(store.HEADER)]
+    for body in records:
+        starts.append(starts[-1] + 4 + len(body))
 
+    def height_at(pos):
+        return sum(1 for start in starts[1:] if start <= pos)
 
-def _lenient_embedding_values(v, what):
-    """The embedding decoder without its checks that a token is the one its
-    values render to: non-zero padding bits, a bitmap bit past the count and
-    a stored +0.0 all decode."""
-    try:
-        raw = base64.b64decode(store._as_str(v, what), validate=True)
-        (n,) = struct.unpack_from(">I", raw)
-        width = (n + 7) // 8
-        bitmap = int.from_bytes(raw[4 : 4 + width], "big")
-        count = bitmap.bit_count()
-        if len(raw) != 4 + width + 8 * count:
-            raise SerializationError(f"{what}: wrong length")
-        kept = iter(struct.unpack_from(f">{count}d", raw, 4 + width))
-    except (ValueError, struct.error) as exc:
-        raise SerializationError(f"{what}: {exc}") from exc
-    values = tuple(
-        next(kept) if bitmap >> (8 * width - 1 - i) & 1 else 0.0 for i in range(n)
+    def flip(pos, xor):
+        mutated = bytearray(data)
+        mutated[pos] ^= xor
+        return Mutation(bytes(mutated), height_at(pos), f"flip({pos}, {xor:#x})")
+
+    def cut(pos):
+        return Mutation(data[:pos], height_at(pos), f"cut({pos})")
+
+    def splice(kind, i, j):
+        # i < j: so a drop never leaves a valid chain one block short.
+        spliced = list(records)
+        if kind == "replace":
+            spliced[i] = records[j]
+        elif kind == "replace-later":
+            spliced[j] = records[i]
+            i = j
+        elif kind == "repeat":
+            spliced.insert(i + 1, records[i])
+            i += 1
+        elif kind == "drop":
+            del spliced[i]
+        else:
+            spliced[i], spliced[j] = records[j], records[i]
+        return Mutation(chain_bytes(spliced), i, f"{kind}({i}, {j})")
+
+    positions = st.integers(0, len(data) - 1)
+    pairs = st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2, unique=True)
+    return st.one_of(
+        st.builds(flip, positions, st.integers(1, 255)),
+        # A cut at a record boundary after the genesis leaves a valid chain.
+        st.builds(cut, positions.filter(lambda pos: pos not in starts[1:])),
+        st.builds(
+            lambda kind, ij: splice(kind, *sorted(ij)),
+            st.sampled_from(["replace", "replace-later", "repeat", "drop", "swap"]),
+            pairs,
+        ),
     )
-    if not all(map(math.isfinite, values)):
-        raise SerializationError(f"{what}: non-finite value")
-    return values
 
 
-def _lenient_sorted_strs(v, what):
-    """The set decoder without its order check: any order, repeats allowed."""
-    return [store._as_str(x, what) for x in store._as_list(v, what)]
+def test_fuzzed_chain_bytes_end_in_fail_at_their_height(golden_run, tmp_path_factory, capsys):
+    # Unlike a resealed value, a flipped byte, a record cut short or records
+    # spliced out of order never replay: each fails at the height it hit.
+    records = bodies(golden_run.out_dir / "run.chain.jsonl")
+    path = tmp_path_factory.mktemp("fuzzed-bytes") / "variant.chain.jsonl"
 
-
-def _first_line_the_re_render_refuses(path):
-    """The line number at which ``read_chain`` stopped, or None, as it
-    checked canonical form before: decode each line with decoders that
-    normalise what they may (set order and repeats, stray token bits), then
-    render the records again and compare with the line."""
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(store, "_sorted_strs", _lenient_sorted_strs)
-            patch.setitem(
-                store._JSON_CODECS,
-                "Embedding",
-                (store._embedding_to_json, _lenient_embedding_values),
-            )
-            store._json_schema.cache_clear()
-            return _re_render_check(path)
-    finally:
-        store._json_schema.cache_clear()
-
-
-def _re_render_check(path):
-    genesis_state = None
-    for i, raw in enumerate(path.read_bytes().split(b"\n")[:-1]):
-        try:
-            text, value = store._parse_line(i + 1, raw)
-            expected = {"version", "height", "block"}
-            if i == 0:
-                expected = expected | {"genesis_state"}
-            value = store._expect_keys(value, expected, "record")
-            if value["version"] != store.FORMAT_VERSION:
-                return i + 1
-            height = store._as_nonneg(value["height"], "record.height")
-            block = record_from_json(Block, value["block"], "block")
-            if i == 0:
-                genesis_state = state_from_json(value["genesis_state"])
-        except (CorruptRecord, SerializationError):
-            return i + 1
-        if height != i or block.height != height:
-            return i + 1
-        try:
-            rendered = canonical_json(store._record_to_json(block, genesis_state))
-        except ValueError:
-            rendered = None
-        if rendered != text:
-            return i + 1
-    return None
-
-
-def _first_line_read_chain_refuses(path):
-    try:
-        read_all(path)
-    except CorruptRecord as exc:
-        return exc.line_number
-    return None
-
-
-def test_canonical_check_matches_the_re_render_on_fuzzed_chains(golden_run, tmp_path_factory):
-    lines = (golden_run.out_dir / "run.chain.jsonl").read_text().splitlines()
-    path = tmp_path_factory.mktemp("fuzzed-chain") / "variant.chain.jsonl"
-
-    @given(chain_mutations(lines))
+    @settings(max_examples=150)
+    @given(byte_mutations(records))
     def check(mutation):
-        path.write_text("\n".join(mutation[0]) + "\n")
-        assert _first_line_read_chain_refuses(path) == _first_line_the_re_render_refuses(path)
+        path.write_bytes(mutation.data)
+        assert main(["verify", "--chain", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL at height {mutation.height}: ")
 
     check()
 
 
-@pytest.mark.parametrize(
-    "old, new",
-    [variant[1:] for variant in COSMETIC_VARIANTS],
-    ids=[variant[0] for variant in COSMETIC_VARIANTS],
-)
-def test_canonical_check_matches_the_re_render_on_cosmetic_variants(golden_run, tmp_path, old, new):
-    text = (golden_run.out_dir / "run.chain.jsonl").read_text()
-    variant = tmp_path / "variant.chain.jsonl"
-    variant.write_text(_cosmetic_variant(text, old, new))
-    line = _first_line_the_re_render_refuses(variant)
-    assert line is not None
-    assert _first_line_read_chain_refuses(variant) == line
+def test_canonical_check_matches_the_re_render_on_fuzzed_chains(golden_run, tmp_path_factory):
+    # Every record ``read_chain`` accepts from a fuzzed chain is the one the
+    # writer renders from what it decodes to, byte for byte: the checks of
+    # the decoders leave no second encoding of any record.
+    records = bodies(golden_run.out_dir / "run.chain.jsonl")
+    path = tmp_path_factory.mktemp("fuzzed-chain") / "variant.chain.jsonl"
+
+    @given(byte_mutations(records))
+    def check(mutation):
+        path.write_bytes(mutation.data)
+        rendered = []
+
+        def decode_and_render(height, body):
+            block, genesis_state = strict(height, body)
+            rendered.append(encode(block, genesis_state) == body)
+            return block, genesis_state
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(store, "_decode_record", decode_and_render)
+            try:
+                for _ in read_chain(path):
+                    pass
+            except CorruptRecord:
+                pass
+        assert all(rendered)
+
+    strict = store._decode_record
+    check()
+
+
+# --- sets --------------------------------------------------------------------
 
 
 def _chain_with_two_entry_sets(tmp_path):
@@ -833,13 +955,12 @@ def _chain_with_two_entry_sets(tmp_path):
     return path
 
 
-def _set_lists(genesis_state):
-    algorithm = genesis_state["algorithms"]["algo"]
-    return {
-        "media_types": algorithm["media_types"],
-        "challenges_submitted": algorithm["challenges_submitted"],
-        "feedback_done": genesis_state["feedback_done"],
-    }
+# Each set's two entries as the writer lists them.
+SET_ENTRIES = {
+    "media_types": ["Bytes", "Image"],
+    "challenges_submitted": ["ch-000", "ch-001"],
+    "feedback_done": ["r-1", "r-2"],
+}
 
 
 @pytest.mark.parametrize("name", ["media_types", "challenges_submitted", "feedback_done"])
@@ -847,21 +968,16 @@ def _set_lists(genesis_state):
 def test_set_entries_must_be_sorted_and_distinct(tmp_path, name, edit):
     path = _chain_with_two_entry_sets(tmp_path)
     assert verify_chain(path).ok
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[0])
-    entries = _set_lists(record["genesis_state"])[name]
-    assert len(entries) == 2 and entries == sorted(entries)
-    if edit == "unsorted":
-        entries.reverse()
-    else:
-        entries.insert(1, entries[0])
-    # Canonical JSON of a value that decodes to the same sets: only the set
+    entries = SET_ENTRIES[name]
+    edited = list(reversed(entries)) if edit == "unsorted" else [entries[0], *entries]
+    # The same set, listed in another order or with a repeat: only the set
     # decoder can refuse it.
-    lines[0] = canonical_json(record)
-    path.write_text("\n".join(lines) + "\n")
+    old, new = enc_str_list(entries), enc_str_list(edited)
+    assert bodies(path)[0].count(old) == 1
+    edit_chain(path, path, 0, raw=lambda body: body.replace(old, new))
     with pytest.raises(CorruptRecord, match="sorted and distinct") as info:
         read_all(path)
-    assert info.value.line_number == 1
+    assert info.value.height == 0
     result = verify_chain(path)
     assert not result.ok
     assert result.failing_height == 0
