@@ -178,6 +178,14 @@ def _params(**changes):
     return edit
 
 
+def _wrapping_balances(state):
+    """Add 2^63 to two balances: each still fits a u64, and the tokens held
+    exceed the supply by exactly 2^64, so a sum taken modulo 2^64 would find
+    them conserved."""
+    for account in ("owner-1", "user-1"):
+        state.balances[account] += 2**63
+
+
 def _final_record(name, key):
     """Copy into the genesis a record of the golden run's final state: the
     golden genesis holds no algorithm or content."""
@@ -193,6 +201,7 @@ def _final_record(name, key):
 HOSTILE_GENESIS = {
     "epoch-length-zero": ("params", _params(epoch_length=0), None),
     "fee-split-over-100": ("params", _params(fee_owner_pct=99), None),
+    "u64-overflow": ("balances", _wrapping_balances, None),
     "validators-not-object": ("validators", None, _count_past_end("validators")),
     "balances-not-object": ("balances", None, _count_past_end("balances")),
     "algorithms-not-object": ("algorithms", None, _count_past_end("algorithms")),

@@ -202,6 +202,23 @@ def test_state_round_trip_bit_exact(golden_run):
     assert restored.content_hash_index == state.content_hash_index
 
 
+def test_state_json_round_trip_bit_exact(golden_run):
+    # What ``inspect`` prints of a state read from a chain file is the JSON
+    # of the state the run held, byte for byte.
+    state = golden_run.result.chain.final_state
+    restored = state_copy(state)
+    assert canonical_json(record_to_json(restored.params)) == canonical_json(
+        record_to_json(state.params)
+    )
+    for name in ("algorithms", "contents", "requests", "results", "detectors"):
+        held, read = getattr(state, name), getattr(restored, name)
+        assert read.keys() == held.keys()
+        for key, record in held.items():
+            assert canonical_json(record_to_json(read[key])) == canonical_json(
+                record_to_json(record)
+            )
+
+
 def test_params_u64_range_checked_at_parse():
     # The largest u64 reads back; one more has no encoding, so the writer
     # refuses it.
@@ -319,6 +336,26 @@ def _bit_over_plus_zero(raw: bytes) -> bytes:
     return _pack(n, bits, values)
 
 
+def _padding_bit(raw: bytes) -> bytes:
+    # The layout of all but the last value, with the bitmap's one padding
+    # bit set and no value stored for it.
+    n, bits, values = _layout(raw)
+    assert n % 8 == 0
+    if bits[-1]:
+        values.pop()
+    bits[-1] = 1
+    return _pack(n - 1, bits, values)
+
+
+def _overlong_first_character(s: str) -> bytes:
+    """``s`` with its first character, if ASCII, in the two-byte UTF-8
+    form that decoders must refuse: a second spelling of the same string."""
+    raw = s.encode()
+    if not raw or raw[0] >= 0x80:
+        return enc_str(s)
+    return enc_bytes(bytes([0xC0 | raw[0] >> 6, 0x80 | raw[0] & 0x3F]) + raw[1:])
+
+
 def _first_value(raw: bytes, value: float) -> bytes:
     n, bits, values = _layout(raw)
     return _pack(n, bits, [struct.pack(">d", value), *values[1:]])
@@ -345,6 +382,7 @@ COSMETIC_VARIANTS = {
     "nan": {"float": lambda x: enc_f64(math.nan if x == 0.0 else x)},
     "infinity": {"float": lambda x: enc_f64(-math.inf if x == 0.0 else x)},
     "bit-past-count": {"Embedding": _embedding(_bit_past_count)},
+    "padding-bits": {"Embedding": _embedding(_padding_bit)},
     "bit-over-plus-zero": {"Embedding": _embedding(_bit_over_plus_zero)},
     "nan-bits": {"Embedding": _embedding(lambda raw: _first_value(raw, math.nan))},
     "infinity-bits": {"Embedding": _embedding(lambda raw: _first_value(raw, math.inf))},
@@ -359,6 +397,7 @@ COSMETIC_VARIANTS = {
         + enc_str("2")
     },
     "invalid-utf8": {"str": lambda s: enc_bytes(b"\xed\xa0\x80" + s.encode())},
+    "non-ascii-character": {"str": _overlong_first_character},
     "unknown-verdict": {"Verdict": lambda v: enc_str("Maybe")},
     "parameter-tag": {"dict[str, object]": _scalar_map(b"\x05" + enc_u64(1))},
     "parameter-bool-byte": {"dict[str, object]": _scalar_map(b"\x04\x02")},
