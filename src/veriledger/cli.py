@@ -19,7 +19,6 @@ from .core import ReceiptStatus
 from .errors import ConfigError, LedgerError, StoreError, VeriledgerError
 from .sim import GroundTruth, compute_metrics, parse_scenario, run_scenario
 from .store import (
-    ChainView,
     canonical_json,
     failure,
     notifications,
@@ -118,10 +117,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except (ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    records = []
-    for record, state in replay(args.chain):
-        records.append(record)
-    report = compute_metrics(ChainView(records, state), truth)
+    report = compute_metrics(replay(args.chain), truth)
     _emit(report.to_json(), args.pretty)
     return 0
 

@@ -9,10 +9,10 @@ Encoding rules (version 1):
 
 * integers       -- big-endian fixed width; ``u8``/``u32``/``u64``
 * floats         -- IEEE 754 binary64, big-endian (8 bytes)
-* float lists    -- ``u32`` count + the values (``enc_f64_list``), or, in
-  the chain file's sparse layout (``enc_f64_sparse``), ``u32`` count + a
-  ``ceil(n/8)``-byte bitmap whose bit i (most significant bit first) is set
-  iff value i's bits are not all zero + each value whose bit is set
+* float lists    -- the sparse layout (``enc_f64_sparse``): ``u32`` count +
+  a ``ceil(n/8)``-byte bitmap whose bit i (most significant bit first) is
+  set iff value i's bits are not all zero + each value whose bit is set, so
+  ``+0.0`` is left out and ``-0.0`` is stored
 * byte strings   -- ``u32`` length prefix + raw bytes
 * text strings   -- UTF-8 bytes, encoded as a byte string
 * 256-bit hashes -- 32 raw bytes, no prefix
@@ -58,12 +58,6 @@ class Hash256:
     def zero(cls) -> "Hash256":
         return cls(b"\x00" * 32)
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Hash256":
-        if len(text) != 64 or text != text.lower():
-            raise ValueError("Hash256 hex must be 64 lowercase chars")
-        return cls(bytes.fromhex(text))
-
     @property
     def hex(self) -> str:
         return self.value.hex()
@@ -99,22 +93,24 @@ def enc_f64(x: float) -> bytes:
     return struct.pack(">d", x)
 
 
-def enc_f64_list(values: Iterable[float]) -> bytes:
-    vals = list(values)
-    return enc_u32(len(vals)) + struct.pack(f">{len(vals)}d", *vals)
-
-
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_NON_ZERO = bytes(1) + b"\x01" * 255  # a byte's 0 stays 0, any other becomes 1
 
 
 def enc_f64_sparse(values: Sequence[float]) -> bytes:
     """``values`` in the sparse layout: ``-0.0`` is stored, ``+0.0`` is not."""
-    words = memoryview(struct.pack(f">{len(values)}d", *values)).cast("Q")
-    present = bytes(map(bool, words))  # 0 or 1 per value: any bit set
+    n = len(values)
+    # OR each value's eight bytes into its last, which is then 0 iff none of
+    # the value's bits is set: the three shifts stay inside each value.
+    words = int.from_bytes(struct.pack(f">{n}d", *values), "big")
+    words |= words >> 32
+    words |= words >> 16
+    words |= words >> 8
+    present = words.to_bytes(8 * n, "big")[7::8].translate(_NON_ZERO)  # 0 or 1 per value
     kept = tuple(compress(values, present))
-    digits = present.translate(_TO_DIGITS) + b"0" * (-len(values) % 8)
+    digits = present.translate(_TO_DIGITS) + b"0" * (-n % 8)
     bitmap = int(digits or b"0", 2).to_bytes(len(digits) // 8, "big")
-    return struct.pack(f">I{len(bitmap)}s{len(kept)}d", len(values), bitmap, *kept)
+    return struct.pack(f">I{len(bitmap)}s{len(kept)}d", n, bitmap, *kept)
 
 
 def enc_bytes(b: bytes) -> bytes:

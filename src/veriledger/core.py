@@ -23,7 +23,7 @@ from .codec import (
     Hash256,
     enc_bytes,
     enc_f64,
-    enc_f64_list,
+    enc_f64_sparse,
     enc_hash,
     enc_scalar_map,
     enc_str,
@@ -132,9 +132,10 @@ class Embedding:
     values: tuple[float, ...]
     media_type: MediaType
     # Two caches, each filled on first use: ``sparse_values(values)`` by
-    # ``sparse()``, and the canonical encoding by ``encode_embedding``, which
-    # the transaction payload, ``hash_embedding`` and the ``ContentRecord``
-    # encoding all reuse. Like the records' ``_encoding`` they stay out of
+    # ``sparse()``, and the canonical encoding (the sparse layout) by
+    # ``encode_embedding``, which the transaction payload, ``hash_embedding``
+    # and the ``ContentRecord`` encoding all reuse, and which the chain file
+    # stores as it is. Like the records' ``_encoding`` they stay out of
     # equality, hashing, ``repr`` and every encoding, and
     # ``dataclasses.replace`` leaves them empty.
     _sparse: tuple[tuple[tuple[int, float], ...], float, int, float] | None = field(
@@ -524,7 +525,7 @@ def encode_embedding(e: Embedding) -> bytes:
     encoded = e._encoding
     if encoded is None:
         # Media type first: the reverse of the declaration order.
-        encoded = enc_str(e.media_type.value) + enc_f64_list(e.values)
+        encoded = enc_str(e.media_type.value) + enc_f64_sparse(e.values)
         object.__setattr__(e, "_encoding", encoded)
     return encoded
 
@@ -545,9 +546,8 @@ def _enc_matches(matches: tuple[tuple[str, float], ...]) -> bytes:
 
 
 # The encoder for each field annotation a record may use: the encoding every
-# hash covers. ``store`` writes the chain file with a copy of this table that
-# differs only in how an embedding's values are laid out and in refusing
-# non-finite floats.
+# hash covers, and the bytes the chain file stores. It encodes a NaN like any
+# other float: a transaction is hashed before a contract rejects it.
 FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
     "str": enc_str,
     "int": enc_u64,
@@ -566,31 +566,28 @@ FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
 }
 
 
-def encode_record(record: Any, encoders: dict = FIELD_ENCODERS) -> bytes:
+def encode_record(record: Any) -> bytes:
     """Canonical encoding of a payload, state record, ``ContractParams`` or
     ``DetectorSpec``: its fields' encodings in declaration order, each by
-    its annotation's entry in ``encoders``."""
+    its annotation's entry in ``FIELD_ENCODERS``."""
     return b"".join(
-        [encoders[annotation](getattr(record, name))
+        [FIELD_ENCODERS[annotation](getattr(record, name))
          for name, annotation in record_schema(type(record))]
     )
 
 
-def encode_transaction(tx: Transaction, encoders: dict = FIELD_ENCODERS) -> bytes:
-    """Canonical encoding of ``tx``. With the hashes' encoders it is
-    computed once and cached on ``tx``."""
-    cached = encoders is FIELD_ENCODERS
-    encoded = tx._encoding if cached else None
+def encode_transaction(tx: Transaction) -> bytes:
+    """Canonical encoding of ``tx``, computed once and cached on it."""
+    encoded = tx._encoding
     if encoded is None:
         encoded = (
             TX_TAG
             + enc_str(tx.kind.value)
             + enc_str(tx.sender)
             + enc_u64(tx.nonce)
-            + enc_bytes(encode_record(tx.payload, encoders))
+            + enc_bytes(encode_record(tx.payload))
         )
-        if cached:
-            object.__setattr__(tx, "_encoding", encoded)
+        object.__setattr__(tx, "_encoding", encoded)
     return encoded
 
 
@@ -605,7 +602,6 @@ def encode_block_fields(
     proposer: str,
     transactions: Iterable[Transaction],
     state_root: Hash256,
-    encoders: dict = FIELD_ENCODERS,
 ) -> bytes:
     """Canonical encoding of a block minus its own hash."""
     txs = list(transactions)
@@ -616,29 +612,27 @@ def encode_block_fields(
         + enc_u64(timestamp)
         + enc_str(proposer)
         + enc_u32(len(txs))
-        + b"".join(enc_bytes(encode_transaction(t, encoders)) for t in txs)
+        + b"".join(enc_bytes(encode_transaction(t)) for t in txs)
         + enc_hash(state_root)
     )
 
 
-def encode_state(state: NetworkState, encoders: dict = FIELD_ENCODERS) -> bytes:
+def encode_state(state: NetworkState) -> bytes:
     """Canonical state serialization hashed into every block's state root.
 
     Covers the token ledger, registries, and cumulative counters; excludes
     tip metadata and the derived content-hash index. A request is covered
     with the hash of its embedding (``embedding_hash``), not the embedding,
-    so an answered request costs each later root about 130 bytes rather
-    than the 2 KB of a 256-dim embedding; the embedding itself is covered
+    so an answered request costs each later root about 130 bytes however
+    large its embedding; the embedding itself is covered
     by the block hash, in its ``SubmitAnalysisRequest`` transaction. Map
     entries are sorted by key, so the encoding never depends on insertion
     order; a record map's key is its record's id, so it is not encoded
     again. Zero balances stay covered: account entries are created
     deterministically by the transaction stream, and every serialized byte
-    must be root-checked. With the hashes' encoders each record's encoding
-    is cached on it.
+    must be root-checked. Each record's encoding is cached on it.
     """
-    cached = encoders is FIELD_ENCODERS
-    parts = [STATE_TAG, encode_record(state.params, encoders)]
+    parts = [STATE_TAG, encode_record(state.params)]
 
     for amounts in (state.validators, state.balances, state.nonces):
         parts.append(enc_u32(len(amounts)))
@@ -649,18 +643,17 @@ def encode_state(state: NetworkState, encoders: dict = FIELD_ENCODERS) -> bytes:
         parts.append(enc_u32(len(mapping)))
         for key in sorted(mapping):
             record = mapping[key]
-            encoded = record._encoding if cached else None
+            encoded = record._encoding
             if encoded is None:
-                encoded = encode_record(record, encoders)
-                if cached:
-                    object.__setattr__(record, "_encoding", encoded)
+                encoded = encode_record(record)
+                object.__setattr__(record, "_encoding", encoded)
             parts.append(encoded)
 
     parts.append(enc_str_list(sorted(state.feedback_done)))
 
     parts.append(enc_u32(len(state.detectors)))
     for ident in sorted(state.detectors):
-        parts.append(enc_str(ident) + encode_record(state.detectors[ident], encoders))
+        parts.append(enc_str(ident) + encode_record(state.detectors[ident]))
 
     parts.extend(enc_u64(getattr(state, name)) for name in SUPPLY_FIELDS)
     return b"".join(parts)

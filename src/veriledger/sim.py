@@ -611,14 +611,36 @@ def _ratio(num: int, den: int) -> float | None:
     return None if den == 0 else num / den
 
 
-def compute_metrics(chain: ChainView, ground_truth: GroundTruth) -> RunReport:
+def compute_metrics(
+    replayed: Iterable[tuple[ChainRecord, NetworkState]], ground_truth: GroundTruth
+) -> RunReport:
     """Grade committed results against ground truth and summarize the run.
 
-    Unverified verdicts count as Authentic predictions. Every committed
-    request must carry a label; anything else is a harness bug surfaced
-    as MissingLabel.
+    ``replayed`` pairs each record of a chain, in height order, with the
+    state after it, as ``store.replay`` yields them. It is read in one pass
+    that keeps counts, notifications and the last pair, whose state is the
+    only one read. Unverified verdicts count as Authentic predictions.
+    Every committed request must carry a label; anything else is a harness
+    bug surfaced as MissingLabel.
     """
-    state = chain.final_state
+    by_kind: dict[str, dict[str, int]] = {}
+    total = accepted = blocks = 0
+    events: list[dict] = []
+    for record, state in replayed:
+        blocks += 1
+        for tx, receipt in zip(record.block.transactions, record.receipts):
+            total += 1
+            bucket = by_kind.setdefault(
+                tx.kind.value, {"accepted": 0, "rejected": 0}
+            )
+            if receipt.status is ReceiptStatus.ACCEPTED:
+                accepted += 1
+                bucket["accepted"] += 1
+            else:
+                bucket["rejected"] += 1
+        events += notifications((record,))
+    tip = record.block
+
     confusion: dict[str, dict[str, int]] = {
         aid: {"tp": 0, "fp": 0, "tn": 0, "fn": 0} for aid in state.algorithms
     }
@@ -653,20 +675,6 @@ def compute_metrics(chain: ChainView, ground_truth: GroundTruth) -> RunReport:
         for aid, c in sorted(confusion.items())
     ]
 
-    by_kind: dict[str, dict[str, int]] = {}
-    total = accepted = 0
-    for record in chain.records:
-        for tx, receipt in zip(record.block.transactions, record.receipts):
-            total += 1
-            bucket = by_kind.setdefault(
-                tx.kind.value, {"accepted": 0, "rejected": 0}
-            )
-            if receipt.status is ReceiptStatus.ACCEPTED:
-                accepted += 1
-                bucket["accepted"] += 1
-            else:
-                bucket["rejected"] += 1
-
     tokens = {
         "balances": dict(sorted(state.balances.items())),
         "initial_supply": state.initial_supply,
@@ -679,9 +687,9 @@ def compute_metrics(chain: ChainView, ground_truth: GroundTruth) -> RunReport:
         "rewards_minted": state.rewards_minted,
     }
     chain_summary = {
-        "blocks": len(chain.records),
-        "tip_hash": chain.tip.block_hash.hex,
-        "tip_state_root": chain.tip.state_root.hex,
+        "blocks": blocks,
+        "tip_hash": tip.block_hash.hex,
+        "tip_state_root": tip.state_root.hex,
         "transactions": {
             "total": total,
             "accepted": accepted,
@@ -693,7 +701,7 @@ def compute_metrics(chain: ChainView, ground_truth: GroundTruth) -> RunReport:
         algorithms=algorithms,
         tokens=tokens,
         chain=chain_summary,
-        notifications=notifications(chain.records),
+        notifications=events,
     )
 
 
@@ -893,7 +901,8 @@ class ScenarioRunner:
                         )
 
         view = ChainView(records=records, final_state=state)
-        report = compute_metrics(view, ground_truth)
+        # Each record with the final state: only the last pair's is read.
+        report = compute_metrics(((r, state) for r in records), ground_truth)
         result = RunResult(
             config=config,
             report=report,

@@ -14,31 +14,29 @@ File format ``v5``, binary, all integers big-endian:
   (``core.encode_state``: no tip metadata, which a genesis state has none
   of, and no content-hash index, which the reader derives), so a chain file
   is self-contained for replay. A record stores no receipts: every reader
-  re-executes the block, and its receipts are what that returns;
-* with one exception: an embedding's values are stored in the sparse layout
-  (``codec.enc_f64_sparse``: their count, a bitmap of the values whose bits
-  are not all zero, then those values), not as the dense list the hashes
-  cover. Most values of a Bytes embedding are zero, so this saves most of a
-  256-dim embedding's 2 KB; the reader makes each embedding dense again,
-  and every hash is computed from that.
+  re-executes the block, and its receipts are what that returns.
 
 The file keeps the name ``run.chain.jsonl`` that earlier formats gave it, so
 the paths that scripts, benchmarks and the ``run`` command's output name do
 not change; the header tells the formats apart.
 
-One table, ``_CODECS``, holds for each field annotation of
-``core.record_schema`` the encoder the writer uses (``core.FIELD_ENCODERS``'
-entry, except for the embedding layout and a refusal of non-finite floats)
-and the decoder that inverts it. A decoder refuses every byte string the
-writer would not have written: bytes left over, a count larger than the
-bytes left (checked before anything of that size is built), set or map
-entries out of order or repeated, a tag, bool or enum value out of range,
-invalid UTF-8, a non-finite float, and in an embedding a bitmap bit past
-its count or a stored ``+0.0``. So a record decodes iff it is the writer's
-encoding of what it decodes to, and no stored byte is cosmetic: what this
-module does not check, ``ledger.apply_block`` does. It re-seals every block,
-the genesis included, and compares the header, state root and block hash
+One table, ``_DECODERS``, holds for each field annotation of
+``core.record_schema`` the decoder that inverts its ``core.FIELD_ENCODERS``
+entry. A decoder refuses every byte string the writer would not have
+written: bytes left over, a count larger than the bytes left (checked
+before anything of that size is built), set or map entries out of order or
+repeated, a tag, bool or enum value out of range, invalid UTF-8, a
+non-finite float, and in an embedding a bitmap bit past its count or a
+stored ``+0.0``. So a record decodes iff it is the writer's encoding of
+what it decodes to, and no stored byte is cosmetic: what this module does
+not check, ``ledger.apply_block`` does. It re-seals every block, the
+genesis included, and compares the header, state root and block hash
 included, which is the one check of what a block is.
+
+The hash encoding takes a non-finite float, since a transaction is hashed
+before a contract rejects it. The reader refuses one, so
+``ChainWriter.append`` refuses a block or genesis state that holds one
+(``_FLOATS``) before it writes anything.
 
 Reads stream: ``read_chain`` reads the file one record at a time, and
 ``replay`` re-executes each block as soon as it is read, so a reader holds
@@ -69,11 +67,9 @@ from .codec import (
     Hash256,
     enc_f64_sparse,
     enc_hash,
-    enc_str,
     enc_u32,
 )
 from .core import (
-    FIELD_ENCODERS,
     PAYLOAD_TYPES,
     SUPPLY_FIELDS,
     AlgorithmRecord,
@@ -124,29 +120,6 @@ def canonical_json(value: Any) -> str:
 
 def pretty_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False)
-
-
-# --- encoders ---------------------------------------------------------------
-
-
-def _finite(encode: Callable[[Any], bytes], floats: Callable[[Any], Iterable[float]]):
-    """``encode``, refusing a value whose ``floats`` are not all finite: the
-    reader refuses them, so the writer never writes one."""
-
-    def checked(value: Any) -> bytes:
-        if not all(map(math.isfinite, floats(value))):
-            raise ValueError("non-finite value")
-        return encode(value)
-
-    return checked
-
-
-_sparse_values = _finite(enc_f64_sparse, lambda values: values)
-
-
-def _enc_embedding(e: Embedding) -> bytes:
-    # ``core.encode_embedding`` with the values sparse.
-    return enc_str(e.media_type.value) + _sparse_values(e.values)
 
 
 # --- decoders -----------------------------------------------------------------
@@ -308,8 +281,9 @@ _dec_media_type = _dec_enum(MediaType)
 
 
 def _dec_embedding(data: bytes, pos: int) -> tuple[Embedding, int]:
-    """Strict inverse of :func:`_enc_embedding`: besides what every decoder
-    refuses, a bitmap bit at or past the count and a stored ``+0.0``."""
+    """Strict inverse of ``core.encode_embedding``: besides what every
+    decoder refuses, a bitmap bit at or past the count and a stored
+    ``+0.0``."""
     media_type, pos = _dec_media_type(data, pos)
     (n,) = _U32(data, pos)
     width = (n + 7) // 8
@@ -360,38 +334,25 @@ def _dec_transaction(data: bytes, pos: int) -> tuple[Transaction, int]:
     return Transaction(kind, head["sender"], decoded, head["nonce"]), end
 
 
-# annotation -> (writer's encoder, decoder). The transaction list is only
-# decoded: the writer encodes a block with ``core.encode_block_fields``.
-_CODECS: dict[str, tuple[Callable[[Any], bytes] | None, Callable]] = {
-    "str": (FIELD_ENCODERS["str"], _dec_str),
-    "int": (FIELD_ENCODERS["int"], _dec_u64),
-    "float": (_finite(FIELD_ENCODERS["float"], lambda x: (x,)), _dec_f64),
-    "Hash256": (FIELD_ENCODERS["Hash256"], _dec_hash),
-    "Embedding": (_enc_embedding, _dec_embedding),
-    "dict[str, str]": (FIELD_ENCODERS["dict[str, str]"], _dec_map(_dec_str)),
-    "dict[str, object]": (
-        _finite(
-            FIELD_ENCODERS["dict[str, object]"],
-            lambda m: [v for v in m.values() if type(v) is float],
-        ),
-        _dec_map(_dec_scalar),
-    ),
-    "frozenset[MediaType]": (
-        FIELD_ENCODERS["frozenset[MediaType]"],
-        _dec_set(_dec_media_type),  # a MediaType orders as its value
-    ),
-    "frozenset[str]": (FIELD_ENCODERS["frozenset[str]"], _dec_set(_dec_str)),
-    "tuple[tuple[str, float], ...]": (
-        _finite(FIELD_ENCODERS["tuple[tuple[str, float], ...]"], lambda ms: [s for _, s in ms]),
-        _dec_list(_dec_match),
-    ),
-    "MediaType": (FIELD_ENCODERS["MediaType"], _dec_media_type),
-    "Verdict": (FIELD_ENCODERS["Verdict"], _dec_enum(Verdict)),
-    "AlgorithmStatus": (FIELD_ENCODERS["AlgorithmStatus"], _dec_enum(AlgorithmStatus)),
-    "RequestStatus": (FIELD_ENCODERS["RequestStatus"], _dec_enum(RequestStatus)),
-    "tuple[Transaction, ...]": (None, _dec_list(_dec_transaction)),
+# annotation -> decoder: the inverse of its ``core.FIELD_ENCODERS`` entry, or
+# for the transaction list, of ``core.encode_block_fields``' part.
+_DECODERS: dict[str, Callable] = {
+    "str": _dec_str,
+    "int": _dec_u64,
+    "float": _dec_f64,
+    "Hash256": _dec_hash,
+    "Embedding": _dec_embedding,
+    "dict[str, str]": _dec_map(_dec_str),
+    "dict[str, object]": _dec_map(_dec_scalar),
+    "frozenset[MediaType]": _dec_set(_dec_media_type),  # a MediaType orders as its value
+    "frozenset[str]": _dec_set(_dec_str),
+    "tuple[tuple[str, float], ...]": _dec_list(_dec_match),
+    "MediaType": _dec_media_type,
+    "Verdict": _dec_enum(Verdict),
+    "AlgorithmStatus": _dec_enum(AlgorithmStatus),
+    "RequestStatus": _dec_enum(RequestStatus),
+    "tuple[Transaction, ...]": _dec_list(_dec_transaction),
 }
-_FILE_ENCODERS = {name: encode for name, (encode, _) in _CODECS.items() if encode}
 
 # ``core.encode_transaction`` writes these before the payload.
 _TX_HEAD = (("kind", _dec_enum(TxKind)), ("sender", _dec_str), ("nonce", _dec_u64))
@@ -401,7 +362,7 @@ _TX_HEAD = (("kind", _dec_enum(TxKind)), ("sender", _dec_str), ("nonce", _dec_u6
 def _record_decoder(cls: type) -> Callable:
     """The decoder of a record that ``core.encode_record`` encodes: its
     fields' decoders in declaration order."""
-    fields = tuple((name, _CODECS[annotation][1]) for name, annotation in record_schema(cls))
+    fields = tuple((name, _DECODERS[annotation]) for name, annotation in record_schema(cls))
 
     def decode(data: bytes, pos: int):
         values, pos = _walk(fields, data, pos)
@@ -469,7 +430,7 @@ _PERF = frozenset({"tp", "fp", "tn", "fn"})
 
 def _embedding_to_json(e: Embedding) -> str:
     """``e``'s values as one base64 token of their sparse layout."""
-    return b64encode(_sparse_values(e.values)).decode("ascii")
+    return b64encode(enc_f64_sparse(e.values)).decode("ascii")
 
 
 @functools.cache
@@ -550,11 +511,29 @@ def _encode_record(block: Block, genesis_state: NetworkState | None) -> bytes:
     is given."""
     body = encode_block_fields(
         block.height, block.parent_hash, block.timestamp, block.proposer,
-        block.transactions, block.state_root, _FILE_ENCODERS,
+        block.transactions, block.state_root,
     ) + enc_hash(block.block_hash)
     if genesis_state is not None:
-        body += encode_state(genesis_state, _FILE_ENCODERS)
+        body += encode_state(genesis_state)
     return body
+
+
+# annotation -> the floats a field of it holds, for the writer's check.
+_FLOATS: dict[str, Callable[[Any], Iterable[float]]] = {
+    "float": lambda x: (x,),
+    "Embedding": attrgetter("values"),
+    "tuple[tuple[str, float], ...]": lambda matches: [s for _, s in matches],
+    "dict[str, object]": lambda m: [v for v in m.values() if type(v) is float],
+}
+
+
+def _check_finite(records: Iterable[Any]) -> None:
+    """Refuse ``records`` if a field of one holds a non-finite float."""
+    for record in records:
+        for name, annotation in record_schema(type(record)):
+            floats = _FLOATS.get(annotation)
+            if floats and not all(map(math.isfinite, floats(getattr(record, name)))):
+                raise ValueError(f"non-finite float in {type(record).__name__}.{name}")
 
 
 def _decode_record(height: int, body: bytes) -> tuple[Block, NetworkState | None]:
@@ -587,7 +566,13 @@ class ChainWriter:
             )
         if (genesis_state is None) == (block.height == 0):
             raise SerializationError("the height-0 record, and only it, holds the genesis state")
+        records = [tx.payload for tx in block.transactions]
+        if genesis_state is not None:
+            records += [genesis_state.params, *genesis_state.detectors.values()]
+            for name in ("algorithms", "contents", "requests", "results"):
+                records += getattr(genesis_state, name).values()
         try:
+            _check_finite(records)
             body = _encode_record(block, genesis_state)
         except (TypeError, ValueError) as exc:
             raise SerializationError(str(exc)) from exc

@@ -5,14 +5,23 @@ Tests edit a chain file through these helpers, so an edit is stated in
 terms of blocks and states, and the bytes follow from the writer's own
 encoders (``store._encode_record``). A test that needs bytes no writer
 writes passes ``raw`` to ``edit_chain``, which maps the re-encoded body to
-the one stored, or patches an entry of ``store._FILE_ENCODERS``.
+the one stored, or patches an entry of ``core.FIELD_ENCODERS`` while it
+encodes records decoded or built under the patch, whose caches it drops
+with them.
 """
 
+import dataclasses
 import struct
 
 from veriledger import store
 from veriledger.codec import enc_bytes
-from veriledger.core import encode_record, encode_state, encode_transaction
+from veriledger.core import (
+    Embedding,
+    encode_record,
+    encode_state,
+    encode_transaction,
+    record_schema,
+)
 
 
 def bodies(path) -> list[bytes]:
@@ -59,10 +68,26 @@ def edit_chain(src, dst, height: int, edit=None, raw=None, keep=None) -> None:
     dst.write_bytes(chain_bytes(records))
 
 
+def _uncached(record):
+    """A copy of ``record``, and of each embedding it holds, with empty
+    caches."""
+    embeddings = {
+        name: dataclasses.replace(value)
+        for name, _ in record_schema(type(record))
+        if isinstance(value := getattr(record, name), Embedding)
+    }
+    return dataclasses.replace(record, **embeddings)
+
+
 def state_bytes(state) -> bytes:
-    """``state`` as the chain file stores a genesis state: every record
-    encoded from its fields, no cached encoding read."""
-    return encode_state(state, store._FILE_ENCODERS)
+    """``state`` as the chain file stores a genesis state, every record
+    encoded from its fields: no cached encoding is read."""
+    fresh = state.clone()
+    for name in ("algorithms", "contents", "requests", "results"):
+        records = getattr(fresh, name)
+        for key, record in records.items():
+            records[key] = _uncached(record)
+    return encode_state(fresh)
 
 
 def state_copy(state):
@@ -76,7 +101,7 @@ def state_copy(state):
 
 def record_copy(record):
     """A state record or payload read back from its chain-file bytes."""
-    data = encode_record(record, store._FILE_ENCODERS)
+    data = encode_record(record)
     copy, end = store._record_decoder(type(record))(data, 0)
     assert end == len(data)
     return copy
@@ -84,7 +109,7 @@ def record_copy(record):
 
 def transaction_copy(tx):
     """A transaction read back from its chain-file bytes."""
-    data = enc_bytes(encode_transaction(tx, store._FILE_ENCODERS))
+    data = enc_bytes(encode_transaction(tx))
     copy, end = store._dec_transaction(data, 0)
     assert end == len(data)
     return copy

@@ -880,6 +880,11 @@ REJECTIONS = {
     "UnauthorizedOracle": ("pending", lambda d, rid: _commit(rid, sender="alice")),
     "BadResult-confidence": ("pending", lambda d, rid: _commit(rid, confidence=1.5)),
     "BadResult-similarity": ("pending", lambda d, rid: _commit(rid, matches=(("c-0", 1.5),))),
+    # Hashed like any float, then refused: a NaN fails every comparison.
+    "BadResult-confidence-nan": ("pending", lambda d, rid: _commit(rid, confidence=math.nan)),
+    "BadResult-similarity-nan": (
+        "pending", lambda d, rid: _commit(rid, matches=(("c-0", math.nan),))
+    ),
     "DuplicateFeedback": ("completed", _second_feedback),
     "NotSubmitter": ("completed", lambda d, rid: _feedback(rid, sender="alice")),
     "BadLabel": ("completed", lambda d, rid: _feedback(rid, label=Verdict.UNVERIFIED)),

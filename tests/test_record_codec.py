@@ -3,8 +3,8 @@
 Each record below is built by hand and pinned twice: the SHA-256 of its
 canonical binary encoding (``core.encode_record``) and the SHA-256 of its
 canonical JSON rendering (``store.record_to_json``), the form ``inspect``
-prints. Each also goes through the chain file's codec (``store._CODECS``)
-and back. The digests were
+prints. Each also goes through the chain file's decoders
+(``store._DECODERS``) and back. The digests were
 computed with the hand-written per-record codecs that the derived ones
 replaced, so they pin the formats, not the code. ``AnalysisRequest``'s pair
 was pinned again when the record came to hold its embedding's hash
@@ -12,7 +12,11 @@ was pinned again when the record came to hold its embedding's hash
 encodings built by hand from the codec rules. The JSON digests of the
 three records that hold an embedding were pinned again when chain format
 "v3" packed each embedding into one base64 token; their tokens were checked
-against ones built by hand from the layout. The golden chain carries
+against ones built by hand from the layout. The binary digests of those
+three records and of ``AnalysisRequest`` (with its JSON digest) were pinned
+again when the hashed encoding of an embedding became the sparse layout;
+each was checked against bytes built by hand from the layout, as
+``test_embedding_encoding_known_answer`` spells out. The golden chain carries
 no ``TransferTokens`` and no state record with feedback counters, so these
 are the only tests that fix those encodings.
 """
@@ -20,6 +24,7 @@ are the only tests that fix those encodings.
 import base64
 import dataclasses
 import math
+import struct
 import sys
 import tracemalloc
 from operator import attrgetter
@@ -27,7 +32,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from veriledger.codec import TX_TAG, enc_bytes, enc_f64_list, enc_str, enc_u64, hash_bytes
+from veriledger.codec import TX_TAG, enc_bytes, enc_f64_sparse, enc_str, enc_u64, hash_bytes
 from veriledger.core import (
     EMBEDDING_DIMENSIONS,
     PAYLOAD_TYPES,
@@ -56,6 +61,7 @@ from veriledger.core import (
     encode_transaction,
     hash_embedding,
 )
+from veriledger.detection import similarity
 from veriledger.errors import SerializationError
 from veriledger.store import _dec_embedding, canonical_json, record_to_json
 
@@ -160,8 +166,8 @@ KNOWN_ANSWERS = {
         "aa86d97d36cd9a732baf9ed8aa78ce1687cca8162aa33ff7418a6e745c912dd2",
     ),
     "AnalysisRequest": (
-        "c527f4890784bd6c4bf9fb57a59a46b3d849f6fcf8bfdc70a666595fa51900ec",
-        "7488aade1f3b702bc9538c975607f78a44d6952e4b5c66838d8b2f78c75d7bff",
+        "edacdf619b2134fd50f69a0c23b13ad702526e77b76b03022b20fa2775a7df6f",
+        "6c87ea72d3232af98ad42cd9757d376d93e6164ed4149befca34b7276032a443",
     ),
     "AnalysisResultRecord": (
         "ff8ca42aeae6fa43f9a6d4e8d7cac913f0f90d8f5b62402931d4b797d790119c",
@@ -172,7 +178,7 @@ KNOWN_ANSWERS = {
         "c639b22270e993ca5ae1c7241a7e7a020abd12081ce9170e2b56288e95d24985",
     ),
     "ContentRecord": (
-        "a2cd9717a15e425ef389f57f3622ef886b9549ba4460de785d7bf987e0b04407",
+        "2dbe5dbf622fec5f695ec41867b17a53207c4d0098201116dedbca2766879e24",
         "622a76e828faaca9adb9e304bf9bbb6c9de47ada74b8bc4dd148026a92efb92e",
     ),
     "ContractParams": (
@@ -188,11 +194,11 @@ KNOWN_ANSWERS = {
         "28266ea0fdd44b12eeb2f8547124555c011241961b1910c8ea06d472b8df29af",
     ),
     "RegisterContent": (
-        "e17e75ab5ee8d959a94654127321c63cb67bf0e733c4455401abe6b7a1d54e95",
+        "1aa5a10427f664392baa6fc789bd911a82af41babf34b8b15ae93a61ec4b1f97",
         "0f1e16625cf4d7ce17ea681cb5b28e8d9775c1b0c9b9158a9b116a321216a8eb",
     ),
     "SubmitAnalysisRequest": (
-        "725e6aea91f767d79f073e37321696766e25978cc0f925e465d843cb3bbd354e",
+        "ff43f16f0ec00d77bc73e9b258dd80b7be7c0dd36321ea6f4a661de144e57c71",
         "201f8bbec28d4924c1164ebb6e567753f58fa9ca530346ed3651664577caaed1",
     ),
     "SubmitChallengeResult": (
@@ -230,6 +236,16 @@ def test_json_round_trip(name):
     assert restored == record
     assert encode_record(restored) == encode_record(record)
     assert record_to_json(restored) == record_to_json(record)
+
+
+def test_embedding_encoding_known_answer():
+    # The media type as a string, then the sparse layout: n = 4; bitmap
+    # 0111 0000 (values 1 to 3); then 0.5, 1.25 and 3e-07 as big-endian
+    # binary64. The +0.0 at index 0 is not stored.
+    assert encode_embedding(AUDIO) == bytes.fromhex(
+        "00000005" "417564696f" "00000004" "70"
+        "3fe0000000000000" "3ff4000000000000" "3e9421f5f40d8376"
+    )
 
 
 # --- the transaction encoding cache ------------------------------------------
@@ -377,11 +393,61 @@ def embeddings_of_any_length(draw):
     return Embedding(values=tuple(values), media_type=media_type)
 
 
+def sparse_layout(values) -> bytes:
+    """The sparse layout, value by value: the count, the bitmap as one bit
+    per value padded with 0 bits to whole bytes, then each stored value."""
+    bits = "".join("1" if stored(x) else "0" for x in values)
+    bits += "0" * (-len(bits) % 8)
+    bitmap = bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+    kept = b"".join(struct.pack(">d", x) for x in values if stored(x))
+    return struct.pack(">I", len(values)) + bitmap + kept
+
+
 @given(embeddings_of_any_length())
 def test_filled_embedding_cache_is_a_fresh_pack(e):
     assert e._encoding is None
     encoded = encode_embedding(e)
     assert e._encoding is encoded
     assert encode_embedding(e) is encoded
-    assert encoded == enc_str(e.media_type.value) + enc_f64_list(e.values)
+    assert encoded == enc_str(e.media_type.value) + sparse_layout(e.values)
+    assert encoded == enc_str(e.media_type.value) + enc_f64_sparse(e.values)
     assert hash_embedding(e) == hash_bytes(encoded)
+
+
+@st.composite
+def signed_zero_twins(draw):
+    """A valid embedding, the same with some of its zeros ``-0.0`` (at least
+    one), and a valid embedding of its media type to score both against."""
+    media_type = draw(st.sampled_from(list(MediaType)))
+    dim = EMBEDDING_DIMENSIONS[media_type]
+    index = st.integers(0, dim - 1)
+    positive = st.floats(min_value=2.0**-200, max_value=2.0**200)
+
+    def valid():
+        values = [0.0] * dim
+        for i, v in draw(st.lists(st.tuples(index, positive), min_size=1, max_size=dim - 1)):
+            values[i] = v
+        return values
+
+    plus, other = valid(), valid()
+    minus = list(plus)
+    for i in draw(st.lists(index, max_size=dim)) + [plus.index(0.0)]:
+        if plus[i] == 0.0:
+            minus[i] = -0.0
+    return tuple(Embedding(tuple(v), media_type) for v in (plus, minus, other))
+
+
+@given(signed_zero_twins())
+def test_signed_zeros_change_only_the_embedding_hash(twins):
+    # -0.0 and +0.0 are equally valid and score alike, but the sign bit is
+    # stored, so the hash tells them apart and each decodes as it was.
+    plus, minus, other = twins
+    assert plus.is_valid() and minus.is_valid() and other.is_valid()
+    assert plus.sparse() == minus.sparse()
+    assert similarity(plus, other).hex() == similarity(minus, other).hex()
+    assert similarity(other, plus).hex() == similarity(other, minus).hex()
+    assert hash_embedding(plus) != hash_embedding(minus)
+    for e in (plus, minus):
+        decoded, end = _dec_embedding(encode_embedding(e), 0)
+        assert end == len(encode_embedding(e))
+        assert [x.hex() for x in decoded.values] == [x.hex() for x in e.values]

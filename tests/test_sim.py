@@ -30,7 +30,7 @@ from veriledger.sim import (
     parse_scenario,
     perturb,
 )
-from veriledger.store import ChainRecord, ChainView, ChainWriter, canonical_json
+from veriledger.store import ChainRecord, ChainWriter, canonical_json, replay
 
 from chainfile import bodies
 from conftest import GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, json_containers, random_bytes
@@ -626,7 +626,17 @@ def test_zero_deepfake_verdicts_null_precision(golden_config):
 def test_missing_label_raises(golden_run):
     truth = GroundTruth(labels={}, sources={})
     with pytest.raises(MissingLabel):
-        compute_metrics(golden_run.result.chain, truth)
+        compute_metrics(replay(golden_run.out_dir / "run.chain.jsonl"), truth)
+
+
+def test_metrics_fold_one_pass_over_a_replay(golden_run):
+    # A generator is read once, to its end, and the report is the frozen
+    # one byte for byte.
+    replayed = replay(golden_run.out_dir / "run.chain.jsonl")
+    report = compute_metrics(replayed, golden_run.result.ground_truth)
+    assert next(replayed, None) is None
+    frozen = (GOLDEN_FIXTURE_DIR / "report.json").read_text(encoding="utf-8")
+    assert canonical_json(report.to_json()) + "\n" == frozen
 
 
 def test_notification_soundness(golden_run):
@@ -661,13 +671,14 @@ def test_report_counts_a_rejected_transaction_and_a_false_positive(golden_run):
     )
     block, state, receipts = seal_block(state, [overdraft], timestamp=len(view.records))
     records = [*view.records, ChainRecord(block.height, block, tuple(receipts))]
+    replayed = ((record, state) for record in records)  # only the last state is read
     truth = golden_run.result.ground_truth
     flagged = min(
         rid for rid, result in view.final_state.results.items()
         if result.verdict is Verdict.DEEPFAKE
     )
     labels = {**truth.labels, flagged: Verdict.AUTHENTIC}
-    report = compute_metrics(ChainView(records, state), GroundTruth(labels, truth.sources))
+    report = compute_metrics(replayed, GroundTruth(labels, truth.sources))
     [algorithm] = report.algorithms
     assert (algorithm.tp, algorithm.fp, algorithm.tn, algorithm.fn) == (9, 1, 10, 0)
     assert algorithm.precision == 0.9

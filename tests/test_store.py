@@ -11,9 +11,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from veriledger import store
 from veriledger.cli import main
-from veriledger.codec import Hash256, enc_bytes, enc_f64, enc_str, enc_str_list, enc_u32, enc_u64
+from veriledger.codec import (
+    Hash256,
+    enc_bytes,
+    enc_f64,
+    enc_f64_sparse,
+    enc_str,
+    enc_str_list,
+    enc_u32,
+    enc_u64,
+)
 from veriledger.core import (
     ESCROW_ACCOUNT,
+    FIELD_ENCODERS,
     AlgorithmRecord,
     AlgorithmStatus,
     AnalysisRequest,
@@ -22,6 +32,7 @@ from veriledger.core import (
     CommitAnalysisResult,
     ContentRecord,
     ContractParams,
+    DetectorSpec,
     Embedding,
     MediaType,
     NetworkState,
@@ -147,7 +158,7 @@ def test_round_trip_identity(tmp_path):
 
 # SHA-256 of the golden scenario's chain file. The golden fixtures hold only
 # hashes of the binary encodings, so this pins the chain file's layout.
-GOLDEN_CHAIN_SHA256 = "ab860a901e27f5771474255b314971a1f4629a5c2f9f96df65cd4daeb7686a9e"
+GOLDEN_CHAIN_SHA256 = "69ef39c98228f63bd96460c43ca36a970770e1b9e0f11b8921dbe96cc71cef9d"
 
 
 def test_golden_chain_file_bytes_frozen(golden_run):
@@ -156,22 +167,18 @@ def test_golden_chain_file_bytes_frozen(golden_run):
 
 
 def test_a_record_is_the_bytes_the_hashes_cover(golden_run):
-    # With embeddings dense again, each record body is the block's hashed
-    # encoding, its hash, and for the genesis the state's hashed encoding.
+    # Each record body is the block's hashed encoding, its hash, and for the
+    # genesis the state's hashed encoding.
     records = bodies(golden_run.out_dir / "run.chain.jsonl")
     for height, body in enumerate(records):
         block, state = decode(height, body)
-        assert encode(block, state) == body
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setitem(store._FILE_ENCODERS, "Embedding", store.FIELD_ENCODERS["Embedding"])
-            dense = encode(block, state)
         fields = encode_block_fields(
             block.height, block.parent_hash, block.timestamp, block.proposer,
             block.transactions, block.state_root,
         )
         assert hashlib.sha256(fields).digest() == block.block_hash.value
         genesis = encode_state(state) if height == 0 else b""
-        assert dense == fields + block.block_hash.value + genesis
+        assert body == fields + block.block_hash.value + genesis
         if height == 0:
             assert hashlib.sha256(genesis).digest() == block.state_root.value
 
@@ -225,7 +232,7 @@ def test_params_u64_range_checked_at_parse():
     top = dataclasses.replace(ContractParams(), min_fee=2**64 - 1)
     assert record_copy(top).min_fee == 2**64 - 1
     with pytest.raises(ValueError, match="u64 out of range"):
-        encode_record(dataclasses.replace(top, min_fee=2**64), store._FILE_ENCODERS)
+        encode_record(dataclasses.replace(top, min_fee=2**64))
 
 
 def test_replay_reproduces_live_state(tmp_path):
@@ -363,7 +370,7 @@ def _first_value(raw: bytes, value: float) -> bytes:
 
 def _embedding(edit):
     """An embedding encoder that stores ``edit`` of the values' layout."""
-    return lambda e: enc_str(e.media_type.value) + edit(store._sparse_values(e.values))
+    return lambda e: enc_str(e.media_type.value) + edit(enc_f64_sparse(e.values))
 
 
 def _scalar_map(tag_and_value: bytes):
@@ -408,12 +415,14 @@ COSMETIC_VARIANTS = {
 
 def _cosmetic_variant(src, dst, overrides) -> int:
     """Write to ``dst`` the chain at ``src`` with the first record that
-    ``overrides`` changes encoded with them; return its height."""
+    ``overrides`` changes encoded with them; return its height. Only records
+    decoded under the patch are encoded with it, so no cache it fills
+    outlives it."""
     records = bodies(src)
     for height, body in enumerate(records):
         with pytest.MonkeyPatch.context() as patch:
             for annotation, encoder in overrides.items():
-                patch.setitem(store._FILE_ENCODERS, annotation, encoder)
+                patch.setitem(FIELD_ENCODERS, annotation, encoder)
             variant = encode(*decode(height, body))
         if variant != body:
             records[height] = variant
@@ -477,6 +486,30 @@ def test_writer_refuses_a_non_finite_float(tmp_path):
         writer.append(genesis, genesis_state=genesis_state)
         with pytest.raises(SerializationError, match="non-finite"):
             writer.append(block)
+
+
+GENESIS_FLOATS = {
+    "params": lambda s: setattr(s, "params", ContractParams(challenge_pass_accuracy=math.nan)),
+    "detector-parameter": lambda s: s.detectors.update(
+        nd=DetectorSpec("near-duplicate", {"tau": math.inf})
+    ),
+    "result-match": lambda s: s.results.update(
+        {"r-1": AnalysisResultRecord("r-1", "algo", Verdict.DEEPFAKE, 0.5, (("c", -math.inf),), 0)}
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", GENESIS_FLOATS.values(), ids=GENESIS_FLOATS.keys())
+def test_writer_refuses_a_non_finite_float_in_any_genesis_record(tmp_path, edit):
+    # The state root hashes it, but the reader would refuse the file.
+    genesis_state = fresh_state()
+    edit(genesis_state)
+    genesis, _ = init_chain(genesis_state)
+    path = tmp_path / "bad.chain.jsonl"
+    with ChainWriter(path) as writer:
+        with pytest.raises(SerializationError, match="non-finite"):
+            writer.append(genesis, genesis_state=genesis_state)
+    assert path.read_bytes() == b""
 
 
 def test_unencodable_state_fails_at_its_height(tmp_path):
