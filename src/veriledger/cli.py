@@ -72,7 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     if args.height is not None:
-        matches = [r for r, _ in replay(args.chain) if r.height == args.height]
+        matches = [r for r, _ in replay(args.chain) if r.block.height == args.height]
         if not matches:
             print(f"no block at height {args.height}", file=sys.stderr)
             return 1
@@ -92,7 +92,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         )
         summaries.append(
             {
-                "height": record.height,
+                "height": record.block.height,
                 "block_hash": record.block.block_hash.hex,
                 "proposer": record.block.proposer,
                 "timestamp": record.block.timestamp,
@@ -114,7 +114,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         truth = GroundTruth.from_json(
             json.loads(truth_path.read_text(encoding="utf-8"))
         )
-    except (ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # e.g. a directory
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     report = compute_metrics(replay(args.chain), truth)

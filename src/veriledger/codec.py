@@ -17,16 +17,17 @@ Encoding rules (version 1):
 * text strings   -- UTF-8 bytes, encoded as a byte string
 * 256-bit hashes -- 32 raw bytes, no prefix
 * lists          -- ``u32`` element count + concatenated elements
-* string maps    -- ``u32`` entry count + (key, value) pairs sorted by key
+* string maps    -- ``u32`` entry count + (key, value) pairs sorted by key;
+  a detector's parameter values carry a type tag (``enc_scalar``)
 * booleans       -- ``u8``: 0 or 1
 
 Top-level objects (transactions, blocks, state) each start with an ASCII
 tag naming the object and the encoding version, so digests of different
-object types can never collide byte-wise. The field order of a payload or
-record is fixed by its dataclass declaration in :mod:`veriledger.core`
-(``encode_record`` walks the fields in that order); the transaction, block
-and state layouts are written out there. No order depends on insertion
-order.
+object types can never collide byte-wise. The field order of a payload,
+record, block or state is fixed by its dataclass declaration in
+:mod:`veriledger.core`, whose encoders walk the fields in that order; only
+the transaction envelope is written out there. No order depends on
+insertion order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 TX_TAG = b"VLTX1\x00"
 BLOCK_TAG = b"VLBLOCK1\x00"
@@ -134,29 +135,28 @@ def enc_str_list(items: Iterable[str]) -> bytes:
     return enc_u32(len(vals)) + b"".join(enc_str(v) for v in vals)
 
 
-def enc_str_map(m: Mapping[str, str]) -> bytes:
-    keys = sorted(m)
-    return enc_u32(len(keys)) + b"".join(enc_str(k) + enc_str(m[k]) for k in keys)
+def enc_map(encode_value: Callable[[Any], bytes]) -> Callable[[Mapping[str, Any]], bytes]:
+    """The encoder of a string map whose values ``encode_value`` encodes."""
+
+    def encode(m: Mapping[str, Any]) -> bytes:
+        return enc_u32(len(m)) + b"".join([enc_str(k) + encode_value(m[k]) for k in sorted(m)])
+
+    return encode
 
 
-def enc_scalar_map(m: Mapping[str, object]) -> bytes:
-    """Map of str -> (str | int | float | bool), type-tagged per value.
+def enc_scalar(v: object) -> bytes:
+    """A str, int, float or bool, type-tagged: 1=str, 2=u64 int, 3=f64,
+    4=bool. Used for detector parameter maps, whose value types vary."""
+    if isinstance(v, bool):
+        return enc_u8(4) + enc_bool(v)
+    if isinstance(v, int):
+        return enc_u8(2) + enc_u64(v)
+    if isinstance(v, float):
+        return enc_u8(3) + enc_f64(v)
+    if isinstance(v, str):
+        return enc_u8(1) + enc_str(v)
+    raise ValueError(f"unsupported parameter type: {type(v).__name__}")
 
-    Used for detector parameter maps, whose value types vary. Tags:
-    1=str, 2=u64 int, 3=f64, 4=bool.
-    """
-    out = [enc_u32(len(m))]
-    for k in sorted(m):
-        v = m[k]
-        out.append(enc_str(k))
-        if isinstance(v, bool):
-            out.append(enc_u8(4) + enc_bool(v))
-        elif isinstance(v, int):
-            out.append(enc_u8(2) + enc_u64(v))
-        elif isinstance(v, float):
-            out.append(enc_u8(3) + enc_f64(v))
-        elif isinstance(v, str):
-            out.append(enc_u8(1) + enc_str(v))
-        else:
-            raise ValueError(f"unsupported parameter type: {type(v).__name__}")
-    return b"".join(out)
+
+enc_str_map = enc_map(enc_str)
+enc_scalar_map = enc_map(enc_scalar)

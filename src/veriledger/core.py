@@ -1,10 +1,13 @@
 """Domain types shared across the ledger, contracts, and detection layers.
 
 Includes the canonical binary encodings (see :mod:`veriledger.codec` for the
-wire rules) of transactions, blocks, and network state. A record's encoding
-follows its dataclass fields in declaration order (``encode_record``), so
-the declarations below are the contract: reordering or retyping a field
-changes every digest.
+wire rules) of transactions, blocks, and network state. A record's, a
+block's and the state's encodings follow their dataclass fields in
+declaration order, each field by its annotation's entry in
+``FIELD_ENCODERS``, so the declarations below are the contract: reordering
+or retyping a field changes every digest. A block's encoding leaves out its
+own hash, and the state's its tip and derived content-hash index. Only the
+transaction envelope is written out (``encode_transaction``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .codec import (
     enc_f64,
     enc_f64_sparse,
     enc_hash,
+    enc_map,
     enc_scalar_map,
     enc_str,
     enc_str_list,
@@ -411,20 +415,6 @@ class ContractParams:
         return index < self.challenge_count and challenge_id == f"ch-{index:03d}"
 
 
-# NetworkState's token counters: the state encoding ends with them in this
-# order.
-SUPPLY_FIELDS = (
-    "initial_supply",
-    "total_minted",
-    "total_burned",
-    "fees_to_owners",
-    "fees_to_proposers",
-    "fees_burned",
-    "stake_burned",
-    "rewards_minted",
-)
-
-
 @dataclass(slots=True)
 class NetworkState:
     """Full network state: token ledger, registries, and chain tip metadata.
@@ -504,9 +494,10 @@ class NetworkState:
 # --- canonical encodings ---------------------------------------------------
 #
 # A record's fields, in the order its dataclass declares them, are its only
-# schema: ``encode_record`` here, and the chain file's codec in ``store``,
-# both walk ``record_schema``. Reordering, adding or retyping a field
-# therefore changes every digest that covers the record.
+# schema, and so are the block's and the state's: ``encode_record``,
+# ``encode_block_fields`` and ``encode_state`` here, and the chain file's
+# codec in ``store``, all walk ``record_schema``. Reordering, adding or
+# retyping a field therefore changes every digest that covers it.
 
 
 @functools.cache
@@ -535,8 +526,27 @@ def hash_embedding(e: Embedding) -> Hash256:
     return hash_bytes(encode_embedding(e))
 
 
+def encode_record(record: Any) -> bytes:
+    """Canonical encoding of a payload, state record, ``ContractParams`` or
+    ``DetectorSpec``: its fields' encodings in declaration order, each by
+    its annotation's entry in ``FIELD_ENCODERS``."""
+    return _encode_fields(b"", record, record_schema(type(record)))
+
+
+def _encode_fields(tag: bytes, record: Any, schema: tuple[tuple[str, str], ...]) -> bytes:
+    # The tag is joined with the fields, not prepended after: prepending
+    # would copy a state's whole encoding once more.
+    return b"".join(
+        [tag, *[FIELD_ENCODERS[annotation](getattr(record, name)) for name, annotation in schema]]
+    )
+
+
 def _enc_enum(value: Enum) -> bytes:
     return enc_str(value.value)
+
+
+def _enc_str_set(items: Iterable[str]) -> bytes:
+    return enc_str_list(sorted(items))
 
 
 def _enc_matches(matches: tuple[tuple[str, float], ...]) -> bytes:
@@ -545,9 +555,29 @@ def _enc_matches(matches: tuple[tuple[str, float], ...]) -> bytes:
     )
 
 
-# The encoder for each field annotation a record may use: the encoding every
-# hash covers, and the bytes the chain file stores. It encodes a NaN like any
-# other float: a transaction is hashed before a contract rejects it.
+def _enc_records(records: dict[str, Any]) -> bytes:
+    """A record map of the state: its records sorted by key, each encoding
+    cached on its record. A record's key is its id, so it is not encoded
+    again."""
+    parts = [enc_u32(len(records))]
+    for key in sorted(records):
+        record = records[key]
+        encoded = record._encoding
+        if encoded is None:
+            encoded = encode_record(record)
+            object.__setattr__(record, "_encoding", encoded)
+        parts.append(encoded)
+    return b"".join(parts)
+
+
+def _enc_transactions(txs: tuple[Transaction, ...]) -> bytes:
+    return enc_u32(len(txs)) + b"".join([enc_bytes(encode_transaction(t)) for t in txs])
+
+
+# The encoder for each field annotation a record, the block or the state may
+# use: the encoding every hash covers, and the bytes the chain file stores.
+# It encodes a NaN like any other float: a transaction is hashed before a
+# contract rejects it.
 FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
     "str": enc_str,
     "int": enc_u64,
@@ -557,27 +587,30 @@ FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
     "dict[str, str]": enc_str_map,
     "dict[str, object]": enc_scalar_map,
     "frozenset[MediaType]": lambda ms: enc_str_list(sorted(m.value for m in ms)),
-    "frozenset[str]": lambda items: enc_str_list(sorted(items)),
+    "frozenset[str]": _enc_str_set,
     "tuple[tuple[str, float], ...]": _enc_matches,
     "MediaType": _enc_enum,
     "Verdict": _enc_enum,
     "AlgorithmStatus": _enc_enum,
     "RequestStatus": _enc_enum,
+    "tuple[Transaction, ...]": _enc_transactions,
+    "ContractParams": encode_record,
+    "dict[str, int]": enc_map(enc_u64),
+    "dict[str, AlgorithmRecord]": _enc_records,
+    "dict[str, ContentRecord]": _enc_records,
+    "dict[str, AnalysisRequest]": _enc_records,
+    "dict[str, AnalysisResultRecord]": _enc_records,
+    "set[str]": _enc_str_set,
+    "dict[str, DetectorSpec]": enc_map(encode_record),
 }
 
 
-def encode_record(record: Any) -> bytes:
-    """Canonical encoding of a payload, state record, ``ContractParams`` or
-    ``DetectorSpec``: its fields' encodings in declaration order, each by
-    its annotation's entry in ``FIELD_ENCODERS``."""
-    return b"".join(
-        [FIELD_ENCODERS[annotation](getattr(record, name))
-         for name, annotation in record_schema(type(record))]
-    )
-
-
 def encode_transaction(tx: Transaction) -> bytes:
-    """Canonical encoding of ``tx``, computed once and cached on it."""
+    """Canonical encoding of ``tx``, computed once and cached on it.
+
+    The one layout written out: its hashed order (kind, sender, nonce,
+    payload) is not its declaration order, and which record its payload is
+    depends on its kind."""
     encoded = tx._encoding
     if encoded is None:
         encoded = (
@@ -595,65 +628,36 @@ def transaction_hash(tx: Transaction) -> Hash256:
     return hash_bytes(encode_transaction(tx))
 
 
-def encode_block_fields(
-    height: int,
-    parent_hash: Hash256,
-    timestamp: int,
-    proposer: str,
-    transactions: Iterable[Transaction],
-    state_root: Hash256,
-) -> bytes:
-    """Canonical encoding of a block minus its own hash."""
-    txs = list(transactions)
-    return (
-        BLOCK_TAG
-        + enc_u64(height)
-        + enc_hash(parent_hash)
-        + enc_u64(timestamp)
-        + enc_str(proposer)
-        + enc_u32(len(txs))
-        + b"".join(enc_bytes(encode_transaction(t)) for t in txs)
-        + enc_hash(state_root)
-    )
+# What a block's hash covers: every field of the block but the hash.
+_BLOCK_SCHEMA = tuple(f for f in record_schema(Block) if f[0] != "block_hash")
+
+# What the state root covers: every field of the state but the tip and the
+# derived content-hash index (see ``encode_state``).
+STATE_SCHEMA = tuple(
+    f for f in record_schema(NetworkState)
+    if f[0] not in ("content_hash_index", "tip_height", "tip_hash")
+)
+
+
+def encode_block_fields(block: Block) -> bytes:
+    """Canonical encoding of ``block`` minus its own hash."""
+    return _encode_fields(BLOCK_TAG, block, _BLOCK_SCHEMA)
 
 
 def encode_state(state: NetworkState) -> bytes:
-    """Canonical state serialization hashed into every block's state root.
+    """Canonical state serialization hashed into every block's state root:
+    ``STATE_SCHEMA``'s fields in declaration order. The tip is left out, as
+    the root is recorded in the block whose hash becomes the tip, and so is
+    the content-hash index, which is derived from the contents.
 
-    Covers the token ledger, registries, and cumulative counters; excludes
-    tip metadata and the derived content-hash index. A request is covered
-    with the hash of its embedding (``embedding_hash``), not the embedding,
-    so an answered request costs each later root about 130 bytes however
-    large its embedding; the embedding itself is covered
-    by the block hash, in its ``SubmitAnalysisRequest`` transaction. Map
-    entries are sorted by key, so the encoding never depends on insertion
-    order; a record map's key is its record's id, so it is not encoded
-    again. Zero balances stay covered: account entries are created
-    deterministically by the transaction stream, and every serialized byte
-    must be root-checked. Each record's encoding is cached on it.
+    A request is covered with the hash of its embedding
+    (``embedding_hash``), not the embedding, so an answered request costs
+    each later root about 130 bytes however large its embedding; the
+    embedding itself is covered by the block hash, in its
+    ``SubmitAnalysisRequest`` transaction. Map entries are sorted by key, so
+    the encoding never depends on insertion order. Zero balances stay
+    covered: account entries are created deterministically by the
+    transaction stream, and every serialized byte must be root-checked.
+    Each record's encoding is cached on it.
     """
-    parts = [STATE_TAG, encode_record(state.params)]
-
-    for amounts in (state.validators, state.balances, state.nonces):
-        parts.append(enc_u32(len(amounts)))
-        for key in sorted(amounts):
-            parts.append(enc_str(key) + enc_u64(amounts[key]))
-
-    for mapping in (state.algorithms, state.contents, state.requests, state.results):
-        parts.append(enc_u32(len(mapping)))
-        for key in sorted(mapping):
-            record = mapping[key]
-            encoded = record._encoding
-            if encoded is None:
-                encoded = encode_record(record)
-                object.__setattr__(record, "_encoding", encoded)
-            parts.append(encoded)
-
-    parts.append(enc_str_list(sorted(state.feedback_done)))
-
-    parts.append(enc_u32(len(state.detectors)))
-    for ident in sorted(state.detectors):
-        parts.append(enc_str(ident) + encode_record(state.detectors[ident]))
-
-    parts.extend(enc_u64(getattr(state, name)) for name in SUPPLY_FIELDS)
-    return b"".join(parts)
+    return _encode_fields(STATE_TAG, state, STATE_SCHEMA)

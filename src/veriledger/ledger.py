@@ -23,6 +23,7 @@ rule agrees on every draw.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 from .codec import Hash256, hash_bytes
@@ -59,22 +60,6 @@ HEADER_CHECKS = (
     ("state_root", StateRootMismatch),
     ("block_hash", BadBlockHash),
 )
-
-
-def compute_block_hash(
-    height: int,
-    parent_hash: Hash256,
-    timestamp: int,
-    proposer: str,
-    transactions: Sequence[Transaction],
-    state_root: Hash256,
-) -> Hash256:
-    """Digest over the canonical encoding of every block field but the hash."""
-    return hash_bytes(
-        encode_block_fields(
-            height, parent_hash, timestamp, proposer, transactions, state_root
-        )
-    )
 
 
 def proposer_seed(parent_hash: Hash256, height: int) -> Hash256:
@@ -186,10 +171,9 @@ def seal_block(
         proposer=proposer,
         transactions=tuple(transactions),
         state_root=root,
-        block_hash=compute_block_hash(
-            height, parent, timestamp, proposer, transactions, root
-        ),
+        block_hash=Hash256.zero(),  # not covered by the encoding it is the hash of
     )
+    block = replace(block, block_hash=hash_bytes(encode_block_fields(block)))
     new_state.tip_height = height
     new_state.tip_hash = block.block_hash
     return block, new_state, receipts

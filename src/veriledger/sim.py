@@ -770,7 +770,7 @@ class ScenarioRunner:
         with chain_file as writer:
             genesis_state = build_genesis_state(config)
             genesis, state = init_chain(genesis_state, timestamp=0)
-            records = [ChainRecord(height=0, block=genesis, receipts=())]
+            records = [ChainRecord(block=genesis, receipts=())]
             if writer is not None:
                 writer.append(genesis, genesis_state=genesis_state)
 
@@ -874,9 +874,7 @@ class ScenarioRunner:
                 oracle_log.extend(batch.log_lines)
 
                 block, state, receipts = seal_block(state, txs, timestamp=height)
-                records.append(
-                    ChainRecord(height=height, block=block, receipts=tuple(receipts))
-                )
+                records.append(ChainRecord(block=block, receipts=tuple(receipts)))
                 if writer is not None:
                     writer.append(block)
 

@@ -22,7 +22,10 @@ not change; the header tells the formats apart.
 
 One table, ``_DECODERS``, holds for each field annotation of
 ``core.record_schema`` the decoder that inverts its ``core.FIELD_ENCODERS``
-entry. A decoder refuses every byte string the writer would not have
+entry. A payload, a state record, the block and the genesis state are each
+decoded by walking their fields through it, the state those of
+``core.STATE_SCHEMA``; only the transaction envelope is read by hand. A
+decoder refuses every byte string the writer would not have
 written: bytes left over, a count larger than the bytes left (checked
 before anything of that size is built), set or map entries out of order or
 repeated, a tag, bool or enum value out of range, invalid UTF-8, a
@@ -71,7 +74,7 @@ from .codec import (
 )
 from .core import (
     PAYLOAD_TYPES,
-    SUPPLY_FIELDS,
+    STATE_SCHEMA,
     AlgorithmRecord,
     AlgorithmStatus,
     AnalysisRequest,
@@ -244,7 +247,7 @@ def _dec_set(decode_entry: Callable, cls: type = frozenset) -> Callable:
 
 
 def _dec_map(decode_value: Callable) -> Callable:
-    """A map with string keys, as ``codec.enc_str_map`` writes one."""
+    """A map with string keys, as ``codec.enc_map`` writes one."""
 
     def decode(data: bytes, pos: int) -> tuple[dict, int]:
         n, pos = _count(data, pos)
@@ -260,7 +263,7 @@ def _dec_map(decode_value: Callable) -> Callable:
     return decode
 
 
-_SCALARS = {1: _dec_str, 2: _dec_u64, 3: _dec_f64, 4: _dec_bool}  # codec.enc_scalar_map
+_SCALARS = {1: _dec_str, 2: _dec_u64, 3: _dec_f64, 4: _dec_bool}  # codec.enc_scalar
 
 
 def _dec_scalar(data: bytes, pos: int) -> tuple[object, int]:
@@ -334,8 +337,9 @@ def _dec_transaction(data: bytes, pos: int) -> tuple[Transaction, int]:
     return Transaction(kind, head["sender"], decoded, head["nonce"]), end
 
 
-# annotation -> decoder: the inverse of its ``core.FIELD_ENCODERS`` entry, or
-# for the transaction list, of ``core.encode_block_fields``' part.
+# annotation -> decoder: the inverse of its ``core.FIELD_ENCODERS`` entry.
+# The entries of fields that hold records are added below, once
+# ``_record_decoder`` can build their decoders from this table.
 _DECODERS: dict[str, Callable] = {
     "str": _dec_str,
     "int": _dec_u64,
@@ -352,6 +356,8 @@ _DECODERS: dict[str, Callable] = {
     "AlgorithmStatus": _dec_enum(AlgorithmStatus),
     "RequestStatus": _dec_enum(RequestStatus),
     "tuple[Transaction, ...]": _dec_list(_dec_transaction),
+    "dict[str, int]": _dec_map(_dec_u64),
+    "set[str]": _dec_set(_dec_str, set),
 }
 
 # ``core.encode_transaction`` writes these before the payload.
@@ -386,30 +392,29 @@ def _dec_records(cls: type, id_field: str) -> Callable:
     return decode
 
 
-# The genesis state's fields in the order ``core.encode_state`` writes them.
-_STATE_FIELDS = (
-    ("params", _record_decoder(ContractParams)),
-    *((name, _dec_map(_dec_u64)) for name in ("validators", "balances", "nonces")),
-    ("algorithms", _dec_records(AlgorithmRecord, "algorithm_id")),
-    ("contents", _dec_records(ContentRecord, "content_id")),
-    ("requests", _dec_records(AnalysisRequest, "request_id")),
-    ("results", _dec_records(AnalysisResultRecord, "request_id")),
-    ("feedback_done", _dec_set(_dec_str, set)),
-    ("detectors", _dec_map(_record_decoder(DetectorSpec))),
-    *((name, _dec_u64) for name in SUPPLY_FIELDS),
-)
+# The fields that hold records.
+_DECODERS.update({
+    "ContractParams": _record_decoder(ContractParams),
+    "dict[str, AlgorithmRecord]": _dec_records(AlgorithmRecord, "algorithm_id"),
+    "dict[str, ContentRecord]": _dec_records(ContentRecord, "content_id"),
+    "dict[str, AnalysisRequest]": _dec_records(AnalysisRequest, "request_id"),
+    "dict[str, AnalysisResultRecord]": _dec_records(AnalysisResultRecord, "request_id"),
+    "dict[str, DetectorSpec]": _dec_map(_record_decoder(DetectorSpec)),
+})
 
 
 def _dec_state(data: bytes, pos: int) -> tuple[NetworkState, int]:
-    values, pos = _walk(_STATE_FIELDS, data, _tag(data, pos, STATE_TAG, "state"))
+    fields = tuple((name, _DECODERS[annotation]) for name, annotation in STATE_SCHEMA)
+    values, pos = _walk(fields, data, _tag(data, pos, STATE_TAG, "state"))
     state = NetworkState(**values)
     for content in state.contents.values():
         state.content_hash_index[content.content_hash.hex] = content.content_id
     return state, pos
 
 
-# ``core.encode_block_fields`` writes a block's fields in declaration order,
-# and the record adds its hash, so a block is decoded as a record.
+# ``core.encode_block_fields`` writes every field of a block but its hash,
+# which ``Block`` declares last, and the record adds the hash: so a block is
+# decoded as a record.
 def _dec_block(data: bytes, pos: int) -> tuple[Block, int]:
     return _record_decoder(Block)(data, _tag(data, pos, BLOCK_TAG, "block"))
 
@@ -489,7 +494,6 @@ _TO_JSON: dict[str, Callable[[Any], Any] | None] = {
 
 @dataclass(frozen=True, slots=True)
 class ChainRecord:
-    height: int
     block: Block
     receipts: tuple[Receipt, ...]
 
@@ -509,10 +513,7 @@ class ChainView:
 def _encode_record(block: Block, genesis_state: NetworkState | None) -> bytes:
     """The body of the record of ``block``, and of the genesis state if one
     is given."""
-    body = encode_block_fields(
-        block.height, block.parent_hash, block.timestamp, block.proposer,
-        block.transactions, block.state_root,
-    ) + enc_hash(block.block_hash)
+    body = encode_block_fields(block) + enc_hash(block.block_hash)
     if genesis_state is not None:
         body += encode_state(genesis_state)
     return body
@@ -665,14 +666,14 @@ def replay(path: str | os.PathLike) -> Iterator[tuple[ChainRecord, NetworkState]
             # claims another.
             exc.height = height
             raise
-        yield ChainRecord(height, block, tuple(receipts)), state
+        yield ChainRecord(block, tuple(receipts)), state
 
 
 def notifications(records: Iterable[ChainRecord]) -> list[dict]:
     """Every notification event of ``records``, in chain order, with the
     height of the block that emitted it."""
     return [
-        {"height": record.height, **record_to_json(event)}
+        {"height": record.block.height, **record_to_json(event)}
         for record in records
         for receipt in record.receipts
         for event in receipt.events
@@ -711,4 +712,4 @@ def verify_chain(path: str | os.PathLike) -> VerifyResult:
             pass
     except (StoreError, LedgerError) as exc:
         return failure(exc)
-    return VerifyResult(ok=True, blocks=tip.height + 1, tip_hash=tip.block.block_hash.hex)
+    return VerifyResult(ok=True, blocks=tip.block.height + 1, tip_hash=tip.block.block_hash.hex)

@@ -558,6 +558,18 @@ def test_report_truth_that_is_not_json_text_is_a_config_error(
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_a_directory_as_config_or_truth_is_a_config_error(golden_run, tmp_path, capsys, command):
+    # ``report --truth DIR`` used to exit 1 with "error: [Errno 21] ...".
+    chain = golden_run.out_dir / "run.chain.jsonl"
+    args = {
+        "run": ["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")],
+        "report": ["report", "--chain", str(chain), "--truth", str(tmp_path)],
+    }[command]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("labels", []), ("labels", {"x": "bogus"}), ("sources", {"x": 3})],

@@ -1,13 +1,17 @@
+import dataclasses
+
 import pytest
 
 from veriledger.codec import Hash256, hash_bytes
 from veriledger.core import (
+    Block,
     ContractParams,
     NetworkState,
     ReceiptStatus,
     Transaction,
     TransferTokens,
     TxKind,
+    encode_block_fields,
     encode_state,
 )
 from veriledger.errors import (
@@ -21,7 +25,6 @@ from veriledger.errors import (
 from veriledger.ledger import (
     GENESIS_PROPOSER,
     apply_block,
-    compute_block_hash,
     init_chain,
     proposer_seed,
     seal_block,
@@ -47,6 +50,11 @@ def transfer(sender, recipient, amount, nonce=0):
         payload=TransferTokens(recipient=recipient, amount=amount),
         nonce=nonce,
     )
+
+
+def resealed(block: Block) -> Block:
+    """``block`` with the hash of its other fields."""
+    return dataclasses.replace(block, block_hash=hash_bytes(encode_block_fields(block)))
 
 
 # --- proposer selection -----------------------------------------------------
@@ -91,18 +99,17 @@ def test_selection_uses_id_order_not_dict_order():
 # --- block hashing ----------------------------------------------------------
 
 
+def block_hash(height, timestamp):
+    block = Block(height, Hash256.zero(), timestamp, "v1", (), hash_bytes(b"root"), Hash256.zero())
+    return resealed(block).block_hash
+
+
 def test_block_hash_changes_with_timestamp():
-    root = hash_bytes(b"root")
-    a = compute_block_hash(1, Hash256.zero(), 1, "v1", (), root)
-    b = compute_block_hash(1, Hash256.zero(), 2, "v1", (), root)
-    assert a != b
+    assert block_hash(1, 1) != block_hash(1, 2)
 
 
 def test_block_hash_deterministic():
-    root = hash_bytes(b"root")
-    a = compute_block_hash(3, Hash256.zero(), 7, "v1", (), root)
-    b = compute_block_hash(3, Hash256.zero(), 7, "v1", (), root)
-    assert a == b
+    assert block_hash(3, 7) == block_hash(3, 7)
 
 
 def test_golden_genesis_hash_frozen(golden_run):

@@ -18,7 +18,11 @@ again when the hashed encoding of an embedding became the sparse layout;
 each was checked against bytes built by hand from the layout, as
 ``test_embedding_encoding_known_answer`` spells out. The golden chain carries
 no ``TransferTokens`` and no state record with feedback counters, so these
-are the only tests that fix those encodings.
+are the only tests that fix those encodings. No golden or workload state
+holds feedback either, so ``test_state_encoding_known_answer`` is the only
+test that fixes a whole state's encoding with every field filled; its digest
+was pinned with the hand-written state encoder that the derived one
+replaced.
 """
 
 import base64
@@ -35,17 +39,21 @@ from hypothesis import example, given, strategies as st
 from veriledger.codec import TX_TAG, enc_bytes, enc_f64_sparse, enc_str, enc_u64, hash_bytes
 from veriledger.core import (
     EMBEDDING_DIMENSIONS,
+    FIELD_ENCODERS,
     PAYLOAD_TYPES,
+    STATE_SCHEMA,
     AlgorithmRecord,
     AlgorithmStatus,
     AnalysisRequest,
     AnalysisResultRecord,
+    Block,
     CommitAnalysisResult,
     ContentRecord,
     ContractParams,
     DetectorSpec,
     Embedding,
     MediaType,
+    NetworkState,
     RegisterAlgorithm,
     RegisterContent,
     RequestStatus,
@@ -58,14 +66,16 @@ from veriledger.core import (
     Verdict,
     encode_embedding,
     encode_record,
+    encode_state,
     encode_transaction,
     hash_embedding,
+    record_schema,
 )
 from veriledger.detection import similarity
 from veriledger.errors import SerializationError
-from veriledger.store import _dec_embedding, canonical_json, record_to_json
+from veriledger.store import _DECODERS, _dec_embedding, canonical_json, record_to_json
 
-from chainfile import record_copy, transaction_copy
+from chainfile import record_copy, state_copy, transaction_copy
 
 CONTENT_HASH = hash_bytes(b"known-answer content")
 AUDIO = Embedding(values=(0.0, 0.5, 1.25, 3e-07), media_type=MediaType.AUDIO)
@@ -246,6 +256,73 @@ def test_embedding_encoding_known_answer():
         "00000005" "417564696f" "00000004" "70"
         "3fe0000000000000" "3ff4000000000000" "3e9421f5f40d8376"
     )
+
+
+def kat_state() -> NetworkState:
+    """A state whose every hashed field is non-default, its maps and sets
+    filled out of key order."""
+    algorithm = RECORDS["AlgorithmRecord"]
+    result = RECORDS["AnalysisResultRecord"]
+    return NetworkState(
+        params=ContractParams(
+            min_stake=150, challenge_pass_accuracy=0.75, oracle_account="oracle-kat"
+        ),
+        validators={"v2": 40, "v1": 60},
+        balances={"user-1": 500, "@escrow": 12, "owner-1": 0},
+        nonces={"user-1": 3, "owner-1": 2**33},
+        algorithms={
+            "algo-z": dataclasses.replace(algorithm, algorithm_id="algo-z", tp=0, epoch_correct=9),
+            "algo-kat": algorithm,
+        },
+        contents={"content-kat": RECORDS["ContentRecord"]},
+        content_hash_index={CONTENT_HASH.hex: "content-kat"},
+        requests={"req-000001": RECORDS["AnalysisRequest"]},
+        results={
+            "req-000002": dataclasses.replace(result, request_id="req-000002", matched_content=()),
+            "req-000001": result,
+        },
+        feedback_done={"req-000009", "req-000001", "req-000004", "req-000002"},
+        detectors={
+            "nd-2": DetectorSpec(kind="cosine", parameters={"threshold": 0.25}),
+            "nd-1": RECORDS["DetectorSpec"],
+        },
+        initial_supply=10**6,
+        total_minted=31,
+        total_burned=7,
+        fees_to_owners=8,
+        fees_to_proposers=2,
+        fees_burned=1,
+        stake_burned=50,
+        rewards_minted=30,
+        tip_height=4,
+        tip_hash=CONTENT_HASH,
+    )
+
+
+def test_state_encoding_known_answer():
+    # Nothing else pins a state holding feedback, feedback counters or
+    # several detectors; the tip and the content-hash index stay out.
+    state = kat_state()
+    encoded = encode_state(state)
+    assert hash_bytes(encoded).hex == (
+        "aadc414c39712d88d01e4e14a693b931d6aa050f3190227a2367d7eb1e41b88c"
+    )
+    copy = state_copy(state)
+    assert encode_state(copy) == encoded
+    assert copy.content_hash_index == state.content_hash_index
+    assert encode_state(dataclasses.replace(state, tip_height=5, content_hash_index={})) == encoded
+
+
+def test_codec_tables_cover_every_annotation():
+    # Every field that a hash covers or the chain file stores is encoded and
+    # decoded by its annotation's entry, and no entry serves no field.
+    records = [
+        Block, *PAYLOAD_TYPES.values(), AlgorithmRecord, ContentRecord, AnalysisRequest,
+        AnalysisResultRecord, ContractParams, DetectorSpec,
+    ]
+    annotations = {a for cls in records for _, a in record_schema(cls)}
+    annotations |= {a for _, a in STATE_SCHEMA}
+    assert FIELD_ENCODERS.keys() == _DECODERS.keys() == annotations
 
 
 # --- the transaction encoding cache ------------------------------------------

@@ -670,7 +670,7 @@ def test_report_counts_a_rejected_transaction_and_a_false_positive(golden_run):
         nonce=state.nonces["user-1"] + 1,
     )
     block, state, receipts = seal_block(state, [overdraft], timestamp=len(view.records))
-    records = [*view.records, ChainRecord(block.height, block, tuple(receipts))]
+    records = [*view.records, ChainRecord(block, tuple(receipts))]
     replayed = ((record, state) for record in records)  # only the last state is read
     truth = golden_run.result.ground_truth
     flagged = min(

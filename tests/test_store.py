@@ -59,7 +59,6 @@ from veriledger.errors import (
 )
 from veriledger.ledger import (
     apply_block,
-    compute_block_hash,
     init_chain,
     proposer_seed,
     seal_block,
@@ -77,7 +76,7 @@ from veriledger.store import (
 )
 
 from chainfile import bodies, chain_bytes, decode, edit_chain, encode, record_copy, state_copy
-from test_ledger import fresh_state, transfer
+from test_ledger import fresh_state, resealed, transfer
 
 
 def read_all(path):
@@ -172,10 +171,7 @@ def test_a_record_is_the_bytes_the_hashes_cover(golden_run):
     records = bodies(golden_run.out_dir / "run.chain.jsonl")
     for height, body in enumerate(records):
         block, state = decode(height, body)
-        fields = encode_block_fields(
-            block.height, block.parent_hash, block.timestamp, block.proposer,
-            block.transactions, block.state_root,
-        )
+        fields = encode_block_fields(block)
         assert hashlib.sha256(fields).digest() == block.block_hash.value
         genesis = encode_state(state) if height == 0 else b""
         assert body == fields + block.block_hash.value + genesis
@@ -533,8 +529,7 @@ def test_unencodable_state_fails_at_its_height(tmp_path):
     txs = ()
     proposer = select_proposer(state.validators, proposer_seed(state.tip_hash, 1))
     root = Hash256.zero()
-    block_hash = compute_block_hash(1, state.tip_hash, 1, proposer, txs, root)
-    block = Block(1, state.tip_hash, 1, proposer, txs, root, block_hash)
+    block = resealed(Block(1, state.tip_hash, 1, proposer, txs, root, Hash256.zero()))
     with pytest.raises(UnencodableState):
         apply_block(state, block)
     with pytest.raises(UnencodableState):
@@ -678,8 +673,7 @@ def test_genesis_whose_feedback_would_look_up_a_missing_record_fails_at_height_0
     )
     proposer = select_proposer(state.validators, proposer_seed(state.tip_hash, 1))
     root = Hash256.zero()
-    block_hash = compute_block_hash(1, state.tip_hash, 1, proposer, (feedback,), root)
-    block = Block(1, state.tip_hash, 1, proposer, (feedback,), root, block_hash)
+    block = resealed(Block(1, state.tip_hash, 1, proposer, (feedback,), root, Hash256.zero()))
     path = tmp_path / "dangling.chain.jsonl"
     with ChainWriter(path) as writer:
         writer.append(genesis, genesis_state=genesis_state)
@@ -809,11 +803,7 @@ def _reseal(pairs, start):
             else:
                 if parent is not None:
                     block = dataclasses.replace(block, parent_hash=parent)
-                block_hash = compute_block_hash(
-                    block.height, block.parent_hash, block.timestamp, block.proposer,
-                    block.transactions, block.state_root,
-                )
-                block = dataclasses.replace(block, block_hash=block_hash)
+                block = resealed(block)
         except (VeriledgerError, KeyError, TypeError, ValueError):
             return
         pairs[i] = (block, state)
