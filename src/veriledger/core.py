@@ -135,12 +135,13 @@ class Embedding:
 
     values: tuple[float, ...]
     media_type: MediaType
-    # Two caches, each filled on first use: ``sparse_values(values)`` by
-    # ``sparse()``, and the canonical encoding (the sparse layout) by
-    # ``encode_embedding``, which the transaction payload, ``hash_embedding``
-    # and the ``ContentRecord`` encoding all reuse, and which the chain file
-    # stores as it is. Like the records' ``_encoding`` they stay out of
-    # equality, hashing, ``repr`` and every encoding, and
+    # Two caches: ``sparse_values(values)``, filled by ``sparse()`` on first
+    # use, and the canonical encoding (the sparse layout), filled by
+    # ``encode_embedding`` on first use or, in an embedding read from a
+    # chain file, with the bytes it was read from. The transaction payload,
+    # ``hash_embedding`` and the ``ContentRecord`` encoding all reuse it,
+    # and the chain file stores it as it is. Like the records' ``_encoding``
+    # they stay out of equality, hashing, ``repr`` and every encoding, and
     # ``dataclasses.replace`` leaves them empty.
     _sparse: tuple[tuple[tuple[int, float], ...], float, int, float] | None = field(
         default=None, init=False, compare=False, repr=False
@@ -264,10 +265,12 @@ class Transaction:
     sender: str
     payload: Payload
     nonce: int
-    # ``encode_transaction(self)``, filled on first use: a block's
-    # transactions are encoded for their hashes and again for the block
-    # hash. Like the state records' ``_encoding`` it stays out of equality,
-    # hashing and ``repr``, and ``dataclasses.replace`` leaves it empty.
+    # ``encode_transaction(self)``, filled on first use or, in a
+    # transaction read from a chain file, with the bytes it was read from:
+    # a block's transactions are encoded for their hashes and again for the
+    # block hash. Like the state records' ``_encoding`` it stays out of
+    # equality, hashing and ``repr``, and ``dataclasses.replace`` leaves it
+    # empty.
     _encoding: bytes | None = _encoding_cache()
 
 
@@ -302,12 +305,12 @@ class Receipt:
 
 # --- contract records -----------------------------------------------------
 #
-# State records are immutable: a contract handler that changes one stores a
-# new record built with ``dataclasses.replace``. ``NetworkState.clone`` can
-# therefore share records between states, and each record caches its
-# canonical encoding in ``_encoding``, filled by ``encode_state`` on first
-# use. ``replace`` leaves that slot at None, so a changed record never
-# carries a stale encoding.
+# State records, ``DetectorSpec`` and ``ContractParams`` are immutable: a
+# contract handler that changes one stores a new record built with
+# ``dataclasses.replace``. ``NetworkState.clone`` can therefore share them
+# between states, and each caches its canonical encoding in ``_encoding``,
+# filled by ``encode_state`` on first use. ``replace`` leaves that slot at
+# None, so a changed record never carries a stale encoding.
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,6 +378,7 @@ class DetectorSpec:
 
     kind: str
     parameters: dict[str, object] = field(default_factory=dict)
+    _encoding: bytes | None = _encoding_cache()
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,6 +396,7 @@ class ContractParams:
     epoch_length: int = 10
     epoch_reward_pool: int = 100
     oracle_account: str = "oracle"
+    _encoding: bytes | None = _encoding_cache()
 
     def __post_init__(self) -> None:
         if self.fee_owner_pct + self.fee_proposer_pct > 100:
@@ -555,6 +560,15 @@ def _enc_matches(matches: tuple[tuple[str, float], ...]) -> bytes:
     )
 
 
+def _cached(record: Any) -> bytes:
+    """``encode_record(record)``, computed once and cached on it."""
+    encoded = record._encoding
+    if encoded is None:
+        encoded = encode_record(record)
+        object.__setattr__(record, "_encoding", encoded)
+    return encoded
+
+
 def _enc_records(records: dict[str, Any]) -> bytes:
     """A record map of the state: its records sorted by key, each encoding
     cached on its record. A record's key is its id, so it is not encoded
@@ -562,11 +576,7 @@ def _enc_records(records: dict[str, Any]) -> bytes:
     parts = [enc_u32(len(records))]
     for key in sorted(records):
         record = records[key]
-        encoded = record._encoding
-        if encoded is None:
-            encoded = encode_record(record)
-            object.__setattr__(record, "_encoding", encoded)
-        parts.append(encoded)
+        parts.append(record._encoding or _cached(record))  # no call once cached
     return b"".join(parts)
 
 
@@ -594,14 +604,14 @@ FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
     "AlgorithmStatus": _enc_enum,
     "RequestStatus": _enc_enum,
     "tuple[Transaction, ...]": _enc_transactions,
-    "ContractParams": encode_record,
+    "ContractParams": _cached,
     "dict[str, int]": enc_map(enc_u64),
     "dict[str, AlgorithmRecord]": _enc_records,
     "dict[str, ContentRecord]": _enc_records,
     "dict[str, AnalysisRequest]": _enc_records,
     "dict[str, AnalysisResultRecord]": _enc_records,
     "set[str]": _enc_str_set,
-    "dict[str, DetectorSpec]": enc_map(encode_record),
+    "dict[str, DetectorSpec]": enc_map(_cached),
 }
 
 

@@ -282,7 +282,7 @@ def _parse(cls: type, doc: Any, what: str, given: dict | None = None, **defaults
     be left out where its field has a default, its own or one in
     ``defaults``."""
     given = given or {}
-    walked = [f for f in fields(cls) if f.name not in given]
+    walked = [f for f in fields(cls) if f.init and f.name not in given]
     values = {f.name: f.default for f in walked if f.default is not MISSING}
     values.update(defaults, **given)
     names = [f.name for f in walked]

@@ -36,6 +36,13 @@ not check, ``ledger.apply_block`` does. It re-seals every block, the
 genesis included, and compares the header, state root and block hash
 included, which is the one check of what a block is.
 
+A decoded transaction and embedding keep the bytes they were read from as
+their encoding cache, so replay hashes the bytes it read instead of
+encoding them again. The decoders' strictness is therefore also what keeps
+each hash over the writer's encoding: were a second encoding of a
+transaction to decode, replay would hash it as stored, and a block resealed
+over it would verify.
+
 The hash encoding takes a non-finite float, since a transaction is hashed
 before a contract rejects it. The reader refuses one, so
 ``ChainWriter.append`` refuses a block or genesis state that holds one
@@ -286,7 +293,9 @@ _dec_media_type = _dec_enum(MediaType)
 def _dec_embedding(data: bytes, pos: int) -> tuple[Embedding, int]:
     """Strict inverse of ``core.encode_embedding``: besides what every
     decoder refuses, a bitmap bit at or past the count and a stored
-    ``+0.0``."""
+    ``+0.0``. The bytes read become the embedding's encoding cache: they
+    are ``core.encode_embedding`` of what they decode to."""
+    start = pos
     media_type, pos = _dec_media_type(data, pos)
     (n,) = _U32(data, pos)
     width = (n + 7) // 8
@@ -312,7 +321,9 @@ def _dec_embedding(data: bytes, pos: int) -> tuple[Embedding, int]:
     values = [0.0] * n
     for i, x in zip(compress(range(n), present), kept):
         values[i] = x
-    return Embedding(tuple(values), media_type), pos
+    e = Embedding(tuple(values), media_type)
+    object.__setattr__(e, "_encoding", data[start:pos])
+    return e, pos
 
 
 def _tag(data: bytes, pos: int, tag: bytes, what: str) -> int:
@@ -323,7 +334,8 @@ def _tag(data: bytes, pos: int, tag: bytes, what: str) -> int:
 
 def _dec_transaction(data: bytes, pos: int) -> tuple[Transaction, int]:
     """One length-prefixed ``core.encode_transaction``, its payload decoded
-    as the type its kind names."""
+    as the type its kind names; the bytes read become the transaction's
+    encoding cache."""
     raw, end = _dec_bytes(data, pos)
     head, at = _walk(_TX_HEAD, raw, _tag(raw, 0, TX_TAG, "transaction"))
     kind = head["kind"]
@@ -334,7 +346,9 @@ def _dec_transaction(data: bytes, pos: int) -> tuple[Transaction, int]:
         _exactly(payload, at)
     except _DECODE_ERRORS as exc:
         raise SerializationError(f"payload: {_reason(exc)}") from None
-    return Transaction(kind, head["sender"], decoded, head["nonce"]), end
+    tx = Transaction(kind, head["sender"], decoded, head["nonce"])
+    object.__setattr__(tx, "_encoding", raw)
+    return tx, end
 
 
 # annotation -> decoder: the inverse of its ``core.FIELD_ENCODERS`` entry.

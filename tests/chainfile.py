@@ -8,8 +8,14 @@ writes passes ``raw`` to ``edit_chain``, which maps the re-encoded body to
 the one stored, or patches an entry of ``core.FIELD_ENCODERS`` while it
 encodes records decoded or built under the patch, whose caches it drops
 with them.
+
+``encode`` renders a block and state from their fields alone: a decoded
+transaction or embedding caches the bytes it was read from, and a body
+encoded from those caches would equal the stored one whatever the fields
+hold.
 """
 
+import copy
 import dataclasses
 import struct
 
@@ -49,6 +55,13 @@ def decode(height: int, body: bytes):
 
 
 def encode(block, genesis_state=None) -> bytes:
+    """The record body of ``block`` and ``genesis_state``, each transaction,
+    record and embedding encoded from its fields: no cached encoding is
+    read."""
+    transactions = tuple(map(uncached_transaction, block.transactions))
+    block = dataclasses.replace(block, transactions=transactions)
+    if genesis_state is not None:
+        genesis_state = _uncached_state(genesis_state)
     return store._encode_record(block, genesis_state)
 
 
@@ -79,15 +92,30 @@ def _uncached(record):
     return dataclasses.replace(record, **embeddings)
 
 
-def state_bytes(state) -> bytes:
-    """``state`` as the chain file stores a genesis state, every record
-    encoded from its fields: no cached encoding is read."""
+def uncached_transaction(tx):
+    """A copy of ``tx``, of its payload and of the embedding this holds, if
+    any, with empty caches."""
+    return dataclasses.replace(tx, payload=_uncached(tx.payload))
+
+
+def _uncached_state(state):
+    """A clone of ``state`` whose records, params and detectors are copies
+    with empty caches. The params are copied without ``__post_init__``,
+    which refuses the invalid params some tests store on purpose."""
     fresh = state.clone()
-    for name in ("algorithms", "contents", "requests", "results"):
+    fresh.params = copy.copy(state.params)
+    object.__setattr__(fresh.params, "_encoding", None)
+    for name in ("algorithms", "contents", "requests", "results", "detectors"):
         records = getattr(fresh, name)
         for key, record in records.items():
             records[key] = _uncached(record)
-    return encode_state(fresh)
+    return fresh
+
+
+def state_bytes(state) -> bytes:
+    """``state`` as the chain file stores a genesis state, every record
+    encoded from its fields: no cached encoding is read."""
+    return encode_state(_uncached_state(state))
 
 
 def state_copy(state):

@@ -364,14 +364,38 @@ def test_transaction_cache_is_invisible():
     assert dataclasses.replace(tx)._encoding is None
 
 
+def test_params_and_detector_caches_are_invisible():
+    params = ContractParams(min_stake=150, oracle_account="oracle-kat")
+    spec = dataclasses.replace(RECORDS["DetectorSpec"])
+    twins = (dataclasses.replace(params), dataclasses.replace(spec))
+    shown = (repr(params), repr(spec))
+    encode_state(NetworkState(params=params, validators={}, detectors={"nd": spec}))
+    assert params._encoding == encode_record(params) and spec._encoding == encode_record(spec)
+    assert FIELD_ENCODERS["ContractParams"](params) is params._encoding
+    for record, twin, before in zip((params, spec), twins, shown):
+        assert twin._encoding is None
+        assert record == twin
+        assert repr(record) == before and "_encoding" not in before
+        assert dataclasses.replace(record)._encoding is None
+    assert hash(params) == hash(twins[0])
+    with pytest.raises(TypeError):  # a DetectorSpec holds a dict: no hash, cached or not
+        hash(spec)
+    replaced = dataclasses.replace(params, min_stake=151)
+    assert replaced._encoding is None
+    assert encode_record(replaced) != params._encoding
+    replaced = dataclasses.replace(spec, kind="cosine")
+    assert replaced._encoding is None
+    assert encode_record(replaced) != spec._encoding
+
+
 @pytest.mark.parametrize("kind", sorted(PAYLOADS, key=attrgetter("value")))
 def test_decoded_transaction_fills_the_same_bytes(kind):
     tx = Transaction(kind=kind, sender="user-1", payload=PAYLOADS[kind], nonce=7)
     encoded = encode_transaction(tx)
     decoded = transaction_copy(tx)
-    assert decoded == tx and decoded._encoding is None
-    assert encode_transaction(decoded) == encoded
-    assert decoded._encoding == encoded
+    # The decoder keeps the bytes it read, which are the fresh encoding.
+    assert decoded == tx and decoded._encoding == encoded
+    assert encode_transaction(decoded) is decoded._encoding
 
 
 # --- the embedding token ------------------------------------------------------

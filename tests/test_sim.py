@@ -316,6 +316,13 @@ def test_unknown_nested_keys_rejected():
         parse_scenario(doc)
 
 
+def test_params_encoding_cache_is_not_a_config_key():
+    doc = golden_doc()
+    doc["params"] = {"_encoding": "00"}
+    with pytest.raises(ConfigError, match="unknown keys"):
+        parse_scenario(doc)
+
+
 def test_bad_values_rejected():
     doc = golden_doc()
     doc["corpus"]["perturbation"]["rate"] = 1.5

@@ -1,6 +1,7 @@
 import dataclasses
 import enum
 import hashlib
+import importlib.util
 import json
 import math
 import struct
@@ -46,8 +47,12 @@ from veriledger.core import (
     TxKind,
     Verdict,
     encode_block_fields,
+    encode_embedding,
     encode_record,
     encode_state,
+    encode_transaction,
+    hash_embedding,
+    transaction_hash,
 )
 from veriledger.errors import (
     CorruptRecord,
@@ -64,6 +69,7 @@ from veriledger.ledger import (
     seal_block,
     select_proposer,
 )
+from veriledger.sim import ScenarioRunner, parse_scenario
 from veriledger.store import (
     ChainView,
     ChainWriter,
@@ -75,7 +81,17 @@ from veriledger.store import (
     verify_chain,
 )
 
-from chainfile import bodies, chain_bytes, decode, edit_chain, encode, record_copy, state_copy
+from chainfile import (
+    bodies,
+    chain_bytes,
+    decode,
+    edit_chain,
+    encode,
+    record_copy,
+    state_copy,
+    uncached_transaction,
+)
+from conftest import REPO_ROOT
 from test_ledger import fresh_state, resealed, transfer
 
 
@@ -988,6 +1004,80 @@ def test_canonical_check_matches_the_re_render_on_fuzzed_chains(golden_run, tmp_
 
     strict = store._decode_record
     check()
+
+
+def test_encode_helper_renders_from_fields_not_caches(golden_run):
+    # ``encode`` stands for the writer in the re-render checks above. A
+    # decoded transaction or embedding caches the bytes it was read from, so
+    # an ``encode`` that read the caches would render the stored bytes
+    # whatever the fields hold: with junk in every cache it still renders
+    # them from the fields.
+    junked = 0
+    for height, body in enumerate(bodies(golden_run.out_dir / "run.chain.jsonl")):
+        block, genesis_state = decode(height, body)
+        for tx in block.transactions:
+            object.__setattr__(tx, "_encoding", b"junk")
+            embedding = getattr(tx.payload, "embedding", None)
+            if embedding is not None:
+                object.__setattr__(embedding, "_encoding", b"junk")
+            junked += 1
+        assert encode(block, genesis_state) == body
+        if block.transactions:
+            assert store._encode_record(block, genesis_state) != body
+    assert junked > 0
+
+
+def _check_kept_encodings(block, genesis_state) -> int:
+    """Assert that each transaction and embedding decoded with ``block`` and
+    ``genesis_state`` caches what a cache-free copy encodes to, so hashes as
+    it does; return how many were checked."""
+    embeddings = [c.embedding for c in genesis_state.contents.values()] if genesis_state else []
+    for tx in block.transactions:
+        fresh = uncached_transaction(tx)
+        assert tx._encoding == encode_transaction(fresh)
+        assert transaction_hash(tx) == transaction_hash(fresh)
+        if (embedding := getattr(tx.payload, "embedding", None)) is not None:
+            embeddings.append(embedding)
+    for e in embeddings:
+        fresh = dataclasses.replace(e)
+        assert e._encoding == encode_embedding(fresh)
+        assert hash_embedding(e) == hash_embedding(fresh)
+    return len(block.transactions) + len(embeddings)
+
+
+def test_decoded_encodings_are_the_fresh_ones_on_fuzzed_chains(golden_run, tmp_path_factory):
+    # Replay hashes the bytes a transaction or embedding was read from. In
+    # every record that decodes from a fuzzed chain, those bytes are what
+    # the fields encode to, so each hash is the one the writer computes.
+    records = bodies(golden_run.out_dir / "run.chain.jsonl")
+    path = tmp_path_factory.mktemp("fuzzed-caches") / "variant.chain.jsonl"
+
+    @given(byte_mutations(records))
+    def check(mutation):
+        path.write_bytes(mutation.data)
+        try:
+            for block, genesis_state in read_chain(path):
+                _check_kept_encodings(block, genesis_state)
+        except CorruptRecord:
+            pass
+
+    check()
+
+
+def test_decoded_encodings_are_the_fresh_ones_on_mixed_media(tmp_path):
+    # The benchmark's seed-7 mixed-media chain: embeddings of all three media
+    # types, in both payloads that carry one.
+    spec = importlib.util.spec_from_file_location(
+        "workloads", REPO_ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ScenarioRunner(parse_scenario(workloads.mixed_media(7))).run(out_dir=tmp_path)
+    checked = sum(
+        _check_kept_encodings(block, genesis_state)
+        for block, genesis_state in read_chain(tmp_path / "run.chain.jsonl")
+    )
+    assert checked > 1000
 
 
 # --- sets --------------------------------------------------------------------
