@@ -1,0 +1,192 @@
+"""Mutation gate for the chain decoders' strictness checks.
+
+    python scripts/mutants.py
+
+Each entry of ``MUTANTS`` names one edit of the decoders: an exact snippet
+of one module, which must occur there exactly once, and its replacement.
+The script copies ``src/``, ``tests/``, ``scenarios/`` and
+``pyproject.toml`` into a temporary directory, runs the union of the
+mutants' tests there unedited, which must all pass, and then, for each
+mutant in turn, applies its edit alone and runs its tests, each of which
+must fail. A snippet that does not occur exactly once, a test that fails
+unedited and a mutant any of whose tests passes each end the script with
+exit status 1. Nothing is skipped.
+
+Why: a decoder that accepts a second encoding of a value lets a reader hash
+bytes no writer writes (``core._dec_transaction`` and ``_dec_embedding``
+keep the bytes they read as the encoding cache). Each mutant below is such
+a decoder, and the tests named for it are the ones that catch it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from dataclasses import dataclass
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scenarios", "pyproject.toml")
+
+PROPERTY = "tests/test_record_codec.py::test_each_codec_entry_decodes_only_its_own_encodings"
+COSMETIC = "tests/test_store.py::test_no_stored_byte_is_cosmetic"
+SETS = "tests/test_store.py::test_set_entries_must_be_sorted_and_distinct"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # every one must fail
+
+
+MUTANTS = (
+    Mutant(
+        "lenient-utf8",
+        "src/veriledger/codec.py",
+        'return data[pos : pos + n].decode("utf-8"), pos + n',
+        'return data[pos : pos + n].decode("utf-8", errors="replace"), pos + n',
+        (f"{PROPERTY}[str]", f"{COSMETIC}[invalid-utf8]", f"{COSMETIC}[non-ascii-character]"),
+    ),
+    Mutant(
+        "ascending-allows-repeats",
+        "src/veriledger/codec.py",
+        "if not all(map(lt, keys, keys[1:])):",
+        "if not all(a <= b for a, b in zip(keys, keys[1:])):",
+        (
+            f"{SETS}[duplicated-media_types]",
+            f"{SETS}[duplicated-challenges_submitted]",
+            f"{SETS}[duplicated-feedback_done]",
+            f"{COSMETIC}[repeated-metadata-key]",
+            f"{PROPERTY}[dict[str, int]]",
+        ),
+    ),
+    Mutant(
+        "bool-byte-above-1",
+        "src/veriledger/codec.py",
+        "    if b > 1:\n",
+        "    if b > 255:\n",
+        (f"{COSMETIC}[parameter-bool-byte]",),
+    ),
+    Mutant(
+        "non-finite-f64",
+        "src/veriledger/codec.py",
+        "    if not math.isfinite(x):\n",
+        "    if False:\n",
+        (f"{COSMETIC}[nan]", f"{COSMETIC}[infinity]", f"{COSMETIC}[parameter-nan]"),
+    ),
+    Mutant(
+        "stored-plus-zero",
+        "src/veriledger/codec.py",
+        '        raise SerializationError("+0.0 is stored")\n',
+        "        pass\n",
+        (f"{COSMETIC}[bit-over-plus-zero]",),
+    ),
+    Mutant(
+        "bitmap-bit-past-count",
+        "src/veriledger/codec.py",
+        '        raise SerializationError(f"bitmap bit set past value {n}")\n',
+        "        pass\n",
+        (f"{COSMETIC}[bit-past-count]",),
+    ),
+    Mutant(
+        "bytes-left-over",
+        "src/veriledger/codec.py",
+        "    if pos != len(data):\n",
+        "    if pos > len(data):\n",
+        (
+            "tests/test_store.py::test_non_canonical_line_rejected",
+            "tests/test_store.py::test_genesis_with_stored_receipts_fails_at_height_0",
+            f"{PROPERTY}[frozenset[MediaType]]",
+            f"{PROPERTY}[tuple[tuple[str, float], ...]]",
+        ),
+    ),
+    Mutant(
+        "record-id-order",
+        "src/veriledger/core.py",
+        "        ascending(keys)\n        return dict(zip(keys, records)), pos\n",
+        "        return dict(zip(keys, records)), pos\n",
+        (f"{PROPERTY}[dict[str, AlgorithmRecord]]", f"{PROPERTY}[dict[str, AnalysisResultRecord]]"),
+    ),
+    Mutant(
+        "unknown-enum-value",
+        "src/veriledger/codec.py",
+        "        if member is None:\n",
+        "        if member is None and not members:\n",
+        (f"{COSMETIC}[unknown-verdict]", f"{PROPERTY}[Verdict]"),
+    ),
+)
+
+
+def run_tests(root: Path, tests: list[str], report: Path) -> dict[str, str]:
+    """Run ``tests`` in the copy at ``root``: test id -> "passed", or the
+    tag of its JUnit outcome ("failure", "error" or "skipped")."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"--junitxml={report}", *tests],
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False,
+    )
+    outcomes = {}
+    if report.exists():
+        for case in ET.parse(report).iter("testcase"):
+            module = case.get("classname", "").replace(".", "/")
+            outcomes[f"{module}.py::{case.get('name')}"] = next(
+                (child.tag for child in case if child.tag in ("failure", "error", "skipped")),
+                "passed",
+            )
+        report.unlink()
+    return outcomes
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="veriledger-mutants-") as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            source = REPO / name
+            if source.is_dir():
+                shutil.copytree(source, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(source, root / name)
+        problems = []
+        for m in MUTANTS:
+            found = (root / m.path).read_text().count(m.snippet)
+            if found != 1:
+                problems.append(f"{m.name}: its snippet occurs {found} times in {m.path}")
+        if problems:
+            print("\n".join(problems))
+            return 1
+
+        report = root / "report.xml"
+        union = sorted({t for m in MUTANTS for t in m.tests})
+        unedited = run_tests(root, union, report)
+        broken = [t for t in union if unedited.get(t) != "passed"]
+        if broken:
+            print("tests that do not pass unedited:\n  " + "\n  ".join(broken))
+            return 1
+
+        survivors = 0
+        for m in MUTANTS:
+            path = root / m.path
+            original = path.read_text()
+            path.write_text(original.replace(m.snippet, m.replacement))
+            try:
+                outcomes = run_tests(root, list(m.tests), report)
+            finally:
+                path.write_text(original)
+            missed = [t for t in m.tests if outcomes.get(t) != "failure"]
+            survivors += bool(missed)
+            print(f"{'SURVIVED' if missed else 'killed  '} {m.name}")
+            for t in missed:
+                print(f"    {outcomes.get(t, 'not run')}: {t}")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

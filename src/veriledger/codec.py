@@ -17,32 +17,68 @@ Encoding rules (version 1):
 * text strings   -- UTF-8 bytes, encoded as a byte string
 * 256-bit hashes -- 32 raw bytes, no prefix
 * lists          -- ``u32`` element count + concatenated elements
+* sets           -- a list of the entries, sorted
 * string maps    -- ``u32`` entry count + (key, value) pairs sorted by key;
   a detector's parameter values carry a type tag (``enc_scalar``)
+* enums          -- the member's value, as a text string
 * booleans       -- ``u8``: 0 or 1
 
 Top-level objects (transactions, blocks, state) each start with an ASCII
 tag naming the object and the encoding version, so digests of different
 object types can never collide byte-wise. The field order of a payload,
 record, block or state is fixed by its dataclass declaration in
-:mod:`veriledger.core`, whose encoders walk the fields in that order; only
-the transaction envelope is written out there. No order depends on
-insertion order.
+:mod:`veriledger.core`, whose table maps each field annotation to one of
+the pairs below. No order depends on insertion order.
+
+Each encoder's strict decoder is defined beside it, and each combinator
+(``list_of``, ``set_of``, ``map_of``, ``enum_of``, ``pair_of``) builds both
+from the pairs it is given, as one ``Codec``: ``(encode, decode)``. A
+decoder takes ``(data, pos)`` and returns ``(value, pos after it)``. It
+refuses every byte string its encoder would not write, raising one of
+``DECODE_ERRORS``: a count larger than the bytes left (checked before
+anything of that size is built), set or map entries out of order or
+repeated, a tag, bool or enum value out of range, invalid UTF-8, a
+non-finite float, and in the sparse layout a bitmap bit past its count or
+a stored ``+0.0``. So bytes decode iff they are the encoding of what they
+decode to, once the caller checks that none are left over (``exactly``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from operator import lt
+from typing import Any, Callable, Mapping, Sequence
+
+from .errors import SerializationError
 
 TX_TAG = b"VLTX1\x00"
 BLOCK_TAG = b"VLBLOCK1\x00"
 STATE_TAG = b"VLSTATE1\x00"
 
 _U64_MAX = 2**64 - 1
+
+Encoder = Callable[[Any], bytes]
+Decoder = Callable[[bytes, int], tuple[Any, int]]
+Codec = tuple[Encoder, Decoder]
+
+_U8 = struct.Struct(">B").unpack_from
+_U32 = struct.Struct(">I").unpack_from
+_U64 = struct.Struct(">Q").unpack_from
+_F64 = struct.Struct(">d").unpack_from
+
+# What a decoder raises on bytes its encoder would not write: one that runs
+# past the end raises ``struct.error``, a short hash or invalid UTF-8 a
+# ``ValueError``, any other refusal a ``SerializationError``.
+DECODE_ERRORS = (SerializationError, ValueError, struct.error)
+
+
+def reason(exc: Exception) -> str:
+    """Why a decoder raised ``exc``, one of ``DECODE_ERRORS``."""
+    return "record ends early" if isinstance(exc, struct.error) else str(exc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +108,36 @@ def hash_bytes(data: bytes) -> Hash256:
     return Hash256(hashlib.sha256(data).digest())
 
 
+def count(data: bytes, pos: int) -> tuple[int, int]:
+    """A u32 count or length, refused when it exceeds the bytes left: every
+    entry takes at least one byte."""
+    (n,) = _U32(data, pos)
+    pos += 4
+    if n > len(data) - pos:
+        raise SerializationError(f"count {n} exceeds the {len(data) - pos} bytes left")
+    return n, pos
+
+
+def exactly(data: bytes, pos: int) -> None:
+    """Refuse ``data`` unless ``pos`` is its end."""
+    if pos != len(data):
+        raise SerializationError(f"{len(data) - pos} bytes left over")
+
+
+def ascending(keys: Sequence) -> None:
+    """The encoders list a set's entries and a map's keys sorted, so each
+    once."""
+    if not all(map(lt, keys, keys[1:])):
+        raise SerializationError("entries not sorted and distinct")
+
+
+def dec_tag(data: bytes, pos: int, tag: bytes, what: str) -> int:
+    """The position after ``tag``, which names a top-level ``what``."""
+    if not data.startswith(tag, pos):
+        raise SerializationError(f"not a {what}")
+    return pos + len(tag)
+
+
 def enc_u8(n: int) -> bytes:
     if not 0 <= n <= 0xFF:
         raise ValueError(f"u8 out of range: {n}")
@@ -90,11 +156,23 @@ def enc_u64(n: int) -> bytes:
     return n.to_bytes(8, "big")
 
 
+def dec_u64(data: bytes, pos: int) -> tuple[int, int]:
+    return _U64(data, pos)[0], pos + 8
+
+
 def enc_f64(x: float) -> bytes:
     return struct.pack(">d", x)
 
 
+def dec_f64(data: bytes, pos: int) -> tuple[float, int]:
+    (x,) = _F64(data, pos)
+    if not math.isfinite(x):
+        raise SerializationError(f"non-finite float {x}")
+    return x, pos + 8
+
+
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _NON_ZERO = bytes(1) + b"\x01" * 255  # a byte's 0 stays 0, any other becomes 1
 
 
@@ -114,49 +192,194 @@ def enc_f64_sparse(values: Sequence[float]) -> bytes:
     return struct.pack(f">I{len(bitmap)}s{len(kept)}d", n, bitmap, *kept)
 
 
+def dec_f64_sparse(data: bytes, pos: int) -> tuple[tuple[float, ...], int]:
+    """Strict inverse of ``enc_f64_sparse``: besides what every decoder
+    refuses, a bitmap bit at or past the count and a stored ``+0.0``."""
+    (n,) = _U32(data, pos)
+    width = (n + 7) // 8
+    pos += 4
+    # Checked before anything proportional to n is built: n may claim far
+    # more values than the record holds.
+    if width > len(data) - pos:
+        raise SerializationError(f"{n} values exceed the {len(data) - pos} bytes left")
+    bitmap = int.from_bytes(data[pos : pos + width], "big")
+    pos += width
+    if bitmap & ((1 << (8 * width - n)) - 1):
+        raise SerializationError(f"bitmap bit set past value {n}")
+    kept = struct.unpack_from(f">{bitmap.bit_count()}d", data, pos)
+    pos += 8 * len(kept)
+    if not all(map(math.isfinite, kept)):
+        raise SerializationError("non-finite embedding value")
+    # -0.0 == 0.0 (stored, and allowed), so signs are read only when some
+    # stored value is zero.
+    if 0.0 in kept and any(math.copysign(1.0, x) > 0 for x in kept if x == 0.0):
+        raise SerializationError("+0.0 is stored")
+    present = format(bitmap, f"0{8 * width}b")[:n].encode("ascii").translate(_FROM_DIGITS)
+    values = [0.0] * n
+    for i, x in zip(compress(range(n), present), kept):
+        values[i] = x
+    return tuple(values), pos
+
+
 def enc_bytes(b: bytes) -> bytes:
     return enc_u32(len(b)) + b
+
+
+def dec_bytes(data: bytes, pos: int) -> tuple[bytes, int]:
+    n, pos = count(data, pos)
+    return data[pos : pos + n], pos + n
 
 
 def enc_str(s: str) -> bytes:
     return enc_bytes(s.encode("utf-8"))
 
 
+def dec_str(data: bytes, pos: int) -> tuple[str, int]:
+    n, pos = count(data, pos)
+    return data[pos : pos + n].decode("utf-8"), pos + n
+
+
 def enc_hash(h: Hash256) -> bytes:
     return h.value
+
+
+def dec_hash(data: bytes, pos: int) -> tuple[Hash256, int]:
+    return Hash256(data[pos : pos + 32]), pos + 32
 
 
 def enc_bool(b: bool) -> bytes:
     return enc_u8(1 if b else 0)
 
 
-def enc_str_list(items: Iterable[str]) -> bytes:
-    vals = list(items)
-    return enc_u32(len(vals)) + b"".join(enc_str(v) for v in vals)
+def dec_bool(data: bytes, pos: int) -> tuple[bool, int]:
+    (b,) = _U8(data, pos)
+    if b > 1:
+        raise SerializationError(f"bool byte {b}")
+    return b == 1, pos + 1
 
 
-def enc_map(encode_value: Callable[[Any], bytes]) -> Callable[[Mapping[str, Any]], bytes]:
-    """The encoder of a string map whose values ``encode_value`` encodes."""
+U64: Codec = (enc_u64, dec_u64)
+F64: Codec = (enc_f64, dec_f64)
+BOOL: Codec = (enc_bool, dec_bool)
+STR: Codec = (enc_str, dec_str)
+HASH: Codec = (enc_hash, dec_hash)
 
-    def encode(m: Mapping[str, Any]) -> bytes:
-        return enc_u32(len(m)) + b"".join([enc_str(k) + encode_value(m[k]) for k in sorted(m)])
-
-    return encode
+# A detector parameter's type tag and the pair of its value, in the order
+# ``enc_scalar`` tries them: a bool is an int too.
+_SCALAR_TAGS = ((bool, 4, BOOL), (int, 2, U64), (float, 3, F64), (str, 1, STR))
+_SCALAR_DECODERS = {tag: decode for _, tag, (_, decode) in _SCALAR_TAGS}
 
 
 def enc_scalar(v: object) -> bytes:
     """A str, int, float or bool, type-tagged: 1=str, 2=u64 int, 3=f64,
     4=bool. Used for detector parameter maps, whose value types vary."""
-    if isinstance(v, bool):
-        return enc_u8(4) + enc_bool(v)
-    if isinstance(v, int):
-        return enc_u8(2) + enc_u64(v)
-    if isinstance(v, float):
-        return enc_u8(3) + enc_f64(v)
-    if isinstance(v, str):
-        return enc_u8(1) + enc_str(v)
+    for cls, tag, (encode, _) in _SCALAR_TAGS:
+        if isinstance(v, cls):
+            return enc_u8(tag) + encode(v)
     raise ValueError(f"unsupported parameter type: {type(v).__name__}")
 
 
-enc_str_map = enc_map(enc_str)
-enc_scalar_map = enc_map(enc_scalar)
+def dec_scalar(data: bytes, pos: int) -> tuple[object, int]:
+    (tag,) = _U8(data, pos)
+    decode = _SCALAR_DECODERS.get(tag)
+    if decode is None:
+        raise SerializationError(f"parameter tag {tag}")
+    return decode(data, pos + 1)
+
+
+SCALAR: Codec = (enc_scalar, dec_scalar)
+
+
+# --- combinators ------------------------------------------------------------
+
+
+def list_of(entry: Codec) -> Codec:
+    """A list of ``entry`` values, decoded as a tuple."""
+    encode_entry, decode_entry = entry
+
+    def encode(items: Sequence) -> bytes:
+        return enc_u32(len(items)) + b"".join([encode_entry(x) for x in items])
+
+    def decode(data: bytes, pos: int) -> tuple[tuple, int]:
+        n, pos = count(data, pos)
+        entries = []
+        for _ in range(n):
+            value, pos = decode_entry(data, pos)
+            entries.append(value)
+        return tuple(entries), pos
+
+    return encode, decode
+
+
+def set_of(entry: Codec, cls: type = frozenset) -> Codec:
+    """A set of ``entry`` values, listed sorted, decoded as a ``cls``."""
+    encode_list, decode_list = list_of(entry)
+
+    def encode(items) -> bytes:
+        return encode_list(sorted(items))
+
+    def decode(data: bytes, pos: int):
+        entries, pos = decode_list(data, pos)
+        ascending(entries)
+        return cls(entries), pos
+
+    return encode, decode
+
+
+def map_of(value: Codec) -> Codec:
+    """A map from strings to ``value`` values, sorted by key."""
+    encode_value, decode_value = value
+
+    def encode(m: Mapping[str, Any]) -> bytes:
+        return enc_u32(len(m)) + b"".join([enc_str(k) + encode_value(m[k]) for k in sorted(m)])
+
+    def decode(data: bytes, pos: int) -> tuple[dict, int]:
+        n, pos = count(data, pos)
+        out = {}
+        keys = []
+        for _ in range(n):
+            key, pos = dec_str(data, pos)
+            keys.append(key)
+            out[key], pos = decode_value(data, pos)
+        ascending(keys)
+        return out, pos
+
+    return encode, decode
+
+
+def enum_of(enum_cls: type) -> Codec:
+    """A member of ``enum_cls``, as its string value."""
+    members = {m.value: m for m in enum_cls}
+
+    def encode(member) -> bytes:
+        return enc_str(member.value)
+
+    def decode(data: bytes, pos: int):
+        value, pos = dec_str(data, pos)
+        member = members.get(value)
+        if member is None:
+            raise SerializationError(f"unknown {enum_cls.__name__} {value!r}")
+        return member, pos
+
+    return encode, decode
+
+
+def pair_of(first: Codec, second: Codec) -> Codec:
+    """A 2-tuple, its items one after the other."""
+    (encode_first, decode_first), (encode_second, decode_second) = first, second
+
+    def encode(pair: tuple) -> bytes:
+        a, b = pair
+        return encode_first(a) + encode_second(b)
+
+    def decode(data: bytes, pos: int) -> tuple[tuple, int]:
+        a, pos = decode_first(data, pos)
+        b, pos = decode_second(data, pos)
+        return (a, b), pos
+
+    return encode, decode
+
+
+enc_str_list = list_of(STR)[0]
+enc_str_map = map_of(STR)[0]
+enc_scalar_map = map_of(SCALAR)[0]

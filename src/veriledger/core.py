@@ -1,13 +1,19 @@
 """Domain types shared across the ledger, contracts, and detection layers.
 
 Includes the canonical binary encodings (see :mod:`veriledger.codec` for the
-wire rules) of transactions, blocks, and network state. A record's, a
-block's and the state's encodings follow their dataclass fields in
-declaration order, each field by its annotation's entry in
-``FIELD_ENCODERS``, so the declarations below are the contract: reordering
-or retyping a field changes every digest. A block's encoding leaves out its
-own hash, and the state's its tip and derived content-hash index. Only the
-transaction envelope is written out (``encode_transaction``).
+wire rules) of transactions, blocks, and network state, and their strict
+decoders. ``FIELD_CODECS`` maps each field annotation to its ``(encode,
+decode)`` pair. A record's, a block's and the state's encodings follow
+their dataclass fields in declaration order, each by its annotation's
+entry, and so do their decoders, so the declarations below are the
+contract: reordering or retyping a field changes every digest. A block's
+encoding leaves out its own hash, and the state's its tip and derived
+content-hash index. The transaction envelope, whose hashed order is not its
+declaration order, is walked from ``_TX_ENVELOPE``.
+
+A decoded transaction and embedding keep the bytes they were read from as
+their encoding cache, so a reader hashes what it read: the decoders'
+strictness is what keeps each hash over the one encoding.
 """
 
 from __future__ import annotations
@@ -17,26 +23,40 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import compress
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .codec import (
     BLOCK_TAG,
+    DECODE_ERRORS,
+    F64,
+    HASH,
+    SCALAR,
     STATE_TAG,
+    STR,
     TX_TAG,
+    U64,
+    Codec,
+    Decoder,
     Hash256,
+    ascending,
+    dec_bytes,
+    dec_f64_sparse,
+    dec_tag,
     enc_bytes,
-    enc_f64,
     enc_f64_sparse,
-    enc_hash,
-    enc_map,
-    enc_scalar_map,
     enc_str,
-    enc_str_list,
-    enc_str_map,
     enc_u32,
-    enc_u64,
+    enum_of,
+    exactly,
     hash_bytes,
+    list_of,
+    map_of,
+    pair_of,
+    reason,
+    set_of,
 )
+from .errors import SerializationError
 
 # Account that holds fees escrowed for pending analysis requests. Including
 # it in the balance map keeps token conservation a plain sum over balances.
@@ -498,11 +518,8 @@ class NetworkState:
 
 # --- canonical encodings ---------------------------------------------------
 #
-# A record's fields, in the order its dataclass declares them, are its only
-# schema, and so are the block's and the state's: ``encode_record``,
-# ``encode_block_fields`` and ``encode_state`` here, and the chain file's
-# codec in ``store``, all walk ``record_schema``. Reordering, adding or
-# retyping a field therefore changes every digest that covers it.
+# Encoders are looked up in ``FIELD_CODECS`` per call; each class's decoders
+# are bound once.
 
 
 @functools.cache
@@ -511,9 +528,57 @@ def record_schema(cls: type) -> tuple[tuple[str, str], ...]:
 
     Fields with ``init=False`` (the encoding cache) are not part of it.
     Annotations are strings (``from __future__ import annotations``), which
-    is what the codec tables key on.
+    is what ``FIELD_CODECS`` keys on.
     """
     return tuple((f.name, f.type) for f in fields(cls) if f.init)
+
+
+def _encode_fields(tag: bytes, record: Any, schema: tuple[tuple[str, str], ...]) -> bytes:
+    # The tag is joined with the fields, not prepended after: prepending
+    # would copy a state's whole encoding once more.
+    return b"".join(
+        [tag, *[FIELD_CODECS[annotation][0](getattr(record, name)) for name, annotation in schema]]
+    )
+
+
+def _decoders(schema: tuple[tuple[str, str], ...]) -> tuple[tuple[str, Decoder], ...]:
+    return tuple((name, FIELD_CODECS[annotation][1]) for name, annotation in schema)
+
+
+def _walk(fields: tuple[tuple[str, Decoder], ...], data: bytes, pos: int) -> tuple[dict, int]:
+    """``{name: value}`` of ``fields``, ``(name, decoder)`` pairs, decoded in
+    order from ``pos``; a decoder's refusal is raised again naming its
+    field."""
+    values = {}
+    for name, decode in fields:
+        try:
+            values[name], pos = decode(data, pos)
+        except DECODE_ERRORS as exc:
+            raise SerializationError(f"{name}: {reason(exc)}") from None
+    return values, pos
+
+
+def encode_record(record: Any) -> bytes:
+    """Canonical encoding of a payload, state record, ``ContractParams`` or
+    ``DetectorSpec``: its fields' encodings in declaration order, each by
+    its annotation's entry in ``FIELD_CODECS``."""
+    return _encode_fields(b"", record, record_schema(type(record)))
+
+
+@functools.cache
+def record_decoder(cls: type) -> Decoder:
+    """The strict inverse of ``encode_record`` for a ``cls`` record: its
+    fields' decoders in declaration order."""
+    fields = _decoders(record_schema(cls))
+
+    def decode(data: bytes, pos: int):
+        values, pos = _walk(fields, data, pos)
+        return cls(**values), pos  # ContractParams raises ValueError on its own rules
+
+    return decode
+
+
+_MEDIA_TYPE = enum_of(MediaType)
 
 
 def encode_embedding(e: Embedding) -> bytes:
@@ -526,38 +591,21 @@ def encode_embedding(e: Embedding) -> bytes:
     return encoded
 
 
+def _dec_embedding(data: bytes, pos: int) -> tuple[Embedding, int]:
+    """Strict inverse of ``encode_embedding``. The bytes read become the
+    embedding's encoding cache: they are ``encode_embedding`` of what they
+    decode to."""
+    start = pos
+    media_type, pos = _MEDIA_TYPE[1](data, pos)
+    values, pos = dec_f64_sparse(data, pos)
+    e = Embedding(values, media_type)
+    object.__setattr__(e, "_encoding", data[start:pos])
+    return e, pos
+
+
 def hash_embedding(e: Embedding) -> Hash256:
     """The commitment an ``AnalysisRequest`` keeps of its embedding."""
     return hash_bytes(encode_embedding(e))
-
-
-def encode_record(record: Any) -> bytes:
-    """Canonical encoding of a payload, state record, ``ContractParams`` or
-    ``DetectorSpec``: its fields' encodings in declaration order, each by
-    its annotation's entry in ``FIELD_ENCODERS``."""
-    return _encode_fields(b"", record, record_schema(type(record)))
-
-
-def _encode_fields(tag: bytes, record: Any, schema: tuple[tuple[str, str], ...]) -> bytes:
-    # The tag is joined with the fields, not prepended after: prepending
-    # would copy a state's whole encoding once more.
-    return b"".join(
-        [tag, *[FIELD_ENCODERS[annotation](getattr(record, name)) for name, annotation in schema]]
-    )
-
-
-def _enc_enum(value: Enum) -> bytes:
-    return enc_str(value.value)
-
-
-def _enc_str_set(items: Iterable[str]) -> bytes:
-    return enc_str_list(sorted(items))
-
-
-def _enc_matches(matches: tuple[tuple[str, float], ...]) -> bytes:
-    return enc_u32(len(matches)) + b"".join(
-        enc_str(cid) + enc_f64(sim) for cid, sim in matches
-    )
 
 
 def _cached(record: Any) -> bytes:
@@ -567,6 +615,12 @@ def _cached(record: Any) -> bytes:
         encoded = encode_record(record)
         object.__setattr__(record, "_encoding", encoded)
     return encoded
+
+
+def _record(cls: type) -> Codec:
+    """A field holding a ``cls`` record, its encoding cached on it. Its
+    decoder is looked up when called: it is bound from this table."""
+    return _cached, lambda data, pos: record_decoder(cls)(data, pos)
 
 
 def _enc_records(records: dict[str, Any]) -> bytes:
@@ -580,62 +634,116 @@ def _enc_records(records: dict[str, Any]) -> bytes:
     return b"".join(parts)
 
 
-def _enc_transactions(txs: tuple[Transaction, ...]) -> bytes:
-    return enc_u32(len(txs)) + b"".join([enc_bytes(encode_transaction(t)) for t in txs])
+def _records(cls: type, id_field: str) -> Codec:
+    """A record map of the state, keyed by each record's ``id_field``."""
+    _, decode_records = list_of(_record(cls))
+    key = attrgetter(id_field)
+
+    def decode(data: bytes, pos: int) -> tuple[dict, int]:
+        records, pos = decode_records(data, pos)
+        keys = list(map(key, records))
+        ascending(keys)
+        return dict(zip(keys, records)), pos
+
+    return _enc_records, decode
 
 
-# The encoder for each field annotation a record, the block or the state may
-# use: the encoding every hash covers, and the bytes the chain file stores.
-# It encodes a NaN like any other float: a transaction is hashed before a
-# contract rejects it.
-FIELD_ENCODERS: dict[str, Callable[[Any], bytes]] = {
-    "str": enc_str,
-    "int": enc_u64,
-    "float": enc_f64,
-    "Hash256": enc_hash,
-    "Embedding": encode_embedding,
-    "dict[str, str]": enc_str_map,
-    "dict[str, object]": enc_scalar_map,
-    "frozenset[MediaType]": lambda ms: enc_str_list(sorted(m.value for m in ms)),
-    "frozenset[str]": _enc_str_set,
-    "tuple[tuple[str, float], ...]": _enc_matches,
-    "MediaType": _enc_enum,
-    "Verdict": _enc_enum,
-    "AlgorithmStatus": _enc_enum,
-    "RequestStatus": _enc_enum,
-    "tuple[Transaction, ...]": _enc_transactions,
-    "ContractParams": _cached,
-    "dict[str, int]": enc_map(enc_u64),
-    "dict[str, AlgorithmRecord]": _enc_records,
-    "dict[str, ContentRecord]": _enc_records,
-    "dict[str, AnalysisRequest]": _enc_records,
-    "dict[str, AnalysisResultRecord]": _enc_records,
-    "set[str]": _enc_str_set,
-    "dict[str, DetectorSpec]": enc_map(_cached),
-}
+# What ``encode_transaction`` writes before the payload, in its hashed order,
+# which is not its declaration order; then the payload, as the bytes of the
+# record its kind names.
+_TX_ENVELOPE = (("kind", "TxKind"), ("sender", "str"), ("nonce", "int"))
 
 
 def encode_transaction(tx: Transaction) -> bytes:
-    """Canonical encoding of ``tx``, computed once and cached on it.
-
-    The one layout written out: its hashed order (kind, sender, nonce,
-    payload) is not its declaration order, and which record its payload is
-    depends on its kind."""
+    """Canonical encoding of ``tx``, computed once and cached on it."""
     encoded = tx._encoding
     if encoded is None:
-        encoded = (
-            TX_TAG
-            + enc_str(tx.kind.value)
-            + enc_str(tx.sender)
-            + enc_u64(tx.nonce)
-            + enc_bytes(encode_record(tx.payload))
-        )
+        encoded = _encode_fields(TX_TAG, tx, _TX_ENVELOPE) + enc_bytes(encode_record(tx.payload))
         object.__setattr__(tx, "_encoding", encoded)
     return encoded
 
 
+def _dec_transaction(data: bytes, pos: int) -> tuple[Transaction, int]:
+    """One length-prefixed ``encode_transaction``, its payload decoded as
+    the record its kind names; the bytes read become the transaction's
+    encoding cache."""
+    raw, end = dec_bytes(data, pos)
+    envelope, at = _walk(_TX_DECODERS, raw, dec_tag(raw, 0, TX_TAG, "transaction"))
+    try:
+        payload, at = dec_bytes(raw, at)
+        exactly(raw, at)
+        decoded, at = record_decoder(PAYLOAD_TYPES[envelope["kind"]])(payload, 0)
+        exactly(payload, at)
+    except DECODE_ERRORS as exc:
+        raise SerializationError(f"payload: {reason(exc)}") from None
+    tx = Transaction(payload=decoded, **envelope)
+    object.__setattr__(tx, "_encoding", raw)
+    return tx, end
+
+
 def transaction_hash(tx: Transaction) -> Hash256:
     return hash_bytes(encode_transaction(tx))
+
+
+# annotation -> (encode, decode) for each field a record, the transaction
+# envelope, the block or the state may use: the encoding every hash covers,
+# and the bytes the chain file stores. The encoders take a NaN like any
+# other float, since a transaction is hashed before a contract rejects it;
+# the decoders refuse one, and so does the writer (``check_finite``).
+FIELD_CODECS: dict[str, Codec] = {
+    "str": STR,
+    "int": U64,
+    "float": F64,
+    "Hash256": HASH,
+    "Embedding": (encode_embedding, _dec_embedding),
+    "dict[str, str]": map_of(STR),
+    "dict[str, object]": map_of(SCALAR),
+    "frozenset[MediaType]": set_of(_MEDIA_TYPE),  # a MediaType orders as its value
+    "frozenset[str]": set_of(STR),
+    "tuple[tuple[str, float], ...]": list_of(pair_of(STR, F64)),
+    "MediaType": _MEDIA_TYPE,
+    "Verdict": enum_of(Verdict),
+    "AlgorithmStatus": enum_of(AlgorithmStatus),
+    "RequestStatus": enum_of(RequestStatus),
+    "TxKind": enum_of(TxKind),
+    "tuple[Transaction, ...]": list_of(
+        (lambda tx: enc_bytes(encode_transaction(tx)), _dec_transaction)
+    ),
+    "ContractParams": _record(ContractParams),
+    "dict[str, int]": map_of(U64),
+    "dict[str, AlgorithmRecord]": _records(AlgorithmRecord, "algorithm_id"),
+    "dict[str, ContentRecord]": _records(ContentRecord, "content_id"),
+    "dict[str, AnalysisRequest]": _records(AnalysisRequest, "request_id"),
+    "dict[str, AnalysisResultRecord]": _records(AnalysisResultRecord, "request_id"),
+    "set[str]": set_of(STR, set),
+    "dict[str, DetectorSpec]": map_of(_record(DetectorSpec)),
+}
+
+_TX_DECODERS = _decoders(_TX_ENVELOPE)
+
+# annotation -> the floats a field of it holds: the entries whose decoders
+# refuse a non-finite float.
+_FLOATS: dict[str, Callable[[Any], Iterable[float]]] = {
+    "float": lambda x: (x,),
+    "Embedding": attrgetter("values"),
+    "tuple[tuple[str, float], ...]": lambda matches: [s for _, s in matches],
+    "dict[str, object]": lambda m: [v for v in m.values() if type(v) is float],
+}
+
+
+def check_finite(block: Block, genesis_state: NetworkState | None = None) -> None:
+    """Refuse, with a ``ValueError``, a block or genesis state whose
+    records hold a non-finite float: its encoding would not decode."""
+    records = [tx.payload for tx in block.transactions]
+    if genesis_state is not None:
+        records += [genesis_state.params, *genesis_state.detectors.values()]
+        for name in ("algorithms", "contents", "requests", "results"):
+            records += getattr(genesis_state, name).values()
+    for record in records:
+        for name, annotation in record_schema(type(record)):
+            floats = _FLOATS.get(annotation)
+            if floats and not all(map(math.isfinite, floats(getattr(record, name)))):
+                raise ValueError(f"non-finite float in {type(record).__name__}.{name}")
 
 
 # What a block's hash covers: every field of the block but the hash.
@@ -647,11 +755,18 @@ STATE_SCHEMA = tuple(
     f for f in record_schema(NetworkState)
     if f[0] not in ("content_hash_index", "tip_height", "tip_hash")
 )
+_STATE_DECODERS = _decoders(STATE_SCHEMA)
 
 
 def encode_block_fields(block: Block) -> bytes:
     """Canonical encoding of ``block`` minus its own hash."""
     return _encode_fields(BLOCK_TAG, block, _BLOCK_SCHEMA)
+
+
+def decode_block(data: bytes, pos: int) -> tuple[Block, int]:
+    """A block from ``encode_block_fields`` followed by its hash: ``Block``
+    declares its hash last, so that is the block's every field."""
+    return record_decoder(Block)(data, dec_tag(data, pos, BLOCK_TAG, "block"))
 
 
 def encode_state(state: NetworkState) -> bytes:
@@ -671,3 +786,13 @@ def encode_state(state: NetworkState) -> bytes:
     Each record's encoding is cached on it.
     """
     return _encode_fields(STATE_TAG, state, STATE_SCHEMA)
+
+
+def decode_state(data: bytes, pos: int) -> tuple[NetworkState, int]:
+    """The strict inverse of ``encode_state``, with the content-hash index
+    derived from the contents and no tip."""
+    values, pos = _walk(_STATE_DECODERS, data, dec_tag(data, pos, STATE_TAG, "state"))
+    state = NetworkState(**values)
+    for content in state.contents.values():
+        state.content_hash_index[content.content_hash.hex] = content.content_id
+    return state, pos

@@ -5,9 +5,9 @@ Tests edit a chain file through these helpers, so an edit is stated in
 terms of blocks and states, and the bytes follow from the writer's own
 encoders (``store._encode_record``). A test that needs bytes no writer
 writes passes ``raw`` to ``edit_chain``, which maps the re-encoded body to
-the one stored, or patches an entry of ``core.FIELD_ENCODERS`` while it
-encodes records decoded or built under the patch, whose caches it drops
-with them.
+the one stored, or patches the encoder of an entry of ``core.FIELD_CODECS``
+while it encodes records decoded or built under the patch, whose caches it
+drops with them.
 
 ``encode`` renders a block and state from their fields alone: a decoded
 transaction or embedding caches the bytes it was read from, and a body
@@ -20,12 +20,13 @@ import dataclasses
 import struct
 
 from veriledger import store
-from veriledger.codec import enc_bytes
 from veriledger.core import (
+    FIELD_CODECS,
     Embedding,
+    decode_state,
     encode_record,
     encode_state,
-    encode_transaction,
+    record_decoder,
     record_schema,
 )
 
@@ -122,7 +123,7 @@ def state_copy(state):
     """``state`` read back from its chain-file bytes: new records, empty
     caches."""
     data = state_bytes(state)
-    copy, end = store._dec_state(data, 0)
+    copy, end = decode_state(data, 0)
     assert end == len(data)
     return copy
 
@@ -130,14 +131,16 @@ def state_copy(state):
 def record_copy(record):
     """A state record or payload read back from its chain-file bytes."""
     data = encode_record(record)
-    copy, end = store._record_decoder(type(record))(data, 0)
+    copy, end = record_decoder(type(record))(data, 0)
     assert end == len(data)
     return copy
 
 
 def transaction_copy(tx):
-    """A transaction read back from its chain-file bytes."""
-    data = enc_bytes(encode_transaction(tx))
-    copy, end = store._dec_transaction(data, 0)
+    """A transaction read back from its chain-file bytes, as a block lists
+    it."""
+    encode, decode = FIELD_CODECS["tuple[Transaction, ...]"]
+    data = encode((tx,))
+    (copy,), end = decode(data, 0)
     assert end == len(data)
     return copy

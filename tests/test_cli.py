@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from veriledger import store
+from veriledger import core
 from veriledger.cli import main
 from veriledger.codec import Hash256
 from veriledger.core import DetectorSpec
@@ -150,7 +150,7 @@ def _field_start(body, name):
         return values, pos
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(store, "_walk", walk)
+        patch.setattr(core, "_walk", walk)
         decode(0, body)
     return starts[name]
 

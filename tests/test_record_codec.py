@@ -4,7 +4,7 @@ Each record below is built by hand and pinned twice: the SHA-256 of its
 canonical binary encoding (``core.encode_record``) and the SHA-256 of its
 canonical JSON rendering (``store.record_to_json``), the form ``inspect``
 prints. Each also goes through the chain file's decoders
-(``store._DECODERS``) and back. The digests were
+(``core.FIELD_CODECS``) and back. The digests were
 computed with the hand-written per-record codecs that the derived ones
 replaced, so they pin the formats, not the code. ``AnalysisRequest``'s pair
 was pinned again when the record came to hold its embedding's hash
@@ -36,10 +36,21 @@ from operator import attrgetter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from veriledger.codec import TX_TAG, enc_bytes, enc_f64_sparse, enc_str, enc_u64, hash_bytes
+from veriledger.codec import (
+    DECODE_ERRORS,
+    TX_TAG,
+    Hash256,
+    enc_bytes,
+    enc_f64_sparse,
+    enc_str,
+    enc_u32,
+    enc_u64,
+    exactly,
+    hash_bytes,
+)
 from veriledger.core import (
     EMBEDDING_DIMENSIONS,
-    FIELD_ENCODERS,
+    FIELD_CODECS,
     PAYLOAD_TYPES,
     STATE_SCHEMA,
     AlgorithmRecord,
@@ -73,9 +84,9 @@ from veriledger.core import (
 )
 from veriledger.detection import similarity
 from veriledger.errors import SerializationError
-from veriledger.store import _DECODERS, _dec_embedding, canonical_json, record_to_json
+from veriledger.store import canonical_json, record_to_json
 
-from chainfile import record_copy, state_copy, transaction_copy
+from chainfile import bodies, decode, record_copy, state_copy, transaction_copy
 
 CONTENT_HASH = hash_bytes(b"known-answer content")
 AUDIO = Embedding(values=(0.0, 0.5, 1.25, 3e-07), media_type=MediaType.AUDIO)
@@ -322,7 +333,96 @@ def test_codec_tables_cover_every_annotation():
     ]
     annotations = {a for cls in records for _, a in record_schema(cls)}
     annotations |= {a for _, a in STATE_SCHEMA}
-    assert FIELD_ENCODERS.keys() == _DECODERS.keys() == annotations
+    # The transaction envelope; its payload is the record its kind names.
+    annotations |= {a for name, a in record_schema(Transaction) if name != "payload"}
+    assert FIELD_CODECS.keys() == annotations
+
+
+# --- each entry decodes only its own encodings ---------------------------------
+
+
+def _field_values(value):
+    """``(annotation, value)`` of each field of ``value``, a record, block,
+    transaction or state, and of each record, transaction and embedding it
+    holds; of a state, the fields its root covers."""
+    schema = STATE_SCHEMA if isinstance(value, NetworkState) else record_schema(type(value))
+    for name, annotation in schema:
+        field_value = getattr(value, name)
+        if annotation in FIELD_CODECS:
+            yield annotation, field_value
+        if isinstance(field_value, dict):
+            items = list(field_value.values())
+        else:
+            items = list(field_value) if isinstance(field_value, tuple) else [field_value]
+        for item in items:
+            if dataclasses.is_dataclass(item) and not isinstance(item, Hash256):
+                yield from _field_values(item)
+
+
+def _fresh(value):
+    """``value`` rebuilt from its fields, so that no transaction, record or
+    embedding in it holds a cached encoding."""
+    if isinstance(value, dict):
+        return {key: _fresh(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_fresh, value))
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(
+            value, **{name: _fresh(getattr(value, name)) for name, _ in record_schema(type(value))}
+        )
+    return value
+
+
+@pytest.fixture(scope="module")
+def codec_samples(golden_run):
+    """annotation -> {encoding: value} of the values its fields hold in
+    ``RECORDS``, ``kat_state()`` and the golden chain."""
+    sources = [*RECORDS.values(), kat_state(), golden_run.result.chain.final_state]
+    for height, body in enumerate(bodies(golden_run.out_dir / "run.chain.jsonl")):
+        block, genesis_state = decode(height, body)
+        sources += [block] if genesis_state is None else [block, genesis_state]
+    samples = {}
+    for source in sources:
+        for annotation, value in _field_values(source):
+            samples.setdefault(annotation, {})[FIELD_CODECS[annotation][0](value)] = value
+    return samples
+
+
+@pytest.mark.parametrize("annotation", sorted(FIELD_CODECS))
+def test_each_codec_entry_decodes_only_its_own_encodings(codec_samples, annotation):
+    # A byte flipped inside an encoded value, the first two entries of a
+    # list, set or map swapped, or its first entry repeated: the bytes are
+    # refused, or they are the encoding of what they decode to.
+    encode, decode_value = FIELD_CODECS[annotation]
+    samples = codec_samples[annotation]
+
+    def entries_end(data, k):
+        """Where the first ``k`` entries of the list, set or map ``data``
+        end: the bytes from 4 on, read as ``k`` entries."""
+        return decode_value(enc_u32(k) + data[4:], 0)[1]
+
+    @given(st.sampled_from(sorted(samples)), st.data())
+    def check(data, draw):
+        value = samples[data]
+        n = len(value) if isinstance(value, (tuple, frozenset, set, dict)) else 0
+        kind = draw.draw(st.sampled_from(["flip"] + ["repeat"] * (n >= 1) + ["swap"] * (n >= 2)))
+        if kind == "flip":
+            mutated = bytearray(data)
+            mutated[draw.draw(st.integers(0, len(data) - 1))] ^= draw.draw(st.integers(1, 255))
+            mutated = bytes(mutated)
+        elif kind == "repeat":
+            mutated = enc_u32(n + 1) + data[4 : entries_end(data, 1)] + data[4:]
+        else:
+            first, second = entries_end(data, 1), entries_end(data, 2)
+            mutated = data[:4] + data[first:second] + data[4:first] + data[second:]
+        try:
+            decoded, end = decode_value(mutated, 0)
+            exactly(mutated, end)
+        except DECODE_ERRORS:
+            return
+        assert encode(_fresh(decoded)) == mutated
+
+    check()
 
 
 # --- the transaction encoding cache ------------------------------------------
@@ -371,7 +471,7 @@ def test_params_and_detector_caches_are_invisible():
     shown = (repr(params), repr(spec))
     encode_state(NetworkState(params=params, validators={}, detectors={"nd": spec}))
     assert params._encoding == encode_record(params) and spec._encoding == encode_record(spec)
-    assert FIELD_ENCODERS["ContractParams"](params) is params._encoding
+    assert FIELD_CODECS["ContractParams"][0](params) is params._encoding
     for record, twin, before in zip((params, spec), twins, shown):
         assert twin._encoding is None
         assert record == twin
@@ -412,7 +512,7 @@ def from_token(token: str) -> tuple[float, ...]:
     """The values the chain file's embedding decoder reads from the bytes
     of ``token``."""
     data = enc_str(MediaType.BYTES.value) + base64.b64decode(token)
-    embedding, end = _dec_embedding(data, 0)
+    embedding, end = FIELD_CODECS["Embedding"][1](data, 0)
     assert end == len(data)
     return embedding.values
 
@@ -549,6 +649,6 @@ def test_signed_zeros_change_only_the_embedding_hash(twins):
     assert similarity(other, plus).hex() == similarity(other, minus).hex()
     assert hash_embedding(plus) != hash_embedding(minus)
     for e in (plus, minus):
-        decoded, end = _dec_embedding(encode_embedding(e), 0)
+        decoded, end = FIELD_CODECS["Embedding"][1](encode_embedding(e), 0)
         assert end == len(encode_embedding(e))
         assert [x.hex() for x in decoded.values] == [x.hex() for x in e.values]

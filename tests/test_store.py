@@ -24,7 +24,7 @@ from veriledger.codec import (
 )
 from veriledger.core import (
     ESCROW_ACCOUNT,
-    FIELD_ENCODERS,
+    FIELD_CODECS,
     AlgorithmRecord,
     AlgorithmStatus,
     AnalysisRequest,
@@ -46,7 +46,6 @@ from veriledger.core import (
     TransferTokens,
     TxKind,
     Verdict,
-    encode_block_fields,
     encode_embedding,
     encode_record,
     encode_state,
@@ -88,6 +87,7 @@ from chainfile import (
     edit_chain,
     encode,
     record_copy,
+    state_bytes,
     state_copy,
     uncached_transaction,
 )
@@ -183,14 +183,16 @@ def test_golden_chain_file_bytes_frozen(golden_run):
 
 def test_a_record_is_the_bytes_the_hashes_cover(golden_run):
     # Each record body is the block's hashed encoding, its hash, and for the
-    # genesis the state's hashed encoding.
+    # genesis the state's hashed encoding, each rendered from the decoded
+    # fields: a decoded transaction's cache is the bytes it was read from.
     records = bodies(golden_run.out_dir / "run.chain.jsonl")
     for height, body in enumerate(records):
         block, state = decode(height, body)
-        fields = encode_block_fields(block)
-        assert hashlib.sha256(fields).digest() == block.block_hash.value
-        genesis = encode_state(state) if height == 0 else b""
-        assert body == fields + block.block_hash.value + genesis
+        rendered = encode(block)
+        fields, block_hash = rendered[:-32], rendered[-32:]
+        assert hashlib.sha256(fields).digest() == block_hash == block.block_hash.value
+        genesis = state_bytes(state) if height == 0 else b""
+        assert body == rendered + genesis
         if height == 0:
             assert hashlib.sha256(genesis).digest() == block.state_root.value
 
@@ -434,7 +436,7 @@ def _cosmetic_variant(src, dst, overrides) -> int:
     for height, body in enumerate(records):
         with pytest.MonkeyPatch.context() as patch:
             for annotation, encoder in overrides.items():
-                patch.setitem(FIELD_ENCODERS, annotation, encoder)
+                patch.setitem(FIELD_CODECS, annotation, (encoder, FIELD_CODECS[annotation][1]))
             variant = encode(*decode(height, body))
         if variant != body:
             records[height] = variant
