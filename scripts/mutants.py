@@ -72,7 +72,7 @@ MUTANTS = (
         "src/veriledger/codec.py",
         "    if b > 1:\n",
         "    if b > 255:\n",
-        (f"{COSMETIC}[parameter-bool-byte]",),
+        (f"{COSMETIC}[parameter-bool-byte]", f"{PROPERTY}[dict[str, object]]"),
     ),
     Mutant(
         "non-finite-f64",
@@ -84,16 +84,27 @@ MUTANTS = (
     Mutant(
         "stored-plus-zero",
         "src/veriledger/codec.py",
-        '        raise SerializationError("+0.0 is stored")\n',
-        "        pass\n",
+        "    if 0.0 in stored and any(math.copysign(1.0, x) > 0 for x in stored if x == 0.0):\n",
+        "    if False:\n",
         (f"{COSMETIC}[bit-over-plus-zero]",),
     ),
     Mutant(
         "bitmap-bit-past-count",
         "src/veriledger/codec.py",
-        '        raise SerializationError(f"bitmap bit set past value {n}")\n',
-        "        pass\n",
-        (f"{COSMETIC}[bit-past-count]",),
+        "    if n % 8 and bitmap[-1] & (0xFF >> n % 8):\n",
+        "    if False:\n",
+        (f"{COSMETIC}[bit-past-count]", f"{COSMETIC}[padding-bit-with-value]"),
+    ),
+    Mutant(
+        "count-exceeds-bytes",
+        "src/veriledger/codec.py",
+        "    if width > len(data) - pos:\n",
+        "    if False:\n",
+        (
+            "tests/test_record_codec.py::test_huge_embedding_count_is_refused_before_allocating",
+            "tests/test_store.py::test_a_huge_claimed_dimension_verifies_in_bounded_memory"
+            "[count-past-bytes]",
+        ),
     ),
     Mutant(
         "bytes-left-over",

@@ -9,7 +9,7 @@ Encoding rules (version 1):
 
 * integers       -- big-endian fixed width; ``u8``/``u32``/``u64``
 * floats         -- IEEE 754 binary64, big-endian (8 bytes)
-* float lists    -- the sparse layout (``enc_f64_sparse``): ``u32`` count +
+* float lists    -- the sparse layout (``enc_f64_bitmap``): ``u32`` count +
   a ``ceil(n/8)``-byte bitmap whose bit i (most significant bit first) is
   set iff value i's bits are not all zero + each value whose bit is set, so
   ``+0.0`` is left out and ``-0.0`` is stored
@@ -171,54 +171,51 @@ def dec_f64(data: bytes, pos: int) -> tuple[float, int]:
     return x, pos + 8
 
 
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_NON_ZERO = bytes(1) + b"\x01" * 255  # a byte's 0 stays 0, any other becomes 1
+# The set bits of each byte value, most significant first, as offsets from
+# the index of the byte's first bit.
+_BITS = tuple(tuple(b for b in range(8) if byte << b & 0x80) for byte in range(256))
 
 
-def enc_f64_sparse(values: Sequence[float]) -> bytes:
-    """``values`` in the sparse layout: ``-0.0`` is stored, ``+0.0`` is not."""
-    n = len(values)
-    # OR each value's eight bytes into its last, which is then 0 iff none of
-    # the value's bits is set: the three shifts stay inside each value.
-    words = int.from_bytes(struct.pack(f">{n}d", *values), "big")
-    words |= words >> 32
-    words |= words >> 16
-    words |= words >> 8
-    present = words.to_bytes(8 * n, "big")[7::8].translate(_NON_ZERO)  # 0 or 1 per value
-    kept = tuple(compress(values, present))
-    digits = present.translate(_TO_DIGITS) + b"0" * (-n % 8)
-    bitmap = int(digits or b"0", 2).to_bytes(len(digits) // 8, "big")
-    return struct.pack(f">I{len(bitmap)}s{len(kept)}d", n, bitmap, *kept)
+def enc_f64_bitmap(n: int, indices: Sequence[int], stored: Sequence[float]) -> bytes:
+    """The sparse layout of ``n`` values: ``stored`` at ``indices``
+    (ascending), and ``+0.0`` at every other index. ``stored`` holds no
+    ``+0.0``; a ``-0.0`` is stored."""
+    bitmap = bytearray((n + 7) // 8)
+    for i in indices:
+        bitmap[i >> 3] |= 0x80 >> (i & 7)
+    return struct.pack(f">I{len(bitmap)}s{len(stored)}d", n, bitmap, *stored)
 
 
-def dec_f64_sparse(data: bytes, pos: int) -> tuple[tuple[float, ...], int]:
-    """Strict inverse of ``enc_f64_sparse``: besides what every decoder
-    refuses, a bitmap bit at or past the count and a stored ``+0.0``."""
+def dec_f64_bitmap(
+    data: bytes, pos: int
+) -> tuple[tuple[int, tuple[int, ...], tuple[float, ...]], int]:
+    """Strict inverse of ``enc_f64_bitmap``, as ``(n, indices, stored)``:
+    besides what every decoder refuses, a bitmap bit at or past the count
+    and a stored ``+0.0``. It builds nothing larger than the bytes it
+    reads, whatever the count claims: an all-zero bitmap byte claims 8
+    values and yields no index."""
     (n,) = _U32(data, pos)
     width = (n + 7) // 8
     pos += 4
-    # Checked before anything proportional to n is built: n may claim far
-    # more values than the record holds.
     if width > len(data) - pos:
         raise SerializationError(f"{n} values exceed the {len(data) - pos} bytes left")
-    bitmap = int.from_bytes(data[pos : pos + width], "big")
+    bitmap = data[pos : pos + width]
     pos += width
-    if bitmap & ((1 << (8 * width - n)) - 1):
+    if n % 8 and bitmap[-1] & (0xFF >> n % 8):
         raise SerializationError(f"bitmap bit set past value {n}")
-    kept = struct.unpack_from(f">{bitmap.bit_count()}d", data, pos)
-    pos += 8 * len(kept)
-    if not all(map(math.isfinite, kept)):
+    stored = struct.unpack_from(f">{int.from_bytes(bitmap, 'big').bit_count()}d", data, pos)
+    pos += 8 * len(stored)
+    if not all(map(math.isfinite, stored)):
         raise SerializationError("non-finite embedding value")
     # -0.0 == 0.0 (stored, and allowed), so signs are read only when some
     # stored value is zero.
-    if 0.0 in kept and any(math.copysign(1.0, x) > 0 for x in kept if x == 0.0):
+    if 0.0 in stored and any(math.copysign(1.0, x) > 0 for x in stored if x == 0.0):
         raise SerializationError("+0.0 is stored")
-    present = format(bitmap, f"0{8 * width}b")[:n].encode("ascii").translate(_FROM_DIGITS)
-    values = [0.0] * n
-    for i, x in zip(compress(range(n), present), kept):
-        values[i] = x
-    return tuple(values), pos
+    # Only the bitmap's non-zero bytes are visited, through the bit table.
+    indices = tuple(
+        8 * k + b for k in compress(range(width), bitmap) for b in _BITS[bitmap[k]]
+    )
+    return (n, indices, stored), pos
 
 
 def enc_bytes(b: bytes) -> bytes:

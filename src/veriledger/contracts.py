@@ -80,7 +80,7 @@ def _exact_threshold(value: float) -> Fraction:
 
 def _check_embedding(embedding: Embedding, media_type: MediaType) -> None:
     expected = EMBEDDING_DIMENSIONS[media_type]
-    if embedding.media_type is not media_type or len(embedding.values) != expected:
+    if embedding.media_type is not media_type or embedding.dimension != expected:
         raise Rejection(
             errors.BAD_EMBEDDING_DIMENSION,
             f"expected {expected}-dim {media_type.value} embedding",

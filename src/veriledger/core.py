@@ -22,7 +22,6 @@ import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from itertools import compress
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -41,10 +40,10 @@ from .codec import (
     Hash256,
     ascending,
     dec_bytes,
-    dec_f64_sparse,
+    dec_f64_bitmap,
     dec_tag,
     enc_bytes,
-    enc_f64_sparse,
+    enc_f64_bitmap,
     enc_str,
     enc_u32,
     enum_of,
@@ -114,91 +113,84 @@ class ReceiptStatus(str, Enum):
     REJECTED = "rejected"
 
 
-def sparse_values(
-    values: Sequence[float],
-) -> tuple[tuple[tuple[int, float], ...], float, int, float]:
-    """``(pairs, norm2, support, peak)`` of a raw vector, in one pass.
-
-    ``pairs`` are the non-zero ``(index, value)`` pairs in ascending index
-    order (a NaN is non-zero). ``norm2`` is the squared norm, a plain
-    sequential sum (never ``sum()``, which compensates since Python 3.12)
-    over the non-zero values only; its bits match a dense loop over every
-    value, because a zero's square is ``+0.0`` and adding ``+0.0`` to a
-    sum of squares, which is never ``-0.0``, leaves it unchanged.
-    ``support`` has bit ``i`` set for each pair's index. ``peak`` is
-    ``max(values)`` when every non-zero value is ``> 0`` and ``inf``
-    otherwise (a NaN fails the test too), so an upper bound on a dot product
-    built from it is never finite for a vector it does not hold for.
-    """
-    pairs = []
-    norm2 = 0.0
-    support = 0
-    positive = True
-    for i, v in enumerate(values):
-        if v != 0.0:
-            pairs.append((i, v))
-            norm2 += v * v
-            support |= 1 << i
-            if not v > 0.0:
-                positive = False
-    peak = max(values, default=0.0) if positive else math.inf
-    return tuple(pairs), norm2, support, peak
-
-
 def _encoding_cache():
     return field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Embedding:
-    """Fixed-dimension numeric fingerprint of one piece of content."""
+    """Fixed-dimension numeric fingerprint of one piece of content, held in
+    the one form its encoding (the sparse layout) stores: of its
+    ``dimension`` values, each that is not ``+0.0`` is in ``stored``, at its
+    ascending index in ``indices``; ``-0.0`` is stored, so embeddings that
+    differ in a zero's sign are unequal, as their hashes are. ``from_dense``
+    builds one from a dense vector.
 
-    values: tuple[float, ...]
+    ``__post_init__`` computes what the cosine kernel and its pruning rule
+    (``detection``) read, over the non-zero stored values (a NaN is
+    non-zero): ``norm2``, the squared norm, a plain sequential sum in index
+    order (never ``sum()``, which compensates since Python 3.12), whose bits
+    are a dense loop's, since adding a zero's square ``+0.0`` to a sum of
+    squares, never ``-0.0``, leaves it unchanged; ``support``, with bit
+    ``i`` set for each such value's index; and ``peak``, the largest stored
+    value when each non-zero one is ``> 0`` and ``inf`` otherwise, so a
+    bound on a dot product built from it is never finite for a vector it
+    does not hold for.
+
+    They and the encoding cache stay out of equality, hashing and ``repr``.
+    The cache is filled by ``encode_embedding`` on first use or, in an
+    embedding read from a chain file, with the bytes it was read from; every
+    encoding that holds the embedding reuses it, and ``dataclasses.replace``
+    leaves it empty.
+    """
+
     media_type: MediaType
-    # Two caches: ``sparse_values(values)``, filled by ``sparse()`` on first
-    # use, and the canonical encoding (the sparse layout), filled by
-    # ``encode_embedding`` on first use or, in an embedding read from a
-    # chain file, with the bytes it was read from. The transaction payload,
-    # ``hash_embedding`` and the ``ContentRecord`` encoding all reuse it,
-    # and the chain file stores it as it is. Like the records' ``_encoding``
-    # they stay out of equality, hashing, ``repr`` and every encoding, and
-    # ``dataclasses.replace`` leaves them empty.
-    _sparse: tuple[tuple[tuple[int, float], ...], float, int, float] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    dimension: int
+    indices: tuple[int, ...]
+    stored: tuple[float, ...]
+    norm2: float = field(init=False, compare=False, repr=False)
+    support: int = field(init=False, compare=False, repr=False)
+    peak: float = field(init=False, compare=False, repr=False)
     _encoding: bytes | None = _encoding_cache()
 
+    def __post_init__(self) -> None:
+        norm2 = 0.0
+        # The support's bytes, least significant first: setting bits of one
+        # int in turn would copy it each time, quadratic in a decoded
+        # record's length.
+        support = bytearray(self.indices[-1] // 8 + 1 if self.indices else 0)
+        positive = True
+        for i, v in zip(self.indices, self.stored):
+            if v != 0.0:
+                norm2 += v * v
+                support[i >> 3] |= 1 << (i & 7)
+                if not v > 0.0:
+                    positive = False
+        object.__setattr__(self, "norm2", norm2)
+        object.__setattr__(self, "support", int.from_bytes(support, "little"))
+        object.__setattr__(self, "peak", max(self.stored, default=0.0) if positive else math.inf)
+
+    @classmethod
+    def from_dense(cls, values: Sequence[float], media_type: MediaType) -> Embedding:
+        """The embedding of the dense vector ``values``."""
+        indices = tuple(i for i, v in enumerate(values) if v or math.copysign(1.0, v) < 0.0)
+        return cls(media_type, len(values), indices, tuple(values[i] for i in indices))
+
     def is_valid(self) -> bool:
-        """Right length, every value finite and ``>= 0``, one ``> 0``, and
+        """Right dimension, every value finite and ``>= 0``, one ``> 0``, and
         the squared norm in ``SCALE``, so the cosine kernel neither refuses
         it as zero (underflow) nor scores it 0.0 against itself (overflow).
 
-        Checked over the non-zero values (``kept``) alone: a zero of either
-        sign passes, so it is left out, and a NaN is truthy, so it stays in.
-        ``min`` runs only once ``isfinite`` has ruled out NaN, which would
-        make it depend on value order. The squared norm is the kernel's,
-        ``sparse()[1]``: the same sum over ``kept`` in the same order, here
-        without building the pairs that ``sparse()`` caches.
+        Read from the statistics: a zero of either sign passes, and ``peak``
+        is finite iff every non-zero value is finite and ``> 0``; a norm in
+        ``SCALE`` then needs one of them.
         """
-        values = self.values
-        if len(values) != EMBEDDING_DIMENSIONS[self.media_type]:
-            return False
-        kept = list(compress(values, values))
-        if not (kept and all(map(math.isfinite, kept)) and min(kept) > 0.0):
-            return False
-        norm2 = 0.0
-        for v in kept:
-            norm2 += v * v
         low, high = SCALE
-        return low <= norm2 <= high
-
-    def sparse(self) -> tuple[tuple[tuple[int, float], ...], float, int, float]:
-        """Cached ``sparse_values(self.values)``."""
-        cached = self._sparse
-        if cached is None:
-            cached = sparse_values(self.values)
-            object.__setattr__(self, "_sparse", cached)
-        return cached
+        return (
+            self.dimension == EMBEDDING_DIMENSIONS[self.media_type]
+            and self.peak < math.inf
+            and low <= self.norm2 <= high
+        )
 
 
 # --- transaction payloads -------------------------------------------------
@@ -586,7 +578,7 @@ def encode_embedding(e: Embedding) -> bytes:
     encoded = e._encoding
     if encoded is None:
         # Media type first: the reverse of the declaration order.
-        encoded = enc_str(e.media_type.value) + enc_f64_sparse(e.values)
+        encoded = enc_str(e.media_type.value) + enc_f64_bitmap(e.dimension, e.indices, e.stored)
         object.__setattr__(e, "_encoding", encoded)
     return encoded
 
@@ -597,8 +589,8 @@ def _dec_embedding(data: bytes, pos: int) -> tuple[Embedding, int]:
     decode to."""
     start = pos
     media_type, pos = _MEDIA_TYPE[1](data, pos)
-    values, pos = dec_f64_sparse(data, pos)
-    e = Embedding(values, media_type)
+    (dimension, indices, stored), pos = dec_f64_bitmap(data, pos)
+    e = Embedding(media_type, dimension, indices, stored)
     object.__setattr__(e, "_encoding", data[start:pos])
     return e, pos
 
@@ -725,7 +717,7 @@ _TX_DECODERS = _decoders(_TX_ENVELOPE)
 # refuse a non-finite float.
 _FLOATS: dict[str, Callable[[Any], Iterable[float]]] = {
     "float": lambda x: (x,),
-    "Embedding": attrgetter("values"),
+    "Embedding": attrgetter("stored"),
     "tuple[tuple[str, float], ...]": lambda matches: [s for _, s in matches],
     "dict[str, object]": lambda m: [v for v in m.values() if type(v) is float],
 }

@@ -24,23 +24,26 @@ rows: each record of that media type, in registry order, as ``(record,
 support, ratio)``. A search then walks only the rows of its media type and
 calls no method on a record it skips.
 
-Similarity search is sparse and norm-cached. Each ``Embedding`` caches its
-non-zero ``(index, value)`` pairs and its squared norm (``sparse()``), so a
-cosine costs one multiply-add per non-zero entry of the registered side
-instead of three per dimension. A Bytes histogram of content over a
-32-symbol alphabet fills about 32 of its 256 bins. The result has the same
-bits as the dense loop that sums ``x * y``, ``x * x`` and ``y * y`` over every
-dimension: embeddings are finite and non-negative, so a skipped product is
-``+0.0`` and adding it leaves the accumulator unchanged; the kept products
-are added in the same ascending index order; and each of the three sums is
-independent of the others, so a norm summed once and cached is the same
-number.
+Similarity search is sparse and norm-cached. An ``Embedding`` holds only
+its stored values at their ascending indices, and its squared norm computed
+once, so a cosine walks the two index tuples together and multiplies only
+where both store a value, instead of three multiplies per dimension. A
+Bytes histogram of content over a 32-symbol alphabet stores about 32 of its
+256 bins. The result has the same bits as the dense loop that sums
+``x * y``, ``x * x`` and ``y * y`` over every dimension: each skipped product
+has a ``+0.0`` factor, so for finite entries it is ``±0.0``, and adding
+``±0.0`` to a sum that starts at ``+0.0`` (which is then never ``-0.0``)
+leaves its bits unchanged; the kept products are added in the same
+ascending index order; and each of the three sums is independent of the
+others, so a norm summed once is the same number. Where a skipped product
+would be NaN (``+0.0`` times an infinite or NaN entry), that entry's norm
+is ``inf`` or NaN, and the clamped result is ``0.0`` either way.
 
 ``match_trusted`` also skips every record whose cosine provably stays below
 the threshold, with one test per row: the size filter of AllPairs (Bayardo,
 Ma and Srikant, WWW 2007) and PPJoin (Xiao, Wang, Lin and Yu, WWW 2008).
-Each ``Embedding`` caches, beside its pairs and norm, a support bitmask and
-its peak ``max(values)``. For non-negative vectors each of the ``c =
+Each ``Embedding`` holds, beside its norm, a support bitmask and its peak,
+its largest value. For non-negative vectors each of the ``c =
 popcount(support_q & support_r)`` non-zero products is at most ``peak_q *
 peak_r``, so the cosine is at most ``c * a * b``, with ``a = peak_q /
 sqrt(n_q)`` and ``b = peak_r / sqrt(n_r)``. A row holds ``b`` as its
@@ -250,28 +253,13 @@ def embed(content: bytes, media_type: MediaType) -> Embedding:
         values = _embed_audio(content)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown media type: {media_type}")
-    return Embedding(values=values, media_type=media_type)
-
-
-def _cosine(
-    a_values: Sequence[float],
-    na: float,
-    b_pairs: Iterable[tuple[int, float]],
-    nb: float,
-) -> float:
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine undefined for zero vectors")
-    dot = 0.0
-    for i, y in b_pairs:
-        dot += a_values[i] * y
-    # sqrt of the product keeps the result bit-identical under a/b swap
-    return min(1.0, max(0.0, dot / math.sqrt(na * nb)))
+    return Embedding.from_dense(values, media_type)
 
 
 def similarity(a: Embedding, b: Embedding) -> float:
     """Cosine similarity of two embeddings, clamped to [0, 1], from their
-    cached non-zero pairs and norms: the dot product walks only ``b``'s
-    non-zero entries.
+    cached norms: the dot product walks the two ascending index tuples
+    together and multiplies only where both store a value.
 
     Entries are expected non-negative, so the mathematical value is already
     in [0, 1]; clamping only removes float round-off spill.
@@ -280,9 +268,26 @@ def similarity(a: Embedding, b: Embedding) -> float:
         raise DimensionMismatch(
             f"cannot compare {a.media_type.value} with {b.media_type.value}"
         )
-    if len(a.values) != len(b.values):
-        raise DimensionMismatch(f"{len(a.values)} != {len(b.values)}")
-    return _cosine(a.values, a.sparse()[1], *b.sparse()[:2])
+    if a.dimension != b.dimension:
+        raise DimensionMismatch(f"{a.dimension} != {b.dimension}")
+    if a.norm2 == 0.0 or b.norm2 == 0.0:
+        raise ZeroVector("cosine undefined for zero vectors")
+    # The two walks step together while their indices agree, as two dense
+    # vectors' always do; where they differ, the one behind catches up. A
+    # walk that runs out reads index inf and value 0.0, so the other runs
+    # out too, and their last product, +0.0, leaves the sum unchanged.
+    dot = 0.0
+    indices_a, values_a = iter(a.indices), iter(a.stored)
+    indices_b, values_b = iter(b.indices), iter(b.stored)
+    for i, x, j, y in zip(indices_a, values_a, indices_b, values_b):
+        while i != j:
+            if i < j:
+                i, x = next(indices_a, math.inf), next(values_a, 0.0)
+            else:
+                j, y = next(indices_b, math.inf), next(values_b, 0.0)
+        dot += x * y
+    # sqrt of the product keeps the result bit-identical under a/b swap
+    return min(1.0, max(0.0, dot / math.sqrt(a.norm2 * b.norm2)))
 
 
 _Row = tuple[ContentRecord, int, float]
@@ -292,9 +297,9 @@ def _ratio(embedding: Embedding, dimension: int) -> float:
     """``peak / sqrt(norm2)`` of ``embedding``, or ``inf``, which keeps the
     pruning rule from skipping it, when its dimension is not ``dimension`` or
     its norm or peak lies outside ``SCALE``."""
-    _, norm2, _, peak = embedding.sparse()
+    norm2, peak = embedding.norm2, embedding.peak
     low, high = SCALE
-    if len(embedding.values) == dimension and low <= norm2 <= high and low <= peak <= high:
+    if embedding.dimension == dimension and low <= norm2 <= high and low <= peak <= high:
         return peak / math.sqrt(norm2)
     return math.inf
 
@@ -344,7 +349,7 @@ class RegistryIndex(Sequence[ContentRecord]):
         rows = self._rows.get(key)
         if rows is None:
             rows = self._rows[key] = tuple(
-                (record, record.embedding.sparse()[2], _ratio(record.embedding, dimension))
+                (record, record.embedding.support, _ratio(record.embedding, dimension))
                 for record in self._records
                 if record.media_type is media_type
             )
@@ -376,8 +381,8 @@ def match_trusted(
         raise ValueError("k must be >= 1")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    dimension = len(query.values)
-    support_q = query.sparse()[2]
+    dimension = query.dimension
+    support_q = query.support
     limit = threshold * SLACK / _ratio(query, dimension)  # 0.0 turns the rule off
     candidates = []
     for record, support, ratio in _indexed(registry).rows(query.media_type, dimension):

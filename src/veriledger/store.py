@@ -51,7 +51,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .codec import DECODE_ERRORS, enc_f64_sparse, enc_hash, enc_u32, exactly, reason
+from .codec import DECODE_ERRORS, enc_hash, enc_str, enc_u32, exactly, reason
 from .core import (
     AlgorithmRecord,
     Block,
@@ -64,6 +64,7 @@ from .core import (
     decode_block,
     decode_state,
     encode_block_fields,
+    encode_embedding,
     encode_state,
     record_schema,
 )
@@ -111,8 +112,9 @@ _PERF = frozenset({"tp", "fp", "tn", "fn"})
 
 
 def _embedding_to_json(e: Embedding) -> str:
-    """``e``'s values as one base64 token of their sparse layout."""
-    return b64encode(enc_f64_sparse(e.values)).decode("ascii")
+    """``e``'s values as one base64 token of their sparse layout: its
+    cached encoding after the media type's string."""
+    return b64encode(encode_embedding(e)[len(enc_str(e.media_type.value)) :]).decode("ascii")
 
 
 @functools.cache

@@ -34,6 +34,15 @@ def random_bytes(rng, n: int) -> bytes:
     return b"".join(rng.next_u64().to_bytes(8, "big") for _ in range(-(-n // 8)))[:n]
 
 
+def dense(embedding) -> tuple[float, ...]:
+    """The dense vector ``embedding`` holds: ``+0.0`` wherever it stores
+    nothing."""
+    values = [0.0] * embedding.dimension
+    for i, v in zip(embedding.indices, embedding.stored):
+        values[i] = v
+    return tuple(values)
+
+
 def json_containers(value):
     """Every dict and list in ``value``, ``value`` included."""
     if isinstance(value, (dict, list)):

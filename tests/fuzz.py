@@ -68,7 +68,7 @@ def _rand_embedding(rng: SplitMix64, media_type: MediaType) -> Embedding:
 
     dim = EMBEDDING_DIMENSIONS[media_type]
     values = tuple((1 + rng.randrange(1000)) / 1000 for _ in range(dim))
-    return Embedding(values=values, media_type=media_type)
+    return Embedding.from_dense(values, media_type)
 
 
 def _choice(rng: SplitMix64, seq):
@@ -186,8 +186,8 @@ class FuzzStream:
         content_id = f"fz-content-{self.content_counter:03d}"
         self.content_counter += 1
         if rng.randrange(6) == 0:
-            embedding = Embedding(
-                values=tuple([0.5] * 63), media_type=MediaType.BYTES
+            embedding = Embedding.from_dense(
+                tuple([0.5] * 63), MediaType.BYTES
             )  # wrong dimension
         else:
             embedding = _rand_embedding(rng, MediaType.BYTES)

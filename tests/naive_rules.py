@@ -38,8 +38,8 @@ def naive_run(params, validators, initial_balances, known_detectors, blocks):
         return balances.get(a, 0)
 
     def emb_ok(e, media):
-        vals = e.values
-        if e.media_type.value != media or len(vals) != DIMS[media]:
+        vals = e.stored
+        if e.media_type.value != media or e.dimension != DIMS[media]:
             return False
         if any((not math.isfinite(v)) or v < 0 for v in vals):
             return False

@@ -40,6 +40,7 @@ from veriledger.ledger import init_chain, seal_block
 from veriledger.rng import SplitMix64
 from veriledger.sim import BUILTIN_DETECTORS
 
+from conftest import dense
 from fuzz import BOGUS_CHALLENGE_IDS, FuzzStream, build_fuzz_state
 from naive_rules import naive_run
 
@@ -83,7 +84,7 @@ class Driver:
 
 
 def bytes_embedding(fill=0.5) -> Embedding:
-    return Embedding(values=tuple([fill] * 256), media_type=MediaType.BYTES)
+    return Embedding.from_dense(tuple([fill] * 256), MediaType.BYTES)
 
 
 def register_algo(driver, algo_id="algo-1", sender="alice", stake=100,
@@ -303,7 +304,7 @@ def test_register_wrong_dimension_rejected():
         RegisterContent(
             content_id="c-1", media_type=MediaType.IMAGE,
             content_hash=hash_bytes(b"img"),
-            embedding=Embedding(values=tuple([0.5] * 63), media_type=MediaType.IMAGE),
+            embedding=Embedding.from_dense(tuple([0.5] * 63), MediaType.IMAGE),
         ),
     )
     assert receipt.error_code == "BadEmbeddingDimension"
@@ -333,7 +334,7 @@ UNSCORABLE = {
 
 @pytest.mark.parametrize("values", UNSCORABLE.values(), ids=UNSCORABLE.keys())
 def test_register_embedding_the_kernel_cannot_score_rejected(values):
-    embedding = Embedding(values=tuple(values), media_type=MediaType.BYTES)
+    embedding = Embedding.from_dense(tuple(values), MediaType.BYTES)
     driver = Driver(make_state())
     receipt, _ = driver.submit(
         TxKind.REGISTER_CONTENT,
@@ -350,17 +351,19 @@ def test_register_embedding_the_kernel_cannot_score_rejected(values):
 
 
 def per_value_is_valid(e: Embedding) -> bool:
-    """``Embedding.is_valid`` as a per-value loop, before its C-level passes:
-    the squared norm is summed over every value in order, as the kernel's
-    (``core.sparse_values``) is over the non-zero ones."""
-    if len(e.values) != EMBEDDING_DIMENSIONS[e.media_type]:
+    """``Embedding.is_valid`` as a per-value loop over the dense vector,
+    before it read the statistics: the squared norm is summed over every
+    value in order, as the kernel's (``Embedding.norm2``) is over the
+    non-zero ones."""
+    values = dense(e)
+    if len(values) != EMBEDDING_DIMENSIONS[e.media_type]:
         return False
-    if any(not math.isfinite(v) or v < 0.0 for v in e.values):
+    if any(not math.isfinite(v) or v < 0.0 for v in values):
         return False
     norm2 = 0.0
-    for v in e.values:
+    for v in values:
         norm2 += v * v
-    return any(v > 0.0 for v in e.values) and 2.0**-500 <= norm2 <= 2.0**500
+    return any(v > 0.0 for v in values) and 2.0**-500 <= norm2 <= 2.0**500
 
 
 SPECIAL_VALUES = [
@@ -372,7 +375,7 @@ def lone_among_zeros(value: float, index: int) -> Embedding:
     """A Bytes vector of zeros with ``value`` at ``index``."""
     values = [0.0] * EMBEDDING_DIMENSIONS[MediaType.BYTES]
     values[index] = value
-    return Embedding(values=tuple(values), media_type=MediaType.BYTES)
+    return Embedding.from_dense(tuple(values), MediaType.BYTES)
 
 
 @st.composite
@@ -385,7 +388,7 @@ def candidate_embeddings(draw):
     drawn = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
     for i, v in draw(st.lists(st.tuples(st.integers(0, dim - 1), drawn), max_size=4)):
         values[i] = v
-    return Embedding(values=tuple(values), media_type=media_type)
+    return Embedding.from_dense(tuple(values), media_type)
 
 
 @example(lone_among_zeros(math.nan, 0))
@@ -398,14 +401,14 @@ def candidate_embeddings(draw):
 @example(lone_among_zeros(-5e-324, -1))
 @example(bytes_embedding(0.0))
 @example(bytes_embedding(-0.0))
-@example(Embedding(values=(-0.0, 0.5) + (0.0,) * 254, media_type=MediaType.BYTES))
-@example(Embedding(values=(0.5, -0.0) + (0.0,) * 254, media_type=MediaType.BYTES))
+@example(Embedding.from_dense((-0.0, 0.5) + (0.0,) * 254, MediaType.BYTES))
+@example(Embedding.from_dense((0.5, -0.0) + (0.0,) * 254, MediaType.BYTES))
 @example(bytes_embedding(5e-324))
 @example(bytes_embedding(math.nan))
 @example(bytes_embedding(math.inf))
-@example(Embedding(values=(0.5,) * 63, media_type=MediaType.IMAGE))
-@example(Embedding(values=tuple(UNSCORABLE["norm-underflows"]), media_type=MediaType.BYTES))
-@example(Embedding(values=tuple(UNSCORABLE["norm-overflows"]), media_type=MediaType.BYTES))
+@example(Embedding.from_dense((0.5,) * 63, MediaType.IMAGE))
+@example(Embedding.from_dense(tuple(UNSCORABLE["norm-underflows"]), MediaType.BYTES))
+@example(Embedding.from_dense(tuple(UNSCORABLE["norm-overflows"]), MediaType.BYTES))
 @settings(max_examples=5 * settings.default.max_examples)
 @given(candidate_embeddings())
 def test_embedding_is_valid_matches_the_per_value_loop(e):
@@ -866,7 +869,8 @@ REJECTIONS = {
     "UnknownAlgorithm": ("fresh", lambda d, rid: _challenge()),
     "DuplicateContent": ("pending", lambda d, rid: _content("c-0")),
     "BadEmbeddingDimension": (
-        "fresh", lambda d, rid: _content(embedding=Embedding((0.5,) * 255, MediaType.BYTES))
+        "fresh",
+        lambda d, rid: _content(embedding=Embedding.from_dense((0.5,) * 255, MediaType.BYTES)),
     ),
     "BadEmbeddingValues": ("fresh", lambda d, rid: _content(embedding=bytes_embedding(0.0))),
     "InsufficientFee": (

@@ -35,7 +35,7 @@ from veriledger.errors import (
 from veriledger.rng import SplitMix64
 from veriledger.sim import perturb
 
-from conftest import random_bytes
+from conftest import dense, random_bytes
 
 
 def pgm(width, height, pixel_fn) -> bytes:
@@ -74,23 +74,18 @@ def request_for(content: bytes, media_type: MediaType) -> AnalysisTarget:
 
 def test_bytes_histogram():
     e = embed(bytes([0x00, 0x00, 0xFF, 0xFF]), MediaType.BYTES)
-    assert e.values[0] == 0.5
-    assert e.values[255] == 0.5
-    assert sum(e.values) == 1.0
-    assert all(v == 0.0 for v in e.values[1:255])
+    assert (e.dimension, e.indices, e.stored) == (256, (0, 255), (0.5, 0.5))
 
 
 def test_constant_image_embedding():
     e = embed(pgm(16, 16, lambda r, c: 128), MediaType.IMAGE)
-    assert len(e.values) == 64
-    assert all(v == 128 / 255 for v in e.values)
+    assert dense(e) == (128 / 255,) * 64
 
 
 def test_alternating_audio_embedding():
     samples = [16384 if i % 2 == 0 else -16384 for i in range(128)]
     e = embed(pcm(samples), MediaType.AUDIO)
-    assert len(e.values) == 64
-    assert all(v == 0.5 for v in e.values)
+    assert dense(e) == (0.5,) * 64
 
 
 def test_embed_rejects_empty():
@@ -107,8 +102,8 @@ def test_image_remainder_blocks_absorb_trailing_pixels():
     # 10x10: first seven bands get one row/col, the trailing band gets three
     img = pgm(10, 10, lambda r, c: 255 if (r >= 7 and c >= 7) else 0)
     e = embed(img, MediaType.IMAGE)
-    assert e.values[63] == 1.0
-    assert e.values[0] == 0.0
+    assert dense(e)[63] == 1.0
+    assert dense(e)[0] == 0.0
 
 
 def test_malformed_images():
@@ -124,7 +119,7 @@ def test_malformed_images():
 
 def test_pgm_header_comments_allowed():
     img = b"P5\n# a comment\n8 8\n255\n" + bytes(range(64))
-    assert len(embed(img, MediaType.IMAGE).values) == 64
+    assert embed(img, MediaType.IMAGE).dimension == 64
 
 
 def test_malformed_audio():
@@ -183,7 +178,7 @@ def test_audio_embedding_known_answers(name):
     case = AUDIO_KNOWN_ANSWERS[name]
     content = case if isinstance(case, bytes) else pcm(case)
     expected = audio_outcome(per_sample_audio_embedding, content)
-    got = audio_outcome(lambda c: embed(c, MediaType.AUDIO).values, content)
+    got = audio_outcome(lambda c: dense(embed(c, MediaType.AUDIO)), content)
     assert got == expected
     if name == "full-scale-64":
         assert expected == [(1.0).hex()] * 64
@@ -201,7 +196,7 @@ def test_audio_embedding_known_answers(name):
 )
 def test_audio_embedding_matches_the_per_sample_loop(samples, odd):
     content = pcm(samples) + (b"\x01" if odd else b"")
-    assert audio_outcome(lambda c: embed(c, MediaType.AUDIO).values, content) == (
+    assert audio_outcome(lambda c: dense(embed(c, MediaType.AUDIO)), content) == (
         audio_outcome(per_sample_audio_embedding, content)
     )
 
@@ -215,7 +210,7 @@ def test_cosine_identity_within_tolerance():
 
 
 def vector(values, media_type=MediaType.IMAGE):
-    return Embedding(values=tuple(values), media_type=media_type)
+    return Embedding.from_dense(tuple(values), media_type)
 
 
 def test_cosine_orthogonal_kernel():
@@ -267,9 +262,8 @@ def rand_embedding(rng: SplitMix64, media_type=MediaType.BYTES) -> Embedding:
     from veriledger.core import EMBEDDING_DIMENSIONS
 
     dim = EMBEDDING_DIMENSIONS[media_type]
-    return Embedding(
-        values=tuple((1 + rng.randrange(999)) / 1000 for _ in range(dim)),
-        media_type=media_type,
+    return Embedding.from_dense(
+        tuple((1 + rng.randrange(999)) / 1000 for _ in range(dim)), media_type
     )
 
 
@@ -398,8 +392,8 @@ def test_disjoint_support_is_unverified():
 
 def test_near_duplicate_threshold_boundary_inclusive():
     # similarity exactly at tau passes (>= semantics)
-    query = Embedding(values=(1.0, 0.0) + (0.0,) * 254, media_type=MediaType.BYTES)
-    other = Embedding(values=(1.0, 1.0) + (0.0,) * 254, media_type=MediaType.BYTES)
+    query = Embedding.from_dense((1.0, 0.0) + (0.0,) * 254, MediaType.BYTES)
+    other = Embedding.from_dense((1.0, 1.0) + (0.0,) * 254, MediaType.BYTES)
     record = content_record("c-1", other)
     target = AnalysisTarget(
         request_id="r-b",

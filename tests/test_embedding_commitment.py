@@ -26,7 +26,7 @@ from veriledger.core import (
     encode_record,
 )
 
-from conftest import GOLDEN_FIXTURE_DIR, REPO_ROOT
+from conftest import GOLDEN_FIXTURE_DIR, REPO_ROOT, dense
 from test_contracts import Driver, make_state
 
 
@@ -50,16 +50,14 @@ def submit(embedding: Embedding):
 
 def ramp(media_type: MediaType) -> Embedding:
     dim = EMBEDDING_DIMENSIONS[media_type]
-    return Embedding(
-        values=tuple((i + 1) / dim for i in range(dim)), media_type=media_type
-    )
+    return Embedding.from_dense(tuple((i + 1) / dim for i in range(dim)), media_type)
 
 
 def test_one_changed_value_changes_the_commitment_and_the_root():
     honest = ramp(MediaType.BYTES)
-    values = list(honest.values)
+    values = list(dense(honest))
     values[100] = math.nextafter(values[100], 1.0)
-    changed = replace(honest, values=tuple(values))
+    changed = Embedding.from_dense(tuple(values), honest.media_type)
 
     state, request = submit(honest)
     _, other = submit(changed)

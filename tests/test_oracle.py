@@ -26,6 +26,7 @@ from veriledger.oracle import process_pending
 from veriledger.rng import SplitMix64
 from veriledger.sim import ScenarioRunner
 
+from conftest import dense
 from test_contracts import make_state, Driver, register_algo, activate_algo
 
 ORACLE = "oracle"
@@ -33,9 +34,8 @@ BATCH_LIMIT = 16
 
 
 def embedding(rng: SplitMix64) -> Embedding:
-    return Embedding(
-        values=tuple((1 + rng.randrange(999)) / 1000 for _ in range(256)),
-        media_type=MediaType.BYTES,
+    return Embedding.from_dense(
+        tuple((1 + rng.randrange(999)) / 1000 for _ in range(256)), MediaType.BYTES
     )
 
 
@@ -153,9 +153,9 @@ def test_embedding_that_misses_the_commitment_is_not_served():
     honest = embeddings[withheld]
     # One value one ulp away: the detector would see other content than the
     # submitter paid to have analysed.
-    values = list(honest.values)
+    values = list(dense(honest))
     values[7] = math.nextafter(values[7], 1.0)
-    embeddings[withheld] = Embedding(values=tuple(values), media_type=honest.media_type)
+    embeddings[withheld] = Embedding.from_dense(tuple(values), honest.media_type)
     _assert_served_all_but(state, embeddings, withheld)
 
 

@@ -41,7 +41,7 @@ from veriledger.codec import (
     TX_TAG,
     Hash256,
     enc_bytes,
-    enc_f64_sparse,
+    enc_f64_bitmap,
     enc_str,
     enc_u32,
     enc_u64,
@@ -87,10 +87,11 @@ from veriledger.errors import SerializationError
 from veriledger.store import canonical_json, record_to_json
 
 from chainfile import bodies, decode, record_copy, state_copy, transaction_copy
+from conftest import dense
 
 CONTENT_HASH = hash_bytes(b"known-answer content")
-AUDIO = Embedding(values=(0.0, 0.5, 1.25, 3e-07), media_type=MediaType.AUDIO)
-IMAGE = Embedding(values=(0.125, 0.0, 2.0), media_type=MediaType.IMAGE)
+AUDIO = Embedding.from_dense((0.0, 0.5, 1.25, 3e-07), MediaType.AUDIO)
+IMAGE = Embedding.from_dense((0.125, 0.0, 2.0), MediaType.IMAGE)
 MATCHES = (("content-kat", 0.9375), ("content-b", 0.5))
 
 RECORDS = {
@@ -373,11 +374,17 @@ def _fresh(value):
     return value
 
 
+# A detector whose parameters are all bools, so that flips land on bool
+# bytes: ``RECORDS`` and the golden chain hold one bool parameter among many
+# bytes.
+FLAGS = DetectorSpec(kind="flags", parameters={c: c in "aceg" for c in "abcdefgh"})
+
+
 @pytest.fixture(scope="module")
 def codec_samples(golden_run):
     """annotation -> {encoding: value} of the values its fields hold in
-    ``RECORDS``, ``kat_state()`` and the golden chain."""
-    sources = [*RECORDS.values(), kat_state(), golden_run.result.chain.final_state]
+    ``RECORDS``, ``FLAGS``, ``kat_state()`` and the golden chain."""
+    sources = [*RECORDS.values(), FLAGS, kat_state(), golden_run.result.chain.final_state]
     for height, body in enumerate(bodies(golden_run.out_dir / "run.chain.jsonl")):
         block, genesis_state = decode(height, body)
         sources += [block] if genesis_state is None else [block, genesis_state]
@@ -503,7 +510,7 @@ def test_decoded_transaction_fills_the_same_bytes(kind):
 
 def to_token(values) -> str:
     record = SubmitAnalysisRequest(
-        MediaType.BYTES, CONTENT_HASH, Embedding(tuple(values), MediaType.BYTES), 1
+        MediaType.BYTES, CONTENT_HASH, Embedding.from_dense(tuple(values), MediaType.BYTES), 1
     )
     return record_to_json(record)["embedding"]
 
@@ -514,7 +521,7 @@ def from_token(token: str) -> tuple[float, ...]:
     data = enc_str(MediaType.BYTES.value) + base64.b64decode(token)
     embedding, end = FIELD_CODECS["Embedding"][1](data, 0)
     assert end == len(data)
-    return embedding.values
+    return dense(embedding)
 
 
 def stored(x: float) -> bool:
@@ -578,6 +585,25 @@ def test_huge_embedding_count_is_refused_before_allocating():
 # --- the embedding encoding cache ---------------------------------------------
 
 
+ANY_FLOAT = st.one_of(
+    st.sampled_from(EDGE_FLOATS + [math.nan, -math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@given(st.lists(ANY_FLOAT, max_size=300))
+@example([])
+@example([0.0, -0.0] * 5)
+def test_from_dense_stores_every_value_but_plus_zero(values):
+    # The stored form holds every value whose bits are not all zero, at its
+    # index, and densifies back to the same bits.
+    e = Embedding.from_dense(tuple(values), MediaType.BYTES)
+    assert e.dimension == len(values)
+    assert e.indices == tuple(i for i, x in enumerate(values) if stored(x))
+    assert [x.hex() for x in e.stored] == [x.hex() for x in values if stored(x)]
+    assert [x.hex() for x in dense(e)] == [x.hex() for x in values]
+
+
 @st.composite
 def embeddings_of_any_length(draw):
     """Vectors of each media type, of its dimension, one off or any length
@@ -586,12 +612,8 @@ def embeddings_of_any_length(draw):
     media_type = draw(st.sampled_from(list(MediaType)))
     dim = EMBEDDING_DIMENSIONS[media_type]
     size = draw(st.one_of(st.sampled_from([dim - 1, dim, dim + 1]), st.integers(0, 300)))
-    value = st.one_of(
-        st.sampled_from(EDGE_FLOATS + [math.nan, -math.nan, math.inf, -math.inf]),
-        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    )
-    values = draw(st.lists(value, min_size=size, max_size=size))
-    return Embedding(values=tuple(values), media_type=media_type)
+    values = draw(st.lists(ANY_FLOAT, min_size=size, max_size=size))
+    return Embedding.from_dense(tuple(values), media_type)
 
 
 def sparse_layout(values) -> bytes:
@@ -610,8 +632,9 @@ def test_filled_embedding_cache_is_a_fresh_pack(e):
     encoded = encode_embedding(e)
     assert e._encoding is encoded
     assert encode_embedding(e) is encoded
-    assert encoded == enc_str(e.media_type.value) + sparse_layout(e.values)
-    assert encoded == enc_str(e.media_type.value) + enc_f64_sparse(e.values)
+    assert encoded == enc_str(e.media_type.value) + sparse_layout(dense(e))
+    layout = enc_f64_bitmap(e.dimension, e.indices, e.stored)
+    assert encoded == enc_str(e.media_type.value) + layout
     assert hash_embedding(e) == hash_bytes(encoded)
 
 
@@ -635,20 +658,27 @@ def signed_zero_twins(draw):
     for i in draw(st.lists(index, max_size=dim)) + [plus.index(0.0)]:
         if plus[i] == 0.0:
             minus[i] = -0.0
-    return tuple(Embedding(tuple(v), media_type) for v in (plus, minus, other))
+    return tuple(Embedding.from_dense(tuple(v), media_type) for v in (plus, minus, other))
+
+
+def statistics(e):
+    """What the cosine kernel reads of ``e`` besides its values, as bits."""
+    return e.norm2.hex(), e.support, e.peak.hex()
 
 
 @given(signed_zero_twins())
 def test_signed_zeros_change_only_the_embedding_hash(twins):
     # -0.0 and +0.0 are equally valid and score alike, but the sign bit is
-    # stored, so the hash tells them apart and each decodes as it was.
+    # stored, so equality and the hash tell them apart and each decodes as
+    # it was.
     plus, minus, other = twins
     assert plus.is_valid() and minus.is_valid() and other.is_valid()
-    assert plus.sparse() == minus.sparse()
+    assert statistics(plus) == statistics(minus)
+    assert plus != minus
     assert similarity(plus, other).hex() == similarity(minus, other).hex()
     assert similarity(other, plus).hex() == similarity(other, minus).hex()
     assert hash_embedding(plus) != hash_embedding(minus)
     for e in (plus, minus):
         decoded, end = FIELD_CODECS["Embedding"][1](encode_embedding(e), 0)
         assert end == len(encode_embedding(e))
-        assert [x.hex() for x in decoded.values] == [x.hex() for x in e.values]
+        assert [x.hex() for x in dense(decoded)] == [x.hex() for x in dense(e)]

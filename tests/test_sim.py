@@ -93,7 +93,7 @@ def test_image_and_audio_items_embed_cleanly():
     )
     corpus = generate_corpus(11, spec)
     for item in corpus.trusted + corpus.fakes + corpus.unrelated:
-        values = embed(item.content, item.media_type).values
+        values = embed(item.content, item.media_type).stored
         assert any(v > 0 for v in values)
 
 

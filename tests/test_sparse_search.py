@@ -1,13 +1,15 @@
 """The sparse, norm-cached, pruned similarity search against a dense reference.
 
 ``dense_cosine``, ``dense_match_trusted`` and the two dense detectors below
-are the search as it was before each embedding cached its non-zero pairs,
-norm, support and peak: a cosine loop over every dimension for every record
-and an exact-hash lookup that sorts the whole registry. The live code must
-give the same results bit for bit.
+are the search as it was before each embedding held only its stored values
+and cached its norm, support and peak: a cosine loop over every dimension of
+the dense vectors (``conftest.dense``) for every record and an exact-hash
+lookup that sorts the whole registry. The live code must give the same
+results bit for bit.
 ``brute_force_matches`` in ``test_detection`` calls ``similarity`` itself, so
-it cannot serve as this reference. ``three_pass_sparse_values`` is
-``sparse_values`` as it was before it became one pass.
+it cannot serve as this reference. ``three_pass_sparse_values`` computes the
+non-zero pairs, norm, support and peak of a dense vector in three passes, as
+the code did before an embedding computed them in one.
 """
 
 import dataclasses
@@ -28,7 +30,6 @@ from veriledger.core import (
     encode_embedding,
     encode_record,
     hash_embedding,
-    sparse_values,
 )
 from veriledger import detection
 from veriledger.detection import (
@@ -46,6 +47,7 @@ from veriledger.rng import SplitMix64
 from veriledger.store import canonical_json, record_to_json
 
 from chainfile import record_copy
+from conftest import dense
 from test_record_codec import KNOWN_ANSWERS, RECORDS
 
 # --- the dense reference ----------------------------------------------------
@@ -72,7 +74,7 @@ def dense_match_trusted(query, registry, k, threshold):
     for record in registry:
         if record.media_type is not query.media_type:
             continue
-        sim = dense_cosine(query.values, record.embedding.values)
+        sim = dense_cosine(dense(query), dense(record.embedding))
         if sim >= threshold:
             candidates.append(MatchCandidate(record.content_id, sim))
     candidates.sort(key=lambda c: (-c.similarity, c.content_id))
@@ -192,9 +194,8 @@ def embeddings(draw):
         # small pool makes the query and a record often share the value.
         value = draw(st.one_of(st.sampled_from([0.1, 1 / 3, 0.7]), specials))
         support = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
-        return Embedding(
-            values=tuple(value if i in support else 0.0 for i in range(dim)),
-            media_type=media_type,
+        return Embedding.from_dense(
+            tuple(value if i in support else 0.0 for i in range(dim)), media_type
         )
     # Random 53-bit values, a drawn share of them exact zeros, then a few
     # drawn values at drawn positions.
@@ -206,7 +207,7 @@ def embeddings(draw):
     ]
     for i, v in draw(st.lists(st.tuples(st.integers(0, dim - 1), specials), max_size=4)):
         values[i] = v
-    return Embedding(values=tuple(values), media_type=media_type)
+    return Embedding.from_dense(tuple(values), media_type)
 
 
 def content(content_id, embedding, content_hash):
@@ -245,7 +246,7 @@ def searches(draw):
     )
     k = draw(st.sampled_from([1, 2, 5, len(registry) or 1, 2**64 - 1]))
     scores = [
-        outcome(dense_cosine, query.values, r.embedding.values)
+        outcome(dense_cosine, dense(query), dense(r.embedding))
         for r in registry
         if r.media_type is query.media_type
     ]
@@ -276,7 +277,7 @@ def test_sparse_search_matches_dense_reference_bit_for_bit(search):
     for record in registry:
         if record.media_type is query.media_type:
             assert outcome(similarity, query, record.embedding) == outcome(
-                dense_cosine, query.values, record.embedding.values
+                dense_cosine, dense(query), dense(record.embedding)
             )
     params = {"tau": threshold, "k": k}
     for kind, reference in (
@@ -312,7 +313,7 @@ def well_scaled_searches(draw):
         values = [0.0] * dim
         for i, v in zip(support, drawn):
             values[i] = v
-        return Embedding(values=tuple(values), media_type=media_type)
+        return Embedding.from_dense(tuple(values), media_type)
 
     registry = [
         content(f"c{n:03d}", draw_embedding(), HASHES[0])
@@ -320,12 +321,11 @@ def well_scaled_searches(draw):
     ]
     query = draw_embedding()
     target = AnalysisTarget("r-scaled", media_type, hash_bytes(b"none"), query)
-    _, nq, support_q, peak_q = query.sparse()
-    a = peak_q / math.sqrt(nq)
+    a = query.peak / math.sqrt(query.norm2)
     bounds = []
     for record in registry:
-        _, nr, support_r, peak_r = record.embedding.sparse()
-        bound = (support_q & support_r).bit_count() * (peak_r / math.sqrt(nr)) * a
+        r = record.embedding
+        bound = (query.support & r.support).bit_count() * (r.peak / math.sqrt(r.norm2)) * a
         bounds += [t for t in (bound, bound / SLACK) if 0.0 < t <= 1.0]
     boundaries = [
         t for b in bounds for t in (b, math.nextafter(b, 0.0), math.nextafter(b, 1.0))
@@ -340,7 +340,7 @@ def test_rule_skips_only_records_scoring_below_the_threshold(search):
     registry, target, _, threshold = search
     query = target.embedding
     for record in skipped_records(query, registry, threshold):
-        score = outcome(dense_cosine, query.values, record.embedding.values)
+        score = outcome(dense_cosine, dense(query), dense(record.embedding))
         assert isinstance(score, str) and float.fromhex(score) < threshold
 
 
@@ -353,15 +353,15 @@ def rule_case(case):
     others = []
 
     def with_e(embedding, value):
-        values = list(embedding.values)
+        values = list(dense(embedding))
         values[ord("e")] = value
-        return Embedding(values=tuple(values), media_type=MediaType.BYTES)
+        return Embedding.from_dense(tuple(values), MediaType.BYTES)
 
     def on(text, value):
         values = [0.0] * 256
         for b in text:
             values[b] = value
-        return Embedding(values=tuple(values), media_type=MediaType.BYTES)
+        return Embedding.from_dense(tuple(values), MediaType.BYTES)
 
     bad = {"negative": -0.25, "NaN": math.nan}
     if case == "tau 0":
@@ -375,7 +375,7 @@ def rule_case(case):
         far = with_e(far, value)
         others = [content("odd", with_e(embed(b"wxyz", MediaType.BYTES), value), HASHES[1])]
     elif case == "zero-norm record":
-        far = Embedding(values=(0.0,) * 256, media_type=MediaType.BYTES)
+        far = Embedding.from_dense((0.0,) * 256, MediaType.BYTES)
     elif case == "tiny norms":
         # A query norm of 4e-200, below ``SCALE``, against a record norm of
         # 4e-130, inside it: their product underflows to 0, so
@@ -410,7 +410,7 @@ def test_rule_skips_nothing_where_the_bound_may_not_hold(case):
 
 def test_exact_index_returns_the_smallest_id_as_the_dense_scan_does():
     e = embed(b"abc", MediaType.BYTES)
-    image = Embedding(values=(0.5,) * 64, media_type=MediaType.IMAGE)
+    image = Embedding.from_dense((0.5,) * 64, MediaType.IMAGE)
     # Same hash throughout; the smallest id overall is an Image record.
     registry = [
         content(cid, image if cid == "c0" else e, HASHES[0])
@@ -429,7 +429,7 @@ def test_exact_index_returns_the_smallest_id_as_the_dense_scan_does():
 def test_record_sharing_no_bin_scores_exactly_zero():
     query = embed(b"abcabc", MediaType.BYTES)
     other = embed(b"xyz", MediaType.BYTES)
-    assert similarity(query, other).hex() == dense_cosine(query.values, other.values).hex()
+    assert similarity(query, other).hex() == dense_cosine(dense(query), dense(other)).hex()
     assert similarity(query, other) == 0.0
     assert match_trusted(query, [content("c", other, HASHES[0])], 1, 0.0) == [
         MatchCandidate("c", 0.0)
@@ -476,12 +476,9 @@ def test_margin_keeps_a_tight_bound_from_skipping_a_match(value, count):
     # with itself at threshold 1.0: there ``count * ratio`` falls below
     # ``1.0 / ratio``, the product ``count * ratio**2`` reading 1 - 2.2e-16
     # and 1 - 6.9e-15.
-    e = Embedding(
-        values=(value,) * count + (0.0,) * (256 - count), media_type=MediaType.BYTES
-    )
-    _, norm2, support, peak = e.sparse()
-    ratio = peak / math.sqrt(norm2)
-    assert support.bit_count() * ratio < 1.0 / ratio
+    e = Embedding.from_dense((value,) * count + (0.0,) * (256 - count), MediaType.BYTES)
+    ratio = e.peak / math.sqrt(e.norm2)
+    assert e.support.bit_count() * ratio < 1.0 / ratio
     registry = [content("c", e, HASHES[0])]
     assert match_trusted(e, registry, 1, 1.0) == [MatchCandidate("c", 1.0)]
     assert bits(dense_match_trusted(e, registry, 1, 1.0)) == [("c", (1.0).hex())]
@@ -492,7 +489,7 @@ def test_record_of_another_dimension_still_raises():
     # though it shares no bin with the query, and it raises as the dense
     # search does. ``far`` before it is skipped.
     query = embed(b"ab", MediaType.BYTES)
-    short = Embedding(values=(0.0, 1.0), media_type=MediaType.BYTES)
+    short = Embedding.from_dense((0.0, 1.0), MediaType.BYTES)
     far = embed(b"xy", MediaType.BYTES)
     registry = [content("far", far, HASHES[1]), content("c", short, HASHES[0])]
     for searched in (registry, RegistryIndex(registry)):
@@ -506,9 +503,9 @@ def test_round_off_spill_is_clamped():
     a = [0.7137708028432639, 0.04374827567185868, 0.9977478925366421]
     b = [0.30590177264711305, 0.01874926100222515, 0.42760623965856087]
     pad = [0.0] * (EMBEDDING_DIMENSIONS[MediaType.IMAGE] - 3)
-    ea = Embedding(values=tuple(pad + a), media_type=MediaType.IMAGE)
-    eb = Embedding(values=tuple(pad + b), media_type=MediaType.IMAGE)
-    assert similarity(ea, eb) == dense_cosine(ea.values, eb.values) == 1.0
+    ea = Embedding.from_dense(tuple(pad + a), MediaType.IMAGE)
+    eb = Embedding.from_dense(tuple(pad + b), MediaType.IMAGE)
+    assert similarity(ea, eb) == dense_cosine(dense(ea), dense(eb)) == 1.0
 
 
 # Every kind of float: both zeros, NaN, both infinities, negatives, subnormals,
@@ -526,37 +523,43 @@ raw_values = st.lists(
 )
 
 
-def sparse_bits(result):
-    """The result of ``sparse_values`` with each float as its bits; every
-    NaN reads ``nan``."""
-    pairs, norm2, support, peak = result
-    return [(i, v.hex()) for i, v in pairs], norm2.hex(), support, peak.hex()
+def sparse_bits(e):
+    """The non-zero pairs, norm, support and peak of ``e``, each float but
+    the peak as its bits; every NaN reads ``nan``."""
+    pairs = [(i, v) for i, v in zip(e.indices, e.stored) if v != 0.0]
+    return [(i, v.hex()) for i, v in pairs], e.norm2.hex(), e.support, e.peak
+
+
+def reference_bits(values):
+    pairs, norm2, support, peak = three_pass_sparse_values(values)
+    return [(i, v.hex()) for i, v in pairs], norm2.hex(), support, peak
 
 
 @settings(max_examples=5 * settings.default.max_examples)
 @given(raw_values)
-def test_single_pass_sparse_values_matches_three_passes(values):
-    assert sparse_bits(sparse_values(values)) == sparse_bits(
-        three_pass_sparse_values(values)
-    )
+def test_from_dense_statistics_match_three_passes(values):
+    # The peak compares as a number: of a vector of zeros alone it is a zero
+    # of either sign, which lies outside ``SCALE`` alike.
+    e = Embedding.from_dense(values, MediaType.BYTES)
+    assert sparse_bits(e) == reference_bits(values)
 
 
-def test_sparse_values_of_the_empty_vector():
-    assert sparse_values(()) == three_pass_sparse_values(()) == ((), 0.0, 0, 0.0)
-    assert sparse_values(())[1].hex() == (0.0).hex()
+def test_from_dense_of_the_empty_vector():
+    e = Embedding.from_dense((), MediaType.BYTES)
+    assert (e.indices, e.stored, e.norm2, e.support, e.peak) == ((), (), 0.0, 0, 0.0)
+    assert sparse_bits(e) == reference_bits(())
+    assert e.norm2.hex() == e.peak.hex() == (0.0).hex()
 
 
 def test_sparse_pairs_and_norm():
     e = embed(b"aab", MediaType.BYTES)
-    pairs, norm2, support, peak = e.sparse()
-    assert pairs == ((ord("a"), 2 / 3), (ord("b"), 1 / 3))
+    assert (e.indices, e.stored) == ((ord("a"), ord("b")), (2 / 3, 1 / 3))
     expected = 0.0
-    for v in e.values:
+    for v in dense(e):
         expected += v * v
-    assert norm2.hex() == expected.hex()
-    assert support == (1 << ord("a")) | (1 << ord("b"))
-    assert peak == 2 / 3
-    assert e.sparse() is e.sparse()  # computed once
+    assert e.norm2.hex() == expected.hex()
+    assert e.support == (1 << ord("a")) | (1 << ord("b"))
+    assert e.peak == 2 / 3
 
 
 @pytest.mark.parametrize("bad", [-5.0, math.nan])
@@ -564,34 +567,33 @@ def test_negative_or_nan_values_are_never_pruned(bad):
     # The bound holds only for non-negative vectors: with a peak of 1.0 it
     # would read 2 / 26 for this vector against itself, whose cosine is 1.0.
     # Such a vector's peak is inf instead, so the rule never skips it.
-    e = Embedding(values=(1.0, bad) + (0.0,) * 254, media_type=MediaType.BYTES)
-    assert e.sparse()[3] == math.inf
+    e = Embedding.from_dense((1.0, bad) + (0.0,) * 254, MediaType.BYTES)
+    assert e.peak == math.inf
     registry = [content("c", e, HASHES[0])]
     assert outcome(match_trusted, e, registry, 1, 0.95) == outcome(
         dense_match_trusted, e, registry, 1, 0.95
     )
 
 
-# --- the cache stays out of everything hashed or written ---------------------
+# --- the statistics and the cache stay out of everything hashed or written ---
 
 
 def fresh(e):
-    return Embedding(values=e.values, media_type=e.media_type)
+    return Embedding(e.media_type, e.dimension, e.indices, e.stored)
 
 
 def test_cache_not_in_equality_hash_or_repr():
     e = embed(b"hello world", MediaType.BYTES)
     before = (repr(e), hash(e))
-    e.sparse()
     encoded = encode_embedding(e)
-    assert e._sparse is not None and e._encoding is encoded
-    _, _, support, peak = e._sparse
-    assert support.bit_count() == len(set(b"hello world")) and peak == 3 / 11
+    assert e._encoding is encoded
+    assert e.support.bit_count() == len(set(b"hello world")) and e.peak == 3 / 11
     assert (repr(e), hash(e)) == before
     assert e == fresh(e) and hash(e) == hash(fresh(e))
-    assert hash(e) == hash((e.values, e.media_type))
-    assert "_sparse" not in repr(e) and str(support) not in repr(e)
-    assert "_encoding" not in repr(e) and repr(encoded) not in repr(e)
+    assert hash(e) == hash((e.media_type, e.dimension, e.indices, e.stored))
+    for name in ("norm2", "support", "peak", "_encoding"):
+        assert name not in repr(e)
+    assert str(e.support) not in repr(e) and repr(encoded) not in repr(e)
 
 
 @pytest.mark.parametrize(
@@ -600,7 +602,6 @@ def test_cache_not_in_equality_hash_or_repr():
 def test_known_answers_with_filled_cache(name):
     record = RECORDS[name]
     filled = fresh(record.embedding)
-    filled.sparse()
     encoded = encode_embedding(filled)
     assert encode_embedding(filled) is encoded
     assert hash_embedding(filled) == hash_bytes(encode_embedding(fresh(filled)))
@@ -614,20 +615,18 @@ def test_known_answers_with_filled_cache(name):
 def test_decoded_and_replaced_embeddings_cache_the_same_pairs():
     e = embed(bytes(range(0, 250, 7)) * 3, MediaType.BYTES)
     record = content("c", e, HASHES[0])
-    expected = sparse_values(e.values)
-    record.embedding.sparse()
+    expected = sparse_bits(e)
     packed = encode_embedding(record.embedding)
     decoded = record_copy(record)
     # The decoder keeps the bytes it read, which are the fresh encoding.
-    assert decoded.embedding._sparse is None
     assert decoded.embedding._encoding == encode_embedding(fresh(e))
     replaced = dataclasses.replace(record, registered_at=2)
     assert replaced.embedding is record.embedding
     copy = dataclasses.replace(e)
-    assert copy._sparse is None and copy._encoding is None
+    assert copy._encoding is None
     for other in (decoded.embedding, replaced.embedding, copy):
-        assert other.sparse() == expected
-        assert other.sparse()[1].hex() == expected[1].hex()
+        assert other == e
+        assert sparse_bits(other) == expected
         assert encode_embedding(other) == packed == encode_embedding(fresh(e))
         assert encode_embedding(other) is encode_embedding(other)
         assert hash_embedding(other) == hash_bytes(packed)

@@ -4,7 +4,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -16,7 +19,7 @@ from veriledger.codec import (
     Hash256,
     enc_bytes,
     enc_f64,
-    enc_f64_sparse,
+    enc_f64_bitmap,
     enc_str,
     enc_str_list,
     enc_u32,
@@ -368,6 +371,16 @@ def _padding_bit(raw: bytes) -> bytes:
     return _pack(n - 1, bits, values)
 
 
+def _padding_bit_with_value(raw: bytes) -> bytes:
+    # The layout of all but the last three values, with the bitmap's last
+    # padding bit set and 8 bytes stored for it: every byte is read where
+    # the bitmap says, so only the bitmap check refuses it.
+    n, bits, values = _layout(raw)
+    assert n % 8 == 0
+    kept = values[: sum(bits[: n - 3])]
+    return _pack(n - 3, bits[: n - 3] + [0, 0, 1], kept + [struct.pack(">d", 1.0)])
+
+
 def _overlong_first_character(s: str) -> bytes:
     """``s`` with its first character, if ASCII, in the two-byte UTF-8
     form that decoders must refuse: a second spelling of the same string."""
@@ -384,7 +397,9 @@ def _first_value(raw: bytes, value: float) -> bytes:
 
 def _embedding(edit):
     """An embedding encoder that stores ``edit`` of the values' layout."""
-    return lambda e: enc_str(e.media_type.value) + edit(enc_f64_sparse(e.values))
+    return lambda e: enc_str(e.media_type.value) + edit(
+        enc_f64_bitmap(e.dimension, e.indices, e.stored)
+    )
 
 
 def _scalar_map(tag_and_value: bytes):
@@ -404,6 +419,7 @@ COSMETIC_VARIANTS = {
     "infinity": {"float": lambda x: enc_f64(-math.inf if x == 0.0 else x)},
     "bit-past-count": {"Embedding": _embedding(_bit_past_count)},
     "padding-bits": {"Embedding": _embedding(_padding_bit)},
+    "padding-bit-with-value": {"Embedding": _embedding(_padding_bit_with_value)},
     "bit-over-plus-zero": {"Embedding": _embedding(_bit_over_plus_zero)},
     "nan-bits": {"Embedding": _embedding(lambda raw: _first_value(raw, math.nan))},
     "infinity-bits": {"Embedding": _embedding(lambda raw: _first_value(raw, math.inf))},
@@ -475,7 +491,7 @@ def test_writer_refuses_a_non_finite_embedding(tmp_path, bad):
         provider="A",
         media_type=MediaType.BYTES,
         content_hash=Hash256.zero(),
-        embedding=Embedding((1.0, bad, 0.0), MediaType.BYTES),
+        embedding=Embedding.from_dense((1.0, bad, 0.0), MediaType.BYTES),
         metadata={},
         registered_at=0,
     )
@@ -740,6 +756,90 @@ def test_over_long_line_is_refused_before_it_is_read(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert result.failing_height == 1
     assert peak < 2**17
+
+
+# Seals a request whose embedding claims 2^26 values (a bitmap of 8 MiB)
+# and stores one value of every ``spacing`` (none if 0), writes the chain,
+# writes ``claimed`` over the count in the file, and verifies it: all under
+# an address-space limit, which holds this process alone.
+BOUNDED_CHAIN = """
+import resource
+import sys
+
+from veriledger.cli import main
+from veriledger.codec import Hash256, enc_str, enc_u32
+from veriledger.core import (
+    ContractParams, Embedding, MediaType, NetworkState, SubmitAnalysisRequest, Transaction,
+    TxKind,
+)
+from veriledger.ledger import init_chain, seal_block
+from veriledger.store import ChainWriter
+
+path, spacing, claimed, limit = sys.argv[1], *map(int, sys.argv[2:])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+state = NetworkState(
+    params=ContractParams(), validators={"v1": 10}, balances={"A": 100}, initial_supply=110
+)
+genesis, live = init_chain(state)
+indices = tuple(range(0, 2**26, spacing)) if spacing else ()
+embedding = Embedding(MediaType.BYTES, 2**26, indices, (1.0,) * len(indices))
+request = SubmitAnalysisRequest(MediaType.BYTES, Hash256.zero(), embedding, 10)
+tx = Transaction(TxKind.SUBMIT_ANALYSIS_REQUEST, "A", request, nonce=0)
+block, _, receipts = seal_block(live, [tx], timestamp=1)
+print(receipts[0].error_code)
+with ChainWriter(path) as writer:
+    writer.append(genesis, genesis_state=state)
+    writer.append(block)
+with open(path, "r+b") as fh:
+    data = fh.read()
+    count = enc_str("Bytes") + enc_u32(2**26)
+    assert data.count(count) == 1
+    fh.seek(data.index(count) + len(count) - 4)
+    fh.write(enc_u32(claimed))
+sys.exit(main(["verify", "--chain", path]))
+"""
+
+# Several times what the test needs, and under an eighth of what building
+# the claimed values as a dense vector takes.
+ADDRESS_SPACE_LIMIT = 384 * 2**20
+
+
+@pytest.mark.parametrize(
+    "spacing, claimed, code, verdict",
+    [
+        (0, 2**26, 0, "OK tip="),
+        (2**9, 2**26, 0, "OK tip="),
+        (
+            0,
+            2**32 - 1,
+            1,
+            "FAIL at height 1: CorruptRecord: transactions: payload: embedding: "
+            "4294967295 values exceed the 8388616 bytes left",
+        ),
+    ],
+    ids=["all-zero-bitmap", "spread-values", "count-past-bytes"],
+)
+def test_a_huge_claimed_dimension_verifies_in_bounded_memory(
+    tmp_path, spacing, claimed, code, verdict
+):
+    # A 1-byte bitmap claims 8 values: the record is rejected for its
+    # dimension, and ``verify`` ends in a verdict, not a MemoryError, having
+    # built nothing the size of the claim. With 2^17 values spread over the
+    # claim, it ends in seconds: nothing is rebuilt for each value.
+    path = tmp_path / "huge.chain"
+    done = subprocess.run(
+        [sys.executable, "-c", BOUNDED_CHAIN, str(path), str(spacing), str(claimed),
+         str(ADDRESS_SPACE_LIMIT)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        timeout=60,
+    )
+    assert done.stderr == ""
+    assert done.returncode == code
+    receipt, printed = done.stdout.splitlines()
+    assert receipt == "BadEmbeddingDimension"
+    assert printed.startswith(verdict)
 
 
 # --- the golden chain, fuzzed ----------------------------------------------------
