@@ -1,9 +1,11 @@
-"""Mutation gate for the chain decoders' strictness checks.
+"""Mutation gate for the chain decoders' strictness checks and for the
+consensus rules.
 
     python scripts/mutants.py
 
-Each entry of ``MUTANTS`` names one edit of the decoders: an exact snippet
-of one module, which must occur there exactly once, and its replacement.
+Each entry of ``MUTANTS`` names one edit of a decoder or a contract rule:
+an exact snippet of one module, which must occur there exactly once, and
+its replacement.
 The script copies ``src/``, ``tests/``, ``scenarios/`` and
 ``pyproject.toml`` into a temporary directory, runs the union of the
 mutants' tests there unedited, which must all pass, and then, for each
@@ -14,8 +16,12 @@ exit status 1. Nothing is skipped.
 
 Why: a decoder that accepts a second encoding of a value lets a reader hash
 bytes no writer writes (``core._dec_transaction`` and ``_dec_embedding``
-keep the bytes they read as the encoding cache). Each mutant below is such
-a decoder, and the tests named for it are the ones that catch it.
+keep the bytes they read as the encoding cache), and a contract rule that
+drops a check or a counter changes what every node agrees on. Each mutant
+below is one of these, and the tests named for it are the ones that catch
+it. A case of the codec property test kills its mutant on a fixed
+``@example`` (``EDITS`` in tests/test_record_codec.py), not on what
+Hypothesis happens to draw.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ COPIED = ("src", "tests", "scenarios", "pyproject.toml")
 PROPERTY = "tests/test_record_codec.py::test_each_codec_entry_decodes_only_its_own_encodings"
 COSMETIC = "tests/test_store.py::test_no_stored_byte_is_cosmetic"
 SETS = "tests/test_store.py::test_set_entries_must_be_sorted_and_distinct"
+REJECTION = "tests/test_contracts.py::test_every_rejection_code_is_reached_and_state_neutral"
+CONSERVATION = "tests/test_acceptance.py::test_criterion_2_token_conservation"
+GOLDEN = "tests/test_sim.py::test_golden_report_matches_frozen_fixture"
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,6 @@ MUTANTS = (
         (
             f"{SETS}[duplicated-media_types]",
             f"{SETS}[duplicated-challenges_submitted]",
-            f"{SETS}[duplicated-feedback_done]",
             f"{COSMETIC}[repeated-metadata-key]",
             f"{PROPERTY}[dict[str, int]]",
         ),
@@ -72,7 +80,12 @@ MUTANTS = (
         "src/veriledger/codec.py",
         "    if b > 1:\n",
         "    if b > 255:\n",
-        (f"{COSMETIC}[parameter-bool-byte]", f"{PROPERTY}[dict[str, object]]"),
+        (
+            f"{COSMETIC}[parameter-bool-byte]",
+            f"{COSMETIC}[labelled-bool-byte]",
+            f"{PROPERTY}[dict[str, object]]",
+            f"{PROPERTY}[bool]",
+        ),
     ),
     Mutant(
         "non-finite-f64",
@@ -131,6 +144,41 @@ MUTANTS = (
         "        if member is None:\n",
         "        if member is None and not members:\n",
         (f"{COSMETIC}[unknown-verdict]", f"{PROPERTY}[Verdict]"),
+    ),
+    Mutant(
+        "duplicate-feedback-allowed",
+        "src/veriledger/contracts.py",
+        "    if result.labelled:\n"
+        "        raise Rejection(errors.DUPLICATE_FEEDBACK, payload.request_id)\n",
+        "",
+        (
+            f"{REJECTION}[DuplicateFeedback]",
+            "tests/test_contracts.py::test_duplicate_feedback_rejected",
+            "tests/test_store.py::test_feedback_on_a_labelled_genesis_result_is_a_duplicate",
+        ),
+    ),
+    Mutant(
+        "stake-burn-uncounted",
+        "src/veriledger/contracts.py",
+        "    state.stake_burned += burn\n",
+        "",
+        (
+            CONSERVATION,
+            "tests/test_contracts.py::test_fifteen_of_twenty_deprecates_and_burns_half",
+            "tests/test_contracts.py::test_low_accuracy_after_window_deprecates",
+        ),
+    ),
+    Mutant(
+        "fee-burn-uncounted",
+        "src/veriledger/contracts.py",
+        "    state.fees_burned += burn\n",
+        "",
+        (
+            CONSERVATION,
+            "tests/test_contracts.py::test_commit_splits_fee_70_20_10",
+            GOLDEN,
+            "tests/test_ledger.py::test_golden_genesis_hash_frozen",
+        ),
     ),
 )
 

@@ -308,8 +308,8 @@ def list_of(entry: Codec) -> Codec:
     return encode, decode
 
 
-def set_of(entry: Codec, cls: type = frozenset) -> Codec:
-    """A set of ``entry`` values, listed sorted, decoded as a ``cls``."""
+def set_of(entry: Codec) -> Codec:
+    """A set of ``entry`` values, listed sorted, decoded as a frozenset."""
     encode_list, decode_list = list_of(entry)
 
     def encode(items) -> bytes:
@@ -318,7 +318,7 @@ def set_of(entry: Codec, cls: type = frozenset) -> Codec:
     def decode(data: bytes, pos: int):
         entries, pos = decode_list(data, pos)
         ascending(entries)
-        return cls(entries), pos
+        return frozenset(entries), pos
 
     return encode, decode
 
@@ -375,8 +375,3 @@ def pair_of(first: Codec, second: Codec) -> Codec:
         return (a, b), pos
 
     return encode, decode
-
-
-enc_str_list = list_of(STR)[0]
-enc_str_map = map_of(STR)[0]
-enc_scalar_map = map_of(SCALAR)[0]

@@ -106,7 +106,6 @@ def _deprecate_with_burn(state: NetworkState, record: AlgorithmRecord) -> None:
     )
     if refund:
         state.credit(record.owner, refund)
-    state.total_burned += burn
     state.stake_burned += burn
 
 
@@ -281,7 +280,6 @@ def commit_analysis_result(
     state.debit(ESCROW_ACCOUNT, fee)
     state.credit(record.owner, owner_share)
     state.credit(ctx.proposer, proposer_share)
-    state.total_burned += burn
     state.fees_to_owners += owner_share
     state.fees_to_proposers += proposer_share
     state.fees_burned += burn
@@ -307,13 +305,14 @@ def submit_feedback(
         raise Rejection(errors.UNKNOWN_REQUEST, payload.request_id)
     if request.status is not RequestStatus.COMPLETED:
         raise Rejection(errors.REQUEST_NOT_COMPLETED, payload.request_id)
-    if payload.request_id in state.feedback_done:
+    result = state.results[payload.request_id]
+    if result.labelled:
         raise Rejection(errors.DUPLICATE_FEEDBACK, payload.request_id)
     if sender != request.submitter:
         raise Rejection(errors.NOT_SUBMITTER, sender)
     _check_label(payload.true_label)
 
-    result = state.results[payload.request_id]
+    state.results[payload.request_id] = replace(result, labelled=True)
     record = state.algorithms[result.algorithm_id]
     # Unverified counts as an Authentic prediction.
     predicted_fake = result.verdict is Verdict.DEEPFAKE
@@ -327,7 +326,6 @@ def submit_feedback(
         changes["epoch_correct"] = record.epoch_correct + 1
     record = replace(record, **changes)
     state.algorithms[record.algorithm_id] = record
-    state.feedback_done.add(payload.request_id)
 
     total = record.tp + record.fp + record.tn + record.fn
     if (
@@ -437,7 +435,6 @@ def distribute_epoch_rewards(
             continue
         owner = state.algorithms[aid].owner
         state.credit(owner, amount)
-        state.total_minted += amount
         state.rewards_minted += amount
         distribution.append((owner, amount))
     return distribution

@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .codec import (
     BLOCK_TAG,
+    BOOL,
     DECODE_ERRORS,
     F64,
     HASH,
@@ -381,6 +382,7 @@ class AnalysisResultRecord:
     confidence: float
     matched_content: tuple[tuple[str, float], ...]
     committed_at: int
+    labelled: bool = False  # its submitter's feedback was accepted
     _encoding: bytes | None = _encoding_cache()
 
 
@@ -450,11 +452,8 @@ class NetworkState:
     content_hash_index: dict[str, str] = field(default_factory=dict)
     requests: dict[str, AnalysisRequest] = field(default_factory=dict)
     results: dict[str, AnalysisResultRecord] = field(default_factory=dict)
-    feedback_done: set[str] = field(default_factory=set)
     detectors: dict[str, DetectorSpec] = field(default_factory=dict)
     initial_supply: int = 0
-    total_minted: int = 0
-    total_burned: int = 0
     fees_to_owners: int = 0
     fees_to_proposers: int = 0
     fees_burned: int = 0
@@ -475,7 +474,6 @@ class NetworkState:
             content_hash_index=dict(self.content_hash_index),
             requests=dict(self.requests),
             results=dict(self.results),
-            feedback_done=set(self.feedback_done),
             detectors=dict(self.detectors),
         )
 
@@ -495,14 +493,17 @@ class NetworkState:
         """Zero iff token conservation holds.
 
         balances + algorithm stakes + validator stakes must equal
-        initial supply + minted - burned at all times.
+        initial supply + minted - burned at all times, where minted is
+        ``rewards_minted`` and burned is ``fees_burned + stake_burned``.
         """
         held = (
             sum(self.balances.values())
             + sum(a.stake for a in self.algorithms.values())
             + sum(self.validators.values())
         )
-        return held - (self.initial_supply + self.total_minted - self.total_burned)
+        minted = self.rewards_minted
+        burned = self.fees_burned + self.stake_burned
+        return held - (self.initial_supply + minted - burned)
 
     def state_root(self) -> Hash256:
         return hash_bytes(encode_state(self))
@@ -686,6 +687,7 @@ FIELD_CODECS: dict[str, Codec] = {
     "str": STR,
     "int": U64,
     "float": F64,
+    "bool": BOOL,
     "Hash256": HASH,
     "Embedding": (encode_embedding, _dec_embedding),
     "dict[str, str]": map_of(STR),
@@ -707,7 +709,6 @@ FIELD_CODECS: dict[str, Codec] = {
     "dict[str, ContentRecord]": _records(ContentRecord, "content_id"),
     "dict[str, AnalysisRequest]": _records(AnalysisRequest, "request_id"),
     "dict[str, AnalysisResultRecord]": _records(AnalysisResultRecord, "request_id"),
-    "set[str]": set_of(STR, set),
     "dict[str, DetectorSpec]": map_of(_record(DetectorSpec)),
 }
 

@@ -678,8 +678,8 @@ def compute_metrics(
     tokens = {
         "balances": dict(sorted(state.balances.items())),
         "initial_supply": state.initial_supply,
-        "minted": state.total_minted,
-        "burned": state.total_burned,
+        "minted": state.rewards_minted,
+        "burned": state.fees_burned + state.stake_burned,
         "fees_to_owners": state.fees_to_owners,
         "fees_to_proposers": state.fees_to_proposers,
         "fees_burned": state.fees_burned,

@@ -149,6 +149,7 @@ _TO_JSON: dict[str, Callable[[Any], Any] | None] = {
     "str | None": None,
     "int": None,
     "float": float,
+    "bool": None,
     "Hash256": attrgetter("hex"),
     "Embedding": _embedding_to_json,
     "dict[str, str]": dict,

@@ -30,8 +30,7 @@ def naive_run(params, validators, initial_balances, known_detectors, blocks):
     content_ids = set()
     content_hashes = set()
     requests = {}  # id -> dict(submitter, fee, media, done)
-    results = {}  # request id -> dict(algo, verdict)
-    feedback_seen = set()
+    results = {}  # request id -> dict(algo, verdict, labelled)
     challenge_set = {f"ch-{i:03d}" for i in range(params.challenge_count)}
 
     def bal(a):
@@ -157,6 +156,7 @@ def naive_run(params, validators, initial_balances, known_detectors, blocks):
                     results[p.request_id] = {
                         "algo": p.algorithm_id,
                         "verdict": p.verdict.value,
+                        "labelled": False,
                     }
                     fee = req["fee"]
                     to_owner = fee * params.fee_owner_pct // 100
@@ -170,12 +170,12 @@ def naive_run(params, validators, initial_balances, known_detectors, blocks):
                 if (
                     req is not None
                     and req["done"]
-                    and p.request_id not in feedback_seen
+                    and not results[p.request_id]["labelled"]
                     and tx.sender == req["submitter"]
                     and p.true_label.value in ("Authentic", "Deepfake")
                 ):
-                    feedback_seen.add(p.request_id)
                     res = results[p.request_id]
+                    res["labelled"] = True
                     a = algos[res["algo"]]
                     said_fake = res["verdict"] == "Deepfake"
                     was_fake = p.true_label.value == "Deepfake"

@@ -196,35 +196,68 @@ def _final_record(name, key):
     return edit
 
 
+def _byte_of(name, value):
+    """The genesis record with the first byte of the field ``name`` set to
+    ``value``."""
+
+    def raw(body):
+        start = _field_start(body, name)
+        return body[:start] + bytes([value]) + body[start + 1 :]
+
+    return raw
+
+
+def _stake_burned_off_by_one(state):
+    # Burned tokens are derived from the burn counters, so one more burned
+    # than the balances and stakes account for breaks conservation.
+    state.stake_burned += 1
+
+
+# A golden request, whose result in the golden run's final state is labelled.
+GOLDEN_REQUEST = "04a6d555efb4a641"
+COUNT_PAST_END = "count 4294967295 exceeds the"
+
 # id -> (state field the failure names, edit of the genesis state, edit of
-# the record's bytes)
+# the record's bytes, what the refusal of those bytes says)
 HOSTILE_GENESIS = {
-    "epoch-length-zero": ("params", _params(epoch_length=0), None),
-    "fee-split-over-100": ("params", _params(fee_owner_pct=99), None),
-    "u64-overflow": ("balances", _wrapping_balances, None),
-    "validators-not-object": ("validators", None, _count_past_end("validators")),
-    "balances-not-object": ("balances", None, _count_past_end("balances")),
-    "algorithms-not-object": ("algorithms", None, _count_past_end("algorithms")),
-    "feedback-done-not-list": ("feedback_done", None, _count_past_end("feedback_done")),
+    "epoch-length-zero": ("params", _params(epoch_length=0), None, None),
+    "fee-split-over-100": ("params", _params(fee_owner_pct=99), None, None),
+    "u64-overflow": ("balances", _wrapping_balances, None, None),
+    "validators-not-object": (
+        "validators", None, _count_past_end("validators"), COUNT_PAST_END
+    ),
+    "balances-not-object": ("balances", None, _count_past_end("balances"), COUNT_PAST_END),
+    "algorithms-not-object": (
+        "algorithms", None, _count_past_end("algorithms"), COUNT_PAST_END
+    ),
+    "labelled-bool-byte-2": (
+        "results", _final_record("results", GOLDEN_REQUEST), _byte_of("labelled", 2),
+        "labelled: bool byte 2",
+    ),
     "media-types-not-list": (
-        "algorithms", _final_record("algorithms", "algo-nd"), _count_past_end("media_types")
+        "algorithms", _final_record("algorithms", "algo-nd"), _count_past_end("media_types"),
+        COUNT_PAST_END,
     ),
     "challenges-submitted-not-list": (
         "algorithms", _final_record("algorithms", "algo-nd"),
-        _count_past_end("challenges_submitted"),
+        _count_past_end("challenges_submitted"), COUNT_PAST_END,
     ),
     "metadata-not-object": (
-        "contents", _final_record("contents", "trusted-000"), _count_past_end("metadata")
+        "contents", _final_record("contents", "trusted-000"), _count_past_end("metadata"),
+        COUNT_PAST_END,
     ),
     "genesis-breaks-conservation": (
-        "balances", lambda state: state.balances.update({"owner-1": 151}), None
+        "balances", lambda state: state.balances.update({"owner-1": 151}), None, None
     ),
+    "stake-burned-off-by-one": ("balances", _stake_burned_off_by_one, None, None),
 }
 
 
-@pytest.mark.parametrize("name, edit, raw", HOSTILE_GENESIS.values(), ids=HOSTILE_GENESIS.keys())
+@pytest.mark.parametrize(
+    "name, edit, raw, refusal", HOSTILE_GENESIS.values(), ids=HOSTILE_GENESIS.keys()
+)
 def test_verify_hostile_genesis_params_fail_at_height_zero(
-    golden_run, tmp_path, capsys, name, edit, raw
+    golden_run, tmp_path, capsys, name, edit, raw, refusal
 ):
     chain = golden_run.out_dir / "run.chain.jsonl"
     hostile = tmp_path / "hostile.chain.jsonl"
@@ -233,8 +266,9 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
         if edit is not None:
             edit(state) if edit.__code__.co_argcount == 1 else edit(state, golden_run)
         if name == "balances" and raw is None:
-            # One token more than the supply, in a genesis block resealed to
-            # match it: only the conservation check can refuse this chain.
+            # One token more or less than the supply, in a genesis block
+            # resealed to match it: only the conservation check can refuse
+            # this chain.
             block, _ = init_chain(state)
         return block, state
 
@@ -247,8 +281,8 @@ def test_verify_hostile_genesis_params_fail_at_height_zero(
     assert code == 1
     assert out.startswith("FAIL at height 0")
     assert name in out
-    if raw is not None:
-        assert "count 4294967295 exceeds the" in out
+    if refusal is not None:
+        assert refusal in out
 
 
 def test_chain_of_the_earlier_format_fails_at_height_0(golden_run, tmp_path, capsys):

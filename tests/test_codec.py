@@ -4,13 +4,16 @@ from veriledger.codec import (
     Hash256,
     enc_bytes,
     enc_f64,
-    enc_scalar_map,
     enc_str,
-    enc_str_map,
     enc_u32,
     enc_u64,
     hash_bytes,
 )
+from veriledger.core import FIELD_CODECS
+
+# The encoders of a record's string map and of a detector's parameter map.
+enc_str_map = FIELD_CODECS["dict[str, str]"][0]
+enc_scalar_map = FIELD_CODECS["dict[str, object]"][0]
 
 # Standard SHA-256 reference vectors, cross-checked against an independent
 # implementation (FIPS 180-2 examples).

@@ -175,8 +175,8 @@ def test_fifteen_of_twenty_deprecates_and_burns_half():
     assert record.status is AlgorithmStatus.DEPRECATED
     assert record.stake == 0
     assert driver.state.balances["alice"] == 50  # refund
-    assert driver.state.total_burned == 50
     assert driver.state.stake_burned == 50
+    assert driver.state.conservation_gap() == 0
 
 
 def test_twenty_first_submission_rejected():
@@ -483,7 +483,6 @@ def test_commit_splits_fee_70_20_10():
     rid = setup_active_pipeline(driver)
     owner_before = driver.state.balances["alice"]
     proposer_before = driver.state.balance("v1")
-    burned_before = driver.state.total_burned
     receipt, _ = driver.submit(
         TxKind.COMMIT_ANALYSIS_RESULT,
         ORACLE,
@@ -495,11 +494,11 @@ def test_commit_splits_fee_70_20_10():
     assert receipt.status is ReceiptStatus.ACCEPTED
     assert driver.state.balances["alice"] == owner_before + 7
     assert driver.state.balance("v1") == proposer_before + 2
-    assert driver.state.total_burned == burned_before + 1
     assert driver.state.balances[ESCROW_ACCOUNT] == 0
     assert driver.state.fees_to_owners == 7
     assert driver.state.fees_to_proposers == 2
     assert driver.state.fees_burned == 1
+    assert driver.state.conservation_gap() == 0
 
 
 def test_deepfake_commit_emits_notification_per_match():
@@ -935,10 +934,11 @@ def reward_state(scores: dict[str, int], pool=100) -> NetworkState:
 
 def test_rewards_proportional():
     state = reward_state({"A": 3, "B": 1})
+    gap = state.conservation_gap()
     dist = distribute_epoch_rewards(state, 10)
     assert dict(dist) == {"owner-A": 75, "owner-B": 25}
-    assert state.total_minted == 100
     assert state.rewards_minted == 100
+    assert state.conservation_gap() == gap  # what is credited is counted minted
 
 
 def test_rewards_remainder_to_lexicographic_winner():
@@ -951,14 +951,14 @@ def test_rewards_remainder_to_lexicographic_winner():
 def test_rewards_no_active_algorithms():
     state = reward_state({})
     assert distribute_epoch_rewards(state, 10) == []
-    assert state.total_minted == 0
+    assert state.rewards_minted == 0
 
 
 def test_rewards_zero_scores_mint_nothing_but_reset():
     state = reward_state({"A": 0})
     assert distribute_epoch_rewards(state, 10) == []
     assert state.algorithms["A"].epoch_correct == 0
-    assert state.total_minted == 0
+    assert state.rewards_minted == 0
 
 
 def test_rewards_require_epoch_boundary():

@@ -6,7 +6,7 @@ shortcut is observable: a sealed or applied block never changes its input
 state, and a cached encoding always equals a fresh one.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -39,7 +39,7 @@ def snapshot(state: NetworkState):
     containers = {}
     for f in fields(state):
         value = getattr(state, f.name)
-        if isinstance(value, (dict, set)):
+        if isinstance(value, dict):
             containers[f.name] = value.copy()
     return (
         encode_state(state),
@@ -137,15 +137,18 @@ def test_epoch_reset_leaves_input_state_unchanged():
 
 def test_clone_containers_are_independent():
     rng, stream, state = fuzz_start(42)
-    for _ in range(20):
+    # At least 20 blocks, and until some request has a result.
+    while state.tip_height < 20 or not state.results:
         txs = fuzz_txs(rng, stream, state)
         _, state, _ = seal_block(state, txs, timestamp=state.tip_height + 1)
     assert state.requests and state.algorithms
+    unlabelled = next(rid for rid, result in state.results.items() if not result.labelled)
     expected = snapshot(state)
     copy = state.clone()
     copy.balances["someone"] = 5
     copy.requests.clear()
     copy.algorithms.clear()
-    copy.feedback_done.add("r-1")
+    copy.results[unlabelled] = replace(copy.results[unlabelled], labelled=True)
     assert snapshot(state) == expected
     assert "someone" not in state.balances
+    assert not state.results[unlabelled].labelled

@@ -211,8 +211,7 @@ def test_batch_partitioning_does_not_change_outcome(golden_config):
         "fees_to_proposers",
         "fees_burned",
         "stake_burned",
-        "total_burned",
-        "total_minted",
+        "rewards_minted",
     ):
         assert getattr(states[16], field) == getattr(states[5], field), field
 

@@ -18,11 +18,16 @@ again when the hashed encoding of an embedding became the sparse layout;
 each was checked against bytes built by hand from the layout, as
 ``test_embedding_encoding_known_answer`` spells out. The golden chain carries
 no ``TransferTokens`` and no state record with feedback counters, so these
-are the only tests that fix those encodings. No golden or workload state
-holds feedback either, so ``test_state_encoding_known_answer`` is the only
-test that fixes a whole state's encoding with every field filled; its digest
-was pinned with the hand-written state encoder that the derived one
-replaced.
+are the only tests that fix those encodings. No golden or workload genesis
+holds a result either, so ``test_state_encoding_known_answer`` is the only
+test that fixes a whole stored state's encoding with every field filled; its
+digest was pinned with the hand-written state encoder that the derived one
+replaced. ``AnalysisResultRecord``'s pair and the state's digest were pinned
+again when a result came to hold ``labelled`` and the state lost its set of
+labelled request ids and its minted and burned totals: each new encoding was
+checked to be the old one with a bool byte after each result and without
+that set and those two u64 fields, and the new JSON to be the old one with
+a ``labelled`` key.
 """
 
 import base64
@@ -173,6 +178,7 @@ RECORDS = {
         confidence=0.875,
         matched_content=MATCHES,
         committed_at=13,
+        labelled=True,
     ),
     "ContractParams": ContractParams(),
     "DetectorSpec": DetectorSpec(
@@ -192,8 +198,8 @@ KNOWN_ANSWERS = {
         "6c87ea72d3232af98ad42cd9757d376d93e6164ed4149befca34b7276032a443",
     ),
     "AnalysisResultRecord": (
-        "ff8ca42aeae6fa43f9a6d4e8d7cac913f0f90d8f5b62402931d4b797d790119c",
-        "d6ee1729112e83d2e8d2a2b66f8346e7f99675c4d3766acdc85096e8f8f03e15",
+        "49517b01a8c33b07af4b945c2f8186e42b65403f8129ce67c5419b10d467eed9",
+        "a86de20662e51227b75195a8f148226a72c1e0f43676766890b2cbe4883eb0bd",
     ),
     "CommitAnalysisResult": (
         "05a2cfe1df0f3521a74881c3157148dfdb0769f9f783de8d9d6a33f6a72f20a7",
@@ -271,8 +277,8 @@ def test_embedding_encoding_known_answer():
 
 
 def kat_state() -> NetworkState:
-    """A state whose every hashed field is non-default, its maps and sets
-    filled out of key order."""
+    """A state whose every hashed field is non-default, its maps filled out
+    of key order, and a result of each ``labelled`` value."""
     algorithm = RECORDS["AlgorithmRecord"]
     result = RECORDS["AnalysisResultRecord"]
     return NetworkState(
@@ -290,17 +296,16 @@ def kat_state() -> NetworkState:
         content_hash_index={CONTENT_HASH.hex: "content-kat"},
         requests={"req-000001": RECORDS["AnalysisRequest"]},
         results={
-            "req-000002": dataclasses.replace(result, request_id="req-000002", matched_content=()),
+            "req-000002": dataclasses.replace(
+                result, request_id="req-000002", matched_content=(), labelled=False
+            ),
             "req-000001": result,
         },
-        feedback_done={"req-000009", "req-000001", "req-000004", "req-000002"},
         detectors={
             "nd-2": DetectorSpec(kind="cosine", parameters={"threshold": 0.25}),
             "nd-1": RECORDS["DetectorSpec"],
         },
         initial_supply=10**6,
-        total_minted=31,
-        total_burned=7,
         fees_to_owners=8,
         fees_to_proposers=2,
         fees_burned=1,
@@ -312,12 +317,13 @@ def kat_state() -> NetworkState:
 
 
 def test_state_encoding_known_answer():
-    # Nothing else pins a state holding feedback, feedback counters or
-    # several detectors; the tip and the content-hash index stay out.
+    # Nothing else pins a stored state holding labelled results, feedback
+    # counters or several detectors; the tip and the content-hash index
+    # stay out.
     state = kat_state()
     encoded = encode_state(state)
     assert hash_bytes(encoded).hex == (
-        "aadc414c39712d88d01e4e14a693b931d6aa050f3190227a2367d7eb1e41b88c"
+        "7ce5b80102003e42fcf185f50e16d6e70aa2972af90ad82333a38b2026529fc3"
     )
     copy = state_copy(state)
     assert encode_state(copy) == encoded
@@ -395,6 +401,40 @@ def codec_samples(golden_run):
     return samples
 
 
+def _encoded(annotation, value):
+    return FIELD_CODECS[annotation][0](value)
+
+
+# annotation -> an edit of an encoding that the test below always makes,
+# whatever Hypothesis draws: ``(encoding, edit)``, where ``edit`` is
+# ``("flip", at, xor)``, ``("repeat",)`` or ``("swap",)``. Each is refused,
+# and each is accepted by one of the decoder mutants in scripts/mutants.py,
+# which names the test's case for that annotation among its killers.
+EDITS = {
+    # An ASCII byte made a UTF-8 lead byte with no continuation.
+    "str": (enc_str("algo-kat"), ("flip", 4, 0x80)),
+    "bool": (_encoded("bool", True), ("flip", 0, 0x02)),
+    # The bool parameter "a" made a 3.
+    "dict[str, object]": (_encoded("dict[str, object]", FLAGS.parameters), ("flip", 10, 0x02)),
+    "dict[str, int]": (_encoded("dict[str, int]", {"v1": 60, "v2": 40}), ("repeat",)),
+    # A count lowered by one (3 to 2, 2 to 1), so an entry is left over.
+    "frozenset[MediaType]": (
+        _encoded("frozenset[MediaType]", frozenset(MediaType)), ("flip", 3, 1)
+    ),
+    "tuple[tuple[str, float], ...]": (
+        _encoded("tuple[tuple[str, float], ...]", MATCHES), ("flip", 3, 3)
+    ),
+    "dict[str, AlgorithmRecord]": (
+        _encoded("dict[str, AlgorithmRecord]", kat_state().algorithms), ("swap",)
+    ),
+    "dict[str, AnalysisResultRecord]": (
+        _encoded("dict[str, AnalysisResultRecord]", kat_state().results), ("swap",)
+    ),
+    # "Deepfake" made "Eeepfake".
+    "Verdict": (_encoded("Verdict", Verdict.DEEPFAKE), ("flip", 4, 0x01)),
+}
+
+
 @pytest.mark.parametrize("annotation", sorted(FIELD_CODECS))
 def test_each_codec_entry_decodes_only_its_own_encodings(codec_samples, annotation):
     # A byte flipped inside an encoded value, the first two entries of a
@@ -408,16 +448,24 @@ def test_each_codec_entry_decodes_only_its_own_encodings(codec_samples, annotati
         end: the bytes from 4 on, read as ``k`` entries."""
         return decode_value(enc_u32(k) + data[4:], 0)[1]
 
-    @given(st.sampled_from(sorted(samples)), st.data())
-    def check(data, draw):
+    def edits(data):
+        """The edits Hypothesis draws for the sample ``data``."""
         value = samples[data]
-        n = len(value) if isinstance(value, (tuple, frozenset, set, dict)) else 0
-        kind = draw.draw(st.sampled_from(["flip"] + ["repeat"] * (n >= 1) + ["swap"] * (n >= 2)))
+        n = len(value) if isinstance(value, (tuple, frozenset, dict)) else 0
+        flip = st.tuples(st.just("flip"), st.integers(0, len(data) - 1), st.integers(1, 255))
+        return st.one_of(
+            flip, *[st.just(("repeat",))] * (n >= 1), *[st.just(("swap",))] * (n >= 2)
+        )
+
+    def check(case):
+        data, (kind, *flip) = case
         if kind == "flip":
+            at, xor = flip
             mutated = bytearray(data)
-            mutated[draw.draw(st.integers(0, len(data) - 1))] ^= draw.draw(st.integers(1, 255))
+            mutated[at] ^= xor
             mutated = bytes(mutated)
         elif kind == "repeat":
+            n = len(decode_value(data, 0)[0])
             mutated = enc_u32(n + 1) + data[4 : entries_end(data, 1)] + data[4:]
         else:
             first, second = entries_end(data, 1), entries_end(data, 2)
@@ -429,7 +477,12 @@ def test_each_codec_entry_decodes_only_its_own_encodings(codec_samples, annotati
             return
         assert encode(_fresh(decoded)) == mutated
 
-    check()
+    if annotation in EDITS:
+        check = example(EDITS[annotation])(check)
+    samples_and_edits = st.sampled_from(sorted(samples)).flatmap(
+        lambda data: st.tuples(st.just(data), edits(data))
+    )
+    given(samples_and_edits)(check)()
 
 
 # --- the transaction encoding cache ------------------------------------------

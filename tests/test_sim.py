@@ -557,7 +557,9 @@ def test_failing_algorithm_gets_deprecated_in_run(golden_config):
 
 def test_label_soundness_on_golden(golden_run):
     state = golden_run.result.chain.final_state
-    labelled = len(state.feedback_done)
+    # Every golden request gets its submitter's feedback.
+    assert state.results and all(result.labelled for result in state.results.values())
+    labelled = sum(result.labelled for result in state.results.values())
     total_counts = sum(
         m.tp + m.fp + m.tn + m.fn for m in golden_run.result.report.algorithms
     )

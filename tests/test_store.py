@@ -16,14 +16,15 @@ from hypothesis import assume, given, settings, strategies as st
 from veriledger import store
 from veriledger.cli import main
 from veriledger.codec import (
+    STR,
     Hash256,
     enc_bytes,
     enc_f64,
     enc_f64_bitmap,
     enc_str,
-    enc_str_list,
     enc_u32,
     enc_u64,
+    list_of,
 )
 from veriledger.core import (
     ESCROW_ACCOUNT,
@@ -96,6 +97,10 @@ from chainfile import (
 )
 from conftest import REPO_ROOT
 from test_ledger import fresh_state, resealed, transfer
+
+# A list of strings in the order given: a set's entries as its encoder lists
+# them once sorted, or in an order or with a repeat it never writes.
+enc_str_list = list_of(STR)[0]
 
 
 def read_all(path):
@@ -176,7 +181,7 @@ def test_round_trip_identity(tmp_path):
 
 # SHA-256 of the golden scenario's chain file. The golden fixtures hold only
 # hashes of the binary encodings, so this pins the chain file's layout.
-GOLDEN_CHAIN_SHA256 = "69ef39c98228f63bd96460c43ca36a970770e1b9e0f11b8921dbe96cc71cef9d"
+GOLDEN_CHAIN_SHA256 = "f69638337d4218a311100dfa24625a4dd63a5d3d0c7ffffcfdab409bbb6dbb01"
 
 
 def test_golden_chain_file_bytes_frozen(golden_run):
@@ -438,6 +443,7 @@ COSMETIC_VARIANTS = {
     "unknown-verdict": {"Verdict": lambda v: enc_str("Maybe")},
     "parameter-tag": {"dict[str, object]": _scalar_map(b"\x05" + enc_u64(1))},
     "parameter-bool-byte": {"dict[str, object]": _scalar_map(b"\x04\x02")},
+    "labelled-bool-byte": {"bool": lambda labelled: b"\x02"},
     "parameter-nan": {"dict[str, object]": _scalar_map(b"\x03" + enc_f64(math.nan))},
     "matches-count-past-end": {"tuple[tuple[str, float], ...]": lambda ms: enc_u32(2**32 - 1)},
 }
@@ -461,11 +467,20 @@ def _cosmetic_variant(src, dst, overrides) -> int:
     raise AssertionError("no record changed")
 
 
+def _cosmetic_source(golden_run, tmp_path, overrides):
+    """The chain a variant edits: the golden chain, which stores no bool
+    field (only a stored state's results hold one), or else a chain whose
+    genesis holds a labelled result."""
+    if "bool" in overrides:
+        return _labelled_chain(tmp_path)
+    return golden_run.out_dir / "run.chain.jsonl"
+
+
 @pytest.mark.parametrize("overrides", COSMETIC_VARIANTS.values(), ids=COSMETIC_VARIANTS.keys())
 def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, overrides):
     # Refused, never raised.
     variant = tmp_path / "variant.chain.jsonl"
-    _cosmetic_variant(golden_run.out_dir / "run.chain.jsonl", variant, overrides)
+    _cosmetic_variant(_cosmetic_source(golden_run, tmp_path, overrides), variant, overrides)
     with pytest.raises(CorruptRecord):
         read_all(variant)
     result = verify_chain(variant)
@@ -477,7 +492,9 @@ def test_no_stored_byte_is_cosmetic(golden_run, tmp_path, overrides):
 def test_canonical_check_matches_the_re_render_on_cosmetic_variants(golden_run, tmp_path, overrides):
     # The record refused is the one whose bytes differ from the writer's.
     variant = tmp_path / "variant.chain.jsonl"
-    height = _cosmetic_variant(golden_run.out_dir / "run.chain.jsonl", variant, overrides)
+    height = _cosmetic_variant(
+        _cosmetic_source(golden_run, tmp_path, overrides), variant, overrides
+    )
     with pytest.raises(CorruptRecord) as info:
         read_all(variant)
     assert info.value.height == height
@@ -651,9 +668,10 @@ def test_commit_after_escrow_theft_is_a_rejected_receipt(golden_run, tmp_path, c
     assert json.loads(capsys.readouterr().out)["receipts"] == [record_to_json(rejected)]
 
 
-def _with_completed_request(state, result_algorithm):
+def _with_completed_request(state, result_algorithm, labelled=False):
     """Add to ``state`` a completed request r-1 of A, with a result naming
-    ``result_algorithm``, or with no result if that is None."""
+    ``result_algorithm`` and ``labelled`` as given, or with no result if
+    that is None."""
     state.algorithms["algo"] = AlgorithmRecord(
         algorithm_id="algo",
         owner="B",
@@ -681,7 +699,34 @@ def _with_completed_request(state, result_algorithm):
             confidence=0.0,
             matched_content=(),
             committed_at=0,
+            labelled=labelled,
         )
+
+
+def _labelled_chain(tmp_path):
+    """A two-block chain whose genesis holds A's completed request r-1 with
+    a labelled result, and whose block 1 holds A's feedback on it."""
+    genesis_state = fresh_state()
+    _with_completed_request(genesis_state, "algo", labelled=True)
+    genesis, state = init_chain(genesis_state)
+    feedback = Transaction(
+        TxKind.SUBMIT_FEEDBACK, "A", SubmitFeedback("r-1", Verdict.DEEPFAKE), nonce=0
+    )
+    block, _, _ = seal_block(state, [feedback], timestamp=1)
+    path = tmp_path / "labelled.chain.jsonl"
+    with ChainWriter(path) as writer:
+        writer.append(genesis, genesis_state=genesis_state)
+        writer.append(block)
+    return path
+
+
+def test_feedback_on_a_labelled_genesis_result_is_a_duplicate(tmp_path):
+    # The result holds the only record that its feedback was given.
+    (_, genesis_state), (record, state) = replay(_labelled_chain(tmp_path))
+    assert genesis_state.results["r-1"].labelled
+    rejected = Receipt(0, ReceiptStatus.REJECTED, error_code="DuplicateFeedback")
+    assert record.receipts == (rejected,)
+    assert state.algorithms["algo"] == genesis_state.algorithms["algo"]
 
 
 @pytest.mark.parametrize(
@@ -1187,7 +1232,7 @@ def test_decoded_encodings_are_the_fresh_ones_on_mixed_media(tmp_path):
 
 def _chain_with_two_entry_sets(tmp_path):
     """A one-block chain whose genesis holds an algorithm with two media
-    types and two challenges submitted, and two requests with feedback."""
+    types and two challenges submitted."""
     genesis_state = fresh_state()
     genesis_state.algorithms["algo"] = AlgorithmRecord(
         algorithm_id="algo",
@@ -1199,7 +1244,6 @@ def _chain_with_two_entry_sets(tmp_path):
         registered_at=0,
         challenges_submitted=frozenset({"ch-000", "ch-001"}),
     )
-    genesis_state.feedback_done = {"r-1", "r-2"}
     genesis, state = init_chain(genesis_state)
     block, _, _ = seal_block(state, [transfer("A", "B", 1)], timestamp=1)
     path = tmp_path / "sets.chain.jsonl"
@@ -1213,11 +1257,10 @@ def _chain_with_two_entry_sets(tmp_path):
 SET_ENTRIES = {
     "media_types": ["Bytes", "Image"],
     "challenges_submitted": ["ch-000", "ch-001"],
-    "feedback_done": ["r-1", "r-2"],
 }
 
 
-@pytest.mark.parametrize("name", ["media_types", "challenges_submitted", "feedback_done"])
+@pytest.mark.parametrize("name", ["media_types", "challenges_submitted"])
 @pytest.mark.parametrize("edit", ["unsorted", "duplicated"])
 def test_set_entries_must_be_sorted_and_distinct(tmp_path, name, edit):
     path = _chain_with_two_entry_sets(tmp_path)
