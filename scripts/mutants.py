@@ -1,5 +1,5 @@
-"""Mutation gate for the chain decoders' strictness checks and for the
-consensus rules.
+"""Mutation gate for the chain decoders' strictness checks, for the
+consensus rules and for the cosine kernel's exact shortcuts.
 
     python scripts/mutants.py
 
@@ -16,10 +16,12 @@ exit status 1. Nothing is skipped.
 
 Why: a decoder that accepts a second encoding of a value lets a reader hash
 bytes no writer writes (``core._dec_transaction`` and ``_dec_embedding``
-keep the bytes they read as the encoding cache), and a contract rule that
-drops a check or a counter changes what every node agrees on. Each mutant
-below is one of these, and the tests named for it are the ones that catch
-it. A case of the codec property test kills its mutant on a fixed
+keep the bytes they read as the encoding cache); a contract or ledger rule
+that drops a check or a counter, or moves a comparison's boundary, changes
+what every node agrees on; and a shortcut of the cosine kernel or of the
+statistics it reads that takes a wrong branch changes a committed score.
+Each mutant below is one of these, and the tests named for it are the ones
+that catch it. A case of the codec property test kills its mutant on a fixed
 ``@example`` (``EDITS`` in tests/test_record_codec.py), not on what
 Hypothesis happens to draw.
 """
@@ -44,6 +46,7 @@ SETS = "tests/test_store.py::test_set_entries_must_be_sorted_and_distinct"
 REJECTION = "tests/test_contracts.py::test_every_rejection_code_is_reached_and_state_neutral"
 CONSERVATION = "tests/test_acceptance.py::test_criterion_2_token_conservation"
 GOLDEN = "tests/test_sim.py::test_golden_report_matches_frozen_fixture"
+SPARSE = "tests/test_sparse_search.py"
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,46 @@ MUTANTS = (
             "tests/test_contracts.py::test_commit_splits_fee_70_20_10",
             GOLDEN,
             "tests/test_ledger.py::test_golden_genesis_hash_frozen",
+        ),
+    ),
+    Mutant(
+        "proposer-boundary-inclusive",
+        "src/veriledger/ledger.py",
+        "        if cumulative * _TWO64 > u * total:\n",
+        "        if cumulative * _TWO64 >= u * total:\n",
+        (
+            "tests/test_ledger.py::"
+            "test_a_draw_on_a_cumulative_stake_boundary_goes_to_the_next_validator",
+        ),
+    ),
+    Mutant(
+        "repeated-nonce-accepted",
+        "src/veriledger/contracts.py",
+        "        if tx.nonce <= last:\n",
+        "        if tx.nonce < last:\n",
+        (
+            f"{REJECTION}[BadNonce-repeated]",
+            "tests/test_ledger.py::test_bad_nonce_rejected_and_consumes_nothing",
+        ),
+    ),
+    Mutant(
+        "equal-bitmap-cosine-for-every-pair",
+        "src/veriledger/detection.py",
+        "    if a.bitmap == b.bitmap:\n",
+        "    if True:\n",
+        (
+            f"{SPARSE}::test_similarity_of_unequal_bitmaps_matches_the_dense_loop",
+            f"{SPARSE}::test_record_sharing_no_bin_scores_exactly_zero",
+        ),
+    ),
+    Mutant(
+        "support-keeps-negative-zero",
+        "src/veriledger/core.py",
+        "        if 0.0 in stored:  # a stored -0.0 is in the bitmap but not the support\n",
+        "        if False:\n",
+        (
+            f"{SPARSE}::test_from_dense_statistics_match_three_passes",
+            f"{SPARSE}::test_decoded_statistics_match_three_passes",
         ),
     ),
 )

@@ -51,7 +51,7 @@ import struct
 from dataclasses import dataclass
 from itertools import compress
 from operator import lt
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .errors import SerializationError
 
@@ -176,24 +176,26 @@ def dec_f64(data: bytes, pos: int) -> tuple[float, int]:
 _BITS = tuple(tuple(b for b in range(8) if byte << b & 0x80) for byte in range(256))
 
 
-def enc_f64_bitmap(n: int, indices: Sequence[int], stored: Sequence[float]) -> bytes:
-    """The sparse layout of ``n`` values: ``stored`` at ``indices``
-    (ascending), and ``+0.0`` at every other index. ``stored`` holds no
+def bitmap_indices(bitmap: bytes) -> Iterator[int]:
+    """The indices of ``bitmap``'s set bits, ascending: bit i is the bit
+    ``0x80 >> i % 8`` of byte ``i // 8``. Only the non-zero bytes are
+    visited, through the bit table."""
+    return (8 * k + b for k in compress(range(len(bitmap)), bitmap) for b in _BITS[bitmap[k]])
+
+
+def enc_f64_bitmap(n: int, bitmap: bytes, stored: Sequence[float]) -> bytes:
+    """The sparse layout of ``n`` values: ``stored`` at the indices of
+    ``bitmap``'s set bits, and ``+0.0`` at every other index. ``bitmap``
+    has ``ceil(n/8)`` bytes and no bit past ``n``, and ``stored`` holds no
     ``+0.0``; a ``-0.0`` is stored."""
-    bitmap = bytearray((n + 7) // 8)
-    for i in indices:
-        bitmap[i >> 3] |= 0x80 >> (i & 7)
     return struct.pack(f">I{len(bitmap)}s{len(stored)}d", n, bitmap, *stored)
 
 
-def dec_f64_bitmap(
-    data: bytes, pos: int
-) -> tuple[tuple[int, tuple[int, ...], tuple[float, ...]], int]:
-    """Strict inverse of ``enc_f64_bitmap``, as ``(n, indices, stored)``:
+def dec_f64_bitmap(data: bytes, pos: int) -> tuple[tuple[int, bytes, tuple[float, ...]], int]:
+    """Strict inverse of ``enc_f64_bitmap``, as ``(n, bitmap, stored)``:
     besides what every decoder refuses, a bitmap bit at or past the count
     and a stored ``+0.0``. It builds nothing larger than the bytes it
-    reads, whatever the count claims: an all-zero bitmap byte claims 8
-    values and yields no index."""
+    reads, whatever the count claims: the bitmap is the slice it read."""
     (n,) = _U32(data, pos)
     width = (n + 7) // 8
     pos += 4
@@ -211,11 +213,7 @@ def dec_f64_bitmap(
     # stored value is zero.
     if 0.0 in stored and any(math.copysign(1.0, x) > 0 for x in stored if x == 0.0):
         raise SerializationError("+0.0 is stored")
-    # Only the bitmap's non-zero bytes are visited, through the bit table.
-    indices = tuple(
-        8 * k + b for k in compress(range(width), bitmap) for b in _BITS[bitmap[k]]
-    )
-    return (n, indices, stored), pos
+    return (n, bitmap, stored), pos
 
 
 def enc_bytes(b: bytes) -> bytes:

@@ -40,6 +40,7 @@ from .codec import (
     Decoder,
     Hash256,
     ascending,
+    bitmap_indices,
     dec_bytes,
     dec_f64_bitmap,
     dec_tag,
@@ -114,6 +115,12 @@ class ReceiptStatus(str, Enum):
     REJECTED = "rejected"
 
 
+# Each byte value with its bits reversed: read through it, a bitmap whose
+# bit i is most significant first in its byte is an int's bit i, least
+# significant first.
+_LSB_FIRST = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
+
 def _encoding_cache():
     return field(default=None, init=False, compare=False, repr=False)
 
@@ -121,22 +128,28 @@ def _encoding_cache():
 @dataclass(frozen=True, slots=True)
 class Embedding:
     """Fixed-dimension numeric fingerprint of one piece of content, held in
-    the one form its encoding (the sparse layout) stores: of its
-    ``dimension`` values, each that is not ``+0.0`` is in ``stored``, at its
-    ascending index in ``indices``; ``-0.0`` is stored, so embeddings that
-    differ in a zero's sign are unequal, as their hashes are. ``from_dense``
-    builds one from a dense vector.
+    the layout its encoding (the sparse layout) stores: of its
+    ``dimension`` values, each that is not ``+0.0`` is in ``stored``, in
+    index order, and has its bit set in ``bitmap``, ``ceil(dimension/8)``
+    bytes, bit i being ``0x80 >> i % 8`` of byte ``i // 8``
+    (``codec.bitmap_indices`` lists them). ``-0.0`` is stored, so
+    embeddings that differ in a zero's sign are unequal, as their hashes
+    are. ``from_dense`` builds one from a dense vector; a decoded one holds
+    the bitmap it read, so decoding builds no index.
 
     ``__post_init__`` computes what the cosine kernel and its pruning rule
     (``detection``) read, over the non-zero stored values (a NaN is
-    non-zero): ``norm2``, the squared norm, a plain sequential sum in index
-    order (never ``sum()``, which compensates since Python 3.12), whose bits
-    are a dense loop's, since adding a zero's square ``+0.0`` to a sum of
-    squares, never ``-0.0``, leaves it unchanged; ``support``, with bit
-    ``i`` set for each such value's index; and ``peak``, the largest stored
-    value when each non-zero one is ``> 0`` and ``inf`` otherwise, so a
+    non-zero), in one pass over ``stored``: ``norm2``, the squared norm, a
+    plain sequential sum in index order (never ``sum()``, which compensates
+    since Python 3.12), whose bits are a dense loop's, since adding a
+    zero's square ``+0.0`` to a sum of squares, never ``-0.0``, leaves it
+    unchanged; and ``peak``, the largest stored value (``0.0`` if none is
+    ``> 0``) when each non-zero one is ``> 0``, and ``inf`` otherwise, so a
     bound on a dot product built from it is never finite for a vector it
-    does not hold for.
+    does not hold for. ``support``
+    has bit ``i`` set for each such value's index: it is the bitmap read
+    least significant bit first, with the bits of any stored ``-0.0``
+    cleared.
 
     They and the encoding cache stay out of equality, hashing and ``repr``.
     The cache is filled by ``encode_embedding`` on first use or, in an
@@ -147,7 +160,7 @@ class Embedding:
 
     media_type: MediaType
     dimension: int
-    indices: tuple[int, ...]
+    bitmap: bytes
     stored: tuple[float, ...]
     norm2: float = field(init=False, compare=False, repr=False)
     support: int = field(init=False, compare=False, repr=False)
@@ -155,27 +168,37 @@ class Embedding:
     _encoding: bytes | None = _encoding_cache()
 
     def __post_init__(self) -> None:
-        norm2 = 0.0
-        # The support's bytes, least significant first: setting bits of one
-        # int in turn would copy it each time, quadratic in a decoded
-        # record's length.
-        support = bytearray(self.indices[-1] // 8 + 1 if self.indices else 0)
+        stored, bitmap = self.stored, self.bitmap
+        norm2 = peak = 0.0
         positive = True
-        for i, v in zip(self.indices, self.stored):
-            if v != 0.0:
-                norm2 += v * v
-                support[i >> 3] |= 1 << (i & 7)
-                if not v > 0.0:
-                    positive = False
+        for v in stored:
+            norm2 += v * v
+            if v > peak:
+                peak = v
+            elif not v >= 0.0:  # negative or NaN; -0.0 passes
+                positive = False
+        if 0.0 in stored:  # a stored -0.0 is in the bitmap but not the support
+            kept = bytearray(bitmap)
+            for i, v in zip(bitmap_indices(bitmap), stored):
+                if v == 0.0:
+                    kept[i >> 3] &= ~(0x80 >> (i & 7))
+            bitmap = kept
         object.__setattr__(self, "norm2", norm2)
-        object.__setattr__(self, "support", int.from_bytes(support, "little"))
-        object.__setattr__(self, "peak", max(self.stored, default=0.0) if positive else math.inf)
+        object.__setattr__(
+            self, "support", int.from_bytes(bitmap.translate(_LSB_FIRST), "little")
+        )
+        object.__setattr__(self, "peak", peak if positive else math.inf)
 
     @classmethod
     def from_dense(cls, values: Sequence[float], media_type: MediaType) -> Embedding:
         """The embedding of the dense vector ``values``."""
-        indices = tuple(i for i, v in enumerate(values) if v or math.copysign(1.0, v) < 0.0)
-        return cls(media_type, len(values), indices, tuple(values[i] for i in indices))
+        bitmap = bytearray((len(values) + 7) // 8)
+        stored = []
+        for i, v in enumerate(values):
+            if v or math.copysign(1.0, v) < 0.0:
+                bitmap[i >> 3] |= 0x80 >> (i & 7)
+                stored.append(v)
+        return cls(media_type, len(values), bytes(bitmap), tuple(stored))
 
     def is_valid(self) -> bool:
         """Right dimension, every value finite and ``>= 0``, one ``> 0``, and
@@ -579,7 +602,7 @@ def encode_embedding(e: Embedding) -> bytes:
     encoded = e._encoding
     if encoded is None:
         # Media type first: the reverse of the declaration order.
-        encoded = enc_str(e.media_type.value) + enc_f64_bitmap(e.dimension, e.indices, e.stored)
+        encoded = enc_str(e.media_type.value) + enc_f64_bitmap(e.dimension, e.bitmap, e.stored)
         object.__setattr__(e, "_encoding", encoded)
     return encoded
 
@@ -590,8 +613,8 @@ def _dec_embedding(data: bytes, pos: int) -> tuple[Embedding, int]:
     decode to."""
     start = pos
     media_type, pos = _MEDIA_TYPE[1](data, pos)
-    (dimension, indices, stored), pos = dec_f64_bitmap(data, pos)
-    e = Embedding(media_type, dimension, indices, stored)
+    (dimension, bitmap, stored), pos = dec_f64_bitmap(data, pos)
+    e = Embedding(media_type, dimension, bitmap, stored)
     object.__setattr__(e, "_encoding", data[start:pos])
     return e, pos
 

@@ -25,19 +25,24 @@ support, ratio)``. A search then walks only the rows of its media type and
 calls no method on a record it skips.
 
 Similarity search is sparse and norm-cached. An ``Embedding`` holds only
-its stored values at their ascending indices, and its squared norm computed
-once, so a cosine walks the two index tuples together and multiplies only
-where both store a value, instead of three multiplies per dimension. A
-Bytes histogram of content over a 32-symbol alphabet stores about 32 of its
-256 bins. The result has the same bits as the dense loop that sums
-``x * y``, ``x * x`` and ``y * y`` over every dimension: each skipped product
-has a ``+0.0`` factor, so for finite entries it is ``±0.0``, and adding
-``±0.0`` to a sum that starts at ``+0.0`` (which is then never ``-0.0``)
-leaves its bits unchanged; the kept products are added in the same
-ascending index order; and each of the three sums is independent of the
-others, so a norm summed once is the same number. Where a skipped product
-would be NaN (``+0.0`` times an infinite or NaN entry), that entry's norm
-is ``inf`` or NaN, and the clamped result is ``0.0`` either way.
+its stored values, in index order, with the bitmap that marks their
+indices, and its squared norm computed once. A cosine multiplies only
+where both embeddings store a value, instead of three multiplies per
+dimension: when the two bitmaps are equal, as every two dense embeddings'
+are, it pairs the stored values in order; otherwise it walks the indices
+of the two bitmaps together (``codec.bitmap_indices``), the one behind
+catching up. A Bytes histogram of content over a 32-symbol alphabet stores
+about 32 of its 256 bins. The result has the same bits as the dense loop
+that sums ``x * y``, ``x * x`` and ``y * y`` over every dimension: each
+skipped product has a ``+0.0`` factor, so for finite entries it is
+``±0.0``, and adding ``±0.0`` to a sum that starts at ``+0.0`` (which is
+then never ``-0.0``) leaves its bits unchanged; the kept products are added
+in the same ascending index order, which for equal bitmaps is the order of
+the stored values, so both branches add the same products in the same
+order; and each of the three sums is independent of the others, so a norm
+summed once is the same number. Where a skipped product would be NaN
+(``+0.0`` times an infinite or NaN entry), that entry's norm is ``inf`` or
+NaN, and the clamped result is ``0.0`` either way.
 
 ``match_trusted`` also skips every record whose cosine provably stays below
 the threshold, with one test per row: the size filter of AllPairs (Bayardo,
@@ -83,7 +88,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import Hash256
+from .codec import Hash256, bitmap_indices
 from .core import (
     SCALE,
     AlgorithmRecord,
@@ -258,8 +263,10 @@ def embed(content: bytes, media_type: MediaType) -> Embedding:
 
 def similarity(a: Embedding, b: Embedding) -> float:
     """Cosine similarity of two embeddings, clamped to [0, 1], from their
-    cached norms: the dot product walks the two ascending index tuples
-    together and multiplies only where both store a value.
+    cached norms. When the two bitmaps are equal, as every two dense
+    embeddings' are, the dot product pairs the stored values in order;
+    otherwise it walks the two bitmaps' indices together and multiplies
+    only where both store a value.
 
     Entries are expected non-negative, so the mathematical value is already
     in [0, 1]; clamping only removes float round-off spill.
@@ -272,20 +279,24 @@ def similarity(a: Embedding, b: Embedding) -> float:
         raise DimensionMismatch(f"{a.dimension} != {b.dimension}")
     if a.norm2 == 0.0 or b.norm2 == 0.0:
         raise ZeroVector("cosine undefined for zero vectors")
-    # The two walks step together while their indices agree, as two dense
-    # vectors' always do; where they differ, the one behind catches up. A
-    # walk that runs out reads index inf and value 0.0, so the other runs
-    # out too, and their last product, +0.0, leaves the sum unchanged.
     dot = 0.0
-    indices_a, values_a = iter(a.indices), iter(a.stored)
-    indices_b, values_b = iter(b.indices), iter(b.stored)
-    for i, x, j, y in zip(indices_a, values_a, indices_b, values_b):
-        while i != j:
-            if i < j:
-                i, x = next(indices_a, math.inf), next(values_a, 0.0)
-            else:
-                j, y = next(indices_b, math.inf), next(values_b, 0.0)
-        dot += x * y
+    if a.bitmap == b.bitmap:
+        for x, y in zip(a.stored, b.stored):
+            dot += x * y
+    else:
+        # The two walks step together while their indices agree; where
+        # they differ, the one behind catches up. A walk that runs out
+        # reads index inf and value 0.0, so the other runs out too, and
+        # their last product, +0.0, leaves the sum unchanged.
+        indices_a, values_a = bitmap_indices(a.bitmap), iter(a.stored)
+        indices_b, values_b = bitmap_indices(b.bitmap), iter(b.stored)
+        for i, x, j, y in zip(indices_a, values_a, indices_b, values_b):
+            while i != j:
+                if i < j:
+                    i, x = next(indices_a, math.inf), next(values_a, 0.0)
+                else:
+                    j, y = next(indices_b, math.inf), next(values_b, 0.0)
+            dot += x * y
     # sqrt of the product keeps the result bit-identical under a/b swap
     return min(1.0, max(0.0, dot / math.sqrt(a.norm2 * b.norm2)))
 

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, settings
 
+from veriledger.codec import bitmap_indices
 from veriledger.sim import ScenarioRunner, parse_scenario
 
 settings.register_profile(
@@ -34,11 +35,16 @@ def random_bytes(rng, n: int) -> bytes:
     return b"".join(rng.next_u64().to_bytes(8, "big") for _ in range(-(-n // 8)))[:n]
 
 
+def indices(embedding) -> tuple[int, ...]:
+    """The indices at which ``embedding`` stores a value, ascending."""
+    return tuple(bitmap_indices(embedding.bitmap))
+
+
 def dense(embedding) -> tuple[float, ...]:
     """The dense vector ``embedding`` holds: ``+0.0`` wherever it stores
     nothing."""
     values = [0.0] * embedding.dimension
-    for i, v in zip(embedding.indices, embedding.stored):
+    for i, v in zip(indices(embedding), embedding.stored):
         values[i] = v
     return tuple(values)
 

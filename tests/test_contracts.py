@@ -857,6 +857,8 @@ def _duplicate_request(driver, rid):
 
 REJECTIONS = {
     "BadNonce": ("pending", lambda d, rid: (*_transfer(1), 0)),
+    # The nonce alice's last accepted transaction carried, sent again.
+    "BadNonce-repeated": ("pending", lambda d, rid: (*_transfer(1), d.state.nonces["alice"])),
     "UnknownKind": ("fresh", lambda d, rid: (TxKind.REGISTER_ALGORITHM, *_transfer(1)[1:])),
     "DuplicateAlgorithm": ("registered", lambda d, rid: _register("algo-1")),
     "InsufficientStake": ("fresh", lambda d, rid: _register(stake=99)),

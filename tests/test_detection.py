@@ -35,7 +35,7 @@ from veriledger.errors import (
 from veriledger.rng import SplitMix64
 from veriledger.sim import perturb
 
-from conftest import dense, random_bytes
+from conftest import dense, indices, random_bytes
 
 
 def pgm(width, height, pixel_fn) -> bytes:
@@ -74,7 +74,7 @@ def request_for(content: bytes, media_type: MediaType) -> AnalysisTarget:
 
 def test_bytes_histogram():
     e = embed(bytes([0x00, 0x00, 0xFF, 0xFF]), MediaType.BYTES)
-    assert (e.dimension, e.indices, e.stored) == (256, (0, 255), (0.5, 0.5))
+    assert (e.dimension, indices(e), e.stored) == (256, (0, 255), (0.5, 0.5))
 
 
 def test_constant_image_embedding():

@@ -90,6 +90,21 @@ def test_selection_frequency_matches_stake():
     assert abs(hits / 100_000 - 0.25) <= 0.01
 
 
+def draw_at(u: int) -> Hash256:
+    """A seed whose draw is ``u / 2^64``."""
+    return Hash256(u.to_bytes(8, "big") + bytes(24))
+
+
+def test_a_draw_on_a_cumulative_stake_boundary_goes_to_the_next_validator():
+    # "a" holds a quarter of the stake: a draw of exactly 1/4 is not below
+    # its cumulative fraction, so "b" wins it, and one just below is "a"'s.
+    validators = {"a": 1, "b": 3}
+    assert select_proposer(validators, draw_at(2**62)) == "b"
+    assert select_proposer(validators, draw_at(2**62 - 1)) == "a"
+    # A draw of 0 is the boundary of a zero-stake validator first by id.
+    assert select_proposer({"a": 0, "b": 5}, draw_at(0)) == "b"
+
+
 def test_selection_uses_id_order_not_dict_order():
     seed = Hash256(b"\x00" * 32)  # u = 0: first positive-stake id wins
     assert select_proposer({"z": 5, "a": 5}, seed) == "a"

@@ -92,7 +92,7 @@ from veriledger.errors import SerializationError
 from veriledger.store import canonical_json, record_to_json
 
 from chainfile import bodies, decode, record_copy, state_copy, transaction_copy
-from conftest import dense
+from conftest import dense, indices
 
 CONTENT_HASH = hash_bytes(b"known-answer content")
 AUDIO = Embedding.from_dense((0.0, 0.5, 1.25, 3e-07), MediaType.AUDIO)
@@ -652,7 +652,7 @@ def test_from_dense_stores_every_value_but_plus_zero(values):
     # index, and densifies back to the same bits.
     e = Embedding.from_dense(tuple(values), MediaType.BYTES)
     assert e.dimension == len(values)
-    assert e.indices == tuple(i for i, x in enumerate(values) if stored(x))
+    assert indices(e) == tuple(i for i, x in enumerate(values) if stored(x))
     assert [x.hex() for x in e.stored] == [x.hex() for x in values if stored(x)]
     assert [x.hex() for x in dense(e)] == [x.hex() for x in values]
 
@@ -686,7 +686,7 @@ def test_filled_embedding_cache_is_a_fresh_pack(e):
     assert e._encoding is encoded
     assert encode_embedding(e) is encoded
     assert encoded == enc_str(e.media_type.value) + sparse_layout(dense(e))
-    layout = enc_f64_bitmap(e.dimension, e.indices, e.stored)
+    layout = enc_f64_bitmap(e.dimension, e.bitmap, e.stored)
     assert encoded == enc_str(e.media_type.value) + layout
     assert hash_embedding(e) == hash_bytes(encoded)
 

@@ -17,11 +17,12 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from veriledger.codec import hash_bytes
 from veriledger.core import (
     EMBEDDING_DIMENSIONS,
+    FIELD_CODECS,
     ContentRecord,
     DetectorSpec,
     Embedding,
@@ -47,7 +48,7 @@ from veriledger.rng import SplitMix64
 from veriledger.store import canonical_json, record_to_json
 
 from chainfile import record_copy
-from conftest import dense
+from conftest import dense, indices
 from test_record_codec import KNOWN_ANSWERS, RECORDS
 
 # --- the dense reference ----------------------------------------------------
@@ -184,8 +185,8 @@ specials = st.one_of(
 
 
 @st.composite
-def embeddings(draw):
-    media_type = draw(st.sampled_from(MEDIA))
+def embeddings(draw, media=MEDIA):
+    media_type = draw(st.sampled_from(media))
     if media_type is MediaType.BYTES and draw(st.booleans()):
         return embed(draw(small_alphabet_bytes), MediaType.BYTES)
     dim = EMBEDDING_DIMENSIONS[media_type]
@@ -342,6 +343,84 @@ def test_rule_skips_only_records_scoring_below_the_threshold(search):
     for record in skipped_records(query, registry, threshold):
         score = outcome(dense_cosine, dense(query), dense(record.embedding))
         assert isinstance(score, str) and float.fromhex(score) < threshold
+
+
+# A cosine is the dense loop's bit for bit whichever branch of ``similarity``
+# it takes: the stored values paired in order where the bitmaps are equal,
+# the walk over their indices where they are not.
+
+# Values the bitmap marks: -0.0, NaN, inf, a negative, subnormals and values
+# whose squares underflow or overflow.
+stored_values = st.one_of(
+    st.sampled_from([-0.0, math.nan, math.inf, 5e-324, 1e-160, 1e-162, 1e300, -1.0]),
+    st.floats(0.0, 1.0).filter(bool),
+)
+
+
+@st.composite
+def equal_bitmap_pairs(draw):
+    """Two embeddings of one media type that store values at the same
+    indices: all of them, as every two Image or Audio embeddings do, or a
+    drawn set."""
+    media_type = draw(st.sampled_from(MEDIA))
+    dim = EMBEDDING_DIMENSIONS[media_type]
+    support = range(dim) if draw(st.booleans()) else sorted(
+        draw(st.sets(st.integers(0, dim - 1), max_size=dim))
+    )
+
+    def draw_embedding():
+        # Random 53-bit values in (0, 1], then a few drawn values at drawn
+        # positions of the support.
+        rng = SplitMix64(draw(st.integers(0, 2**32)))
+        values = [0.0] * dim
+        for i in support:
+            values[i] = (1 + (rng.next_u64() >> 11)) * 2.0**-53
+        if support:
+            for i, v in draw(st.lists(st.tuples(st.sampled_from(support), stored_values),
+                                      max_size=4)):
+                values[i] = v
+        return Embedding.from_dense(tuple(values), media_type)
+
+    return draw_embedding(), draw_embedding()
+
+
+@st.composite
+def unequal_bitmap_pairs(draw):
+    """Two embeddings of one media type whose bitmaps differ."""
+    media_type = draw(st.sampled_from(MEDIA))
+    a = draw(embeddings([media_type]))
+    b = draw(embeddings([media_type]).filter(lambda b: b.bitmap != a.bitmap))
+    return a, b
+
+
+def image(values):
+    return Embedding.from_dense(tuple(values), MediaType.IMAGE)
+
+
+def scored_as_dense(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert outcome(similarity, x, y) == outcome(dense_cosine, dense(x), dense(y))
+
+
+@settings(max_examples=5 * settings.default.max_examples)
+@given(equal_bitmap_pairs())
+@example((image([0.5] * 64), image([0.25, 0.75] * 32)))
+@example((image([-0.0, 0.5] * 32), image([0.5, math.inf] * 32)))
+def test_similarity_of_equal_bitmaps_matches_the_dense_loop(pair):
+    a, b = pair
+    assert a.bitmap == b.bitmap
+    scored_as_dense(a, b)
+
+
+@settings(max_examples=5 * settings.default.max_examples)
+@given(unequal_bitmap_pairs())
+@example((embed(b"abcabc", MediaType.BYTES), embed(b"xyz", MediaType.BYTES)))
+@example((embed(b"aab", MediaType.BYTES), embed(b"abcd", MediaType.BYTES)))
+@example((image([0.5] * 63 + [0.0]), image([0.0] + [0.25] * 63)))
+def test_similarity_of_unequal_bitmaps_matches_the_dense_loop(pair):
+    a, b = pair
+    assert a.bitmap != b.bitmap
+    scored_as_dense(a, b)
 
 
 def rule_case(case):
@@ -526,7 +605,7 @@ raw_values = st.lists(
 def sparse_bits(e):
     """The non-zero pairs, norm, support and peak of ``e``, each float but
     the peak as its bits; every NaN reads ``nan``."""
-    pairs = [(i, v) for i, v in zip(e.indices, e.stored) if v != 0.0]
+    pairs = [(i, v) for i, v in zip(indices(e), e.stored) if v != 0.0]
     return [(i, v.hex()) for i, v in pairs], e.norm2.hex(), e.support, e.peak
 
 
@@ -537,6 +616,9 @@ def reference_bits(values):
 
 @settings(max_examples=5 * settings.default.max_examples)
 @given(raw_values)
+@example([0.5, -0.0, 0.0, 0.25, -0.0])
+@example([0.0, math.nan, -0.0, math.inf, 1.0])
+@example([-0.0] * 9 + [math.inf])
 def test_from_dense_statistics_match_three_passes(values):
     # The peak compares as a number: of a vector of zeros alone it is a zero
     # of either sign, which lies outside ``SCALE`` alike.
@@ -544,16 +626,40 @@ def test_from_dense_statistics_match_three_passes(values):
     assert sparse_bits(e) == reference_bits(values)
 
 
+# Every finite float: the decoder refuses a non-finite one.
+finite_values = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-160, 1e-162, 1e300]),
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        st.floats(0.0, 1.0),
+    ),
+    max_size=300,
+)
+
+
+@settings(max_examples=5 * settings.default.max_examples)
+@given(finite_values)
+@example([0.5, -0.0, 0.0, 0.25, -0.0])
+@example([-0.0] * 9 + [1e300])
+def test_decoded_statistics_match_three_passes(values):
+    # The decoder hands ``Embedding`` the bitmap it read, from which the
+    # support is taken.
+    data = encode_embedding(Embedding.from_dense(values, MediaType.BYTES))
+    decoded, end = FIELD_CODECS["Embedding"][1](data, 0)
+    assert end == len(data) and decoded._encoding == data
+    assert sparse_bits(decoded) == reference_bits(values)
+
+
 def test_from_dense_of_the_empty_vector():
     e = Embedding.from_dense((), MediaType.BYTES)
-    assert (e.indices, e.stored, e.norm2, e.support, e.peak) == ((), (), 0.0, 0, 0.0)
+    assert (e.bitmap, e.stored, e.norm2, e.support, e.peak) == (b"", (), 0.0, 0, 0.0)
     assert sparse_bits(e) == reference_bits(())
     assert e.norm2.hex() == e.peak.hex() == (0.0).hex()
 
 
 def test_sparse_pairs_and_norm():
     e = embed(b"aab", MediaType.BYTES)
-    assert (e.indices, e.stored) == ((ord("a"), ord("b")), (2 / 3, 1 / 3))
+    assert (indices(e), e.stored) == ((ord("a"), ord("b")), (2 / 3, 1 / 3))
     expected = 0.0
     for v in dense(e):
         expected += v * v
@@ -579,7 +685,7 @@ def test_negative_or_nan_values_are_never_pruned(bad):
 
 
 def fresh(e):
-    return Embedding(e.media_type, e.dimension, e.indices, e.stored)
+    return Embedding(e.media_type, e.dimension, e.bitmap, e.stored)
 
 
 def test_cache_not_in_equality_hash_or_repr():
@@ -590,7 +696,7 @@ def test_cache_not_in_equality_hash_or_repr():
     assert e.support.bit_count() == len(set(b"hello world")) and e.peak == 3 / 11
     assert (repr(e), hash(e)) == before
     assert e == fresh(e) and hash(e) == hash(fresh(e))
-    assert hash(e) == hash((e.media_type, e.dimension, e.indices, e.stored))
+    assert hash(e) == hash((e.media_type, e.dimension, e.bitmap, e.stored))
     for name in ("norm2", "support", "peak", "_encoding"):
         assert name not in repr(e)
     assert str(e.support) not in repr(e) and repr(encoded) not in repr(e)

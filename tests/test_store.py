@@ -403,7 +403,7 @@ def _first_value(raw: bytes, value: float) -> bytes:
 def _embedding(edit):
     """An embedding encoder that stores ``edit`` of the values' layout."""
     return lambda e: enc_str(e.media_type.value) + edit(
-        enc_f64_bitmap(e.dimension, e.indices, e.stored)
+        enc_f64_bitmap(e.dimension, e.bitmap, e.stored)
     )
 
 
@@ -826,8 +826,11 @@ state = NetworkState(
     params=ContractParams(), validators={"v1": 10}, balances={"A": 100}, initial_supply=110
 )
 genesis, live = init_chain(state)
-indices = tuple(range(0, 2**26, spacing)) if spacing else ()
-embedding = Embedding(MediaType.BYTES, 2**26, indices, (1.0,) * len(indices))
+bitmap, stored = bytes(2**23), ()
+if spacing:  # values 0, spacing, 2 * spacing, ...: bit 0 of every (spacing / 8)th byte
+    bitmap = bytes([0x80] + [0] * (spacing // 8 - 1)) * (2**26 // spacing)
+    stored = (1.0,) * (2**26 // spacing)
+embedding = Embedding(MediaType.BYTES, 2**26, bitmap, stored)
 request = SubmitAnalysisRequest(MediaType.BYTES, Hash256.zero(), embedding, 10)
 tx = Transaction(TxKind.SUBMIT_ANALYSIS_REQUEST, "A", request, nonce=0)
 block, _, receipts = seal_block(live, [tx], timestamp=1)
