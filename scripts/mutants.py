@@ -17,13 +17,15 @@ exit status 1. Nothing is skipped.
 Why: a decoder that accepts a second encoding of a value lets a reader hash
 bytes no writer writes (``core._dec_transaction`` and ``_dec_embedding``
 keep the bytes they read as the encoding cache); a contract or ledger rule
-that drops a check or a counter, or moves a comparison's boundary, changes
-what every node agrees on; and a shortcut of the cosine kernel or of the
-statistics it reads that takes a wrong branch changes a committed score.
-Each mutant below is one of these, and the tests named for it are the ones
-that catch it. A case of the codec property test kills its mutant on a fixed
-``@example`` (``EDITS`` in tests/test_record_codec.py), not on what
-Hypothesis happens to draw.
+that drops a check or a counter, moves a comparison's boundary or rounds a
+split the other way changes what every node agrees on; and a cosine kernel
+that takes a wrong shortcut, walks the shared bins out of index order or
+reads the wrong stored value changes a committed score. Each mutant below
+is one of these, and the tests named for it are the ones that catch it. A
+case of the codec property test kills its mutant on a fixed ``@example``
+(``EDITS`` in tests/test_record_codec.py), not on what Hypothesis happens
+to draw, and so does the unequal-bitmap cosine test (``ORDERED`` in
+tests/test_sparse_search.py is the pair whose sum depends on the order).
 """
 
 from __future__ import annotations
@@ -214,13 +216,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "support-keeps-negative-zero",
-        "src/veriledger/core.py",
-        "        if 0.0 in stored:  # a stored -0.0 is in the bitmap but not the support\n",
-        "        if False:\n",
+        "mask-walk-descending",
+        "src/veriledger/detection.py",
+        "            top = common.bit_length() - 1\n",
+        "            top = (common & -common).bit_length() - 1\n",
+        (f"{SPARSE}::test_similarity_of_unequal_bitmaps_matches_the_dense_loop",),
+    ),
+    Mutant(
+        "mask-rank-off-by-one",
+        "src/veriledger/detection.py",
+        "a.stored[(ma >> top).bit_count() - 1]",
+        "a.stored[(ma >> top).bit_count()]",
+        (f"{SPARSE}::test_similarity_of_unequal_bitmaps_matches_the_dense_loop",),
+    ),
+    Mutant(
+        "deprecation-burns-the-odd-token",
+        "src/veriledger/contracts.py",
+        "    burn = record.stake // 2\n",
+        "    burn = (record.stake + 1) // 2\n",
         (
-            f"{SPARSE}::test_from_dense_statistics_match_three_passes",
-            f"{SPARSE}::test_decoded_statistics_match_three_passes",
+            "tests/test_contracts.py::test_deprecating_an_odd_stake_burns_the_floor_of_half",
+            "tests/test_contracts.py::test_fuzzed_blocks_conserve_tokens_and_match_naive",
+        ),
+    ),
+    Mutant(
+        "reward-remainder-to-the-lowest-score",
+        "src/veriledger/contracts.py",
+        "        top = min(scores, key=lambda aid: (-scores[aid], aid))\n",
+        "        top = min(scores, key=lambda aid: (scores[aid], aid))\n",
+        (
+            "tests/test_contracts.py::test_rewards_remainder_to_the_highest_score",
+            "tests/test_acceptance.py::test_criterion_7_reward_arithmetic",
         ),
     ),
 )

@@ -49,9 +49,8 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from itertools import compress
 from operator import lt
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import SerializationError
 
@@ -169,18 +168,6 @@ def dec_f64(data: bytes, pos: int) -> tuple[float, int]:
     if not math.isfinite(x):
         raise SerializationError(f"non-finite float {x}")
     return x, pos + 8
-
-
-# The set bits of each byte value, most significant first, as offsets from
-# the index of the byte's first bit.
-_BITS = tuple(tuple(b for b in range(8) if byte << b & 0x80) for byte in range(256))
-
-
-def bitmap_indices(bitmap: bytes) -> Iterator[int]:
-    """The indices of ``bitmap``'s set bits, ascending: bit i is the bit
-    ``0x80 >> i % 8`` of byte ``i // 8``. Only the non-zero bytes are
-    visited, through the bit table."""
-    return (8 * k + b for k in compress(range(len(bitmap)), bitmap) for b in _BITS[bitmap[k]])
 
 
 def enc_f64_bitmap(n: int, bitmap: bytes, stored: Sequence[float]) -> bytes:

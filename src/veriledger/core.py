@@ -40,7 +40,6 @@ from .codec import (
     Decoder,
     Hash256,
     ascending,
-    bitmap_indices,
     dec_bytes,
     dec_f64_bitmap,
     dec_tag,
@@ -115,12 +114,6 @@ class ReceiptStatus(str, Enum):
     REJECTED = "rejected"
 
 
-# Each byte value with its bits reversed: read through it, a bitmap whose
-# bit i is most significant first in its byte is an int's bit i, least
-# significant first.
-_LSB_FIRST = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
-
-
 def _encoding_cache():
     return field(default=None, init=False, compare=False, repr=False)
 
@@ -131,25 +124,22 @@ class Embedding:
     the layout its encoding (the sparse layout) stores: of its
     ``dimension`` values, each that is not ``+0.0`` is in ``stored``, in
     index order, and has its bit set in ``bitmap``, ``ceil(dimension/8)``
-    bytes, bit i being ``0x80 >> i % 8`` of byte ``i // 8``
-    (``codec.bitmap_indices`` lists them). ``-0.0`` is stored, so
-    embeddings that differ in a zero's sign are unequal, as their hashes
-    are. ``from_dense`` builds one from a dense vector; a decoded one holds
-    the bitmap it read, so decoding builds no index.
+    bytes, bit i being ``0x80 >> i % 8`` of byte ``i // 8``. ``-0.0`` is
+    stored, so embeddings that differ in a zero's sign are unequal, as their
+    hashes are. ``from_dense`` builds one from a dense vector; a decoded one
+    holds the bitmap it read, so decoding builds no index.
 
     ``__post_init__`` computes what the cosine kernel and its pruning rule
-    (``detection``) read, over the non-zero stored values (a NaN is
-    non-zero), in one pass over ``stored``: ``norm2``, the squared norm, a
-    plain sequential sum in index order (never ``sum()``, which compensates
-    since Python 3.12), whose bits are a dense loop's, since adding a
-    zero's square ``+0.0`` to a sum of squares, never ``-0.0``, leaves it
-    unchanged; and ``peak``, the largest stored value (``0.0`` if none is
-    ``> 0``) when each non-zero one is ``> 0``, and ``inf`` otherwise, so a
-    bound on a dot product built from it is never finite for a vector it
-    does not hold for. ``support``
-    has bit ``i`` set for each such value's index: it is the bitmap read
-    least significant bit first, with the bits of any stored ``-0.0``
-    cleared.
+    (``detection``) read, in one pass over ``stored``: ``norm2``, the
+    squared norm, a plain sequential sum in index order (never ``sum()``,
+    which compensates since Python 3.12), whose bits are a dense loop's,
+    since adding a zero's square ``+0.0`` to a sum of squares, never
+    ``-0.0``, leaves it unchanged; ``peak``, the largest stored value
+    (``0.0`` if none is ``> 0``) when each non-zero one (a NaN is non-zero)
+    is ``> 0``, and ``inf`` otherwise, so a bound on a dot product built
+    from it is never finite for a vector it does not hold for; and
+    ``mask``, the bitmap read as one big-endian int: index i is its bit
+    ``8 * len(bitmap) - 1 - i``, so a higher bit is a lower index.
 
     They and the encoding cache stay out of equality, hashing and ``repr``.
     The cache is filled by ``encode_embedding`` on first use or, in an
@@ -163,30 +153,21 @@ class Embedding:
     bitmap: bytes
     stored: tuple[float, ...]
     norm2: float = field(init=False, compare=False, repr=False)
-    support: int = field(init=False, compare=False, repr=False)
+    mask: int = field(init=False, compare=False, repr=False)
     peak: float = field(init=False, compare=False, repr=False)
     _encoding: bytes | None = _encoding_cache()
 
     def __post_init__(self) -> None:
-        stored, bitmap = self.stored, self.bitmap
         norm2 = peak = 0.0
         positive = True
-        for v in stored:
+        for v in self.stored:
             norm2 += v * v
             if v > peak:
                 peak = v
             elif not v >= 0.0:  # negative or NaN; -0.0 passes
                 positive = False
-        if 0.0 in stored:  # a stored -0.0 is in the bitmap but not the support
-            kept = bytearray(bitmap)
-            for i, v in zip(bitmap_indices(bitmap), stored):
-                if v == 0.0:
-                    kept[i >> 3] &= ~(0x80 >> (i & 7))
-            bitmap = kept
         object.__setattr__(self, "norm2", norm2)
-        object.__setattr__(
-            self, "support", int.from_bytes(bitmap.translate(_LSB_FIRST), "little")
-        )
+        object.__setattr__(self, "mask", int.from_bytes(self.bitmap, "big"))
         object.__setattr__(self, "peak", peak if positive else math.inf)
 
     @classmethod

@@ -21,39 +21,43 @@ iteration work as on a tuple. On first use it builds, and keeps for the
 poll, an exact index from ``(media_type, content_hash)`` to the record with
 the smallest content_id, and per ``(media_type, dimension)`` the search
 rows: each record of that media type, in registry order, as ``(record,
-support, ratio)``. A search then walks only the rows of its media type and
+mask, ratio)``. A search then walks only the rows of its media type and
 calls no method on a record it skips.
 
 Similarity search is sparse and norm-cached. An ``Embedding`` holds only
 its stored values, in index order, with the bitmap that marks their
-indices, and its squared norm computed once. A cosine multiplies only
-where both embeddings store a value, instead of three multiplies per
-dimension: when the two bitmaps are equal, as every two dense embeddings'
-are, it pairs the stored values in order; otherwise it walks the indices
-of the two bitmaps together (``codec.bitmap_indices``), the one behind
-catching up. A Bytes histogram of content over a 32-symbol alphabet stores
-about 32 of its 256 bins. The result has the same bits as the dense loop
-that sums ``x * y``, ``x * x`` and ``y * y`` over every dimension: each
-skipped product has a ``+0.0`` factor, so for finite entries it is
-``±0.0``, and adding ``±0.0`` to a sum that starts at ``+0.0`` (which is
-then never ``-0.0``) leaves its bits unchanged; the kept products are added
-in the same ascending index order, which for equal bitmaps is the order of
-the stored values, so both branches add the same products in the same
-order; and each of the three sums is independent of the others, so a norm
-summed once is the same number. Where a skipped product would be NaN
-(``+0.0`` times an infinite or NaN entry), that entry's norm is ``inf`` or
-NaN, and the clamped result is ``0.0`` either way.
+indices, that bitmap as one int, its ``mask``, and its squared norm
+computed once. A cosine multiplies only where both embeddings store a
+value, instead of three multiplies per dimension: when the two bitmaps are
+equal, as every two dense embeddings' are, it pairs the stored values in
+order; otherwise it takes the set bits of ``mask_a & mask_b`` from the
+highest down, which is ascending index order, and finds each value in
+``stored`` by the popcount of the mask's bits at or above it. A Bytes
+histogram of content over a 32-symbol alphabet stores about 32 of its 256
+bins. The result has the same bits as the dense loop that sums ``x * y``,
+``x * x`` and ``y * y`` over every dimension: each skipped product has a
+``+0.0`` factor, so for finite entries it is ``±0.0``, and adding ``±0.0``
+to a sum that starts at ``+0.0`` (which is then never ``-0.0``) leaves its
+bits unchanged; the kept products are added in the same ascending index
+order, which for equal bitmaps is the order of the stored values, so both
+branches add the same products in the same order; and each of the three
+sums is independent of the others, so a norm summed once is the same
+number. Where a skipped product would be NaN (``+0.0`` times an infinite or
+NaN entry), that entry's norm is ``inf`` or NaN, and the clamped result is
+``0.0`` either way.
 
 ``match_trusted`` also skips every record whose cosine provably stays below
 the threshold, with one test per row: the size filter of AllPairs (Bayardo,
 Ma and Srikant, WWW 2007) and PPJoin (Xiao, Wang, Lin and Yu, WWW 2008).
-Each ``Embedding`` holds, beside its norm, a support bitmask and its peak,
-its largest value. For non-negative vectors each of the ``c =
-popcount(support_q & support_r)`` non-zero products is at most ``peak_q *
-peak_r``, so the cosine is at most ``c * a * b``, with ``a = peak_q /
-sqrt(n_q)`` and ``b = peak_r / sqrt(n_r)``. A row holds ``b`` as its
-``ratio``, and once per query the search takes ``limit = threshold * (1 -
-1e-9) / a``; it skips a row iff ``c * ratio < limit``.
+Each ``Embedding`` holds, beside its norm and mask, its peak, its largest
+value. For non-negative vectors each of the ``c = popcount(mask_q &
+mask_r)`` products the cosine adds is at most ``peak_q * peak_r``, so the
+cosine is at most ``c * a * b``, with ``a = peak_q / sqrt(n_q)`` and ``b =
+peak_r / sqrt(n_r)``. A stored ``-0.0`` has its bit set, so ``c`` may
+count a product that is zero: that only raises the bound, so the rule can
+only skip less. A row holds ``b`` as its ``ratio``, and once per query the
+search takes ``limit = threshold * (1 - 1e-9) / a``; it skips a row iff
+``c * ratio < limit``.
 
 This is sound when every norm and peak lies in ``SCALE`` (``2**-500`` to
 ``2**500``): there no step of the rule or of the cosine underflows or
@@ -88,7 +92,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import Hash256, bitmap_indices
+from .codec import Hash256
 from .core import (
     SCALE,
     AlgorithmRecord,
@@ -265,8 +269,8 @@ def similarity(a: Embedding, b: Embedding) -> float:
     """Cosine similarity of two embeddings, clamped to [0, 1], from their
     cached norms. When the two bitmaps are equal, as every two dense
     embeddings' are, the dot product pairs the stored values in order;
-    otherwise it walks the two bitmaps' indices together and multiplies
-    only where both store a value.
+    otherwise it walks the set bits of the two masks' AND, highest first,
+    which is ascending index order, and multiplies only there.
 
     Entries are expected non-negative, so the mathematical value is already
     in [0, 1]; clamping only removes float round-off spill.
@@ -284,19 +288,15 @@ def similarity(a: Embedding, b: Embedding) -> float:
         for x, y in zip(a.stored, b.stored):
             dot += x * y
     else:
-        # The two walks step together while their indices agree; where
-        # they differ, the one behind catches up. A walk that runs out
-        # reads index inf and value 0.0, so the other runs out too, and
-        # their last product, +0.0, leaves the sum unchanged.
-        indices_a, values_a = bitmap_indices(a.bitmap), iter(a.stored)
-        indices_b, values_b = bitmap_indices(b.bitmap), iter(b.stored)
-        for i, x, j, y in zip(indices_a, values_a, indices_b, values_b):
-            while i != j:
-                if i < j:
-                    i, x = next(indices_a, math.inf), next(values_a, 0.0)
-                else:
-                    j, y = next(indices_b, math.inf), next(values_b, 0.0)
-            dot += x * y
+        # The highest set bit of the masks' AND is the lowest index both
+        # store; a mask's set bits at or above it count its stored values up
+        # to that index, so one less is the value's position in ``stored``.
+        ma, mb = a.mask, b.mask
+        common = ma & mb
+        while common:
+            top = common.bit_length() - 1
+            common ^= 1 << top
+            dot += a.stored[(ma >> top).bit_count() - 1] * b.stored[(mb >> top).bit_count() - 1]
     # sqrt of the product keeps the result bit-identical under a/b swap
     return min(1.0, max(0.0, dot / math.sqrt(a.norm2 * b.norm2)))
 
@@ -354,13 +354,13 @@ class RegistryIndex(Sequence[ContentRecord]):
 
     def rows(self, media_type: MediaType, dimension: int) -> tuple[_Row, ...]:
         """The records of ``media_type`` in registry order, each as
-        ``(record, support, ratio)``: its support bitmask and its
-        ``_ratio`` at ``dimension``."""
+        ``(record, mask, ratio)``: its embedding's mask and its ``_ratio``
+        at ``dimension``."""
         key = (media_type, dimension)
         rows = self._rows.get(key)
         if rows is None:
             rows = self._rows[key] = tuple(
-                (record, record.embedding.support, _ratio(record.embedding, dimension))
+                (record, record.embedding.mask, _ratio(record.embedding, dimension))
                 for record in self._records
                 if record.media_type is media_type
             )
@@ -393,13 +393,13 @@ def match_trusted(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     dimension = query.dimension
-    support_q = query.support
+    mask_q = query.mask
     limit = threshold * SLACK / _ratio(query, dimension)  # 0.0 turns the rule off
     candidates = []
-    for record, support, ratio in _indexed(registry).rows(query.media_type, dimension):
+    for record, mask, ratio in _indexed(registry).rows(query.media_type, dimension):
         # Never true for a ratio of inf: ``inf < limit`` and NaN ``< limit``
         # (``0 * inf``) are false.
-        if (support_q & support).bit_count() * ratio < limit:
+        if (mask_q & mask).bit_count() * ratio < limit:
             continue
         sim = similarity(query, record.embedding)
         if sim >= threshold:

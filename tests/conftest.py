@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, settings
 
-from veriledger.codec import bitmap_indices
 from veriledger.sim import ScenarioRunner, parse_scenario
 
 settings.register_profile(
@@ -37,7 +36,8 @@ def random_bytes(rng, n: int) -> bytes:
 
 def indices(embedding) -> tuple[int, ...]:
     """The indices at which ``embedding`` stores a value, ascending."""
-    return tuple(bitmap_indices(embedding.bitmap))
+    bitmap = embedding.bitmap
+    return tuple(i for i in range(embedding.dimension) if bitmap[i >> 3] & 0x80 >> (i & 7))
 
 
 def dense(embedding) -> tuple[float, ...]:

@@ -179,6 +179,16 @@ def test_fifteen_of_twenty_deprecates_and_burns_half():
     assert driver.state.conservation_gap() == 0
 
 
+def test_deprecating_an_odd_stake_burns_the_floor_of_half():
+    driver = Driver(make_state({"alice": 101}))
+    register_algo(driver, stake=101)
+    activate_algo(driver, correct=15)
+    assert driver.state.algorithms["algo-1"].status is AlgorithmStatus.DEPRECATED
+    assert driver.state.balances["alice"] == 51  # the refund keeps the odd token
+    assert driver.state.stake_burned == 50
+    assert driver.state.conservation_gap() == 0
+
+
 def test_twenty_first_submission_rejected():
     driver = Driver(make_state())
     register_algo(driver)
@@ -948,6 +958,13 @@ def test_rewards_remainder_to_lexicographic_winner():
     dist = distribute_epoch_rewards(state, 10)
     assert dict(dist) == {"owner-A": 34, "owner-B": 33, "owner-C": 33}
     assert sum(amount for _, amount in dist) == 100
+
+
+def test_rewards_remainder_to_the_highest_score():
+    # 100 split 1:2 floors to 33 and 66; the remainder goes to B, whose
+    # score is higher, not to A, whose id is smaller.
+    state = reward_state({"A": 1, "B": 2})
+    assert dict(distribute_epoch_rewards(state, 10)) == {"owner-A": 33, "owner-B": 67}
 
 
 def test_rewards_no_active_algorithms():

@@ -2,14 +2,15 @@
 
 ``dense_cosine``, ``dense_match_trusted`` and the two dense detectors below
 are the search as it was before each embedding held only its stored values
-and cached its norm, support and peak: a cosine loop over every dimension of
+and cached its norm, mask and peak: a cosine loop over every dimension of
 the dense vectors (``conftest.dense``) for every record and an exact-hash
 lookup that sorts the whole registry. The live code must give the same
 results bit for bit.
 ``brute_force_matches`` in ``test_detection`` calls ``similarity`` itself, so
 it cannot serve as this reference. ``three_pass_sparse_values`` computes the
-non-zero pairs, norm, support and peak of a dense vector in three passes, as
-the code did before an embedding computed them in one.
+non-zero pairs, norm and peak of a dense vector in three passes, as the code
+did before an embedding computed them in one, and the mask, the int of the
+bitmap that marks every value but ``+0.0``.
 """
 
 import dataclasses
@@ -116,11 +117,15 @@ def three_pass_sparse_values(values):
     for v in values:
         norm2 += v * v
     pairs = tuple((i, v) for i, v in enumerate(values) if v != 0.0)
-    support = 0
-    for i, _ in pairs:
-        support |= 1 << i
+    # Bit i of the bitmap, most significant first, is bit ``top - i`` of its
+    # big-endian int; -0.0 is stored, so its bit is set.
+    top = 8 * ((len(values) + 7) // 8) - 1
+    mask = 0
+    for i, v in enumerate(values):
+        if v != 0.0 or math.copysign(1.0, v) < 0.0:
+            mask |= 1 << top - i
     peak = max(values, default=0.0) if all(v >= 0.0 for v in values) else math.inf
-    return pairs, norm2, support, peak
+    return pairs, norm2, mask, peak
 
 
 def skipped_records(query, searched, threshold):
@@ -326,7 +331,7 @@ def well_scaled_searches(draw):
     bounds = []
     for record in registry:
         r = record.embedding
-        bound = (query.support & r.support).bit_count() * (r.peak / math.sqrt(r.norm2)) * a
+        bound = (query.mask & r.mask).bit_count() * (r.peak / math.sqrt(r.norm2)) * a
         bounds += [t for t in (bound, bound / SLACK) if 0.0 < t <= 1.0]
     boundaries = [
         t for b in bounds for t in (b, math.nextafter(b, 0.0), math.nextafter(b, 1.0))
@@ -347,7 +352,7 @@ def test_rule_skips_only_records_scoring_below_the_threshold(search):
 
 # A cosine is the dense loop's bit for bit whichever branch of ``similarity``
 # it takes: the stored values paired in order where the bitmaps are equal,
-# the walk over their indices where they are not.
+# the walk over the set bits of their masks' AND where they are not.
 
 # Values the bitmap marks: -0.0, NaN, inf, a negative, subnormals and values
 # whose squares underflow or overflow.
@@ -412,11 +417,28 @@ def test_similarity_of_equal_bitmaps_matches_the_dense_loop(pair):
     scored_as_dense(a, b)
 
 
+# Three shared products 1.0, 0.75 * 2**-53 and 0.75 * 2**-53 sum to 1.0 in
+# ascending index order, each small one rounding away, but to 1 + 2**-52
+# from the last index down.
+ORDERED = (
+    image([1.0, 0.75 * 2.0**-53, 0.75 * 2.0**-53, 1.0] + [0.0] * 60),
+    image([1.0, 1.0, 1.0, 0.0, 1.0] + [0.0] * 59),
+)
+
+
 @settings(max_examples=5 * settings.default.max_examples)
 @given(unequal_bitmap_pairs())
 @example((embed(b"abcabc", MediaType.BYTES), embed(b"xyz", MediaType.BYTES)))
 @example((embed(b"aab", MediaType.BYTES), embed(b"abcd", MediaType.BYTES)))
 @example((image([0.5] * 63 + [0.0]), image([0.0] + [0.25] * 63)))
+@example(ORDERED)
+# A dimension that is not a multiple of 8: the bitmap ends in padding bits.
+@example((
+    Embedding.from_dense((0.5, 0.0, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.75, 0.125), MediaType.BYTES),
+    Embedding.from_dense((0.0, 0.3, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5), MediaType.BYTES),
+))
+# The two share the first index and the last and nothing between.
+@example((image([0.5] + [0.0] * 62 + [0.25]), image([0.25] + [0.5] * 62 + [0.75])))
 def test_similarity_of_unequal_bitmaps_matches_the_dense_loop(pair):
     a, b = pair
     assert a.bitmap != b.bitmap
@@ -515,6 +537,26 @@ def test_record_sharing_no_bin_scores_exactly_zero():
     ]
 
 
+def test_a_record_sharing_only_a_stored_negative_zero_is_scored():
+    # The masks mark a stored -0.0, so the rule counts the one bin these
+    # two share, where the product is zero: the bound reads 1, the record is
+    # scored and its cosine is exactly +0.0, as the dense loop's.
+    values = [0.0] * 256
+    values[ord("a")] = 0.5
+    query = Embedding.from_dense(tuple(values), MediaType.BYTES)
+    values[ord("a")], values[ord("x")] = -0.0, 0.25
+    record = Embedding.from_dense(tuple(values), MediaType.BYTES)
+    assert (query.mask & record.mask).bit_count() == 1
+    registry = [content("c", record, HASHES[0])]
+    for threshold in (0.0, 0.5, 1.0):
+        for searched in (registry, RegistryIndex(registry)):
+            assert skipped_records(query, searched, threshold) == []
+            assert outcome(match_trusted, query, searched, 5, threshold) == outcome(
+                dense_match_trusted, query, registry, 5, threshold
+            )
+    assert similarity(query, record).hex() == (0.0).hex()
+
+
 def test_similarity_runs_only_on_records_the_bound_cannot_rule_out(monkeypatch):
     # 300 Bytes records over ten disjoint 25-symbol alphabets. A query over
     # the first alphabet shares no bin with the 270 others, so their bound is
@@ -557,7 +599,7 @@ def test_margin_keeps_a_tight_bound_from_skipping_a_match(value, count):
     # and 1 - 6.9e-15.
     e = Embedding.from_dense((value,) * count + (0.0,) * (256 - count), MediaType.BYTES)
     ratio = e.peak / math.sqrt(e.norm2)
-    assert e.support.bit_count() * ratio < 1.0 / ratio
+    assert e.mask.bit_count() * ratio < 1.0 / ratio
     registry = [content("c", e, HASHES[0])]
     assert match_trusted(e, registry, 1, 1.0) == [MatchCandidate("c", 1.0)]
     assert bits(dense_match_trusted(e, registry, 1, 1.0)) == [("c", (1.0).hex())]
@@ -603,15 +645,15 @@ raw_values = st.lists(
 
 
 def sparse_bits(e):
-    """The non-zero pairs, norm, support and peak of ``e``, each float but
+    """The non-zero pairs, norm, mask and peak of ``e``, each float but
     the peak as its bits; every NaN reads ``nan``."""
     pairs = [(i, v) for i, v in zip(indices(e), e.stored) if v != 0.0]
-    return [(i, v.hex()) for i, v in pairs], e.norm2.hex(), e.support, e.peak
+    return [(i, v.hex()) for i, v in pairs], e.norm2.hex(), e.mask, e.peak
 
 
 def reference_bits(values):
-    pairs, norm2, support, peak = three_pass_sparse_values(values)
-    return [(i, v.hex()) for i, v in pairs], norm2.hex(), support, peak
+    pairs, norm2, mask, peak = three_pass_sparse_values(values)
+    return [(i, v.hex()) for i, v in pairs], norm2.hex(), mask, peak
 
 
 @settings(max_examples=5 * settings.default.max_examples)
@@ -643,7 +685,7 @@ finite_values = st.lists(
 @example([-0.0] * 9 + [1e300])
 def test_decoded_statistics_match_three_passes(values):
     # The decoder hands ``Embedding`` the bitmap it read, from which the
-    # support is taken.
+    # mask is taken.
     data = encode_embedding(Embedding.from_dense(values, MediaType.BYTES))
     decoded, end = FIELD_CODECS["Embedding"][1](data, 0)
     assert end == len(data) and decoded._encoding == data
@@ -652,7 +694,7 @@ def test_decoded_statistics_match_three_passes(values):
 
 def test_from_dense_of_the_empty_vector():
     e = Embedding.from_dense((), MediaType.BYTES)
-    assert (e.bitmap, e.stored, e.norm2, e.support, e.peak) == (b"", (), 0.0, 0, 0.0)
+    assert (e.bitmap, e.stored, e.norm2, e.mask, e.peak) == (b"", (), 0.0, 0, 0.0)
     assert sparse_bits(e) == reference_bits(())
     assert e.norm2.hex() == e.peak.hex() == (0.0).hex()
 
@@ -664,7 +706,7 @@ def test_sparse_pairs_and_norm():
     for v in dense(e):
         expected += v * v
     assert e.norm2.hex() == expected.hex()
-    assert e.support == (1 << ord("a")) | (1 << ord("b"))
+    assert e.mask == (1 << 255 - ord("a")) | (1 << 255 - ord("b"))
     assert e.peak == 2 / 3
 
 
@@ -693,13 +735,13 @@ def test_cache_not_in_equality_hash_or_repr():
     before = (repr(e), hash(e))
     encoded = encode_embedding(e)
     assert e._encoding is encoded
-    assert e.support.bit_count() == len(set(b"hello world")) and e.peak == 3 / 11
+    assert e.mask.bit_count() == len(set(b"hello world")) and e.peak == 3 / 11
     assert (repr(e), hash(e)) == before
     assert e == fresh(e) and hash(e) == hash(fresh(e))
     assert hash(e) == hash((e.media_type, e.dimension, e.bitmap, e.stored))
-    for name in ("norm2", "support", "peak", "_encoding"):
+    for name in ("norm2", "mask", "peak", "_encoding"):
         assert name not in repr(e)
-    assert str(e.support) not in repr(e) and repr(encoded) not in repr(e)
+    assert str(e.mask) not in repr(e) and repr(encoded) not in repr(e)
 
 
 @pytest.mark.parametrize(
