@@ -6,7 +6,7 @@ consensus rules and for the cosine kernel's exact shortcuts.
 Each entry of ``MUTANTS`` names one edit of a decoder or a contract rule:
 an exact snippet of one module, which must occur there exactly once, and
 its replacement.
-The script copies ``src/``, ``tests/``, ``scenarios/`` and
+The script copies ``src/``, ``tests/``, ``scenarios/``, ``perfbench/`` and
 ``pyproject.toml`` into a temporary directory, runs the union of the
 mutants' tests there unedited, which must all pass, and then, for each
 mutant in turn, applies its edit alone and runs its tests, each of which
@@ -17,11 +17,14 @@ exit status 1. Nothing is skipped.
 Why: a decoder that accepts a second encoding of a value lets a reader hash
 bytes no writer writes (``core._dec_transaction`` and ``_dec_embedding``
 keep the bytes they read as the encoding cache); a contract or ledger rule
-that drops a check or a counter, moves a comparison's boundary or rounds a
-split the other way changes what every node agrees on; and a cosine kernel
-that takes a wrong shortcut, walks the shared bins out of index order or
-reads the wrong stored value changes a committed score. Each mutant below
-is one of these, and the tests named for it are the ones that catch it. A
+that drops a check or a counter, moves a comparison's boundary, compares
+with a threshold's binary float or rounds a split the other way changes
+what every node agrees on; a cosine kernel that takes a wrong shortcut,
+walks the shared bins out of index order or reads the wrong stored value
+changes a committed score; and a state map (``core.StateMap``) that misses
+a write or stores an overwritten key twice encodes a root that a fresh
+copy of its state does not. Each mutant below is one of these, and the
+tests named for it are the ones that catch it. A
 case of the codec property test kills its mutant on a fixed ``@example``
 (``EDITS`` in tests/test_record_codec.py), not on what Hypothesis happens
 to draw, and so does the unequal-bitmap cosine test (``ORDERED`` in
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "scenarios", "pyproject.toml")
+COPIED = ("src", "tests", "scenarios", "perfbench", "pyproject.toml")
 
 PROPERTY = "tests/test_record_codec.py::test_each_codec_entry_decodes_only_its_own_encodings"
 COSMETIC = "tests/test_store.py::test_no_stored_byte_is_cosmetic"
@@ -49,6 +52,10 @@ REJECTION = "tests/test_contracts.py::test_every_rejection_code_is_reached_and_s
 CONSERVATION = "tests/test_acceptance.py::test_criterion_2_token_conservation"
 GOLDEN = "tests/test_sim.py::test_golden_report_matches_frozen_fixture"
 SPARSE = "tests/test_sparse_search.py"
+STATE_MAP = (
+    "tests/test_state_map.py::test_every_state_encodes_as_its_fresh_copy",
+    "tests/test_state_map.py::test_a_block_encodes_only_what_it_wrote",
+)
 
 
 @dataclass(frozen=True)
@@ -248,6 +255,34 @@ MUTANTS = (
             "tests/test_contracts.py::test_rewards_remainder_to_the_highest_score",
             "tests/test_acceptance.py::test_criterion_7_reward_arithmetic",
         ),
+    ),
+    Mutant(
+        "threshold-from-the-binary-float",
+        "src/veriledger/contracts.py",
+        "    return Fraction(str(value))\n",
+        "    return Fraction(value)\n",
+        ("tests/test_contracts.py::test_sixteen_of_twenty_activates",),
+    ),
+    Mutant(
+        "conservation-ignores-burned-stake",
+        "src/veriledger/core.py",
+        "        burned = self.fees_burned + self.stake_burned\n",
+        "        burned = self.fees_burned\n",
+        (CONSERVATION, "tests/test_contracts.py::test_fifteen_of_twenty_deprecates_and_burns_half"),
+    ),
+    Mutant(
+        "state-map-write-unrecorded",
+        "src/veriledger/core.py",
+        "        self._dirty.add(key)\n        dict.__setitem__(self, key, value)\n",
+        "        dict.__setitem__(self, key, value)\n",
+        STATE_MAP,
+    ),
+    Mutant(
+        "state-map-insert-after-an-equal-key",
+        "src/veriledger/core.py",
+        "from bisect import bisect_left\n",
+        "from bisect import bisect_right as bisect_left\n",
+        STATE_MAP,
     ),
 )
 

@@ -213,7 +213,8 @@ def dec_bytes(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def enc_str(s: str) -> bytes:
-    return enc_bytes(s.encode("utf-8"))
+    b = s.encode("utf-8")
+    return enc_u32(len(b)) + b
 
 
 def dec_str(data: bytes, pos: int) -> tuple[str, int]:
@@ -332,9 +333,7 @@ def map_of(value: Codec) -> Codec:
 def enum_of(enum_cls: type) -> Codec:
     """A member of ``enum_cls``, as its string value."""
     members = {m.value: m for m in enum_cls}
-
-    def encode(member) -> bytes:
-        return enc_str(member.value)
+    encode = {m: enc_str(m.value) for m in enum_cls}.__getitem__
 
     def decode(data: bytes, pos: int):
         value, pos = dec_str(data, pos)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
@@ -38,6 +39,7 @@ from .codec import (
     U64,
     Codec,
     Decoder,
+    Encoder,
     Hash256,
     ascending,
     dec_bytes,
@@ -47,6 +49,7 @@ from .codec import (
     enc_f64_bitmap,
     enc_str,
     enc_u32,
+    enc_u64,
     enum_of,
     exactly,
     hash_bytes,
@@ -438,6 +441,122 @@ class ContractParams:
         return index < self.challenge_count and challenge_id == f"ch-{index:03d}"
 
 
+# How many written keys ``StateMap.section`` places by bisect: each such
+# insertion moves the list's tail, so many of them would cost the square of
+# a large map.
+_FEW_WRITES = 64
+
+
+class StateMap(dict):
+    """A hashed map of the state that keeps its section of ``encode_state``:
+    the keys encoded, sorted, with their entries' encodings in the same
+    order; the section those join to; and the keys written or deleted since
+    (``_dirty``). Every mutator records the keys it touches, so ``section``
+    brings the section up to date by encoding those keys alone.
+
+    ``copy`` shares the encoded lists and section with the copy: ``section``
+    builds new lists rather than editing them, so neither map's writes
+    reach the other's bytes. A map built from a plain one has every key
+    still to encode.
+    """
+
+    __slots__ = ("_keys", "_parts", "_section", "_dirty")
+
+    def __init__(self, entries=()) -> None:
+        super().__init__(entries)
+        self._keys: list[str] = []
+        self._parts: list[bytes] = []
+        self._section = enc_u32(0)
+        self._dirty = set(self)
+
+    def copy(self) -> StateMap:
+        clone = StateMap.__new__(StateMap)
+        dict.update(clone, self)
+        clone._keys, clone._parts, clone._section = self._keys, self._parts, self._section
+        clone._dirty = self._dirty.copy()
+        return clone
+
+    def __setitem__(self, key, value) -> None:
+        self._dirty.add(key)
+        dict.__setitem__(self, key, value)
+
+    def __delitem__(self, key) -> None:
+        dict.__delitem__(self, key)
+        self._dirty.add(key)
+
+    # dict's own pop, popitem, setdefault, update, |= and clear would
+    # bypass the two above.
+    def pop(self, key, *default):
+        self._dirty.add(key)
+        return dict.pop(self, key, *default)
+
+    def popitem(self):
+        key, value = dict.popitem(self)
+        self._dirty.add(key)
+        return key, value
+
+    def setdefault(self, key, default=None):
+        if key not in self:
+            self[key] = default
+        return self[key]
+
+    def update(self, *args, **kwargs) -> None:
+        for key, value in dict(*args, **kwargs).items():
+            self[key] = value
+
+    def __ior__(self, other) -> StateMap:
+        self.update(other)
+        return self
+
+    def clear(self) -> None:
+        self._dirty.update(self)
+        dict.clear(self)
+
+    def section(self, entry: Callable[[str, Any], bytes]) -> bytes:
+        """The map's encoding: a ``u32`` count, then ``entry(key, value)``
+        of each entry in key order. Only the keys written since the last
+        call are encoded, in key order, so a ``ValueError`` names the first
+        bad entry. Up to ``_FEW_WRITES`` of them are each placed by a
+        bisect; more by one sort of all the keys, in which those encoded
+        before are already a sorted run, so no large list is built by
+        insertion."""
+        if not self._dirty:
+            return self._section
+        changed = sorted(self._dirty)
+        if len(changed) <= _FEW_WRITES:
+            keys, parts = self._keys.copy(), self._parts.copy()
+            for key in changed:
+                i = bisect_left(keys, key)
+                found = i < len(keys) and keys[i] == key
+                if key in self:
+                    part = entry(key, self[key])
+                    if found:
+                        parts[i] = part
+                    else:
+                        keys.insert(i, key)
+                        parts.insert(i, part)
+                elif found:
+                    del keys[i], parts[i]
+        else:
+            encoded = dict(zip(self._keys, self._parts))
+            for key in changed:
+                if key in self:
+                    encoded[key] = entry(key, self[key])
+                else:
+                    encoded.pop(key, None)
+            keys = sorted(encoded)
+            parts = list(map(encoded.__getitem__, keys))
+        self._keys, self._parts, self._dirty = keys, parts, set()
+        self._section = enc_u32(len(keys)) + b"".join(parts)
+        return self._section
+
+
+def state_map(entries: dict) -> StateMap:
+    """``entries`` as a ``StateMap``: a copy, which shares its encoded
+    section if it has one."""
+    return entries.copy() if type(entries) is StateMap else StateMap(entries)
+
+
 @dataclass(slots=True)
 class NetworkState:
     """Full network state: token ledger, registries, and chain tip metadata.
@@ -467,18 +586,12 @@ class NetworkState:
     tip_hash: Hash256 = field(default_factory=Hash256.zero)
 
     def clone(self) -> "NetworkState":
-        """Copy every container; share the immutable records and params."""
+        """Copy every container; share the immutable records and params,
+        and each hashed map's encoded section (``StateMap``)."""
         return replace(
             self,
-            validators=dict(self.validators),
-            balances=dict(self.balances),
-            nonces=dict(self.nonces),
-            algorithms=dict(self.algorithms),
-            contents=dict(self.contents),
             content_hash_index=dict(self.content_hash_index),
-            requests=dict(self.requests),
-            results=dict(self.results),
-            detectors=dict(self.detectors),
+            **{name: state_map(getattr(self, name)) for name in STATE_MAPS},
         )
 
     def balance(self, account: str) -> int:
@@ -620,15 +733,16 @@ def _record(cls: type) -> Codec:
     return _cached, lambda data, pos: record_decoder(cls)(data, pos)
 
 
-def _enc_records(records: dict[str, Any]) -> bytes:
-    """A record map of the state: its records sorted by key, each encoding
-    cached on its record. A record's key is its id, so it is not encoded
-    again."""
-    parts = [enc_u32(len(records))]
-    for key in sorted(records):
-        record = records[key]
-        parts.append(record._encoding or _cached(record))  # no call once cached
-    return b"".join(parts)
+def _sections(entry: Callable[[str, Any], bytes]) -> Encoder:
+    """The encoder of a hashed map of the state, ``entry(key, value)`` of
+    each entry in key order; a plain map is encoded as a fresh
+    ``StateMap``."""
+    return lambda m: (m if type(m) is StateMap else StateMap(m)).section(entry)
+
+
+def _record_entry(key: str, record: Any) -> bytes:
+    # A record's key is its id, so it is not encoded again.
+    return record._encoding or _cached(record)  # no call once cached
 
 
 def _records(cls: type, id_field: str) -> Codec:
@@ -642,7 +756,7 @@ def _records(cls: type, id_field: str) -> Codec:
         ascending(keys)
         return dict(zip(keys, records)), pos
 
-    return _enc_records, decode
+    return _sections(_record_entry), decode
 
 
 # What ``encode_transaction`` writes before the payload, in its hashed order,
@@ -708,12 +822,17 @@ FIELD_CODECS: dict[str, Codec] = {
         (lambda tx: enc_bytes(encode_transaction(tx)), _dec_transaction)
     ),
     "ContractParams": _record(ContractParams),
-    "dict[str, int]": map_of(U64),
+    "dict[str, int]": (
+        _sections(lambda key, n: enc_str(key) + enc_u64(n)), map_of(U64)[1]
+    ),
     "dict[str, AlgorithmRecord]": _records(AlgorithmRecord, "algorithm_id"),
     "dict[str, ContentRecord]": _records(ContentRecord, "content_id"),
     "dict[str, AnalysisRequest]": _records(AnalysisRequest, "request_id"),
     "dict[str, AnalysisResultRecord]": _records(AnalysisResultRecord, "request_id"),
-    "dict[str, DetectorSpec]": map_of(_record(DetectorSpec)),
+    "dict[str, DetectorSpec]": (
+        _sections(lambda key, spec: enc_str(key) + _cached(spec)),
+        map_of(_record(DetectorSpec))[1],
+    ),
 }
 
 _TX_DECODERS = _decoders(_TX_ENVELOPE)
@@ -753,6 +872,8 @@ STATE_SCHEMA = tuple(
     if f[0] not in ("content_hash_index", "tip_height", "tip_hash")
 )
 _STATE_DECODERS = _decoders(STATE_SCHEMA)
+# The hashed maps of the state, each a ``StateMap`` once the state is cloned.
+STATE_MAPS = tuple(name for name, annotation in STATE_SCHEMA if annotation.startswith("dict["))
 
 
 def encode_block_fields(block: Block) -> bytes:
@@ -780,7 +901,14 @@ def encode_state(state: NetworkState) -> bytes:
     the encoding never depends on insertion order. Zero balances stay
     covered: account entries are created deterministically by the
     transaction stream, and every serialized byte must be root-checked.
-    Each record's encoding is cached on it.
+
+    Each record's encoding is cached on it, and each hashed map of a cloned
+    state (a ``StateMap``) keeps its section: its entries' encodings in key
+    order, joined. Only the keys written since the map was last encoded
+    are encoded again, so the Python work of a block's root is proportional
+    to what the block wrote. What stays proportional to the whole state
+    runs in C: the join of the sections, the SHA-256 over it, and the
+    copies of a map's dict (``clone``) and of a written map's lists.
     """
     return _encode_fields(STATE_TAG, state, STATE_SCHEMA)
 

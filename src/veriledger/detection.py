@@ -151,14 +151,19 @@ def _partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _embed_bytes(content: bytes) -> tuple[float, ...]:
+# Maps each of ``bytes(map(bool, counts))``'s bytes to a binary digit.
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _embed_bytes(content: bytes) -> Embedding:
+    """The histogram, built in the layout it is stored in: an empty bin is
+    ``0 / n``, ``+0.0``, so it is left out, and every other bin is stored."""
     counts = [0] * 256
     for b in content:
         counts[b] += 1
     n = len(content)
-    # An empty bin shares the one 0.0 rather than a new float per bin:
-    # the same bits, since 0 / n is +0.0.
-    return tuple(c / n if c else 0.0 for c in counts)
+    bitmap = int(bytes(map(bool, counts)).translate(_BIT_DIGITS), 2).to_bytes(32, "big")
+    return Embedding(MediaType.BYTES, 256, bitmap, tuple([c / n for c in counts if c]))
 
 
 def parse_pgm(content: bytes) -> tuple[int, int, bytes]:
@@ -255,8 +260,8 @@ def embed(content: bytes, media_type: MediaType) -> Embedding:
     if len(content) == 0:
         raise EmptyContent("cannot embed empty content")
     if media_type is MediaType.BYTES:
-        values = _embed_bytes(content)
-    elif media_type is MediaType.IMAGE:
+        return _embed_bytes(content)
+    if media_type is MediaType.IMAGE:
         values = _embed_image(content)
     elif media_type is MediaType.AUDIO:
         values = _embed_audio(content)

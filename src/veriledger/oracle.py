@@ -25,6 +25,7 @@ from .core import (
     AnalysisRequest,
     CommitAnalysisResult,
     Embedding,
+    MediaType,
     NetworkState,
     RequestStatus,
     Transaction,
@@ -61,6 +62,14 @@ def _checked_embedding(
     return embedding
 
 
+def _selected(media_type: MediaType, algorithms) -> str | None:
+    """``select_model``'s choice, or None where it finds none."""
+    try:
+        return select_model(media_type, algorithms)
+    except NoEligibleAlgorithm:
+        return None
+
+
 def process_pending(
     state: NetworkState,
     batch_limit: int,
@@ -78,13 +87,19 @@ def process_pending(
     commit_height = state.tip_height + 1
     next_nonce = state.nonces.get(oracle_account, -1) + 1
     registry = RegistryIndex(state.contents.values())
+    # The choice reads only the media type and the snapshot's algorithms,
+    # so it is made once per media type.
+    models: dict[MediaType, str | None] = {}
 
     for request_id in pending[:batch_limit]:
         request = state.requests[request_id]
+        media_type = request.media_type
+        if media_type not in models:
+            models[media_type] = _selected(media_type, state.algorithms.values())
+        algorithm_id = models[media_type]
         try:
-            algorithm_id = select_model(
-                request.media_type, state.algorithms.values()
-            )
+            if algorithm_id is None:
+                raise NoEligibleAlgorithm(media_type.value)
             embedding = _checked_embedding(request, embeddings)
         except (NoEligibleAlgorithm, EmbeddingUnavailable) as exc:
             batch.skipped.append(request_id)

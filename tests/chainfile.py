@@ -22,6 +22,7 @@ import struct
 from veriledger import store
 from veriledger.core import (
     FIELD_CODECS,
+    STATE_MAPS,
     Embedding,
     decode_state,
     encode_record,
@@ -101,11 +102,14 @@ def uncached_transaction(tx):
 
 def _uncached_state(state):
     """A clone of ``state`` whose records, params and detectors are copies
-    with empty caches. The params are copied without ``__post_init__``,
+    with empty caches, and whose maps are plain dicts, so no map section
+    is reused either. The params are copied without ``__post_init__``,
     which refuses the invalid params some tests store on purpose."""
     fresh = state.clone()
     fresh.params = copy.copy(state.params)
     object.__setattr__(fresh.params, "_encoding", None)
+    for name in STATE_MAPS:
+        setattr(fresh, name, dict(getattr(fresh, name)))
     for name in ("algorithms", "contents", "requests", "results", "detectors"):
         records = getattr(fresh, name)
         for key, record in records.items():

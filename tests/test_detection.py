@@ -77,6 +77,27 @@ def test_bytes_histogram():
     assert (e.dimension, indices(e), e.stored) == (256, (0, 255), (0.5, 0.5))
 
 
+@given(
+    st.one_of(
+        st.binary(min_size=1, max_size=1),
+        st.permutations(range(256)).map(bytes),
+        st.tuples(st.integers(0, 255), st.integers(1, 300)).map(lambda b: bytes([b[0]]) * b[1]),
+        st.binary(min_size=4096, max_size=4096),
+        st.binary(min_size=1, max_size=600),
+    )
+)
+def test_bytes_embedding_is_from_dense_of_the_histogram(content):
+    # Built in its stored layout, it holds the same bits as the dense
+    # histogram's embedding.
+    histogram = [content.count(b) / len(content) for b in range(256)]
+    want = Embedding.from_dense(histogram, MediaType.BYTES)
+    got = embed(content, MediaType.BYTES)
+    assert got == want
+    assert (got.bitmap, [v.hex() for v in got.stored], got.mask, got.norm2.hex(), got.peak) == (
+        want.bitmap, [v.hex() for v in want.stored], want.mask, want.norm2.hex(), want.peak
+    )
+
+
 def test_constant_image_embedding():
     e = embed(pgm(16, 16, lambda r, c: 128), MediaType.IMAGE)
     assert dense(e) == (128 / 255,) * 64

@@ -126,6 +126,27 @@ def test_no_eligible_algorithm_leaves_request_pending():
     )
 
 
+def test_the_model_is_chosen_once_per_media_type_per_poll(monkeypatch):
+    state, embeddings = pending_state(3)
+    template = state.requests[sorted(state.requests)[0]]
+    for rid in ("img-0", "img-1"):  # no algorithm serves Image
+        state.requests[rid] = replace(template, request_id=rid, media_type=MediaType.IMAGE)
+    choices = []
+
+    def counted(media_type, algorithms):
+        choices.append(media_type)
+        return detection.select_model(media_type, algorithms)
+
+    monkeypatch.setattr(oracle, "select_model", counted)
+    batch = process_pending(state, BATCH_LIMIT, embeddings)
+    assert sorted(choices) == [MediaType.BYTES, MediaType.IMAGE]
+    assert len(batch.transactions) == 3
+    assert sorted(batch.skipped) == ["img-0", "img-1"]
+    assert sorted(line for line in batch.log_lines if line.startswith("img-")) == [
+        f"{rid}\t-\tNoEligibleAlgorithm\t-" for rid in ("img-0", "img-1")
+    ]
+
+
 def _assert_served_all_but(state, embeddings, withheld):
     batch = process_pending(state, BATCH_LIMIT, embeddings)
     assert batch.skipped == [withheld]
