@@ -1,5 +1,5 @@
 """Mutation gate for the chain decoders' strictness checks, for the
-consensus rules and for the cosine kernel's exact shortcuts.
+consensus rules and for the similarity search's exact rules.
 
     python scripts/mutants.py
 
@@ -19,16 +19,17 @@ bytes no writer writes (``core._dec_transaction`` and ``_dec_embedding``
 keep the bytes they read as the encoding cache); a contract or ledger rule
 that drops a check or a counter, moves a comparison's boundary, compares
 with a threshold's binary float or rounds a split the other way changes
-what every node agrees on; a cosine kernel that takes a wrong shortcut,
-walks the shared bins out of index order or reads the wrong stored value
-changes a committed score; and a state map (``core.StateMap``) that misses
+what every node agrees on; a cosine kernel that takes a wrong shortcut or
+reads the wrong stored value changes a committed score, and a match rule
+that moves its boundary or a pruning bound that drops a factor changes a
+verdict; and a state map (``core.StateMap``) that misses
 a write or stores an overwritten key twice encodes a root that a fresh
 copy of its state does not. Each mutant below is one of these, and the
 tests named for it are the ones that catch it. A
 case of the codec property test kills its mutant on a fixed ``@example``
 (``EDITS`` in tests/test_record_codec.py), not on what Hypothesis happens
-to draw, and so does the unequal-bitmap cosine test (``ORDERED`` in
-tests/test_sparse_search.py is the pair whose sum depends on the order).
+to draw, and so do the search's property tests (``PYTHAGOREAN`` and
+``TIGHT`` in tests/test_sparse_search.py).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ REJECTION = "tests/test_contracts.py::test_every_rejection_code_is_reached_and_s
 CONSERVATION = "tests/test_acceptance.py::test_criterion_2_token_conservation"
 GOLDEN = "tests/test_sim.py::test_golden_report_matches_frozen_fixture"
 SPARSE = "tests/test_sparse_search.py"
+BOUNDARY = "tests/test_detection.py::test_near_duplicate_threshold_boundary_inclusive"
 STATE_MAP = (
     "tests/test_state_map.py::test_every_state_encodes_as_its_fresh_copy",
     "tests/test_state_map.py::test_a_block_encodes_only_what_it_wrote",
@@ -107,11 +109,14 @@ MUTANTS = (
         (f"{COSMETIC}[nan]", f"{COSMETIC}[infinity]", f"{COSMETIC}[parameter-nan]"),
     ),
     Mutant(
-        "stored-plus-zero",
+        "stored-zero",
         "src/veriledger/codec.py",
-        "    if 0.0 in stored and any(math.copysign(1.0, x) > 0 for x in stored if x == 0.0):\n",
-        "    if False:\n",
-        (f"{COSMETIC}[bit-over-plus-zero]",),
+        '    if 0 in stored:\n        raise SerializationError("0 is stored")\n',
+        '    if False:\n        raise SerializationError("0 is stored")\n',
+        (
+            f"{COSMETIC}[bit-over-plus-zero]",
+            "tests/test_record_codec.py::test_embedding_decoder_refuses_a_stored_zero[lone-zero]",
+        ),
     ),
     Mutant(
         "bitmap-bit-past-count",
@@ -223,13 +228,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "mask-walk-descending",
-        "src/veriledger/detection.py",
-        "            top = common.bit_length() - 1\n",
-        "            top = (common & -common).bit_length() - 1\n",
-        (f"{SPARSE}::test_similarity_of_unequal_bitmaps_matches_the_dense_loop",),
-    ),
-    Mutant(
         "mask-rank-off-by-one",
         "src/veriledger/detection.py",
         "a.stored[(ma >> top).bit_count() - 1]",
@@ -258,10 +256,30 @@ MUTANTS = (
     ),
     Mutant(
         "threshold-from-the-binary-float",
-        "src/veriledger/contracts.py",
+        "src/veriledger/core.py",
         "    return Fraction(str(value))\n",
         "    return Fraction(value)\n",
-        ("tests/test_contracts.py::test_sixteen_of_twenty_activates",),
+        (
+            "tests/test_contracts.py::test_sixteen_of_twenty_activates",
+            BOUNDARY,
+        ),
+    ),
+    Mutant(
+        "match-boundary-strict",
+        "src/veriledger/detection.py",
+        "        if top * den2 >= num2 * bottom:\n",
+        "        if top * den2 > num2 * bottom:\n",
+        (BOUNDARY, f"{SPARSE}::test_sparse_search_matches_dense_reference_bit_for_bit"),
+    ),
+    Mutant(
+        "prune-bound-drops-the-square",
+        "src/veriledger/detection.py",
+        "        if c * c * peak2 * bound_q < need_q * norm2:\n",
+        "        if c * peak2 * bound_q < need_q * norm2:\n",
+        (
+            f"{SPARSE}::test_rule_skips_only_records_scoring_below_the_threshold",
+            f"{SPARSE}::test_a_tight_bound_does_not_skip_an_exact_match[Bytes-1-10]",
+        ),
     ),
     Mutant(
         "conservation-ignores-burned-stake",

@@ -9,10 +9,10 @@ Encoding rules (version 1):
 
 * integers       -- big-endian fixed width; ``u8``/``u32``/``u64``
 * floats         -- IEEE 754 binary64, big-endian (8 bytes)
-* float lists    -- the sparse layout (``enc_f64_bitmap``): ``u32`` count +
-  a ``ceil(n/8)``-byte bitmap whose bit i (most significant bit first) is
-  set iff value i's bits are not all zero + each value whose bit is set, so
-  ``+0.0`` is left out and ``-0.0`` is stored
+* embeddings     -- the sparse layout (``enc_u32_bitmap``) of ``n``
+  non-negative ``u32`` values: ``u32`` count + a ``ceil(n/8)``-byte bitmap
+  whose bit i (most significant bit first) is set iff value i is not 0 +
+  each value whose bit is set, as a ``u32``
 * byte strings   -- ``u32`` length prefix + raw bytes
 * text strings   -- UTF-8 bytes, encoded as a byte string
 * 256-bit hashes -- 32 raw bytes, no prefix
@@ -39,7 +39,7 @@ refuses every byte string its encoder would not write, raising one of
 anything of that size is built), set or map entries out of order or
 repeated, a tag, bool or enum value out of range, invalid UTF-8, a
 non-finite float, and in the sparse layout a bitmap bit past its count or
-a stored ``+0.0``. So bytes decode iff they are the encoding of what they
+a stored 0. So bytes decode iff they are the encoding of what they
 decode to, once the caller checks that none are left over (``exactly``).
 """
 
@@ -170,19 +170,25 @@ def dec_f64(data: bytes, pos: int) -> tuple[float, int]:
     return x, pos + 8
 
 
-def enc_f64_bitmap(n: int, bitmap: bytes, stored: Sequence[float]) -> bytes:
+def enc_u32_bitmap(n: int, bitmap: bytes, stored: Sequence[int]) -> bytes:
     """The sparse layout of ``n`` values: ``stored`` at the indices of
-    ``bitmap``'s set bits, and ``+0.0`` at every other index. ``bitmap``
-    has ``ceil(n/8)`` bytes and no bit past ``n``, and ``stored`` holds no
-    ``+0.0``; a ``-0.0`` is stored."""
-    return struct.pack(f">I{len(bitmap)}s{len(stored)}d", n, bitmap, *stored)
+    ``bitmap``'s set bits, and 0 at every other index. ``bitmap`` has
+    ``ceil(n/8)`` bytes and no bit past ``n``. A stored value that is not
+    an int from 1 to ``2**32 - 1`` raises ``ValueError``: no reader would
+    read it back."""
+    if 0 in stored:
+        raise ValueError("embedding value out of range: 0 is stored")
+    try:
+        return struct.pack(f">I{len(bitmap)}s{len(stored)}I", n, bitmap, *stored)
+    except struct.error as exc:
+        raise ValueError(f"embedding value out of range: {exc}") from None
 
 
-def dec_f64_bitmap(data: bytes, pos: int) -> tuple[tuple[int, bytes, tuple[float, ...]], int]:
-    """Strict inverse of ``enc_f64_bitmap``, as ``(n, bitmap, stored)``:
+def dec_u32_bitmap(data: bytes, pos: int) -> tuple[tuple[int, bytes, tuple[int, ...]], int]:
+    """Strict inverse of ``enc_u32_bitmap``, as ``(n, bitmap, stored)``:
     besides what every decoder refuses, a bitmap bit at or past the count
-    and a stored ``+0.0``. It builds nothing larger than the bytes it
-    reads, whatever the count claims: the bitmap is the slice it read."""
+    and a stored 0. It builds nothing larger than the bytes it reads,
+    whatever the count claims: the bitmap is the slice it read."""
     (n,) = _U32(data, pos)
     width = (n + 7) // 8
     pos += 4
@@ -192,14 +198,10 @@ def dec_f64_bitmap(data: bytes, pos: int) -> tuple[tuple[int, bytes, tuple[float
     pos += width
     if n % 8 and bitmap[-1] & (0xFF >> n % 8):
         raise SerializationError(f"bitmap bit set past value {n}")
-    stored = struct.unpack_from(f">{int.from_bytes(bitmap, 'big').bit_count()}d", data, pos)
-    pos += 8 * len(stored)
-    if not all(map(math.isfinite, stored)):
-        raise SerializationError("non-finite embedding value")
-    # -0.0 == 0.0 (stored, and allowed), so signs are read only when some
-    # stored value is zero.
-    if 0.0 in stored and any(math.copysign(1.0, x) > 0 for x in stored if x == 0.0):
-        raise SerializationError("+0.0 is stored")
+    stored = struct.unpack_from(f">{int.from_bytes(bitmap, 'big').bit_count()}I", data, pos)
+    pos += 4 * len(stored)
+    if 0 in stored:
+        raise SerializationError("0 is stored")
     return (n, bitmap, stored), pos
 
 

@@ -54,6 +54,7 @@ from .core import (
     TransferTokens,
     TxKind,
     Verdict,
+    exact_threshold,
     hash_embedding,
     transaction_hash,
 )
@@ -73,11 +74,6 @@ class ExecContext:
     tx_hash: Hash256
 
 
-def _exact_threshold(value: float) -> Fraction:
-    """Configured decimal thresholds compare exactly, immune to float error."""
-    return Fraction(str(value))
-
-
 def _check_embedding(embedding: Embedding, media_type: MediaType) -> None:
     expected = EMBEDDING_DIMENSIONS[media_type]
     if embedding.media_type is not media_type or embedding.dimension != expected:
@@ -88,7 +84,7 @@ def _check_embedding(embedding: Embedding, media_type: MediaType) -> None:
     if not embedding.is_valid():
         raise Rejection(
             errors.BAD_EMBEDDING_VALUES,
-            "entries must be finite, non-negative, not all zero",
+            "no value stored: every entry is 0",
         )
 
 
@@ -163,7 +159,7 @@ def submit_challenge_result(
     state.algorithms[record.algorithm_id] = record
     if len(record.challenges_submitted) == state.params.challenge_count:
         accuracy = Fraction(passed, state.params.challenge_count)
-        if accuracy >= _exact_threshold(state.params.challenge_pass_accuracy):
+        if accuracy >= exact_threshold(state.params.challenge_pass_accuracy):
             state.algorithms[record.algorithm_id] = replace(
                 record, status=AlgorithmStatus.ACTIVE
             )
@@ -333,7 +329,7 @@ def submit_feedback(
         and total >= state.params.feedback_window
     ):
         accuracy = Fraction(record.tp + record.tn, total)
-        if accuracy < _exact_threshold(state.params.feedback_min_accuracy):
+        if accuracy < exact_threshold(state.params.feedback_min_accuracy):
             _deprecate_with_burn(state, record)
     return []
 

@@ -23,7 +23,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from operator import attrgetter
+from fractions import Fraction
+from operator import attrgetter, mul
 from typing import Any, Callable, Iterable, Sequence
 
 from .codec import (
@@ -43,12 +44,12 @@ from .codec import (
     Hash256,
     ascending,
     dec_bytes,
-    dec_f64_bitmap,
     dec_tag,
+    dec_u32_bitmap,
     enc_bytes,
-    enc_f64_bitmap,
     enc_str,
     enc_u32,
+    enc_u32_bitmap,
     enc_u64,
     enum_of,
     exactly,
@@ -77,12 +78,6 @@ EMBEDDING_DIMENSIONS = {
     MediaType.AUDIO: 64,
     MediaType.BYTES: 256,
 }
-
-# The range every squared norm must lie in for the cosine kernel, and every
-# norm and peak for its pruning rule (``detection``): inside it no product
-# or quotient underflows or overflows, so each rounds by a relative 2**-53
-# at most.
-SCALE = (2.0**-500, 2.0**500)
 
 
 class TxKind(str, Enum):
@@ -123,26 +118,21 @@ def _encoding_cache():
 
 @dataclass(frozen=True, slots=True)
 class Embedding:
-    """Fixed-dimension numeric fingerprint of one piece of content, held in
+    """Fixed-dimension integer fingerprint of one piece of content, held in
     the layout its encoding (the sparse layout) stores: of its
-    ``dimension`` values, each that is not ``+0.0`` is in ``stored``, in
-    index order, and has its bit set in ``bitmap``, ``ceil(dimension/8)``
-    bytes, bit i being ``0x80 >> i % 8`` of byte ``i // 8``. ``-0.0`` is
-    stored, so embeddings that differ in a zero's sign are unequal, as their
-    hashes are. ``from_dense`` builds one from a dense vector; a decoded one
-    holds the bitmap it read, so decoding builds no index.
+    ``dimension`` values, each that is not 0 is in ``stored``, in index
+    order, and has its bit set in ``bitmap``, ``ceil(dimension/8)`` bytes,
+    bit i being ``0x80 >> i % 8`` of byte ``i // 8``. Every stored value is
+    a ``u32`` above 0: the codec writes and reads no other. ``from_dense``
+    builds one from a dense vector; a decoded one holds the bitmap it read,
+    so decoding builds no index.
 
     ``__post_init__`` computes what the cosine kernel and its pruning rule
-    (``detection``) read, in one pass over ``stored``: ``norm2``, the
-    squared norm, a plain sequential sum in index order (never ``sum()``,
-    which compensates since Python 3.12), whose bits are a dense loop's,
-    since adding a zero's square ``+0.0`` to a sum of squares, never
-    ``-0.0``, leaves it unchanged; ``peak``, the largest stored value
-    (``0.0`` if none is ``> 0``) when each non-zero one (a NaN is non-zero)
-    is ``> 0``, and ``inf`` otherwise, so a bound on a dot product built
-    from it is never finite for a vector it does not hold for; and
-    ``mask``, the bitmap read as one big-endian int: index i is its bit
-    ``8 * len(bitmap) - 1 - i``, so a higher bit is a lower index.
+    (``detection``) read: ``norm2``, the squared norm; ``peak``, the largest
+    stored value (0 if none); and ``mask``, the bitmap read as one
+    big-endian int: index i is its bit ``8 * len(bitmap) - 1 - i``, so a
+    higher bit is a lower index. The values are ints, so each is exact and
+    no order of summation matters.
 
     They and the encoding cache stay out of equality, hashing and ``repr``.
     The cache is filled by ``encode_embedding`` on first use or, in an
@@ -154,51 +144,33 @@ class Embedding:
     media_type: MediaType
     dimension: int
     bitmap: bytes
-    stored: tuple[float, ...]
-    norm2: float = field(init=False, compare=False, repr=False)
+    stored: tuple[int, ...]
+    norm2: int = field(init=False, compare=False, repr=False)
     mask: int = field(init=False, compare=False, repr=False)
-    peak: float = field(init=False, compare=False, repr=False)
+    peak: int = field(init=False, compare=False, repr=False)
     _encoding: bytes | None = _encoding_cache()
 
     def __post_init__(self) -> None:
-        norm2 = peak = 0.0
-        positive = True
-        for v in self.stored:
-            norm2 += v * v
-            if v > peak:
-                peak = v
-            elif not v >= 0.0:  # negative or NaN; -0.0 passes
-                positive = False
-        object.__setattr__(self, "norm2", norm2)
+        stored = self.stored
+        object.__setattr__(self, "norm2", sum(map(mul, stored, stored)))
         object.__setattr__(self, "mask", int.from_bytes(self.bitmap, "big"))
-        object.__setattr__(self, "peak", peak if positive else math.inf)
+        object.__setattr__(self, "peak", max(stored, default=0))
 
     @classmethod
-    def from_dense(cls, values: Sequence[float], media_type: MediaType) -> Embedding:
+    def from_dense(cls, values: Sequence[int], media_type: MediaType) -> Embedding:
         """The embedding of the dense vector ``values``."""
         bitmap = bytearray((len(values) + 7) // 8)
         stored = []
         for i, v in enumerate(values):
-            if v or math.copysign(1.0, v) < 0.0:
+            if v:
                 bitmap[i >> 3] |= 0x80 >> (i & 7)
                 stored.append(v)
         return cls(media_type, len(values), bytes(bitmap), tuple(stored))
 
     def is_valid(self) -> bool:
-        """Right dimension, every value finite and ``>= 0``, one ``> 0``, and
-        the squared norm in ``SCALE``, so the cosine kernel neither refuses
-        it as zero (underflow) nor scores it 0.0 against itself (overflow).
-
-        Read from the statistics: a zero of either sign passes, and ``peak``
-        is finite iff every non-zero value is finite and ``> 0``; a norm in
-        ``SCALE`` then needs one of them.
-        """
-        low, high = SCALE
-        return (
-            self.dimension == EMBEDDING_DIMENSIONS[self.media_type]
-            and self.peak < math.inf
-            and low <= self.norm2 <= high
-        )
+        """The right dimension, and some value stored, so the cosine kernel
+        does not refuse it as a zero vector."""
+        return self.dimension == EMBEDDING_DIMENSIONS[self.media_type] and bool(self.stored)
 
 
 # --- transaction payloads -------------------------------------------------
@@ -439,6 +411,13 @@ class ContractParams:
             return False
         index = int(digits)
         return index < self.challenge_count and challenge_id == f"ch-{index:03d}"
+
+
+def exact_threshold(value: float) -> Fraction:
+    """A configured decimal threshold as the fraction its decimal text
+    names (0.95 is 19/20), so a rule compares with it exactly, immune to
+    the binary float's error."""
+    return Fraction(str(value))
 
 
 # How many written keys ``StateMap.section`` places by bisect: each such
@@ -696,7 +675,7 @@ def encode_embedding(e: Embedding) -> bytes:
     encoded = e._encoding
     if encoded is None:
         # Media type first: the reverse of the declaration order.
-        encoded = enc_str(e.media_type.value) + enc_f64_bitmap(e.dimension, e.bitmap, e.stored)
+        encoded = enc_str(e.media_type.value) + enc_u32_bitmap(e.dimension, e.bitmap, e.stored)
         object.__setattr__(e, "_encoding", encoded)
     return encoded
 
@@ -707,7 +686,7 @@ def _dec_embedding(data: bytes, pos: int) -> tuple[Embedding, int]:
     decode to."""
     start = pos
     media_type, pos = _MEDIA_TYPE[1](data, pos)
-    (dimension, bitmap, stored), pos = dec_f64_bitmap(data, pos)
+    (dimension, bitmap, stored), pos = dec_u32_bitmap(data, pos)
     e = Embedding(media_type, dimension, bitmap, stored)
     object.__setattr__(e, "_encoding", data[start:pos])
     return e, pos
@@ -841,7 +820,6 @@ _TX_DECODERS = _decoders(_TX_ENVELOPE)
 # refuse a non-finite float.
 _FLOATS: dict[str, Callable[[Any], Iterable[float]]] = {
     "float": lambda x: (x,),
-    "Embedding": attrgetter("stored"),
     "tuple[tuple[str, float], ...]": lambda matches: [s for _, s in matches],
     "dict[str, object]": lambda m: [v for v in m.values() if type(v) is float],
 }

@@ -10,8 +10,17 @@ contract layer. Two kinds ship built in:
   within cosine threshold ``tau`` of registered content (likely a
   manipulated copy).
 
-All arithmetic uses plain sequential float summation so embeddings and
-similarities are bit-identical across platforms and runs.
+An embedding holds non-negative integers: a Bytes histogram's bin counts,
+an Image's band means and an Audio window's RMS, each of the last two in
+Q16 (65,536 is full scale). Every dot product and squared norm is
+therefore an exact int, whatever order it is summed in, and whether a
+record matches is decided in integers too: the cosine ``dot / sqrt(n_q *
+n_r)`` is at least ``tau``, whose decimal text names the fraction ``num /
+den`` (``core.exact_threshold``), iff ``dot**2 * den**2 >= num**2 * n_q *
+n_r``. ``similarity`` returns the squared cosine as that exact ratio; the
+score a result commits is ``math.sqrt(dot**2 / (n_q * n_r))``, an int
+true division and a square root, each correctly rounded, so it is the
+same float everywhere and never above 1.0.
 
 The search runs through a ``RegistryIndex``. The oracle builds one per poll
 from the state's contents, and ``run_detector`` and ``match_trusted`` wrap
@@ -21,66 +30,36 @@ iteration work as on a tuple. On first use it builds, and keeps for the
 poll, an exact index from ``(media_type, content_hash)`` to the record with
 the smallest content_id, and per ``(media_type, dimension)`` the search
 rows: each record of that media type, in registry order, as ``(record,
-mask, ratio)``. A search then walks only the rows of its media type and
-calls no method on a record it skips.
+mask, peak**2, norm2)``. A search then walks only the rows of its media
+type and calls no method on a record it skips.
 
 Similarity search is sparse and norm-cached. An ``Embedding`` holds only
 its stored values, in index order, with the bitmap that marks their
 indices, that bitmap as one int, its ``mask``, and its squared norm
 computed once. A cosine multiplies only where both embeddings store a
-value, instead of three multiplies per dimension: when the two bitmaps are
-equal, as every two dense embeddings' are, it pairs the stored values in
-order; otherwise it takes the set bits of ``mask_a & mask_b`` from the
-highest down, which is ascending index order, and finds each value in
-``stored`` by the popcount of the mask's bits at or above it. A Bytes
-histogram of content over a 32-symbol alphabet stores about 32 of its 256
-bins. The result has the same bits as the dense loop that sums ``x * y``,
-``x * x`` and ``y * y`` over every dimension: each skipped product has a
-``+0.0`` factor, so for finite entries it is ``±0.0``, and adding ``±0.0``
-to a sum that starts at ``+0.0`` (which is then never ``-0.0``) leaves its
-bits unchanged; the kept products are added in the same ascending index
-order, which for equal bitmaps is the order of the stored values, so both
-branches add the same products in the same order; and each of the three
-sums is independent of the others, so a norm summed once is the same
-number. Where a skipped product would be NaN (``+0.0`` times an infinite or
-NaN entry), that entry's norm is ``inf`` or NaN, and the clamped result is
-``0.0`` either way.
+value: when the two bitmaps are equal, as every two dense embeddings' are,
+it pairs the stored values in order; otherwise it takes the set bits of
+``mask_a & mask_b`` and finds each value in ``stored`` by the popcount of
+the mask's bits at or above it. A Bytes histogram of content over a
+32-symbol alphabet stores about 32 of its 256 bins.
 
 ``match_trusted`` also skips every record whose cosine provably stays below
 the threshold, with one test per row: the size filter of AllPairs (Bayardo,
 Ma and Srikant, WWW 2007) and PPJoin (Xiao, Wang, Lin and Yu, WWW 2008).
-Each ``Embedding`` holds, beside its norm and mask, its peak, its largest
-value. For non-negative vectors each of the ``c = popcount(mask_q &
-mask_r)`` products the cosine adds is at most ``peak_q * peak_r``, so the
-cosine is at most ``c * a * b``, with ``a = peak_q / sqrt(n_q)`` and ``b =
-peak_r / sqrt(n_r)``. A stored ``-0.0`` has its bit set, so ``c`` may
-count a product that is zero: that only raises the bound, so the rule can
-only skip less. A row holds ``b`` as its ``ratio``, and once per query the
-search takes ``limit = threshold * (1 - 1e-9) / a``; it skips a row iff
-``c * ratio < limit``.
-
-This is sound when every norm and peak lies in ``SCALE`` (``2**-500`` to
-``2**500``): there no step of the rule or of the cosine underflows or
-overflows, so each rounds by a relative ``2**-53`` at most. The summed dot
-product can exceed ``c`` times the rounded product of the peaks by a
-relative ``256 * 2**-53`` (about 3e-14), and all the rounding together
-stays far inside the ``1e-9`` slack, so a skipped row's cosine as computed
-is below the threshold too; an all-equal embedding of ten 0.1s against
-itself has ``c * a * b`` just below 1 and score 1.0. A row that shares no
-bin has dot product exactly ``+0.0``. Outside ``SCALE`` the rule is off:
-there ``a`` or ``ratio`` is ``inf``. A query's ``a`` of ``inf`` makes
-``limit`` 0, as threshold 0 does, and no product is below 0; a row's
-``ratio`` of ``inf`` makes its product ``inf``, or NaN when ``c`` is 0, and
-neither is below ``limit``. That covers a zero norm, an inf peak (a negative
-or NaN value), an inf norm and squares small enough that a product could
-underflow. A record of another dimension has ratio ``inf`` too, so it still
+Each of the ``c = popcount(mask_q & mask_r)`` products the dot product adds
+is at most ``peak_q * peak_r``, and every other product is 0, so ``dot <= c
+* peak_q * peak_r``. The search skips a row iff ``c**2 * peak_q**2 *
+peak_r**2 * den**2 < num**2 * n_q * n_r``: then ``dot**2 * den**2`` is
+below the right side too, so the record would not match. The test is
+exact, so it needs no slack. It never skips a record when ``tau`` is 0 or
+either norm is 0 (the right side is 0), so a zero vector still raises
+``ZeroVector``; a row of another dimension holds norm 0, so it still
 raises ``DimensionMismatch``. Every record the rule does not skip goes
-through ``similarity``, in registry order, so each score and every result
-keeps its bits.
+through ``similarity``, in registry order.
 
 Bytes histograms are sparse: on big-registry seed 7, at ``tau`` 0.95, the
 rule skips 59,880 of 60,000 records. Image and Audio embeddings are dense,
-and it skips none of mixed-media's 2,670 Image records.
+and it skips none of the 2,760 rows mixed-media's seed 7 searches.
 """
 
 from __future__ import annotations
@@ -94,7 +73,6 @@ from fractions import Fraction
 
 from .codec import Hash256
 from .core import (
-    SCALE,
     AlgorithmRecord,
     AlgorithmStatus,
     ContentRecord,
@@ -102,6 +80,7 @@ from .core import (
     Embedding,
     MediaType,
     Verdict,
+    exact_threshold,
 )
 from .errors import (
     DimensionMismatch,
@@ -115,10 +94,6 @@ from .errors import (
 
 GRID = 8  # image embeddings use an 8x8 block grid
 AUDIO_WINDOWS = 64
-PCM_FULL_SCALE = 32768.0
-# Relative slack on the pruning rule, over 30,000 times the worst rounding
-# (about 3e-14) of a dot product summed from at most 256 products.
-SLACK = 1.0 - 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,14 +131,13 @@ _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _embed_bytes(content: bytes) -> Embedding:
-    """The histogram, built in the layout it is stored in: an empty bin is
-    ``0 / n``, ``+0.0``, so it is left out, and every other bin is stored."""
+    """The histogram of bin counts, built in the layout it is stored in: an
+    empty bin is left out, and every other bin is stored."""
     counts = [0] * 256
     for b in content:
         counts[b] += 1
-    n = len(content)
     bitmap = int(bytes(map(bool, counts)).translate(_BIT_DIGITS), 2).to_bytes(32, "big")
-    return Embedding(MediaType.BYTES, 256, bitmap, tuple([c / n for c in counts if c]))
+    return Embedding(MediaType.BYTES, 256, bitmap, tuple(filter(None, counts)))
 
 
 def parse_pgm(content: bytes) -> tuple[int, int, bytes]:
@@ -213,7 +187,7 @@ def parse_pgm(content: bytes) -> tuple[int, int, bytes]:
     return width, height, pixels
 
 
-def _embed_image(content: bytes) -> tuple[float, ...]:
+def _embed_image(content: bytes) -> list[int]:
     width, height, pixels = parse_pgm(content)
     if width < GRID or height < GRID:
         raise MalformedImage(f"image must be at least {GRID}x{GRID} pixels")
@@ -226,12 +200,14 @@ def _embed_image(content: bytes) -> tuple[float, ...]:
             for row in range(r0, r1):
                 base = row * width
                 total += sum(pixels[base + c0 : base + c1])
-            count = (r1 - r0) * (c1 - c0)
-            values.append(total / (count * 255))
-    return tuple(values)
+            # The band's mean over 255, in Q16, rounded half up: at most
+            # 65,536, whatever the grid.
+            d = (r1 - r0) * (c1 - c0) * 255
+            values.append((2 * total * 65536 + d) // (2 * d))
+    return values
 
 
-def _embed_audio(content: bytes) -> tuple[float, ...]:
+def _embed_audio(content: bytes) -> list[int]:
     if len(content) % 2 != 0:
         raise MalformedAudio("PCM16 byte length must be even")
     n = len(content) // 2
@@ -241,18 +217,21 @@ def _embed_audio(content: bytes) -> tuple[float, ...]:
     values = []
     for w0, w1 in _partition_bounds(n, AUDIO_WINDOWS):
         window = samples[w0:w1]
-        total = sum(map(operator.mul, window, window))  # exact: Python ints
-        rms = math.sqrt(total / (w1 - w0))
-        values.append(rms / PCM_FULL_SCALE)
-    return tuple(values)
+        total = sum(map(operator.mul, window, window))
+        # Twice the RMS, rounded down: the RMS over full scale (32,768) in Q16.
+        values.append(math.isqrt(4 * total // (w1 - w0)))
+    return values
 
 
 def embed(content: bytes, media_type: MediaType) -> Embedding:
     """Deterministic perceptual embedding of raw content.
 
-    Bytes: 256-bin byte histogram, normalized to unit sum.
-    Image: mean gray per cell of an 8x8 block grid over a P5 PGM, in [0,1].
-    Audio: RMS amplitude of 64 contiguous PCM16 windows, over full scale.
+    Bytes: 256-bin byte histogram, as counts.
+    Image: mean gray per cell of an 8x8 block grid over a P5 PGM, over 255,
+    in Q16: ``round(65536 * total / (count * 255))``, halves up.
+    Audio: RMS amplitude of 64 contiguous PCM16 windows, over full scale, in
+    Q16: ``isqrt(4 * sum of squares // count)``, which is ``2 * RMS``
+    rounded down.
 
     Block/window sizes use integer division with the trailing run absorbing
     the remainder, so the partition is unambiguous for any input length.
@@ -270,15 +249,14 @@ def embed(content: bytes, media_type: MediaType) -> Embedding:
     return Embedding.from_dense(values, media_type)
 
 
-def similarity(a: Embedding, b: Embedding) -> float:
-    """Cosine similarity of two embeddings, clamped to [0, 1], from their
-    cached norms. When the two bitmaps are equal, as every two dense
-    embeddings' are, the dot product pairs the stored values in order;
-    otherwise it walks the set bits of the two masks' AND, highest first,
-    which is ascending index order, and multiplies only there.
-
-    Entries are expected non-negative, so the mathematical value is already
-    in [0, 1]; clamping only removes float round-off spill.
+def similarity(a: Embedding, b: Embedding) -> tuple[int, int]:
+    """The squared cosine similarity of two embeddings, exactly, as the
+    ratio ``(dot**2, a.norm2 * b.norm2)``; ``math.sqrt`` of its quotient is
+    the float a result commits. When the two bitmaps are equal, as every
+    two dense embeddings' are, the dot product pairs the stored values in
+    order; otherwise it walks the set bits of the two masks' AND and
+    multiplies only there. Values are expected non-negative, as the codec
+    holds no other, so the cosine is the square root of this ratio.
     """
     if a.media_type is not b.media_type:
         raise DimensionMismatch(
@@ -286,38 +264,33 @@ def similarity(a: Embedding, b: Embedding) -> float:
         )
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"{a.dimension} != {b.dimension}")
-    if a.norm2 == 0.0 or b.norm2 == 0.0:
+    if not (a.norm2 and b.norm2):
         raise ZeroVector("cosine undefined for zero vectors")
-    dot = 0.0
     if a.bitmap == b.bitmap:
-        for x, y in zip(a.stored, b.stored):
-            dot += x * y
+        dot = sum(map(operator.mul, a.stored, b.stored))
     else:
         # The highest set bit of the masks' AND is the lowest index both
         # store; a mask's set bits at or above it count its stored values up
         # to that index, so one less is the value's position in ``stored``.
+        dot = 0
         ma, mb = a.mask, b.mask
         common = ma & mb
         while common:
             top = common.bit_length() - 1
             common ^= 1 << top
             dot += a.stored[(ma >> top).bit_count() - 1] * b.stored[(mb >> top).bit_count() - 1]
-    # sqrt of the product keeps the result bit-identical under a/b swap
-    return min(1.0, max(0.0, dot / math.sqrt(a.norm2 * b.norm2)))
+    return dot * dot, a.norm2 * b.norm2
 
 
-_Row = tuple[ContentRecord, int, float]
+_Row = tuple[ContentRecord, int, int, int]
 
 
-def _ratio(embedding: Embedding, dimension: int) -> float:
-    """``peak / sqrt(norm2)`` of ``embedding``, or ``inf``, which keeps the
-    pruning rule from skipping it, when its dimension is not ``dimension`` or
-    its norm or peak lies outside ``SCALE``."""
-    norm2, peak = embedding.norm2, embedding.peak
-    low, high = SCALE
-    if embedding.dimension == dimension and low <= norm2 <= high and low <= peak <= high:
-        return peak / math.sqrt(norm2)
-    return math.inf
+def _row(record: ContentRecord, dimension: int) -> _Row:
+    """``(record, mask, peak**2, norm2)`` of the record's embedding. The
+    norm of one not of ``dimension`` is given as 0, which keeps the pruning
+    rule from skipping it, so it still raises ``DimensionMismatch``."""
+    e = record.embedding
+    return record, e.mask, e.peak * e.peak, e.norm2 if e.dimension == dimension else 0
 
 
 class RegistryIndex(Sequence[ContentRecord]):
@@ -358,14 +331,13 @@ class RegistryIndex(Sequence[ContentRecord]):
         return index.get((media_type, content_hash.value))
 
     def rows(self, media_type: MediaType, dimension: int) -> tuple[_Row, ...]:
-        """The records of ``media_type`` in registry order, each as
-        ``(record, mask, ratio)``: its embedding's mask and its ``_ratio``
-        at ``dimension``."""
+        """The records of ``media_type`` in registry order, each as its
+        ``_row`` at ``dimension``."""
         key = (media_type, dimension)
         rows = self._rows.get(key)
         if rows is None:
             rows = self._rows[key] = tuple(
-                (record, record.embedding.mask, _ratio(record.embedding, dimension))
+                _row(record, dimension)
                 for record in self._records
                 if record.media_type is media_type
             )
@@ -397,18 +369,21 @@ def match_trusted(
         raise ValueError("k must be >= 1")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    dimension = query.dimension
+    tau = exact_threshold(threshold)
+    num2, den2 = tau.numerator**2, tau.denominator**2
     mask_q = query.mask
-    limit = threshold * SLACK / _ratio(query, dimension)  # 0.0 turns the rule off
+    # A row is skipped iff c**2 * peak_q**2 * peak**2 * den**2 < num**2 *
+    # norm2_q * norm2, each side's query factors multiplied once here.
+    bound_q = query.peak**2 * den2
+    need_q = num2 * query.norm2
     candidates = []
-    for record, mask, ratio in _indexed(registry).rows(query.media_type, dimension):
-        # Never true for a ratio of inf: ``inf < limit`` and NaN ``< limit``
-        # (``0 * inf``) are false.
-        if (mask_q & mask).bit_count() * ratio < limit:
+    for record, mask, peak2, norm2 in _indexed(registry).rows(query.media_type, query.dimension):
+        c = (mask_q & mask).bit_count()
+        if c * c * peak2 * bound_q < need_q * norm2:
             continue
-        sim = similarity(query, record.embedding)
-        if sim >= threshold:
-            candidates.append(MatchCandidate(record.content_id, sim))
+        top, bottom = similarity(query, record.embedding)
+        if top * den2 >= num2 * bottom:
+            candidates.append(MatchCandidate(record.content_id, math.sqrt(top / bottom)))
     candidates.sort(key=lambda c: (-c.similarity, c.content_id))
     return candidates[:k]
 

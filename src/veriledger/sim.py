@@ -607,7 +607,7 @@ class RunReport:
         return buf.getvalue()
 
 
-def _ratio(num: int, den: int) -> float | None:
+def _quotient(num: int, den: int) -> float | None:
     return None if den == 0 else num / den
 
 
@@ -669,8 +669,8 @@ def compute_metrics(
             fp=c["fp"],
             tn=c["tn"],
             fn=c["fn"],
-            precision=_ratio(c["tp"], c["tp"] + c["fp"]),
-            recall=_ratio(c["tp"], c["tp"] + c["fn"]),
+            precision=_quotient(c["tp"], c["tp"] + c["fp"]),
+            recall=_quotient(c["tp"], c["tp"] + c["fn"]),
         )
         for aid, c in sorted(confusion.items())
     ]

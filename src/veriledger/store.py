@@ -1,11 +1,12 @@
 """Chain persistence: a file of the bytes the hashes cover, replay,
 verification.
 
-File format ``v5``, binary, all integers big-endian:
+File format ``v6``, binary, all integers big-endian:
 
-* the file starts with ``HEADER`` (``b"veriledger chain v5\\n"``). A reader
-  refuses any other start at height 0: every earlier format ("v1" to "v4")
-  was JSON lines, one record per line;
+* the file starts with ``HEADER`` (``b"veriledger chain v6\\n"``). A reader
+  refuses any other start at height 0: "v1" to "v4" were JSON lines, one
+  record per line, and "v5" stored each embedding value as a binary64
+  where ``v6`` stores a ``u32`` (``codec.enc_u32_bitmap``);
 * then one record per height, strictly ordered from 0: the body's length as
   a u32, at most ``MAX_RECORD_BYTES``, then the body;
 * a body is the block in the encoding its hash covers
@@ -30,7 +31,9 @@ block hash included, which is the one check of what a block is.
 The hash encoding takes a non-finite float, since a transaction is hashed
 before a contract rejects it. The reader refuses one, so
 ``ChainWriter.append`` refuses a block or genesis state that holds one
-(``core.check_finite``) before it writes anything.
+(``core.check_finite``) before it writes anything. An embedding value
+outside the ``u32`` layout cannot be hashed at all: its packer raises
+``ValueError``.
 
 Reads stream: ``read_chain`` reads the file one record at a time, and
 ``replay`` re-executes each block as soon as it is read, so a reader holds
@@ -77,7 +80,7 @@ from .errors import (
 )
 from .ledger import apply_block
 
-FORMAT_VERSION = "v5"
+FORMAT_VERSION = "v6"
 HEADER = f"veriledger chain {FORMAT_VERSION}\n".encode("ascii")
 
 # The longest record body that a writer writes or a reader reads. A reader

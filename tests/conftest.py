@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from veriledger.detection import similarity
 from veriledger.sim import ScenarioRunner, parse_scenario
 
 settings.register_profile(
@@ -40,13 +42,19 @@ def indices(embedding) -> tuple[int, ...]:
     return tuple(i for i in range(embedding.dimension) if bitmap[i >> 3] & 0x80 >> (i & 7))
 
 
-def dense(embedding) -> tuple[float, ...]:
-    """The dense vector ``embedding`` holds: ``+0.0`` wherever it stores
-    nothing."""
-    values = [0.0] * embedding.dimension
+def dense(embedding) -> tuple[int, ...]:
+    """The dense vector ``embedding`` holds: 0 wherever it stores nothing."""
+    values = [0] * embedding.dimension
     for i, v in zip(indices(embedding), embedding.stored):
         values[i] = v
     return tuple(values)
+
+
+def cosine(a, b) -> float:
+    """The cosine of ``a`` and ``b`` as a result commits it: the square root
+    of the exact squared cosine that ``similarity`` returns."""
+    top, bottom = similarity(a, b)
+    return math.sqrt(top / bottom)
 
 
 def json_containers(value):

@@ -67,7 +67,7 @@ def _rand_embedding(rng: SplitMix64, media_type: MediaType) -> Embedding:
     from veriledger.core import EMBEDDING_DIMENSIONS
 
     dim = EMBEDDING_DIMENSIONS[media_type]
-    values = tuple((1 + rng.randrange(1000)) / 1000 for _ in range(dim))
+    values = tuple(1 + rng.randrange(1000) for _ in range(dim))
     return Embedding.from_dense(values, media_type)
 
 
@@ -187,7 +187,7 @@ class FuzzStream:
         self.content_counter += 1
         if rng.randrange(6) == 0:
             embedding = Embedding.from_dense(
-                tuple([0.5] * 63), MediaType.BYTES
+                tuple([1] * 63), MediaType.BYTES
             )  # wrong dimension
         else:
             embedding = _rand_embedding(rng, MediaType.BYTES)

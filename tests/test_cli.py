@@ -214,7 +214,7 @@ def _stake_burned_off_by_one(state):
 
 
 # A golden request, whose result in the golden run's final state is labelled.
-GOLDEN_REQUEST = "04a6d555efb4a641"
+GOLDEN_REQUEST = "10885d55ad2e6397"
 COUNT_PAST_END = "count 4294967295 exceeds the"
 
 # id -> (state field the failure names, edit of the genesis state, edit of

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 
@@ -83,7 +82,7 @@ class Driver:
         return execute_transaction(self.state, tx, ctx), tx
 
 
-def bytes_embedding(fill=0.5) -> Embedding:
+def bytes_embedding(fill=1) -> Embedding:
     return Embedding.from_dense(tuple([fill] * 256), MediaType.BYTES)
 
 
@@ -300,7 +299,7 @@ def test_register_same_hash_other_provider_rejected():
         "bob",
         RegisterContent(
             content_id="c-2", media_type=MediaType.BYTES,
-            content_hash=hash_bytes(b"item"), embedding=bytes_embedding(0.25),
+            content_hash=hash_bytes(b"item"), embedding=bytes_embedding(3),
         ),
     )
     assert receipt.error_code == "DuplicateContent"
@@ -314,7 +313,7 @@ def test_register_wrong_dimension_rejected():
         RegisterContent(
             content_id="c-1", media_type=MediaType.IMAGE,
             content_hash=hash_bytes(b"img"),
-            embedding=Embedding.from_dense(tuple([0.5] * 63), MediaType.IMAGE),
+            embedding=Embedding.from_dense(tuple([1] * 63), MediaType.IMAGE),
         ),
     )
     assert receipt.error_code == "BadEmbeddingDimension"
@@ -327,65 +326,16 @@ def test_register_zero_embedding_rejected():
         "alice",
         RegisterContent(
             content_id="c-1", media_type=MediaType.BYTES,
-            content_hash=hash_bytes(b"zero"), embedding=bytes_embedding(0.0),
+            content_hash=hash_bytes(b"zero"), embedding=bytes_embedding(0),
         ),
     )
-    assert receipt.error_code == "BadEmbeddingValues"
-
-
-# Valid value by value, but the cosine kernel cannot score them: the squared
-# norm underflows to 0.0 (``ZeroVector``), or overflows to inf, which scores
-# the embedding 0.0 against itself.
-UNSCORABLE = {
-    "norm-underflows": [0.0] * 255 + [3.56e-229],
-    "norm-overflows": [1e300, 1e300] + [0.0] * 254,
-}
-
-
-@pytest.mark.parametrize("values", UNSCORABLE.values(), ids=UNSCORABLE.keys())
-def test_register_embedding_the_kernel_cannot_score_rejected(values):
-    embedding = Embedding.from_dense(tuple(values), MediaType.BYTES)
-    driver = Driver(make_state())
-    receipt, _ = driver.submit(
-        TxKind.REGISTER_CONTENT,
-        "alice",
-        RegisterContent(
-            content_id="c-1", media_type=MediaType.BYTES,
-            content_hash=hash_bytes(b"unscorable"), embedding=embedding,
-        ),
-    )
-    assert receipt.error_code == "BadEmbeddingValues"
-    request = dataclasses.replace(request_payload(), embedding=embedding)
-    receipt, _ = driver.submit(TxKind.SUBMIT_ANALYSIS_REQUEST, "alice", request)
     assert receipt.error_code == "BadEmbeddingValues"
 
 
 def per_value_is_valid(e: Embedding) -> bool:
-    """``Embedding.is_valid`` as a per-value loop over the dense vector,
-    before it read the statistics: the squared norm is summed over every
-    value in order, as the kernel's (``Embedding.norm2``) is over the
-    non-zero ones."""
+    """``Embedding.is_valid`` as a per-value loop over the dense vector."""
     values = dense(e)
-    if len(values) != EMBEDDING_DIMENSIONS[e.media_type]:
-        return False
-    if any(not math.isfinite(v) or v < 0.0 for v in values):
-        return False
-    norm2 = 0.0
-    for v in values:
-        norm2 += v * v
-    return any(v > 0.0 for v in values) and 2.0**-500 <= norm2 <= 2.0**500
-
-
-SPECIAL_VALUES = [
-    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0,
-]
-
-
-def lone_among_zeros(value: float, index: int) -> Embedding:
-    """A Bytes vector of zeros with ``value`` at ``index``."""
-    values = [0.0] * EMBEDDING_DIMENSIONS[MediaType.BYTES]
-    values[index] = value
-    return Embedding.from_dense(tuple(values), MediaType.BYTES)
+    return len(values) == EMBEDDING_DIMENSIONS[e.media_type] and any(v != 0 for v in values)
 
 
 @st.composite
@@ -394,31 +344,17 @@ def candidate_embeddings(draw):
     with one value and then a few drawn values at drawn positions."""
     media_type = draw(st.sampled_from(list(MediaType)))
     dim = EMBEDDING_DIMENSIONS[media_type] + draw(st.sampled_from([0, 0, 0, -1, 1]))
-    values = [draw(st.sampled_from([0.0, -0.0, 5e-324, 0.5]))] * dim
-    drawn = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+    values = [draw(st.sampled_from([0, 0, 1, 65536]))] * dim
+    drawn = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
     for i, v in draw(st.lists(st.tuples(st.integers(0, dim - 1), drawn), max_size=4)):
         values[i] = v
     return Embedding.from_dense(tuple(values), media_type)
 
 
-@example(lone_among_zeros(math.nan, 0))
-@example(lone_among_zeros(math.nan, -1))
-@example(lone_among_zeros(math.inf, 0))
-@example(lone_among_zeros(math.inf, -1))
-@example(lone_among_zeros(-math.inf, 0))
-@example(lone_among_zeros(-math.inf, -1))
-@example(lone_among_zeros(-5e-324, 0))
-@example(lone_among_zeros(-5e-324, -1))
-@example(bytes_embedding(0.0))
-@example(bytes_embedding(-0.0))
-@example(Embedding.from_dense((-0.0, 0.5) + (0.0,) * 254, MediaType.BYTES))
-@example(Embedding.from_dense((0.5, -0.0) + (0.0,) * 254, MediaType.BYTES))
-@example(bytes_embedding(5e-324))
-@example(bytes_embedding(math.nan))
-@example(bytes_embedding(math.inf))
-@example(Embedding.from_dense((0.5,) * 63, MediaType.IMAGE))
-@example(Embedding.from_dense(tuple(UNSCORABLE["norm-underflows"]), MediaType.BYTES))
-@example(Embedding.from_dense(tuple(UNSCORABLE["norm-overflows"]), MediaType.BYTES))
+@example(bytes_embedding(0))
+@example(Embedding.from_dense((0,) * 255 + (1,), MediaType.BYTES))
+@example(Embedding.from_dense((1,) + (0,) * 255, MediaType.BYTES))
+@example(Embedding.from_dense((1,) * 63, MediaType.IMAGE))
 @settings(max_examples=5 * settings.default.max_examples)
 @given(candidate_embeddings())
 def test_embedding_is_valid_matches_the_per_value_loop(e):
@@ -477,7 +413,7 @@ def setup_active_pipeline(driver, register_content_items=1):
             RegisterContent(
                 content_id=f"c-{i}", media_type=MediaType.BYTES,
                 content_hash=hash_bytes(f"item-{i}".encode()),
-                embedding=bytes_embedding(0.1 * (i + 1)),
+                embedding=bytes_embedding(i + 2),
             ),
         )
         assert receipt.status is ReceiptStatus.ACCEPTED
@@ -702,7 +638,7 @@ def test_low_accuracy_after_window_deprecates():
         "bob",
         RegisterContent(
             content_id="c-0", media_type=MediaType.BYTES,
-            content_hash=hash_bytes(b"item-0"), embedding=bytes_embedding(0.1),
+            content_hash=hash_bytes(b"item-0"), embedding=bytes_embedding(4),
         ),
     )
     owner_balance_before_burn = None
@@ -881,9 +817,9 @@ REJECTIONS = {
     "DuplicateContent": ("pending", lambda d, rid: _content("c-0")),
     "BadEmbeddingDimension": (
         "fresh",
-        lambda d, rid: _content(embedding=Embedding.from_dense((0.5,) * 255, MediaType.BYTES)),
+        lambda d, rid: _content(embedding=Embedding.from_dense((1,) * 255, MediaType.BYTES)),
     ),
-    "BadEmbeddingValues": ("fresh", lambda d, rid: _content(embedding=bytes_embedding(0.0))),
+    "BadEmbeddingValues": ("fresh", lambda d, rid: _content(embedding=bytes_embedding(0))),
     "InsufficientFee": (
         "fresh", lambda d, rid: (TxKind.SUBMIT_ANALYSIS_REQUEST, "alice", request_payload(fee=9))
     ),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -35,7 +36,7 @@ from veriledger.errors import (
 from veriledger.rng import SplitMix64
 from veriledger.sim import perturb
 
-from conftest import dense, indices, random_bytes
+from conftest import cosine, dense, indices, random_bytes
 
 
 def pgm(width, height, pixel_fn) -> bytes:
@@ -74,7 +75,7 @@ def request_for(content: bytes, media_type: MediaType) -> AnalysisTarget:
 
 def test_bytes_histogram():
     e = embed(bytes([0x00, 0x00, 0xFF, 0xFF]), MediaType.BYTES)
-    assert (e.dimension, indices(e), e.stored) == (256, (0, 255), (0.5, 0.5))
+    assert (e.dimension, indices(e), e.stored) == (256, (0, 255), (2, 2))
 
 
 @given(
@@ -87,26 +88,62 @@ def test_bytes_histogram():
     )
 )
 def test_bytes_embedding_is_from_dense_of_the_histogram(content):
-    # Built in its stored layout, it holds the same bits as the dense
-    # histogram's embedding.
-    histogram = [content.count(b) / len(content) for b in range(256)]
+    # Built in its stored layout, it is the dense histogram's embedding.
+    histogram = [content.count(b) for b in range(256)]
     want = Embedding.from_dense(histogram, MediaType.BYTES)
     got = embed(content, MediaType.BYTES)
     assert got == want
-    assert (got.bitmap, [v.hex() for v in got.stored], got.mask, got.norm2.hex(), got.peak) == (
-        want.bitmap, [v.hex() for v in want.stored], want.mask, want.norm2.hex(), want.peak
+    assert (got.bitmap, got.stored, got.mask, got.norm2, got.peak) == (
+        want.bitmap, want.stored, want.mask, want.norm2, want.peak
     )
 
 
 def test_constant_image_embedding():
+    # 128/255 of 65,536 is 32,896.502, which rounds to 32,897.
     e = embed(pgm(16, 16, lambda r, c: 128), MediaType.IMAGE)
-    assert dense(e) == (128 / 255,) * 64
+    assert dense(e) == (32897,) * 64
 
 
 def test_alternating_audio_embedding():
+    # An RMS of half full scale is 32,768 in Q16.
     samples = [16384 if i % 2 == 0 else -16384 for i in range(128)]
     e = embed(pcm(samples), MediaType.AUDIO)
-    assert dense(e) == (0.5,) * 64
+    assert dense(e) == (32768,) * 64
+
+
+# A fixed input of each media type and its integer embedding, each value
+# worked out by hand: Bytes counts; an Image band's mean over 255 in Q16,
+# ``p * 65536 / 255`` rounded for a one-pixel band of gray ``p``; an Audio
+# window's RMS over 32,768 in Q16, which is twice the RMS, rounded down.
+INTEGER_KNOWN_ANSWERS = {
+    "bytes-abracadabra": (
+        b"abracadabra", MediaType.BYTES,
+        {ord("a"): 5, ord("b"): 2, ord("c"): 1, ord("d"): 1, ord("r"): 2},
+    ),
+    # 8x8, one pixel a band: grays 0, 1, 127, 128, 254 and 255 in the first
+    # row, 0 elsewhere. 257.004, 32,639.498, 32,896.502 and 65,278.996.
+    "image-8x8-grays": (
+        pgm(8, 8, lambda r, c: (0, 1, 127, 128, 254, 255, 0, 0)[c] if r == 0 else 0),
+        MediaType.IMAGE,
+        {1: 257, 2: 32639, 3: 32897, 4: 65279, 5: 65536},
+    ),
+    # 128 samples, two a window: window 0 is (3, 4), RMS sqrt(12.5), 2 * RMS
+    # 7.07, so 7; window 1 is (-32768, -32768), 65,536; window 2 is (1, 0),
+    # 2 * sqrt(0.5) = 1.41, so 1; every other window is (0, 0).
+    "audio-128-samples": (
+        pcm([3, 4, -32768, -32768, 1, 0] + [0] * 122), MediaType.AUDIO,
+        {0: 7, 1: 65536, 2: 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_KNOWN_ANSWERS))
+def test_integer_embedding_known_answers(name):
+    content, media_type, nonzero = INTEGER_KNOWN_ANSWERS[name]
+    e = embed(content, media_type)
+    assert dict(zip(indices(e), e.stored)) == nonzero
+    assert e.norm2 == sum(v * v for v in nonzero.values())
+    assert e.peak == max(nonzero.values())
 
 
 def test_embed_rejects_empty():
@@ -123,8 +160,8 @@ def test_image_remainder_blocks_absorb_trailing_pixels():
     # 10x10: first seven bands get one row/col, the trailing band gets three
     img = pgm(10, 10, lambda r, c: 255 if (r >= 7 and c >= 7) else 0)
     e = embed(img, MediaType.IMAGE)
-    assert dense(e)[63] == 1.0
-    assert dense(e)[0] == 0.0
+    assert dense(e)[63] == 65536
+    assert dense(e)[0] == 0
 
 
 def test_malformed_images():
@@ -150,10 +187,11 @@ def test_malformed_audio():
         embed(pcm([100] * 63), MediaType.AUDIO)  # fewer samples than windows
 
 
-def per_sample_audio_embedding(content: bytes) -> tuple[float, ...]:
+def per_sample_audio_embedding(content: bytes) -> tuple[int, ...]:
     """The audio embedding as a per-sample loop: ``int.from_bytes`` for each
-    PCM16 sample and a running sum of squares per window. ``embed`` must
-    return the same bits."""
+    PCM16 sample, a running sum of squares per window, and the largest
+    ``v`` with ``v**2 * count <= 4 * total``, found by stepping from the
+    float estimate. ``embed`` must return the same values."""
     if len(content) % 2 != 0:
         raise MalformedAudio("odd length")
     n = len(content) // 2
@@ -170,13 +208,19 @@ def per_sample_audio_embedding(content: bytes) -> tuple[float, ...]:
         total = 0
         for s in samples[w0:w1]:
             total += s * s
-        values.append(math.sqrt(total / (w1 - w0)) / 32768.0)
+        count = w1 - w0
+        v = int(2 * math.sqrt(total / count))
+        while (v + 1) ** 2 * count <= 4 * total:
+            v += 1
+        while v * v * count > 4 * total:
+            v -= 1
+        values.append(v)
     return tuple(values)
 
 
 def audio_outcome(fn, content):
     try:
-        return [v.hex() for v in fn(content)]
+        return list(fn(content))
     except MalformedAudio as exc:
         return type(exc)
 
@@ -202,7 +246,7 @@ def test_audio_embedding_known_answers(name):
     got = audio_outcome(lambda c: dense(embed(c, MediaType.AUDIO)), content)
     assert got == expected
     if name == "full-scale-64":
-        assert expected == [(1.0).hex()] * 64
+        assert expected == [65536] * 64
     if name in ("odd-length", "63-samples"):
         assert expected is MalformedAudio
 
@@ -226,8 +270,10 @@ def test_audio_embedding_matches_the_per_sample_loop(samples, odd):
 
 
 def test_cosine_identity_within_tolerance():
+    # Exactly 1: the squared cosine of an embedding with itself is n**2 / n**2.
     e = embed(random_bytes(SplitMix64(1), 4096), MediaType.BYTES)
-    assert abs(similarity(e, e) - 1.0) <= 1e-12
+    assert similarity(e, e) == (e.norm2**2, e.norm2**2)
+    assert cosine(e, e) == 1.0
 
 
 def vector(values, media_type=MediaType.IMAGE):
@@ -235,45 +281,48 @@ def vector(values, media_type=MediaType.IMAGE):
 
 
 def test_cosine_orthogonal_kernel():
-    assert similarity(vector([1.0, 0.0]), vector([0.0, 1.0])) == 0.0
+    assert similarity(vector([1, 0]), vector([0, 1])) == (0, 1)
 
 
 def test_cosine_half_kernel():
     # [1,0,1,0...] vs [1,1,0,0...]: dot 1 over sqrt(2)*sqrt(2)
-    a = vector([1.0, 0.0, 1.0] + [0.0] * 5)
-    b = vector([1.0, 1.0, 0.0] + [0.0] * 5)
-    assert abs(similarity(a, b) - 0.5) <= 1e-12
+    a = vector([1, 0, 1] + [0] * 5)
+    b = vector([1, 1, 0] + [0] * 5)
+    assert similarity(a, b) == (1, 4)
+    assert cosine(a, b) == 0.5
 
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        similarity(vector([1.0]), vector([1.0, 2.0]))
-    a = vector([0.5] * 64, MediaType.IMAGE)
-    b = vector([0.5] * 64, MediaType.AUDIO)
+        similarity(vector([1]), vector([1, 2]))
+    a = vector([1] * 64, MediaType.IMAGE)
+    b = vector([1] * 64, MediaType.AUDIO)
     with pytest.raises(DimensionMismatch):
         similarity(a, b)
 
 
 def test_zero_vector_rejected():
     with pytest.raises(ZeroVector):
-        similarity(vector([0.0, 0.0]), vector([1.0, 0.0]))
+        similarity(vector([0, 0]), vector([1, 0]))
 
 
-@given(
-    st.lists(st.floats(0.0, 1000.0), min_size=4, max_size=4),
-    st.lists(st.floats(0.0, 1000.0), min_size=4, max_size=4),
-)
-@example([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 3.562700535506924e-229])
+u32 = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2**32 - 1]))
+
+
+@given(st.lists(u32, min_size=4, max_size=4), st.lists(u32, min_size=4, max_size=4))
+@example([0, 0, 0, 1], [0, 0, 0, 2**32 - 1])
+@example([2**32 - 1] * 4, [2**32 - 1] * 3 + [2**32 - 2])
 def test_similarity_symmetric_and_bounded(a_vals, b_vals):
     # Padded with zeros to the Image dimension, so that ``is_valid`` decides
     # which vectors the kernel must score: exactly those it accepts.
-    a, b = (vector(vals + [0.0] * 60) for vals in (a_vals, b_vals))
+    a, b = (vector(vals + [0] * 60) for vals in (a_vals, b_vals))
     if not (a.is_valid() and b.is_valid()):
         return
     forward = similarity(a, b)
-    backward = similarity(b, a)
-    assert forward == backward
-    assert 0.0 <= forward <= 1.0
+    assert forward == similarity(b, a)
+    top, bottom = forward
+    assert 0 <= top <= bottom
+    assert 0.0 <= cosine(a, b) == cosine(b, a) <= 1.0
 
 
 # --- match_trusted ----------------------------------------------------------------
@@ -283,18 +332,16 @@ def rand_embedding(rng: SplitMix64, media_type=MediaType.BYTES) -> Embedding:
     from veriledger.core import EMBEDDING_DIMENSIONS
 
     dim = EMBEDDING_DIMENSIONS[media_type]
-    return Embedding.from_dense(
-        tuple((1 + rng.randrange(999)) / 1000 for _ in range(dim)), media_type
-    )
+    return Embedding.from_dense(tuple(1 + rng.randrange(999) for _ in range(dim)), media_type)
 
 
 def brute_force_matches(query, registry, k, threshold):
-    scored = [
-        MatchCandidate(r.content_id, similarity(query, r.embedding))
+    kept = [
+        MatchCandidate(r.content_id, cosine(query, r.embedding))
         for r in registry
         if r.media_type is query.media_type
+        and Fraction(*similarity(query, r.embedding)) >= Fraction(str(threshold)) ** 2
     ]
-    kept = [c for c in scored if c.similarity >= threshold]
     kept.sort(key=lambda c: (-c.similarity, c.content_id))
     return kept[:k]
 
@@ -312,7 +359,7 @@ def test_match_self_is_first_with_similarity_one():
     ]
     result = match_trusted(query, registry, 3, 0.0)
     assert result[0].content_id == "self"
-    assert abs(result[0].similarity - 1.0) <= 1e-12
+    assert result[0].similarity == 1.0
 
 
 def test_match_agrees_with_bruteforce_50():
@@ -382,14 +429,14 @@ def test_one_pixel_change_flags_deepfake():
     assert verdict is Verdict.DEEPFAKE
     assert matches[0].content_id == "img-1"
 
-    # independent oracle: 63 block means of 128, one of 128.25, against all-128
-    base = 128 / 255
-    shifted = (128 * 3 + 129) / 4 / 255
+    # independent oracle: 63 block means of 128, one of 128.25, against
+    # all-128, each over 255 and rounded to Q16 (no band mean lies halfway)
+    base = round(Fraction(128 * 65536, 255))
+    shifted = round(Fraction((128 * 3 + 129) * 65536, 4 * 255))
     dot = 63 * base * base + shifted * base
-    norm_a = math.sqrt(63 * base * base + shifted * shifted)
-    norm_b = math.sqrt(64 * base * base)
-    expected = dot / norm_a / norm_b
-    assert abs(confidence - expected) <= 1e-12
+    norm2_a = 63 * base * base + shifted * shifted
+    norm2_b = 64 * base * base
+    assert confidence == math.sqrt(dot * dot / (norm2_a * norm2_b))
     assert confidence >= 0.99
 
 
@@ -412,9 +459,11 @@ def test_disjoint_support_is_unverified():
 
 
 def test_near_duplicate_threshold_boundary_inclusive():
-    # similarity exactly at tau passes (>= semantics)
-    query = Embedding.from_dense((1.0, 0.0) + (0.0,) * 254, MediaType.BYTES)
-    other = Embedding.from_dense((1.0, 1.0) + (0.0,) * 254, MediaType.BYTES)
+    # Cosine exactly 4/5 passes at tau 0.8 (>= semantics), though 0.8 as a
+    # binary float is above 4/5, and fails one float above it.
+    query = Embedding.from_dense((1, 0) + (0,) * 254, MediaType.BYTES)
+    other = Embedding.from_dense((4, 3) + (0,) * 254, MediaType.BYTES)
+    assert Fraction(0.8) > Fraction(4, 5)
     record = content_record("c-1", other)
     target = AnalysisTarget(
         request_id="r-b",
@@ -422,11 +471,12 @@ def test_near_duplicate_threshold_boundary_inclusive():
         content_hash=hash_bytes(b"q"),
         embedding=query,
     )
-    tau = similarity(query, other)
-    verdict, _, _ = run_detector(
-        DetectorSpec(kind="near-duplicate", parameters={"tau": tau}), target, [record]
-    )
-    assert verdict is Verdict.DEEPFAKE
+    for tau, expected in (
+        (0.8, (Verdict.DEEPFAKE, 0.8, [MatchCandidate("c-1", 0.8)])),
+        (math.nextafter(0.8, 1.0), (Verdict.UNVERIFIED, 0.0, [])),
+    ):
+        spec = DetectorSpec(kind="near-duplicate", parameters={"tau": tau})
+        assert run_detector(spec, target, [record]) == expected
 
 
 def test_unknown_detector_kind():
@@ -532,8 +582,6 @@ def test_bytes_similarity_monotone_in_flip_rate():
         for trial in range(100):
             blob = random_bytes(SplitMix64(rng.next_u64()), 4096)
             mutated = perturb(blob, "byte-flip", p, seed=rng.next_u64())
-            total += similarity(
-                embed(blob, MediaType.BYTES), embed(mutated, MediaType.BYTES)
-            )
+            total += cosine(embed(blob, MediaType.BYTES), embed(mutated, MediaType.BYTES))
         means.append(total / 100)
     assert means[0] >= means[1] >= means[2]

@@ -34,7 +34,6 @@ import base64
 import dataclasses
 import math
 import struct
-import sys
 import tracemalloc
 from operator import attrgetter
 
@@ -46,7 +45,7 @@ from veriledger.codec import (
     TX_TAG,
     Hash256,
     enc_bytes,
-    enc_f64_bitmap,
+    enc_u32_bitmap,
     enc_str,
     enc_u32,
     enc_u64,
@@ -87,7 +86,6 @@ from veriledger.core import (
     hash_embedding,
     record_schema,
 )
-from veriledger.detection import similarity
 from veriledger.errors import SerializationError
 from veriledger.store import canonical_json, record_to_json
 
@@ -95,8 +93,8 @@ from chainfile import bodies, decode, record_copy, state_copy, transaction_copy
 from conftest import dense, indices
 
 CONTENT_HASH = hash_bytes(b"known-answer content")
-AUDIO = Embedding.from_dense((0.0, 0.5, 1.25, 3e-07), MediaType.AUDIO)
-IMAGE = Embedding.from_dense((0.125, 0.0, 2.0), MediaType.IMAGE)
+AUDIO = Embedding.from_dense((0, 32768, 81920, 1), MediaType.AUDIO)
+IMAGE = Embedding.from_dense((8192, 0, 131072), MediaType.IMAGE)
 MATCHES = (("content-kat", 0.9375), ("content-b", 0.5))
 
 RECORDS = {
@@ -194,8 +192,8 @@ KNOWN_ANSWERS = {
         "aa86d97d36cd9a732baf9ed8aa78ce1687cca8162aa33ff7418a6e745c912dd2",
     ),
     "AnalysisRequest": (
-        "edacdf619b2134fd50f69a0c23b13ad702526e77b76b03022b20fa2775a7df6f",
-        "6c87ea72d3232af98ad42cd9757d376d93e6164ed4149befca34b7276032a443",
+        "3cfc6dc6f35dceac1aad1bfa0360b1ac8485f88c4d4b4c12e9f18d6f84068d97",
+        "4caad34442445a2b718bdb99388463abc5a792c36d269754e8311caf368c3106",
     ),
     "AnalysisResultRecord": (
         "49517b01a8c33b07af4b945c2f8186e42b65403f8129ce67c5419b10d467eed9",
@@ -206,8 +204,8 @@ KNOWN_ANSWERS = {
         "c639b22270e993ca5ae1c7241a7e7a020abd12081ce9170e2b56288e95d24985",
     ),
     "ContentRecord": (
-        "2dbe5dbf622fec5f695ec41867b17a53207c4d0098201116dedbca2766879e24",
-        "622a76e828faaca9adb9e304bf9bbb6c9de47ada74b8bc4dd148026a92efb92e",
+        "5ef276d6f093e37ad099bbb296102767b0d92f374cb1967614c04fca2a39220f",
+        "f74812d6c4add020a60e7cc9fe7053a3fe1b756cef0b231be1ddd8b5f4e2dbb8",
     ),
     "ContractParams": (
         "45189c65704381d2f729a505ac746102d86d693e345b4f6c1ea37c482cff7995",
@@ -222,12 +220,12 @@ KNOWN_ANSWERS = {
         "28266ea0fdd44b12eeb2f8547124555c011241961b1910c8ea06d472b8df29af",
     ),
     "RegisterContent": (
-        "1aa5a10427f664392baa6fc789bd911a82af41babf34b8b15ae93a61ec4b1f97",
-        "0f1e16625cf4d7ce17ea681cb5b28e8d9775c1b0c9b9158a9b116a321216a8eb",
+        "48efea9192e236cae49fba82ed026cf41d269e7a3b70e1585ead2fd40a331cbf",
+        "bd98541a4bcc8c55b9d2bb8f759e76651941f09c95d0ed6f802f56d479046c7e",
     ),
     "SubmitAnalysisRequest": (
-        "ff43f16f0ec00d77bc73e9b258dd80b7be7c0dd36321ea6f4a661de144e57c71",
-        "201f8bbec28d4924c1164ebb6e567753f58fa9ca530346ed3651664577caaed1",
+        "dc9ca9c8bdf5fb30f07197a4114fe2d17a10559a9e61e6dcfc72d17fc1dd4411",
+        "65e6144762805ddcdd0adf159ccca6c8185951ff55f0132d16b369344070e1fe",
     ),
     "SubmitChallengeResult": (
         "a41cb1ce7773fec7483d9b5dfaef7492a2d520bdccc8ab83eef9372948397157",
@@ -268,11 +266,10 @@ def test_json_round_trip(name):
 
 def test_embedding_encoding_known_answer():
     # The media type as a string, then the sparse layout: n = 4; bitmap
-    # 0111 0000 (values 1 to 3); then 0.5, 1.25 and 3e-07 as big-endian
-    # binary64. The +0.0 at index 0 is not stored.
+    # 0111 0000 (values 1 to 3); then 32768, 81920 and 1 as big-endian u32s.
+    # The 0 at index 0 is not stored.
     assert encode_embedding(AUDIO) == bytes.fromhex(
-        "00000005" "417564696f" "00000004" "70"
-        "3fe0000000000000" "3ff4000000000000" "3e9421f5f40d8376"
+        "00000005" "417564696f" "00000004" "70" "00008000" "00014000" "00000001"
     )
 
 
@@ -323,7 +320,7 @@ def test_state_encoding_known_answer():
     state = kat_state()
     encoded = encode_state(state)
     assert hash_bytes(encoded).hex == (
-        "7ce5b80102003e42fcf185f50e16d6e70aa2972af90ad82333a38b2026529fc3"
+        "975969eac2e57f0d992e97ab0ac9377aa022c97c04644174c49b98e09853e7c4"
     )
     copy = state_copy(state)
     assert encode_state(copy) == encoded
@@ -568,7 +565,7 @@ def to_token(values) -> str:
     return record_to_json(record)["embedding"]
 
 
-def from_token(token: str) -> tuple[float, ...]:
+def from_token(token: str) -> tuple[int, ...]:
     """The values the chain file's embedding decoder reads from the bytes
     of ``token``."""
     data = enc_str(MediaType.BYTES.value) + base64.b64decode(token)
@@ -577,48 +574,58 @@ def from_token(token: str) -> tuple[float, ...]:
     return dense(embedding)
 
 
-def stored(x: float) -> bool:
-    """A value the bitmap marks: its binary64 bits are not all zero."""
-    return x != 0.0 or math.copysign(1.0, x) < 0.0
-
-
-EDGE_FLOATS = [
-    0.0, -0.0, 5e-324, -5e-324, 2.0**-1074 * 3, 2.0**-1022 - 2.0**-1074,
-    2.0**-1022, sys.float_info.max, -sys.float_info.max, 1.0,
-]
-FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+EDGE_VALUES = [0, 1, 2, 255, 256, 65535, 65536, 2**31, 2**32 - 1]
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**32 - 1))
 
 
 def test_embedding_token_known_answer():
-    # n = 10; bitmap 0110 0000 0100 0000 (values 1, 2 and 9); then 0.5,
-    # -0.0 and 5e-324 as big-endian binary64.
-    values = (0.0, 0.5, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5e-324)
-    raw = bytes.fromhex(
-        "0000000a" "6040" "3fe0000000000000" "8000000000000000" "0000000000000001"
-    )
-    token = "AAAACmBAP+AAAAAAAACAAAAAAAAAAAAAAAAAAAAB"
+    # n = 10; bitmap 0110 0000 0100 0000 (values 1, 2 and 9); then 5, 65536
+    # and 2**32 - 1 as big-endian u32s.
+    values = (0, 5, 65536, 0, 0, 0, 0, 0, 0, 2**32 - 1)
+    raw = bytes.fromhex("0000000a" "6040" "00000005" "00010000" "ffffffff")
+    token = "AAAACmBAAAAABQABAAD/////"
     assert base64.b64decode(token) == raw
     assert to_token(values) == token
-    assert [x.hex() for x in from_token(token)] == [x.hex() for x in values]
+    assert from_token(token) == values
 
 
 @given(
     st.one_of(
-        st.lists(FLOATS, max_size=300),
-        st.lists(st.just(0.0), max_size=300),
-        st.lists(FLOATS.filter(stored), max_size=300),
+        st.lists(VALUES, max_size=300),
+        st.lists(st.just(0), max_size=300),
+        st.lists(VALUES.filter(bool), max_size=300),
     )
 )
 @example([])
-@example([0.0] * 13)
-@example([-0.0] * 9)
-@example(EDGE_FLOATS * 30)
+@example([0] * 13)
+@example(EDGE_VALUES * 30)
 def test_embedding_token_round_trip_is_bit_exact(values):
     token = to_token(values)
-    assert len(base64.b64decode(token)) == 4 + (len(values) + 7) // 8 + 8 * sum(map(stored, values))
+    assert len(base64.b64decode(token)) == 4 + (len(values) + 7) // 8 + 4 * sum(map(bool, values))
     decoded = from_token(token)
-    assert all(type(x) is float for x in decoded)
-    assert [x.hex() for x in decoded] == [float(x).hex() for x in values]
+    assert all(type(x) is int for x in decoded)
+    assert decoded == tuple(values)
+
+
+@pytest.mark.parametrize("layout", [
+    # n = 8, bitmap 1000 0000, and the one value stored is 0.
+    "00000008" "80" "00000000",
+    # n = 8, bitmap 1100 0000: 7, then 0.
+    "00000008" "c0" "00000007" "00000000",
+], ids=["lone-zero", "zero-after-a-value"])
+def test_embedding_decoder_refuses_a_stored_zero(layout):
+    data = enc_str(MediaType.BYTES.value) + bytes.fromhex(layout)
+    with pytest.raises(SerializationError, match="0 is stored"):
+        FIELD_CODECS["Embedding"][1](data, 0)
+
+
+@pytest.mark.parametrize("value", [0, -1, 2**32, 2**63, 0.5, math.nan, math.inf, -math.inf])
+def test_embedding_packer_refuses_a_value_outside_u32(value):
+    # Among stored values the layout holds: the packer refuses it, as
+    # ``enc_u32`` refuses an int outside u32, rather than write bytes no
+    # reader reads back.
+    with pytest.raises(ValueError, match="embedding value out of range"):
+        enc_u32_bitmap(8, b"\xe0", (1, value, 2**32 - 1))
 
 
 def test_huge_embedding_count_is_refused_before_allocating():
@@ -638,44 +645,40 @@ def test_huge_embedding_count_is_refused_before_allocating():
 # --- the embedding encoding cache ---------------------------------------------
 
 
-ANY_FLOAT = st.one_of(
-    st.sampled_from(EDGE_FLOATS + [math.nan, -math.nan, math.inf, -math.inf]),
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-)
+ANY_VALUE = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**32 - 1), st.integers(0, 4))
 
 
-@given(st.lists(ANY_FLOAT, max_size=300))
+@given(st.lists(ANY_VALUE, max_size=300))
 @example([])
-@example([0.0, -0.0] * 5)
+@example([0, 1] * 5)
 def test_from_dense_stores_every_value_but_plus_zero(values):
-    # The stored form holds every value whose bits are not all zero, at its
-    # index, and densifies back to the same bits.
+    # The stored form holds every value but 0, at its index, and densifies
+    # back to the same values.
     e = Embedding.from_dense(tuple(values), MediaType.BYTES)
     assert e.dimension == len(values)
-    assert indices(e) == tuple(i for i, x in enumerate(values) if stored(x))
-    assert [x.hex() for x in e.stored] == [x.hex() for x in values if stored(x)]
-    assert [x.hex() for x in dense(e)] == [x.hex() for x in values]
+    assert indices(e) == tuple(i for i, x in enumerate(values) if x)
+    assert e.stored == tuple(x for x in values if x)
+    assert dense(e) == tuple(values)
 
 
 @st.composite
 def embeddings_of_any_length(draw):
     """Vectors of each media type, of its dimension, one off or any length
-    up to 300, with NaN, infinities, signed zeros and subnormals among the
-    values."""
+    up to 300, with 0 and the ``u32`` bounds among the values."""
     media_type = draw(st.sampled_from(list(MediaType)))
     dim = EMBEDDING_DIMENSIONS[media_type]
     size = draw(st.one_of(st.sampled_from([dim - 1, dim, dim + 1]), st.integers(0, 300)))
-    values = draw(st.lists(ANY_FLOAT, min_size=size, max_size=size))
+    values = draw(st.lists(ANY_VALUE, min_size=size, max_size=size))
     return Embedding.from_dense(tuple(values), media_type)
 
 
 def sparse_layout(values) -> bytes:
     """The sparse layout, value by value: the count, the bitmap as one bit
     per value padded with 0 bits to whole bytes, then each stored value."""
-    bits = "".join("1" if stored(x) else "0" for x in values)
+    bits = "".join("1" if x else "0" for x in values)
     bits += "0" * (-len(bits) % 8)
     bitmap = bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-    kept = b"".join(struct.pack(">d", x) for x in values if stored(x))
+    kept = b"".join(struct.pack(">I", x) for x in values if x)
     return struct.pack(">I", len(values)) + bitmap + kept
 
 
@@ -686,56 +689,6 @@ def test_filled_embedding_cache_is_a_fresh_pack(e):
     assert e._encoding is encoded
     assert encode_embedding(e) is encoded
     assert encoded == enc_str(e.media_type.value) + sparse_layout(dense(e))
-    layout = enc_f64_bitmap(e.dimension, e.bitmap, e.stored)
+    layout = enc_u32_bitmap(e.dimension, e.bitmap, e.stored)
     assert encoded == enc_str(e.media_type.value) + layout
     assert hash_embedding(e) == hash_bytes(encoded)
-
-
-@st.composite
-def signed_zero_twins(draw):
-    """A valid embedding, the same with some of its zeros ``-0.0`` (at least
-    one), and a valid embedding of its media type to score both against."""
-    media_type = draw(st.sampled_from(list(MediaType)))
-    dim = EMBEDDING_DIMENSIONS[media_type]
-    index = st.integers(0, dim - 1)
-    positive = st.floats(min_value=2.0**-200, max_value=2.0**200)
-
-    def valid():
-        values = [0.0] * dim
-        for i, v in draw(st.lists(st.tuples(index, positive), min_size=1, max_size=dim - 1)):
-            values[i] = v
-        return values
-
-    plus, other = valid(), valid()
-    minus = list(plus)
-    for i in draw(st.lists(index, max_size=dim)) + [plus.index(0.0)]:
-        if plus[i] == 0.0:
-            minus[i] = -0.0
-    return tuple(Embedding.from_dense(tuple(v), media_type) for v in (plus, minus, other))
-
-
-def statistics(e):
-    """What the cosine kernel reads of ``e`` besides its values and its
-    mask, as bits."""
-    return e.norm2.hex(), e.peak.hex()
-
-
-@given(signed_zero_twins())
-def test_signed_zeros_change_only_the_embedding_hash(twins):
-    # -0.0 and +0.0 are equally valid and score alike, but the sign bit is
-    # stored, so equality and the hash tell them apart and each decodes as
-    # it was.
-    plus, minus, other = twins
-    assert plus.is_valid() and minus.is_valid() and other.is_valid()
-    assert statistics(plus) == statistics(minus)
-    # The mask marks each stored -0.0 as well, which can only keep the
-    # pruning rule from skipping a record.
-    assert plus.mask & minus.mask == plus.mask != minus.mask
-    assert plus != minus
-    assert similarity(plus, other).hex() == similarity(minus, other).hex()
-    assert similarity(other, plus).hex() == similarity(other, minus).hex()
-    assert hash_embedding(plus) != hash_embedding(minus)
-    for e in (plus, minus):
-        decoded, end = FIELD_CODECS["Embedding"][1](encode_embedding(e), 0)
-        assert end == len(encode_embedding(e))
-        assert [x.hex() for x in dense(decoded)] == [x.hex() for x in dense(e)]

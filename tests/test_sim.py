@@ -15,7 +15,7 @@ from veriledger.core import (
     Verdict,
     encode_transaction,
 )
-from veriledger.detection import embed, parse_pgm, similarity
+from veriledger.detection import embed, parse_pgm
 from veriledger.errors import ConfigError, MissingLabel
 from veriledger.ledger import init_chain, seal_block
 from veriledger.rng import SplitMix64
@@ -33,7 +33,9 @@ from veriledger.sim import (
 from veriledger.store import ChainRecord, ChainWriter, canonical_json, replay
 
 from chainfile import bodies
-from conftest import GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, json_containers, random_bytes
+from conftest import (
+    GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, cosine, json_containers, random_bytes,
+)
 
 
 def golden_doc():
@@ -115,9 +117,7 @@ def test_perturb_full_flip_drops_similarity():
     low = 0
     for item in corpus.trusted:
         mutated = perturb(item.content, "byte-flip", 1.0, seed=rng.next_u64())
-        sim = similarity(
-            embed(item.content, MediaType.BYTES), embed(mutated, MediaType.BYTES)
-        )
+        sim = cosine(embed(item.content, MediaType.BYTES), embed(mutated, MediaType.BYTES))
         if sim < 0.9:
             low += 1
     assert low >= 95

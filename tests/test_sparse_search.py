@@ -1,20 +1,21 @@
-"""The sparse, norm-cached, pruned similarity search against a dense reference.
+"""The sparse, norm-cached, pruned similarity search against an exact
+dense reference.
 
-``dense_cosine``, ``dense_match_trusted`` and the two dense detectors below
-are the search as it was before each embedding held only its stored values
-and cached its norm, mask and peak: a cosine loop over every dimension of
-the dense vectors (``conftest.dense``) for every record and an exact-hash
-lookup that sorts the whole registry. The live code must give the same
-results bit for bit.
+``dense_dot``, ``fraction_match_trusted`` and the two dense detectors below
+are the search as a brute force over the dense integer vectors
+(``conftest.dense``): every record of the query's media type is scored, and
+it matches iff its exact cosine, as a ``Fraction`` squared, is at least the
+square of the fraction the threshold's decimal text names. The live code
+must return the same records, in the same order, with the same scores.
 ``brute_force_matches`` in ``test_detection`` calls ``similarity`` itself, so
 it cannot serve as this reference. ``three_pass_sparse_values`` computes the
-non-zero pairs, norm and peak of a dense vector in three passes, as the code
-did before an embedding computed them in one, and the mask, the int of the
-bitmap that marks every value but ``+0.0``.
+non-zero pairs, squared norm, mask and peak of a dense vector each in its
+own loop.
 """
 
 import dataclasses
 import math
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -35,7 +36,6 @@ from veriledger.core import (
 )
 from veriledger import detection
 from veriledger.detection import (
-    SLACK,
     AnalysisTarget,
     MatchCandidate,
     RegistryIndex,
@@ -55,30 +55,34 @@ from test_record_codec import KNOWN_ANSWERS, RECORDS
 # --- the dense reference ----------------------------------------------------
 
 
-def dense_cosine(a, b):
+def dense_dot(a, b):
+    """``(dot, norm2_a, norm2_b)`` of two dense vectors, each a plain loop."""
     if len(a) != len(b):
         raise DimensionMismatch(f"{len(a)} != {len(b)}")
-    dot = 0.0
-    na = 0.0
-    nb = 0.0
+    dot = na = nb = 0
     for x, y in zip(a, b):
         dot += x * y
         na += x * x
         nb += y * y
-    if na == 0.0 or nb == 0.0:
+    if na == 0 or nb == 0:
         raise ZeroVector("cosine undefined for zero vectors")
-    value = dot / math.sqrt(na * nb)
-    return min(1.0, max(0.0, value))
+    return dot, na, nb
 
 
-def dense_match_trusted(query, registry, k, threshold):
+def dense_similarity(a, b):
+    dot, na, nb = dense_dot(dense(a), dense(b))
+    return dot * dot, na * nb
+
+
+def fraction_match_trusted(query, registry, k, threshold):
+    tau = Fraction(str(threshold))
     candidates = []
     for record in registry:
         if record.media_type is not query.media_type:
             continue
-        sim = dense_cosine(dense(query), dense(record.embedding))
-        if sim >= threshold:
-            candidates.append(MatchCandidate(record.content_id, sim))
+        dot, na, nb = dense_dot(dense(query), dense(record.embedding))
+        if Fraction(dot, 1) ** 2 / (na * nb) >= tau**2:
+            candidates.append(MatchCandidate(record.content_id, math.sqrt(dot * dot / (na * nb))))
     candidates.sort(key=lambda c: (-c.similarity, c.content_id))
     return candidates[:k]
 
@@ -106,26 +110,38 @@ def dense_near_duplicate(params, target, registry):
         return Verdict.AUTHENTIC, 1.0, [MatchCandidate(record.content_id, 1.0)]
     tau = float(params.get("tau", 0.95))
     k = int(params.get("k", 5))
-    matches = dense_match_trusted(target.embedding, registry, k, tau)
+    matches = fraction_match_trusted(target.embedding, registry, k, tau)
     if matches:
         return Verdict.DEEPFAKE, matches[0].similarity, matches
     return Verdict.UNVERIFIED, 0.0, []
 
 
 def three_pass_sparse_values(values):
-    norm2 = 0.0
+    norm2 = 0
     for v in values:
         norm2 += v * v
-    pairs = tuple((i, v) for i, v in enumerate(values) if v != 0.0)
+    pairs = tuple((i, v) for i, v in enumerate(values) if v != 0)
     # Bit i of the bitmap, most significant first, is bit ``top - i`` of its
-    # big-endian int; -0.0 is stored, so its bit is set.
+    # big-endian int.
     top = 8 * ((len(values) + 7) // 8) - 1
     mask = 0
     for i, v in enumerate(values):
-        if v != 0.0 or math.copysign(1.0, v) < 0.0:
+        if v != 0:
             mask |= 1 << top - i
-    peak = max(values, default=0.0) if all(v >= 0.0 for v in values) else math.inf
+    peak = pairs[0][1] if pairs else 0
+    for _, v in pairs:
+        if v > peak:
+            peak = v
     return pairs, norm2, mask, peak
+
+
+def exact_cosine(query, record):
+    """The record's exact cosine with the query, as a ``Fraction`` squared,
+    or None where the kernel raises."""
+    try:
+        return Fraction(*dense_similarity(query, record.embedding))
+    except (DimensionMismatch, ZeroVector):
+        return None
 
 
 def skipped_records(query, searched, threshold):
@@ -139,8 +155,8 @@ def skipped_records(query, searched, threshold):
         scored.add(id(b))
         try:
             return real_similarity(a, b)
-        except (DimensionMismatch, ZeroVector, ZeroDivisionError):
-            return 0.0
+        except (DimensionMismatch, ZeroVector):
+            return 0, 1
 
     with mock.patch.object(detection, "similarity", scoring):
         match_trusted(query, searched, 1, threshold)
@@ -151,21 +167,11 @@ def skipped_records(query, searched, threshold):
 
 
 def outcome(fn, *args):
-    """The result with every float as its exact bits, or the exception type."""
+    """The result, or the type of the exception it raised."""
     try:
-        result = fn(*args)
-    except (DimensionMismatch, ZeroVector, ZeroDivisionError) as exc:
+        return fn(*args)
+    except (DimensionMismatch, ZeroVector) as exc:
         return type(exc)
-    if isinstance(result, float):
-        return result.hex()
-    if isinstance(result, tuple):  # a detector result
-        verdict, confidence, matches = result
-        return verdict, confidence.hex(), bits(matches)
-    return bits(result)
-
-
-def bits(matches):
-    return [(m.content_id, m.similarity.hex()) for m in matches]
 
 
 # --- registries of all three media types -------------------------------------
@@ -180,12 +186,10 @@ small_alphabet_bytes = st.tuples(
         st.sampled_from([32 * spec[0] + s for s in spec[1]]), min_size=1, max_size=64
     ).map(bytes)
 )
-# Non-negative finite values, including tiny ones whose squares underflow
-# (1e-160 squared is subnormal, 1e-162 squared is zero, and a product of two
-# of them underflows) and huge ones whose squares overflow to inf.
+# Stored values: small ones, whose cosines are often simple fractions such
+# as 4/5, the Q16 full scale, and the largest ``u32``.
 specials = st.one_of(
-    st.floats(0.0, 1.0, allow_subnormal=True),
-    st.sampled_from([1e-300, 5e-324, 1.0, 1e-160, 1e-162, 1e300]),
+    st.integers(1, 4), st.sampled_from([65536, 2**32 - 1]), st.integers(1, 2**32 - 1)
 )
 
 
@@ -198,19 +202,16 @@ def embeddings(draw, media=MEDIA):
     if draw(st.integers(0, 3)) == 0:
         # One value on a drawn support: there the pruning bound is tight. A
         # small pool makes the query and a record often share the value.
-        value = draw(st.one_of(st.sampled_from([0.1, 1 / 3, 0.7]), specials))
+        value = draw(st.one_of(st.sampled_from([1, 3, 65536]), specials))
         support = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
-        return Embedding.from_dense(
-            tuple(value if i in support else 0.0 for i in range(dim)), media_type
-        )
-    # Random 53-bit values, a drawn share of them exact zeros, then a few
+        values = tuple(value if i in support else 0 for i in range(dim))
+        return Embedding.from_dense(values, media_type)
+    # Random values below a drawn bound, a drawn share of them 0, then a few
     # drawn values at drawn positions.
     rng = SplitMix64(draw(st.integers(0, 2**32)))
     zeros = draw(st.sampled_from([0, 1, 8, 15, 16]))  # out of 16
-    values = [
-        0.0 if rng.randrange(16) < zeros else (rng.next_u64() >> 11) * 2.0**-53
-        for _ in range(dim)
-    ]
+    bound = draw(st.sampled_from([4, 65537, 2**32]))
+    values = [0 if rng.randrange(16) < zeros else rng.randrange(bound) for _ in range(dim)]
     for i, v in draw(st.lists(st.tuples(st.integers(0, dim - 1), specials), max_size=4)):
         values[i] = v
     return Embedding.from_dense(tuple(values), media_type)
@@ -229,6 +230,14 @@ def content(content_id, embedding, content_hash):
 
 
 HASHES = [hash_bytes(bytes([i])) for i in range(4)]
+
+
+def around(squares):
+    """Thresholds at and one float either side of the square root of each
+    ``Fraction`` in ``squares`` in (0, 1]: where a rule off by a rounding
+    would decide the other way."""
+    roots = [math.sqrt(s) for s in squares if 0 < s <= 1]
+    return [t for r in roots for t in (r, math.nextafter(r, 0.0), min(math.nextafter(r, 1.0), 1.0))]
 
 
 @st.composite
@@ -251,39 +260,40 @@ def searches(draw):
         embedding=query,
     )
     k = draw(st.sampled_from([1, 2, 5, len(registry) or 1, 2**64 - 1]))
-    scores = [
-        outcome(dense_cosine, dense(query), dense(r.embedding))
-        for r in registry
-        if r.media_type is query.media_type
-    ]
-    exact = [float.fromhex(s) for s in scores if isinstance(s, str)]
-    # A record's own score is the inclusive boundary; one ulp either side of
-    # it, a pruning bound too loose by that much would change the result.
-    boundaries = [
-        t
-        for score in exact
-        for t in (score, math.nextafter(score, 0.0), math.nextafter(score, 1.0))
-    ]
+    scores = [exact_cosine(query, r) for r in registry if r.media_type is query.media_type]
     threshold = draw(st.one_of(
-        st.sampled_from([0.0, 1.0, math.nextafter(0.0, 1.0)]),
+        st.sampled_from([0.0, 1.0, 5e-324, 0.5, 0.6, 0.8, 0.95]),
         st.floats(0.0, 1.0),
-        st.sampled_from(boundaries) if boundaries else st.just(0.5),
+        st.sampled_from(around([s for s in scores if s is not None]) or [0.5]),
     ))
     return registry, target, k, threshold
 
 
+# Cosine exactly 4/5, at tau 0.8; and the same record at tau 0.0, where the
+# rule is off.
+PYTHAGOREAN = (
+    [content("c", Embedding.from_dense((4, 3) + (0,) * 254, MediaType.BYTES), HASHES[0])],
+    AnalysisTarget(
+        "r-4/5", MediaType.BYTES, HASHES[1],
+        Embedding.from_dense((1,) + (0,) * 255, MediaType.BYTES),
+    ),
+)
+
+
 @settings(max_examples=5 * settings.default.max_examples)  # 300 under "ci"
 @given(searches())
+@example((*PYTHAGOREAN, 1, 0.8))
+@example((*PYTHAGOREAN, 1, 0.0))
 def test_sparse_search_matches_dense_reference_bit_for_bit(search):
     registry, target, k, threshold = search
     query = target.embedding
     assert outcome(match_trusted, query, registry, k, threshold) == outcome(
-        dense_match_trusted, query, registry, k, threshold
+        fraction_match_trusted, query, registry, k, threshold
     )
     for record in registry:
         if record.media_type is query.media_type:
             assert outcome(similarity, query, record.embedding) == outcome(
-                dense_cosine, dense(query), dense(record.embedding)
+                dense_similarity, query, record.embedding
             )
     params = {"tau": threshold, "k": k}
     for kind, reference in (
@@ -297,10 +307,10 @@ def test_sparse_search_matches_dense_reference_bit_for_bit(search):
 
 
 @st.composite
-def well_scaled_searches(draw):
-    """Searches over one media type in which every norm and peak lies in
-    ``SCALE``, so the pruning rule applies, with thresholds where a record's
-    product ``shared * ratio`` meets the rule's limit."""
+def tight_searches(draw):
+    """Searches over one media type with thresholds where a record's bound
+    meets the threshold: at and one float either side of the square root of
+    ``c**2 * peak_q**2 * peak**2 / (norm2_q * norm2)``."""
     media_type = draw(st.sampled_from(MEDIA))
     dim = EMBEDDING_DIMENSIONS[media_type]
 
@@ -311,12 +321,12 @@ def well_scaled_searches(draw):
             draw(st.sets(st.integers(0, dim - 1), min_size=size, max_size=size))
         ) if size < dim else range(dim)
         if draw(st.booleans()):  # one value on the support: the bound is tight
-            value = draw(st.one_of(st.sampled_from([0.1, 1 / 3, 0.7]), st.floats(1e-70, 1.0)))
-            drawn = [value] * size
-        else:  # random 53-bit values in (0, 1]
+            drawn = [draw(specials)] * size
+        else:
             rng = SplitMix64(draw(st.integers(0, 2**32)))
-            drawn = [(1 + (rng.next_u64() >> 11)) * 2.0**-53 for _ in range(size)]
-        values = [0.0] * dim
+            drawn = [1 + rng.randrange(draw(st.sampled_from([4, 65536, 2**32 - 1])))
+                     for _ in range(size)]
+        values = [0] * dim
         for i, v in zip(support, drawn):
             values[i] = v
         return Embedding.from_dense(tuple(values), media_type)
@@ -326,40 +336,37 @@ def well_scaled_searches(draw):
         for n in range(draw(st.integers(1, 12)))
     ]
     query = draw_embedding()
-    target = AnalysisTarget("r-scaled", media_type, hash_bytes(b"none"), query)
-    a = query.peak / math.sqrt(query.norm2)
-    bounds = []
-    for record in registry:
-        r = record.embedding
-        bound = (query.mask & r.mask).bit_count() * (r.peak / math.sqrt(r.norm2)) * a
-        bounds += [t for t in (bound, bound / SLACK) if 0.0 < t <= 1.0]
-    boundaries = [
-        t for b in bounds for t in (b, math.nextafter(b, 0.0), math.nextafter(b, 1.0))
+    target = AnalysisTarget("r-tight", media_type, hash_bytes(b"none"), query)
+    bounds = [
+        Fraction((query.mask & r.embedding.mask).bit_count() * query.peak * r.embedding.peak) ** 2
+        / (query.norm2 * r.embedding.norm2)
+        for r in registry
     ]
-    threshold = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(boundaries or [0.5])))
-    return registry, target, 5, min(threshold, 1.0)
+    threshold = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(around(bounds) or [0.5])))
+    return registry, target, 5, threshold
+
+
+# Ten values of 1 against themselves at threshold 1.0: the bound on the
+# squared cosine, ``10**2 / (10 * 10)``, is exactly the cosine, 1.
+TIGHT = Embedding.from_dense((1,) * 10 + (0,) * 246, MediaType.BYTES)
 
 
 @settings(max_examples=5 * settings.default.max_examples)
-@given(st.one_of(searches(), well_scaled_searches()))
+@given(st.one_of(searches(), tight_searches()))
+@example(([content("c", TIGHT, HASHES[0])], AnalysisTarget("r", MediaType.BYTES, HASHES[1], TIGHT),
+          5, 1.0))
 def test_rule_skips_only_records_scoring_below_the_threshold(search):
     registry, target, _, threshold = search
     query = target.embedding
     for record in skipped_records(query, registry, threshold):
-        score = outcome(dense_cosine, dense(query), dense(record.embedding))
-        assert isinstance(score, str) and float.fromhex(score) < threshold
+        score = exact_cosine(query, record)
+        assert score is not None and score < Fraction(str(threshold)) ** 2
 
 
-# A cosine is the dense loop's bit for bit whichever branch of ``similarity``
-# it takes: the stored values paired in order where the bitmaps are equal,
-# the walk over the set bits of their masks' AND where they are not.
-
-# Values the bitmap marks: -0.0, NaN, inf, a negative, subnormals and values
-# whose squares underflow or overflow.
-stored_values = st.one_of(
-    st.sampled_from([-0.0, math.nan, math.inf, 5e-324, 1e-160, 1e-162, 1e300, -1.0]),
-    st.floats(0.0, 1.0).filter(bool),
-)
+# The dot product is an int, so it is the dense loop's whichever branch of
+# ``similarity`` it takes: the stored values paired in order where the
+# bitmaps are equal, the walk over the set bits of their masks' AND where
+# they are not.
 
 
 @st.composite
@@ -374,14 +381,14 @@ def equal_bitmap_pairs(draw):
     )
 
     def draw_embedding():
-        # Random 53-bit values in (0, 1], then a few drawn values at drawn
+        # Random values in 1 to 2**32 - 1, then a few drawn values at drawn
         # positions of the support.
         rng = SplitMix64(draw(st.integers(0, 2**32)))
-        values = [0.0] * dim
+        values = [0] * dim
         for i in support:
-            values[i] = (1 + (rng.next_u64() >> 11)) * 2.0**-53
+            values[i] = 1 + rng.randrange(2**32 - 1)
         if support:
-            for i, v in draw(st.lists(st.tuples(st.sampled_from(support), stored_values),
+            for i, v in draw(st.lists(st.tuples(st.sampled_from(support), specials),
                                       max_size=4)):
                 values[i] = v
         return Embedding.from_dense(tuple(values), media_type)
@@ -404,41 +411,31 @@ def image(values):
 
 def scored_as_dense(a, b):
     for x, y in ((a, b), (b, a)):
-        assert outcome(similarity, x, y) == outcome(dense_cosine, dense(x), dense(y))
+        assert outcome(similarity, x, y) == outcome(dense_similarity, x, y)
 
 
 @settings(max_examples=5 * settings.default.max_examples)
 @given(equal_bitmap_pairs())
-@example((image([0.5] * 64), image([0.25, 0.75] * 32)))
-@example((image([-0.0, 0.5] * 32), image([0.5, math.inf] * 32)))
+@example((image([2] * 64), image([1, 3] * 32)))
+@example((image([2**32 - 1] * 64), image([2**32 - 1, 1] * 32)))
 def test_similarity_of_equal_bitmaps_matches_the_dense_loop(pair):
     a, b = pair
     assert a.bitmap == b.bitmap
     scored_as_dense(a, b)
 
 
-# Three shared products 1.0, 0.75 * 2**-53 and 0.75 * 2**-53 sum to 1.0 in
-# ascending index order, each small one rounding away, but to 1 + 2**-52
-# from the last index down.
-ORDERED = (
-    image([1.0, 0.75 * 2.0**-53, 0.75 * 2.0**-53, 1.0] + [0.0] * 60),
-    image([1.0, 1.0, 1.0, 0.0, 1.0] + [0.0] * 59),
-)
-
-
 @settings(max_examples=5 * settings.default.max_examples)
 @given(unequal_bitmap_pairs())
 @example((embed(b"abcabc", MediaType.BYTES), embed(b"xyz", MediaType.BYTES)))
 @example((embed(b"aab", MediaType.BYTES), embed(b"abcd", MediaType.BYTES)))
-@example((image([0.5] * 63 + [0.0]), image([0.0] + [0.25] * 63)))
-@example(ORDERED)
+@example((image([2] * 63 + [0]), image([0] + [1] * 63)))
 # A dimension that is not a multiple of 8: the bitmap ends in padding bits.
 @example((
-    Embedding.from_dense((0.5, 0.0, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.75, 0.125), MediaType.BYTES),
-    Embedding.from_dense((0.0, 0.3, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5), MediaType.BYTES),
+    Embedding.from_dense((4, 0, 2, 0, 0, 0, 0, 0, 6, 1), MediaType.BYTES),
+    Embedding.from_dense((0, 3, 2, 0, 0, 0, 0, 0, 4, 4), MediaType.BYTES),
 ))
 # The two share the first index and the last and nothing between.
-@example((image([0.5] + [0.0] * 62 + [0.25]), image([0.25] + [0.5] * 62 + [0.75])))
+@example((image([2] + [0] * 62 + [1]), image([1] + [2] * 62 + [3])))
 def test_similarity_of_unequal_bitmaps_matches_the_dense_loop(pair):
     a, b = pair
     assert a.bitmap != b.bitmap
@@ -451,59 +448,31 @@ def rule_case(case):
     query = embed(b"abcd", MediaType.BYTES)
     far = embed(b"abwx", MediaType.BYTES)
     threshold = 0.95
-    others = []
-
-    def with_e(embedding, value):
-        values = list(dense(embedding))
-        values[ord("e")] = value
-        return Embedding.from_dense(tuple(values), MediaType.BYTES)
-
-    def on(text, value):
-        values = [0.0] * 256
-        for b in text:
-            values[b] = value
-        return Embedding.from_dense(tuple(values), MediaType.BYTES)
-
-    bad = {"negative": -0.25, "NaN": math.nan}
     if case == "tau 0":
         threshold = 0.0
-    elif case in ("query negative", "query NaN"):
-        query = with_e(query, bad[case.split()[1]])
-    elif case in ("record negative", "record NaN"):
-        # One such record shares bins with the query (its product is inf),
-        # the other none (its product is NaN).
-        value = bad[case.split()[1]]
-        far = with_e(far, value)
-        others = [content("odd", with_e(embed(b"wxyz", MediaType.BYTES), value), HASHES[1])]
     elif case == "zero-norm record":
-        far = Embedding.from_dense((0.0,) * 256, MediaType.BYTES)
-    elif case == "tiny norms":
-        # A query norm of 4e-200, below ``SCALE``, against a record norm of
-        # 4e-130, inside it: their product underflows to 0, so
-        # ``similarity`` raises ZeroDivisionError, as the dense loop does.
-        query = on(b"abcd", 1e-100)
-        far = on(b"abwx", 1e-65)
-    return query, [content("far", far, HASHES[0]), *others], threshold
+        far = Embedding.from_dense((0,) * 256, MediaType.BYTES)
+    elif case == "zero-norm query":
+        query = Embedding.from_dense((0,) * 256, MediaType.BYTES)
+    return query, [content("far", far, HASHES[0])], threshold
 
 
 def test_rule_skips_a_well_scaled_record_sharing_too_few_bins():
-    # Each side holds four bins of 0.25, so each has peak / sqrt(norm2) 0.5:
-    # the limit is 0.95 * (1 - 1e-9) / 0.5, about 1.9, and ``far``'s product
-    # is 2 * 0.5 = 1.0; its cosine is 0.5.
+    # Each side holds four bins of 1, so the bound on the squared cosine is
+    # 2**2 * 1 * 1 / (4 * 4) = 1/4, below 0.95**2; ``far``'s cosine is 0.5.
     query, registry, threshold = rule_case(None)
     assert skipped_records(query, registry, threshold) == registry
     assert outcome(match_trusted, query, registry, 5, threshold) == outcome(
-        dense_match_trusted, query, registry, 5, threshold
+        fraction_match_trusted, query, registry, 5, threshold
     ) == []
 
 
-@pytest.mark.parametrize("case", [
-    "tau 0", "query negative", "query NaN", "record negative", "record NaN",
-    "zero-norm record", "tiny norms",
-])
+@pytest.mark.parametrize("case", ["tau 0", "zero-norm record", "zero-norm query"])
 def test_rule_skips_nothing_where_the_bound_may_not_hold(case):
+    # With tau 0 or a norm of 0 the rule's right side is 0, which no product
+    # is below: every record is scored, and a zero vector raises.
     query, registry, threshold = rule_case(case)
-    expected = outcome(dense_match_trusted, query, registry, 5, threshold)
+    expected = outcome(fraction_match_trusted, query, registry, 5, threshold)
     for searched in (registry, RegistryIndex(registry)):
         assert skipped_records(query, searched, threshold) == []
         assert outcome(match_trusted, query, searched, 5, threshold) == expected
@@ -511,7 +480,7 @@ def test_rule_skips_nothing_where_the_bound_may_not_hold(case):
 
 def test_exact_index_returns_the_smallest_id_as_the_dense_scan_does():
     e = embed(b"abc", MediaType.BYTES)
-    image = Embedding.from_dense((0.5,) * 64, MediaType.IMAGE)
+    image = Embedding.from_dense((1,) * 64, MediaType.IMAGE)
     # Same hash throughout; the smallest id overall is an Image record.
     registry = [
         content(cid, image if cid == "c0" else e, HASHES[0])
@@ -530,31 +499,10 @@ def test_exact_index_returns_the_smallest_id_as_the_dense_scan_does():
 def test_record_sharing_no_bin_scores_exactly_zero():
     query = embed(b"abcabc", MediaType.BYTES)
     other = embed(b"xyz", MediaType.BYTES)
-    assert similarity(query, other).hex() == dense_cosine(dense(query), dense(other)).hex()
-    assert similarity(query, other) == 0.0
+    assert similarity(query, other) == dense_similarity(query, other) == (0, 12 * 3)
     assert match_trusted(query, [content("c", other, HASHES[0])], 1, 0.0) == [
         MatchCandidate("c", 0.0)
     ]
-
-
-def test_a_record_sharing_only_a_stored_negative_zero_is_scored():
-    # The masks mark a stored -0.0, so the rule counts the one bin these
-    # two share, where the product is zero: the bound reads 1, the record is
-    # scored and its cosine is exactly +0.0, as the dense loop's.
-    values = [0.0] * 256
-    values[ord("a")] = 0.5
-    query = Embedding.from_dense(tuple(values), MediaType.BYTES)
-    values[ord("a")], values[ord("x")] = -0.0, 0.25
-    record = Embedding.from_dense(tuple(values), MediaType.BYTES)
-    assert (query.mask & record.mask).bit_count() == 1
-    registry = [content("c", record, HASHES[0])]
-    for threshold in (0.0, 0.5, 1.0):
-        for searched in (registry, RegistryIndex(registry)):
-            assert skipped_records(query, searched, threshold) == []
-            assert outcome(match_trusted, query, searched, 5, threshold) == outcome(
-                dense_match_trusted, query, registry, 5, threshold
-            )
-    assert similarity(query, record).hex() == (0.0).hex()
 
 
 def test_similarity_runs_only_on_records_the_bound_cannot_rule_out(monkeypatch):
@@ -585,142 +533,105 @@ def test_similarity_runs_only_on_records_the_bound_cannot_rule_out(monkeypatch):
         for threshold, expected in cases:
             scored.clear()
             assert outcome(match_trusted, query, searched, 5, threshold) == outcome(
-                dense_match_trusted, query, registry, 5, threshold
+                fraction_match_trusted, query, registry, 5, threshold
             )
             assert [id(e) for e in scored] == [id(e) for e in expected]
 
 
-@pytest.mark.parametrize("value, count", [(0.1, 10), (0.7417004975798249, 254)])
-def test_margin_keeps_a_tight_bound_from_skipping_a_match(value, count):
-    # ``count`` equal values summed one by one round above ``count * value**2``,
-    # so the rule without its slack would skip the embedding's exact match
-    # with itself at threshold 1.0: there ``count * ratio`` falls below
-    # ``1.0 / ratio``, the product ``count * ratio**2`` reading 1 - 2.2e-16
-    # and 1 - 6.9e-15.
-    e = Embedding.from_dense((value,) * count + (0.0,) * (256 - count), MediaType.BYTES)
-    ratio = e.peak / math.sqrt(e.norm2)
-    assert e.mask.bit_count() * ratio < 1.0 / ratio
+@pytest.mark.parametrize("media_type, value, count", [
+    (MediaType.BYTES, 1, 10), (MediaType.BYTES, 2**32 - 1, 256), (MediaType.IMAGE, 32897, 64),
+])
+def test_a_tight_bound_does_not_skip_an_exact_match(media_type, value, count):
+    # ``count`` equal values against themselves: the bound on the squared
+    # cosine is ``count**2 * value**4 / (count * value**2)**2``, exactly 1,
+    # as the cosine is. The rule compares exactly, so at threshold 1.0 it
+    # does not skip the match.
+    dim = EMBEDDING_DIMENSIONS[media_type]
+    e = Embedding.from_dense((value,) * count + (0,) * (dim - count), media_type)
+    assert (e.mask.bit_count() * e.peak * e.peak) ** 2 == e.norm2 * e.norm2
     registry = [content("c", e, HASHES[0])]
+    assert skipped_records(e, registry, 1.0) == []
     assert match_trusted(e, registry, 1, 1.0) == [MatchCandidate("c", 1.0)]
-    assert bits(dense_match_trusted(e, registry, 1, 1.0)) == [("c", (1.0).hex())]
+    assert fraction_match_trusted(e, registry, 1, 1.0) == [MatchCandidate("c", 1.0)]
 
 
 def test_record_of_another_dimension_still_raises():
-    # A record of another dimension has ratio inf, so the rule never skips it,
-    # though it shares no bin with the query, and it raises as the dense
+    # A record of another dimension has row norm 0, so the rule never skips
+    # it, though it shares no bin with the query, and it raises as the dense
     # search does. ``far`` before it is skipped.
     query = embed(b"ab", MediaType.BYTES)
-    short = Embedding.from_dense((0.0, 1.0), MediaType.BYTES)
+    short = Embedding.from_dense((0, 1), MediaType.BYTES)
     far = embed(b"xy", MediaType.BYTES)
     registry = [content("far", far, HASHES[1]), content("c", short, HASHES[0])]
     for searched in (registry, RegistryIndex(registry)):
         assert skipped_records(query, searched, 0.95) == registry[:1]
         assert outcome(match_trusted, query, searched, 1, 0.95) is DimensionMismatch
-    assert outcome(dense_match_trusted, query, registry, 1, 0.95) is DimensionMismatch
+    assert outcome(fraction_match_trusted, query, registry, 1, 0.95) is DimensionMismatch
 
 
-def test_round_off_spill_is_clamped():
-    # Nearly parallel vectors whose unclamped cosine is 1 + 2^-52.
-    a = [0.7137708028432639, 0.04374827567185868, 0.9977478925366421]
-    b = [0.30590177264711305, 0.01874926100222515, 0.42760623965856087]
-    pad = [0.0] * (EMBEDDING_DIMENSIONS[MediaType.IMAGE] - 3)
-    ea = Embedding.from_dense(tuple(pad + a), MediaType.IMAGE)
-    eb = Embedding.from_dense(tuple(pad + b), MediaType.IMAGE)
-    assert similarity(ea, eb) == dense_cosine(dense(ea), dense(eb)) == 1.0
-
-
-# Every kind of float: both zeros, NaN, both infinities, negatives, subnormals,
-# values whose squares underflow or overflow, and ordinary fractions.
+# Every kind of int: 0, negatives, the ``u32`` bounds and values past them.
 raw_values = st.lists(
     st.one_of(
-        st.sampled_from(
-            [0.0, -0.0, math.nan, math.inf, -math.inf, -1.0, 5e-324, -5e-324,
-             1e-160, 1e-162, 1e300]
-        ),
-        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-        st.floats(0.0, 1.0),
+        st.sampled_from([0, 1, -1, 65536, 2**32 - 1, 2**32, 2**64]),
+        st.integers(),
+        st.integers(0, 4),
     ),
     max_size=300,
 )
 
 
-def sparse_bits(e):
-    """The non-zero pairs, norm, mask and peak of ``e``, each float but
-    the peak as its bits; every NaN reads ``nan``."""
-    pairs = [(i, v) for i, v in zip(indices(e), e.stored) if v != 0.0]
-    return [(i, v.hex()) for i, v in pairs], e.norm2.hex(), e.mask, e.peak
+def sparse_statistics(e):
+    """The non-zero pairs, squared norm, mask and peak of ``e``."""
+    pairs = [(i, v) for i, v in zip(indices(e), e.stored) if v != 0]
+    return pairs, e.norm2, e.mask, e.peak
 
 
-def reference_bits(values):
+def reference_statistics(values):
     pairs, norm2, mask, peak = three_pass_sparse_values(values)
-    return [(i, v.hex()) for i, v in pairs], norm2.hex(), mask, peak
+    return list(pairs), norm2, mask, peak
 
 
 @settings(max_examples=5 * settings.default.max_examples)
 @given(raw_values)
-@example([0.5, -0.0, 0.0, 0.25, -0.0])
-@example([0.0, math.nan, -0.0, math.inf, 1.0])
-@example([-0.0] * 9 + [math.inf])
+@example([2, 0, 0, 1, 0])
+@example([0] * 9 + [2**32 - 1])
 def test_from_dense_statistics_match_three_passes(values):
-    # The peak compares as a number: of a vector of zeros alone it is a zero
-    # of either sign, which lies outside ``SCALE`` alike.
     e = Embedding.from_dense(values, MediaType.BYTES)
-    assert sparse_bits(e) == reference_bits(values)
+    assert sparse_statistics(e) == reference_statistics(values)
 
 
-# Every finite float: the decoder refuses a non-finite one.
-finite_values = st.lists(
-    st.one_of(
-        st.sampled_from([0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-160, 1e-162, 1e300]),
-        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
-        st.floats(0.0, 1.0),
-    ),
+# Every ``u32``: the codec holds no other.
+u32_values = st.lists(
+    st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1), st.integers(0, 4)),
     max_size=300,
 )
 
 
 @settings(max_examples=5 * settings.default.max_examples)
-@given(finite_values)
-@example([0.5, -0.0, 0.0, 0.25, -0.0])
-@example([-0.0] * 9 + [1e300])
+@given(u32_values)
+@example([2, 0, 0, 1, 0])
+@example([0] * 9 + [2**32 - 1])
 def test_decoded_statistics_match_three_passes(values):
     # The decoder hands ``Embedding`` the bitmap it read, from which the
     # mask is taken.
     data = encode_embedding(Embedding.from_dense(values, MediaType.BYTES))
     decoded, end = FIELD_CODECS["Embedding"][1](data, 0)
     assert end == len(data) and decoded._encoding == data
-    assert sparse_bits(decoded) == reference_bits(values)
+    assert sparse_statistics(decoded) == reference_statistics(values)
 
 
 def test_from_dense_of_the_empty_vector():
     e = Embedding.from_dense((), MediaType.BYTES)
-    assert (e.bitmap, e.stored, e.norm2, e.mask, e.peak) == (b"", (), 0.0, 0, 0.0)
-    assert sparse_bits(e) == reference_bits(())
-    assert e.norm2.hex() == e.peak.hex() == (0.0).hex()
+    assert (e.bitmap, e.stored, e.norm2, e.mask, e.peak) == (b"", (), 0, 0, 0)
+    assert sparse_statistics(e) == reference_statistics(())
 
 
 def test_sparse_pairs_and_norm():
     e = embed(b"aab", MediaType.BYTES)
-    assert (indices(e), e.stored) == ((ord("a"), ord("b")), (2 / 3, 1 / 3))
-    expected = 0.0
-    for v in dense(e):
-        expected += v * v
-    assert e.norm2.hex() == expected.hex()
+    assert (indices(e), e.stored) == ((ord("a"), ord("b")), (2, 1))
+    assert e.norm2 == sum(v * v for v in dense(e)) == 5
     assert e.mask == (1 << 255 - ord("a")) | (1 << 255 - ord("b"))
-    assert e.peak == 2 / 3
-
-
-@pytest.mark.parametrize("bad", [-5.0, math.nan])
-def test_negative_or_nan_values_are_never_pruned(bad):
-    # The bound holds only for non-negative vectors: with a peak of 1.0 it
-    # would read 2 / 26 for this vector against itself, whose cosine is 1.0.
-    # Such a vector's peak is inf instead, so the rule never skips it.
-    e = Embedding.from_dense((1.0, bad) + (0.0,) * 254, MediaType.BYTES)
-    assert e.peak == math.inf
-    registry = [content("c", e, HASHES[0])]
-    assert outcome(match_trusted, e, registry, 1, 0.95) == outcome(
-        dense_match_trusted, e, registry, 1, 0.95
-    )
+    assert e.peak == 2
 
 
 # --- the statistics and the cache stay out of everything hashed or written ---
@@ -735,7 +646,7 @@ def test_cache_not_in_equality_hash_or_repr():
     before = (repr(e), hash(e))
     encoded = encode_embedding(e)
     assert e._encoding is encoded
-    assert e.mask.bit_count() == len(set(b"hello world")) and e.peak == 3 / 11
+    assert e.mask.bit_count() == len(set(b"hello world")) and e.peak == 3
     assert (repr(e), hash(e)) == before
     assert e == fresh(e) and hash(e) == hash(fresh(e))
     assert hash(e) == hash((e.media_type, e.dimension, e.bitmap, e.stored))
@@ -763,7 +674,7 @@ def test_known_answers_with_filled_cache(name):
 def test_decoded_and_replaced_embeddings_cache_the_same_pairs():
     e = embed(bytes(range(0, 250, 7)) * 3, MediaType.BYTES)
     record = content("c", e, HASHES[0])
-    expected = sparse_bits(e)
+    expected = sparse_statistics(e)
     packed = encode_embedding(record.embedding)
     decoded = record_copy(record)
     # The decoder keeps the bytes it read, which are the fresh encoding.
@@ -774,7 +685,7 @@ def test_decoded_and_replaced_embeddings_cache_the_same_pairs():
     assert copy._encoding is None
     for other in (decoded.embedding, replaced.embedding, copy):
         assert other == e
-        assert sparse_bits(other) == expected
+        assert sparse_statistics(other) == expected
         assert encode_embedding(other) == packed == encode_embedding(fresh(e))
         assert encode_embedding(other) is encode_embedding(other)
         assert hash_embedding(other) == hash_bytes(packed)

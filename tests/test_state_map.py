@@ -43,7 +43,7 @@ from chainfile import state_copy
 ROOT = Path(__file__).resolve().parent.parent
 
 # What each map holds: a value built from a key and a number.
-_EMBEDDING = Embedding.from_dense((0.5, 0.0, 0.25), MediaType.BYTES)
+_EMBEDDING = Embedding.from_dense((2, 0, 1), MediaType.BYTES)
 VALUES = {
     "validators": lambda key, n: n,
     "balances": lambda key, n: n,

@@ -20,7 +20,7 @@ from veriledger.codec import (
     Hash256,
     enc_bytes,
     enc_f64,
-    enc_f64_bitmap,
+    enc_u32_bitmap,
     enc_str,
     enc_u32,
     enc_u64,
@@ -29,6 +29,7 @@ from veriledger.codec import (
 from veriledger.core import (
     ESCROW_ACCOUNT,
     FIELD_CODECS,
+    STATE_SCHEMA,
     AlgorithmRecord,
     AlgorithmStatus,
     AnalysisRequest,
@@ -181,12 +182,25 @@ def test_round_trip_identity(tmp_path):
 
 # SHA-256 of the golden scenario's chain file. The golden fixtures hold only
 # hashes of the binary encodings, so this pins the chain file's layout.
-GOLDEN_CHAIN_SHA256 = "f69638337d4218a311100dfa24625a4dd63a5d3d0c7ffffcfdab409bbb6dbb01"
+GOLDEN_CHAIN_SHA256 = "9f47fbe99c5366af080fc84efe4fe69575370ed3b6dd2db195dc66b116eb1a89"
 
 
 def test_golden_chain_file_bytes_frozen(golden_run):
     data = (golden_run.out_dir / "run.chain.jsonl").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_CHAIN_SHA256
+
+
+def test_a_v5_chain_fails_at_height_0_as_an_unsupported_version(golden_run, tmp_path):
+    # "v5" stored each embedding value as a binary64: its records are not
+    # read as "v6" ones, and the reader says so at the header.
+    data = (golden_run.out_dir / "run.chain.jsonl").read_bytes()
+    assert store.HEADER == b"veriledger chain v6\n"
+    old = tmp_path / "v5.chain.jsonl"
+    old.write_bytes(b"veriledger chain v5\n" + data[len(store.HEADER) :])
+    assert str(verify_chain(old)) == (
+        "FAIL at height 0: CorruptRecord: unsupported version: the file starts "
+        "b'veriledger chain v5\\n'"
+    )
 
 
 def test_a_record_is_the_bytes_the_hashes_cover(golden_run):
@@ -334,12 +348,12 @@ def test_non_canonical_line_rejected(tmp_path):
 
 def _layout(raw: bytes) -> tuple[int, list[int], list[bytes]]:
     """The count, the bitmap as one 0 or 1 per bit, and the stored values as
-    8-byte strings, of an embedding's sparse layout."""
+    4-byte strings, of an embedding's sparse layout."""
     n = int.from_bytes(raw[:4], "big")
     width = (n + 7) // 8
     bits = [raw[4 + i // 8] >> (7 - i % 8) & 1 for i in range(8 * width)]
     start = 4 + width
-    values = [raw[start + 8 * j : start + 8 * j + 8] for j in range(sum(bits))]
+    values = [raw[start + 4 * j : start + 4 * j + 4] for j in range(sum(bits))]
     return n, bits, values
 
 
@@ -353,14 +367,14 @@ def _bit_past_count(raw: bytes) -> bytes:
     assert n % 8 == 0  # so that n - 1 values keep the bitmap's width
     if not bits[-1]:
         bits[-1] = 1
-        values.append(struct.pack(">d", 1.0))
+        values.append(struct.pack(">I", 1))
     return _pack(n - 1, bits, values)
 
 
 def _bit_over_plus_zero(raw: bytes) -> bytes:
     n, bits, values = _layout(raw)
     i = bits.index(0)
-    values.insert(sum(bits[:i]), struct.pack(">d", 0.0))
+    values.insert(sum(bits[:i]), struct.pack(">I", 0))
     bits[i] = 1
     return _pack(n, bits, values)
 
@@ -378,12 +392,12 @@ def _padding_bit(raw: bytes) -> bytes:
 
 def _padding_bit_with_value(raw: bytes) -> bytes:
     # The layout of all but the last three values, with the bitmap's last
-    # padding bit set and 8 bytes stored for it: every byte is read where
+    # padding bit set and 4 bytes stored for it: every byte is read where
     # the bitmap says, so only the bitmap check refuses it.
     n, bits, values = _layout(raw)
     assert n % 8 == 0
     kept = values[: sum(bits[: n - 3])]
-    return _pack(n - 3, bits[: n - 3] + [0, 0, 1], kept + [struct.pack(">d", 1.0)])
+    return _pack(n - 3, bits[: n - 3] + [0, 0, 1], kept + [struct.pack(">I", 1)])
 
 
 def _overlong_first_character(s: str) -> bytes:
@@ -395,15 +409,10 @@ def _overlong_first_character(s: str) -> bytes:
     return enc_bytes(bytes([0xC0 | raw[0] >> 6, 0x80 | raw[0] & 0x3F]) + raw[1:])
 
 
-def _first_value(raw: bytes, value: float) -> bytes:
-    n, bits, values = _layout(raw)
-    return _pack(n, bits, [struct.pack(">d", value), *values[1:]])
-
-
 def _embedding(edit):
     """An embedding encoder that stores ``edit`` of the values' layout."""
     return lambda e: enc_str(e.media_type.value) + edit(
-        enc_f64_bitmap(e.dimension, e.bitmap, e.stored)
+        enc_u32_bitmap(e.dimension, e.bitmap, e.stored)
     )
 
 
@@ -414,7 +423,7 @@ def _scalar_map(tag_and_value: bytes):
 # Each maps annotations to an encoder that writes bytes the writer never
 # writes; the variant re-encodes the first record of the golden chain whose
 # bytes that changes. Each either decodes to what the golden record decodes
-# to (a repeated set entry, a bit for a value of +0.0) or holds a value no
+# to (a repeated set entry, a bit for a value of 0) or holds a value no
 # record can.
 COSMETIC_VARIANTS = {
     "duplicate-media-type": {
@@ -426,8 +435,6 @@ COSMETIC_VARIANTS = {
     "padding-bits": {"Embedding": _embedding(_padding_bit)},
     "padding-bit-with-value": {"Embedding": _embedding(_padding_bit_with_value)},
     "bit-over-plus-zero": {"Embedding": _embedding(_bit_over_plus_zero)},
-    "nan-bits": {"Embedding": _embedding(lambda raw: _first_value(raw, math.nan))},
-    "infinity-bits": {"Embedding": _embedding(lambda raw: _first_value(raw, math.inf))},
     "trailing-byte": {"Embedding": _embedding(lambda raw: raw + b"\0")},
     "huge-count": {"Embedding": _embedding(lambda raw: struct.pack(">I", 2**32 - 1) + b"\xff" * 4)},
     "unsorted-metadata": {
@@ -500,22 +507,58 @@ def test_canonical_check_matches_the_re_render_on_cosmetic_variants(golden_run, 
     assert info.value.height == height
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_writer_refuses_a_non_finite_embedding(tmp_path, bad):
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5, -1, 2**32, 2**63])
+def test_writer_refuses_a_non_finite_embedding(bad):
+    # A value the u32 layout cannot hold cannot be hashed either: the state
+    # root refuses it before a genesis that holds it is sealed, so no chain
+    # file holds one.
     genesis_state = fresh_state()
     genesis_state.contents["c"] = ContentRecord(
         content_id="c",
         provider="A",
         media_type=MediaType.BYTES,
         content_hash=Hash256.zero(),
-        embedding=Embedding.from_dense((1.0, bad, 0.0), MediaType.BYTES),
+        embedding=Embedding.from_dense((1, bad, 0), MediaType.BYTES),
         metadata={},
         registered_at=0,
     )
-    genesis, _ = init_chain(genesis_state)
-    with ChainWriter(tmp_path / "bad.chain.jsonl") as writer:
-        with pytest.raises(SerializationError, match="non-finite"):
-            writer.append(genesis, genesis_state=genesis_state)
+    with pytest.raises(UnencodableState, match="embedding value out of range"):
+        init_chain(genesis_state)
+
+
+def test_a_fuzzed_embedding_value_past_u32_is_a_refused_write(golden_run, tmp_path):
+    # The fuzzed-chain test's mutation of a stored embedding value to 2**63:
+    # the block no longer hashes or encodes (the packer raises ValueError),
+    # so the writer refuses it and writes nothing.
+    records = bodies(golden_run.out_dir / "run.chain.jsonl")
+    pairs = [decode(height, body) for height, body in enumerate(records)]
+    height, i = next(
+        (height, i)
+        for height, (block, _) in enumerate(pairs)
+        for i, tx in enumerate(block.transactions)
+        if hasattr(tx.payload, "embedding")
+    )
+    block = pairs[height][0]
+    tx = block.transactions[i]
+    embedding = dataclasses.replace(
+        tx.payload.embedding, stored=(2**63, *tx.payload.embedding.stored[1:])
+    )
+    tx = dataclasses.replace(tx, payload=dataclasses.replace(tx.payload, embedding=embedding))
+    block = dataclasses.replace(
+        block, transactions=block.transactions[:i] + (tx,) + block.transactions[i + 1 :]
+    )
+    with pytest.raises(ValueError, match="embedding value out of range"):
+        transaction_hash(tx)
+    with pytest.raises(ValueError, match="embedding value out of range"):
+        encode(block)
+    path = tmp_path / "fuzzed.chain.jsonl"
+    with ChainWriter(path) as writer:
+        for before, genesis_state in pairs[:height]:
+            writer.append(before, genesis_state=genesis_state)
+        written = path.read_bytes()
+        with pytest.raises(SerializationError, match="embedding value out of range"):
+            writer.append(block)
+    assert path.read_bytes() == written
 
 
 def test_writer_refuses_a_non_finite_float(tmp_path):
@@ -829,7 +872,7 @@ genesis, live = init_chain(state)
 bitmap, stored = bytes(2**23), ()
 if spacing:  # values 0, spacing, 2 * spacing, ...: bit 0 of every (spacing / 8)th byte
     bitmap = bytes([0x80] + [0] * (spacing // 8 - 1)) * (2**26 // spacing)
-    stored = (1.0,) * (2**26 // spacing)
+    stored = (1,) * (2**26 // spacing)
 embedding = Embedding(MediaType.BYTES, 2**26, bitmap, stored)
 request = SubmitAnalysisRequest(MediaType.BYTES, Hash256.zero(), embedding, 10)
 tx = Transaction(TxKind.SUBMIT_ANALYSIS_REQUEST, "A", request, nonce=0)
@@ -913,7 +956,12 @@ def _leaves(value, path=()):
     if isinstance(value, (bool, int, float, str, enum.Enum, Hash256)):
         yield path
     elif dataclasses.is_dataclass(value):
-        for name, _ in store.record_schema(type(value)):
+        # Of a state, what the file holds: not its tip or content-hash index.
+        if isinstance(value, NetworkState):
+            schema = STATE_SCHEMA
+        else:
+            schema = store.record_schema(type(value))
+        for name, _ in schema:
             yield from _leaves(getattr(value, name), path + (name,))
     elif isinstance(value, tuple):
         for i, item in enumerate(value):
