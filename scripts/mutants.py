@@ -17,12 +17,12 @@ exit status 1. Nothing is skipped.
 Why: a decoder that accepts a second encoding of a value lets a reader hash
 bytes no writer writes (``core._dec_transaction`` and ``_dec_embedding``
 keep the bytes they read as the encoding cache); a contract or ledger rule
-that drops a check or a counter, moves a comparison's boundary, compares
-with a threshold's binary float or rounds a split the other way changes
-what every node agrees on; a cosine kernel that takes a wrong shortcut or
-reads the wrong stored value changes a committed score, and a match rule
-that moves its boundary or a pruning bound that drops a factor changes a
-verdict; and a state map (``core.StateMap``) that misses
+that drops a check or a counter, moves a comparison's boundary or rounds a
+split the other way changes what every node agrees on; a cosine kernel that
+takes a wrong shortcut or reads the wrong stored value, or a score rounded
+up, changes a committed score, and a match rule that moves its boundary or
+a pruning bound that drops a factor changes a verdict; and a state map
+(``core.StateMap``) that misses
 a write or stores an overwritten key twice encodes a root that a fresh
 copy of its state does not. Each mutant below is one of these, and the
 tests named for it are the ones that catch it. A
@@ -102,13 +102,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "non-finite-f64",
-        "src/veriledger/codec.py",
-        "    if not math.isfinite(x):\n",
-        "    if False:\n",
-        (f"{COSMETIC}[nan]", f"{COSMETIC}[infinity]", f"{COSMETIC}[parameter-nan]"),
-    ),
-    Mutant(
         "stored-zero",
         "src/veriledger/codec.py",
         '    if 0 in stored:\n        raise SerializationError("0 is stored")\n',
@@ -145,7 +138,7 @@ MUTANTS = (
             "tests/test_store.py::test_non_canonical_line_rejected",
             "tests/test_store.py::test_genesis_with_stored_receipts_fails_at_height_0",
             f"{PROPERTY}[frozenset[MediaType]]",
-            f"{PROPERTY}[tuple[tuple[str, float], ...]]",
+            f"{PROPERTY}[tuple[tuple[str, int], ...]]",
         ),
     ),
     Mutant(
@@ -255,12 +248,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "threshold-from-the-binary-float",
-        "src/veriledger/core.py",
-        "    return Fraction(str(value))\n",
-        "    return Fraction(value)\n",
+        "challenge-pass-strict",
+        "src/veriledger/contracts.py",
+        "if passed * 100 >= state.params.challenge_pass_pct * state.params.challenge_count:",
+        "if passed * 100 > state.params.challenge_pass_pct * state.params.challenge_count:",
+        ("tests/test_contracts.py::test_sixteen_of_twenty_activates",),
+    ),
+    Mutant(
+        "feedback-min-inclusive",
+        "src/veriledger/contracts.py",
+        "and (record.tp + record.tn) * 100 < state.params.feedback_min_pct * total",
+        "and (record.tp + record.tn) * 100 <= state.params.feedback_min_pct * total",
+        ("tests/test_contracts.py::test_accuracy_at_exactly_the_minimum_keeps_the_algorithm",),
+    ),
+    Mutant(
+        "score-rounds-up",
+        "src/veriledger/detection.py",
+        "math.isqrt((top << 32) // bottom)",
+        "math.isqrt((top << 32) // bottom) + 1",
         (
-            "tests/test_contracts.py::test_sixteen_of_twenty_activates",
+            f"{SPARSE}::test_a_committed_score_is_the_floor_of_ONE_times_the_cosine",
+            "tests/test_detection.py::test_match_self_is_first_with_similarity_one",
             BOUNDARY,
         ),
     ),

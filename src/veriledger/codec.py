@@ -8,7 +8,6 @@ this layout byte for byte will agree on every hash.
 Encoding rules (version 1):
 
 * integers       -- big-endian fixed width; ``u8``/``u32``/``u64``
-* floats         -- IEEE 754 binary64, big-endian (8 bytes)
 * embeddings     -- the sparse layout (``enc_u32_bitmap``) of ``n``
   non-negative ``u32`` values: ``u32`` count + a ``ceil(n/8)``-byte bitmap
   whose bit i (most significant bit first) is set iff value i is not 0 +
@@ -37,16 +36,15 @@ decoder takes ``(data, pos)`` and returns ``(value, pos after it)``. It
 refuses every byte string its encoder would not write, raising one of
 ``DECODE_ERRORS``: a count larger than the bytes left (checked before
 anything of that size is built), set or map entries out of order or
-repeated, a tag, bool or enum value out of range, invalid UTF-8, a
-non-finite float, and in the sparse layout a bitmap bit past its count or
-a stored 0. So bytes decode iff they are the encoding of what they
-decode to, once the caller checks that none are left over (``exactly``).
+repeated, a tag, bool or enum value out of range, invalid UTF-8, and in
+the sparse layout a bitmap bit past its count or a stored 0. So bytes
+decode iff they are the encoding of what they decode to, once the caller
+checks that none are left over (``exactly``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass
 from operator import lt
@@ -67,7 +65,6 @@ Codec = tuple[Encoder, Decoder]
 _U8 = struct.Struct(">B").unpack_from
 _U32 = struct.Struct(">I").unpack_from
 _U64 = struct.Struct(">Q").unpack_from
-_F64 = struct.Struct(">d").unpack_from
 
 # What a decoder raises on bytes its encoder would not write: one that runs
 # past the end raises ``struct.error``, a short hash or invalid UTF-8 a
@@ -159,17 +156,6 @@ def dec_u64(data: bytes, pos: int) -> tuple[int, int]:
     return _U64(data, pos)[0], pos + 8
 
 
-def enc_f64(x: float) -> bytes:
-    return struct.pack(">d", x)
-
-
-def dec_f64(data: bytes, pos: int) -> tuple[float, int]:
-    (x,) = _F64(data, pos)
-    if not math.isfinite(x):
-        raise SerializationError(f"non-finite float {x}")
-    return x, pos + 8
-
-
 def enc_u32_bitmap(n: int, bitmap: bytes, stored: Sequence[int]) -> bytes:
     """The sparse layout of ``n`` values: ``stored`` at the indices of
     ``bitmap``'s set bits, and 0 at every other index. ``bitmap`` has
@@ -244,20 +230,20 @@ def dec_bool(data: bytes, pos: int) -> tuple[bool, int]:
 
 
 U64: Codec = (enc_u64, dec_u64)
-F64: Codec = (enc_f64, dec_f64)
 BOOL: Codec = (enc_bool, dec_bool)
 STR: Codec = (enc_str, dec_str)
 HASH: Codec = (enc_hash, dec_hash)
 
 # A detector parameter's type tag and the pair of its value, in the order
 # ``enc_scalar`` tries them: a bool is an int too.
-_SCALAR_TAGS = ((bool, 4, BOOL), (int, 2, U64), (float, 3, F64), (str, 1, STR))
+_SCALAR_TAGS = ((bool, 4, BOOL), (int, 2, U64), (str, 1, STR))
 _SCALAR_DECODERS = {tag: decode for _, tag, (_, decode) in _SCALAR_TAGS}
 
 
 def enc_scalar(v: object) -> bytes:
-    """A str, int, float or bool, type-tagged: 1=str, 2=u64 int, 3=f64,
-    4=bool. Used for detector parameter maps, whose value types vary."""
+    """A str, int or bool, type-tagged: 1=str, 2=u64 int, 4=bool. Used for
+    detector parameter maps, whose value types vary. Tag 3, once an f64,
+    is refused as unknown."""
     for cls, tag, (encode, _) in _SCALAR_TAGS:
         if isinstance(v, cls):
             return enc_u8(tag) + encode(v)

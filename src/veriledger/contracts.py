@@ -25,12 +25,12 @@ replaced.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .codec import Hash256
 from .core import (
     ESCROW_ACCOUNT,
     EMBEDDING_DIMENSIONS,
+    ONE,
     AlgorithmRecord,
     AlgorithmStatus,
     AnalysisRequest,
@@ -54,7 +54,6 @@ from .core import (
     TransferTokens,
     TxKind,
     Verdict,
-    exact_threshold,
     hash_embedding,
     transaction_hash,
 )
@@ -158,8 +157,7 @@ def submit_challenge_result(
     )
     state.algorithms[record.algorithm_id] = record
     if len(record.challenges_submitted) == state.params.challenge_count:
-        accuracy = Fraction(passed, state.params.challenge_count)
-        if accuracy >= exact_threshold(state.params.challenge_pass_accuracy):
+        if passed * 100 >= state.params.challenge_pass_pct * state.params.challenge_count:
             state.algorithms[record.algorithm_id] = replace(
                 record, status=AlgorithmStatus.ACTIVE
             )
@@ -220,16 +218,16 @@ def submit_analysis_request(
 
 
 def _check_result(state: NetworkState, payload: CommitAnalysisResult) -> None:
-    if not 0.0 <= payload.confidence <= 1.0:
-        raise Rejection(errors.BAD_RESULT, "confidence outside [0, 1]")
+    if not 0 <= payload.confidence <= ONE:
+        raise Rejection(errors.BAD_RESULT, "confidence outside [0, ONE]")
     for content_id, sim in payload.matched_content:
         if content_id not in state.contents:
             raise Rejection(errors.BAD_RESULT, f"unregistered match {content_id}")
-        if not 0.0 <= sim <= 1.0:
-            raise Rejection(errors.BAD_RESULT, "similarity outside [0, 1]")
+        if not 0 <= sim <= ONE:
+            raise Rejection(errors.BAD_RESULT, "similarity outside [0, ONE]")
     if payload.verdict is Verdict.AUTHENTIC:
-        if payload.confidence != 1.0 or not any(
-            sim == 1.0 for _, sim in payload.matched_content
+        if payload.confidence != ONE or not any(
+            sim == ONE for _, sim in payload.matched_content
         ):
             raise Rejection(errors.BAD_RESULT, "Authentic requires an exact match")
     if payload.verdict is Verdict.UNVERIFIED and payload.matched_content:
@@ -327,10 +325,9 @@ def submit_feedback(
     if (
         record.status is AlgorithmStatus.ACTIVE
         and total >= state.params.feedback_window
+        and (record.tp + record.tn) * 100 < state.params.feedback_min_pct * total
     ):
-        accuracy = Fraction(record.tp + record.tn, total)
-        if accuracy < exact_threshold(state.params.feedback_min_accuracy):
-            _deprecate_with_burn(state, record)
+        _deprecate_with_burn(state, record)
     return []
 
 

@@ -19,19 +19,16 @@ strictness is what keeps each hash over the one encoding.
 from __future__ import annotations
 
 import functools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from fractions import Fraction
 from operator import attrgetter, mul
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .codec import (
     BLOCK_TAG,
     BOOL,
     DECODE_ERRORS,
-    F64,
     HASH,
     SCALAR,
     STATE_TAG,
@@ -65,6 +62,11 @@ from .errors import SerializationError
 # Account that holds fees escrowed for pending analysis requests. Including
 # it in the balance map keeps token conservation a plain sum over balances.
 ESCROW_ACCOUNT = "@escrow"
+
+# A score's full scale. A committed confidence or match similarity is an int
+# in [0, ONE], in Q16: ``detection`` scores a cosine as ``floor(ONE * cos)``,
+# so ONE is an exact match.
+ONE = 1 << 16
 
 
 class MediaType(str, Enum):
@@ -214,8 +216,8 @@ class CommitAnalysisResult:
     request_id: str
     algorithm_id: str
     verdict: Verdict
-    confidence: float
-    matched_content: tuple[tuple[str, float], ...]
+    confidence: int
+    matched_content: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,7 +286,7 @@ class NotificationEvent:
     provider: str
     content_id: str
     request_id: str
-    similarity: float
+    similarity: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,8 +360,8 @@ class AnalysisResultRecord:
     request_id: str
     algorithm_id: str
     verdict: Verdict
-    confidence: float
-    matched_content: tuple[tuple[str, float], ...]
+    confidence: int
+    matched_content: tuple[tuple[str, int], ...]
     committed_at: int
     labelled: bool = False  # its submitter's feedback was accepted
     _encoding: bytes | None = _encoding_cache()
@@ -383,9 +385,9 @@ class ContractParams:
     fee_owner_pct: int = 70
     fee_proposer_pct: int = 20
     challenge_count: int = 20
-    challenge_pass_accuracy: float = 0.8
+    challenge_pass_pct: int = 80
     feedback_window: int = 50
-    feedback_min_accuracy: float = 0.5
+    feedback_min_pct: int = 50
     epoch_length: int = 10
     epoch_reward_pool: int = 100
     oracle_account: str = "oracle"
@@ -396,6 +398,8 @@ class ContractParams:
             raise ValueError("fee split exceeds 100%")
         if self.epoch_length < 1 or self.challenge_count < 1:
             raise ValueError("epoch_length and challenge_count must be >= 1")
+        if self.challenge_pass_pct > 100 or self.feedback_min_pct > 100:
+            raise ValueError("challenge_pass_pct and feedback_min_pct must be <= 100")
 
     def challenge_ids(self) -> tuple[str, ...]:
         """The scenario's deterministic challenge set."""
@@ -411,13 +415,6 @@ class ContractParams:
             return False
         index = int(digits)
         return index < self.challenge_count and challenge_id == f"ch-{index:03d}"
-
-
-def exact_threshold(value: float) -> Fraction:
-    """A configured decimal threshold as the fraction its decimal text
-    names (0.95 is 19/20), so a rule compares with it exactly, immune to
-    the binary float's error."""
-    return Fraction(str(value))
 
 
 # How many written keys ``StateMap.section`` places by bisect: each such
@@ -777,13 +774,10 @@ def transaction_hash(tx: Transaction) -> Hash256:
 
 # annotation -> (encode, decode) for each field a record, the transaction
 # envelope, the block or the state may use: the encoding every hash covers,
-# and the bytes the chain file stores. The encoders take a NaN like any
-# other float, since a transaction is hashed before a contract rejects it;
-# the decoders refuse one, and so does the writer (``check_finite``).
+# and the bytes the chain file stores.
 FIELD_CODECS: dict[str, Codec] = {
     "str": STR,
     "int": U64,
-    "float": F64,
     "bool": BOOL,
     "Hash256": HASH,
     "Embedding": (encode_embedding, _dec_embedding),
@@ -791,7 +785,7 @@ FIELD_CODECS: dict[str, Codec] = {
     "dict[str, object]": map_of(SCALAR),
     "frozenset[MediaType]": set_of(_MEDIA_TYPE),  # a MediaType orders as its value
     "frozenset[str]": set_of(STR),
-    "tuple[tuple[str, float], ...]": list_of(pair_of(STR, F64)),
+    "tuple[tuple[str, int], ...]": list_of(pair_of(STR, U64)),
     "MediaType": _MEDIA_TYPE,
     "Verdict": enum_of(Verdict),
     "AlgorithmStatus": enum_of(AlgorithmStatus),
@@ -815,30 +809,6 @@ FIELD_CODECS: dict[str, Codec] = {
 }
 
 _TX_DECODERS = _decoders(_TX_ENVELOPE)
-
-# annotation -> the floats a field of it holds: the entries whose decoders
-# refuse a non-finite float.
-_FLOATS: dict[str, Callable[[Any], Iterable[float]]] = {
-    "float": lambda x: (x,),
-    "tuple[tuple[str, float], ...]": lambda matches: [s for _, s in matches],
-    "dict[str, object]": lambda m: [v for v in m.values() if type(v) is float],
-}
-
-
-def check_finite(block: Block, genesis_state: NetworkState | None = None) -> None:
-    """Refuse, with a ``ValueError``, a block or genesis state whose
-    records hold a non-finite float: its encoding would not decode."""
-    records = [tx.payload for tx in block.transactions]
-    if genesis_state is not None:
-        records += [genesis_state.params, *genesis_state.detectors.values()]
-        for name in ("algorithms", "contents", "requests", "results"):
-            records += getattr(genesis_state, name).values()
-    for record in records:
-        for name, annotation in record_schema(type(record)):
-            floats = _FLOATS.get(annotation)
-            if floats and not all(map(math.isfinite, floats(getattr(record, name)))):
-                raise ValueError(f"non-finite float in {type(record).__name__}.{name}")
-
 
 # What a block's hash covers: every field of the block but the hash.
 _BLOCK_SCHEMA = tuple(f for f in record_schema(Block) if f[0] != "block_hash")

@@ -6,21 +6,21 @@ any declared detector, and new kinds can be added without touching the
 contract layer. Two kinds ship built in:
 
 * ``exact-hash``     -- authenticates content whose hash is registered.
-* ``near-duplicate`` -- additionally flags content whose embedding is
-  within cosine threshold ``tau`` of registered content (likely a
-  manipulated copy).
+* ``near-duplicate`` -- additionally flags content whose embedding's
+  cosine with registered content is at least ``tau_pct`` percent (likely
+  a manipulated copy).
 
 An embedding holds non-negative integers: a Bytes histogram's bin counts,
 an Image's band means and an Audio window's RMS, each of the last two in
 Q16 (65,536 is full scale). Every dot product and squared norm is
-therefore an exact int, whatever order it is summed in, and whether a
-record matches is decided in integers too: the cosine ``dot / sqrt(n_q *
-n_r)`` is at least ``tau``, whose decimal text names the fraction ``num /
-den`` (``core.exact_threshold``), iff ``dot**2 * den**2 >= num**2 * n_q *
-n_r``. ``similarity`` returns the squared cosine as that exact ratio; the
-score a result commits is ``math.sqrt(dot**2 / (n_q * n_r))``, an int
-true division and a square root, each correctly rounded, so it is the
-same float everywhere and never above 1.0.
+therefore an exact int, whatever order it is summed in, and a record's
+match and score are ints too. The cosine ``dot / sqrt(n_q * n_r)`` is at
+least ``tau_pct`` percent iff ``dot**2 * 100**2 >= tau_pct**2 * n_q *
+n_r``. ``similarity`` returns the squared cosine as that exact ratio, and
+the score a result commits is ``math.isqrt((dot**2 << 32) // (n_q *
+n_r))``: the floor of the square root of a floor is the floor of the
+square root, so that is exactly ``floor(65536 * cos)``, in ``[0,
+core.ONE]``, and an exact match scores ``ONE``.
 
 The search runs through a ``RegistryIndex``. The oracle builds one per poll
 from the state's contents, and ``run_detector`` and ``match_trusted`` wrap
@@ -49,15 +49,15 @@ Ma and Srikant, WWW 2007) and PPJoin (Xiao, Wang, Lin and Yu, WWW 2008).
 Each of the ``c = popcount(mask_q & mask_r)`` products the dot product adds
 is at most ``peak_q * peak_r``, and every other product is 0, so ``dot <= c
 * peak_q * peak_r``. The search skips a row iff ``c**2 * peak_q**2 *
-peak_r**2 * den**2 < num**2 * n_q * n_r``: then ``dot**2 * den**2`` is
+peak_r**2 * 100**2 < tau_pct**2 * n_q * n_r``: then ``dot**2 * 100**2`` is
 below the right side too, so the record would not match. The test is
-exact, so it needs no slack. It never skips a record when ``tau`` is 0 or
-either norm is 0 (the right side is 0), so a zero vector still raises
+exact, so it needs no slack. It never skips a record when ``tau_pct`` is 0
+or either norm is 0 (the right side is 0), so a zero vector still raises
 ``ZeroVector``; a row of another dimension holds norm 0, so it still
 raises ``DimensionMismatch``. Every record the rule does not skip goes
 through ``similarity``, in registry order.
 
-Bytes histograms are sparse: on big-registry seed 7, at ``tau`` 0.95, the
+Bytes histograms are sparse: on big-registry seed 7, at ``tau_pct`` 95, the
 rule skips 59,880 of 60,000 records. Image and Audio embeddings are dense,
 and it skips none of the 2,760 rows mixed-media's seed 7 searches.
 """
@@ -79,8 +79,8 @@ from .core import (
     DetectorSpec,
     Embedding,
     MediaType,
+    ONE,
     Verdict,
-    exact_threshold,
 )
 from .errors import (
     DimensionMismatch,
@@ -99,7 +99,7 @@ AUDIO_WINDOWS = 64
 @dataclass(frozen=True, slots=True)
 class MatchCandidate:
     content_id: str
-    similarity: float
+    similarity: int  # Q16: floor(core.ONE * cosine)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,9 +201,10 @@ def _embed_image(content: bytes) -> list[int]:
                 base = row * width
                 total += sum(pixels[base + c0 : base + c1])
             # The band's mean over 255, in Q16, rounded half up: at most
-            # 65,536, whatever the grid.
+            # 65,536, whatever the grid. A band that is not all black stores
+            # at least 1, so a dark image still embeds to something.
             d = (r1 - r0) * (c1 - c0) * 255
-            values.append((2 * total * 65536 + d) // (2 * d))
+            values.append((2 * total * 65536 + d) // (2 * d) or min(total, 1))
     return values
 
 
@@ -219,7 +220,9 @@ def _embed_audio(content: bytes) -> list[int]:
         window = samples[w0:w1]
         total = sum(map(operator.mul, window, window))
         # Twice the RMS, rounded down: the RMS over full scale (32,768) in Q16.
-        values.append(math.isqrt(4 * total // (w1 - w0)))
+        # A window that is not all silence stores at least 1, so a quiet
+        # clip still embeds to something.
+        values.append(math.isqrt(4 * total // (w1 - w0)) or min(total, 1))
     return values
 
 
@@ -232,6 +235,8 @@ def embed(content: bytes, media_type: MediaType) -> Embedding:
     Audio: RMS amplitude of 64 contiguous PCM16 windows, over full scale, in
     Q16: ``isqrt(4 * sum of squares // count)``, which is ``2 * RMS``
     rounded down.
+    An Image cell or Audio window with any non-zero sample stores at least
+    1, where its rule would round it to 0.
 
     Block/window sizes use integer division with the trailing run absorbing
     the remainder, so the partition is unambiguous for any input length.
@@ -251,8 +256,8 @@ def embed(content: bytes, media_type: MediaType) -> Embedding:
 
 def similarity(a: Embedding, b: Embedding) -> tuple[int, int]:
     """The squared cosine similarity of two embeddings, exactly, as the
-    ratio ``(dot**2, a.norm2 * b.norm2)``; ``math.sqrt`` of its quotient is
-    the float a result commits. When the two bitmaps are equal, as every
+    ratio ``(dot**2, a.norm2 * b.norm2)``, from which ``match_trusted``
+    takes the Q16 score a result commits. When the two bitmaps are equal, as every
     two dense embeddings' are, the dot product pairs the stored values in
     order; otherwise it walks the set bits of the two masks' AND and
     multiplies only there. Values are expected non-negative, as the codec
@@ -355,11 +360,12 @@ def match_trusted(
     query: Embedding,
     registry: Iterable[ContentRecord],
     k: int,
-    threshold: float,
+    tau_pct: int,
 ) -> list[MatchCandidate]:
-    """Top-k registered records of the same media type with similarity >= threshold.
+    """Top-k registered records of the same media type whose cosine is at
+    least ``tau_pct`` percent, each with its Q16 score.
 
-    Sorted by similarity descending, ties broken by content_id ascending.
+    Sorted by score descending, ties broken by content_id ascending.
     A record whose cosine provably stays below a positive threshold is
     skipped without computing it (see the module docstring). ``registry``
     is searched through a ``RegistryIndex``; any other iterable is wrapped
@@ -367,13 +373,12 @@ def match_trusted(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
-    tau = exact_threshold(threshold)
-    num2, den2 = tau.numerator**2, tau.denominator**2
+    if not 0 <= tau_pct <= 100:
+        raise ValueError("tau_pct must be in [0, 100]")
+    num2, den2 = tau_pct**2, 100**2
     mask_q = query.mask
-    # A row is skipped iff c**2 * peak_q**2 * peak**2 * den**2 < num**2 *
-    # norm2_q * norm2, each side's query factors multiplied once here.
+    # A row is skipped iff c**2 * peak_q**2 * peak**2 * 100**2 < tau_pct**2
+    # * norm2_q * norm2, each side's query factors multiplied once here.
     bound_q = query.peak**2 * den2
     need_q = num2 * query.norm2
     candidates = []
@@ -383,12 +388,13 @@ def match_trusted(
             continue
         top, bottom = similarity(query, record.embedding)
         if top * den2 >= num2 * bottom:
-            candidates.append(MatchCandidate(record.content_id, math.sqrt(top / bottom)))
+            score = math.isqrt((top << 32) // bottom)  # floor(ONE * cosine)
+            candidates.append(MatchCandidate(record.content_id, score))
     candidates.sort(key=lambda c: (-c.similarity, c.content_id))
     return candidates[:k]
 
 
-DetectorResult = tuple[Verdict, float, list[MatchCandidate]]
+DetectorResult = tuple[Verdict, int, list[MatchCandidate]]
 DetectorFn = Callable[
     [Mapping[str, object], AnalysisTarget, RegistryIndex], DetectorResult
 ]
@@ -401,9 +407,10 @@ def register_detector_kind(kind: str, fn: DetectorFn) -> None:
 
     ``fn`` receives the trusted registry as a ``RegistryIndex``: a sequence
     of the ``ContentRecord``s in registry order. Custom kinds must return
-    results obeying the committed-result rules: Authentic implies confidence
-    1.0 with an exact (similarity 1.0) match, Unverified implies no matches,
-    and all similarities lie in [0, 1].
+    results obeying the committed-result rules: the confidence and every
+    similarity are ints in ``[0, core.ONE]`` (Q16), Authentic implies
+    confidence ``ONE`` with an exact (similarity ``ONE``) match, and
+    Unverified implies no matches.
     """
     if kind in _PLUGINS:
         raise ValueError(f"detector kind already registered: {kind}")
@@ -421,8 +428,8 @@ def _exact_hash(
 ) -> DetectorResult:
     record = registry.exact(target.media_type, target.content_hash)
     if record is not None:
-        return Verdict.AUTHENTIC, 1.0, [MatchCandidate(record.content_id, 1.0)]
-    return Verdict.UNVERIFIED, 0.0, []
+        return Verdict.AUTHENTIC, ONE, [MatchCandidate(record.content_id, ONE)]
+    return Verdict.UNVERIFIED, 0, []
 
 
 def _near_duplicate(
@@ -433,12 +440,12 @@ def _near_duplicate(
     result = _exact_hash(params, target, registry)
     if result[0] is Verdict.AUTHENTIC:
         return result
-    tau = float(params.get("tau", 0.95))
+    tau_pct = int(params.get("tau_pct", 95))
     k = int(params.get("k", 5))
-    matches = match_trusted(target.embedding, registry, k, tau)
+    matches = match_trusted(target.embedding, registry, k, tau_pct)
     if matches:
         return Verdict.DEEPFAKE, matches[0].similarity, matches
-    return Verdict.UNVERIFIED, 0.0, []
+    return Verdict.UNVERIFIED, 0, []
 
 
 register_detector_kind("exact-hash", _exact_hash)

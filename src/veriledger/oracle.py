@@ -123,10 +123,8 @@ def process_pending(
                     request_id=request_id,
                     algorithm_id=algorithm_id,
                     verdict=verdict,
-                    confidence=float(confidence),
-                    matched_content=tuple(
-                        (m.content_id, float(m.similarity)) for m in matches
-                    ),
+                    confidence=confidence,
+                    matched_content=tuple((m.content_id, m.similarity) for m in matches),
                 ),
                 nonce=next_nonce,
             )

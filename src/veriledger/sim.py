@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
@@ -241,10 +240,6 @@ def _is_u64(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64
 
 
-def _is_unit_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1
-
-
 def _u64(v: Any, what: str) -> int:
     if not _is_u64(v):
         raise ConfigError(f"{what}: expected an integer in [0, 2^64)")
@@ -252,7 +247,7 @@ def _u64(v: Any, what: str) -> int:
 
 
 def _unit(v: Any, what: str) -> float:
-    if not _is_unit_number(v):
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1):
         raise ConfigError(f"{what}: expected a number in [0, 1]")
     return float(v)
 
@@ -328,7 +323,9 @@ def _id_amounts(doc: dict, key: str, amount: str) -> tuple[tuple[str, int], ...]
 def _detectors(doc: Any) -> dict[str, DetectorSpec]:
     """The built-in detectors and those the ``detectors`` map declares. The
     plugins read parameters as given, so the kinds' parameters are checked
-    here."""
+    here. No parameter is a float, which no chain holds, and a
+    near-duplicate takes ``tau_pct`` and ``k`` only, so a document written
+    for the float ``tau`` is refused rather than read in percent."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario.detectors: expected an object")
     detectors = dict(BUILTIN_DETECTORS)
@@ -345,15 +342,18 @@ def _detectors(doc: Any) -> dict[str, DetectorSpec]:
         if not isinstance(parameters, dict):
             raise ConfigError(f"{what}: parameters must be an object")
         for k, v in parameters.items():
-            if not isinstance(v, (str, int, float, bool)) or (
-                isinstance(v, float) and not math.isfinite(v)
-            ):
+            if not isinstance(v, (str, int, bool)):
                 raise ConfigError(f"{what}: bad parameter {k!r}")
             if isinstance(v, int) and not isinstance(v, bool) and not _is_u64(v):
                 raise ConfigError(f"{what}: parameter {k!r} must be in [0, 2^64)")
         if kind == "near-duplicate":
-            if "tau" in parameters and not _is_unit_number(parameters["tau"]):
-                raise ConfigError(f"{what}: tau must be a number in [0, 1]")
+            unknown = sorted(set(parameters) - {"tau_pct", "k"})
+            if unknown:
+                raise ConfigError(f"{what}: unknown parameter {unknown[0]!r}")
+            if "tau_pct" in parameters and not (
+                _is_u64(parameters["tau_pct"]) and parameters["tau_pct"] <= 100
+            ):
+                raise ConfigError(f"{what}: tau_pct must be an integer in [0, 100]")
             if "k" in parameters and not (
                 _is_u64(parameters["k"]) and parameters["k"] >= 1
             ):

@@ -1,12 +1,14 @@
 """Chain persistence: a file of the bytes the hashes cover, replay,
 verification.
 
-File format ``v6``, binary, all integers big-endian:
+File format ``v7``, binary, all integers big-endian:
 
-* the file starts with ``HEADER`` (``b"veriledger chain v6\\n"``). A reader
+* the file starts with ``HEADER`` (``b"veriledger chain v7\\n"``). A reader
   refuses any other start at height 0: "v1" to "v4" were JSON lines, one
-  record per line, and "v5" stored each embedding value as a binary64
-  where ``v6`` stores a ``u32`` (``codec.enc_u32_bitmap``);
+  record per line, "v5" stored each embedding value as a binary64 where
+  later formats store a ``u32`` (``codec.enc_u32_bitmap``), and "v6" held
+  scores, accuracy thresholds and a detector's ``tau`` as binary64 where
+  ``v7`` holds ints: Q16 scores (``core.ONE``) and percents;
 * then one record per height, strictly ordered from 0: the body's length as
   a u32, at most ``MAX_RECORD_BYTES``, then the body;
 * a body is the block in the encoding its hash covers
@@ -28,12 +30,10 @@ what the decoders do not check, ``ledger.apply_block`` does. It re-seals
 every block, the genesis included, and compares the header, state root and
 block hash included, which is the one check of what a block is.
 
-The hash encoding takes a non-finite float, since a transaction is hashed
-before a contract rejects it. The reader refuses one, so
-``ChainWriter.append`` refuses a block or genesis state that holds one
-(``core.check_finite``) before it writes anything. An embedding value
-outside the ``u32`` layout cannot be hashed at all: its packer raises
-``ValueError``.
+A value that no field's encoder can write, such as an embedding value
+outside the ``u32`` layout or a detector parameter that is not an int,
+str or bool, cannot be hashed at all: its encoder raises ``ValueError``,
+and ``ChainWriter.append`` refuses the record before it writes anything.
 
 Reads stream: ``read_chain`` reads the file one record at a time, and
 ``replay`` re-executes each block as soon as it is read, so a reader holds
@@ -63,7 +63,6 @@ from .core import (
     NotificationEvent,
     Receipt,
     RequestStatus,
-    check_finite,
     decode_block,
     decode_state,
     encode_block_fields,
@@ -80,7 +79,7 @@ from .errors import (
 )
 from .ledger import apply_block
 
-FORMAT_VERSION = "v6"
+FORMAT_VERSION = "v7"
 HEADER = f"veriledger chain {FORMAT_VERSION}\n".encode("ascii")
 
 # The longest record body that a writer writes or a reader reads. A reader
@@ -108,8 +107,7 @@ def pretty_json(value: Any) -> str:
 # ``tp``/``fp``/``tn``/``fn`` nest under "perf"; an embedding is printed as
 # its values only, its sparse layout in one base64 token (RFC 4648, padded),
 # its media type being the record's ``media_type`` field; and a receipt
-# event carries a ``"type": "notification"`` tag. A float field or
-# similarity is printed as a float even where the record holds an int.
+# event carries a ``"type": "notification"`` tag.
 
 _PERF = frozenset({"tp", "fp", "tn", "fn"})
 
@@ -151,7 +149,6 @@ _TO_JSON: dict[str, Callable[[Any], Any] | None] = {
     "str": None,
     "str | None": None,
     "int": None,
-    "float": float,
     "bool": None,
     "Hash256": attrgetter("hex"),
     "Embedding": _embedding_to_json,
@@ -159,7 +156,7 @@ _TO_JSON: dict[str, Callable[[Any], Any] | None] = {
     "dict[str, object]": dict,
     "frozenset[MediaType]": lambda ms: sorted(m.value for m in ms),
     "frozenset[str]": sorted,
-    "tuple[tuple[str, float], ...]": lambda ms: [[cid, float(sim)] for cid, sim in ms],
+    "tuple[tuple[str, int], ...]": lambda ms: [list(m) for m in ms],
     "MediaType": attrgetter("_value_"),
     "Verdict": attrgetter("_value_"),
     "AlgorithmStatus": attrgetter("_value_"),
@@ -233,7 +230,6 @@ class ChainWriter:
         if (genesis_state is None) == (block.height == 0):
             raise SerializationError("the height-0 record, and only it, holds the genesis state")
         try:
-            check_finite(block, genesis_state)
             body = _encode_record(block, genesis_state)
         except (TypeError, ValueError) as exc:
             raise SerializationError(str(exc)) from exc

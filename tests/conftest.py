@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, settings
 
+from veriledger.core import ONE
 from veriledger.detection import similarity
 from veriledger.sim import ScenarioRunner, parse_scenario
 
@@ -50,11 +51,16 @@ def dense(embedding) -> tuple[int, ...]:
     return tuple(values)
 
 
-def cosine(a, b) -> float:
-    """The cosine of ``a`` and ``b`` as a result commits it: the square root
-    of the exact squared cosine that ``similarity`` returns."""
-    top, bottom = similarity(a, b)
-    return math.sqrt(top / bottom)
+def q16(top: int, bottom: int) -> int:
+    """``floor(ONE * sqrt(top / bottom))``: the Q16 score of a cosine whose
+    square is ``top / bottom``."""
+    return math.isqrt(ONE * ONE * top // bottom)
+
+
+def score(a, b) -> int:
+    """The score of ``a`` and ``b`` as a result commits it, from the exact
+    squared cosine that ``similarity`` returns."""
+    return q16(*similarity(a, b))
 
 
 def json_containers(value):

@@ -232,15 +232,13 @@ class FuzzStream:
         sender = ORACLE if rng.randrange(4) else self._account()
         verdict = _choice(rng, [Verdict.DEEPFAKE, Verdict.UNVERIFIED])
         matched = ()
-        confidence = 0.0
+        confidence = 0
         if verdict is Verdict.DEEPFAKE:
+            confidence = 63569  # floor(0.97 * 65536), a Q16 score
             if state.contents and rng.randrange(4):
-                cid = _choice(rng, sorted(state.contents))
-                confidence = 0.97
-                matched = ((cid, 0.97),)
+                matched = ((_choice(rng, sorted(state.contents)), confidence),)
             else:
-                matched = (("fz-content-missing", 0.97),)
-                confidence = 0.97
+                matched = (("fz-content-missing", confidence),)
         return self._tx(
             TxKind.COMMIT_ANALYSIS_RESULT,
             sender,

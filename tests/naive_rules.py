@@ -7,17 +7,10 @@ derivation. Divergence from the real execution engine fails the
 equivalence tests.
 """
 
-from fractions import Fraction
-
 from veriledger.contracts import request_id_for
 
 DIMS = {"Image": 64, "Audio": 64, "Bytes": 256}
-
-
-def _decimal_ratio(value):
-    """Thresholds are decimal by convention: 0.8 means 4/5, not its float bits."""
-    frac = Fraction(str(value))
-    return frac.numerator, frac.denominator
+ONE = 65536  # a score's full scale: 1.0 in Q16
 
 
 def naive_run(params, validators, initial_balances, known_detectors, blocks):
@@ -94,8 +87,8 @@ def naive_run(params, validators, initial_balances, known_detectors, blocks):
                     if p.predicted_label.value == p.true_label.value:
                         a["passed"] += 1
                     if len(a["subs"]) == params.challenge_count:
-                        num, den = _decimal_ratio(params.challenge_pass_accuracy)
-                        if a["passed"] * den >= num * params.challenge_count:
+                        pct = params.challenge_pass_pct
+                        if a["passed"] * 100 >= pct * params.challenge_count:
                             a["status"] = "active"
                         else:
                             burn_half(a)
@@ -129,13 +122,13 @@ def naive_run(params, validators, initial_balances, known_detectors, blocks):
             elif kind == "CommitAnalysisResult":
                 req = requests.get(p.request_id)
                 a = algos.get(p.algorithm_id)
-                valid_result = 0.0 <= p.confidence <= 1.0 and all(
-                    cid in content_ids and 0.0 <= s <= 1.0
+                valid_result = 0 <= p.confidence <= ONE and all(
+                    cid in content_ids and 0 <= s <= ONE
                     for cid, s in p.matched_content
                 )
                 if p.verdict.value == "Authentic":
-                    valid_result = valid_result and p.confidence == 1.0 and any(
-                        s == 1.0 for _, s in p.matched_content
+                    valid_result = valid_result and p.confidence == ONE and any(
+                        s == ONE for _, s in p.matched_content
                     )
                 if p.verdict.value == "Unverified" and p.matched_content:
                     valid_result = False
@@ -186,8 +179,7 @@ def naive_run(params, validators, initial_balances, known_detectors, blocks):
                         a["epoch"] += 1
                     total = a["tp"] + a["fp"] + a["tn"] + a["fn"]
                     if a["status"] == "active" and total >= params.feedback_window:
-                        num, den = _decimal_ratio(params.feedback_min_accuracy)
-                        if (a["tp"] + a["tn"]) * den < num * total:
+                        if (a["tp"] + a["tn"]) * 100 < params.feedback_min_pct * total:
                             burn_half(a)
                     ok = True
             if ok:

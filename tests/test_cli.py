@@ -373,16 +373,23 @@ def _run_config_error(doc, tmp_path, capsys):
     "parameters, named",
     [
         ({"k": 0}, "k must be"),
-        ({"k": 2.5}, "k must be"),
+        ({"k": 2.5}, "bad parameter 'k'"),
         ({"k": True}, "k must be"),
         ({"k": "3"}, "k must be"),
-        ({"tau": "x"}, "tau must be"),
-        ({"tau": 1.5}, "tau must be"),
-        ({"tau": -0.1}, "tau must be"),
-        ({"tau": False}, "tau must be"),
+        ({"tau_pct": "x"}, "tau_pct must be"),
+        ({"tau_pct": 101}, "tau_pct must be"),
+        ({"tau_pct": -1}, "parameter 'tau_pct' must be in [0, 2^64)"),
+        ({"tau_pct": False}, "tau_pct must be"),
+        ({"tau_pct": 95.0}, "bad parameter 'tau_pct'"),
+        # The threshold was the float "tau", where 1 meant 1.0: a document
+        # that still gives it is refused, never read as a percent.
+        ({"tau": 0.95}, "bad parameter 'tau'"),
+        ({"tau": 1}, "unknown parameter 'tau'"),
+        ({"k": 3, "depth": 2}, "unknown parameter 'depth'"),
     ],
     ids=["k-zero", "k-float", "k-bool", "k-string",
-         "tau-string", "tau-above-one", "tau-negative", "tau-bool"],
+         "tau-string", "tau-above-one", "tau-negative", "tau-bool", "tau-float",
+         "old-tau-float", "old-tau-int", "unknown-parameter"],
 )
 def test_run_rejects_bad_near_duplicate_parameters(tmp_path, capsys, parameters, named):
     doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
@@ -460,7 +467,7 @@ def test_run_refuses_a_string_utf8_cannot_encode(tmp_path, capsys):
 def test_run_accepts_in_range_near_duplicate_parameters(tmp_path, capsys):
     doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
     doc["detectors"] = {"nd": {"kind": "near-duplicate",
-                               "parameters": {"tau": 1, "k": 2**64 - 1}}}
+                               "parameters": {"tau_pct": 100, "k": 2**64 - 1}}}
     doc["algorithms"][0]["detector"] = "nd"
     doc["params"] = {"min_fee": 0}
     _run_and_verify(doc, tmp_path, capsys)
@@ -480,17 +487,36 @@ def _run_and_verify(doc, tmp_path, capsys):
 
 
 def test_integer_accuracy_params_run_and_verify(tmp_path, capsys):
-    # The scenario accepts any number for an accuracy; the chain must still
-    # hold floats, which is all verify accepts.
+    # The accuracy thresholds are percents, and both bounds run.
     doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
-    doc["params"] = {"challenge_pass_accuracy": 1, "feedback_min_accuracy": 0}
+    doc["params"] = {"challenge_pass_pct": 100, "feedback_min_pct": 0}
     params = _run_and_verify(doc, tmp_path, capsys)[0][1].params
-    assert repr(params.challenge_pass_accuracy) == "1.0"
-    assert repr(params.feedback_min_accuracy) == "0.0"
+    assert (params.challenge_pass_pct, params.feedback_min_pct) == (100, 0)
+
+
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        # The keys that held a float accuracy are unknown keys now, so an
+        # old document is refused rather than read as a percent.
+        ({"challenge_pass_accuracy": 0.8}, "'challenge_pass_accuracy'"),
+        ({"feedback_min_accuracy": 1}, "'feedback_min_accuracy'"),
+        ({"challenge_pass_pct": 0.8}, "params.challenge_pass_pct"),
+        ({"challenge_pass_pct": 101}, "challenge_pass_pct and feedback_min_pct must be <= 100"),
+        ({"feedback_min_pct": 101}, "challenge_pass_pct and feedback_min_pct must be <= 100"),
+    ],
+    ids=["old-challenge-key", "old-feedback-key", "pct-float", "challenge-above-100",
+         "feedback-above-100"],
+)
+def test_run_rejects_bad_accuracy_params(tmp_path, capsys, params, named):
+    doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
+    doc["params"] = params
+    assert named in _run_config_error(doc, tmp_path, capsys)
 
 
 def test_integer_detector_scores_run_and_verify(tmp_path, capsys):
-    # A custom detector may return int scores; the chain must hold floats.
+    # A custom detector returns its own Q16 scores, and the chain holds
+    # them as given.
     def int_scores(params, target, registry):
         verdict, _, matches = run_detector(
             DetectorSpec(kind="near-duplicate"), target, registry
@@ -503,7 +529,7 @@ def test_integer_detector_scores_run_and_verify(tmp_path, capsys):
         doc = json.loads(GOLDEN_CONFIG_PATH.read_text())
         doc["detectors"] = {"int-scores": {"kind": "test-int-scores"}}
         doc["algorithms"][0]["detector"] = "int-scores"
-        doc["params"] = {"challenge_pass_accuracy": 0.0}
+        doc["params"] = {"challenge_pass_pct": 0}
         records = _run_and_verify(doc, tmp_path, capsys)
     finally:
         _PLUGINS.pop("test-int-scores", None)
@@ -511,10 +537,9 @@ def test_integer_detector_scores_run_and_verify(tmp_path, capsys):
         tx.payload for block, _ in records for tx in block.transactions
         if tx.kind.value == "CommitAnalysisResult"
     ]
-    assert any(commit.confidence == 1 for commit in commits)
-    assert all(type(commit.confidence) is float for commit in commits)
+    assert {commit.confidence for commit in commits} == {0, 1}
     scores = [score for commit in commits for _, score in commit.matched_content]
-    assert 1 in scores and all(type(score) is float for score in scores)
+    assert scores and set(scores) == {1}
 
 
 def test_inspect_summaries(golden_run, capsys):

@@ -3,17 +3,17 @@ import pytest
 from veriledger.codec import (
     Hash256,
     enc_bytes,
-    enc_f64,
     enc_str,
     enc_u32,
     enc_u64,
     hash_bytes,
 )
 from veriledger.core import FIELD_CODECS
+from veriledger.errors import SerializationError
 
 # The encoders of a record's string map and of a detector's parameter map.
 enc_str_map = FIELD_CODECS["dict[str, str]"][0]
-enc_scalar_map = FIELD_CODECS["dict[str, object]"][0]
+enc_scalar_map, dec_scalar_map = FIELD_CODECS["dict[str, object]"]
 
 # Standard SHA-256 reference vectors, cross-checked against an independent
 # implementation (FIPS 180-2 examples).
@@ -82,18 +82,20 @@ def test_map_sorted_by_key():
     assert a == b
 
 
-def test_f64_ieee_big_endian():
-    assert enc_f64(1.0) == b"\x3f\xf0\x00\x00\x00\x00\x00\x00"
-
-
 def test_scalar_map_type_tags():
-    encoded = enc_scalar_map({"tau": 0.95, "k": 5, "name": "x", "flag": True})
+    encoded = enc_scalar_map({"tau_pct": 95, "k": 5, "name": "x", "flag": True})
     # changing any value changes the bytes
-    assert encoded != enc_scalar_map({"tau": 0.95, "k": 6, "name": "x", "flag": True})
-    assert encoded != enc_scalar_map({"tau": 0.95, "k": 5, "name": "x", "flag": False})
+    assert encoded != enc_scalar_map({"tau_pct": 95, "k": 6, "name": "x", "flag": True})
+    assert encoded != enc_scalar_map({"tau_pct": 95, "k": 5, "name": "x", "flag": False})
     with pytest.raises(ValueError):
         enc_scalar_map({"bad": [1, 2]})
 
 
-def test_int_and_float_values_encode_differently():
-    assert enc_scalar_map({"v": 1}) != enc_scalar_map({"v": 1.0})
+def test_float_parameter_is_refused():
+    # No parameter is a float: the encoder refuses one, and the decoder
+    # refuses tag 3, which held an f64.
+    with pytest.raises(ValueError, match="unsupported parameter type: float"):
+        enc_scalar_map({"v": 1.0})
+    f64_one = b"\x3f\xf0" + bytes(6)
+    with pytest.raises(SerializationError, match="parameter tag 3"):
+        dec_scalar_map(enc_u32(1) + enc_str("v") + b"\x03" + f64_one, 0)

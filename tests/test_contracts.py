@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 
 import pytest
@@ -21,6 +20,7 @@ from veriledger.core import (
     Embedding,
     MediaType,
     NetworkState,
+    ONE,
     ReceiptStatus,
     RegisterAlgorithm,
     RegisterContent,
@@ -44,6 +44,7 @@ from fuzz import BOGUS_CHALLENGE_IDS, FuzzStream, build_fuzz_state
 from naive_rules import naive_run
 
 ORACLE = "oracle"
+NEAR = 64880  # a Q16 score, floor(0.99 * ONE)
 
 
 def make_state(balances=None, params=None) -> NetworkState:
@@ -161,7 +162,7 @@ def test_register_balance_short_rejected():
 def test_sixteen_of_twenty_activates():
     driver = Driver(make_state())
     register_algo(driver)
-    activate_algo(driver, correct=16)  # accuracy exactly 0.8
+    activate_algo(driver, correct=16)  # accuracy exactly 80%
     assert driver.state.algorithms["algo-1"].status is AlgorithmStatus.ACTIVE
     assert driver.state.algorithms["algo-1"].stake == 100
 
@@ -434,7 +435,7 @@ def test_commit_splits_fee_70_20_10():
         ORACLE,
         CommitAnalysisResult(
             request_id=rid, algorithm_id="algo-1",
-            verdict=Verdict.UNVERIFIED, confidence=0.0, matched_content=(),
+            verdict=Verdict.UNVERIFIED, confidence=0, matched_content=(),
         ),
     )
     assert receipt.status is ReceiptStatus.ACCEPTED
@@ -455,8 +456,8 @@ def test_deepfake_commit_emits_notification_per_match():
         ORACLE,
         CommitAnalysisResult(
             request_id=rid, algorithm_id="algo-1",
-            verdict=Verdict.DEEPFAKE, confidence=0.99,
-            matched_content=(("c-0", 0.99), ("c-1", 0.97)),
+            verdict=Verdict.DEEPFAKE, confidence=NEAR,
+            matched_content=(("c-0", NEAR), ("c-1", NEAR - 1000)),
         ),
     )
     assert receipt.status is ReceiptStatus.ACCEPTED
@@ -471,7 +472,7 @@ def test_second_commit_rejected():
     rid = setup_active_pipeline(driver)
     commit = CommitAnalysisResult(
         request_id=rid, algorithm_id="algo-1",
-        verdict=Verdict.UNVERIFIED, confidence=0.0, matched_content=(),
+        verdict=Verdict.UNVERIFIED, confidence=0, matched_content=(),
     )
     first, _ = driver.submit(TxKind.COMMIT_ANALYSIS_RESULT, ORACLE, commit)
     second, _ = driver.submit(TxKind.COMMIT_ANALYSIS_RESULT, ORACLE, commit)
@@ -487,7 +488,7 @@ def test_commit_requires_oracle_account():
         "alice",
         CommitAnalysisResult(
             request_id=rid, algorithm_id="algo-1",
-            verdict=Verdict.UNVERIFIED, confidence=0.0, matched_content=(),
+            verdict=Verdict.UNVERIFIED, confidence=0, matched_content=(),
         ),
     )
     assert receipt.error_code == "UnauthorizedOracle"
@@ -506,7 +507,7 @@ def test_commit_requires_active_covering_algorithm():
         ORACLE,
         CommitAnalysisResult(
             request_id=rid, algorithm_id="algo-1",
-            verdict=Verdict.UNVERIFIED, confidence=0.0, matched_content=(),
+            verdict=Verdict.UNVERIFIED, confidence=0, matched_content=(),
         ),
     )
     assert receipt.error_code == "AlgorithmNotActive"
@@ -515,13 +516,13 @@ def test_commit_requires_active_covering_algorithm():
 def test_commit_result_invariants_enforced():
     driver = Driver(make_state())
     rid = setup_active_pipeline(driver)
-    # Authentic requires an exact match at similarity 1.0
+    # Authentic requires an exact match at similarity ONE
     receipt, _ = driver.submit(
         TxKind.COMMIT_ANALYSIS_RESULT,
         ORACLE,
         CommitAnalysisResult(
             request_id=rid, algorithm_id="algo-1",
-            verdict=Verdict.AUTHENTIC, confidence=1.0, matched_content=(),
+            verdict=Verdict.AUTHENTIC, confidence=ONE, matched_content=(),
         ),
     )
     assert receipt.error_code == "BadResult"
@@ -531,8 +532,8 @@ def test_commit_result_invariants_enforced():
         ORACLE,
         CommitAnalysisResult(
             request_id=rid, algorithm_id="algo-1",
-            verdict=Verdict.UNVERIFIED, confidence=0.0,
-            matched_content=(("c-0", 0.5),),
+            verdict=Verdict.UNVERIFIED, confidence=0,
+            matched_content=(("c-0", ONE // 2),),
         ),
     )
     assert receipt.error_code == "BadResult"
@@ -554,7 +555,7 @@ def test_commit_refused_when_escrow_cannot_pay_the_fee():
         ORACLE,
         CommitAnalysisResult(
             request_id=rid, algorithm_id="algo-1",
-            verdict=Verdict.UNVERIFIED, confidence=0.0, matched_content=(),
+            verdict=Verdict.UNVERIFIED, confidence=0, matched_content=(),
         ),
     )
     assert receipt.error_code == "InsufficientBalance"
@@ -564,9 +565,9 @@ def test_commit_refused_when_escrow_cannot_pay_the_fee():
 # --- feedback --------------------------------------------------------------------
 
 
-def completed_request(driver, verdict=Verdict.DEEPFAKE, matches=(("c-0", 0.99),)):
+def completed_request(driver, verdict=Verdict.DEEPFAKE, matches=(("c-0", NEAR),)):
     rid = setup_active_pipeline(driver)
-    confidence = 0.99 if verdict is Verdict.DEEPFAKE else 0.0
+    confidence = NEAR if verdict is Verdict.DEEPFAKE else 0
     receipt, _ = driver.submit(
         TxKind.COMMIT_ANALYSIS_RESULT,
         ORACLE,
@@ -627,8 +628,9 @@ def test_feedback_from_non_submitter_rejected():
     assert receipt.error_code == "NotSubmitter"
 
 
-def test_low_accuracy_after_window_deprecates():
-    # 50 feedbacks, 24 correct -> accuracy 0.48 < 0.5 -> Deprecated + burn
+def _label_fifty_deepfakes(correct: int) -> Driver:
+    """An active algorithm's 50 Deepfake results, labelled by feedback, the
+    first ``correct`` of them right."""
     params = ContractParams(oracle_account=ORACLE, feedback_window=50)
     driver = Driver(make_state({"alice": 500, "bob": 20000}, params=params))
     register_algo(driver)
@@ -641,7 +643,6 @@ def test_low_accuracy_after_window_deprecates():
             content_hash=hash_bytes(b"item-0"), embedding=bytes_embedding(4),
         ),
     )
-    owner_balance_before_burn = None
     for i in range(50):
         receipt, tx = driver.submit(
             TxKind.SUBMIT_ANALYSIS_REQUEST, "bob", request_payload(blob=f"q{i}".encode())
@@ -652,16 +653,29 @@ def test_low_accuracy_after_window_deprecates():
             ORACLE,
             CommitAnalysisResult(
                 request_id=rid, algorithm_id="algo-1",
-                verdict=Verdict.DEEPFAKE, confidence=0.99,
-                matched_content=(("c-0", 0.99),),
+                verdict=Verdict.DEEPFAKE, confidence=NEAR,
+                matched_content=(("c-0", NEAR),),
             ),
         )
         assert commit.status is ReceiptStatus.ACCEPTED
-        truth = Verdict.DEEPFAKE if i < 24 else Verdict.AUTHENTIC
+        truth = Verdict.DEEPFAKE if i < correct else Verdict.AUTHENTIC
         fb, _ = driver.submit(
             TxKind.SUBMIT_FEEDBACK, "bob", SubmitFeedback(request_id=rid, true_label=truth)
         )
         assert fb.status is ReceiptStatus.ACCEPTED
+    return driver
+
+
+def test_accuracy_at_exactly_the_minimum_keeps_the_algorithm():
+    # 25 of 50 is exactly feedback_min_pct (50): not below it.
+    record = _label_fifty_deepfakes(25).state.algorithms["algo-1"]
+    assert (record.tp, record.fp) == (25, 25)
+    assert record.status is AlgorithmStatus.ACTIVE
+
+
+def test_low_accuracy_after_window_deprecates():
+    # 50 feedbacks, 24 correct -> accuracy 48% < 50% -> Deprecated + burn
+    driver = _label_fifty_deepfakes(24)
     record = driver.state.algorithms["algo-1"]
     assert (record.tp, record.fp) == (24, 26)
     assert record.status is AlgorithmStatus.DEPRECATED
@@ -677,7 +691,7 @@ def test_low_accuracy_after_window_deprecates():
         ORACLE,
         CommitAnalysisResult(
             request_id=request_id_for(tx), algorithm_id="algo-1",
-            verdict=Verdict.DEEPFAKE, confidence=0.99, matched_content=(("c-0", 0.99),),
+            verdict=Verdict.DEEPFAKE, confidence=NEAR, matched_content=(("c-0", NEAR),),
         ),
     )
     assert commit.error_code == "AlgorithmNotActive"
@@ -763,7 +777,7 @@ def _content(content_id="c-9", embedding=None):
     return TxKind.REGISTER_CONTENT, "bob", payload
 
 
-def _commit(rid, algorithm_id="algo-1", confidence=0.99, matches=(("c-0", 0.99),),
+def _commit(rid, algorithm_id="algo-1", confidence=NEAR, matches=(("c-0", NEAR),),
             sender=ORACLE):
     payload = CommitAnalysisResult(
         request_id=rid, algorithm_id=algorithm_id, verdict=Verdict.DEEPFAKE,
@@ -829,12 +843,9 @@ REJECTIONS = {
     "RequestNotCompleted": ("pending", lambda d, rid: _feedback(rid)),
     "AlgorithmNotActive": ("pending", lambda d, rid: _commit(rid, algorithm_id="algo-2")),
     "UnauthorizedOracle": ("pending", lambda d, rid: _commit(rid, sender="alice")),
-    "BadResult-confidence": ("pending", lambda d, rid: _commit(rid, confidence=1.5)),
-    "BadResult-similarity": ("pending", lambda d, rid: _commit(rid, matches=(("c-0", 1.5),))),
-    # Hashed like any float, then refused: a NaN fails every comparison.
-    "BadResult-confidence-nan": ("pending", lambda d, rid: _commit(rid, confidence=math.nan)),
-    "BadResult-similarity-nan": (
-        "pending", lambda d, rid: _commit(rid, matches=(("c-0", math.nan),))
+    "BadResult-confidence": ("pending", lambda d, rid: _commit(rid, confidence=ONE + 1)),
+    "BadResult-similarity": (
+        "pending", lambda d, rid: _commit(rid, matches=(("c-0", ONE + 1),))
     ),
     "DuplicateFeedback": ("completed", _second_feedback),
     "NotSubmitter": ("completed", lambda d, rid: _feedback(rid, sender="alice")),

@@ -12,6 +12,7 @@ from veriledger.core import (
     DetectorSpec,
     Embedding,
     MediaType,
+    ONE,
     Verdict,
 )
 from veriledger.detection import (
@@ -36,7 +37,7 @@ from veriledger.errors import (
 from veriledger.rng import SplitMix64
 from veriledger.sim import perturb
 
-from conftest import cosine, dense, indices, random_bytes
+from conftest import dense, indices, random_bytes, score
 
 
 def pgm(width, height, pixel_fn) -> bytes:
@@ -144,6 +145,28 @@ def test_integer_embedding_known_answers(name):
     assert dict(zip(indices(e), e.stored)) == nonzero
     assert e.norm2 == sum(v * v for v in nonzero.values())
     assert e.peak == max(nonzero.values())
+
+
+# Inputs whose every Image band or Audio window rounds to 0: a 6,400-sample
+# clip with one sample of 1 in every 100 (``isqrt(4 * 1 // 100)`` is 0), and
+# a 1024x1024 image whose every 128x128 band sums to 31, below half of one
+# Q16 step. A band or window with any non-zero sample stores 1.
+QUIET = {
+    "audio-one-in-100": (pcm(([1] + [0] * 99) * 64), MediaType.AUDIO),
+    "image-band-sum-31": (
+        pgm(1024, 1024, lambda r, c: 1 if r % 128 == 0 and c % 128 < 31 else 0),
+        MediaType.IMAGE,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUIET))
+def test_quiet_content_embeds_to_something_that_matches_itself(name):
+    content, media_type = QUIET[name]
+    e = embed(content, media_type)
+    assert e.is_valid() and e.stored == (1,) * 64
+    record = content_record("quiet", e, content_hash=hash_bytes(content))
+    assert match_trusted(e, [record], 1, 100) == [MatchCandidate("quiet", ONE)]
 
 
 def test_embed_rejects_empty():
@@ -273,7 +296,7 @@ def test_cosine_identity_within_tolerance():
     # Exactly 1: the squared cosine of an embedding with itself is n**2 / n**2.
     e = embed(random_bytes(SplitMix64(1), 4096), MediaType.BYTES)
     assert similarity(e, e) == (e.norm2**2, e.norm2**2)
-    assert cosine(e, e) == 1.0
+    assert score(e, e) == ONE
 
 
 def vector(values, media_type=MediaType.IMAGE):
@@ -289,7 +312,7 @@ def test_cosine_half_kernel():
     a = vector([1, 0, 1] + [0] * 5)
     b = vector([1, 1, 0] + [0] * 5)
     assert similarity(a, b) == (1, 4)
-    assert cosine(a, b) == 0.5
+    assert score(a, b) == ONE // 2
 
 
 def test_cosine_dimension_mismatch():
@@ -322,7 +345,7 @@ def test_similarity_symmetric_and_bounded(a_vals, b_vals):
     assert forward == similarity(b, a)
     top, bottom = forward
     assert 0 <= top <= bottom
-    assert 0.0 <= cosine(a, b) == cosine(b, a) <= 1.0
+    assert 0 <= score(a, b) == score(b, a) <= ONE
 
 
 # --- match_trusted ----------------------------------------------------------------
@@ -335,12 +358,12 @@ def rand_embedding(rng: SplitMix64, media_type=MediaType.BYTES) -> Embedding:
     return Embedding.from_dense(tuple(1 + rng.randrange(999) for _ in range(dim)), media_type)
 
 
-def brute_force_matches(query, registry, k, threshold):
+def brute_force_matches(query, registry, k, tau_pct):
     kept = [
-        MatchCandidate(r.content_id, cosine(query, r.embedding))
+        MatchCandidate(r.content_id, score(query, r.embedding))
         for r in registry
         if r.media_type is query.media_type
-        and Fraction(*similarity(query, r.embedding)) >= Fraction(str(threshold)) ** 2
+        and Fraction(*similarity(query, r.embedding)) >= Fraction(tau_pct, 100) ** 2
     ]
     kept.sort(key=lambda c: (-c.similarity, c.content_id))
     return kept[:k]
@@ -348,7 +371,7 @@ def brute_force_matches(query, registry, k, threshold):
 
 def test_match_empty_registry():
     rng = SplitMix64(2)
-    assert match_trusted(rand_embedding(rng), [], 5, 0.0) == []
+    assert match_trusted(rand_embedding(rng), [], 5, 0) == []
 
 
 def test_match_self_is_first_with_similarity_one():
@@ -357,27 +380,25 @@ def test_match_self_is_first_with_similarity_one():
     registry = [content_record("self", query)] + [
         content_record(f"other-{i}", rand_embedding(rng)) for i in range(5)
     ]
-    result = match_trusted(query, registry, 3, 0.0)
+    result = match_trusted(query, registry, 3, 0)
     assert result[0].content_id == "self"
-    assert result[0].similarity == 1.0
+    assert result[0].similarity == ONE
 
 
 def test_match_agrees_with_bruteforce_50():
     rng = SplitMix64(4)
     registry = [content_record(f"c-{i:03d}", rand_embedding(rng)) for i in range(50)]
     query = rand_embedding(rng)
-    assert match_trusted(query, registry, 5, 0.0) == brute_force_matches(
-        query, registry, 5, 0.0
-    )
+    assert match_trusted(query, registry, 5, 0) == brute_force_matches(query, registry, 5, 0)
 
 
 def test_match_agrees_with_bruteforce_1000():
     rng = SplitMix64(5)
     registry = [content_record(f"c-{i:04d}", rand_embedding(rng)) for i in range(1000)]
     query = rand_embedding(rng)
-    for k, threshold in ((5, 0.0), (17, 0.9), (3, 0.999)):
-        assert match_trusted(query, registry, k, threshold) == brute_force_matches(
-            query, registry, k, threshold
+    for k, tau_pct in ((5, 0), (17, 90), (3, 99)):
+        assert match_trusted(query, registry, k, tau_pct) == brute_force_matches(
+            query, registry, k, tau_pct
         )
 
 
@@ -385,15 +406,15 @@ def test_match_filters_media_type():
     rng = SplitMix64(6)
     query = rand_embedding(rng, MediaType.IMAGE)
     registry = [content_record("bytes-item", rand_embedding(rng, MediaType.BYTES))]
-    assert match_trusted(query, registry, 5, 0.0) == []
+    assert match_trusted(query, registry, 5, 0) == []
 
 
 def test_match_validates_arguments():
     rng = SplitMix64(7)
     with pytest.raises(ValueError):
-        match_trusted(rand_embedding(rng), [], 0, 0.5)
+        match_trusted(rand_embedding(rng), [], 0, 50)
     with pytest.raises(ValueError):
-        match_trusted(rand_embedding(rng), [], 1, 1.5)
+        match_trusted(rand_embedding(rng), [], 1, 101)
 
 
 # --- run_detector --------------------------------------------------------------
@@ -410,8 +431,8 @@ def test_exact_hash_authentic():
             DetectorSpec(kind=kind), target, [record]
         )
         assert verdict is Verdict.AUTHENTIC
-        assert confidence == 1.0
-        assert matches == [MatchCandidate("c-1", 1.0)]
+        assert confidence == ONE
+        assert matches == [MatchCandidate("c-1", ONE)]
 
 
 def test_one_pixel_change_flags_deepfake():
@@ -422,7 +443,7 @@ def test_one_pixel_change_flags_deepfake():
     )
     target = request_for(altered, MediaType.IMAGE)
     verdict, confidence, matches = run_detector(
-        DetectorSpec(kind="near-duplicate", parameters={"tau": 0.95}),
+        DetectorSpec(kind="near-duplicate", parameters={"tau_pct": 95}),
         target,
         [record],
     )
@@ -436,8 +457,8 @@ def test_one_pixel_change_flags_deepfake():
     dot = 63 * base * base + shifted * base
     norm2_a = 63 * base * base + shifted * shifted
     norm2_b = 64 * base * base
-    assert confidence == math.sqrt(dot * dot / (norm2_a * norm2_b))
-    assert confidence >= 0.99
+    assert confidence == math.isqrt(dot * dot * ONE * ONE // (norm2_a * norm2_b))
+    assert confidence * 100 >= 99 * ONE
 
 
 def test_disjoint_support_is_unverified():
@@ -454,16 +475,15 @@ def test_disjoint_support_is_unverified():
         DetectorSpec(kind="near-duplicate"), target, [record]
     )
     assert verdict is Verdict.UNVERIFIED
-    assert confidence == 0.0
+    assert confidence == 0
     assert matches == []
 
 
 def test_near_duplicate_threshold_boundary_inclusive():
-    # Cosine exactly 4/5 passes at tau 0.8 (>= semantics), though 0.8 as a
-    # binary float is above 4/5, and fails one float above it.
+    # Cosine exactly 4/5 passes at tau_pct 80 (>= semantics) and fails at
+    # 81. Its score is floor(0.8 * ONE).
     query = Embedding.from_dense((1, 0) + (0,) * 254, MediaType.BYTES)
     other = Embedding.from_dense((4, 3) + (0,) * 254, MediaType.BYTES)
-    assert Fraction(0.8) > Fraction(4, 5)
     record = content_record("c-1", other)
     target = AnalysisTarget(
         request_id="r-b",
@@ -471,11 +491,11 @@ def test_near_duplicate_threshold_boundary_inclusive():
         content_hash=hash_bytes(b"q"),
         embedding=query,
     )
-    for tau, expected in (
-        (0.8, (Verdict.DEEPFAKE, 0.8, [MatchCandidate("c-1", 0.8)])),
-        (math.nextafter(0.8, 1.0), (Verdict.UNVERIFIED, 0.0, [])),
+    for tau_pct, expected in (
+        (80, (Verdict.DEEPFAKE, 52428, [MatchCandidate("c-1", 52428)])),
+        (81, (Verdict.UNVERIFIED, 0, [])),
     ):
-        spec = DetectorSpec(kind="near-duplicate", parameters={"tau": tau})
+        spec = DetectorSpec(kind="near-duplicate", parameters={"tau_pct": tau_pct})
         assert run_detector(spec, target, [record]) == expected
 
 
@@ -487,7 +507,7 @@ def test_unknown_detector_kind():
 
 def test_custom_detector_registration():
     def always_unverified(params, target, registry):
-        return Verdict.UNVERIFIED, 0.0, []
+        return Verdict.UNVERIFIED, 0, []
 
     register_detector_kind("test-null", always_unverified)
     try:
@@ -578,10 +598,10 @@ def test_bytes_similarity_monotone_in_flip_rate():
     rng = SplitMix64(9)
     means = []
     for p in (0.01, 0.1, 0.5):
-        total = 0.0
+        total = 0
         for trial in range(100):
             blob = random_bytes(SplitMix64(rng.next_u64()), 4096)
             mutated = perturb(blob, "byte-flip", p, seed=rng.next_u64())
-            total += cosine(embed(blob, MediaType.BYTES), embed(mutated, MediaType.BYTES))
+            total += score(embed(blob, MediaType.BYTES), embed(mutated, MediaType.BYTES))
         means.append(total / 100)
     assert means[0] >= means[1] >= means[2]

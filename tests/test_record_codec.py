@@ -95,7 +95,7 @@ from conftest import dense, indices
 CONTENT_HASH = hash_bytes(b"known-answer content")
 AUDIO = Embedding.from_dense((0, 32768, 81920, 1), MediaType.AUDIO)
 IMAGE = Embedding.from_dense((8192, 0, 131072), MediaType.IMAGE)
-MATCHES = (("content-kat", 0.9375), ("content-b", 0.5))
+MATCHES = (("content-kat", 61440), ("content-b", 32768))  # Q16: 0.9375 and 0.5
 
 RECORDS = {
     "RegisterAlgorithm": RegisterAlgorithm(
@@ -127,7 +127,7 @@ RECORDS = {
         request_id="req-000001",
         algorithm_id="algo-kat",
         verdict=Verdict.DEEPFAKE,
-        confidence=0.875,
+        confidence=57344,
         matched_content=MATCHES,
     ),
     "SubmitFeedback": SubmitFeedback(
@@ -173,7 +173,7 @@ RECORDS = {
         request_id="req-000001",
         algorithm_id="algo-kat",
         verdict=Verdict.DEEPFAKE,
-        confidence=0.875,
+        confidence=57344,
         matched_content=MATCHES,
         committed_at=13,
         labelled=True,
@@ -181,7 +181,7 @@ RECORDS = {
     "ContractParams": ContractParams(),
     "DetectorSpec": DetectorSpec(
         kind="near-duplicate",
-        parameters={"tau": 0.9, "bins": 32, "name": "nd", "strict": True},
+        parameters={"tau_pct": 90, "bins": 32, "name": "nd", "strict": True},
     ),
 }
 
@@ -196,24 +196,24 @@ KNOWN_ANSWERS = {
         "4caad34442445a2b718bdb99388463abc5a792c36d269754e8311caf368c3106",
     ),
     "AnalysisResultRecord": (
-        "49517b01a8c33b07af4b945c2f8186e42b65403f8129ce67c5419b10d467eed9",
-        "a86de20662e51227b75195a8f148226a72c1e0f43676766890b2cbe4883eb0bd",
+        "243ee079056b34329bd4050c26c80ab5d5a4f091ace18959ce0d7048fa93ef9f",
+        "7dea042d539802a1052d1595a46a5ca35ceebafcbb6617cfaa7c432a86144863",
     ),
     "CommitAnalysisResult": (
-        "05a2cfe1df0f3521a74881c3157148dfdb0769f9f783de8d9d6a33f6a72f20a7",
-        "c639b22270e993ca5ae1c7241a7e7a020abd12081ce9170e2b56288e95d24985",
+        "3778b8b40b5a2c142f865969da69aaa081f2c36075f0b76511d29b261cf731e7",
+        "3daa21f79a2dc0cec7d761ca0c667ae3cc703489c4356ae63d8e0239a083c1f4",
     ),
     "ContentRecord": (
         "5ef276d6f093e37ad099bbb296102767b0d92f374cb1967614c04fca2a39220f",
         "f74812d6c4add020a60e7cc9fe7053a3fe1b756cef0b231be1ddd8b5f4e2dbb8",
     ),
     "ContractParams": (
-        "45189c65704381d2f729a505ac746102d86d693e345b4f6c1ea37c482cff7995",
-        "6dcd1a29419169431709fff57bbdeb714272a7c1fdd4ff1f2310e25119c6c0a5",
+        "e8e5e2715f514f7a5a3279e429cee4eaf7a0689040580926ff8569a98a5cd90e",
+        "77ba397371bbe39c4a1659901184f838b97d7d2a4355edfc8e8446b79b537062",
     ),
     "DetectorSpec": (
-        "b921ee58b54cf11b044b430366ae1be4cf49716a1a3c0f0060f06294e8ea3615",
-        "c324f6362f21f6466f350dc2cac074e0058884db41fe302c94a3a03c56f95af8",
+        "41b676c43291989c0680f12f8512d0f8915ea8abfc54113dbaab6822f511caaf",
+        "71a1bf2015969625a044e6bd15624cb1166e90d25349a9f2b51c05892d889383",
     ),
     "RegisterAlgorithm": (
         "f8706e49b11ece23dee033b7912f95f916b9852c5dd272ebee131a188cb90eb2",
@@ -280,7 +280,7 @@ def kat_state() -> NetworkState:
     result = RECORDS["AnalysisResultRecord"]
     return NetworkState(
         params=ContractParams(
-            min_stake=150, challenge_pass_accuracy=0.75, oracle_account="oracle-kat"
+            min_stake=150, challenge_pass_pct=75, oracle_account="oracle-kat"
         ),
         validators={"v2": 40, "v1": 60},
         balances={"user-1": 500, "@escrow": 12, "owner-1": 0},
@@ -299,7 +299,7 @@ def kat_state() -> NetworkState:
             "req-000001": result,
         },
         detectors={
-            "nd-2": DetectorSpec(kind="cosine", parameters={"threshold": 0.25}),
+            "nd-2": DetectorSpec(kind="cosine", parameters={"threshold": 25}),
             "nd-1": RECORDS["DetectorSpec"],
         },
         initial_supply=10**6,
@@ -320,7 +320,7 @@ def test_state_encoding_known_answer():
     state = kat_state()
     encoded = encode_state(state)
     assert hash_bytes(encoded).hex == (
-        "975969eac2e57f0d992e97ab0ac9377aa022c97c04644174c49b98e09853e7c4"
+        "3ab440385c3e5603e7c37d5eafcad45fdfb5066241d6cd454291f3b7dee6f301"
     )
     copy = state_copy(state)
     assert encode_state(copy) == encoded
@@ -418,8 +418,8 @@ EDITS = {
     "frozenset[MediaType]": (
         _encoded("frozenset[MediaType]", frozenset(MediaType)), ("flip", 3, 1)
     ),
-    "tuple[tuple[str, float], ...]": (
-        _encoded("tuple[tuple[str, float], ...]", MATCHES), ("flip", 3, 3)
+    "tuple[tuple[str, int], ...]": (
+        _encoded("tuple[tuple[str, int], ...]", MATCHES), ("flip", 3, 3)
     ),
     "dict[str, AlgorithmRecord]": (
         _encoded("dict[str, AlgorithmRecord]", kat_state().algorithms), ("swap",)

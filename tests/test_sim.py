@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from veriledger import sim
 from veriledger.core import (
     MediaType,
+    ONE,
     ReceiptStatus,
     RegisterAlgorithm,
     Transaction,
@@ -34,7 +35,7 @@ from veriledger.store import ChainRecord, ChainWriter, canonical_json, replay
 
 from chainfile import bodies
 from conftest import (
-    GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, cosine, json_containers, random_bytes,
+    GOLDEN_CONFIG_PATH, GOLDEN_FIXTURE_DIR, json_containers, random_bytes, score,
 )
 
 
@@ -117,8 +118,8 @@ def test_perturb_full_flip_drops_similarity():
     low = 0
     for item in corpus.trusted:
         mutated = perturb(item.content, "byte-flip", 1.0, seed=rng.next_u64())
-        sim = cosine(embed(item.content, MediaType.BYTES), embed(mutated, MediaType.BYTES))
-        if sim < 0.9:
+        sim = score(embed(item.content, MediaType.BYTES), embed(mutated, MediaType.BYTES))
+        if sim * 10 < 9 * ONE:
             low += 1
     assert low >= 95
 
@@ -421,8 +422,8 @@ def _fuzz_base():
     that their parsers are fuzzed too; it parses to the same config but for
     those two."""
     doc = golden_doc()
-    doc["detectors"] = {"nd": {"kind": "near-duplicate", "parameters": {"tau": 0.9, "k": 3}}}
-    doc["params"] = {"min_fee": 10, "challenge_pass_accuracy": 0.8}
+    doc["detectors"] = {"nd": {"kind": "near-duplicate", "parameters": {"tau_pct": 90, "k": 3}}}
+    doc["params"] = {"min_fee": 10, "challenge_pass_pct": 80}
     return doc
 
 

@@ -5,8 +5,9 @@ dense reference.
 are the search as a brute force over the dense integer vectors
 (``conftest.dense``): every record of the query's media type is scored, and
 it matches iff its exact cosine, as a ``Fraction`` squared, is at least the
-square of the fraction the threshold's decimal text names. The live code
-must return the same records, in the same order, with the same scores.
+square of the threshold's percent, and scores ``floor(ONE * cosine)``. The
+live code must return the same records, in the same order, with the same
+scores.
 ``brute_force_matches`` in ``test_detection`` calls ``similarity`` itself, so
 it cannot serve as this reference. ``three_pass_sparse_values`` computes the
 non-zero pairs, squared norm, mask and peak of a dense vector each in its
@@ -29,6 +30,7 @@ from veriledger.core import (
     DetectorSpec,
     Embedding,
     MediaType,
+    ONE,
     Verdict,
     encode_embedding,
     encode_record,
@@ -49,7 +51,7 @@ from veriledger.rng import SplitMix64
 from veriledger.store import canonical_json, record_to_json
 
 from chainfile import record_copy
-from conftest import dense, indices
+from conftest import dense, indices, q16
 from test_record_codec import KNOWN_ANSWERS, RECORDS
 
 # --- the dense reference ----------------------------------------------------
@@ -74,15 +76,15 @@ def dense_similarity(a, b):
     return dot * dot, na * nb
 
 
-def fraction_match_trusted(query, registry, k, threshold):
-    tau = Fraction(str(threshold))
+def fraction_match_trusted(query, registry, k, tau_pct):
+    tau = Fraction(tau_pct, 100)
     candidates = []
     for record in registry:
         if record.media_type is not query.media_type:
             continue
         dot, na, nb = dense_dot(dense(query), dense(record.embedding))
         if Fraction(dot, 1) ** 2 / (na * nb) >= tau**2:
-            candidates.append(MatchCandidate(record.content_id, math.sqrt(dot * dot / (na * nb))))
+            candidates.append(MatchCandidate(record.content_id, q16(dot * dot, na * nb)))
     candidates.sort(key=lambda c: (-c.similarity, c.content_id))
     return candidates[:k]
 
@@ -100,20 +102,20 @@ def dense_find_exact(target, registry):
 def dense_exact_hash(params, target, registry):
     record = dense_find_exact(target, registry)
     if record is not None:
-        return Verdict.AUTHENTIC, 1.0, [MatchCandidate(record.content_id, 1.0)]
-    return Verdict.UNVERIFIED, 0.0, []
+        return Verdict.AUTHENTIC, ONE, [MatchCandidate(record.content_id, ONE)]
+    return Verdict.UNVERIFIED, 0, []
 
 
 def dense_near_duplicate(params, target, registry):
     record = dense_find_exact(target, registry)
     if record is not None:
-        return Verdict.AUTHENTIC, 1.0, [MatchCandidate(record.content_id, 1.0)]
-    tau = float(params.get("tau", 0.95))
+        return Verdict.AUTHENTIC, ONE, [MatchCandidate(record.content_id, ONE)]
+    tau_pct = int(params.get("tau_pct", 95))
     k = int(params.get("k", 5))
-    matches = fraction_match_trusted(target.embedding, registry, k, tau)
+    matches = fraction_match_trusted(target.embedding, registry, k, tau_pct)
     if matches:
         return Verdict.DEEPFAKE, matches[0].similarity, matches
-    return Verdict.UNVERIFIED, 0.0, []
+    return Verdict.UNVERIFIED, 0, []
 
 
 def three_pass_sparse_values(values):
@@ -144,7 +146,7 @@ def exact_cosine(query, record):
         return None
 
 
-def skipped_records(query, searched, threshold):
+def skipped_records(query, searched, tau_pct):
     """The records of the query's media type that ``match_trusted`` skips:
     those it never passes to ``similarity``. A record whose score raises
     counts as scored, and the search goes on past it."""
@@ -159,7 +161,7 @@ def skipped_records(query, searched, threshold):
             return 0, 1
 
     with mock.patch.object(detection, "similarity", scoring):
-        match_trusted(query, searched, 1, threshold)
+        match_trusted(query, searched, 1, tau_pct)
     return [
         r for r in searched
         if r.media_type is query.media_type and id(r.embedding) not in scored
@@ -233,11 +235,11 @@ HASHES = [hash_bytes(bytes([i])) for i in range(4)]
 
 
 def around(squares):
-    """Thresholds at and one float either side of the square root of each
-    ``Fraction`` in ``squares`` in (0, 1]: where a rule off by a rounding
-    would decide the other way."""
-    roots = [math.sqrt(s) for s in squares if 0 < s <= 1]
-    return [t for r in roots for t in (r, math.nextafter(r, 0.0), min(math.nextafter(r, 1.0), 1.0))]
+    """Percents at and either side of 100 times the square root of each
+    ``Fraction`` in ``squares`` in (0, 1]: where a rule off by one would
+    decide the other way, and the root itself where it is a percent."""
+    roots = [math.isqrt(math.floor(10000 * s)) for s in squares if 0 < s <= 1]
+    return [t for r in roots for t in (r - 1, r, r + 1) if 0 <= t <= 100]
 
 
 @st.composite
@@ -261,16 +263,20 @@ def searches(draw):
     )
     k = draw(st.sampled_from([1, 2, 5, len(registry) or 1, 2**64 - 1]))
     scores = [exact_cosine(query, r) for r in registry if r.media_type is query.media_type]
-    threshold = draw(st.one_of(
-        st.sampled_from([0.0, 1.0, 5e-324, 0.5, 0.6, 0.8, 0.95]),
-        st.floats(0.0, 1.0),
-        st.sampled_from(around([s for s in scores if s is not None]) or [0.5]),
+    tau_pct = draw(st.one_of(
+        st.sampled_from([0, 100, 1, 50, 60, 80, 95]),
+        st.integers(0, 100),
+        st.sampled_from(around([s for s in scores if s is not None]) or [50]),
     ))
-    return registry, target, k, threshold
+    return registry, target, k, tau_pct
 
 
-# Cosine exactly 4/5, at tau 0.8; and the same record at tau 0.0, where the
-# rule is off.
+# Ten values of 1: against itself, its cosine is exactly 1, and so is the
+# pruning rule's bound on it.
+TIGHT = Embedding.from_dense((1,) * 10 + (0,) * 246, MediaType.BYTES)
+
+# Cosine exactly 4/5, at tau_pct 80; and the same record at tau_pct 0, where
+# the rule is off.
 PYTHAGOREAN = (
     [content("c", Embedding.from_dense((4, 3) + (0,) * 254, MediaType.BYTES), HASHES[0])],
     AnalysisTarget(
@@ -282,20 +288,20 @@ PYTHAGOREAN = (
 
 @settings(max_examples=5 * settings.default.max_examples)  # 300 under "ci"
 @given(searches())
-@example((*PYTHAGOREAN, 1, 0.8))
-@example((*PYTHAGOREAN, 1, 0.0))
+@example((*PYTHAGOREAN, 1, 80))
+@example((*PYTHAGOREAN, 1, 0))
 def test_sparse_search_matches_dense_reference_bit_for_bit(search):
-    registry, target, k, threshold = search
+    registry, target, k, tau_pct = search
     query = target.embedding
-    assert outcome(match_trusted, query, registry, k, threshold) == outcome(
-        fraction_match_trusted, query, registry, k, threshold
+    assert outcome(match_trusted, query, registry, k, tau_pct) == outcome(
+        fraction_match_trusted, query, registry, k, tau_pct
     )
     for record in registry:
         if record.media_type is query.media_type:
             assert outcome(similarity, query, record.embedding) == outcome(
                 dense_similarity, query, record.embedding
             )
-    params = {"tau": threshold, "k": k}
+    params = {"tau_pct": tau_pct, "k": k}
     for kind, reference in (
         ("exact-hash", dense_exact_hash),
         ("near-duplicate", dense_near_duplicate),
@@ -306,11 +312,33 @@ def test_sparse_search_matches_dense_reference_bit_for_bit(search):
         )
 
 
+@settings(max_examples=5 * settings.default.max_examples)
+@given(searches())
+@example((*PYTHAGOREAN, 1, 80))
+@example(([content("c", TIGHT, HASHES[0])], AnalysisTarget("r", MediaType.BYTES, HASHES[1], TIGHT),
+          1, 100))
+def test_a_committed_score_is_the_floor_of_ONE_times_the_cosine(search):
+    # Every record the search scores (tau_pct 0), with the score a result
+    # would commit: floor(ONE * sqrt(dot**2 / (n_q * n_r))), by the definition
+    # of the floor, in Fractions.
+    registry, target, _, _ = search
+    query = target.embedding
+    matches = outcome(match_trusted, query, registry, 2**64 - 1, 0)
+    if isinstance(matches, type):
+        return
+    by_id = {r.content_id: r for r in registry}
+    for match in matches:
+        square = Fraction(*dense_similarity(query, by_id[match.content_id].embedding))
+        assert Fraction(match.similarity, ONE) ** 2 <= square
+        assert square < Fraction(match.similarity + 1, ONE) ** 2
+        assert 0 <= match.similarity <= ONE
+
+
 @st.composite
 def tight_searches(draw):
     """Searches over one media type with thresholds where a record's bound
-    meets the threshold: at and one float either side of the square root of
-    ``c**2 * peak_q**2 * peak**2 / (norm2_q * norm2)``."""
+    meets the threshold: percents at and either side of 100 times the square
+    root of ``c**2 * peak_q**2 * peak**2 / (norm2_q * norm2)``."""
     media_type = draw(st.sampled_from(MEDIA))
     dim = EMBEDDING_DIMENSIONS[media_type]
 
@@ -342,25 +370,24 @@ def tight_searches(draw):
         / (query.norm2 * r.embedding.norm2)
         for r in registry
     ]
-    threshold = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(around(bounds) or [0.5])))
-    return registry, target, 5, threshold
+    tau_pct = draw(st.one_of(st.integers(0, 100), st.sampled_from(around(bounds) or [50])))
+    return registry, target, 5, tau_pct
 
 
-# Ten values of 1 against themselves at threshold 1.0: the bound on the
-# squared cosine, ``10**2 / (10 * 10)``, is exactly the cosine, 1.
-TIGHT = Embedding.from_dense((1,) * 10 + (0,) * 246, MediaType.BYTES)
+# TIGHT against itself at tau_pct 100: the bound on the squared cosine,
+# ``10**2 / (10 * 10)``, is exactly the cosine, 1.
 
 
 @settings(max_examples=5 * settings.default.max_examples)
 @given(st.one_of(searches(), tight_searches()))
 @example(([content("c", TIGHT, HASHES[0])], AnalysisTarget("r", MediaType.BYTES, HASHES[1], TIGHT),
-          5, 1.0))
+          5, 100))
 def test_rule_skips_only_records_scoring_below_the_threshold(search):
-    registry, target, _, threshold = search
+    registry, target, _, tau_pct = search
     query = target.embedding
-    for record in skipped_records(query, registry, threshold):
+    for record in skipped_records(query, registry, tau_pct):
         score = exact_cosine(query, record)
-        assert score is not None and score < Fraction(str(threshold)) ** 2
+        assert score is not None and score < Fraction(tau_pct, 100) ** 2
 
 
 # The dot product is an int, so it is the dense loop's whichever branch of
@@ -447,23 +474,23 @@ def rule_case(case):
     of the query's four bins, changed as ``case`` says."""
     query = embed(b"abcd", MediaType.BYTES)
     far = embed(b"abwx", MediaType.BYTES)
-    threshold = 0.95
+    tau_pct = 95
     if case == "tau 0":
-        threshold = 0.0
+        tau_pct = 0
     elif case == "zero-norm record":
         far = Embedding.from_dense((0,) * 256, MediaType.BYTES)
     elif case == "zero-norm query":
         query = Embedding.from_dense((0,) * 256, MediaType.BYTES)
-    return query, [content("far", far, HASHES[0])], threshold
+    return query, [content("far", far, HASHES[0])], tau_pct
 
 
 def test_rule_skips_a_well_scaled_record_sharing_too_few_bins():
     # Each side holds four bins of 1, so the bound on the squared cosine is
     # 2**2 * 1 * 1 / (4 * 4) = 1/4, below 0.95**2; ``far``'s cosine is 0.5.
-    query, registry, threshold = rule_case(None)
-    assert skipped_records(query, registry, threshold) == registry
-    assert outcome(match_trusted, query, registry, 5, threshold) == outcome(
-        fraction_match_trusted, query, registry, 5, threshold
+    query, registry, tau_pct = rule_case(None)
+    assert skipped_records(query, registry, tau_pct) == registry
+    assert outcome(match_trusted, query, registry, 5, tau_pct) == outcome(
+        fraction_match_trusted, query, registry, 5, tau_pct
     ) == []
 
 
@@ -471,11 +498,11 @@ def test_rule_skips_a_well_scaled_record_sharing_too_few_bins():
 def test_rule_skips_nothing_where_the_bound_may_not_hold(case):
     # With tau 0 or a norm of 0 the rule's right side is 0, which no product
     # is below: every record is scored, and a zero vector raises.
-    query, registry, threshold = rule_case(case)
-    expected = outcome(fraction_match_trusted, query, registry, 5, threshold)
+    query, registry, tau_pct = rule_case(case)
+    expected = outcome(fraction_match_trusted, query, registry, 5, tau_pct)
     for searched in (registry, RegistryIndex(registry)):
-        assert skipped_records(query, searched, threshold) == []
-        assert outcome(match_trusted, query, searched, 5, threshold) == expected
+        assert skipped_records(query, searched, tau_pct) == []
+        assert outcome(match_trusted, query, searched, 5, tau_pct) == expected
 
 
 def test_exact_index_returns_the_smallest_id_as_the_dense_scan_does():
@@ -500,8 +527,8 @@ def test_record_sharing_no_bin_scores_exactly_zero():
     query = embed(b"abcabc", MediaType.BYTES)
     other = embed(b"xyz", MediaType.BYTES)
     assert similarity(query, other) == dense_similarity(query, other) == (0, 12 * 3)
-    assert match_trusted(query, [content("c", other, HASHES[0])], 1, 0.0) == [
-        MatchCandidate("c", 0.0)
+    assert match_trusted(query, [content("c", other, HASHES[0])], 1, 0) == [
+        MatchCandidate("c", 0)
     ]
 
 
@@ -528,12 +555,12 @@ def test_similarity_runs_only_on_records_the_bound_cannot_rule_out(monkeypatch):
         return real_similarity(a, b)
 
     monkeypatch.setattr(detection, "similarity", counting_similarity)
-    cases = ((0.95, same_alphabet), (0.0, [r.embedding for r in registry]))
+    cases = ((95, same_alphabet), (0, [r.embedding for r in registry]))
     for searched in (registry, RegistryIndex(registry)):
-        for threshold, expected in cases:
+        for tau_pct, expected in cases:
             scored.clear()
-            assert outcome(match_trusted, query, searched, 5, threshold) == outcome(
-                fraction_match_trusted, query, registry, 5, threshold
+            assert outcome(match_trusted, query, searched, 5, tau_pct) == outcome(
+                fraction_match_trusted, query, registry, 5, tau_pct
             )
             assert [id(e) for e in scored] == [id(e) for e in expected]
 
@@ -544,15 +571,15 @@ def test_similarity_runs_only_on_records_the_bound_cannot_rule_out(monkeypatch):
 def test_a_tight_bound_does_not_skip_an_exact_match(media_type, value, count):
     # ``count`` equal values against themselves: the bound on the squared
     # cosine is ``count**2 * value**4 / (count * value**2)**2``, exactly 1,
-    # as the cosine is. The rule compares exactly, so at threshold 1.0 it
-    # does not skip the match.
+    # as the cosine is. The rule compares exactly, so at tau_pct 100 it does
+    # not skip the match.
     dim = EMBEDDING_DIMENSIONS[media_type]
     e = Embedding.from_dense((value,) * count + (0,) * (dim - count), media_type)
     assert (e.mask.bit_count() * e.peak * e.peak) ** 2 == e.norm2 * e.norm2
     registry = [content("c", e, HASHES[0])]
-    assert skipped_records(e, registry, 1.0) == []
-    assert match_trusted(e, registry, 1, 1.0) == [MatchCandidate("c", 1.0)]
-    assert fraction_match_trusted(e, registry, 1, 1.0) == [MatchCandidate("c", 1.0)]
+    assert skipped_records(e, registry, 100) == []
+    assert match_trusted(e, registry, 1, 100) == [MatchCandidate("c", ONE)]
+    assert fraction_match_trusted(e, registry, 1, 100) == [MatchCandidate("c", ONE)]
 
 
 def test_record_of_another_dimension_still_raises():
@@ -564,9 +591,9 @@ def test_record_of_another_dimension_still_raises():
     far = embed(b"xy", MediaType.BYTES)
     registry = [content("far", far, HASHES[1]), content("c", short, HASHES[0])]
     for searched in (registry, RegistryIndex(registry)):
-        assert skipped_records(query, searched, 0.95) == registry[:1]
-        assert outcome(match_trusted, query, searched, 1, 0.95) is DimensionMismatch
-    assert outcome(fraction_match_trusted, query, registry, 1, 0.95) is DimensionMismatch
+        assert skipped_records(query, searched, 95) == registry[:1]
+        assert outcome(match_trusted, query, searched, 1, 95) is DimensionMismatch
+    assert outcome(fraction_match_trusted, query, registry, 1, 95) is DimensionMismatch
 
 
 # Every kind of int: 0, negatives, the ``u32`` bounds and values past them.

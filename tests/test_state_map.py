@@ -60,7 +60,7 @@ VALUES = {
         RequestStatus.PENDING, 0,
     ),
     "results": lambda key, n: AnalysisResultRecord(
-        key, "algo", Verdict.AUTHENTIC, 0.5, (("c", 0.25),), n
+        key, "algo", Verdict.AUTHENTIC, 32768, (("c", 16384),), n
     ),
     "detectors": lambda key, n: DetectorSpec("near-duplicate", {"n": n}),
 }

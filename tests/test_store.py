@@ -19,7 +19,6 @@ from veriledger.codec import (
     STR,
     Hash256,
     enc_bytes,
-    enc_f64,
     enc_u32_bitmap,
     enc_str,
     enc_u32,
@@ -182,7 +181,7 @@ def test_round_trip_identity(tmp_path):
 
 # SHA-256 of the golden scenario's chain file. The golden fixtures hold only
 # hashes of the binary encodings, so this pins the chain file's layout.
-GOLDEN_CHAIN_SHA256 = "9f47fbe99c5366af080fc84efe4fe69575370ed3b6dd2db195dc66b116eb1a89"
+GOLDEN_CHAIN_SHA256 = "3a0348b880fe2214969bc6036aaba897ff67acea8aa13f833306d115f45d901f"
 
 
 def test_golden_chain_file_bytes_frozen(golden_run):
@@ -190,17 +189,30 @@ def test_golden_chain_file_bytes_frozen(golden_run):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_CHAIN_SHA256
 
 
-def test_a_v5_chain_fails_at_height_0_as_an_unsupported_version(golden_run, tmp_path):
-    # "v5" stored each embedding value as a binary64: its records are not
-    # read as "v6" ones, and the reader says so at the header.
+def _assert_unsupported(golden_run, tmp_path, version):
+    """The golden chain's records behind the header of format ``version``
+    fail at the header."""
     data = (golden_run.out_dir / "run.chain.jsonl").read_bytes()
-    assert store.HEADER == b"veriledger chain v6\n"
-    old = tmp_path / "v5.chain.jsonl"
-    old.write_bytes(b"veriledger chain v5\n" + data[len(store.HEADER) :])
+    assert store.HEADER == b"veriledger chain v7\n"
+    old = tmp_path / f"{version}.chain.jsonl"
+    old.write_bytes(f"veriledger chain {version}\n".encode() + data[len(store.HEADER) :])
     assert str(verify_chain(old)) == (
         "FAIL at height 0: CorruptRecord: unsupported version: the file starts "
-        "b'veriledger chain v5\\n'"
+        f"b'veriledger chain {version}\\n'"
     )
+
+
+def test_a_v5_chain_fails_at_height_0_as_an_unsupported_version(golden_run, tmp_path):
+    # "v5" stored each embedding value as a binary64: its records are not
+    # read as later ones, and the reader says so at the header.
+    _assert_unsupported(golden_run, tmp_path, "v5")
+
+
+def test_a_v6_chain_fails_at_height_0_as_an_unsupported_version(golden_run, tmp_path):
+    # "v6" held scores, accuracy thresholds and a detector's tau as
+    # binary64s, each 8 bytes where "v7" holds a u64: a "v6" record may
+    # decode, but it would mean something else.
+    _assert_unsupported(golden_run, tmp_path, "v6")
 
 
 def test_a_record_is_the_bytes_the_hashes_cover(golden_run):
@@ -228,11 +240,11 @@ def test_rejected_receipt_json_frozen():
 
 
 def test_printed_receipt_event_carries_the_notification_tag():
-    event = NotificationEvent("provider-1", "trusted-000", "r-1", 0.5)
+    event = NotificationEvent("provider-1", "trusted-000", "r-1", 32768)
     receipt = Receipt(tx_index=0, status=ReceiptStatus.ACCEPTED, events=(event,))
     assert canonical_json(record_to_json(receipt)) == (
         '{"error_code":null,"events":[{"content_id":"trusted-000","provider":"provider-1",'
-        '"request_id":"r-1","similarity":0.5,"type":"notification"}],'
+        '"request_id":"r-1","similarity":32768,"type":"notification"}],'
         '"status":"accepted","tx_index":0}'
     )
 
@@ -429,8 +441,6 @@ COSMETIC_VARIANTS = {
     "duplicate-media-type": {
         "frozenset[MediaType]": lambda ms: enc_str_list(sorted(m.value for m in ms) * 2)
     },
-    "nan": {"float": lambda x: enc_f64(math.nan if x == 0.0 else x)},
-    "infinity": {"float": lambda x: enc_f64(-math.inf if x == 0.0 else x)},
     "bit-past-count": {"Embedding": _embedding(_bit_past_count)},
     "padding-bits": {"Embedding": _embedding(_padding_bit)},
     "padding-bit-with-value": {"Embedding": _embedding(_padding_bit_with_value)},
@@ -451,8 +461,9 @@ COSMETIC_VARIANTS = {
     "parameter-tag": {"dict[str, object]": _scalar_map(b"\x05" + enc_u64(1))},
     "parameter-bool-byte": {"dict[str, object]": _scalar_map(b"\x04\x02")},
     "labelled-bool-byte": {"bool": lambda labelled: b"\x02"},
-    "parameter-nan": {"dict[str, object]": _scalar_map(b"\x03" + enc_f64(math.nan))},
-    "matches-count-past-end": {"tuple[tuple[str, float], ...]": lambda ms: enc_u32(2**32 - 1)},
+    # Tag 3 held an f64 before format v7; it is an unknown tag now.
+    "parameter-nan": {"dict[str, object]": _scalar_map(b"\x03" + struct.pack(">d", math.nan))},
+    "matches-count-past-end": {"tuple[tuple[str, int], ...]": lambda ms: enc_u32(2**32 - 1)},
 }
 
 
@@ -562,42 +573,52 @@ def test_a_fuzzed_embedding_value_past_u32_is_a_refused_write(golden_run, tmp_pa
 
 
 def test_writer_refuses_a_non_finite_float(tmp_path):
-    # A commit with a NaN confidence is a valid block (its receipt is a
-    # rejection), but no chain file can hold it.
+    # A score is a u64, so a commit with a NaN confidence has no encoding:
+    # it cannot be hashed, and a block that holds it cannot be written.
     genesis_state = fresh_state()
     genesis, state = init_chain(genesis_state)
     commit = Transaction(
         TxKind.COMMIT_ANALYSIS_RESULT, "A",
         CommitAnalysisResult("r-1", "algo", Verdict.DEEPFAKE, math.nan, ()), nonce=0,
     )
-    block, _, receipts = seal_block(state, [commit], timestamp=1)
-    assert receipts[0].status is ReceiptStatus.REJECTED
-    with ChainWriter(tmp_path / "nan.chain.jsonl") as writer:
+    with pytest.raises(ValueError, match="u64 out of range: nan"):
+        transaction_hash(commit)
+    block = Block(1, state.tip_hash, 1, "v1", (commit,), Hash256.zero(), Hash256.zero())
+    path = tmp_path / "nan.chain.jsonl"
+    with ChainWriter(path) as writer:
         writer.append(genesis, genesis_state=genesis_state)
-        with pytest.raises(SerializationError, match="non-finite"):
+        written = path.read_bytes()
+        with pytest.raises(SerializationError, match="u64 out of range: nan"):
             writer.append(block)
+    assert path.read_bytes() == written
 
 
 GENESIS_FLOATS = {
-    "params": lambda s: setattr(s, "params", ContractParams(challenge_pass_accuracy=math.nan)),
+    "params": lambda s: setattr(s, "params", ContractParams(challenge_pass_pct=math.nan)),
     "detector-parameter": lambda s: s.detectors.update(
-        nd=DetectorSpec("near-duplicate", {"tau": math.inf})
+        nd=DetectorSpec("near-duplicate", {"tau_pct": math.inf})
+    ),
+    "detector-finite-parameter": lambda s: s.detectors.update(
+        nd=DetectorSpec("near-duplicate", {"tau_pct": 0.95})
     ),
     "result-match": lambda s: s.results.update(
-        {"r-1": AnalysisResultRecord("r-1", "algo", Verdict.DEEPFAKE, 0.5, (("c", -math.inf),), 0)}
+        {"r-1": AnalysisResultRecord("r-1", "algo", Verdict.DEEPFAKE, 1, (("c", -math.inf),), 0)}
     ),
 }
 
 
 @pytest.mark.parametrize("edit", GENESIS_FLOATS.values(), ids=GENESIS_FLOATS.keys())
 def test_writer_refuses_a_non_finite_float_in_any_genesis_record(tmp_path, edit):
-    # The state root hashes it, but the reader would refuse the file.
+    # No field holds a float, so none has an encoding: the genesis cannot be
+    # sealed, and a genesis sealed before the edit cannot be written.
     genesis_state = fresh_state()
-    edit(genesis_state)
     genesis, _ = init_chain(genesis_state)
+    edit(genesis_state)
+    with pytest.raises(UnencodableState, match="out of range|unsupported parameter type"):
+        init_chain(genesis_state)
     path = tmp_path / "bad.chain.jsonl"
     with ChainWriter(path) as writer:
-        with pytest.raises(SerializationError, match="non-finite"):
+        with pytest.raises(SerializationError, match="out of range|unsupported parameter type"):
             writer.append(genesis, genesis_state=genesis_state)
     assert path.read_bytes() == b""
 
@@ -693,7 +714,7 @@ def test_commit_after_escrow_theft_is_a_rejected_receipt(golden_run, tmp_path, c
         TxKind.COMMIT_ANALYSIS_RESULT,
         oracle,
         CommitAnalysisResult(
-            request.request_id, algorithm.algorithm_id, Verdict.UNVERIFIED, 0.0, ()
+            request.request_id, algorithm.algorithm_id, Verdict.UNVERIFIED, 0, ()
         ),
         nonce=state.nonces.get(oracle, -1) + 1,
     )
@@ -739,7 +760,7 @@ def _with_completed_request(state, result_algorithm, labelled=False):
             request_id="r-1",
             algorithm_id=result_algorithm,
             verdict=Verdict.UNVERIFIED,
-            confidence=0.0,
+            confidence=0,
             matched_content=(),
             committed_at=0,
             labelled=labelled,
@@ -996,8 +1017,6 @@ def _other_values(draw, old):
         return draw(st.sampled_from([m for m in type(old) if m is not old]))
     if isinstance(old, int):
         return draw(st.sampled_from([0, 1, old + 1, max(old - 1, 0), 2**63, 2**64 - 1]))
-    if isinstance(old, float):
-        return draw(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e300, 5e-324, old * 2]))
     if isinstance(old, Hash256):
         return Hash256(bytes(32))
     return draw(st.sampled_from(["", "x", old + "x", "v1", "oracle", ESCROW_ACCOUNT, "owner-1"]))
